@@ -133,11 +133,11 @@ class GenCache:
     def sync(self) -> dict[int, Any]:
         """Refresh the generation guard once and return the live entry dict.
 
-        The batch pipeline calls this per burst and probes the returned
-        dict directly, bumping ``hits``/``misses`` itself so the counters
-        come out exactly as per-packet :meth:`get` calls would (a stale
-        burst counts one invalidation here plus one miss for the first
-        probing packet — same totals as scalar).  Sound only because no
+        The columnar tier calls this per burst (through
+        :meth:`probe_many`) and bumps ``hits``/``misses`` itself so the
+        counters come out exactly as per-packet :meth:`get` calls would (a
+        stale burst counts one invalidation here plus one miss for the
+        first probing packet — same totals as scalar).  Sound only because no
         source table can mutate mid-burst: control-plane mutations are
         scheduled events, never run synchronously from packet delivery.
 

@@ -79,14 +79,16 @@ def group_rows(
     Returns ``(ukeys, buckets)``: the unique keys ordered by first
     occurrence (``dict.fromkeys`` — one C-level pass) and, aligned with
     them, the per-group row-index lists.  ``buckets`` is ``None`` when
-    the burst is homogeneous — the overwhelmingly common core case,
-    where callers skip the partition entirely and treat ``rows`` as the
-    single group.  First-arrival order matters for parity: cache fills
-    happen in exactly the order the scalar loop would perform them.
+    the burst is homogeneous — the overwhelmingly common case (one label
+    in the core, a traffic train into one remote at the edge), settled
+    by a C-level ``count`` before any dict is built — where callers skip
+    the partition entirely and treat ``rows`` as the single group.
+    First-arrival order matters for parity: cache fills happen in
+    exactly the order the scalar loop would perform them.
     """
+    if keys.count(keys[0]) == len(keys):
+        return keys[:1], None
     ukd: dict[Any, list[int]] = dict.fromkeys(keys)  # type: ignore[arg-type]
-    if len(ukd) == 1:
-        return list(ukd), None
     for k in ukd:
         ukd[k] = []
     for r, k in zip(rows, keys):

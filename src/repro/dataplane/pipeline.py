@@ -39,6 +39,7 @@ meaning ("packets that consulted this table") regardless of cache state.
 from __future__ import annotations
 
 import zlib
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -82,41 +83,24 @@ COLUMNAR_MIN = 4
 # Row action codes for the columnar resolve/apply split.  Resolution fills
 # an int action column + a decision index per row; the apply loop is a
 # single in-order pass that materializes each action back onto the packet.
+# The list is closed: these are the hot actions the ledger shows traffic
+# for, and everything else is _A_SCALAR — the row continues in the scalar
+# stage that defines its semantics.
 _A_PENDING = 0      # awaiting the dst-key gather (the ip stage)
 _A_IP = 1           # plain IP forward (includes implicit-null imposition)
 _A_IMPOSE = 2       # push the NHLFE's label stack, then forward
 _A_ECMP = 3         # IP forward, per-flow path choice
 _A_SWAP = 4         # label swap
 _A_POP = 5          # penultimate-hop pop
-_A_LOCAL = 6        # deliver to local sinks
-_A_POPP_LOCAL = 7   # pop the last label, then deliver locally
-_A_VPN = 8          # VPN egress (stock PE hook, VRF group-resolved)
-_A_VRF = 9          # attachment-circuit ingress (customer stage)
-_A_SLOW = 10        # exotic label op, per-row scalar continuation
-_A_DROP = 11        # drop; no header mutation happened
-_A_DROPW = 12       # drop after writing back the decremented TTL
+_A_SCALAR = 6       # any other row: per-row scalar continuation
+_A_DROP = 7         # drop; no header mutation happened
+_A_DROPW = 8        # drop after writing back the decremented TTL
 
 # Label-stack entries built on the imposition fast path skip the dataclass
 # __init__/__post_init__ (labels come from the NHLFE, EXP from the 3-bit
 # LUT — both validated at install time, same trust the scalar path places
 # in swap_label's entry fields).
 _NEW_MPLS = object.__new__
-
-# The stock PeRouter VPN-egress delivery hook, resolved lazily (importing
-# repro.vpn.pe at load time would close the same cycle as the MPLS symbols
-# above).  The batch path inlines VPN egress only when the node's
-# ``vpn_deliver`` is exactly this method — a customized hook always gets
-# the scalar call.
-_PE_VPN_DELIVER: Any = None
-
-
-def _stock_pe_deliver() -> Any:
-    global _PE_VPN_DELIVER
-    if _PE_VPN_DELIVER is None:
-        from repro.vpn.pe import PeRouter
-
-        _PE_VPN_DELIVER = PeRouter._vpn_deliver
-    return _PE_VPN_DELIVER
 
 
 def dscp_to_exp(dscp: int) -> int:
@@ -227,9 +211,16 @@ class ForwardingPipeline:
         the event rather than allocating a closure.
         """
         node = self.node
-        if self.vrf_of_circuit is not None and not pkt.mpls_stack:
+        if self.vrf_of_circuit is not None:
             vrf = self.vrf_of_circuit.get(ifname)
             if vrf is not None:
+                if pkt.mpls_stack:
+                    # A CE is untrusted: label-switching what it hands us
+                    # would let it push another VPN's label and land in
+                    # that VRF (RFC 4364 §13.1).  Refused before any LFIB
+                    # probe or counter moves.
+                    node.drop(pkt, DropReason.LABELED_ON_CIRCUIT)
+                    return
                 # Customer packet entering its VPN at this PE.
                 cost = node.processing.ip_lookup_s
                 if cost <= 0.0:
@@ -266,335 +257,34 @@ class ForwardingPipeline:
     def ingress_batch(self, items: "list[tuple[Packet, str]]") -> None:
         """Vector entry point (``Router.receive_batch``): dispatch one burst.
 
-        Three tiers, all observationally identical to N scalar ``receive``
-        calls (the parity contract of ``tests/test_dataplane_batch.py``):
+        Two tiers, observationally identical (the parity contract of
+        ``tests/test_dataplane_batch.py``):
 
-        * Nodes with modeled per-packet CPU cost fall back to the scalar
-          path — their stages go through the scheduler anyway.
-        * The **columnar** path (:meth:`_ingress_columns`): the burst is
-          transposed into :class:`~repro.dataplane.columns.PacketColumns`
-          and forwarding decisions are resolved per *unique* key with
-          vectorized gathers/masks, materializing back onto the packets
-          in one in-order apply pass.  Taken whenever the burst is big
-          enough to amortize the ndarray setup (``COLUMNAR_MIN``).  With
-          a flight recorder or drop subscriber attached, the apply pass
-          emits per-row records and sends per packet, so the observable
-          interleave stays bit-identical to the scalar sequence; the
-          uniform whole-burst shortcuts and egress run coalescing engage
-          only when untraced.  Capacity-bounded caches are fine here:
-          they evict at per-burst epoch boundaries (:meth:`GenCache.sync`),
-          never on insert, so no fill can invalidate another group's
-          pre-gathered entry mid-burst.
-        * The hoisted per-row loop (:meth:`_ingress_batch_loop`)
-          otherwise — the small-burst tier, and the reference the
-          columnar path is tested against.
+        * Per-packet ``node.receive`` — the scalar stages — for bursts
+          below ``COLUMNAR_MIN`` (the ndarray setup would cost more than
+          it saves) and for nodes with modeled per-packet CPU cost (their
+          stages go through the scheduler anyway).
+        * The **columnar** path (:meth:`_ingress_columns`) otherwise: the
+          burst is transposed into
+          :class:`~repro.dataplane.columns.PacketColumns`, the hot
+          actions are resolved per *unique* key with vectorized
+          gathers/masks and materialized in one in-order apply pass, and
+          every other row continues in its scalar stage.  Capacity-
+          bounded caches are fine here: they evict at per-burst epoch
+          boundaries (:meth:`GenCache.sync`), never on insert, so no fill
+          can invalidate another group's pre-gathered entry mid-burst.
         """
-        node = self.node
-        processing = node.processing
-        if processing.ip_lookup_s > 0.0 or processing.label_lookup_s > 0.0:
-            receive = node.receive
+        processing = self.node.processing
+        if (
+            len(items) < COLUMNAR_MIN
+            or processing.ip_lookup_s > 0.0
+            or processing.label_lookup_s > 0.0
+        ):
+            receive = self.node.receive
             for pkt, ifname in items:
                 receive(pkt, ifname)
             return
-        if len(items) >= COLUMNAR_MIN:
-            self._ingress_columns(items)
-            return
-        self._ingress_batch_loop(items)
-
-    def _ingress_batch_loop(self, items: "list[tuple[Packet, str]]") -> None:
-        """Hoisted per-row burst loop (the traced / small-burst tier).
-
-        Packets are processed *sequentially in arrival order* through the
-        full per-packet pipeline — TTL, flight-recorder records, drops,
-        and ECMP hashing all happen per packet, so the side-effect
-        sequence is bit-identical to N scalar ``receive`` calls.  The win
-        is amortization: the receive/handle/ingress/stage call frames
-        collapse into one loop, loop-invariant attributes (tables, trace
-        sinks, node policy — none of which can mutate mid-burst, since
-        control-plane work is never run synchronously from packet
-        delivery) are hoisted, and each GenCache is generation-checked
-        once per burst (:meth:`GenCache.sync`) with the loop probing the
-        entry dict directly; hit/miss/lookup counters are bumped to
-        exactly what per-packet ``get`` calls would have recorded.
-
-        Egress run coalescing: with no flight recorder and no drop
-        subscriber attached, consecutive packets that resolve to the same
-        egress interface are buffered and flushed through one
-        ``Interface.send_batch`` call.  Runs break at every interface
-        change and are flushed before any side path that could touch an
-        interface out of order (``transmit``, VPN egress, local
-        delivery), so per-interface op order — queue occupancy, AQM
-        verdicts, kick timing — is exactly the scalar sequence.  When
-        either observer is attached the per-packet ``send`` path runs
-        instead, keeping the record interleave bit-identical.
-        """
-        node = self.node
-        now = self.sim.now
-        stats = node.stats
-        trace = node.trace
-        fl = trace.flight
-        fa = trace.flows
-        name = node.name
-        addresses = node.addresses
-        interfaces = node.interfaces
-        drop = node.drop
-        deliver_local = node.deliver_local
-        transmit = node.transmit
-        fib = self.fib
-        ftn = self.ftn
-        lfib = self.lfib
-        flow_cache = self.flow_cache
-        # Entry dicts sync lazily on first probe: a burst that never
-        # reaches a lookup stage (say, one TTL-expired row) must not
-        # count a staleness invalidation the scalar path never saw.
-        flow_entries: "dict | None" = None
-        voc = self.vrf_of_circuit
-        if lfib is not None:
-            label_cache = self.label_cache
-            label_entries: "dict | None" = None
-            op_swap = LabelOp.SWAP
-            op_pop = LabelOp.POP
-            op_pop_process = LabelOp.POP_PROCESS
-            op_swap_push = LabelOp.SWAP_PUSH
-            op_vpn = LabelOp.VPN
-            implicit_null = IMPLICIT_NULL
-            impose_exp = node.impose_exp
-            vpn_deliver = node.vpn_deliver
-            pe_fast = (
-                self.vrfs is not None
-                and vpn_deliver is not None
-                and getattr(vpn_deliver, "__func__", None) is _stock_pe_deliver()
-            )
-            # Per-burst memo of vrf-name → Vrf object (satellite of the
-            # vector PR): vpn_egress resolved ``vrfs.get`` per packet.
-            # Cross-burst memoization would dodge the Vrf generation
-            # guard, so the memo's lifetime is exactly one burst.
-            vrf_objs: dict[str, Any] = {}
-        else:
-            impose_exp = implicit_null = None
-        vec_tx = fl is None and not trace.active("drop")
-        run_name: str | None = None
-        run_iface: Any = None
-        run_pkts: list[Packet] | None = None
-
-        def tx_cold(pkt: Packet, out: str) -> None:
-            # Run boundary (or scalar fallback): resolve the interface,
-            # flush the open run, start the next one.
-            nonlocal run_name, run_iface, run_pkts
-            iface = interfaces.get(out)
-            if iface is None or iface.link is None:
-                drop(pkt, DropReason.NO_IFACE)
-                return
-            if not vec_tx:
-                stats.forwarded += 1
-                iface.send(pkt)
-                return
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts)
-            run_name = out
-            run_iface = iface
-            run_pkts = [pkt]
-
-        def flush_run() -> None:
-            nonlocal run_name, run_iface, run_pkts
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts)
-                run_name = run_iface = run_pkts = None
-
-        stats.rx_packets += len(items)
-        for pkt, ifname in items:
-            pkt.hops += 1
-            if fl is not None:
-                fl.rx(now, name, pkt, ifname)
-            stack = pkt.mpls_stack
-            if stack:
-                if lfib is None:
-                    drop(pkt, DropReason.LABELED_AT_IP_ROUTER)
-                    continue
-                # ---- label-op stage, probes on the synced entry dict ----
-                to_ip = False
-                if label_entries is None:
-                    label_entries = label_cache.sync()
-                while True:
-                    top = stack[-1]
-                    label = top.label
-                    entry = label_entries.get(label)
-                    if entry is None:
-                        label_cache.misses += 1
-                        entry = lfib.lookup(label)
-                        if entry is None:
-                            drop(pkt, DropReason.NO_LABEL)
-                            break
-                        label_cache.put(label, entry)
-                    else:
-                        label_cache.hits += 1
-                        lfib.lookups += 1
-                    op = entry.op
-                    if op is op_swap:
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            break
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "swap",
-                                        old=label, new=entry.out_label)
-                        pkt.swap_label(entry.out_label)
-                        out = entry.out_ifname
-                        if out == run_name:
-                            run_pkts.append(pkt)
-                        else:
-                            tx_cold(pkt, out)
-                        break
-                    if op is op_pop:
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            break
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "pop", old=label)
-                        pkt.pop_label()
-                        out = entry.out_ifname
-                        if out == run_name:
-                            run_pkts.append(pkt)
-                        else:
-                            tx_cold(pkt, out)
-                        break
-                    if op is op_pop_process:
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "pop", old=label)
-                        pkt.pop_label()
-                        if stack:
-                            continue  # inner label is also ours
-                        if pkt.ip.dst in addresses:
-                            flush_run()  # sinks may inject traffic
-                            deliver_local(pkt)
-                        else:
-                            to_ip = True
-                        break
-                    if op is op_swap_push:
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            break
-                        exp = top.exp
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "swap",
-                                        old=label, new=entry.out_label)
-                            fl.label_op(now, name, pkt, "push",
-                                        new=entry.push_label)
-                        pkt.swap_label(entry.out_label)
-                        pkt.push_label(entry.push_label, exp=exp)
-                        flush_run()  # ordinary transmit may share the run's iface
-                        transmit(pkt, entry.out_ifname)
-                        break
-                    if op is op_vpn:
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "pop", old=label)
-                        pkt.pop_label()
-                        if not pe_fast:
-                            if vpn_deliver is None:
-                                drop(pkt, DropReason.VPN_LABEL_NO_VRF)
-                            else:
-                                flush_run()  # hook may transmit or deliver
-                                vpn_deliver(pkt, entry.vrf)
-                            break
-                        vrf_name = entry.vrf
-                        vrf = vrf_objs.get(vrf_name)
-                        if vrf is None:
-                            vrf = self.vrfs.get(vrf_name)
-                            if vrf is None:
-                                drop(pkt, DropReason.UNKNOWN_VRF)
-                                break
-                            vrf_objs[vrf_name] = vrf
-                        flush_run()  # VPN egress transmits internally
-                        self._vpn_egress_vrf(pkt, vrf, fa)
-                        break
-                    drop(pkt, DropReason.BAD_LFIB_OP)  # pragma: no cover
-                    break
-                if not to_ip:
-                    continue
-            else:
-                if voc is not None:
-                    vrf = voc.get(ifname)
-                    if vrf is not None:
-                        # ---- customer stage, ``fa`` hoisted per burst ----
-                        if fa is not None:
-                            fa.ingress(name, vrf.name, pkt)
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            continue
-                        route = self._vrf_lookup(vrf, pkt.ip.dst)
-                        if route is None:
-                            drop(pkt, DropReason.NO_VRF_ROUTE)
-                            continue
-                        flush_run()  # customer egress transmits internally
-                        if route.kind == "local":
-                            transmit(pkt, route.out_ifname)
-                        else:
-                            self.remote_stage(pkt, route)
-                        continue
-                if pkt.ip.dst in addresses:
-                    flush_run()  # sinks may inject traffic
-                    deliver_local(pkt)
-                    continue
-            # ---- ip stage (unlabeled transit, or the POP_PROCESS tail) ----
-            if pkt.decrement_ttl() <= 0:
-                drop(pkt, DropReason.TTL)
-                continue
-            dst = pkt.ip.dst
-            dv = dst.value
-            if flow_entries is None:
-                flow_entries = flow_cache.sync()
-            decision = flow_entries.get(dv)
-            if decision is None:
-                flow_cache.misses += 1
-                if ftn is None:
-                    route = fib.lookup(dst)
-                    nhlfe = None
-                else:
-                    match = fib.lookup_prefix(dst)
-                    if match is None:
-                        route = nhlfe = None
-                    else:
-                        prefix, route = match
-                        nhlfe = ftn.lookup(prefix)
-                flow_cache.put(dv, (route, nhlfe))
-            else:
-                flow_cache.hits += 1
-                route, nhlfe = decision
-                if ftn is None:
-                    fib.lookups += 1
-            if nhlfe is not None:
-                # ---- qos-mark stage (imposition) ----
-                exp = (
-                    impose_exp if impose_exp is not None
-                    else dscp_to_exp(pkt.ip.dscp)
-                )
-                for lbl in nhlfe.labels:
-                    if lbl == implicit_null:
-                        continue
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "push", new=lbl)
-                    pkt.push_label(lbl, exp=exp)
-                out = nhlfe.out_ifname
-                if out == run_name:
-                    run_pkts.append(pkt)
-                else:
-                    tx_cold(pkt, out)
-                continue
-            if route is None:
-                drop(pkt, DropReason.NO_ROUTE)
-                continue
-            # ---- egress dispatch (per-packet ECMP hash) ----
-            if route.alternates:
-                paths = route.all_paths
-                out = paths[flow_hash(pkt) % len(paths)][0]
-            else:
-                out = route.out_ifname
-            if out == run_name:
-                run_pkts.append(pkt)
-            else:
-                tx_cold(pkt, out)
-        flush_run()
+        self._ingress_columns(items)
 
     # ------------------------------------------------------------------
     # Columnar fast path (struct-of-arrays)
@@ -602,41 +292,52 @@ class ForwardingPipeline:
     def _ingress_columns(self, items: "list[tuple[Packet, str]]") -> None:
         """Struct-of-arrays burst resolution: classify → gather → apply.
 
-        The burst is transposed into :class:`PacketColumns` (one O(n)
-        object walk), then resolved without touching the packets again:
+        An accelerator over the scalar stages, not a second definition of
+        them.  The burst is transposed into :class:`PacketColumns` (one
+        O(n) object walk) and only a closed list of *hot actions* is
+        resolved per unique key and applied inline: plain IP forward,
+        label imposition, ECMP spray, label swap, penultimate-hop pop,
+        single-level ``POP_PROCESS`` transit (pop, then the ip gather),
+        and their TTL / no-route / unknown-label / labeled-at-IP-router
+        drops.  Every other row — attachment-circuit ingress, a VPN
+        label, local delivery, FRR's swap-and-push, a multi-level
+        ``POP_PROCESS`` stack, a bad op — gets the one ``_A_SCALAR``
+        action: the apply pass flushes the open egress run and calls the
+        scalar stage itself, handing over what the gather already
+        resolved *and counted* (``mpls_stage(pkt, entry)``,
+        ``customer_stage(pkt, vrf)``) or, when nothing was resolved, the
+        whole of :meth:`ingress`.  A new forwarding rule is therefore
+        written once, in a scalar stage.
 
-        1. **Label groups** — unique top labels in first-arrival order,
+        1. **Circuit rows** — rows arriving on an attachment circuit go
+           scalar before any table is probed (a labeled one must be
+           refused by ``ingress`` with no LFIB counter moved).
+        2. **Label groups** — unique top labels in first-arrival order,
            one LFIB/cache probe per group; hit/miss/logical-lookup
            counters are bumped by group size to exactly the per-row
-           totals.  SWAP/POP/VPN/local rows get their action codes here;
-           single-level ``POP_PROCESS`` transit rows fall through to the
-           ip stage with a pop-first flag; exotic ops (``SWAP_PUSH``,
-           multi-level ``POP_PROCESS``, a customized VPN hook) defer to
-           the per-row scalar continuation (:meth:`_row_label_slow`).
-        2. **VRF demux / local delivery** — attachment-circuit rows via a
-           per-burst ifname memo; local rows via one vectorized
-           membership test on the dst-key column.
-        3. **Mass TTL** — one masked decrement over every row the scalar
-           path would decrement (SWAP, POP, ip-stage, customer ingress),
-           with the expiry mask rewriting actions to drops.  Rows whose
-           handlers order observable effects around the decrement
-           themselves (customer ingress runs the flow accountant first)
-           keep their action and re-check in the apply pass.
-        4. **Dst-key gather** — unique destinations of the surviving
+           totals.
+        3. **Local delivery** — one set-membership test on the dst-key
+           column over the unlabeled rows.
+        4. **Mass TTL** — one masked decrement over the hot rows (scalar
+           rows decrement in their own stage), the expiry mask rewriting
+           actions to drops.
+        5. **Dst-key gather** — unique destinations of the surviving
            ip-stage rows against the flow cache, same group arithmetic;
-           misses resolve through the identical trie/FTN calls the scalar
-           path makes (negative decisions cached as ``(None, None)``).
-        5. **Apply** — one in-order pass materializing header writes
-           (TTL, swaps, pushes via direct slot stores, pops), with egress
-           run coalescing identical to the loop tier: consecutive
-           same-interface rows flush through one ``send_batch`` carrying
-           the wire-bytes column, so queue byte accounting never re-reads
-           the packets.
+           misses resolve through :meth:`_flow_miss`, the call the scalar
+           path makes.
+        6. **Apply** — one in-order pass materializing header writes
+           (TTL, swaps, pushes via direct slot stores, pops).  Untraced,
+           consecutive same-interface rows flush through one
+           ``send_batch`` carrying the wire-bytes column, and a burst
+           that is one swap / one route / one imposition group skips the
+           pass for a uniform loop; with a flight recorder or drop
+           subscriber attached every row emits its records and sends per
+           packet, so the interleave is the scalar sequence.
 
         Packet objects are only touched in the build pass and at
-        materialization boundaries — egress write-back, drops, local
-        delivery, trace/measurement hooks — which is the lazy-
-        materialization contract documented in ARCHITECTURE §11.
+        materialization boundaries — egress write-back, drops, scalar
+        continuations, trace hooks — which is the lazy-materialization
+        contract documented in ARCHITECTURE §11.
         """
         node = self.node
         stats = node.stats
@@ -644,333 +345,205 @@ class ForwardingPipeline:
         stats.rx_packets += n
         cols = PacketColumns(items)
         trace = node.trace
-        fa = trace.flows
         fl = trace.flight
-        # Per-packet observers force the per-row record interleave: no
-        # uniform whole-burst shortcuts, per-packet sends instead of run
-        # coalescing.  The resolve phases (1-4) are unaffected — lookups
-        # and counter arithmetic are not observable events.
         vec_tx = fl is None and not trace.active("drop")
         addresses = node.addresses
+        interfaces = node.interfaces
         lfib = self.lfib
         act = np.zeros(n, dtype=np.int64)
         didx = np.zeros(n, dtype=np.int64)
+        # decisions[0] is the "nothing resolved" payload of _A_SCALAR rows.
         decisions: list[Any] = [None]
-        dec_append = decisions.append
+
+        def assign(rows: Any, kind: int, payload: Any) -> None:
+            """Give the same action and decision to every row of ``rows``
+            (a row-index sequence or a boolean mask)."""
+            if not isinstance(rows, np.ndarray):
+                rows = slice(None) if len(rows) == n else np.fromiter(
+                    rows, np.int64, count=len(rows)
+                )
+            act[rows] = kind
+            didx[rows] = len(decisions)
+            decisions.append(payload)
+
+        def egress(out: str) -> Any:
+            """The interface named ``out`` if it can transmit, else None."""
+            iface = interfaces.get(out)
+            return iface if iface is not None and iface.link is not None else None
+
+        # ---- phase 1: attachment-circuit rows -----------------------
         lab_rows = cols.lab_rows
-        popp: list[bool] | None = None
-        # ``special`` tracks whether any row holds a non-PENDING action —
-        # while False, phases 3/4 take uniform-shape shortcuts (whole-array
-        # decrement, no PENDING scan).  ``uni_swap`` is the all-rows single-
-        # group SWAP entry: the core-LSR shape whose action/didx writes are
-        # deferred (filled only on a fallback) because the uniform apply
-        # loop never reads them.
-        special = bool(lab_rows)
+        voc = self.vrf_of_circuit
+        circuit: set[int] = set()
+        if voc is not None and not voc.keys().isdisjoint(
+            [ifn for _, ifn in items]
+        ):
+            for r, (pkt, ifn) in enumerate(items):
+                vrf = voc.get(ifn)
+                if vrf is not None:
+                    circuit.add(r)
+                    act[r] = _A_SCALAR
+                    if not pkt.mpls_stack:  # a labeled one: ingress refuses it
+                        didx[r] = len(decisions)
+                        decisions.append((self.customer_stage, vrf))
+            lab_rows = [r for r in lab_rows if r not in circuit]
+
+        # ``special`` tracks whether any row is not a plain ip-stage row —
+        # while False, phases 4/5 take the uniform-shape shortcuts.
+        # ``uni_swap`` is the all-rows single-group SWAP entry: the core-
+        # LSR shape whose action/didx writes are deferred (made real only
+        # on a fallback) because the uniform apply loop never reads them.
+        special = bool(lab_rows or circuit)
         uni_swap: Any = None
-        uni_didx = 0
+        popp: list[bool] | None = None
 
-        # ---- phase 1: label-op groups -------------------------------
-        if lab_rows:
+        # ---- phase 2: label-op groups -------------------------------
+        if lab_rows and lfib is None:
+            assign(lab_rows, _A_DROP, DropReason.LABELED_AT_IP_ROUTER)
+        elif lab_rows:
             popp = [False] * n
-            if lfib is None:
-                if cols.all_labeled:
-                    act[:] = _A_DROP
-                    didx[:] = len(decisions)
-                else:
-                    lab_idx = np.array(lab_rows, dtype=np.int64)
-                    act[lab_idx] = _A_DROP
-                    didx[lab_idx] = len(decisions)
-                dec_append(DropReason.LABELED_AT_IP_ROUTER)
-            else:
-                label_cache = self.label_cache
-                label_l = cols.label_list
-                keys = (
-                    label_l if cols.all_labeled
-                    else [label_l[r] for r in lab_rows]
-                )
-                ukeys, buckets = group_rows(lab_rows, keys)
-                probed = label_cache.probe_many(ukeys)
-                vrfs = self.vrfs
-                vpn_deliver = node.vpn_deliver
-                pe_fast = (
-                    vrfs is not None
-                    and vpn_deliver is not None
-                    and getattr(vpn_deliver, "__func__", None)
-                    is _stock_pe_deliver()
-                )
-                vrf_objs: dict[str, Any] = {}
-                op_swap = LabelOp.SWAP
-                op_pop = LabelOp.POP
-                op_popp = LabelOp.POP_PROCESS
-                op_vpn = LabelOp.VPN
-                for g, key in enumerate(ukeys):
-                    rows_l = lab_rows if buckets is None else buckets[g]
-                    c = len(rows_l)
-                    entry = probed[g]
+            label_cache = self.label_cache
+            label_l = cols.label_list
+            ukeys, buckets = group_rows(
+                lab_rows,
+                label_l if len(lab_rows) == n else [label_l[r] for r in lab_rows],
+            )
+            probed = label_cache.probe_many(ukeys)
+            op_swap = LabelOp.SWAP
+            op_pop = LabelOp.POP
+            for key, entry, rows_l in zip(ukeys, probed, buckets or (lab_rows,)):
+                c = len(rows_l)
+                if entry is None:
+                    # Scalar row 1: miss + real lookup (+fill); rows 2..c
+                    # then hit the fresh entry.  An unknown label is never
+                    # cached, so every row of its group misses and
+                    # consults the LFIB.
+                    label_cache.misses += 1
+                    entry = lfib.lookup(key)
+                    lfib.lookups += c - 1
                     if entry is None:
-                        # Scalar row 1: miss + real lookup (+fill); rows
-                        # 2..c then hit the fresh entry.  An unknown label
-                        # is never cached, so every row of its group
-                        # misses and consults the LFIB.
-                        label_cache.misses += 1
-                        entry = lfib.lookup(key)
-                        if entry is None:
-                            label_cache.misses += c - 1
-                            lfib.lookups += c - 1
-                            rows = np.fromiter(rows_l, np.int64, count=c)
-                            act[rows] = _A_DROP
-                            didx[rows] = len(decisions)
-                            dec_append(DropReason.NO_LABEL)
-                            continue
-                        label_cache.put(key, entry)
-                        label_cache.hits += c - 1
-                        lfib.lookups += c - 1
+                        label_cache.misses += c - 1
+                        assign(rows_l, _A_DROP, DropReason.NO_LABEL)
+                        continue
+                    label_cache.put(key, entry)
+                    label_cache.hits += c - 1
+                else:
+                    label_cache.hits += c
+                    lfib.lookups += c
+                op = entry.op
+                if op is op_swap:
+                    if c == n:
+                        uni_swap = entry
                     else:
-                        label_cache.hits += c
-                        lfib.lookups += c
-                    op = entry.op
-                    if op is op_swap:
-                        di = len(decisions)
-                        dec_append(entry)
-                        if c == n:
-                            uni_swap = entry
-                            uni_didx = di
+                        assign(rows_l, _A_SWAP, entry)
+                    continue
+                if op is op_pop:
+                    assign(rows_l, _A_POP, entry)
+                    continue
+                if op is LabelOp.POP_PROCESS:
+                    # Single-level transit rows stay pending for the ip
+                    # gather, flagged pop-first; deeper stacks and local
+                    # destinations continue in the scalar stage.
+                    depth = cols.depth_col()
+                    rest = []
+                    for r in rows_l:
+                        if depth[r] > 1 or items[r][0].ip.dst in addresses:
+                            rest.append(r)
                         else:
-                            rows = np.fromiter(rows_l, np.int64, count=c)
-                            act[rows] = _A_SWAP
-                            didx[rows] = di
-                    elif op is op_pop:
-                        rows = np.fromiter(rows_l, np.int64, count=c)
-                        act[rows] = _A_POP
-                        didx[rows] = len(decisions)
-                        dec_append(entry)
-                    elif op is op_popp:
-                        di = 0
-                        depth = cols.depth_col()
-                        for r in rows_l:
-                            if depth[r] > 1:
-                                if di == 0:
-                                    di = len(decisions)
-                                    dec_append(entry)
-                                act[r] = _A_SLOW
-                                didx[r] = di
-                            elif items[r][0].ip.dst in addresses:
-                                act[r] = _A_POPP_LOCAL
-                            else:
-                                popp[r] = True  # stays pending → ip gather
-                    elif op is op_vpn and pe_fast:
-                        vrf_name = entry.vrf
-                        vrf = vrf_objs.get(vrf_name)
-                        if vrf is None:
-                            vrf = vrfs.get(vrf_name)
-                            vrf_objs[vrf_name] = vrf
-                        rows = np.fromiter(rows_l, np.int64, count=c)
-                        act[rows] = _A_VPN
-                        didx[rows] = len(decisions)
-                        dec_append(vrf)  # None → UNKNOWN_VRF at apply
-                    else:
-                        # SWAP_PUSH, a customized VPN hook, or a bad op:
-                        # per-row scalar continuation.
-                        rows = np.fromiter(rows_l, np.int64, count=c)
-                        act[rows] = _A_SLOW
-                        didx[rows] = len(decisions)
-                        dec_append(entry)
+                            popp[r] = True
+                    rows_l = rest
+                if rows_l:
+                    assign(rows_l, _A_SCALAR, (self.mpls_stage, entry))
 
-        # ---- phase 2: VRF demux + local delivery --------------------
-        if not cols.all_labeled:
-            unlab: Any
-            if lab_rows:
-                lset = set(lab_rows)
-                unlab = [r for r in range(n) if r not in lset]
-            else:
-                unlab = range(n)
-            voc = self.vrf_of_circuit
-            if voc is not None:
-                ifmemo: dict[str, Any] = {}
-                vrf_rows: dict[str, tuple[Any, list[int]]] = {}
-                rest: list[int] = []
-                rest_append = rest.append
-                for r in unlab:
-                    ifn = items[r][1]
-                    v = ifmemo.get(ifn)
-                    if v is None and ifn not in ifmemo:
-                        v = ifmemo[ifn] = voc.get(ifn)
-                    if v is None:
-                        rest_append(r)
-                    else:
-                        bucket = vrf_rows.get(v.name)
-                        if bucket is None:
-                            vrf_rows[v.name] = (v, [r])
-                        else:
-                            bucket[1].append(r)
-                for v, rws in vrf_rows.values():
-                    rarr = np.array(rws, dtype=np.int64)
-                    act[rarr] = _A_VRF
-                    didx[rarr] = len(decisions)
-                    dec_append(v)
-                if vrf_rows:
+        # ---- phase 3: local delivery --------------------------------
+        if addresses and len(cols.lab_rows) < n:
+            # Set membership on the plain dst-key list: the address table
+            # is a handful of host entries, so building the int-value set
+            # per burst is far cheaper than np.isin, and the C-level
+            # isdisjoint scan settles the common transit burst (no local
+            # traffic) without the filter pass.
+            dst_l = cols.dst_keys()
+            avals = {a.value for a in addresses}
+            if not avals.isdisjoint(dst_l):
+                skip = circuit.union(cols.lab_rows)
+                loc = [
+                    r for r in range(n) if dst_l[r] in avals and r not in skip
+                ]
+                if loc:
+                    assign(loc, _A_SCALAR, None)
                     special = True
-                unlab = rest
-            if addresses:
-                # Set membership on the plain dst-key list: the address
-                # table is a handful of host entries, so building the
-                # int-value set per burst is far cheaper than np.isin.
-                # The C-level isdisjoint scan settles the common transit
-                # burst (no local traffic) without the filter pass.
-                dst_l = cols.dst_keys()
-                avals = {a.value for a in addresses}
-                if not avals.isdisjoint(dst_l):
-                    loc = [r for r in unlab if dst_l[r] in avals]
-                    if loc:
-                        act[np.array(loc, dtype=np.int64)] = _A_LOCAL
-                        special = True
 
-        # ---- phase 3: mass TTL decrement + expiry mask --------------
+        # ---- phase 4: mass TTL decrement + expiry mask --------------
         ttl_l: list[int] | None = cols.ttl_list
-        if not special or uni_swap is not None:
-            # Uniform shapes (every row PENDING, or one SWAP group
-            # covering the burst): a single min() gates the expiry path
-            # off the common no-expiry case, and when nothing expires
-            # the decrement fuses into the apply loops (``ttl_l = None``
-            # is the fused-decrement sentinel).
-            if min(ttl_l) <= 1:
-                ttl = np.array(ttl_l, dtype=np.int64)
-                ttl -= 1
-                if uni_swap is not None:
-                    # The deferred uniform-SWAP writes become real: the
-                    # expiry mask needs per-row actions to override.
-                    act[:] = _A_SWAP
-                    didx[:] = uni_didx
-                    uni_swap = None
-                low = ttl <= 0
-                act[low] = _A_DROPW
-                didx[low] = len(decisions)
-                dec_append(DropReason.TTL)
-                special = True
-                ttl_l = ttl.tolist()
-            else:
-                ttl_l = None
+        if (not special or uni_swap is not None) and min(ttl_l) > 1:
+            # Uniform shape (every row PENDING, or one SWAP group covering
+            # the burst) with nothing expiring: the decrement fuses into
+            # the apply loops (``None`` is the fused-decrement sentinel).
+            ttl_l = None
         else:
+            if uni_swap is not None:
+                # The expiry mask needs per-row actions to override.
+                assign(lab_rows, _A_SWAP, uni_swap)
+                uni_swap = None
             ttl = np.array(ttl_l, dtype=np.int64)
-            decr = (act == _A_PENDING) | (act == _A_SWAP) | (act == _A_POP) \
-                | (act == _A_VRF)
-            if decr.all():
-                ttl -= 1
-            else:
-                ttl[decr] -= 1
+            decr = (act == _A_PENDING) | (act == _A_SWAP) | (act == _A_POP)
+            ttl[decr] -= 1
             low = decr & (ttl <= 0)
             if low.any():
-                # Customer-ingress rows keep their action: the flow
-                # accountant must record the arrival before the TTL
-                # verdict, so their handler re-checks the written-back
-                # TTL itself.
-                over = low & (act != _A_VRF)
-                if over.any():
-                    act[over] = _A_DROPW
-                    didx[over] = len(decisions)
-                    dec_append(DropReason.TTL)
+                assign(low, _A_DROPW, DropReason.TTL)
+            special = True
             ttl_l = ttl.tolist()
 
-        # ---- phase 4: dst-key gather (the ip stage) -----------------
-        interfaces = node.interfaces
-        if not special:
-            # Pure-IP burst, nothing assigned yet: every row is an
-            # ip-stage row, so skip the PENDING scan outright.
-            flow_cache = self.flow_cache
-            dst_l = cols.dst_keys()
-            k0 = dst_l[0]
-            if dst_l.count(k0) == n:
-                # One destination (the dominant edge shape — a traffic
-                # train into one remote): skip the grouping dict.
-                ukeys, buckets = [k0], None
-            else:
-                ukeys, buckets = group_rows(range(n), dst_l)
-            probed = flow_cache.probe_many(ukeys)
-            if buckets is None:
-                # Homogeneous burst — one destination, one decision: the
-                # dominant edge shape (a traffic train into one remote).
-                # Dispatch straight to a uniform apply loop with no
-                # action/decision bookkeeping at all.
-                kind, payload = self._resolve_dst_group(
-                    probed[0], ukeys[0], items[0][0].ip.dst, n
-                )
-                if vec_tx:
-                    if kind == _A_IP:
-                        iface = interfaces.get(payload)
-                        if iface is not None and iface.link is not None:
-                            self._apply_uniform_ip(items, cols, iface)
-                            return
-                    elif kind == _A_IMPOSE:
-                        iface = interfaces.get(payload[1])
-                        if iface is not None and iface.link is not None:
-                            self._apply_uniform_impose(
-                                items, cols, payload[0], iface
-                            )
-                            return
-                    elif kind == _A_DROPW:
-                        self._apply_uniform_noroute(items, cols)
-                        return
-                # ECMP (per-row hash spray), a missing egress interface,
-                # or a traced burst: whole-burst action, generic apply.
-                act[:] = kind
-                didx[:] = 1
-                dec_append(payload)
-            else:
-                for g, key in enumerate(ukeys):
-                    rows_l = buckets[g]
-                    c = len(rows_l)
-                    kind, payload = self._resolve_dst_group(
-                        probed[g], key, items[rows_l[0]][0].ip.dst, c
-                    )
-                    rows = np.fromiter(rows_l, np.int64, count=c)
-                    act[rows] = kind
-                    didx[rows] = len(decisions)
-                    dec_append(payload)
-        elif uni_swap is not None:
-            if vec_tx:
-                iface = interfaces.get(uni_swap.out_ifname)
-                if iface is not None and iface.link is not None:
-                    self._apply_uniform_swap(items, cols, uni_swap, iface)
-                    return
+        # ---- phase 5: dst-key gather (the ip stage) -----------------
+        if uni_swap is not None:
+            iface = egress(uni_swap.out_ifname)
+            if vec_tx and iface is not None:
+                self._apply_uniform_swap(items, cols, uni_swap, iface)
+                return
             # Missing egress (the generic loop drops each row with
-            # NO_IFACE) or a traced burst: the deferred uniform-SWAP
-            # writes become real.
-            act[:] = _A_SWAP
-            didx[:] = uni_didx
+            # NO_IFACE) or a traced burst.
+            assign(lab_rows, _A_SWAP, uni_swap)
         else:
-            pend = np.nonzero(act == _A_PENDING)[0]
-            if len(pend):
-                flow_cache = self.flow_cache
+            pend: Any = (
+                np.nonzero(act == _A_PENDING)[0].tolist() if special
+                else range(n)
+            )
+            if pend:
                 dst_l = cols.dst_keys()
-                plist = pend.tolist()
                 ukeys, buckets = group_rows(
-                    plist, [dst_l[r] for r in plist]
+                    pend, [dst_l[r] for r in pend] if special else dst_l
                 )
-                probed = flow_cache.probe_many(ukeys)
-                for g, key in enumerate(ukeys):
-                    rows_l = plist if buckets is None else buckets[g]
-                    c = len(rows_l)
+                probed = self.flow_cache.probe_many(ukeys)
+                for decision, rows_l in zip(probed, buckets or (pend,)):
                     kind, payload = self._resolve_dst_group(
-                        probed[g], key, items[rows_l[0]][0].ip.dst, c
+                        decision, items[rows_l[0]][0].ip.dst, len(rows_l)
                     )
-                    rows = np.fromiter(rows_l, np.int64, count=c)
-                    act[rows] = kind
-                    didx[rows] = len(decisions)
-                    dec_append(payload)
+                    if ttl_l is None and buckets is None and vec_tx:
+                        # Homogeneous untraced burst — one destination,
+                        # one decision (a traffic train into one remote):
+                        # a uniform apply loop with no per-row dispatch.
+                        # ECMP sprays per row and a missing egress drops
+                        # per row, so both take the generic pass.
+                        if kind == _A_IP:
+                            iface = egress(payload)
+                            if iface is not None:
+                                self._apply_uniform_ip(items, cols, iface)
+                                return
+                        elif kind == _A_IMPOSE:
+                            iface = egress(payload[1])
+                            if iface is not None:
+                                self._apply_uniform_impose(
+                                    items, cols, payload[0], iface
+                                )
+                                return
+                    assign(rows_l, kind, payload)
 
-        # ---- phase 5: in-order apply / materialization --------------
-        act_l = act.tolist()
-        didx_l = didx.tolist()
+        # ---- phase 6: in-order apply / materialization --------------
         if ttl_l is None:
             # Fused-decrement sentinel from a uniform shape that fell
-            # back here (ECMP spray, missing egress): every such shape
-            # decrements all rows, so do it in one pass now.
+            # back here: every such shape decrements all rows.
             ttl_l = [t - 1 for t in cols.ttl_list]
-        wire_l = cols.wire_col()
-        interfaces = node.interfaces
         drop = node.drop
-        deliver_local = node.deliver_local
-        transmit = node.transmit
         name = node.name
         now = self.sim.now
         impose_exp = node.impose_exp if lfib is not None else None
@@ -980,27 +553,6 @@ class ForwardingPipeline:
         run_pkts: list[Packet] | None = None
         run_wire: list[int] | None = None
 
-        def tx_cold(pkt: Packet, out: str, w: int) -> None:
-            nonlocal run_name, run_iface, run_pkts, run_wire
-            iface = interfaces.get(out)
-            if iface is None or iface.link is None:
-                drop(pkt, DropReason.NO_IFACE)
-                return
-            if not vec_tx:
-                # Traced: per-packet send keeps the record interleave
-                # bit-identical to the scalar sequence (run_name stays
-                # None, so every row lands here).
-                stats.forwarded += 1
-                iface.send(pkt)
-                return
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts, run_wire)
-            run_name = out
-            run_iface = iface
-            run_pkts = [pkt]
-            run_wire = [w]
-
         def flush_run() -> None:
             nonlocal run_name, run_iface, run_pkts, run_wire
             if run_name is not None:
@@ -1008,54 +560,56 @@ class ForwardingPipeline:
                 run_iface.send_batch(run_pkts, run_wire)
                 run_name = run_iface = run_pkts = run_wire = None
 
-        i = 0
-        for pkt, ifname in items:
+        def tx_cold(pkt: Packet, out: str, w: int) -> None:
+            # Run boundary: resolve the interface, flush the open run,
+            # start the next one.
+            nonlocal run_name, run_iface, run_pkts, run_wire
+            iface = egress(out)
+            if iface is None:
+                drop(pkt, DropReason.NO_IFACE)
+            elif not vec_tx:
+                # Traced: per-packet send keeps the record interleave
+                # bit-identical to the scalar sequence (run_name stays
+                # None, so every row lands here).
+                stats.forwarded += 1
+                iface.send(pkt)
+            else:
+                flush_run()
+                run_name = out
+                run_iface = iface
+                run_pkts = [pkt]
+                run_wire = [w]
+
+        for (pkt, ifname), a, di, t, w, pop_first in zip(
+            items, act.tolist(), didx.tolist(), ttl_l, cols.wire_col(),
+            popp or repeat(False),
+        ):
             pkt.hops += 1
             if fl is not None:
                 fl.rx(now, name, pkt, ifname)
-            a = act_l[i]
+            if pop_first:
+                # POP_PROCESS transit: the pop (and its record) comes
+                # before the TTL / route verdict, as in ``mpls_stage``.
+                if fl is not None:
+                    fl.label_op(now, name, pkt, "pop",
+                                old=pkt.mpls_stack[-1].label)
+                pkt.mpls_stack.pop()
+                w -= 4
+                pkt._wire = w
             if a == _A_IP:
-                if popp is not None and popp[i]:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    w = wire_l[i] - 4
-                    wire_l[i] = w
-                    pkt._wire = w
-                else:
-                    w = wire_l[i]
-                pkt.ip.ttl = ttl_l[i]
-                out = decisions[didx_l[i]]
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
+                pkt.ip.ttl = t
+                out = decisions[di]
             elif a == _A_SWAP:
-                entry = decisions[didx_l[i]]
+                entry = decisions[di]
                 top = pkt.mpls_stack[-1]
                 if fl is not None:
                     fl.label_op(now, name, pkt, "swap",
                                 old=top.label, new=entry.out_label)
-                top.ttl = ttl_l[i]
+                top.ttl = t
                 top.label = entry.out_label
                 out = entry.out_ifname
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(wire_l[i])
-                else:
-                    tx_cold(pkt, out, wire_l[i])
             elif a == _A_IMPOSE:
-                if popp is not None and popp[i]:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    wire_l[i] -= 4
-                d = decisions[didx_l[i]]
-                labels = d[0]
-                t = ttl_l[i]
+                labels, out = decisions[di]
                 pkt.ip.ttl = t
                 e = impose_exp
                 if e is None:
@@ -1070,124 +624,54 @@ class ForwardingPipeline:
                     m.exp = e
                     m.ttl = t
                     stack.append(m)
-                w = wire_l[i] + 4 * len(labels)
-                wire_l[i] = w
+                w += 4 * len(labels)
                 pkt._wire = w
-                out = d[1]
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
             elif a == _A_ECMP:
-                if popp is not None and popp[i]:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    w = wire_l[i] - 4
-                    wire_l[i] = w
-                    pkt._wire = w
-                else:
-                    w = wire_l[i]
-                pkt.ip.ttl = ttl_l[i]
-                paths = decisions[didx_l[i]]
-                h = pkt.flow_hash_cache
-                if h is None:
-                    h = flow_hash(pkt)
-                out = paths[h % len(paths)][0]
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
+                pkt.ip.ttl = t
+                paths = decisions[di]
+                out = paths[flow_hash(pkt) % len(paths)][0]
             elif a == _A_POP:
                 stack = pkt.mpls_stack
                 if fl is not None:
                     fl.label_op(now, name, pkt, "pop", old=stack[-1].label)
                 stack.pop()
-                t = ttl_l[i]
                 if stack:
                     stack[-1].ttl = t
                 else:
                     pkt.ip.ttl = t
-                w = wire_l[i] - 4
-                wire_l[i] = w
+                w -= 4
                 pkt._wire = w
-                out = decisions[didx_l[i]].out_ifname
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
-            elif a == _A_LOCAL:
-                flush_run()  # sinks may inject traffic
-                deliver_local(pkt)
-            elif a == _A_POPP_LOCAL:
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop",
-                                old=pkt.mpls_stack[-1].label)
-                pkt.pop_label()
-                flush_run()
-                deliver_local(pkt)
-            elif a == _A_VPN:
-                vrf = decisions[didx_l[i]]
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop",
-                                old=pkt.mpls_stack[-1].label)
-                pkt.pop_label()
-                if vrf is None:
-                    drop(pkt, DropReason.UNKNOWN_VRF)
-                else:
-                    flush_run()  # VPN egress transmits internally
-                    self._vpn_egress_vrf(pkt, vrf, fa)
-            elif a == _A_VRF:
-                vrf = decisions[didx_l[i]]
-                if fa is not None:
-                    fa.ingress(name, vrf.name, pkt)
-                t = ttl_l[i]
-                pkt.ip.ttl = t
-                if t <= 0:
-                    drop(pkt, DropReason.TTL)
-                else:
-                    route = self._vrf_lookup(vrf, pkt.ip.dst)
-                    if route is None:
-                        drop(pkt, DropReason.NO_VRF_ROUTE)
+                out = decisions[di].out_ifname
+            else:
+                if a == _A_SCALAR:
+                    # The continuation may transmit, deliver or inject
+                    # traffic: the open run goes out first.
+                    flush_run()
+                    stage = decisions[di]
+                    if stage is None:
+                        self.ingress(pkt, ifname)
                     else:
-                        flush_run()  # customer egress transmits internally
-                        if route.kind == "local":
-                            transmit(pkt, route.out_ifname)
-                        else:
-                            self.remote_stage(pkt, route)
-            elif a == _A_SLOW:
-                flush_run()
-                self._row_label_slow(pkt, decisions[didx_l[i]])
-            elif a == _A_DROPW:
-                t = ttl_l[i]
-                if popp is not None and popp[i]:
-                    # Scalar emits the pop record before the TTL/route
-                    # verdict on POP_PROCESS rows, so a traced drop still
-                    # carries it.
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    pkt.ip.ttl = t
-                    pkt._wire = None
-                elif pkt.mpls_stack:
-                    pkt.mpls_stack[-1].ttl = t
-                else:
-                    pkt.ip.ttl = t
-                drop(pkt, decisions[didx_l[i]])
-            else:  # _A_DROP: no header mutation happened before the drop
-                drop(pkt, decisions[didx_l[i]])
-            i += 1
+                        stage[0](pkt, stage[1])
+                    continue
+                if a == _A_DROPW:
+                    # The decremented TTL is written back before the drop.
+                    if pkt.mpls_stack:
+                        pkt.mpls_stack[-1].ttl = t
+                    else:
+                        pkt.ip.ttl = t
+                drop(pkt, decisions[di])
+                continue
+            if out == run_name:
+                run_pkts.append(pkt)
+                run_wire.append(w)
+            else:
+                tx_cold(pkt, out, w)
         flush_run()
 
     def _resolve_dst_group(
-        self, decision: Any, key: int, dst: IPv4Address, c: int
+        self, decision: Any, dst: IPv4Address, c: int
     ) -> tuple[int, Any]:
-        """Resolve one flow-cache group of ``c`` rows keyed by ``key``.
+        """Resolve one flow-cache group: ``c`` rows destined to ``dst``.
 
         ``decision`` is the pre-gathered cache entry (``None`` on miss).
         Returns ``(action, payload)``: ``_A_IP`` with an out-interface
@@ -1199,29 +683,14 @@ class ForwardingPipeline:
         identical to ``ip_stage`` called ``c`` times.
         """
         flow_cache = self.flow_cache
-        fib = self.fib
-        ftn = self.ftn
         if decision is None:
             flow_cache.misses += 1
-            if ftn is None:
-                route = fib.lookup(dst)
-                nhlfe = None
-            else:
-                match = fib.lookup_prefix(dst)
-                if match is None:
-                    route = nhlfe = None
-                else:
-                    prefix, route = match
-                    nhlfe = ftn.lookup(prefix)
-            flow_cache.put(key, (route, nhlfe))
-            flow_cache.hits += c - 1
-            if ftn is None:
-                fib.lookups += c - 1
-        else:
-            route, nhlfe = decision
-            flow_cache.hits += c
-            if ftn is None:
-                fib.lookups += c
+            decision = self._flow_miss(dst)
+            c -= 1
+        flow_cache.hits += c
+        if self.ftn is None:
+            self.fib.lookups += c
+        route, nhlfe = decision
         if nhlfe is not None:
             implicit_null = IMPLICIT_NULL
             labels = [lbl for lbl in nhlfe.labels if lbl != implicit_null]
@@ -1337,111 +806,16 @@ class ForwardingPipeline:
         node.stats.forwarded += len(out)
         iface.send_batch(out, wire_l)
 
-    def _apply_uniform_noroute(
-        self, items: "list[tuple[Packet, str]]", cols: PacketColumns
-    ) -> None:
-        """Whole burst unroutable: TTL write-back then per-row drop."""
-        drop = self.node.drop
-        for (pkt, _ifname), t in zip(items, cols.ttl_list):
-            pkt.hops += 1
-            pkt.ip.ttl = t - 1
-            drop(pkt, DropReason.NO_ROUTE)
-
-    def _row_label_slow(self, pkt: Packet, entry: Any) -> None:
-        """Scalar continuation for exotic label rows in a columnar burst.
-
-        Entered with the top entry already resolved *and counted* by the
-        group gather; everything from the op dispatch on is exactly
-        :meth:`mpls_stage`, flight records included.  Handles whatever op
-        chain the inner labels produce, including SWAP/POP under a
-        multi-level ``POP_PROCESS``, and ends in the scalar
-        :meth:`ip_stage` whose per-row cache probe is identical to what
-        the scalar loop does.
-        """
-        node = self.node
-        lfib = self.lfib
-        cache = self.label_cache
-        fl = node.trace.flight
-        now = self.sim.now
-        name = node.name
-        while True:
-            op = entry.op
-            label = pkt.mpls_stack[-1].label
-            if op is LabelOp.SWAP_PUSH:
-                if pkt.decrement_ttl() <= 0:
-                    node.drop(pkt, DropReason.TTL)
-                    return
-                exp = pkt.mpls_stack[-1].exp
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "swap",
-                                old=label, new=entry.out_label)
-                    fl.label_op(now, name, pkt, "push",
-                                new=entry.push_label)
-                pkt.swap_label(entry.out_label)
-                pkt.push_label(entry.push_label, exp=exp)
-                node.transmit(pkt, entry.out_ifname)
-                return
-            if op is LabelOp.POP_PROCESS:
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=label)
-                pkt.pop_label()
-                if not pkt.mpls_stack:
-                    if node.owns(pkt.ip.dst):
-                        node.deliver_local(pkt)
-                    else:
-                        self.ip_stage(pkt)
-                    return
-                label = pkt.mpls_stack[-1].label
-                entry = cache.get(label)
-                if entry is None:
-                    entry = lfib.lookup(label)
-                    if entry is None:
-                        node.drop(pkt, DropReason.NO_LABEL)
-                        return
-                    cache.put(label, entry)
-                else:
-                    lfib.lookups += 1
-                continue
-            if op is LabelOp.SWAP:
-                if pkt.decrement_ttl() <= 0:
-                    node.drop(pkt, DropReason.TTL)
-                    return
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "swap",
-                                old=label, new=entry.out_label)
-                pkt.swap_label(entry.out_label)
-                node.transmit(pkt, entry.out_ifname)
-                return
-            if op is LabelOp.POP:
-                if pkt.decrement_ttl() <= 0:
-                    node.drop(pkt, DropReason.TTL)
-                    return
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=label)
-                pkt.pop_label()
-                node.transmit(pkt, entry.out_ifname)
-                return
-            if op is LabelOp.VPN:
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=label)
-                pkt.pop_label()
-                vpn_deliver = node.vpn_deliver
-                if vpn_deliver is None:
-                    node.drop(pkt, DropReason.VPN_LABEL_NO_VRF)
-                else:
-                    vpn_deliver(pkt, entry.vrf)
-                return
-            node.drop(pkt, DropReason.BAD_LFIB_OP)  # pragma: no cover
-            return
-
     # ------------------------------------------------------------------
     # Label-op stage (MPLS fast path)
     # ------------------------------------------------------------------
-    def mpls_stage(self, pkt: Packet) -> None:
+    def mpls_stage(self, pkt: Packet, entry: Any = None) -> None:
         """LFIB processing for the top of stack; iterative across pops.
 
         ``POP_PROCESS`` on a multi-level stack continues the loop instead
         of recursing, so label-stack depth costs no Python stack frames.
+        ``entry`` is the columnar tier's continuation: the top label's
+        LFIB entry, already resolved *and counted* by the group gather.
         """
         node = self.node
         sim = self.sim
@@ -1451,15 +825,16 @@ class ForwardingPipeline:
         while True:
             top = pkt.mpls_stack[-1]
             label = top.label
-            entry = cache.get(label)
             if entry is None:
-                entry = lfib.lookup(label)
+                entry = cache.get(label)
                 if entry is None:
-                    node.drop(pkt, DropReason.NO_LABEL)
-                    return
-                cache.put(label, entry)
-            else:
-                lfib.lookups += 1  # logical lookup served from the cache
+                    entry = lfib.lookup(label)
+                    if entry is None:
+                        node.drop(pkt, DropReason.NO_LABEL)
+                        return
+                    cache.put(label, entry)
+                else:
+                    lfib.lookups += 1  # logical lookup served from the cache
             op = entry.op
             if op is LabelOp.SWAP:
                 if pkt.decrement_ttl() <= 0:
@@ -1485,6 +860,7 @@ class ForwardingPipeline:
                     fl.label_op(sim.now, node.name, pkt, "pop", old=label)
                 pkt.pop_label()
                 if pkt.mpls_stack:
+                    entry = None
                     continue  # inner label is also ours
                 if node.owns(pkt.ip.dst):
                     node.deliver_local(pkt)
@@ -1530,26 +906,13 @@ class ForwardingPipeline:
         if pkt.decrement_ttl() <= 0:
             node.drop(pkt, DropReason.TTL)
             return
-        fib = self.fib
-        ftn = self.ftn
         dst = pkt.ip.dst
         decision = self.flow_cache.get(dst.value)
         if decision is None:
-            if ftn is None:
-                route = fib.lookup(dst)
-                nhlfe = None
-            else:
-                match = fib.lookup_prefix(dst)
-                if match is None:
-                    route = nhlfe = None
-                else:
-                    prefix, route = match
-                    nhlfe = ftn.lookup(prefix)
-            self.flow_cache.put(dst.value, (route, nhlfe))
-        else:
-            route, nhlfe = decision
-            if ftn is None:
-                fib.lookups += 1  # logical lookup served from the cache
+            decision = self._flow_miss(dst)
+        elif self.ftn is None:
+            self.fib.lookups += 1  # logical lookup served from the cache
+        route, nhlfe = decision
         if nhlfe is not None:
             self.impose(pkt, nhlfe)
             return
@@ -1557,6 +920,24 @@ class ForwardingPipeline:
             node.drop(pkt, DropReason.NO_ROUTE)
             return
         self.dispatch(pkt, route)
+
+    def _flow_miss(self, dst: IPv4Address) -> "tuple[RouteEntry | None, Nhlfe | None]":
+        """Flow-cache miss: the real LPM (+ FTN binding) lookup, memoized.
+
+        Shared by :meth:`ip_stage` and the columnar dst-key gather; the
+        caller has already counted the miss.  "No route" is cached too,
+        as ``(None, None)``.
+        """
+        if self.ftn is None:
+            decision = (self.fib.lookup(dst), None)
+        else:
+            match = self.fib.lookup_prefix(dst)
+            decision = (
+                (None, None) if match is None
+                else (match[1], self.ftn.lookup(match[0]))
+            )
+        self.flow_cache.put(dst.value, decision)
+        return decision
 
     # ------------------------------------------------------------------
     # QoS-mark stage (label imposition with DSCP→EXP)
@@ -1601,9 +982,14 @@ class ForwardingPipeline:
     # VRF stages (PE)
     # ------------------------------------------------------------------
     def _vrf_lookup(self, vrf, dst: IPv4Address) -> Any:
-        """Cached LPM inside one VRF; negative results are not cached."""
+        """Cached LPM inside one VRF; negative results are not cached.
+
+        The caches are keyed by VRF *name* but each is guarded by the
+        ``Vrf`` object's generation, so a cache built for a removed VRF
+        must not serve a re-created one of the same name.
+        """
         cache = self.vrf_caches.get(vrf.name)
-        if cache is None:
+        if cache is None or cache._primary is not vrf:
             cache = self.vrf_caches[vrf.name] = GenCache(vrf)
         route = cache.get(dst.value)
         if route is None:
@@ -1673,15 +1059,7 @@ class ForwardingPipeline:
         if vrf is None:
             node.drop(pkt, DropReason.UNKNOWN_VRF)
             return
-        self._vpn_egress_vrf(pkt, vrf, node.trace.flows)
-
-    def _vpn_egress_vrf(self, pkt: Packet, vrf, fa) -> None:
-        """Egress tail with the VRF already resolved.
-
-        The batch path enters here directly, with ``fa`` hoisted per
-        burst and the VRF object memoized across the burst's packets.
-        """
-        node = self.node
+        fa = node.trace.flows
         if fa is not None:
             fa.egress(node.name, vrf.name, pkt)
         route = self._vrf_lookup(vrf, pkt.ip.dst)

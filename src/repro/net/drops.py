@@ -37,6 +37,7 @@ class DropReason(Enum):
     UNKNOWN_VRF = "unknown_vrf"            # VPN label bound to a missing VRF
     BAD_LFIB_OP = "bad_lfib_op"            # corrupt LFIB entry
     LABELED_AT_IP_ROUTER = "labeled_at_ip_router"  # shim at a plain router
+    LABELED_ON_CIRCUIT = "labeled_on_circuit"  # shim from a CE (RFC 4364 §13.1)
     # -- interface / queueing --------------------------------------------
     NO_IFACE = "no_iface"                  # transmit on a missing interface
     QUEUE_TAIL = "queue_tail"              # buffer full (packet/byte cap)
@@ -85,6 +86,7 @@ _CATEGORY: dict[DropReason, str] = {
     DropReason.UNKNOWN_VRF: "other",
     DropReason.BAD_LFIB_OP: "other",
     DropReason.LABELED_AT_IP_ROUTER: "other",
+    DropReason.LABELED_ON_CIRCUIT: "other",
     DropReason.NO_IFACE: "other",
     DropReason.SA_PENDING: "other",
     DropReason.NO_SA: "other",

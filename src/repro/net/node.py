@@ -151,10 +151,10 @@ class Node:
         arrivals fused by the kernel (see ``install_vector_dispatch``).
 
         The base implementation is the scalar loop, so any node type is
-        batch-safe by construction; fast-path nodes (``Host`` here,
-        ``Router`` via the forwarding pipeline) override it with a hoisted
-        loop that must stay observationally identical — the flight-recorder
-        interleave per packet is part of the contract
+        batch-safe by construction; fast-path nodes (``Host`` here with a
+        hoisted loop, ``Router`` via the forwarding pipeline's columnar
+        tier) override it and must stay observationally identical — the
+        flight-recorder interleave per packet is part of the contract
         (``tests/test_dataplane_batch.py``).
         """
         receive = self.receive

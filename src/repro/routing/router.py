@@ -7,18 +7,17 @@ still route unlabeled packets (the mixed deployment of the paper's Fig. 4).
 
 Forwarding itself lives in :class:`repro.dataplane.ForwardingPipeline`;
 this class composes the pipeline with just the lookup and dispatch stages
-(no label-op, no VRF demux).  ``flow_hash`` is re-exported from
-``repro.dataplane`` for backwards compatibility.
+(no label-op, no VRF demux).
 """
 
 from __future__ import annotations
 
-from repro.dataplane.pipeline import ForwardingPipeline, flow_hash
+from repro.dataplane.pipeline import ForwardingPipeline
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.routing.fib import Fib, RouteEntry
 
-__all__ = ["Router", "flow_hash"]
+__all__ = ["Router"]
 
 
 class Router(Node):
@@ -39,9 +38,9 @@ class Router(Node):
         self.pipeline.ingress(pkt, ifname)
 
     def receive_batch(self, items: list[tuple[Packet, str]]) -> None:
-        # Vector arrival (kernel burst extraction): the pipeline inlines
-        # the receive prologue and every stage in one hoisted loop, with
-        # scalar-identical per-packet semantics.
+        # Vector arrival (kernel burst extraction): the pipeline resolves
+        # a big enough burst columnar and otherwise calls ``receive`` per
+        # packet — scalar-identical semantics either way.
         self.pipeline.ingress_batch(items)
 
     def dispatch(self, pkt: Packet, entry: RouteEntry) -> None:

@@ -120,6 +120,9 @@ class PeRouter(Lsr):
         if vrf.circuits:
             raise ValueError(f"{self.name}: VRF {name!r} still has circuits")
         del self.vrfs[name]
+        # The per-VRF lookup cache is guarded by this Vrf object; a later
+        # VRF of the same name must start from its own.
+        self.pipeline.vrf_caches.pop(name, None)
         self.lfib.remove(vrf.vpn_label)
         self.labels.release(vrf.vpn_label)
         return vrf

@@ -8,12 +8,16 @@ random burst compositions — mixed VRFs, label depths 0–3, TTL=1 expiry
 edges, mixed DSCP codepoints, local/no-route/unknown-label rows — run
 the identical burst through both modes on identically-seeded fixtures,
 and compare the full observable state.  ``COLUMNAR_MIN`` is pinned to 1
-so even a 1-row burst exercises the columnar tier.
+so even a 1-row burst exercises the columnar tier.  The rows outside the
+tier's hot-action list (attachment-circuit ingress, a VPN label under a
+customized ``vpn_deliver`` hook, local delivery, an FRR ``SWAP_PUSH``
+entry, multi-level ``POP_PROCESS`` stacks, a labeled row on a circuit)
+are generated too: they ride the scalar continuation mid-burst.
 
 A second suite turns observability *on* (packet counters + flight
-recorder), which gates the columnar tier off by contract, and demands
-that the hoisted-loop tier still produces uid-normalized traces
-bit-identical to scalar mode.
+recorder) and demands uid-normalized traces bit-identical to scalar
+mode — from the columnar apply pass, and from the 2- and 3-packet
+bursts that stay below ``COLUMNAR_MIN``.
 
 The pool-recycling regression tests live here too: a recycled
 :class:`~repro.net.packet.Packet` shell must never leak the previous
@@ -22,12 +26,13 @@ flow's label stack, memoized hash, or encap state into the next life.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.dataplane.pipeline as pipeline_mod
 from repro.mpls import Lsr, run_ldp
-from repro.mpls.lfib import LabelOp
-from repro.net.address import IPv4Address
+from repro.mpls.lfib import LabelOp, LfibEntry
+from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import POOL, IPHeader, MplsEntry, Packet, PacketPool
 from repro.obs import runtime
 from repro.routing import converge
@@ -42,8 +47,14 @@ from repro.vpn.provision import VpnProvisioner
 # P router, PHP turns every transit entry into a POP).  Injection
 # happens at two points: edge bursts at pe1 (imposition, VRF demux,
 # local delivery, no-route) and labeled bursts at p1 (SWAP/POP/unknown
-# label, deep stacks).
+# label, deep stacks).  p1 also carries hand-installed entries for the
+# ops LDP never produces on a line: an activated FRR repair
+# (``SWAP_PUSH``, built the way ``FastReroute`` installs it) and a chain
+# of ``POP_PROCESS`` labels.  pe1's ``vpn_deliver`` is a customized hook.
 # ----------------------------------------------------------------------
+
+_FRR_LABEL = 99001
+_POPP_LABELS = (99002, 99003, 99004)
 
 
 def _fixture():
@@ -67,6 +78,22 @@ def _fixture():
     run_ldp(net)
     prov.converge_bgp()
 
+    to_pe2 = p1.ftn.lookup(Prefix.of(pe2.loopback, 32))
+    p1.lfib.install(_FRR_LABEL, LfibEntry(
+        LabelOp.SWAP_PUSH, out_label=pe2.vrfs["corp"].vpn_label,
+        push_label=to_pe2.labels[0], out_ifname=to_pe2.out_ifname,
+        lsp_id="frr:test",
+    ))
+    for label in _POPP_LABELS:
+        p1.lfib.install(label, LfibEntry(LabelOp.POP_PROCESS))
+    sinks: list[tuple] = []
+
+    def custom_deliver(pkt, vrf_name):
+        sinks.append(("vpn_deliver", pkt.flow, vrf_name))
+        pe1.pipeline.vpn_egress(pkt, vrf_name)
+
+    pe1.vpn_deliver = custom_deliver
+
     def host_addr(site, stem):
         h = site.hosts[0]
         return str(next(a for a in h.addresses if str(a).startswith(stem)))
@@ -76,6 +103,11 @@ def _fixture():
         "acme_circuit": a1.pe_ifname,
         "corp_dst": host_addr(c2, "10.2.0."),
         "acme_dst": host_addr(a2, "10.4.0."),
+        "corp_local_dst": host_addr(c1, "10.1.0."),
+        "acme_local_dst": host_addr(a1, "10.3.0."),
+        "pe1_vpn_labels": [("corp", pe1.vrfs["corp"].vpn_label),
+                           ("acme", pe1.vrfs["acme"].vpn_label)],
+        "p1_local": str(p1.loopback),
         "global_dst": "10.99.0.2",
         "pe1_local": str(pe1.loopback or next(iter(pe1.addresses))),
         "pe1_core": "to-p1",
@@ -88,7 +120,6 @@ def _fixture():
             if e.op in (LabelOp.POP, LabelOp.POP_PROCESS)
         ),
     }
-    sinks: list[tuple] = []
 
     def tap(node):
         node.add_local_sink(
@@ -99,17 +130,18 @@ def _fixture():
             ))
         )
 
-    for node in (pe1, gh, c2.hosts[0], a2.hosts[0]):
+    for node in (pe1, p1, gh, c1.hosts[0], a1.hosts[0], c2.hosts[0],
+                 a2.hosts[0]):
         tap(node)
     return net, (pe1, p1, p2, pe2), info, sinks
 
 
 # Row = (kind, ttl, dscp, pick).  ``pick`` selects among same-kind
 # variants (which SWAP/POP in-label, inner-stack depth).
+_CORE_KINDS = ["swap", "swapdeep", "pop", "badlbl", "swappush", "popproc"]
 _KINDS = [
-    "ip", "vrf_corp", "vrf_acme", "local", "noroute",
-    "swap", "swapdeep", "pop", "badlbl",
-]
+    "ip", "vrf_corp", "vrf_acme", "local", "noroute", "vpn", "circlbl",
+] + _CORE_KINDS
 _ROW = st.tuples(
     st.sampled_from(_KINDS),
     st.sampled_from([1, 2, 64]),          # TTL=1 rows expire mid-burst
@@ -151,6 +183,28 @@ def _build_bursts(spec, info):
                           IPv4Address.parse("203.0.113.9"),
                           dscp=dscp, ttl=ttl)
             where, ifn = edge, info["pe1_core"]
+        elif kind in ("vpn", "circlbl"):
+            # A VPN label at the egress PE: from the core it reaches the
+            # (customized) vpn_deliver hook; pushed by a CE onto its own
+            # attachment circuit it must be refused — ``pick`` chooses
+            # whose label, so half the circuit rows spoof the other VPN.
+            vrf_name, label = info["pe1_vpn_labels"][pick % 2]
+            ip = IPHeader(IPv4Address.parse("10.50.0.1"),
+                          IPv4Address.parse(info[f"{vrf_name}_local_dst"]),
+                          dscp=dscp, ttl=64)
+            stack.append(MplsEntry(label=label, exp=dscp % 8, ttl=ttl))
+            where = edge
+            ifn = info["pe1_core"] if kind == "vpn" else info["corp_circuit"]
+        elif kind == "popproc":
+            # 1-3 labels that are all p1's own: depth 1 is the tier's hot
+            # pop-then-route shape, deeper stacks (and the local
+            # destination) continue in the scalar stage.
+            dst = info["p1_local"] if pick == 3 else info["global_dst"]
+            ip = IPHeader(IPv4Address.parse("10.50.0.1"),
+                          IPv4Address.parse(dst), dscp=dscp, ttl=64)
+            for label in _POPP_LABELS[: 1 + pick % 3]:
+                stack.append(MplsEntry(label=label, exp=dscp % 8, ttl=ttl))
+            where, ifn = core, info["p1_core"]
         else:
             # Labeled rows arrive at the transit LSR.  The inner stack
             # (depth 0–2 below the top) is arbitrary — SWAP never looks
@@ -163,6 +217,8 @@ def _build_bursts(spec, info):
                 stack.append(MplsEntry(label=70 + d, exp=d % 8, ttl=9 + d))
             if kind in ("swap", "swapdeep"):
                 labels = info["swap_labels"]
+            elif kind == "swappush":
+                labels = [_FRR_LABEL]
             elif kind == "pop":
                 labels = info["pop_labels"] or info["swap_labels"]
             else:  # badlbl: never allocated by the LDP label pool
@@ -246,7 +302,7 @@ def test_columnar_burst_matches_scalar(spec) -> None:
 
 @prop_settings
 @given(spec=st.lists(
-    st.tuples(st.sampled_from(["swap", "swapdeep", "pop", "badlbl"]),
+    st.tuples(st.sampled_from(_CORE_KINDS),
               st.sampled_from([1, 2, 64]),
               st.sampled_from([0, 10, 26, 46, 63]),
               st.integers(0, 3)),
@@ -263,10 +319,10 @@ def test_columnar_labeled_core_matches_scalar(spec) -> None:
 # ----------------------------------------------------------------------
 
 
-def _run_traced(spec, vector: bool):
+def _run_traced(spec, vector: bool, columnar_min: int = 1):
     runtime.set_vector_mode(vector)
     saved = pipeline_mod.COLUMNAR_MIN
-    pipeline_mod.COLUMNAR_MIN = 1
+    pipeline_mod.COLUMNAR_MIN = columnar_min
     runtime.reset()
     runtime.enable(flight_capacity=1 << 20, profile=False)
     try:
@@ -315,11 +371,29 @@ def test_obs_enabled_batch_parity(spec) -> None:
     assert fast_snap == slow_snap
 
 
-def test_traced_burst_takes_columnar_path(monkeypatch) -> None:
-    """A flight recorder must not push big bursts off the columnar tier.
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_traced_bursts_match_scalar(n) -> None:
+    """Bursts below the real ``COLUMNAR_MIN`` with the recorder on — the
+    e7/e13 shape (same-time arrivals from two or three sources) — take
+    the per-packet tier and stay trace-identical to scalar mode."""
+    assert n < pipeline_mod.COLUMNAR_MIN
+    # One n-packet burst at pe1 and one n-packet labeled burst at p1.
+    edge = [("vrf_corp", 64, 46, 0), ("vpn", 64, 10, 1), ("circlbl", 64, 0, 1)]
+    core = [("swappush", 2, 26, 0), ("swap", 64, 10, 1), ("popproc", 64, 0, 2)]
+    spec = edge[:n] + core[:n]
+    real = pipeline_mod.COLUMNAR_MIN
+    fast = _run_traced(spec, vector=True, columnar_min=real)
+    slow = _run_traced(spec, vector=False, columnar_min=real)
+    assert fast == slow
+    assert {ev[2] for ev in fast[1]} >= {"rx", "push", "pop", "swap"}
 
-    Regression guard for the old gate, which fell back to the hoisted
-    scalar loop whenever a recorder or drop subscriber was attached.
+
+def test_traced_burst_takes_columnar_path(monkeypatch) -> None:
+    """A flight recorder must not push big bursts off the columnar tier
+    (``ForwardingPipeline._ingress_columns``) onto per-packet receives.
+
+    Regression guard for the old gate, which left the columnar tier
+    whenever a recorder or drop subscriber was attached.
     """
     calls: list[int] = []
     orig = pipeline_mod.ForwardingPipeline._ingress_columns

@@ -16,7 +16,10 @@ Covers the refactor's contracts:
 import sys
 import zlib
 
+import pytest
+
 from repro.dataplane import ForwardingPipeline, GenCache, flow_hash
+from repro.dataplane.pipeline import COLUMNAR_MIN
 from repro.mpls import (
     FastReroute,
     Lsr,
@@ -27,12 +30,14 @@ from repro.mpls import (
 from repro.mpls.lfib import LabelOp, LfibEntry
 from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import IPHeader, Packet
+from repro.obs import runtime
 from repro.routing.router import Router
-from repro.routing.router import flow_hash as flow_hash_reexport
 from repro.routing.spf import converge, reconverge
 from repro.topology import Network, attach_host, build_fish
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
+from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
+from repro.vpn.vrf import Vrf
 
 
 def pkt(src="10.0.0.1", dst="10.0.0.2", ttl=64, sport=0, dport=0):
@@ -66,9 +71,6 @@ class TestFlowHashMemoization:
 
     def test_distinct_flows_distinct_hashes(self):
         assert flow_hash(pkt(sport=1)) != flow_hash(pkt(sport=2))
-
-    def test_router_reexport_is_same_function(self):
-        assert flow_hash_reexport is flow_hash
 
 
 # ----------------------------------------------------------------------
@@ -394,3 +396,108 @@ class TestPipelineParity:
         p.push_label(500)
         r.handle(p, "in")
         assert r.stats.dropped_other == 1
+
+
+# ----------------------------------------------------------------------
+# PE edge regressions: both run through the scalar stages and, as one
+# burst of at least COLUMNAR_MIN packets, through the columnar tier.
+# ----------------------------------------------------------------------
+@pytest.fixture(params=[False, True], ids=["scalar", "vector"])
+def vector_mode(request):
+    runtime.set_vector_mode(request.param)
+    yield request.param
+    runtime.set_vector_mode(True)
+
+
+class TestPeCircuitRegressions:
+    BURST = 2 * COLUMNAR_MIN
+
+    def _pe_with_sites(self, sites):
+        """One PE; ``sites`` maps host name -> (vrf name, host address).
+
+        Built after the ``vector_mode`` fixture has set the mode, since
+        ``Network.__init__`` is what wires burst extraction in.
+        """
+        net = Network(seed=3)
+        pe = net.add_node(PeRouter(net.sim, "pe"))
+        got = {name: [] for name in sites}
+        for i, (name, (vrf_name, addr)) in enumerate(sites.items()):
+            host = net.add_host(name)
+            net.connect(host, pe)
+            host.add_address(IPv4Address.parse(addr), f"to-{pe.name}")
+            host.add_local_sink(got[name].append)
+            if vrf_name not in pe.vrfs:
+                rt = RouteTarget(65000, len(pe.vrfs) + 1)
+                pe.add_vrf(vrf_name, RouteDistinguisher(65000, i + 1), {rt}, {rt})
+            pe.bind_circuit(f"to-{name}", vrf_name)
+            pe.vrfs[vrf_name].add_local(f"{addr}/32", f"to-{name}")
+        return net, pe, got
+
+    def _arrive(self, net, pe, ifname, pkts):
+        # Same-time arrivals: one receive_batch burst in vector mode,
+        # one receive call per packet in scalar mode.
+        for p in pkts:
+            net.sim.schedule_call(0.0, pe.receive, p, ifname)
+        net.run(until=net.sim.now + 1.0)
+
+    def test_labeled_packet_on_circuit_is_refused(self, vector_mode):
+        # C5: a CE in VPN A pushes VPN B's aggregate label.  Both VPNs
+        # use 10.0.1.2, so label-switching it would deliver into B.
+        net, pe, got = self._pe_with_sites({
+            "ceA": ("A", "10.0.9.1"),
+            "dA": ("A", "10.0.1.2"),
+            "dB": ("B", "10.0.1.2"),
+        })
+        lfib_lookups = pe.lfib.lookups
+        spoofed = [pkt("10.0.9.1", "10.0.1.2") for _ in range(self.BURST)]
+        for p in spoofed:
+            p.push_label(pe.vrfs["B"].vpn_label)
+        self._arrive(net, pe, "to-ceA", spoofed)
+        assert got["dB"] == [] and got["dA"] == []
+        assert pe.stats.by_reason == {"labeled_on_circuit": self.BURST}
+        assert pe.stats.dropped_other == self.BURST
+        assert pe.lfib.lookups == lfib_lookups
+        assert pe.pipeline.label_cache.stats()["misses"] == 0
+        # The honest, unlabeled packets still reach VPN A's 10.0.1.2.
+        self._arrive(net, pe, "to-ceA",
+                     [pkt("10.0.9.1", "10.0.1.2") for _ in range(self.BURST)])
+        assert len(got["dA"]) == self.BURST and got["dB"] == []
+
+    def test_recreated_vrf_gets_a_fresh_lookup_cache(self, vector_mode):
+        # remove_vrf + add_vrf under the same name (an E15 VPN wave): the
+        # name-keyed cache must not stay guarded by the dead Vrf object.
+        # d1 and d2 both own 10.0.1.2; the VRF's /32 points at d2 (the
+        # later add_local wins).
+        net, pe, got = self._pe_with_sites({
+            "src": ("A", "10.0.9.1"),
+            "d1": ("A", "10.0.1.2"),
+            "d2": ("A", "10.0.1.2"),
+        })
+        burst = lambda: [pkt("10.0.9.1", "10.0.1.2") for _ in range(self.BURST)]
+        self._arrive(net, pe, "to-src", burst())  # warms the old VRF's cache
+        for ifname in list(pe.vrfs["A"].circuits):
+            pe.unbind_circuit(ifname)
+        old = pe.remove_vrf("A")
+        assert "A" not in pe.pipeline.vrf_caches
+        new = pe.add_vrf("A", old.rd, old.import_rts, old.export_rts)
+        for name in ("src", "d1", "d2"):
+            pe.bind_circuit(f"to-{name}", "A")
+        new.add_local("10.0.1.2/32", "to-d2")
+        self._arrive(net, pe, "to-src", burst())
+        assert (len(got["d1"]), len(got["d2"])) == (0, 2 * self.BURST)
+        # Move the route inside the re-created VRF: its generation bump
+        # has to reach the cache that now serves lookups.
+        new.withdraw("10.0.1.2/32")
+        new.add_local("10.0.1.2/32", "to-d1")
+        self._arrive(net, pe, "to-src", burst())
+        assert (len(got["d1"]), len(got["d2"])) == (self.BURST, 2 * self.BURST)
+
+    def test_stale_cache_object_is_replaced_on_lookup(self):
+        # Belt and braces for VRFs swapped without remove_vrf().
+        net, pe, _ = self._pe_with_sites({"src": ("A", "10.0.9.1")})
+        old = pe.vrfs["A"]
+        dst = IPv4Address.parse("10.0.9.1")
+        assert pe.pipeline._vrf_lookup(old, dst) is not None
+        twin = Vrf("A", old.rd, old.import_rts, old.export_rts, old.vpn_label)
+        assert pe.pipeline._vrf_lookup(twin, dst) is None
+        assert pe.pipeline.vrf_caches["A"]._primary is twin

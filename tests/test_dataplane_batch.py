@@ -2,7 +2,7 @@
 
 The burst-extraction kernel (``repro.sim.engine``) fuses consecutive
 same-timestamp ``Node.receive`` events at one node into a single
-``receive_batch`` call, and the data plane grows hoisted batch loops
+``receive_batch`` call, and the data plane grows batch entry points
 (``ForwardingPipeline.ingress_batch``, ``Interface.send_batch``, ...).
 None of that is allowed to change a single observable: these tests run
 whole seeded experiments with vector mode on and off and demand

@@ -1,11 +1,11 @@
 """Tests for equal-cost multipath routing."""
 
 
+from repro.dataplane import flow_hash
 from repro.net.address import IPv4Address
 from repro.net.packet import IPHeader, Packet
 from repro.routing import converge
 from repro.routing.fib import RouteEntry
-from repro.routing.router import flow_hash
 from repro.topology import Network, attach_host
 from repro.traffic import CbrSource, FlowSink
 
