@@ -1,14 +1,12 @@
-"""Observability overhead benchmarks: the SLO engine must be free when off.
+"""Observability overhead benchmarks: what the enabled modes cost.
 
-ISSUE 6 acceptance: with SLO and span tracing *disabled* (the default),
-the E12a fast-path speedup over the frozen reference stack must hold —
-the new hooks add at most a ``None`` check per delivery and a ``getattr``
-per control-plane event, which is inside clock noise of the PR 5
-baseline (≥2× vs reference, same floor as ``test_engine_performance``;
-the floor holding proves the added overhead is ≤3%, since the baseline
-cleared it with ≥2.06×).  Enabled-mode cost is *measured and recorded*
-(soft floors): live SLO conformance and convergence tracing are priced,
-not free, and ``BENCH_obs.json`` documents the price.
+The *disabled*-mode floor (SLO and span hooks add a ``None`` check per
+delivery and a ``getattr`` per control-plane event, nothing more) is the
+performance ledger's ``vpn_sla`` row in absolute units, next to
+``vpn_sla_obs`` with everything on (``benchmarks/ledger``).  Enabled-mode
+cost is *measured and recorded* here (soft floors): live SLO conformance
+and convergence tracing are priced, not free, and ``BENCH_obs.json``
+documents the price.
 
 Headline numbers land in ``BENCH_obs.json`` at the repo root (CI uploads
 it as a workflow artifact).
@@ -21,15 +19,10 @@ from time import perf_counter
 
 import pytest
 
-from repro.obs import runtime
 from repro.obs.sketch import QuantileSketch
-from repro.sim.reference import reference_stack
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
-# Same end-to-end floor as the engine benchmarks: if the observability
-# hooks cost anything material, this stops clearing.
-MIN_E2E_SPEEDUP = 2.0
 # Enabled-mode budget (soft): live SLO may cost at most 30% end to end.
 MAX_SLO_ENABLED_OVERHEAD = 1.30
 
@@ -71,41 +64,6 @@ def _best_of_pair(fn_new, fn_ref, rounds: int) -> tuple[float, float]:
             else:
                 best_ref = min(best_ref, dt)
     return best_new, best_ref
-
-
-def test_disabled_slo_and_spans_keep_fast_path_floor():
-    """The acceptance case: hooks off, E12a speedup vs reference holds.
-
-    The PR 5 baseline cleared ≥2× on this scenario before the SLO/span
-    hooks existed; still clearing the same floor bounds the disabled-mode
-    overhead well under the 3% budget."""
-    from repro.experiments.e12_elastic import run_e12a_aqm
-
-    def run_new():
-        runtime.set_packet_counters(False)
-        try:
-            run_e12a_aqm()
-        finally:
-            runtime.set_packet_counters(True)
-
-    def run_ref():
-        with reference_stack():
-            run_e12a_aqm()
-
-    t_new, t_ref = _best_of_pair(run_new, run_ref, rounds=4)
-    speedup = t_ref / t_new
-    _record("disabled_overhead_e12a", {
-        "new_s": t_new,
-        "reference_s": t_ref,
-        "speedup": speedup,
-        "min_required": MIN_E2E_SPEEDUP,
-        "note": "SLO engine + convergence tracer detached (default)",
-    })
-    _require_floor(speedup, MIN_E2E_SPEEDUP, (
-        f"e12a speedup with obs hooks disabled {speedup:.2f}x < "
-        f"{MIN_E2E_SPEEDUP}x (new {t_new:.3f} s vs reference {t_ref:.3f} s) "
-        f"— the SLO/span hooks are no longer off-path"
-    ))
 
 
 def test_slo_enabled_overhead_documented():

@@ -45,6 +45,12 @@ MIN_BATCH_SPEEDUP = 2.5
 # burst at an ingress PE, both of which hit the uniform apply loops.
 MIN_COLUMNAR_SPEEDUP = 3.5
 _SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
+# Egress rate of the forwarding-stage fixtures.  Finite on purpose: their
+# clock never advances, so the first injected packet stays on the
+# transmitter and everything after it is a pure enqueue.  An infinite-rate
+# transmitter is free again at once and would put the link driver's
+# per-packet dequeue + arrival scheduling inside the timed region.
+_STAGE_EGRESS_BPS = 1e9
 
 
 def _require_floor(speedup: float, floor: float, msg: str) -> None:
@@ -212,14 +218,14 @@ def _high_fanin_run(vector: bool) -> int:
 def _fanin_ingress_fixture():
     """The fan-in ingress LSR alone, primed for repeated burst injection:
     unbounded egress queue (so later rounds never diverge into the drop
-    path) and a busy transmitter after the first packet (the sim never
-    runs during timing, so every subsequent packet is a pure enqueue —
-    identical work on both sides of the comparison)."""
+    path) and a busy transmitter after the first packet (finite egress
+    rate and the sim never runs during timing, so every subsequent packet
+    is a pure enqueue — identical work on both sides of the comparison)."""
     net = Network(seed=11)
     pe1 = net.add_node(Lsr(net.sim, "pe1"))
     p1 = net.add_node(Lsr(net.sim, "p1"))
     unbounded = lambda node, ifname: DropTailFifo(capacity_packets=None)
-    net.connect(pe1, p1, float("inf"), 1e-3, qdisc_factory=unbounded)
+    net.connect(pe1, p1, _STAGE_EGRESS_BPS, 1e-3, qdisc_factory=unbounded)
     for i in range(8):
         attach_host(net, pe1, f"10.210.{i}.1", name=f"tx{i}", rate_bps=float("inf"))
     attach_host(net, p1, "10.211.0.2", name="rx", rate_bps=float("inf"))
@@ -252,9 +258,9 @@ def _line_lsp_fixture():
     p2 (PHP), p2 advertises a *real* label to p1, and p1 advertises a
     real label to pe1 — giving both columnar hot shapes on one topology:
     pe1 imposes a real label (ingress-PE shape) and p1 swaps it
-    (core-LSR shape).  Egress queues are unbounded and the sim clock
-    never advances during timing, so every injected burst does identical
-    work on both sides of the comparison.
+    (core-LSR shape).  Egress queues are unbounded, core links finite-
+    rate and the sim clock never advances during timing, so every
+    injected burst does identical work on both sides of the comparison.
     """
     net = Network(seed=7)
     pe1 = net.add_node(Lsr(net.sim, "pe1"))
@@ -263,7 +269,7 @@ def _line_lsp_fixture():
     pe2 = net.add_node(Lsr(net.sim, "pe2"))
     unbounded = lambda node, ifname: DropTailFifo(capacity_packets=None)
     for a, b in ((pe1, p1), (p1, p2), (p2, pe2)):
-        net.connect(a, b, float("inf"), 1e-3, qdisc_factory=unbounded)
+        net.connect(a, b, _STAGE_EGRESS_BPS, 1e-3, qdisc_factory=unbounded)
     attach_host(net, pe1, "10.220.0.1", name="tx", rate_bps=float("inf"))
     attach_host(net, pe2, "10.221.0.2", name="rx", rate_bps=float("inf"))
     converge(net)

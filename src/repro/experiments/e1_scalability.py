@@ -20,6 +20,7 @@ and control messages.
 
 from __future__ import annotations
 
+import gc
 from time import perf_counter
 from typing import Any, Sequence
 
@@ -171,6 +172,10 @@ def run_e1(
     raw: dict[str, Any] = {"overlay": {}, "mpls": {}}
     for n in site_counts:
         ov = overlay_census(n)
+        # The O(N²) overlay graph is garbage now; collect it here or the
+        # MPLS side's wall clock pays full-generation collections over it
+        # (N=1000: ~2.9 s instead of ~0.3 s).
+        gc.collect()
         mp = mpls_census(n)
         raw["overlay"][n] = ov
         raw["mpls"][n] = mp

@@ -9,7 +9,16 @@ packet at a time (``wire_bytes * 8 / rate_bps`` seconds) and the link then
 delays it by its propagation time before handing it to the remote node.
 Queueing behaviour is delegated to a pluggable queue discipline (see
 ``repro.qos.queues``); the interface only drives the
-enqueue → (idle?) → dequeue → transmit → repeat cycle.
+enqueue → (free?) → dequeue → transmit cycle.
+
+The transmitter knows when it is free instead of being told by an event:
+when serialization starts at ``now`` it records ``free_at = now + tx_time``
+and schedules the far-end arrival directly at ``free_at + delay_s``.  A
+*drain* event (``_transmit_next`` at ``free_at``) exists only while
+something waits behind the packet on the transmitter — scheduled at the
+dequeue when the queue is still non-empty, otherwise armed by the first
+``send`` that finds the transmitter serializing.  An idle or infinite-rate
+link therefore costs one event per packet-hop and a backlogged one two.
 
 Egress *conditioners* (classifier/meter/marker chains from ``repro.qos``)
 run before the queue discipline and may drop or remark packets — this is
@@ -37,7 +46,12 @@ Conditioner = Callable[[Packet, float], Optional[Packet]]
 
 @dataclass(slots=True)
 class InterfaceStats:
-    """Egress counters for one interface."""
+    """Egress counters for one interface.
+
+    ``tx_packets`` / ``tx_bytes`` / ``busy_time`` are credited when a
+    packet's serialization *starts*, so a packet still on the transmitter
+    when the run stops is already counted.
+    """
 
     tx_packets: int = 0
     tx_bytes: int = 0
@@ -72,7 +86,15 @@ class Link:
         self.dst_node = dst_node
         self.dst_ifname = dst_ifname
         self.delay_s = float(delay_s)
+        if not 0.0 <= self.delay_s < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"link {name}: delay_s must be finite and >= 0, got {delay_s}"
+            )
         self._up = True
+        # Arrival event of the packet the sending interface put on the wire
+        # last; a link failure revokes it while the packet's tail has not
+        # left the transmitter yet (see the ``up`` setter).
+        self._tx_event = None
         # Link state is routing-topology state: the owning Network wires
         # this to its topology-generation bump so *any* ``link.up`` write —
         # not just DuplexLink.set_up — invalidates cached domain views.
@@ -89,7 +111,16 @@ class Link:
         value = bool(value)
         changed = value != self._up
         self._up = value
-        if changed and self.on_state_change is not None:
+        if not changed:
+            return
+        if not value:
+            # Packets already propagating still arrive; the one being
+            # serialized is cut short and lost.  It is the one whose arrival
+            # lies more than a propagation delay ahead.
+            ev = self._tx_event
+            if ev is not None and self.sim.now + self.delay_s < ev.time:
+                ev.cancel()
+        if self.on_state_change is not None:
             self.on_state_change(self)
 
     def carry(self, pkt: Packet) -> None:
@@ -152,12 +183,15 @@ class Interface:
         # and ``set_fluid_load``) so the hot path pays nothing when no
         # fluid is charged (it equals rate_bps exactly, same float).
         self.fluid_load_bps = 0.0
-        self._rate_bps = float(rate_bps)
-        self._eff_rate_bps = self._rate_bps
+        self.rate_bps = rate_bps  # property setter: validates, derives _eff_rate_bps
         self.qdisc = qdisc  # property setter: also wires the drop callback
         self.link: Link | None = None
         self.conditioners: list[Conditioner] = []
         self.stats = InterfaceStats()
+        # Transmitter state: serializing until ``_free_at``; ``_busy`` is
+        # true while a drain event is armed there (something is queued
+        # behind the packet on the transmitter).
+        self._free_at = 0.0
         self._busy = False
         # Pending wake-up for non-work-conserving qdiscs: one coalesced
         # timer at the earliest eligible time, not one per blocked enqueue.
@@ -187,7 +221,12 @@ class Interface:
 
     @rate_bps.setter
     def rate_bps(self, value: float) -> None:
-        self._rate_bps = float(value)
+        rate = float(value)
+        if not rate > 0.0:  # also rejects NaN; inf is a legal (zero-time) rate
+            raise ValueError(
+                f"interface {self.node.name}.{self.name}: rate_bps must be > 0, got {value}"
+            )
+        self._rate_bps = rate
         self.set_fluid_load(self.fluid_load_bps)
 
     def set_fluid_load(self, bps: float) -> None:
@@ -266,7 +305,11 @@ class Interface:
         if fl is not None:
             fl.enqueue(now, self.node.name, pkt, self.name, len(self._qdisc))
         if not self._busy:
-            if self._retry_event is None:
+            if now < self._free_at:
+                # First packet to queue behind the one being serialized.
+                self._busy = True
+                self.sim.schedule_at(self._free_at, self._transmit_next)
+            elif self._retry_event is None:
                 self._transmit_next()
             else:
                 # Transmitter idle but regulated: a retry timer is already
@@ -291,11 +334,12 @@ class Interface:
     def send_batch(self, pkts: "list[Packet]", wire: "list[int] | None" = None) -> None:
         """Enqueue a burst of packets; scalar-exact, loads hoisted.
 
-        While the transmitter is idle (or regulated) each enqueue may
-        trigger an immediate dequeue, so the prefix runs packet-at-a-time
-        with the same kick logic as :meth:`send`.  Once the transmitter is
-        busy the scalar path would do nothing but back-to-back enqueues —
-        that tail goes through the queue discipline's vector enqueue (per-
+        Until a drain is armed (transmitter free, or regulated) each
+        enqueue may trigger an immediate dequeue, so the prefix runs
+        packet-at-a-time with the same kick logic as :meth:`send` — on an
+        infinite-rate link that is the whole burst.  Once a drain is armed
+        the scalar path would do nothing but back-to-back enqueues — that
+        tail goes through the queue discipline's vector enqueue (per-
         packet AQM verdicts preserved), or a hoisted loop when the flight
         recorder needs its per-packet backlog records.
 
@@ -327,7 +371,10 @@ class Interface:
             stats.enqueued += 1
             if fl is not None:
                 fl.enqueue(now, self.node.name, pkt, self.name, len(qdisc))
-            if not self._busy:
+            if now < self._free_at:
+                self._busy = True
+                self.sim.schedule_at(self._free_at, self._transmit_next)
+            else:
                 self._transmit_next()
         if i == n:
             return
@@ -351,49 +398,62 @@ class Interface:
 
     # ------------------------------------------------------------------
     def _transmit_next(self) -> None:
+        """Start serializing the next eligible packet, if any.
+
+        Runs when a packet meets a free transmitter, as the drain event at
+        ``_free_at``, and as the regulated-qdisc retry timer.
+        """
         if self._retry_event is not None:
             self._retry_event.cancel()
             self._retry_event = None
             self._retry_time = math.inf
-        now = self.sim.now
-        pkt = self._qdisc.dequeue(now)
+        sim = self.sim
+        now = sim.now
+        qdisc = self._qdisc
+        pkt = qdisc.dequeue(now)
         if pkt is None:
             self._busy = False
             # Non-work-conserving discipline with backlog: wake up when the
             # earliest regulated packet becomes eligible (e.g. CBQ class
             # waiting for its allocation bucket to refill).
-            if len(self._qdisc) > 0:
-                t = self._qdisc.next_eligible(now)
+            if len(qdisc) > 0:
+                t = qdisc.next_eligible(now)
                 if t != float("inf"):
                     self._retry_time = t
-                    self._retry_event = self.sim.schedule(
+                    self._retry_event = sim.schedule(
                         max(t - now, 1e-9), self._transmit_next
                     )
             return
         fl = self.node.trace.flight
         if fl is not None:
-            fl.dequeue(now, self.node.name, pkt, self.name, len(self._qdisc))
-        self._busy = True
-        tx_time = pkt.wire_bytes * 8.0 / self._eff_rate_bps
-        self.stats.busy_time += tx_time
-        self.sim.schedule_call(tx_time, self._transmit_done, pkt)
-
-    def _transmit_done(self, pkt: Packet) -> None:
+            fl.dequeue(now, self.node.name, pkt, self.name, len(qdisc))
+        wire = pkt.wire_bytes
+        tx_time = wire * 8.0 / self._eff_rate_bps
+        stats = self.stats
+        stats.busy_time += tx_time
+        stats.tx_packets += 1
+        stats.tx_bytes += wire
+        self._free_at = free_at = now + tx_time
         # ``Link.carry`` is fused inline: one call frame per forwarded
-        # packet matters at millions of packet-hops per experiment.
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += pkt.wire_bytes
+        # packet matters at millions of packet-hops per experiment.  The
+        # arrival is a bound ``Node.receive`` event (what burst extraction
+        # matches on) at the float the serialize-then-propagate sum gives.
         link = self.link
         if link is not None and link._up:
-            self.sim.schedule_call(
-                link.delay_s, link.dst_node.receive, pkt, link.dst_ifname
+            link._tx_event = sim.schedule_at(
+                free_at + link.delay_s, link.dst_node.receive, pkt, link.dst_ifname
             )
-        self._transmit_next()
+        if len(qdisc) > 0:
+            self._busy = True
+            sim.schedule_at(free_at, self._transmit_next)
+        else:
+            self._busy = False
 
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
-        return self._busy
+        """True while a packet is being serialized or a drain is armed."""
+        return self._busy or self.sim.now < self._free_at
 
     @property
     def backlog_packets(self) -> int:

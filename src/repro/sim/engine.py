@@ -81,8 +81,9 @@ class Event:
     callback:
         Callable invoked when the event fires.  Zero-argument callables
         (closures, ``bind`` products) have empty ``args``; callables
-        scheduled through :meth:`Simulator.schedule_call` carry their
-        positional arguments here instead of in a closure, which keeps
+        scheduled through :meth:`Simulator.schedule_call` or
+        :meth:`Simulator.schedule_at` carry their positional arguments
+        here instead of in a closure, which keeps
         the per-hop hot path allocation-free.
     args:
         Positional arguments applied to ``callback`` at fire time.
@@ -236,13 +237,21 @@ class Simulator:
         self._size += 1
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self.now:
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``.
+
+        The interface driver's entry point: a packet's far-end arrival is
+        scheduled at ``(now + tx_time) + delay_s``, a sum the relative
+        :meth:`schedule_call` cannot reproduce bit for bit.  ``time`` must
+        lie in ``[now, inf)``.
+        """
+        if not self.now <= time < math.inf:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self.now})"
             )
-        return self._push(time, callback, ())
+        return self._push(time, callback, args)
 
     def schedule_call(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -251,8 +260,8 @@ class Simulator:
 
         The hot-path alternative to ``schedule(delay, bind(fn, ...))``:
         arguments ride on the :class:`Event` itself, so per-packet
-        scheduling (link propagation, transmit completion, modeled
-        processing cost) creates no closure objects.  The kernel profiler
+        scheduling (``Link.carry``, modeled processing cost) creates no
+        closure objects.  The kernel profiler
         attributes these events to ``callback`` directly — no unwrapping.
 
         The bucket insert is inlined (see :meth:`_push` for the annotated

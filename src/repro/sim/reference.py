@@ -1,28 +1,20 @@
 """Reference (pre-fast-path) simulation kernel, frozen verbatim.
 
 This module preserves the event engine exactly as it stood before the
-engine fast path (time-bucketed scheduling, tombstone accounting, packet
-pooling, coalesced shaper retries): a single ``(time, seq, Event)``
-priority heap popped one entry at a time, plus the pre-PR
-``Interface.send`` / ``Interface._transmit_next`` retry behaviour that
-re-armed a wake-up timer on every blocked enqueue.
+engine fast path (time-bucketed scheduling, tombstone accounting): a
+single ``(time, seq, Event)`` priority heap popped one entry at a time.
 
-It exists for the same two reasons ``repro.routing.reference`` does:
+It exists as the ordering oracle: ``tests/test_engine_parity.py`` runs
+whole experiments (e2 / e5 / e11) under both engines with the flight
+recorder attached and asserts the per-hop event sequences are
+bit-identical.  The event ordering contract (time first, schedule order
+within a timestamp) is what every seeded experiment depends on; this
+module is the executable statement of that contract.
 
-* **Parity** — ``tests/test_engine_parity.py`` runs whole experiments
-  (e2 / e5 / e11) under both engines with the flight recorder attached
-  and asserts the per-hop event sequences are bit-identical.  The event
-  ordering contract (time first, schedule order within a timestamp) is
-  what every seeded experiment depends on; this module is the executable
-  statement of that contract.
-* **Self-calibrating benchmarks** — ``benchmarks/
-  test_engine_performance.py`` measures the fast path's speedup live
-  against this engine in the same process, so the asserted floors hold
-  on any machine.
-
-Nothing in the library imports this module; it is a test/bench oracle
-only.  Keep it byte-for-byte faithful to the old semantics rather than
-clean or fast.
+Nothing in the library imports this module; it is a test oracle only.
+Keep it byte-for-byte faithful to the old semantics rather than clean or
+fast.  (What a run costs in absolute units is the performance ledger's
+job, ``benchmarks/ledger``; no frozen denominator is kept for it.)
 """
 
 from __future__ import annotations
@@ -33,15 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-__all__ = [
-    "ReferenceEvent",
-    "ReferenceSimulator",
-    "reference_engine",
-    "reference_stack",
-    "reference_interface_send",
-    "reference_interface_transmit_next",
-    "reference_transmit_done",
-]
+__all__ = ["ReferenceEvent", "ReferenceSimulator", "reference_engine"]
 
 
 @dataclass(slots=True)
@@ -98,10 +82,12 @@ class ReferenceSimulator:
             raise _sim_error(f"delay must be finite, got {delay}")
         return self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> ReferenceEvent:
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> ReferenceEvent:
         if time < self._now:
             raise _sim_error(f"cannot schedule at t={time} (now={self._now})")
-        event = ReferenceEvent(time, callback)
+        event = ReferenceEvent(time, callback, args)
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, event))
         return event
@@ -199,189 +185,7 @@ def _sim_error(msg: str):
 
 
 # ----------------------------------------------------------------------
-# Pre-PR Interface driver: re-arm the qdisc retry timer on every blocked
-# enqueue (one cancel + one schedule per arrival while regulated).
-# ----------------------------------------------------------------------
-def reference_interface_send(self, pkt) -> bool:
-    """Pre-PR ``Interface.send``: unconditionally kick the transmitter."""
-    now = self.sim.now
-    for fn in self.conditioners:
-        out = fn(pkt, now)
-        if out is None:
-            self.stats.conditioner_dropped += 1
-            self._queue_drop(pkt, _drop_reason_conditioner(), now)
-            return False
-        pkt = out
-    if not self._qdisc.enqueue(pkt, now):
-        self.stats.dropped += 1
-        return False
-    self.stats.enqueued += 1
-    fl = self.node.trace.flight
-    if fl is not None:
-        fl.enqueue(now, self.node.name, pkt, self.name, len(self._qdisc))
-    if not self._busy:
-        self._transmit_next()
-    return True
-
-
-def reference_interface_transmit_next(self) -> None:
-    """Pre-PR ``Interface._transmit_next``: cancel + re-arm per visit."""
-    if self._retry_event is not None:
-        self._retry_event.cancel()
-        self._retry_event = None
-    now = self.sim.now
-    pkt = self._qdisc.dequeue(now)
-    if pkt is None:
-        self._busy = False
-        if len(self._qdisc) > 0:
-            t = self._qdisc.next_eligible(now)
-            if t != float("inf"):
-                self._retry_event = self.sim.schedule(
-                    max(t - now, 1e-9), self._transmit_next
-                )
-        return
-    fl = self.node.trace.flight
-    if fl is not None:
-        fl.dequeue(now, self.node.name, pkt, self.name, len(self._qdisc))
-    self._busy = True
-    tx_time = pkt.wire_bytes * 8.0 / self.rate_bps
-    self.stats.busy_time += tx_time
-    self.sim.schedule_call(tx_time, self._transmit_done, pkt)
-
-
-def reference_transmit_done(self, pkt) -> None:
-    """Pre-PR ``Interface._transmit_done``: delegate to ``Link.carry``."""
-    self.stats.tx_packets += 1
-    self.stats.tx_bytes += pkt.wire_bytes
-    if self.link is not None:
-        self.link.carry(pkt)
-    self._transmit_next()
-
-
-def _drop_reason_conditioner():
-    from repro.net.drops import DropReason
-
-    return DropReason.CONDITIONER
-
-
-def reference_queue_drop(self, pkt, reason, now) -> None:
-    """Pre-PR ``Interface._queue_drop``: publish unconditionally."""
-    trace = self.node.trace
-    fl = trace.flight
-    if fl is not None:
-        fl.drop(now, self.node.name, pkt, reason.value, ifname=self.name)
-    trace.publish(
-        "drop",
-        now,
-        node=self.node.name,
-        iface=self.name,
-        reason=reason.value,
-        pkt=pkt,
-    )
-
-
-def reference_classful_len(self) -> int:
-    """Pre-PR ``_ClassfulBase.__len__``: sum over class queues per call."""
-    return sum(len(c) for c in self.classes)
-
-
-def reference_cbq_len(self) -> int:
-    """Pre-PR ``CbqScheduler.__len__``: sum over class queues per call."""
-    return sum(len(c.queue) for c in self.cbq_classes)
-
-
-def reference_fifo_enqueue(self, pkt, now) -> bool:
-    """Pre-PR ``DropTailFifo.enqueue``: unconditional counters and hooks."""
-    from repro.net.drops import DropReason
-
-    if self.drop_policy is not None and self.drop_policy.should_drop(
-        pkt, self._bytes, now
-    ):
-        self.stats.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(pkt, DropReason.QUEUE_AQM, now)
-        return False
-    if (
-        self.capacity_packets is not None and len(self._q) >= self.capacity_packets
-    ) or (
-        self.capacity_bytes is not None
-        and self._bytes + pkt.wire_bytes > self.capacity_bytes
-    ):
-        self.stats.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
-        return False
-    self._q.append(pkt)
-    self._bytes += pkt.wire_bytes
-    self.stats.enqueued += 1
-    return True
-
-
-def reference_fifo_dequeue(self, now):
-    """Pre-PR ``DropTailFifo.dequeue``: unconditional counters."""
-    if not self._q:
-        return None
-    pkt = self._q.popleft()
-    self._bytes -= pkt.wire_bytes
-    self.stats.dequeued += 1
-    self.stats.bytes_sent += pkt.wire_bytes
-    if self.drop_policy is not None:
-        self.drop_policy.notify_dequeue(self._bytes, now)
-    return pkt
-
-
-def reference_classqueue_push(self, pkt, now) -> bool:
-    """Pre-PR ``ClassQueue.push``: unconditional counters and hooks."""
-    from repro.net.drops import DropReason
-
-    if self.drop_policy is not None and self.drop_policy.should_drop(
-        pkt, self.bytes, now
-    ):
-        self.stats.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(pkt, DropReason.QUEUE_AQM, now)
-        return False
-    if (
-        self.capacity_packets is not None and len(self.q) >= self.capacity_packets
-    ) or (
-        self.capacity_bytes is not None
-        and self.bytes + pkt.wire_bytes > self.capacity_bytes
-    ):
-        self.stats.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
-        return False
-    self.q.append(pkt)
-    self.bytes += pkt.wire_bytes
-    self.stats.enqueued += 1
-    return True
-
-
-def reference_classqueue_pop(self, now):
-    """Pre-PR ``ClassQueue.pop``: unconditional counters."""
-    pkt = self.q.popleft()
-    self.bytes -= pkt.wire_bytes
-    self.stats.dequeued += 1
-    self.stats.bytes_sent += pkt.wire_bytes
-    if self.drop_policy is not None:
-        self.drop_policy.notify_dequeue(self.bytes, now)
-    return pkt
-
-
-def reference_wire_bytes(self) -> int:
-    """Pre-PR ``Packet.wire_bytes``: recompute on every access."""
-    from repro.net.packet import IPV4_HEADER_BYTES, MPLS_SHIM_BYTES
-
-    size = IPV4_HEADER_BYTES + MPLS_SHIM_BYTES * len(self.mpls_stack)
-    if self.inner is not None:
-        size += self.inner.wire_bytes + self.encap_overhead
-    else:
-        size += self.payload_bytes + self.encap_overhead
-    return size
-
-
-# ----------------------------------------------------------------------
-# Context managers: build Networks on the frozen engine / frozen stack
+# Context manager: build Networks on the frozen engine
 # ----------------------------------------------------------------------
 @contextmanager
 def reference_engine() -> Iterator[None]:
@@ -398,62 +202,3 @@ def reference_engine() -> Iterator[None]:
         yield
     finally:
         topology.Simulator = saved  # type: ignore[misc]
-
-
-@contextmanager
-def reference_stack() -> Iterator[None]:
-    """Frozen engine *and* frozen churn behaviour, for e2e benchmarks.
-
-    On top of :func:`reference_engine`: restores the pre-PR per-enqueue
-    shaper-retry re-arm and unguarded drop publishing on
-    :class:`~repro.net.link.Interface`, the per-call qdisc length sums,
-    the recomputed ``Packet.wire_bytes``, and turns the traffic-source
-    packet pool off — so the measured ratio covers the whole tentpole
-    (engine + packet/event churn) rather than the engine alone.
-    """
-    from repro.net.link import Interface
-    from repro.net.packet import Packet
-    from repro.qos.cbq import CbqScheduler
-    from repro.qos.queues import ClassQueue, DropTailFifo, _ClassfulBase
-    from repro.traffic import generators
-
-    saved_send = Interface.send
-    saved_next = Interface._transmit_next
-    saved_done = Interface._transmit_done
-    saved_drop = Interface._queue_drop
-    saved_classful_len = _ClassfulBase.__len__
-    saved_cbq_len = CbqScheduler.__len__
-    saved_wire = Packet.wire_bytes
-    saved_pool = generators.POOLING
-    saved_fifo_enq = DropTailFifo.enqueue
-    saved_fifo_deq = DropTailFifo.dequeue
-    saved_cq_push = ClassQueue.push
-    saved_cq_pop = ClassQueue.pop
-    with reference_engine():
-        Interface.send = reference_interface_send  # type: ignore[method-assign]
-        Interface._transmit_next = reference_interface_transmit_next  # type: ignore[method-assign]
-        Interface._transmit_done = reference_transmit_done  # type: ignore[method-assign]
-        Interface._queue_drop = reference_queue_drop  # type: ignore[method-assign]
-        _ClassfulBase.__len__ = reference_classful_len  # type: ignore[method-assign]
-        CbqScheduler.__len__ = reference_cbq_len  # type: ignore[method-assign]
-        Packet.wire_bytes = property(reference_wire_bytes)  # type: ignore[misc]
-        generators.POOLING = False
-        DropTailFifo.enqueue = reference_fifo_enqueue  # type: ignore[method-assign]
-        DropTailFifo.dequeue = reference_fifo_dequeue  # type: ignore[method-assign]
-        ClassQueue.push = reference_classqueue_push  # type: ignore[method-assign]
-        ClassQueue.pop = reference_classqueue_pop  # type: ignore[method-assign]
-        try:
-            yield
-        finally:
-            Interface.send = saved_send  # type: ignore[method-assign]
-            Interface._transmit_next = saved_next  # type: ignore[method-assign]
-            Interface._transmit_done = saved_done  # type: ignore[method-assign]
-            Interface._queue_drop = saved_drop  # type: ignore[method-assign]
-            _ClassfulBase.__len__ = saved_classful_len  # type: ignore[method-assign]
-            CbqScheduler.__len__ = saved_cbq_len  # type: ignore[method-assign]
-            Packet.wire_bytes = saved_wire  # type: ignore[misc]
-            generators.POOLING = saved_pool
-            DropTailFifo.enqueue = saved_fifo_enq  # type: ignore[method-assign]
-            DropTailFifo.dequeue = saved_fifo_deq  # type: ignore[method-assign]
-            ClassQueue.push = saved_cq_push  # type: ignore[method-assign]
-            ClassQueue.pop = saved_cq_pop  # type: ignore[method-assign]

@@ -237,8 +237,13 @@ class Network:
 
         if_ab_name = self._ifname(na, nb)
         if_ba_name = self._ifname(nb, na)
+        # Interface and Link reject impossible rates / delays (ValueError);
+        # build all four before touching the nodes so a refused connect
+        # leaves the network as it was.
         if_ab = Interface(self.sim, na, if_ab_name, rate_bps, factory(na, if_ab_name))
         if_ba = Interface(self.sim, nb, if_ba_name, rate_bps, factory(nb, if_ba_name))
+        link_ab = Link(self.sim, f"{na.name}->{nb.name}", nb, if_ba_name, delay_s)
+        link_ba = Link(self.sim, f"{nb.name}->{na.name}", na, if_ab_name, delay_s)
         na.add_interface(if_ab)
         nb.add_interface(if_ba)
 
@@ -247,8 +252,6 @@ class Network:
         na.add_address(addr_a, if_ab_name, subnet)
         nb.add_address(addr_b, if_ba_name, subnet)
 
-        link_ab = Link(self.sim, f"{na.name}->{nb.name}", nb, if_ba_name, delay_s)
-        link_ba = Link(self.sim, f"{nb.name}->{na.name}", na, if_ab_name, delay_s)
         link_ab.on_state_change = link_ba.on_state_change = self._link_state_changed
         if_ab.attach(link_ab, nb, if_ba_name)
         if_ba.attach(link_ba, na, if_ab_name)

@@ -9,8 +9,8 @@ across configuration A/B runs (see repro.sim.randomness).
 
 Packet shells come from the process-wide :data:`repro.net.packet.POOL`
 freelist while :data:`POOLING` is on (the default); delivered packets are
-recycled by ``Node.deliver_local``.  ``reference_stack`` flips the flag
-off so the pre-PR allocation behaviour can be benchmarked against.
+recycled by ``Node.deliver_local``.  ``tests/test_engine_parity.py`` flips
+the flag off to show that recycling alters no hop of a seeded trace.
 Sources emitting back-to-back trains can pass ``burst > 1`` to amortise
 one scheduler event over the whole train instead of paying one per
 packet.
@@ -27,7 +27,7 @@ from repro.net.packet import POOL, IPHeader, Packet
 from repro.sim.engine import Simulator
 
 #: When True (default) sources acquire packet shells from the freelist;
-#: benchmarks flip this off to measure the pre-pool allocation cost.
+#: the parity suite flips this off to compare against fresh allocation.
 POOLING = True
 
 __all__ = [

@@ -88,6 +88,23 @@ class TestTransmission:
         assert b.got == []
         assert iface.stats.tx_packets == 1  # transmitted, lost on the wire
 
+    @pytest.mark.parametrize("rate", [0.0, -1e6, float("nan")])
+    def test_impossible_rate_rejected_at_construction_and_in_setter(self, rate):
+        sim = Simulator()
+        a = Recorder(sim, "a")
+        with pytest.raises(ValueError, match=r"a\.eth0"):
+            Interface(sim, a, "eth0", rate, DropTailFifo())
+        iface = Interface(sim, a, "eth0", float("inf"), DropTailFifo())  # inf is legal
+        with pytest.raises(ValueError, match=r"a\.eth0"):
+            iface.rate_bps = rate
+        assert iface.rate_bps == float("inf")
+
+    @pytest.mark.parametrize("delay", [-1.0, float("inf"), float("nan")])
+    def test_impossible_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="a->b"):
+            Link(sim, "a->b", Recorder(sim, "b"), "eth0", delay)
+
     def test_utilization_accounting(self):
         sim = Simulator()
         a, b = Recorder(sim, "a"), Recorder(sim, "b")

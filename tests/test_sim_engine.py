@@ -54,6 +54,23 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_schedule_at_rejects_nan_inf_and_past(self):
+        sim = Simulator(start_time=1.0)
+        fired = []
+        for bad in (math.nan, math.inf, -math.inf, 0.5):
+            with pytest.raises(SimulationError):
+                sim.schedule_at(bad, lambda: fired.append("bad"))
+        assert sim.pending == 0
+        sim.schedule_at(1.0, lambda: fired.append("now"))  # the boundary is legal
+        assert sim.run() == 1.0 and fired == ["now"]
+
+    def test_schedule_at_carries_positional_args(self):
+        sim = Simulator()
+        got = []
+        sim.schedule_at(2.0, lambda a, b: got.append((sim.now, a, b)), "x", 7)
+        sim.run()
+        assert got == [(2.0, "x", 7)]
+
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
         fired = []

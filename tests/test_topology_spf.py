@@ -40,6 +40,19 @@ class TestNetworkWiring:
         assert subnet.length == 30
         assert subnet in b.connected_prefixes
 
+    def test_connect_rejects_impossible_link_parameters(self):
+        # Used to be accepted and surface as ZeroDivisionError / "cannot
+        # schedule in the past" from inside the run loop.
+        net = Network()
+        a, b = net.add_router("a"), net.add_router("b")
+        with pytest.raises(ValueError, match="rate_bps"):
+            net.connect(a, b, rate_bps=0.0, delay_s=-1.0)
+        with pytest.raises(ValueError, match="delay_s"):
+            net.connect(a, b, rate_bps=1e6, delay_s=-1.0)
+        # A refused connect leaves no half-wired interface behind.
+        assert not a.interfaces and not b.interfaces and not net.duplex_links
+        assert net.connect(a, b, rate_bps=float("inf"), delay_s=0.0).if_ab.name == "to-b"
+
     def test_parallel_links_get_distinct_ifnames(self):
         net = Network()
         a, b = net.add_router("a"), net.add_router("b")

@@ -44,6 +44,13 @@ class TestValidate:
         issues = validate(net)
         assert any("no attached link" in i.message for i in issues)
 
+    def test_rate_zeroed_behind_the_setter_flagged(self):
+        net, nodes = provisioned_network()
+        iface = next(iter(nodes["P1"].interfaces.values()))
+        iface._rate_bps = 0.0  # the setter and constructor refuse this
+        issues = validate(net)
+        assert any("non-positive rate" in i.message for i in issues)
+
     def test_duplicate_core_address_flagged(self):
         net, nodes = provisioned_network()
         nodes["P1"].add_address("172.16.0.1", "")
