@@ -19,12 +19,17 @@ from time import perf_counter
 
 import pytest
 
+from repro.obs import runtime
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.sketch import QuantileSketch
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 # Enabled-mode budget (soft): live SLO may cost at most 30% end to end.
 MAX_SLO_ENABLED_OVERHEAD = 1.30
+# A whole telemetry session (flight recorder, flow accountant, kernel
+# profiler) may cost at most 2x end to end (soft).
+MAX_TELEMETRY_ENABLED_OVERHEAD = 2.0
 
 _SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
 
@@ -91,6 +96,36 @@ def test_slo_enabled_overhead_documented():
     ), soft=True)
 
 
+def test_telemetry_enabled_overhead_documented():
+    """Price of a telemetry session on E5: flight recorder, flow
+    accountant and kernel profiler on vs off (the ledger's ``vpn_sla_obs``
+    / ``vpn_sla`` pair is the same question at full size)."""
+    from repro.experiments.e5_sla import run_stage
+
+    def run_off():
+        run_stage("full", measure_s=2.0)
+
+    def run_on():
+        runtime.enable()
+        try:
+            run_stage("full", measure_s=2.0)
+        finally:
+            runtime.reset()
+
+    t_off, t_on = _best_of_pair(run_off, run_on, rounds=3)
+    overhead = t_on / t_off
+    _record("telemetry_enabled_e5", {
+        "telemetry_off_s": t_off,
+        "telemetry_on_s": t_on,
+        "overhead": overhead,
+        "max_budget": MAX_TELEMETRY_ENABLED_OVERHEAD,
+    })
+    _require_floor(MAX_TELEMETRY_ENABLED_OVERHEAD, overhead, (
+        f"telemetry session costs {overhead:.2f}x on e5 "
+        f"(budget {MAX_TELEMETRY_ENABLED_OVERHEAD}x)"
+    ), soft=True)
+
+
 def test_span_tracing_enabled_overhead_documented():
     """Price of convergence tracing on an E11 flap (spans on vs off)."""
     from repro.experiments.e11_resilience import run_variant
@@ -140,4 +175,52 @@ def test_sketch_insert_throughput():
     assert sk.retained < 16 * 2048  # bounded memory held
     _require_floor(rate, 1e6, (
         f"sketch insert throughput {rate:.0f}/s < 1M/s"
+    ), soft=True)
+
+
+def test_flight_record_throughput():
+    """Flight recorder: a hop row must stay cheap enough to leave on
+    (soft floor: ≥1M records/s).  Mixed labeled/unlabeled packets through
+    the producers a transit hop calls, on a ring that is already full so
+    every append also ages a row out."""
+    from repro.net.address import IPv4Address
+    from repro.net.packet import IPHeader, Packet
+
+    ip = IPHeader(IPv4Address(1), IPv4Address(2))
+    plain = Packet(ip=ip, payload_bytes=100, flow="plain", seq=1)
+    labeled = Packet(ip=ip, payload_bytes=100, flow="labeled", seq=2)
+    labeled.push_label(100)
+    labeled.push_label(200)
+    fr = FlightRecorder(capacity=4096)
+    for _ in range(fr.capacity):
+        fr.rx(0.0, "warm", plain, "eth0")
+    rounds = 50_000
+    rx, enqueue, dequeue, label_op = fr.rx, fr.enqueue, fr.dequeue, fr.label_op
+    t0 = perf_counter()
+    for _ in range(rounds):
+        rx(1.0, "p1", plain, "eth0")
+        enqueue(1.0, "p1", plain, "eth1", 3)
+        dequeue(1.0, "p1", plain, "eth1", 2)
+        rx(1.0, "p1", labeled, "eth0")
+        label_op(1.0, "p1", labeled, "swap", old=200, new=201)
+        enqueue(1.0, "p1", labeled, "eth1", 3)
+        dequeue(1.0, "p1", labeled, "eth1", 2)
+    dt = perf_counter() - t0
+    n = 7 * rounds
+    rate = n / dt
+    assert fr.recorded == fr.capacity + n and len(fr) == fr.capacity
+    # Reading is where HopRecords get built; price it into the record.
+    t0 = perf_counter()
+    materialised = fr.records()
+    read_dt = perf_counter() - t0
+    assert materialised[-1].event == "dequeue" and materialised[-1].labels == (100, 200)
+    _record("flight_record_throughput", {
+        "records": n,
+        "wall_s": dt,
+        "records_per_sec": rate,
+        "ring_capacity": fr.capacity,
+        "read_us_per_record": read_dt / len(materialised) * 1e6,
+    })
+    _require_floor(rate, 1e6, (
+        f"flight recorder throughput {rate:.0f} records/s < 1M/s"
     ), soft=True)

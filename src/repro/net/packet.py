@@ -279,8 +279,9 @@ class PacketPool:
     * Tunnel envelopes and protocol messages are built directly and have
       ``pooled=False``; the flag travels with the customer packet through
       encap/decap because the envelope's ``inner`` is the same object.
-    * The FlightRecorder is safe by construction: its HopRecords copy
-      scalar fields out of the packet at record time.
+    * The FlightRecorder is safe by construction: its rows copy
+      ``uid``/``flow``/``seq`` and the label values out of the packet at
+      record time and never hold the packet.
     """
 
     __slots__ = ("_free", "max_size", "hits", "misses", "releases")

@@ -32,7 +32,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.sketch import QuantileSketch, StreamingJitter
 from repro.obs.slo import SloEngine, SloStream
 from repro.obs.spans import ConvergenceTracer, HealingWatch, Span
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, TelemetryAttachError
 
 __all__ = [
     "FlightRecorder",
@@ -48,4 +48,5 @@ __all__ = [
     "HealingWatch",
     "Span",
     "Telemetry",
+    "TelemetryAttachError",
 ]

@@ -1,13 +1,23 @@
 """Packet flight recorder: a bounded ring buffer of per-hop events.
 
 Every instrumented touch point (receive, queue enqueue/dequeue, label
-push/swap/pop, local delivery, drop) appends one :class:`HopRecord`.  The
-buffer is a ``deque(maxlen=...)`` so memory is bounded no matter how long
-the run: old hops fall off the back, which is exactly the black-box
-behaviour the name promises — after something goes wrong you read out the
-recent past.
+push/swap/pop, local delivery, drop) appends one *row*: a plain tuple in
+:class:`HopRecord` field order.  The buffer is a ``deque(maxlen=...)`` so
+memory is bounded no matter how long the run: old hops fall off the back,
+which is exactly the black-box behaviour the name promises — after
+something goes wrong you read out the recent past.
 
-Records are keyed by the *innermost* packet (the original customer
+Recording is the hot path and reading is post-mortem, so the price sits on
+the reader: a producer builds one tuple literal (no Python-level
+constructor per hop) and :class:`HopRecord`, the public read type, is
+materialised from rows only by :meth:`FlightRecorder.records`,
+:meth:`~FlightRecorder.path_of`, :meth:`~FlightRecorder.to_json` and
+:meth:`~FlightRecorder.explain`.  A row copies ``uid``/``flow``/``seq`` and
+the label values out of the packet at record time, so it is a snapshot:
+later stack mutation or :data:`~repro.net.packet.POOL` recycling of the
+packet cannot change it.
+
+Rows are keyed by the *innermost* packet (the original customer
 datagram), so one flow's journey can be reconstructed across label
 imposition, VPN encapsulation, and FRR detours: :meth:`path_of` returns
 the ordered hop list for a flow and :meth:`explain` renders it.
@@ -22,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.net.packet import Packet
 
@@ -60,128 +70,120 @@ class HopRecord:
             "seq": self.seq,
             "labels": list(self.labels),
         }
-        if self.ifname is not None:
-            d["ifname"] = self.ifname
-        if self.in_label is not None:
-            d["in_label"] = self.in_label
-        if self.out_label is not None:
-            d["out_label"] = self.out_label
-        if self.reason is not None:
-            d["reason"] = self.reason
-        if self.backlog is not None:
-            d["backlog"] = self.backlog
+        for key in ("ifname", "in_label", "out_label", "reason", "backlog"):
+            value = getattr(self, key)
+            if value is not None:
+                d[key] = value
         return d
 
 
+# Row layout == HopRecord field order; the readers filter on these two.
+_FLOW = HopRecord.__slots__.index("flow")
+_SEQ = HopRecord.__slots__.index("seq")
+
+
 class FlightRecorder:
-    """Bounded ring buffer of :class:`HopRecord` (see module docstring)."""
+    """Bounded ring buffer of hop rows (see module docstring)."""
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._ring: deque[HopRecord] = deque(maxlen=self.capacity)
+        self._ring: deque[tuple] = deque(maxlen=self.capacity)
         self.recorded = 0  # total appended, including those aged out
 
     # ------------------------------------------------------------------
-    # Producers (hot paths)
+    # Producers (hot paths).  Each appends one tuple literal, repeated six
+    # times on purpose: a shared helper is one more Python call per hop.
     # ------------------------------------------------------------------
-    def _append(self, rec: HopRecord) -> None:
-        self._ring.append(rec)
+    def rx(self, time: float, node: str, pkt: Packet, ifname: str) -> None:
+        inner = pkt
+        while inner.inner is not None:
+            inner = inner.inner
+        stack = pkt.mpls_stack
+        labels = tuple([e.label for e in stack]) if stack else ()
+        self._ring.append((time, node, "rx", inner.uid, inner.flow, inner.seq,
+                           ifname, labels, None, None, None, None))
         self.recorded += 1
 
-    @staticmethod
-    def _stack(pkt: Packet) -> tuple[int, ...]:
-        return tuple(e.label for e in pkt.mpls_stack)
+    def enqueue(self, time: float, node: str, pkt: Packet, ifname: str, backlog: int) -> None:
+        inner = pkt
+        while inner.inner is not None:
+            inner = inner.inner
+        stack = pkt.mpls_stack
+        labels = tuple([e.label for e in stack]) if stack else ()
+        self._ring.append((time, node, "enqueue", inner.uid, inner.flow, inner.seq,
+                           ifname, labels, None, None, None, backlog))
+        self.recorded += 1
 
-    def rx(self, time: float, node: str, pkt: Packet, ifname: str) -> None:
-        inner = pkt.innermost()
-        self._append(
-            HopRecord(time, node, "rx", inner.uid, inner.flow, inner.seq,
-                      ifname=ifname, labels=self._stack(pkt))
-        )
-
-    def enqueue(
-        self, time: float, node: str, pkt: Packet, ifname: str, backlog: int
-    ) -> None:
-        inner = pkt.innermost()
-        self._append(
-            HopRecord(time, node, "enqueue", inner.uid, inner.flow, inner.seq,
-                      ifname=ifname, labels=self._stack(pkt), backlog=backlog)
-        )
-
-    def dequeue(
-        self, time: float, node: str, pkt: Packet, ifname: str, backlog: int
-    ) -> None:
-        inner = pkt.innermost()
-        self._append(
-            HopRecord(time, node, "dequeue", inner.uid, inner.flow, inner.seq,
-                      ifname=ifname, labels=self._stack(pkt), backlog=backlog)
-        )
+    def dequeue(self, time: float, node: str, pkt: Packet, ifname: str, backlog: int) -> None:
+        inner = pkt
+        while inner.inner is not None:
+            inner = inner.inner
+        stack = pkt.mpls_stack
+        labels = tuple([e.label for e in stack]) if stack else ()
+        self._ring.append((time, node, "dequeue", inner.uid, inner.flow, inner.seq,
+                           ifname, labels, None, None, None, backlog))
+        self.recorded += 1
 
     def deliver(self, time: float, node: str, pkt: Packet) -> None:
-        inner = pkt.innermost()
-        self._append(
-            HopRecord(time, node, "deliver", inner.uid, inner.flow, inner.seq,
-                      labels=self._stack(pkt))
-        )
+        inner = pkt
+        while inner.inner is not None:
+            inner = inner.inner
+        stack = pkt.mpls_stack
+        labels = tuple([e.label for e in stack]) if stack else ()
+        self._ring.append((time, node, "deliver", inner.uid, inner.flow, inner.seq,
+                           None, labels, None, None, None, None))
+        self.recorded += 1
 
     def drop(
-        self,
-        time: float,
-        node: str,
-        pkt: Packet,
-        reason: str,
-        ifname: str | None = None,
+        self, time: float, node: str, pkt: Packet, reason: str, ifname: str | None = None
     ) -> None:
-        inner = pkt.innermost()
-        self._append(
-            HopRecord(time, node, "drop", inner.uid, inner.flow, inner.seq,
-                      ifname=ifname, labels=self._stack(pkt), reason=reason)
-        )
+        inner = pkt
+        while inner.inner is not None:
+            inner = inner.inner
+        stack = pkt.mpls_stack
+        labels = tuple([e.label for e in stack]) if stack else ()
+        self._ring.append((time, node, "drop", inner.uid, inner.flow, inner.seq,
+                           ifname, labels, None, None, reason, None))
+        self.recorded += 1
 
     def label_op(
-        self,
-        time: float,
-        node: str,
-        pkt: Packet,
-        op: str,
-        old: int | None = None,
-        new: int | None = None,
+        self, time: float, node: str, pkt: Packet, op: str,
+        old: int | None = None, new: int | None = None,
     ) -> None:
         """Record a push/swap/pop.  Called *before* the stack mutation, so
         ``labels`` shows the pre-op stack and ``in_label``/``out_label``
         carry the transition."""
-        inner = pkt.innermost()
-        self._append(
-            HopRecord(time, node, op, inner.uid, inner.flow, inner.seq,
-                      labels=self._stack(pkt), in_label=old, out_label=new)
-        )
+        inner = pkt
+        while inner.inner is not None:
+            inner = inner.inner
+        stack = pkt.mpls_stack
+        labels = tuple([e.label for e in stack]) if stack else ()
+        self._ring.append((time, node, op, inner.uid, inner.flow, inner.seq,
+                           None, labels, old, new, None, None))
+        self.recorded += 1
 
     # ------------------------------------------------------------------
-    # Consumers (post-mortem)
+    # Consumers (post-mortem): rows become HopRecords here, on demand
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._ring)
 
     def records(self) -> list[HopRecord]:
-        return list(self._ring)
+        return [HopRecord(*row) for row in self._ring]
 
     def path_of(self, flow: Any, seq: int | None = None) -> list[HopRecord]:
         """Ordered hop records of one flow (optionally one sequence number)."""
         return [
-            r
-            for r in self._ring
-            if r.flow == flow and (seq is None or r.seq == seq)
+            HopRecord(*row)
+            for row in self._ring
+            if row[_FLOW] == flow and (seq is None or row[_SEQ] == seq)
         ]
 
     def packets_of(self, flow: Any) -> list[int]:
         """Distinct sequence numbers of ``flow`` still in the buffer."""
-        seen: dict[int, None] = {}
-        for r in self._ring:
-            if r.flow == flow:
-                seen.setdefault(r.seq)
-        return list(seen)
+        return list(dict.fromkeys(row[_SEQ] for row in self._ring if row[_FLOW] == flow))
 
     def explain(self, flow: Any, seq: int | None = None) -> str:
         """Human-readable hop-by-hop account of a flow's journey."""
@@ -210,9 +212,7 @@ class FlightRecorder:
         return "\n".join(lines)
 
     def to_json(self, flow: Any = None) -> list[dict[str, Any]]:
-        recs: Iterable[HopRecord] = (
-            self._ring if flow is None else self.path_of(flow)
-        )
+        recs = self.records() if flow is None else self.path_of(flow)
         return [r.to_dict() for r in recs]
 
     def summary(self) -> dict[str, Any]:

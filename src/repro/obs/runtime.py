@@ -13,6 +13,7 @@ Disabled (the default) this costs one module-level boolean check per
 
 from __future__ import annotations
 
+import inspect
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.telemetry import Telemetry
@@ -38,6 +39,11 @@ __all__ = [
     "flags",
 ]
 
+#: What ``enable(**options)`` accepts: the :class:`Telemetry` keyword
+#: arguments, and the smallest value allowed for the counted ones.
+_SESSION_OPTIONS = frozenset(inspect.signature(Telemetry.__init__).parameters) - {"self", "net"}
+_OPTION_FLOORS = {"sample_every": 1, "flight_capacity": 1}
+
 _enabled = False
 _options: dict[str, Any] = {}
 _sessions: list[Telemetry] = []
@@ -48,8 +54,24 @@ _spans = False
 
 def enable(**options: Any) -> None:
     """Turn telemetry on; ``options`` are passed to every new session
-    (``sample_every``, ``flight_capacity``, ``profile``)."""
+    (``sample_every``, ``flight_capacity``, ``profile``, ...).
+
+    Names and ranges are checked here, naming the option, so a typo fails
+    at the switch and not from inside a ``Network.__init__`` deep in an
+    experiment; a rejected call leaves the switch as it was.
+    """
     global _enabled, _options
+    for name, value in options.items():
+        if name not in _SESSION_OPTIONS:
+            raise TypeError(
+                f"enable(): unknown option {name!r} "
+                f"(expected one of {', '.join(sorted(_SESSION_OPTIONS))})"
+            )
+        floor = _OPTION_FLOORS.get(name)
+        if floor is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < floor
+        ):
+            raise ValueError(f"enable(): {name} must be an integer >= {floor}, got {value!r}")
     _enabled = True
     _options = dict(options)
     # Telemetry scrapes the per-class packet counters, so enabling a

@@ -32,7 +32,7 @@ from repro.qos.shaper import TokenBucketShaper
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports us)
     from repro.topology import Network
 
-__all__ = ["Telemetry", "SCHEMA_ID"]
+__all__ = ["Telemetry", "TelemetryAttachError", "SCHEMA_ID"]
 
 SCHEMA_ID = "repro.telemetry/v1"
 
@@ -58,8 +58,18 @@ def _git_rev() -> str | None:
     return _git_rev_cache
 
 
+class TelemetryAttachError(RuntimeError):
+    """The network already carries a recorder, accountant or profiler."""
+
+
 class Telemetry:
-    """Measurement session bound to one network (see module docstring)."""
+    """Measurement session bound to one network (see module docstring).
+
+    One session per network: constructing a second one (or one on a
+    network whose ``trace.flight``/``trace.flows``/profiler hook is
+    otherwise occupied) raises :class:`TelemetryAttachError` before
+    anything is wired, so the occupant keeps collecting.
+    """
 
     def __init__(
         self,
@@ -71,6 +81,20 @@ class Telemetry:
         spans: bool = False,
         slo_window_s: float = 0.5,
     ) -> None:
+        busy = [
+            what
+            for what, occupant in (
+                ("trace.flight", net.trace.flight),
+                ("trace.flows", net.trace.flows),
+                ("the kernel profiler hook", net.sim._profile_hook if profile else None),
+            )
+            if occupant is not None
+        ]
+        if busy:
+            raise TelemetryAttachError(
+                f"network already has a telemetry session: {', '.join(busy)} "
+                "occupied; detach it first"
+            )
         self.net = net
         self.registry = MetricsRegistry()
         self.flight = FlightRecorder(capacity=flight_capacity)

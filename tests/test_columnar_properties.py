@@ -343,7 +343,7 @@ def _run_traced(spec, vector: bool, columnar_min: int = 1):
         snap = _snapshot(net, nodes, sinks)
         records = []
         for session in runtime.sessions():
-            records.extend(session.flight._ring)
+            records.extend(session.flight.records())
         ids: dict[int, int] = {}
         trace = []
         for r in records:

@@ -226,7 +226,7 @@ def _trace(run_fn: Callable[[], object]) -> list[tuple]:
         run_fn()
         records = []
         for session in runtime.sessions():
-            records.extend(session.flight._ring)
+            records.extend(session.flight.records())
     finally:
         runtime.reset()
 

@@ -246,7 +246,7 @@ def _normalized(rec):
     ids = {}
     return [
         (r.time, r.node, r.event, ids.setdefault(r.uid, len(ids)), r.seq, r.ifname, r.backlog)
-        for r in rec._ring
+        for r in rec.records()
     ]
 
 

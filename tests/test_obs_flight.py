@@ -1,8 +1,10 @@
 """Flight recorder tests: hop-by-hop reconstruction across an MPLS VPN."""
 
+import pickle
+
 import pytest
 
-from repro.net.packet import IPHeader, Packet
+from repro.net.packet import IPHeader, Packet, PacketPool
 from repro.net.address import IPv4Address
 from repro.obs.flightrec import FlightRecorder, HopRecord
 from repro.obs.telemetry import Telemetry
@@ -13,19 +15,125 @@ from repro.traffic import CbrSource
 from tests.test_vpn import two_pe_network
 
 
+def _pkt(flow="f", seq=0, labels=()):
+    pkt = Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2)),
+                 payload_bytes=10, flow=flow, seq=seq)
+    for label in labels:
+        pkt.push_label(label)
+    return pkt
+
+
+class TestProducers:
+    """Every producer yields the HopRecord it used to construct directly."""
+
+    def test_every_producer_field_for_field(self):
+        fr = FlightRecorder()
+        plain, labeled = _pkt("a", 3), _pkt("b", 4, labels=(100, 200))
+        envelope = Packet(ip=IPHeader(IPv4Address(9), IPv4Address(8)), inner=plain)
+        envelope.push_label(77)
+        fr.rx(0.1, "n", plain, "eth0")
+        fr.enqueue(0.2, "n", labeled, "eth1", 5)
+        fr.dequeue(0.3, "n", labeled, "eth1", 4)
+        fr.deliver(0.4, "h", plain)
+        fr.drop(0.5, "n", labeled, "no_route")
+        fr.drop(0.6, "n", plain, "queue_tail", ifname="eth2")
+        fr.label_op(0.7, "n", plain, "push", new=300)
+        fr.label_op(0.8, "n", labeled, "swap", old=200, new=201)
+        fr.label_op(0.9, "n", labeled, "pop", old=200)
+        # Keyed by the innermost packet; labels are the outer stack's.
+        fr.rx(1.0, "n", envelope, "tun0")
+        a, b = plain.uid, labeled.uid
+        assert fr.records() == [
+            HopRecord(0.1, "n", "rx", a, "a", 3, ifname="eth0"),
+            HopRecord(0.2, "n", "enqueue", b, "b", 4, ifname="eth1",
+                      labels=(100, 200), backlog=5),
+            HopRecord(0.3, "n", "dequeue", b, "b", 4, ifname="eth1",
+                      labels=(100, 200), backlog=4),
+            HopRecord(0.4, "h", "deliver", a, "a", 3),
+            HopRecord(0.5, "n", "drop", b, "b", 4, labels=(100, 200),
+                      reason="no_route"),
+            HopRecord(0.6, "n", "drop", a, "a", 3, ifname="eth2",
+                      reason="queue_tail"),
+            HopRecord(0.7, "n", "push", a, "a", 3, out_label=300),
+            HopRecord(0.8, "n", "swap", b, "b", 4, labels=(100, 200),
+                      in_label=200, out_label=201),
+            HopRecord(0.9, "n", "pop", b, "b", 4, labels=(100, 200),
+                      in_label=200),
+            HopRecord(1.0, "n", "rx", a, "a", 3, ifname="tun0", labels=(77,)),
+        ]
+        assert fr.recorded == len(fr) == 10
+        assert fr.packets_of("a") == [3] and fr.packets_of("b") == [4]
+        assert fr.path_of("b", seq=4) == fr.records()[1:3] + [
+            fr.records()[4], fr.records()[7], fr.records()[8]]
+        assert fr.path_of("b", seq=5) == []
+        assert fr.to_json("a")[0] == {
+            "time": 0.1, "node": "n", "event": "rx", "uid": a, "flow": "a",
+            "seq": 3, "labels": [], "ifname": "eth0",
+        }
+
+    def test_records_are_snapshots_of_the_label_stack(self):
+        fr = FlightRecorder()
+        pkt = _pkt(labels=(100, 200))
+        fr.rx(0.0, "n", pkt, "eth0")
+        before = fr.records()
+        pkt.swap_label(201)
+        fr.rx(0.1, "n", pkt, "eth0")
+        pkt.pop_label()
+        pkt.push_label(300)
+        pkt.push_label(400)
+        fr.rx(0.2, "n", pkt, "eth0")
+        after = fr.records()
+        assert [r.labels for r in after] == [(100, 200), (100, 201), (100, 300, 400)]
+        assert before == after[:1] and before[0].labels == (100, 200)
+
+    def test_records_survive_pool_recycling(self):
+        pool = PacketPool()
+        fr = FlightRecorder()
+        ip = IPHeader(IPv4Address(1), IPv4Address(2))
+        pkt = pool.acquire(ip, 10, "first", 7, 0.0)
+        pkt.push_label(55)
+        fr.enqueue(0.0, "n", pkt, "eth0", 1)
+        fr.deliver(0.1, "h", pkt)
+        uid = pkt.uid
+        before = fr.records()
+        pool.release(pkt)           # what deliver_local does after the sinks ran
+        shell = pool.acquire(ip, 10, "second", 0, 1.0)
+        assert shell is pkt and shell.uid != uid
+        fr.deliver(1.1, "h", shell)
+        expected = [
+            HopRecord(0.0, "n", "enqueue", uid, "first", 7, ifname="eth0",
+                      labels=(55,), backlog=1),
+            HopRecord(0.1, "h", "deliver", uid, "first", 7, labels=(55,)),
+        ]
+        assert before == expected
+        assert fr.records() == expected + [
+            HopRecord(1.1, "h", "deliver", shell.uid, "second", 0)]
+
+
 class TestRingBuffer:
     def test_capacity_bounds_memory(self):
         fr = FlightRecorder(capacity=4)
-        pkt = Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2)),
-                     payload_bytes=10, flow="f", seq=0)
+        pkt = _pkt()
         for i in range(10):
             fr.deliver(float(i), "n", pkt)
         assert len(fr) == 4
+        assert fr.recorded == 10
         summary = fr.summary()
-        assert summary["recorded_total"] == 10
-        assert summary["aged_out"] == 6
+        assert summary == {"capacity": 4, "buffered": 4, "recorded_total": 10,
+                           "aged_out": 6}
         # Oldest records fell off the back.
         assert [r.time for r in fr.records()] == [6.0, 7.0, 8.0, 9.0]
+
+    def test_pickle_round_trip_keeps_records(self):
+        # A mid-run snapshot carries the recorder on ``net.trace.flight``.
+        fr = FlightRecorder(capacity=3)
+        for i in range(5):
+            fr.enqueue(float(i), "n", _pkt(seq=i, labels=(100 + i,)), "eth0", i)
+        clone = pickle.loads(pickle.dumps(fr))
+        assert clone.records() == fr.records() and len(clone) == 3
+        assert clone.summary() == fr.summary()
+        clone.deliver(9.0, "h", _pkt())
+        assert len(clone) == 3 and clone.recorded == 6 and fr.recorded == 5
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.obs import runtime
 from repro.obs.schema import validate_manifest
-from repro.obs.telemetry import SCHEMA_ID, Telemetry
+from repro.obs.telemetry import SCHEMA_ID, Telemetry, TelemetryAttachError
 from repro.topology import Network
 
 from tests.test_vpn import two_pe_network
@@ -63,6 +63,53 @@ class TestRuntimeSwitch:
         assert net.trace.flight is None
         assert not net.telemetry.profiler.attached
         assert runtime.sessions() == []
+
+    @pytest.mark.parametrize("options, error, named", [
+        ({"flight_capcity": 1024}, TypeError, "flight_capcity"),
+        ({"flight_capacity": 0}, ValueError, "flight_capacity"),
+        ({"sample_every": 0}, ValueError, "sample_every"),
+    ])
+    def test_enable_rejects_bad_options_up_front(self, options, error, named):
+        with pytest.raises(error, match=named):
+            runtime.enable(**options)
+        assert not runtime.is_enabled()
+        assert Network().telemetry is None and runtime.sessions() == []
+
+
+class TestOneSessionPerNetwork:
+    @pytest.mark.parametrize("profile", [True, False])
+    def test_second_session_is_refused_before_wiring(self, profile):
+        net, prov, vpn, s1, s2 = two_pe_network()
+        first = Telemetry(net, profile=profile)
+        with pytest.raises(TelemetryAttachError, match="trace.flight"):
+            Telemetry(net, profile=profile, slo=True, spans=True)
+        # The network is untouched: the first session's collectors are
+        # still the wired ones and nothing of the second's was attached.
+        assert net.trace.flight is first.flight and net.trace.flows is first.flows
+        assert net.trace.slo is None and net.convergence_tracer is None
+        assert first.profiler is None or first.profiler.attached
+        prov.converge_bgp()
+        h1, h2 = s1.hosts[0], s2.hosts[0]
+        from repro.net.packet import IPHeader, Packet
+        pkt = Packet(ip=IPHeader(h1.loopback, h2.loopback), payload_bytes=100,
+                     flow="f1", seq=0)
+        net.sim.schedule(0.0, lambda: h1.send(pkt))
+        net.run(until=1.0)
+        assert first.flight.path_of("f1")[-1].event == "deliver"
+        first.detach()
+        assert net.trace.flight is None and net.trace.flows is None
+        assert net.sim._profile_hook is None
+
+    def test_foreign_profiler_is_refused_before_wiring(self):
+        from repro.obs.profiler import KernelProfiler
+        net = Network()
+        prof = KernelProfiler(net.sim).attach()
+        with pytest.raises(TelemetryAttachError, match="profiler"):
+            Telemetry(net)
+        assert net.trace.flight is None and net.trace.flows is None
+        assert prof.attached
+        # Without its own profiler the session does not collide.
+        Telemetry(net, profile=False).detach()
 
 
 class TestManifest:

@@ -223,7 +223,7 @@ def _trace(run_fn: Callable[[], object]) -> list[tuple]:
         run_fn()
         records = []
         for session in runtime.sessions():
-            records.extend(session.flight._ring)
+            records.extend(session.flight.records())
     finally:
         runtime.reset()
     ids: dict[int, int] = {}
@@ -316,7 +316,7 @@ def _normalized(rec: FlightRecorder) -> list[tuple]:
         (r.time, r.node, r.event, ids.setdefault(r.uid, len(ids)), r.flow,
          r.seq, r.ifname, r.labels, r.in_label, r.out_label, r.reason,
          r.backlog)
-        for r in rec._ring
+        for r in rec.records()
     ]
 
 
