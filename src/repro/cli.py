@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any, Callable, Sequence
@@ -169,6 +170,14 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], list[dict[str, 
 }
 
 
+def _window_s(text: str) -> float:
+    """argparse type of ``--measure``: a finite number of seconds > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -180,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
-    run.add_argument("--measure", type=float, default=6.0,
+    run.add_argument("--measure", type=_window_s, default=6.0,
                      help="measurement window in simulated seconds (default 6)")
     run.add_argument("--sites", type=int, nargs="+", default=[10, 50, 100, 200],
                      help="site counts for e1")
@@ -212,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (1 = inline, default)")
     sweep.add_argument("--reps", type=int, default=1,
                        help="seeded repetitions per grid point")
-    sweep.add_argument("--measure", type=float, default=2.0,
+    sweep.add_argument("--measure", type=_window_s, default=2.0,
                        help="measurement window per run (default 2)")
     sweep.add_argument("--sites", type=int, nargs="+",
                        default=[10, 50, 100, 200], help="site counts for e1")
@@ -271,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--stage", choices=["none", "cbq-only", "core-only", "full"],
                      default="full", help="E5 ablation stage (default full)")
-    slo.add_argument("--measure", type=float, default=6.0,
+    slo.add_argument("--measure", type=_window_s, default=6.0,
                      help="E5 measurement window in simulated seconds")
     slo.add_argument("--smoke", action="store_true",
                      help="seconds-scale CI variant: short windows, "

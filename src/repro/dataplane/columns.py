@@ -39,7 +39,7 @@ ndarray scalar reads several-fold — the object-attribute gather, not the
 arithmetic, is the cost — while the *pipeline's* action/index arrays and
 the TTL expiry masking stay vectorized numpy where whole-burst masks pay
 for themselves (see ``ForwardingPipeline._ingress_columns``).  DSCP→EXP
-marking reads the 64-entry :func:`exp_lut` per imposition row; the ECMP
+marking reads ``repro.qos.dscp.EXP_OF_DSCP`` per imposition row; the ECMP
 flow hash stays memoized on the packet.
 """
 
@@ -52,23 +52,7 @@ from repro.net.packet import IPV4_HEADER_BYTES, MPLS_SHIM_BYTES
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import Packet
 
-__all__ = ["PacketColumns", "group_rows", "exp_lut"]
-
-# 64-entry DSCP→EXP table (one per codepoint), built lazily because
-# ``repro.qos`` cannot be imported at module load (cycle through Router).
-# A plain list: the consumer indexes it per imposition row, where a list
-# subscript beats an ndarray scalar read by ~5x.
-_EXP_LUT: list[int] | None = None
-
-
-def exp_lut() -> list[int]:
-    """The DSCP→EXP mapping as a dense 64-entry table."""
-    global _EXP_LUT
-    if _EXP_LUT is None:
-        from repro.qos.dscp import dscp_to_exp
-
-        _EXP_LUT = [dscp_to_exp(d) for d in range(64)]
-    return _EXP_LUT
+__all__ = ["PacketColumns", "group_rows"]
 
 
 def group_rows(

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.dataplane.caches import GenCache
-from repro.dataplane.columns import PacketColumns, exp_lut, group_rows
+from repro.dataplane.columns import PacketColumns, group_rows
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
 from repro.net.packet import MplsEntry, Packet
@@ -57,20 +57,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 # MPLS symbols are resolved the first time a node enables the label-op
 # stage: ``repro.mpls``'s package init pulls FRR → Lsr → Router, and Router
 # imports this module, so a load-time import would close the cycle.  Until
-# then both names are None — every code path that touches them is only
-# reachable on MPLS-enabled pipelines.
+# then the names are None — every code path that touches them is only
+# reachable on MPLS-enabled pipelines.  The DSCP→EXP table of the qos-mark
+# stage rides along: ``repro.qos``'s package init pulls IntServ → SPF →
+# Router, the same cycle.
 LabelOp: Any = None
 IMPLICIT_NULL: Any = None
+EXP_OF_DSCP: Any = None
 
 
 def _resolve_mpls_symbols() -> None:
-    global LabelOp, IMPLICIT_NULL
+    global LabelOp, IMPLICIT_NULL, EXP_OF_DSCP
     if LabelOp is None:
         from repro.mpls.label import IMPLICIT_NULL as _implicit_null
         from repro.mpls.lfib import LabelOp as _label_op
+        from repro.qos.dscp import EXP_OF_DSCP as _exp_of_dscp
 
         LabelOp = _label_op
         IMPLICIT_NULL = _implicit_null
+        EXP_OF_DSCP = _exp_of_dscp
 
 __all__ = ["ForwardingPipeline", "flow_hash", "COLUMNAR_MIN"]
 
@@ -97,25 +102,9 @@ _A_DROP = 7         # drop; no header mutation happened
 _A_DROPW = 8        # drop after writing back the decremented TTL
 
 # Label-stack entries built on the imposition fast path skip the dataclass
-# __init__/__post_init__ (labels come from the NHLFE, EXP from the 3-bit
-# LUT — both validated at install time, same trust the scalar path places
-# in swap_label's entry fields).
+# __init__/__post_init__ (labels come from the NHLFE, EXP from the
+# ``EXP_OF_DSCP`` table — both validated at install time).
 _NEW_MPLS = object.__new__
-
-
-def dscp_to_exp(dscp: int) -> int:
-    """Self-replacing lazy alias for :func:`repro.qos.dscp.dscp_to_exp`.
-
-    ``repro.qos``'s package init pulls IntServ, which pulls SPF, which
-    needs ``Router`` — importing it at module load would close a cycle
-    through this module.  The first call rebinds this global to the real
-    function, so the hot path pays the indirection exactly once.
-    """
-    global dscp_to_exp
-    from repro.qos.dscp import dscp_to_exp as real
-
-    dscp_to_exp = real
-    return real(dscp)
 
 
 def flow_hash(pkt: Packet) -> int:
@@ -547,7 +536,7 @@ class ForwardingPipeline:
         name = node.name
         now = self.sim.now
         impose_exp = node.impose_exp if lfib is not None else None
-        lut = exp_lut()
+        lut = EXP_OF_DSCP
         run_name: str | None = None
         run_iface: Any = None
         run_pkts: list[Packet] | None = None
@@ -613,8 +602,7 @@ class ForwardingPipeline:
                 pkt.ip.ttl = t
                 e = impose_exp
                 if e is None:
-                    dv = pkt.ip.dscp
-                    e = lut[dv] if 0 <= dv < 64 else dscp_to_exp(dv)
+                    e = lut[pkt.ip.dscp]
                 stack = pkt.mpls_stack
                 for lbl in labels:
                     if fl is not None:
@@ -765,7 +753,7 @@ class ForwardingPipeline:
         node = self.node
         wadd = 4 * len(labels)
         wire_l = [w + wadd for w in cols.wire_col()]
-        lut = exp_lut()
+        lut = EXP_OF_DSCP
         e_fixed = node.impose_exp
         out: list[Packet] = [p for p, _ in items]
         if len(labels) == 1 and e_fixed is None:
@@ -778,10 +766,9 @@ class ForwardingPipeline:
                 t = t0 - 1
                 ip = pkt.ip
                 ip.ttl = t
-                dv = ip.dscp
                 m = _NEW_MPLS(MplsEntry)
                 m.label = lbl
-                m.exp = lut[dv] if 0 <= dv < 64 else dscp_to_exp(dv)
+                m.exp = lut[ip.dscp]
                 m.ttl = t
                 pkt.mpls_stack.append(m)
                 pkt._wire = w
@@ -793,8 +780,7 @@ class ForwardingPipeline:
                 ip.ttl = t
                 e = e_fixed
                 if e is None:
-                    dv = ip.dscp
-                    e = lut[dv] if 0 <= dv < 64 else dscp_to_exp(dv)
+                    e = lut[ip.dscp]
                 stack = pkt.mpls_stack
                 for lbl in labels:
                     m = _NEW_MPLS(MplsEntry)
@@ -951,7 +937,7 @@ class ForwardingPipeline:
         """
         node = self.node
         impose_exp = node.impose_exp
-        exp = impose_exp if impose_exp is not None else dscp_to_exp(pkt.ip.dscp)
+        exp = impose_exp if impose_exp is not None else EXP_OF_DSCP[pkt.ip.dscp]
         fl = node.trace.flight
         for label in nhlfe.labels:
             if label == IMPLICIT_NULL:
@@ -1021,7 +1007,7 @@ class ForwardingPipeline:
         """Impose the two-level VPN stack and enter the tunnel to the
         egress PE (QoS-mark: DSCP copied into EXP per the node's policy)."""
         node = self.node
-        exp = dscp_to_exp(pkt.ip.dscp) if node.qos_exp_mapping else 0
+        exp = EXP_OF_DSCP[pkt.ip.dscp] if node.qos_exp_mapping else 0
         inner_exp = exp if node.exp_mode == "both" else 0
         fl = node.trace.flight
         if fl is not None:

@@ -8,6 +8,7 @@ assert against.  Everything is seeded and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -86,6 +87,12 @@ class ExperimentRun:
     warmup_s: float = 0.5
     measure_s: float = 5.0
     fluid: Any = None  # lazily-created FluidRouter (hybrid runs only)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.measure_s < math.inf:  # also rejects NaN
+            raise ValueError(f"measure_s must be finite and > 0, got {self.measure_s}")
+        if not 0.0 <= self.warmup_s < math.inf:
+            raise ValueError(f"warmup_s must be finite and >= 0, got {self.warmup_s}")
 
     def add_source(self, source: TrafficSource, start: float | None = None) -> TrafficSource:
         """Register and start a source for the measurement window."""

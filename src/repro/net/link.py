@@ -424,10 +424,11 @@ class Interface:
                         max(t - now, 1e-9), self._transmit_next
                     )
             return
+        backlog = len(qdisc)
         fl = self.node.trace.flight
         if fl is not None:
-            fl.dequeue(now, self.node.name, pkt, self.name, len(qdisc))
-        wire = pkt.wire_bytes
+            fl.dequeue(now, self.node.name, pkt, self.name, backlog)
+        wire = pkt._wire or pkt.wire_bytes
         tx_time = wire * 8.0 / self._eff_rate_bps
         stats = self.stats
         stats.busy_time += tx_time
@@ -443,7 +444,7 @@ class Interface:
             link._tx_event = sim.schedule_at(
                 free_at + link.delay_s, link.dst_node.receive, pkt, link.dst_ifname
             )
-        if len(qdisc) > 0:
+        if backlog:
             self._busy = True
             sim.schedule_at(free_at, self._transmit_next)
         else:

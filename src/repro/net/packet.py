@@ -64,6 +64,10 @@ class IPHeader:
     src_port: int = 0
     dst_port: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.dscp <= 63:
+            raise PacketError(f"DSCP out of 6-bit range: {self.dscp}")
+
     def copy(self) -> "IPHeader":
         return IPHeader(
             self.src, self.dst, self.dscp, self.ttl, self.proto,
@@ -151,9 +155,10 @@ class Packet:
     def wire_bytes(self) -> int:
         """Total bytes this packet occupies on a link.
 
-        Memoized: queues, shapers, meters and the transmitter all ask per
-        hop, but the size only changes on a label push/pop (which clears
-        the memo).
+        Memoized: the size only changes on a label push/pop (which clears
+        the memo).  Queues, shapers, meters and the transmitter ask several
+        times per hop and read the memo directly — ``pkt._wire or
+        pkt.wire_bytes`` — so a warm memo costs them no call.
         """
         w = self._wire
         if w is None:
@@ -188,12 +193,14 @@ class Packet:
         """Replace the top label in place (the per-LSR swap of claim C4)."""
         if not self.mpls_stack:
             raise PacketError("swap on unlabeled packet")
-        top = self.mpls_stack[-1]
-        top.label = label
         if not 0 <= label <= 0xFFFFF:
             raise PacketError(f"label out of 20-bit range: {label}")
+        top = self.mpls_stack[-1]
         if exp is not None:
+            if not 0 <= exp <= 7:
+                raise PacketError(f"EXP out of 3-bit range: {exp}")
             top.exp = exp
+        top.label = label
         return top
 
     def pop_label(self) -> MplsEntry:

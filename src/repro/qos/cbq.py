@@ -119,7 +119,7 @@ class CbqScheduler(QueueDiscipline):
         # conceptually — we clamp by consuming what is there, which keeps the
         # class overlimit until it has been idle long enough.  (The original
         # CBQ "avgidle" estimator has the same steady-state behaviour.)
-        cls.bucket.conforms(pkt.wire_bytes, now)
+        cls.bucket.conforms(pkt._wire or pkt.wire_bytes, now)
         return pkt
 
     # ------------------------------------------------------------------
@@ -134,12 +134,12 @@ class CbqScheduler(QueueDiscipline):
         for i, cls in enumerate(self.cbq_classes):
             if not cls.queue.q:
                 continue
-            head_bytes = cls.queue.head().wire_bytes
             if borrowing:
                 if not cls.can_borrow:
                     continue
             else:
-                if not cls.underlimit(head_bytes, now):
+                head = cls.queue.q[0]
+                if not cls.underlimit(head._wire or head.wire_bytes, now):
                     continue
             by_prio.setdefault(cls.priority, []).append(i)
         if not by_prio:
@@ -166,7 +166,8 @@ class CbqScheduler(QueueDiscipline):
                 continue
             if cls.can_borrow:
                 return now
-            wait = cls.bucket.time_until(cls.queue.head().wire_bytes, now)
+            head = cls.queue.q[0]
+            wait = cls.bucket.time_until(head._wire or head.wire_bytes, now)
             best = min(best, now + wait)
         return best
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from repro.net.address import Prefix
 from repro.net.packet import Packet
-from repro.qos.dscp import dscp_to_class, exp_to_class
+from repro.qos.dscp import CLASS_OF_DSCP, CLASS_OF_EXP
 
 __all__ = [
     "ba_classifier",
@@ -39,20 +39,19 @@ def ba_classifier(pkt: Packet) -> int:
     tunnel ingress did not copy the inner DSCP out, every flow lands in the
     same class and per-flow QoS is gone (claim C3).
     """
-    return dscp_to_class(pkt.classifiable_dscp())
+    return CLASS_OF_DSCP[pkt.ip.dscp]
 
 
 def exp_classifier(pkt: Packet) -> int:
-    """Core-LSR classification on the MPLS EXP bits (E-LSP model)."""
-    top = pkt.top_label
-    if top is None:
-        return dscp_to_class(pkt.classifiable_dscp())
-    return exp_to_class(top.exp)
+    """Core-LSR classification on the MPLS EXP bits (E-LSP model): EXP
+    when labeled, outer DSCP otherwise — what a modern LSR does."""
+    stack = pkt.mpls_stack
+    if stack:
+        return CLASS_OF_EXP[stack[-1].exp]
+    return CLASS_OF_DSCP[pkt.ip.dscp]
 
 
-def mpls_aware_classifier(pkt: Packet) -> int:
-    """EXP bits when labeled, outer DSCP otherwise — what a modern LSR does."""
-    return exp_classifier(pkt)
+mpls_aware_classifier = exp_classifier
 
 
 def llsp_classifier(node) -> "ClassifierFn":

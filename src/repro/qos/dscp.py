@@ -16,6 +16,10 @@ __all__ = [
     "DSCP",
     "ServiceClass",
     "PHB_OF_DSCP",
+    "CLASS_OF_DSCP",
+    "CLASS_OF_EXP",
+    "EXP_OF_DSCP",
+    "check_dscp",
     "dscp_to_exp",
     "exp_to_class",
     "dscp_to_class",
@@ -81,12 +85,6 @@ PHB_OF_DSCP: dict[int, tuple[str, int]] = {
 }
 
 
-def dscp_to_class(dscp: int) -> int:
-    """Scheduler class index for a DSCP (unknown codepoints → best effort)."""
-    name, _prec = PHB_OF_DSCP.get(int(dscp), ("BE", 0))
-    return DEFAULT_CLASS_ORDER.index(name)
-
-
 def class_of_dscp_name(dscp: int) -> str:
     """Class name ("EF"/"AF"/"BE") for a DSCP."""
     return PHB_OF_DSCP.get(int(dscp), ("BE", 0))[0]
@@ -101,20 +99,39 @@ def class_of_dscp_name(dscp: int) -> str:
 # correctly.
 # ---------------------------------------------------------------------------
 
+# Dense per-codepoint tables, built once from PHB_OF_DSCP: classification
+# and edge marking run on every packet-hop, so the per-packet work is one
+# tuple subscript.  Codepoints without a PHB are best effort.
+_index = DEFAULT_CLASS_ORDER.index
+_PHBS = [PHB_OF_DSCP.get(d, ("BE", 0)) for d in range(64)]
+CLASS_OF_DSCP: tuple[int, ...] = tuple(_index(name) for name, _prec in _PHBS)
+EXP_OF_DSCP: tuple[int, ...] = tuple(
+    5 if name == "EF" else 4 - min(prec, 3) if name == "AF" else 0
+    for name, prec in _PHBS
+)
+CLASS_OF_EXP: tuple[int, ...] = tuple(
+    _index("EF" if exp >= 5 else "AF" if exp >= 1 else "BE") for exp in range(8)
+)
+
+
+def check_dscp(dscp: int) -> None:
+    """``ValueError`` unless ``dscp`` is a 6-bit codepoint: markers write
+    their configured codepoint into headers unchecked, and the tables above
+    are indexed with whatever a header holds."""
+    if not 0 <= dscp <= 63:
+        raise ValueError(f"DSCP out of 6-bit range: {dscp}")
+
+
+def dscp_to_class(dscp: int) -> int:
+    """Scheduler class index for a DSCP (unknown codepoints → best effort)."""
+    return CLASS_OF_DSCP[dscp if 0 <= dscp < 64 else 0]
+
+
 def dscp_to_exp(dscp: int) -> int:
     """Map a DSCP to the MPLS EXP bits used across the backbone."""
-    name, prec = PHB_OF_DSCP.get(int(dscp), ("BE", 0))
-    if name == "EF":
-        return 5
-    if name == "AF":
-        return 4 - min(prec, 3)
-    return 0
+    return EXP_OF_DSCP[dscp if 0 <= dscp < 64 else 0]
 
 
 def exp_to_class(exp: int) -> int:
     """Scheduler class index for an EXP value (core LSR classification)."""
-    if exp >= 5:
-        return DEFAULT_CLASS_ORDER.index("EF")
-    if exp >= 1:
-        return DEFAULT_CLASS_ORDER.index("AF")
-    return DEFAULT_CLASS_ORDER.index("BE")
+    return CLASS_OF_EXP[min(max(exp, 0), 7)]

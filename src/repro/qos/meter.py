@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
+from repro.qos.dscp import EXP_OF_DSCP, check_dscp
 
 __all__ = [
     "TokenBucket",
@@ -195,7 +196,7 @@ def policer(
     def _police(pkt: Packet, now: float) -> Optional[Packet]:
         if match is not None and not match(pkt):
             return pkt
-        return pkt if bucket.conforms(pkt.wire_bytes, now) else None
+        return pkt if bucket.conforms(pkt._wire or pkt.wire_bytes, now) else None
 
     return _police
 
@@ -205,6 +206,7 @@ def dscp_marker(
     match: Callable[[Packet], bool] | None = None,
 ) -> Callable[[Packet, float], Optional[Packet]]:
     """Set the DSCP of (matching) packets — the CPE marking stage of §5."""
+    check_dscp(dscp)
 
     def _mark(pkt: Packet, now: float) -> Optional[Packet]:
         if match is None or match(pkt):
@@ -215,7 +217,7 @@ def dscp_marker(
 
 
 def srtcm_remarker(
-    meter: SrTCM,
+    meter: SrTCM | TrTCM,
     green_dscp: int,
     yellow_dscp: int,
     red_action: str = "drop",
@@ -227,11 +229,14 @@ def srtcm_remarker(
         raise ValueError(f"unknown red_action {red_action!r}")
     if red_action == "remark" and red_dscp is None:
         raise ValueError("red_action='remark' requires red_dscp")
+    for dscp in (green_dscp, yellow_dscp, red_dscp):
+        if dscp is not None:
+            check_dscp(dscp)
 
     def _condition(pkt: Packet, now: float) -> Optional[Packet]:
         if match is not None and not match(pkt):
             return pkt
-        color = meter.color(pkt.wire_bytes, now)
+        color = meter.color(pkt._wire or pkt.wire_bytes, now)
         if color is Color.GREEN:
             pkt.ip.dscp = green_dscp
         elif color is Color.YELLOW:
@@ -254,26 +259,7 @@ def trtcm_remarker(
     match: Callable[[Packet], bool] | None = None,
 ) -> Callable[[Packet, float], Optional[Packet]]:
     """Two-rate conditioner: the CIR/PIR contract as an egress stage."""
-    if red_action not in ("drop", "remark"):
-        raise ValueError(f"unknown red_action {red_action!r}")
-    if red_action == "remark" and red_dscp is None:
-        raise ValueError("red_action='remark' requires red_dscp")
-
-    def _condition(pkt: Packet, now: float) -> Optional[Packet]:
-        if match is not None and not match(pkt):
-            return pkt
-        color = meter.color(pkt.wire_bytes, now)
-        if color is Color.GREEN:
-            pkt.ip.dscp = green_dscp
-        elif color is Color.YELLOW:
-            pkt.ip.dscp = yellow_dscp
-        else:
-            if red_action == "drop":
-                return None
-            pkt.ip.dscp = red_dscp  # type: ignore[assignment]
-        return pkt
-
-    return _condition
+    return srtcm_remarker(meter, green_dscp, yellow_dscp, red_action, red_dscp, match)
 
 
 def exp_from_dscp_marker() -> Callable[[Packet, float], Optional[Packet]]:
@@ -282,12 +268,11 @@ def exp_from_dscp_marker() -> Callable[[Packet, float], Optional[Packet]]:
     Installed on PE egress toward the core *after* label imposition; no-op
     for unlabeled packets.  This is the DSCP→EXP edge mapping of claim C6.
     """
-    from repro.qos.dscp import dscp_to_exp
 
     def _map(pkt: Packet, now: float) -> Optional[Packet]:
-        top = pkt.top_label
-        if top is not None:
-            top.exp = dscp_to_exp(pkt.classifiable_dscp())
+        stack = pkt.mpls_stack
+        if stack:
+            stack[-1].exp = EXP_OF_DSCP[pkt.ip.dscp]
         return pkt
 
     return _map

@@ -19,11 +19,14 @@ A discipline is a pure data structure driven by the interface: ``enqueue``
 may refuse (tail drop or an active-queue-management decision), ``dequeue``
 picks the next packet for the transmitter.  All byte accounting uses the
 packet's wire size so MPLS shim and ESP overheads count against queues,
-exactly as they would on a real box.
+exactly as they would on a real box; each call reads it once, off the
+packet's memo (``pkt._wire or pkt.wire_bytes`` — no property frame per
+queue operation).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
@@ -201,6 +204,7 @@ class DropTailFifo(QueueDiscipline):
         self.on_drop = cb
 
     def enqueue(self, pkt: Packet, now: float) -> bool:
+        size = pkt._wire or pkt.wire_bytes
         # ``fluid_standing_bytes`` (class default 0) folds the hybrid
         # plane's analytic backlog into the AQM view and the shared-buffer
         # byte bound; pure-packet runs add a literal zero.
@@ -217,7 +221,7 @@ class DropTailFifo(QueueDiscipline):
             and len(self._q) >= self.capacity_packets
         ) or (
             self.capacity_bytes is not None
-            and self._bytes + pkt.wire_bytes + self.fluid_standing_bytes
+            and self._bytes + size + self.fluid_standing_bytes
             > self.capacity_bytes
         ):
             if COUNTERS:
@@ -226,7 +230,7 @@ class DropTailFifo(QueueDiscipline):
                     self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
         self._q.append(pkt)
-        self._bytes += pkt.wire_bytes
+        self._bytes += size
         if COUNTERS:
             self.stats.enqueued += 1
         return True
@@ -273,7 +277,7 @@ class DropTailFifo(QueueDiscipline):
         ok = 0
         for i in range(start, len(pkts)):
             pkt = pkts[i]
-            wb = pkt.wire_bytes
+            wb = pkt._wire or pkt.wire_bytes
             if policy is not None and policy.should_drop(pkt, nbytes + fsb, now):
                 if counters:
                     stats.dropped += 1
@@ -300,10 +304,11 @@ class DropTailFifo(QueueDiscipline):
         if not self._q:
             return None
         pkt = self._q.popleft()
-        self._bytes -= pkt.wire_bytes
+        size = pkt._wire or pkt.wire_bytes
+        self._bytes -= size
         if COUNTERS:
             self.stats.dequeued += 1
-            self.stats.bytes_sent += pkt.wire_bytes
+            self.stats.bytes_sent += size
         if self.drop_policy is not None:
             self.drop_policy.notify_dequeue(
                 self._bytes + self.fluid_standing_bytes, now
@@ -332,6 +337,7 @@ class ClassQueue:
     on_drop: DropCallback | None = field(default=None, repr=False)
 
     def push(self, pkt: Packet, now: float) -> bool:
+        size = pkt._wire or pkt.wire_bytes
         if self.drop_policy is not None and self.drop_policy.should_drop(
             pkt, self.bytes, now
         ):
@@ -344,7 +350,7 @@ class ClassQueue:
             self.capacity_packets is not None and len(self.q) >= self.capacity_packets
         ) or (
             self.capacity_bytes is not None
-            and self.bytes + pkt.wire_bytes > self.capacity_bytes
+            and self.bytes + size > self.capacity_bytes
         ):
             if COUNTERS:
                 self.stats.dropped += 1
@@ -352,23 +358,21 @@ class ClassQueue:
                     self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
         self.q.append(pkt)
-        self.bytes += pkt.wire_bytes
+        self.bytes += size
         if COUNTERS:
             self.stats.enqueued += 1
         return True
 
     def pop(self, now: float) -> Packet:
         pkt = self.q.popleft()
-        self.bytes -= pkt.wire_bytes
+        size = pkt._wire or pkt.wire_bytes
+        self.bytes -= size
         if COUNTERS:
             self.stats.dequeued += 1
-            self.stats.bytes_sent += pkt.wire_bytes
+            self.stats.bytes_sent += size
         if self.drop_policy is not None:
             self.drop_policy.notify_dequeue(self.bytes, now)
         return pkt
-
-    def head(self) -> Packet:
-        return self.q[0]
 
     def __len__(self) -> int:
         return len(self.q)
@@ -513,7 +517,9 @@ class DeficitRoundRobin(_ClassfulBase):
                 self._active.popleft()
                 self._in_active[idx] = False
                 continue
-            if self.deficits[idx] < cq.head().wire_bytes:
+            head = cq.q[0]
+            size = head._wire or head.wire_bytes
+            if self.deficits[idx] < size:
                 # Head does not fit: grant quantum and rotate to back.
                 self._active.rotate(-1)
                 new_head = self._active[0]
@@ -526,7 +532,7 @@ class DeficitRoundRobin(_ClassfulBase):
                 continue
             pkt = cq.pop(now)
             self._count -= 1
-            self.deficits[idx] -= pkt.wire_bytes
+            self.deficits[idx] -= size
             if not cq.q:
                 self._active.popleft()
                 self._in_active[idx] = False
@@ -568,15 +574,16 @@ class FairQueueing(_ClassfulBase):
         if not cq.push(pkt, now):
             return False
         self._count += 1
-        start = max(self._virtual, self._last_finish[idx])
-        finish = start + pkt.wire_bytes / self.weights[idx]
+        last = self._last_finish[idx]
+        start = last if last > self._virtual else self._virtual
+        finish = start + (pkt._wire or pkt.wire_bytes) / self.weights[idx]
         self._last_finish[idx] = finish
         self._tags[idx].append(finish)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         best = -1
-        best_tag = float("inf")
+        best_tag = math.inf
         for idx, tags in enumerate(self._tags):
             if tags and tags[0] < best_tag:
                 best_tag = tags[0]

@@ -59,18 +59,19 @@ class TokenBucketShaper(QueueDiscipline):
 
     # ------------------------------------------------------------------
     def enqueue(self, pkt: Packet, now: float) -> bool:
+        size = pkt._wire or pkt.wire_bytes
         if (
             self.capacity_packets is not None and len(self._q) >= self.capacity_packets
         ) or (
             self.capacity_bytes is not None
-            and self._bytes + pkt.wire_bytes > self.capacity_bytes
+            and self._bytes + size > self.capacity_bytes
         ):
             self.stats.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
         self._q.append(pkt)
-        self._bytes += pkt.wire_bytes
+        self._bytes += size
         self.stats.enqueued += 1
         return True
 
@@ -78,12 +79,13 @@ class TokenBucketShaper(QueueDiscipline):
         if not self._q:
             return None
         head = self._q[0]
-        if not self.bucket.conforms(head.wire_bytes, now):
+        size = head._wire or head.wire_bytes
+        if not self.bucket.conforms(size, now):
             return None  # out of profile: interface will retry at next_eligible
         self._q.popleft()
-        self._bytes -= head.wire_bytes
+        self._bytes -= size
         self.stats.dequeued += 1
-        self.stats.bytes_sent += head.wire_bytes
+        self.stats.bytes_sent += size
         return head
 
     def next_eligible(self, now: float) -> float:

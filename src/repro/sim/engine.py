@@ -211,7 +211,7 @@ class Simulator:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
             raise SimulationError(f"delay must be finite, got {delay}")
         # Inlined _push (see there for the annotated version) — this is the
-        # second per-packet scheduling entry point next to schedule_call.
+        # second per-packet scheduling entry point next to schedule_at.
         time = self.now + delay
         event = _EV_NEW(Event)
         event.time = time
@@ -251,28 +251,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self.now})"
             )
-        return self._push(time, callback, args)
-
-    def schedule_call(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` without allocating a closure.
-
-        The hot-path alternative to ``schedule(delay, bind(fn, ...))``:
-        arguments ride on the :class:`Event` itself, so per-packet
-        scheduling (``Link.carry``, modeled processing cost) creates no
-        closure objects.  The kernel profiler
-        attributes these events to ``callback`` directly — no unwrapping.
-
-        The bucket insert is inlined (see :meth:`_push` for the annotated
-        version): this and :meth:`schedule` are the two per-packet
-        scheduling entry points, and the extra call frame is measurable.
-        """
-        if not 0.0 <= delay < math.inf:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule in the past (delay={delay})")
-            raise SimulationError(f"delay must be finite, got {delay}")
-        time = self.now + delay
+        # Inlined _push: one arrival per packet-hop plus a drain per
+        # backlogged hop come through here, and the call frame shows.
         event = _EV_NEW(Event)
         event.time = time
         event.callback = callback
@@ -296,6 +276,22 @@ class Simulator:
             buckets[time] = d
         self._size += 1
         return event
+
+    def schedule_call(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` without allocating a closure.
+
+        The alternative to ``schedule(delay, bind(fn, ...))``: arguments
+        ride on the :class:`Event` itself, so modeled processing cost and
+        ``Link.carry`` create no closure objects.  The kernel profiler
+        attributes these events to ``callback`` directly — no unwrapping.
+        """
+        if not 0.0 <= delay < math.inf:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            raise SimulationError(f"delay must be finite, got {delay}")
+        return self._push(self.now + delay, callback, args)
 
     def call_soon(self, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at the current time, after pending same-time events.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.qos.dscp import DSCP
-from repro.qos.meter import SrTCM, srtcm_remarker
+from repro.qos.meter import SrTCM, dscp_marker, srtcm_remarker
 from repro.vpn.provision import Vpn
 
 __all__ = ["QosProfile", "GOLD", "SILVER", "BRONZE", "apply_profile"]
@@ -47,10 +47,7 @@ class QosProfile:
     def conditioner(self):
         """Build this tier's CPE conditioner chain element."""
         if self.cir_bps <= 0:
-            def _mark(pkt, now):
-                pkt.ip.dscp = self.dscp
-                return pkt
-            return _mark
+            return dscp_marker(self.dscp)
         meter = SrTCM(self.cir_bps, self.burst_bytes, self.excess_bytes)
         return srtcm_remarker(
             meter,

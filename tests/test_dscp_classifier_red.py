@@ -4,20 +4,32 @@ import numpy as np
 import pytest
 
 from repro.net.address import IPv4Address, Prefix
-from repro.net.packet import IPHeader, Packet
+from repro.net.packet import IPHeader, Packet, PacketError
 from repro.qos.classifier import (
     FlowMatch,
     MultiFieldClassifier,
     ba_classifier,
     exp_classifier,
+    mpls_aware_classifier,
 )
 from repro.qos.dscp import (
+    CLASS_OF_DSCP,
+    CLASS_OF_EXP,
     DEFAULT_CLASS_ORDER,
     DSCP,
+    EXP_OF_DSCP,
+    PHB_OF_DSCP,
     class_of_dscp_name,
     dscp_to_class,
     dscp_to_exp,
     exp_to_class,
+)
+from repro.qos.meter import (
+    SrTCM,
+    dscp_marker,
+    exp_from_dscp_marker,
+    srtcm_remarker,
+    trtcm_remarker,
 )
 from repro.qos.red import RedParams, RedQueueManager, WredQueueManager, standard_wred
 
@@ -58,6 +70,97 @@ class TestDscpMappings:
     def test_exp_to_class_inverse_consistent(self):
         for d in (DSCP.EF, DSCP.AF11, DSCP.AF13, DSCP.BE):
             assert exp_to_class(dscp_to_exp(int(d))) == dscp_to_class(int(d))
+
+
+# The mapping spelled out, independent of how ``repro.qos.dscp`` derives it:
+# codepoint -> (class index, EXP).  Everything not listed is best effort.
+_EF, _AF, _BE = 0, 1, 2
+SPELLED_OUT = {
+    46: (_EF, 5), 40: (_EF, 5),
+    10: (_AF, 4), 12: (_AF, 3), 14: (_AF, 2),
+    18: (_AF, 4), 20: (_AF, 3), 22: (_AF, 2),
+    26: (_AF, 4), 28: (_AF, 3), 30: (_AF, 2),
+    34: (_AF, 4), 36: (_AF, 3), 38: (_AF, 2),
+    0: (_BE, 0), 8: (_BE, 0),
+}
+EXP_CLASSES = (_BE, _AF, _AF, _AF, _AF, _EF, _EF, _EF)
+
+
+class TestClassificationTables:
+    def test_spelled_out_mapping_covers_phb_table(self):
+        assert set(SPELLED_OUT) == set(PHB_OF_DSCP)
+
+    def test_all_64_dscps(self):
+        assert len(CLASS_OF_DSCP) == len(EXP_OF_DSCP) == 64
+        for d in range(64):
+            cls, exp = SPELLED_OUT.get(d, (_BE, 0))
+            assert CLASS_OF_DSCP[d] == dscp_to_class(d) == cls, d
+            assert EXP_OF_DSCP[d] == dscp_to_exp(d) == exp, d
+            assert DEFAULT_CLASS_ORDER[cls] == class_of_dscp_name(d)
+
+    def test_all_8_exps(self):
+        assert CLASS_OF_EXP == EXP_CLASSES
+        for e in range(8):
+            assert exp_to_class(e) == EXP_CLASSES[e]
+        # Round trip: every EXP the edge can write classifies like the
+        # DSCP it came from.
+        for d in range(64):
+            assert CLASS_OF_EXP[EXP_OF_DSCP[d]] == CLASS_OF_DSCP[d]
+
+    def test_out_of_range_public_lookups_are_best_effort(self):
+        for bad in (-1, 64, 255, 10_000):
+            assert dscp_to_class(bad) == _BE
+            assert dscp_to_exp(bad) == 0
+        assert exp_to_class(-1) == _BE
+        assert exp_to_class(9) == _EF  # ">= 5 is EF", as before the tables
+
+    def test_classifiers_read_the_tables(self):
+        assert mpls_aware_classifier is exp_classifier
+        for d in range(64):
+            cls, exp = SPELLED_OUT.get(d, (_BE, 0))
+            unlabeled = pkt(dscp=d)
+            assert ba_classifier(unlabeled) == exp_classifier(unlabeled) == cls
+            # Encrypted envelope: only the outer DSCP counts (claim C3).
+            outer = Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2), dscp=d),
+                           inner=pkt(dscp=int(DSCP.EF)), encrypted=True)
+            assert ba_classifier(outer) == exp_classifier(outer) == cls
+        for e in range(8):
+            labeled = pkt(dscp=int(DSCP.EF))
+            labeled.push_label(17, exp=0)   # VPN label below, ignored
+            labeled.push_label(100, exp=e)
+            assert exp_classifier(labeled) == EXP_CLASSES[e]
+            assert ba_classifier(labeled) == _EF  # BA never reads labels
+
+    def test_edge_marker_writes_table_exp(self):
+        mark = exp_from_dscp_marker()
+        for d in range(64):
+            p = pkt(dscp=d)
+            assert mark(p, 0.0) is p and not p.mpls_stack  # unlabeled: no-op
+            p.push_label(100)
+            mark(p, 0.0)
+            assert p.top_label.exp == SPELLED_OUT.get(d, (_BE, 0))[1]
+
+
+class TestDscpRange:
+    """The tables are indexed with whatever a header holds, so a codepoint
+    outside 0..63 is refused where it would enter one."""
+
+    @pytest.mark.parametrize("bad", [-1, 64, 255])
+    def test_header_rejects_out_of_range_dscp(self, bad):
+        with pytest.raises(PacketError, match="DSCP"):
+            IPHeader(IPv4Address(1), IPv4Address(2), dscp=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_marker_builders_reject_out_of_range_dscp(self, bad):
+        meter = SrTCM(1e6, 1000, 1000)
+        with pytest.raises(ValueError, match="DSCP"):
+            dscp_marker(bad)
+        with pytest.raises(ValueError, match="DSCP"):
+            srtcm_remarker(meter, green_dscp=bad, yellow_dscp=0)
+        with pytest.raises(ValueError, match="DSCP"):
+            trtcm_remarker(meter, green_dscp=0, yellow_dscp=bad)
+        with pytest.raises(ValueError, match="DSCP"):
+            srtcm_remarker(meter, 0, 0, red_action="remark", red_dscp=bad)
 
 
 class TestClassifiers:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.experiments.common import ExperimentRun
 from repro.mpls import Lsr, run_ldp
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.link import Interface
@@ -131,6 +132,41 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "e99"])
+
+    @pytest.mark.parametrize("command", [["run", "e5"], ["sweep"], ["slo"]])
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+    def test_bad_measure_window_exits_2_naming_the_option(
+        self, command, bad, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(
+            Network, "__init__", lambda self, *a, **k: built.append(self)
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--measure", bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--measure" in err and bad in err
+        assert "Traceback" not in err
+        assert not built
+
+
+class TestExperimentRunWindow:
+    """The library entry point names the field; the CLI check above never
+    lets a bad window get this far."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_measure_s_rejected(self, bad):
+        with pytest.raises(ValueError, match="measure_s"):
+            ExperimentRun(net=None, measure_s=bad)
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_bad_warmup_s_rejected(self, bad):
+        with pytest.raises(ValueError, match="warmup_s"):
+            ExperimentRun(net=None, warmup_s=bad)
+
+    def test_zero_warmup_is_legal(self):
+        assert ExperimentRun(net=None, warmup_s=0.0, measure_s=0.1).warmup_s == 0.0
 
 
 class TestValidateExperimentNetworks:
