@@ -22,7 +22,7 @@ from repro.net.address import Prefix
 from repro.mpls import reset_ldp
 from repro.routing import converge, reconverge
 from repro.topology import Network, build_backbone
-from repro.traffic import CbrSource, FlowSink, OnOffSource
+from repro.traffic import FlowSink, OnOffSource
 from repro.validate import validate
 from repro.vpn import BRONZE, GOLD, SILVER, PeRouter, VpnProvisioner, apply_profile
 

@@ -10,7 +10,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro.mpls import Lsr, run_ldp
-from repro.net.packet import IPHeader, Packet
 from repro.routing import converge
 from repro.topology import Network
 from repro.traffic import CbrSource, FlowSink

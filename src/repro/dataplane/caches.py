@@ -50,10 +50,7 @@ class GenCache:
         (insertion-order FIFO — cheap, and churn workloads that would
         thrash any policy are the ones the bound exists for) and counting
         each eviction in ``evictions``.  Inserts themselves never evict:
-        a burst may transiently overshoot the bound by the number of
-        distinct keys it fills, which is what lets the columnar tier's
-        pre-gathered probes stay coherent (no entry can disappear between
-        a group's interleaved rows).
+        fills between two probes may transiently overshoot the bound.
 
     ``None`` is not a cacheable value — :meth:`get` returns ``None`` for
     a miss, so negative decisions must be encoded (the flow cache stores
@@ -124,27 +121,24 @@ class GenCache:
         Callers must :meth:`get` first (the miss refreshes the captured
         generations), which the pipeline's lookup stages always do.
         Never evicts — the capacity bound is applied at the next epoch
-        boundary (:meth:`get` / :meth:`sync`), so a batch of fills within
-        one burst cannot invalidate entries another group in the same
-        burst already gathered.
+        boundary (:meth:`get` / :meth:`sync`).
         """
         self._entries[key] = value
 
     def sync(self) -> dict[int, Any]:
         """Refresh the generation guard once and return the live entry dict.
 
-        The columnar tier calls this per burst (through
-        :meth:`probe_many`) and bumps ``hits``/``misses`` itself so the
-        counters come out exactly as per-packet :meth:`get` calls would (a
-        stale burst counts one invalidation here plus one miss for the
-        first probing packet — same totals as scalar).  Sound only because no
-        source table can mutate mid-burst: control-plane mutations are
-        scheduled events, never run synchronously from packet delivery.
-
-        For bounded caches this is the per-burst epoch boundary: the
-        eviction backlog accumulated by the previous burst's fills is
-        replayed here in one FIFO pass (oldest first), instead of per
-        row — within the burst that follows, no entry can be evicted.
+        The guard half of :meth:`get` without the probe: a stale cache is
+        flushed (one invalidation), a bounded one trimmed, and no
+        ``hits``/``misses`` move.  The pipeline's uniform-burst tier calls
+        this once per burst, reads its one key from the returned dict and
+        bumps ``hits`` by the burst size itself, so every counter comes
+        out as per-packet :meth:`get` calls would leave it — also when
+        the key is absent and the burst is handed to the scalar stages,
+        whose first ``get`` then finds the guard fresh and counts only
+        its miss.  Sound only because no source table can mutate
+        mid-burst: control-plane mutations are scheduled events, never
+        run synchronously from packet delivery.
         """
         if self._gen_p != self._primary.generation or (
             self._secondary is not None
@@ -158,24 +152,6 @@ class GenCache:
         elif self.capacity is not None:
             self._trim()
         return self._entries
-
-    def probe_many(self, keys: "list[int]") -> list[Any]:
-        """Batched counter-free gather: cached value (or ``None``) per key.
-
-        The columnar pipeline resolves a burst per *unique* key: it syncs
-        once, gathers all groups' entries here, then applies the group
-        arithmetic itself (one real lookup per missed group, ``hits``/
-        ``misses``/logical-lookup counters bumped by group size) so the
-        totals land exactly where per-packet :meth:`get` calls would.
-        Safe for bounded caches too: capacity is enforced by per-burst
-        epoch eviction (the :meth:`sync` here trims the previous burst's
-        overshoot), and :meth:`put` never evicts, so no fill for one
-        group can invalidate another group's pre-gathered entry between
-        that group's interleaved rows.
-        """
-        entries = self.sync()
-        get = entries.get
-        return [get(k) for k in keys]
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

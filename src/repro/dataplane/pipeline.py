@@ -34,21 +34,23 @@ Performance notes (measured, see benchmarks/test_simulator_performance.py):
 Logical lookup counters (``fib.lookups``, ``lfib.lookups``) are bumped on
 cache hits too, so experiment E8's per-node lookup census keeps its
 meaning ("packets that consulted this table") regardless of cache state.
+
+The scalar stages are the only definition of forwarding.  Beside them
+sits one accelerator, the uniform-burst tier (``ingress_batch``): a big
+enough burst whose rows all get one already-cached verdict — the train of
+one FEC a core LSR sees — is materialized in a single loop; every other
+burst is handed packet by packet to the stages.  See ARCHITECTURE §11.
 """
 
 from __future__ import annotations
 
 import zlib
-from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.dataplane.caches import GenCache
-from repro.dataplane.columns import PacketColumns, group_rows
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
-from repro.net.packet import MplsEntry, Packet
+from repro.net.packet import MPLS_SHIM_BYTES, MplsEntry, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.mpls.lfib import FtnTable, Lfib, Nhlfe
@@ -79,32 +81,11 @@ def _resolve_mpls_symbols() -> None:
 
 __all__ = ["ForwardingPipeline", "flow_hash", "COLUMNAR_MIN"]
 
-#: Minimum burst size for the columnar (struct-of-arrays) path: below it
-#: the ndarray setup costs more than the per-row loop saves.  Module-level
-#: and read at call time so the parity tests can force tiny bursts through
-#: the columnar resolver (monkeypatch it to 1).
+#: Minimum burst size for the uniform-burst tier: below it the per-burst
+#: uniformity checks cost more than the one loop saves.  Module-level and
+#: read at call time so the parity tests can lower it (and the ledger's
+#: tracer reads it to attribute bursts to a tier — hence the kept name).
 COLUMNAR_MIN = 4
-
-# Row action codes for the columnar resolve/apply split.  Resolution fills
-# an int action column + a decision index per row; the apply loop is a
-# single in-order pass that materializes each action back onto the packet.
-# The list is closed: these are the hot actions the ledger shows traffic
-# for, and everything else is _A_SCALAR — the row continues in the scalar
-# stage that defines its semantics.
-_A_PENDING = 0      # awaiting the dst-key gather (the ip stage)
-_A_IP = 1           # plain IP forward (includes implicit-null imposition)
-_A_IMPOSE = 2       # push the NHLFE's label stack, then forward
-_A_ECMP = 3         # IP forward, per-flow path choice
-_A_SWAP = 4         # label swap
-_A_POP = 5          # penultimate-hop pop
-_A_SCALAR = 6       # any other row: per-row scalar continuation
-_A_DROP = 7         # drop; no header mutation happened
-_A_DROPW = 8        # drop after writing back the decremented TTL
-
-# Label-stack entries built on the imposition fast path skip the dataclass
-# __init__/__post_init__ (labels come from the NHLFE, EXP from the
-# ``EXP_OF_DSCP`` table — both validated at install time).
-_NEW_MPLS = object.__new__
 
 
 def flow_hash(pkt: Packet) -> int:
@@ -241,567 +222,171 @@ class ForwardingPipeline:
             self.sim.schedule_call(cost, self.ip_stage, pkt)
 
     # ------------------------------------------------------------------
-    # Vector fast path
+    # Vector entry point: the uniform-burst tier
     # ------------------------------------------------------------------
     def ingress_batch(self, items: "list[tuple[Packet, str]]") -> None:
         """Vector entry point (``Router.receive_batch``): dispatch one burst.
 
-        Two tiers, observationally identical (the parity contract of
-        ``tests/test_dataplane_batch.py``):
-
-        * Per-packet ``node.receive`` — the scalar stages — for bursts
-          below ``COLUMNAR_MIN`` (the ndarray setup would cost more than
-          it saves) and for nodes with modeled per-packet CPU cost (their
-          stages go through the scheduler anyway).
-        * The **columnar** path (:meth:`_ingress_columns`) otherwise: the
-          burst is transposed into
-          :class:`~repro.dataplane.columns.PacketColumns`, the hot
-          actions are resolved per *unique* key with vectorized
-          gathers/masks and materialized in one in-order apply pass, and
-          every other row continues in its scalar stage.  Capacity-
-          bounded caches are fine here: they evict at per-burst epoch
-          boundaries (:meth:`GenCache.sync`), never on insert, so no fill
-          can invalidate another group's pre-gathered entry mid-burst.
+        A burst of at least ``COLUMNAR_MIN`` same-time arrivals that is
+        *uniform* (:meth:`_uniform_burst`) is materialized in one loop.
+        Every other burst is the loop over ``node.receive`` — the scalar
+        stages, which define forwarding — so the two are observationally
+        identical by construction (``tests/test_dataplane_batch.py``).
         """
-        processing = self.node.processing
-        if (
-            len(items) < COLUMNAR_MIN
-            or processing.ip_lookup_s > 0.0
-            or processing.label_lookup_s > 0.0
-        ):
+        if len(items) < COLUMNAR_MIN or not self._uniform_burst(items):
             receive = self.node.receive
             for pkt, ifname in items:
                 receive(pkt, ifname)
-            return
-        self._ingress_columns(items)
 
-    # ------------------------------------------------------------------
-    # Columnar fast path (struct-of-arrays)
-    # ------------------------------------------------------------------
-    def _ingress_columns(self, items: "list[tuple[Packet, str]]") -> None:
-        """Struct-of-arrays burst resolution: classify → gather → apply.
+    def _uniform_burst(self, items: "list[tuple[Packet, str]]") -> bool:
+        """Forward ``items`` in one loop if the burst is uniform.
 
-        An accelerator over the scalar stages, not a second definition of
-        them.  The burst is transposed into :class:`PacketColumns` (one
-        O(n) object walk) and only a closed list of *hot actions* is
-        resolved per unique key and applied inline: plain IP forward,
-        label imposition, ECMP spray, label swap, penultimate-hop pop,
-        single-level ``POP_PROCESS`` transit (pop, then the ip gather),
-        and their TTL / no-route / unknown-label / labeled-at-IP-router
-        drops.  Every other row — attachment-circuit ingress, a VPN
-        label, local delivery, FRR's swap-and-push, a multi-level
-        ``POP_PROCESS`` stack, a bad op — gets the one ``_A_SCALAR``
-        action: the apply pass flushes the open egress run and calls the
-        scalar stage itself, handing over what the gather already
-        resolved *and counted* (``mpls_stage(pkt, entry)``,
-        ``customer_stage(pkt, vrf)``) or, when nothing was resolved, the
-        whole of :meth:`ingress`.  A new forwarding rule is therefore
-        written once, in a scalar stage.
+        Uniform means every row gets the same verdict from one decision
+        the scalar stages have *already cached*: one top label whose LFIB
+        entry is SWAP or POP, or one non-local destination whose
+        flow-cache entry is a plain route or an imposition — with a
+        usable egress interface, nothing expiring (min TTL > 1), no
+        attachment-circuit row, no flight recorder and no modeled
+        per-packet CPU cost.  Then the per-row work is header writes
+        only, and hit / logical-lookup / rx / forwarded counters move by
+        the burst size to exactly the per-packet totals.
 
-        1. **Circuit rows** — rows arriving on an attachment circuit go
-           scalar before any table is probed (a labeled one must be
-           refused by ``ingress`` with no LFIB counter moved).
-        2. **Label groups** — unique top labels in first-arrival order,
-           one LFIB/cache probe per group; hit/miss/logical-lookup
-           counters are bumped by group size to exactly the per-row
-           totals.
-        3. **Local delivery** — one set-membership test on the dst-key
-           column over the unlabeled rows.
-        4. **Mass TTL** — one masked decrement over the hot rows (scalar
-           rows decrement in their own stage), the expiry mask rewriting
-           actions to drops.
-        5. **Dst-key gather** — unique destinations of the surviving
-           ip-stage rows against the flow cache, same group arithmetic;
-           misses resolve through :meth:`_flow_miss`, the call the scalar
-           path makes.
-        6. **Apply** — one in-order pass materializing header writes
-           (TTL, swaps, pushes via direct slot stores, pops).  Untraced,
-           consecutive same-interface rows flush through one
-           ``send_batch`` carrying the wire-bytes column, and a burst
-           that is one swap / one route / one imposition group skips the
-           pass for a uniform loop; with a flight recorder or drop
-           subscriber attached every row emits its records and sends per
-           packet, so the interleave is the scalar sequence.
-
-        Packet objects are only touched in the build pass and at
-        materialization boundaries — egress write-back, drops, scalar
-        continuations, trace hooks — which is the lazy-materialization
-        contract documented in ARCHITECTURE §11.
+        Anything else returns ``False`` **before any counter, cache entry
+        or packet is touched** (a cold decision too: the scalar stage
+        fills the cache, and the next burst is served here), so this
+        method performs no table lookup, cache fill or drop of its own.
+        The one shared side effect is :meth:`GenCache.sync` — the guard
+        refresh the first scalar ``get`` would do — which is why it runs
+        last, once every check that could keep the scalar path away from
+        that cache has passed.  Sound because no table mutates
+        mid-burst: control-plane changes are scheduled events.
         """
         node = self.node
-        stats = node.stats
-        n = len(items)
-        stats.rx_packets += n
-        cols = PacketColumns(items)
-        trace = node.trace
-        fl = trace.flight
-        vec_tx = fl is None and not trace.active("drop")
-        addresses = node.addresses
-        interfaces = node.interfaces
-        lfib = self.lfib
-        act = np.zeros(n, dtype=np.int64)
-        didx = np.zeros(n, dtype=np.int64)
-        # decisions[0] is the "nothing resolved" payload of _A_SCALAR rows.
-        decisions: list[Any] = [None]
-
-        def assign(rows: Any, kind: int, payload: Any) -> None:
-            """Give the same action and decision to every row of ``rows``
-            (a row-index sequence or a boolean mask)."""
-            if not isinstance(rows, np.ndarray):
-                rows = slice(None) if len(rows) == n else np.fromiter(
-                    rows, np.int64, count=len(rows)
-                )
-            act[rows] = kind
-            didx[rows] = len(decisions)
-            decisions.append(payload)
-
-        def egress(out: str) -> Any:
-            """The interface named ``out`` if it can transmit, else None."""
-            iface = interfaces.get(out)
-            return iface if iface is not None and iface.link is not None else None
-
-        # ---- phase 1: attachment-circuit rows -----------------------
-        lab_rows = cols.lab_rows
+        processing = node.processing
+        if (
+            processing.ip_lookup_s > 0.0
+            or processing.label_lookup_s > 0.0
+            or node.trace.flight is not None
+        ):
+            return False
         voc = self.vrf_of_circuit
-        circuit: set[int] = set()
-        if voc is not None and not voc.keys().isdisjoint(
-            [ifn for _, ifn in items]
-        ):
-            for r, (pkt, ifn) in enumerate(items):
-                vrf = voc.get(ifn)
-                if vrf is not None:
-                    circuit.add(r)
-                    act[r] = _A_SCALAR
-                    if not pkt.mpls_stack:  # a labeled one: ingress refuses it
-                        didx[r] = len(decisions)
-                        decisions.append((self.customer_stage, vrf))
-            lab_rows = [r for r in lab_rows if r not in circuit]
-
-        # ``special`` tracks whether any row is not a plain ip-stage row —
-        # while False, phases 4/5 take the uniform-shape shortcuts.
-        # ``uni_swap`` is the all-rows single-group SWAP entry: the core-
-        # LSR shape whose action/didx writes are deferred (made real only
-        # on a fallback) because the uniform apply loop never reads them.
-        special = bool(lab_rows or circuit)
-        uni_swap: Any = None
-        popp: list[bool] | None = None
-
-        # ---- phase 2: label-op groups -------------------------------
-        if lab_rows and lfib is None:
-            assign(lab_rows, _A_DROP, DropReason.LABELED_AT_IP_ROUTER)
-        elif lab_rows:
-            popp = [False] * n
-            label_cache = self.label_cache
-            label_l = cols.label_list
-            ukeys, buckets = group_rows(
-                lab_rows,
-                label_l if len(lab_rows) == n else [label_l[r] for r in lab_rows],
-            )
-            probed = label_cache.probe_many(ukeys)
-            op_swap = LabelOp.SWAP
-            op_pop = LabelOp.POP
-            for key, entry, rows_l in zip(ukeys, probed, buckets or (lab_rows,)):
-                c = len(rows_l)
-                if entry is None:
-                    # Scalar row 1: miss + real lookup (+fill); rows 2..c
-                    # then hit the fresh entry.  An unknown label is never
-                    # cached, so every row of its group misses and
-                    # consults the LFIB.
-                    label_cache.misses += 1
-                    entry = lfib.lookup(key)
-                    lfib.lookups += c - 1
-                    if entry is None:
-                        label_cache.misses += c - 1
-                        assign(rows_l, _A_DROP, DropReason.NO_LABEL)
-                        continue
-                    label_cache.put(key, entry)
-                    label_cache.hits += c - 1
-                else:
-                    label_cache.hits += c
-                    lfib.lookups += c
-                op = entry.op
-                if op is op_swap:
-                    if c == n:
-                        uni_swap = entry
-                    else:
-                        assign(rows_l, _A_SWAP, entry)
-                    continue
-                if op is op_pop:
-                    assign(rows_l, _A_POP, entry)
-                    continue
-                if op is LabelOp.POP_PROCESS:
-                    # Single-level transit rows stay pending for the ip
-                    # gather, flagged pop-first; deeper stacks and local
-                    # destinations continue in the scalar stage.
-                    depth = cols.depth_col()
-                    rest = []
-                    for r in rows_l:
-                        if depth[r] > 1 or items[r][0].ip.dst in addresses:
-                            rest.append(r)
-                        else:
-                            popp[r] = True
-                    rows_l = rest
-                if rows_l:
-                    assign(rows_l, _A_SCALAR, (self.mpls_stage, entry))
-
-        # ---- phase 3: local delivery --------------------------------
-        if addresses and len(cols.lab_rows) < n:
-            # Set membership on the plain dst-key list: the address table
-            # is a handful of host entries, so building the int-value set
-            # per burst is far cheaper than np.isin, and the C-level
-            # isdisjoint scan settles the common transit burst (no local
-            # traffic) without the filter pass.
-            dst_l = cols.dst_keys()
-            avals = {a.value for a in addresses}
-            if not avals.isdisjoint(dst_l):
-                skip = circuit.union(cols.lab_rows)
-                loc = [
-                    r for r in range(n) if dst_l[r] in avals and r not in skip
-                ]
-                if loc:
-                    assign(loc, _A_SCALAR, None)
-                    special = True
-
-        # ---- phase 4: mass TTL decrement + expiry mask --------------
-        ttl_l: list[int] | None = cols.ttl_list
-        if (not special or uni_swap is not None) and min(ttl_l) > 1:
-            # Uniform shape (every row PENDING, or one SWAP group covering
-            # the burst) with nothing expiring: the decrement fuses into
-            # the apply loops (``None`` is the fused-decrement sentinel).
-            ttl_l = None
-        else:
-            if uni_swap is not None:
-                # The expiry mask needs per-row actions to override.
-                assign(lab_rows, _A_SWAP, uni_swap)
-                uni_swap = None
-            ttl = np.array(ttl_l, dtype=np.int64)
-            decr = (act == _A_PENDING) | (act == _A_SWAP) | (act == _A_POP)
-            ttl[decr] -= 1
-            low = decr & (ttl <= 0)
-            if low.any():
-                assign(low, _A_DROPW, DropReason.TTL)
-            special = True
-            ttl_l = ttl.tolist()
-
-        # ---- phase 5: dst-key gather (the ip stage) -----------------
-        if uni_swap is not None:
-            iface = egress(uni_swap.out_ifname)
-            if vec_tx and iface is not None:
-                self._apply_uniform_swap(items, cols, uni_swap, iface)
-                return
-            # Missing egress (the generic loop drops each row with
-            # NO_IFACE) or a traced burst.
-            assign(lab_rows, _A_SWAP, uni_swap)
-        else:
-            pend: Any = (
-                np.nonzero(act == _A_PENDING)[0].tolist() if special
-                else range(n)
-            )
-            if pend:
-                dst_l = cols.dst_keys()
-                ukeys, buckets = group_rows(
-                    pend, [dst_l[r] for r in pend] if special else dst_l
-                )
-                probed = self.flow_cache.probe_many(ukeys)
-                for decision, rows_l in zip(probed, buckets or (pend,)):
-                    kind, payload = self._resolve_dst_group(
-                        decision, items[rows_l[0]][0].ip.dst, len(rows_l)
-                    )
-                    if ttl_l is None and buckets is None and vec_tx:
-                        # Homogeneous untraced burst — one destination,
-                        # one decision (a traffic train into one remote):
-                        # a uniform apply loop with no per-row dispatch.
-                        # ECMP sprays per row and a missing egress drops
-                        # per row, so both take the generic pass.
-                        if kind == _A_IP:
-                            iface = egress(payload)
-                            if iface is not None:
-                                self._apply_uniform_ip(items, cols, iface)
-                                return
-                        elif kind == _A_IMPOSE:
-                            iface = egress(payload[1])
-                            if iface is not None:
-                                self._apply_uniform_impose(
-                                    items, cols, payload[0], iface
-                                )
-                                return
-                    assign(rows_l, kind, payload)
-
-        # ---- phase 6: in-order apply / materialization --------------
-        if ttl_l is None:
-            # Fused-decrement sentinel from a uniform shape that fell
-            # back here: every such shape decrements all rows.
-            ttl_l = [t - 1 for t in cols.ttl_list]
-        drop = node.drop
-        name = node.name
-        now = self.sim.now
-        impose_exp = node.impose_exp if lfib is not None else None
-        lut = EXP_OF_DSCP
-        run_name: str | None = None
-        run_iface: Any = None
-        run_pkts: list[Packet] | None = None
-        run_wire: list[int] | None = None
-
-        def flush_run() -> None:
-            nonlocal run_name, run_iface, run_pkts, run_wire
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts, run_wire)
-                run_name = run_iface = run_pkts = run_wire = None
-
-        def tx_cold(pkt: Packet, out: str, w: int) -> None:
-            # Run boundary: resolve the interface, flush the open run,
-            # start the next one.
-            nonlocal run_name, run_iface, run_pkts, run_wire
-            iface = egress(out)
-            if iface is None:
-                drop(pkt, DropReason.NO_IFACE)
-            elif not vec_tx:
-                # Traced: per-packet send keeps the record interleave
-                # bit-identical to the scalar sequence (run_name stays
-                # None, so every row lands here).
-                stats.forwarded += 1
-                iface.send(pkt)
+        if voc and not voc.keys().isdisjoint([ifn for _, ifn in items]):
+            return False
+        n = len(items)
+        pkts = [p for p, _ in items]
+        if pkts[0].mpls_stack:
+            if self.lfib is None:
+                return False
+            try:
+                tops = [p.mpls_stack[-1] for p in pkts]
+            except IndexError:  # an unlabeled row further down
+                return False
+            label = tops[0].label
+            ttls = [t.ttl for t in tops]
+            if [t.label for t in tops].count(label) != n or min(ttls) <= 1:
+                return False
+            cache = self.label_cache
+            entry = cache.sync().get(label)
+            if entry is None:
+                return False
+            op = entry.op
+            if op is not LabelOp.SWAP and op is not LabelOp.POP:
+                return False
+            iface = node.interfaces.get(entry.out_ifname)
+            if iface is None or iface.link is None:
+                return False
+            cache.hits += n
+            self.lfib.lookups += n
+            if op is LabelOp.SWAP:
+                out_label = entry.out_label
+                for pkt, top, t in zip(pkts, tops, ttls):
+                    pkt.hops += 1
+                    top.ttl = t - 1
+                    top.label = out_label
             else:
-                flush_run()
-                run_name = out
-                run_iface = iface
-                run_pkts = [pkt]
-                run_wire = [w]
-
-        for (pkt, ifname), a, di, t, w, pop_first in zip(
-            items, act.tolist(), didx.tolist(), ttl_l, cols.wire_col(),
-            popp or repeat(False),
-        ):
-            pkt.hops += 1
-            if fl is not None:
-                fl.rx(now, name, pkt, ifname)
-            if pop_first:
-                # POP_PROCESS transit: the pop (and its record) comes
-                # before the TTL / route verdict, as in ``mpls_stage``.
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop",
-                                old=pkt.mpls_stack[-1].label)
-                pkt.mpls_stack.pop()
-                w -= 4
-                pkt._wire = w
-            if a == _A_IP:
-                pkt.ip.ttl = t
-                out = decisions[di]
-            elif a == _A_SWAP:
-                entry = decisions[di]
-                top = pkt.mpls_stack[-1]
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "swap",
-                                old=top.label, new=entry.out_label)
-                top.ttl = t
-                top.label = entry.out_label
-                out = entry.out_ifname
-            elif a == _A_IMPOSE:
-                labels, out = decisions[di]
-                pkt.ip.ttl = t
-                e = impose_exp
-                if e is None:
-                    e = lut[pkt.ip.dscp]
-                stack = pkt.mpls_stack
-                for lbl in labels:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "push", new=lbl)
-                    m = _NEW_MPLS(MplsEntry)
-                    m.label = lbl
-                    m.exp = e
-                    m.ttl = t
-                    stack.append(m)
-                w += 4 * len(labels)
-                pkt._wire = w
-            elif a == _A_ECMP:
-                pkt.ip.ttl = t
-                paths = decisions[di]
-                out = paths[flow_hash(pkt) % len(paths)][0]
-            elif a == _A_POP:
-                stack = pkt.mpls_stack
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=stack[-1].label)
-                stack.pop()
-                if stack:
-                    stack[-1].ttl = t
-                else:
-                    pkt.ip.ttl = t
-                w -= 4
-                pkt._wire = w
-                out = decisions[di].out_ifname
-            else:
-                if a == _A_SCALAR:
-                    # The continuation may transmit, deliver or inject
-                    # traffic: the open run goes out first.
-                    flush_run()
-                    stage = decisions[di]
-                    if stage is None:
-                        self.ingress(pkt, ifname)
+                for pkt, t in zip(pkts, ttls):
+                    pkt.hops += 1
+                    stack = pkt.mpls_stack
+                    stack.pop()
+                    if stack:
+                        stack[-1].ttl = t - 1
                     else:
-                        stage[0](pkt, stage[1])
-                    continue
-                if a == _A_DROPW:
-                    # The decremented TTL is written back before the drop.
-                    if pkt.mpls_stack:
-                        pkt.mpls_stack[-1].ttl = t
-                    else:
-                        pkt.ip.ttl = t
-                drop(pkt, decisions[di])
-                continue
-            if out == run_name:
-                run_pkts.append(pkt)
-                run_wire.append(w)
-            else:
-                tx_cold(pkt, out, w)
-        flush_run()
-
-    def _resolve_dst_group(
-        self, decision: Any, dst: IPv4Address, c: int
-    ) -> tuple[int, Any]:
-        """Resolve one flow-cache group: ``c`` rows destined to ``dst``.
-
-        ``decision`` is the pre-gathered cache entry (``None`` on miss).
-        Returns ``(action, payload)``: ``_A_IP`` with an out-interface
-        name, ``_A_IMPOSE`` with ``(labels, out_ifname)``, ``_A_ECMP``
-        with the path list, or ``_A_DROPW`` with ``NO_ROUTE``.  Counter
-        arithmetic is the exact per-row scalar total: a miss costs one
-        real lookup plus ``c - 1`` hits, a hit costs ``c`` hits, and the
-        logical FIB lookup counter moves only on the plain-IP path —
-        identical to ``ip_stage`` called ``c`` times.
-        """
-        flow_cache = self.flow_cache
-        if decision is None:
-            flow_cache.misses += 1
-            decision = self._flow_miss(dst)
-            c -= 1
-        flow_cache.hits += c
-        if self.ftn is None:
-            self.fib.lookups += c
-        route, nhlfe = decision
-        if nhlfe is not None:
-            implicit_null = IMPLICIT_NULL
-            labels = [lbl for lbl in nhlfe.labels if lbl != implicit_null]
-            if labels:
-                return _A_IMPOSE, (labels, nhlfe.out_ifname)
-            return _A_IP, nhlfe.out_ifname
-        if route is None:
-            return _A_DROPW, DropReason.NO_ROUTE
-        if route.alternates:
-            return _A_ECMP, route.all_paths
-        return _A_IP, route.out_ifname
-
-    # ------------------------------------------------------------------
-    # Uniform apply loops: the whole burst shares one resolved decision
-    # (single dst group on an edge, single swap group in the core), so the
-    # action/didx bookkeeping and per-row dispatch of the generic apply
-    # pass collapse into one tight materialization loop ending in a single
-    # ``send_batch``.  Observable effects are row-for-row identical to the
-    # generic loop: hops, TTL write-back, header edits, counter and
-    # byte accounting all match (held by the parity suite).
-    # ------------------------------------------------------------------
-    def _apply_uniform_ip(
-        self, items: "list[tuple[Packet, str]]", cols: PacketColumns, iface
-    ) -> None:
-        """Whole burst routed unlabeled out one interface.
-
-        Reached only through the fused-decrement gate (no expiry), so
-        the TTL write is ``t - 1`` inline — the loop touches each packet
-        exactly twice (hops, ttl) before the batched egress hand-off.
-        The packet column is comprehension-built first so the hot loop
-        zips flat lists with no per-row tuple unpack.
-        """
-        wire = cols.wire_col()
-        out: list[Packet] = [p for p, _ in items]
-        for pkt, t in zip(out, cols.ttl_list):
-            pkt.hops += 1
-            pkt.ip.ttl = t - 1
-        self.node.stats.forwarded += len(out)
-        iface.send_batch(out, wire)
-
-    def _apply_uniform_swap(
-        self,
-        items: "list[tuple[Packet, str]]",
-        cols: PacketColumns,
-        entry: Any,
-        iface,
-    ) -> None:
-        """Whole burst = one SWAP group: the core-LSR hot shape."""
-        lbl = entry.out_label
-        wire = cols.wire_col()
-        out: list[Packet] = [p for p, _ in items]
-        for pkt, top, t in zip(out, cols.tops, cols.ttl_list):
-            pkt.hops += 1
-            top.ttl = t - 1
-            top.label = lbl
-        self.node.stats.forwarded += len(out)
-        iface.send_batch(out, wire)
-
-    def _apply_uniform_impose(
-        self,
-        items: "list[tuple[Packet, str]]",
-        cols: PacketColumns,
-        labels: list[int],
-        iface,
-    ) -> None:
-        """Whole burst imposes one (non-null) label stack: ingress-PE shape.
-
-        The wire column updates as one shifted comprehension; the packet
-        loop is specialized for the overwhelmingly common single-label
-        NHLFE so no inner iterator is set up per row.
-        """
-        node = self.node
-        wadd = 4 * len(labels)
-        wire_l = [w + wadd for w in cols.wire_col()]
-        lut = EXP_OF_DSCP
-        e_fixed = node.impose_exp
-        out: list[Packet] = [p for p, _ in items]
-        if len(labels) == 1 and e_fixed is None:
-            # Hot variant: single-label NHLFE, per-packet DSCP→EXP copy
-            # (the DiffServ default) — no inner iterator, no fixed-EXP
-            # branch per row.
-            lbl = labels[0]
-            for pkt, t0, w in zip(out, cols.ttl_list, wire_l):
-                pkt.hops += 1
-                t = t0 - 1
-                ip = pkt.ip
-                ip.ttl = t
-                m = _NEW_MPLS(MplsEntry)
-                m.label = lbl
-                m.exp = lut[ip.dscp]
-                m.ttl = t
-                pkt.mpls_stack.append(m)
-                pkt._wire = w
+                        pkt.ip.ttl = t - 1
+                    w = pkt._wire
+                    if w is not None:
+                        pkt._wire = w - MPLS_SHIM_BYTES
         else:
-            for pkt, t0, w in zip(out, cols.ttl_list, wire_l):
-                pkt.hops += 1
-                t = t0 - 1
-                ip = pkt.ip
-                ip.ttl = t
-                e = e_fixed
-                if e is None:
-                    e = lut[ip.dscp]
-                stack = pkt.mpls_stack
-                for lbl in labels:
-                    m = _NEW_MPLS(MplsEntry)
-                    m.label = lbl
-                    m.exp = e
-                    m.ttl = t
-                    stack.append(m)
-                pkt._wire = w
-        node.stats.forwarded += len(out)
-        iface.send_batch(out, wire_l)
+            ttls = [p.ip.ttl for p in pkts if not p.mpls_stack]
+            if len(ttls) != n or min(ttls) <= 1:
+                return False
+            dst = pkts[0].ip.dst
+            key = dst.value
+            if (
+                [p.ip.dst.value for p in pkts].count(key) != n
+                or dst in node.addresses
+            ):
+                return False
+            cache = self.flow_cache
+            decision = cache.sync().get(key)
+            if decision is None:
+                return False
+            route, nhlfe = decision
+            if nhlfe is not None:
+                labels = [lbl for lbl in nhlfe.labels if lbl != IMPLICIT_NULL]
+                out_ifname = nhlfe.out_ifname
+            elif route is None or route.alternates:
+                return False  # no-route drops, ECMP sprays: per-row verdicts
+            else:
+                labels = ()
+                out_ifname = route.out_ifname
+            iface = node.interfaces.get(out_ifname)
+            if iface is None or iface.link is None:
+                return False
+            cache.hits += n
+            if self.ftn is None:
+                self.fib.lookups += n
+            if not labels:
+                for pkt, t in zip(pkts, ttls):
+                    pkt.hops += 1
+                    pkt.ip.ttl = t - 1
+            else:
+                # Entries skip the dataclass __init__/__post_init__:
+                # labels come from the NHLFE, EXP from ``EXP_OF_DSCP`` or
+                # ``impose_exp`` — all validated where they were set.
+                new = object.__new__
+                exp_fixed = node.impose_exp
+                exp_of_dscp = EXP_OF_DSCP
+                grow = MPLS_SHIM_BYTES * len(labels)
+                for pkt, t in zip(pkts, ttls):
+                    pkt.hops += 1
+                    t -= 1
+                    ip = pkt.ip
+                    ip.ttl = t
+                    exp = exp_fixed if exp_fixed is not None else exp_of_dscp[ip.dscp]
+                    stack = pkt.mpls_stack
+                    for lbl in labels:
+                        m = new(MplsEntry)
+                        m.label = lbl
+                        m.exp = exp
+                        m.ttl = t
+                        stack.append(m)
+                    w = pkt._wire
+                    if w is not None:
+                        pkt._wire = w + grow
+        stats = node.stats
+        stats.rx_packets += n
+        stats.forwarded += n
+        iface.send_batch(pkts)
+        return True
 
     # ------------------------------------------------------------------
     # Label-op stage (MPLS fast path)
     # ------------------------------------------------------------------
-    def mpls_stage(self, pkt: Packet, entry: Any = None) -> None:
+    def mpls_stage(self, pkt: Packet) -> None:
         """LFIB processing for the top of stack; iterative across pops.
 
         ``POP_PROCESS`` on a multi-level stack continues the loop instead
         of recursing, so label-stack depth costs no Python stack frames.
-        ``entry`` is the columnar tier's continuation: the top label's
-        LFIB entry, already resolved *and counted* by the group gather.
         """
         node = self.node
         sim = self.sim
@@ -811,16 +396,15 @@ class ForwardingPipeline:
         while True:
             top = pkt.mpls_stack[-1]
             label = top.label
+            entry = cache.get(label)
             if entry is None:
-                entry = cache.get(label)
+                entry = lfib.lookup(label)
                 if entry is None:
-                    entry = lfib.lookup(label)
-                    if entry is None:
-                        node.drop(pkt, DropReason.NO_LABEL)
-                        return
-                    cache.put(label, entry)
-                else:
-                    lfib.lookups += 1  # logical lookup served from the cache
+                    node.drop(pkt, DropReason.NO_LABEL)
+                    return
+                cache.put(label, entry)
+            else:
+                lfib.lookups += 1  # logical lookup served from the cache
             op = entry.op
             if op is LabelOp.SWAP:
                 if pkt.decrement_ttl() <= 0:
@@ -846,7 +430,6 @@ class ForwardingPipeline:
                     fl.label_op(sim.now, node.name, pkt, "pop", old=label)
                 pkt.pop_label()
                 if pkt.mpls_stack:
-                    entry = None
                     continue  # inner label is also ours
                 if node.owns(pkt.ip.dst):
                     node.deliver_local(pkt)
@@ -910,9 +493,8 @@ class ForwardingPipeline:
     def _flow_miss(self, dst: IPv4Address) -> "tuple[RouteEntry | None, Nhlfe | None]":
         """Flow-cache miss: the real LPM (+ FTN binding) lookup, memoized.
 
-        Shared by :meth:`ip_stage` and the columnar dst-key gather; the
-        caller has already counted the miss.  "No route" is cached too,
-        as ``(None, None)``.
+        :meth:`ip_stage` has already counted the miss.  "No route" is
+        cached too, as ``(None, None)``.
         """
         if self.ftn is None:
             decision = (self.fib.lookup(dst), None)

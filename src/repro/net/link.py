@@ -331,70 +331,39 @@ class Interface:
                     )
         return True
 
-    def send_batch(self, pkts: "list[Packet]", wire: "list[int] | None" = None) -> None:
-        """Enqueue a burst of packets; scalar-exact, loads hoisted.
+    def send_batch(self, pkts: "list[Packet]") -> None:
+        """Enqueue a burst of packets: :meth:`send` per packet, loads hoisted.
 
-        Until a drain is armed (transmitter free, or regulated) each
-        enqueue may trigger an immediate dequeue, so the prefix runs
-        packet-at-a-time with the same kick logic as :meth:`send` — on an
-        infinite-rate link that is the whole burst.  Once a drain is armed
-        the scalar path would do nothing but back-to-back enqueues — that
-        tail goes through the queue discipline's vector enqueue (per-
-        packet AQM verdicts preserved), or a hoisted loop when the flight
-        recorder needs its per-packet backlog records.
-
-        ``wire``, when given, is the columnar pipeline's wire-bytes column
-        aligned with ``pkts``: per-row it always equals ``pkt.wire_bytes``
-        (the pipeline maintains both), so the queue discipline's bulk
-        admission can sum bytes without touching the packet objects.
+        Each enqueue may trigger an immediate dequeue (on an infinite-rate
+        link every one does), so the burst runs packet-at-a-time with the
+        same kick logic as :meth:`send`; conditioned and regulated
+        interfaces go through :meth:`send` itself.
         """
+        send = self.send
         if self.conditioners:
-            send = self.send
             for pkt in pkts:
                 send(pkt)
             return
         now = self.sim.now
         stats = self.stats
+        qdisc = self._qdisc
         fl = self.node.trace.flight
-        n = len(pkts)
-        i = 0
-        while i < n and (not self._busy or self._retry_event is not None):
-            pkt = pkts[i]
-            i += 1
+        for pkt in pkts:
             if self._retry_event is not None:
-                self.send(pkt)  # regulated: full coalesced-timer logic
+                send(pkt)  # regulated: full coalesced-timer logic
                 continue
-            qdisc = self._qdisc
             if not qdisc.enqueue(pkt, now):
                 stats.dropped += 1
                 continue
             stats.enqueued += 1
             if fl is not None:
                 fl.enqueue(now, self.node.name, pkt, self.name, len(qdisc))
-            if now < self._free_at:
-                self._busy = True
-                self.sim.schedule_at(self._free_at, self._transmit_next)
-            else:
-                self._transmit_next()
-        if i == n:
-            return
-        qdisc = self._qdisc
-        if fl is not None:
-            nname = self.node.name
-            iname = self.name
-            enqueue = qdisc.enqueue
-            while i < n:
-                pkt = pkts[i]
-                i += 1
-                if enqueue(pkt, now):
-                    stats.enqueued += 1
-                    fl.enqueue(now, nname, pkt, iname, len(qdisc))
+            if not self._busy:
+                if now < self._free_at:
+                    self._busy = True
+                    self.sim.schedule_at(self._free_at, self._transmit_next)
                 else:
-                    stats.dropped += 1
-            return
-        ok = qdisc.enqueue_batch(pkts, now, i, wire)
-        stats.enqueued += ok
-        stats.dropped += (n - i) - ok
+                    self._transmit_next()
 
     # ------------------------------------------------------------------
     def _transmit_next(self) -> None:

@@ -152,20 +152,14 @@ class Node:
 
         The base implementation is the scalar loop, so any node type is
         batch-safe by construction; fast-path nodes (``Host`` here with a
-        hoisted loop, ``Router`` via the forwarding pipeline's columnar
-        tier) override it and must stay observationally identical — the
-        flight-recorder interleave per packet is part of the contract
-        (``tests/test_dataplane_batch.py``).
+        hoisted loop, ``Router`` via the forwarding pipeline's
+        uniform-burst tier) override it and must stay observationally
+        identical — the flight-recorder interleave per packet is part of
+        the contract (``tests/test_dataplane_batch.py``).
         """
         receive = self.receive
         for pkt, ifname in items:
             receive(pkt, ifname)
-
-    def handle_batch(self, items: list[tuple[Packet, str]]) -> None:
-        """Dispatch a received burst; scalar-exact default."""
-        handle = self.handle
-        for pkt, ifname in items:
-            handle(pkt, ifname)
 
     # ------------------------------------------------------------------
     # Helpers for subclasses
@@ -223,16 +217,12 @@ class Node:
         self.stats.forwarded += 1
         iface.send(pkt)
 
-    def transmit_batch(
-        self, pkts: list[Packet], ifname: str, wire: list[int] | None = None
-    ) -> None:
+    def transmit_batch(self, pkts: list[Packet], ifname: str) -> None:
         """Queue a burst of packets on one egress interface.
 
         Same per-packet semantics as :meth:`transmit` (the interface keeps
-        enqueue→kick ordering scalar-exact); the batch form exists so the
-        pipeline's vector path pays one interface call per egress run.
-        ``wire`` threads the columnar pipeline's wire-bytes column through
-        to the queue discipline's bulk byte accounting.
+        enqueue→kick ordering scalar-exact); the batch form exists so a
+        host's multi-packet emission pays one interface call.
         """
         iface = self.interfaces.get(ifname)
         if iface is None or iface.link is None:
@@ -241,7 +231,7 @@ class Node:
                 drop(pkt, DropReason.NO_IFACE)
             return
         self.stats.forwarded += len(pkts)
-        iface.send_batch(pkts, wire)
+        iface.send_batch(pkts)
 
     def after_processing(self, cost_s: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` after a modeled CPU cost (immediately when zero).

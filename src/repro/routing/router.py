@@ -38,10 +38,15 @@ class Router(Node):
         self.pipeline.ingress(pkt, ifname)
 
     def receive_batch(self, items: list[tuple[Packet, str]]) -> None:
-        # Vector arrival (kernel burst extraction): the pipeline resolves
-        # a big enough burst columnar and otherwise calls ``receive`` per
-        # packet — scalar-identical semantics either way.
-        self.pipeline.ingress_batch(items)
+        # Vector arrival (kernel burst extraction).  The pipeline's burst
+        # tier stands in for ``handle``, so it is entered only where
+        # ``handle`` is the pipeline trampoline above; a class that
+        # overrides it (IPsec gateway, VC switch) gets every packet
+        # through its override.
+        if type(self).handle is Router.handle:
+            self.pipeline.ingress_batch(items)
+        else:
+            Node.receive_batch(self, items)
 
     def dispatch(self, pkt: Packet, entry: RouteEntry) -> None:
         """Send ``pkt`` out the interface selected by ``entry`` (ECMP-aware).

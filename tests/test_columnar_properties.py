@@ -1,23 +1,29 @@
-"""Property-based parity for the columnar burst data plane (hypothesis).
+"""Property-based parity for the burst data plane (hypothesis).
 
-The struct-of-arrays fast path (``ForwardingPipeline._ingress_columns``)
-claims *observational equivalence* with the scalar per-packet pipeline:
-same counters, same cache arithmetic, same drops in the same buckets,
-same field mutations on every delivered packet.  These tests generate
-random burst compositions — mixed VRFs, label depths 0–3, TTL=1 expiry
-edges, mixed DSCP codepoints, local/no-route/unknown-label rows — run
-the identical burst through both modes on identically-seeded fixtures,
-and compare the full observable state.  ``COLUMNAR_MIN`` is pinned to 1
-so even a 1-row burst exercises the columnar tier.  The rows outside the
-tier's hot-action list (attachment-circuit ingress, a VPN label under a
-customized ``vpn_deliver`` hook, local delivery, an FRR ``SWAP_PUSH``
-entry, multi-level ``POP_PROCESS`` stacks, a labeled row on a circuit)
-are generated too: they ride the scalar continuation mid-burst.
+``ForwardingPipeline.ingress_batch`` claims *observational equivalence*
+with the scalar per-packet pipeline: same counters, same cache
+arithmetic, same drops in the same buckets, same field mutations on
+every delivered packet.  Three suites hold it to that, each running the
+identical burst through both modes on identically-seeded fixtures and
+comparing the full observable state:
 
-A second suite turns observability *on* (packet counters + flight
+* **Random mixed bursts** — mixed VRFs, label depths 0–3, TTL=1 expiry
+  edges, mixed DSCP codepoints, local/no-route/unknown-label rows, FRR
+  ``SWAP_PUSH``, ``POP_PROCESS`` stacks, labeled rows on a circuit — with
+  ``COLUMNAR_MIN`` pinned to 1.  Every one meets a cold cache (and few
+  are uniform), so this is the bounce path: a burst handed to
+  ``node.receive`` row by row.
+* **Uniform bursts** — n >= ``COLUMNAR_MIN`` copies of one kind (plain
+  route, implicit-null, imposition with one or two labels or a pinned
+  EXP, swap, pop; 0–3 labels below the top) on a warm cache: the one
+  shape the tier serves itself, checked to really have been served
+  without a single ``receive`` call.
+* **Bounce cases** — each one row or one condition away from uniform: the
+  tier must hand the whole burst over before any counter has moved.
+
+A further suite turns observability *on* (packet counters + flight
 recorder) and demands uid-normalized traces bit-identical to scalar
-mode — from the columnar apply pass, and from the 2- and 3-packet
-bursts that stay below ``COLUMNAR_MIN``.
+mode, for bursts of every size.
 
 The pool-recycling regression tests live here too: a recycled
 :class:`~repro.net.packet.Packet` shell must never leak the previous
@@ -31,17 +37,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.dataplane.pipeline as pipeline_mod
 from repro.mpls import Lsr, run_ldp
-from repro.mpls.lfib import LabelOp, LfibEntry
+from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import POOL, IPHeader, MplsEntry, Packet, PacketPool
 from repro.obs import runtime
+from repro.obs.flightrec import FlightRecorder
+from repro.qos.queues import DropTailFifo
 from repro.routing import converge
+from repro.routing.fib import RouteEntry
 from repro.topology import Network, attach_host
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 
 # ----------------------------------------------------------------------
-# Fixture: pe1 - p1 - p2 - pe2 backbone, two VPNs, one global host.
+# Fixture: pe1 - p1 - p2 - pe2 backbone, two VPNs, one global host, and a
+# plain IP router ``cr`` (no label stage) with its own host behind pe2.
 #
 # Four nodes so the transit LSRs carry real SWAP entries (with only one
 # P router, PHP turns every transit entry into a POP).  Injection
@@ -51,10 +61,37 @@ from repro.vpn.provision import VpnProvisioner
 # ops LDP never produces on a line: an activated FRR repair
 # (``SWAP_PUSH``, built the way ``FastReroute`` installs it) and a chain
 # of ``POP_PROCESS`` labels.  pe1's ``vpn_deliver`` is a customized hook.
+# pe2 owns one more ``POP_PROCESS`` label, the bottom of the two-label
+# imposition the uniform suite binds at pe1; p1 one more SWAP entry whose
+# in- and out-label differ (every LSR allocates from the same pool in the
+# same order, so LDP's own swaps on this line rewrite a label to itself);
+# cr carries a hand-installed ECMP route and a route out of an interface
+# that does not exist.
 # ----------------------------------------------------------------------
 
 _FRR_LABEL = 99001
 _POPP_LABELS = (99002, 99003, 99004)
+_PE2_POPP_LABEL = 99005
+_SWAP_LABEL = 99006
+
+
+class _TapFifo(DropTailFifo):
+    """Logs every packet as an egress interface queues it: the headers
+    each hop's forwarding left, seen from outside the pipeline and in
+    per-interface order."""
+
+    def __init__(self, log: list, where: tuple) -> None:
+        super().__init__()
+        self.log = log
+        self.where = where
+
+    def enqueue(self, pkt, now):
+        self.log.append((
+            self.where, pkt.flow, pkt.seq, pkt.ip.ttl, pkt.hops,
+            tuple((m.label, m.exp, m.ttl) for m in pkt.mpls_stack),
+            pkt.wire_bytes,
+        ))
+        return super().enqueue(pkt, now)
 
 
 def _fixture():
@@ -66,7 +103,10 @@ def _fixture():
     net.connect(pe1, p1)
     net.connect(p1, p2)
     net.connect(p2, pe2)
+    cr = net.add_router("cr")
+    net.connect(pe2, cr)
     gh = attach_host(net, pe2, "10.99.0.2", name="gh")
+    gh2 = attach_host(net, cr, "10.98.0.2", name="gh2")
     prov = VpnProvisioner(net)
     corp = prov.create_vpn("corp")
     c1 = prov.add_site(corp, pe1, prefix="10.1.0.0/24")
@@ -86,6 +126,14 @@ def _fixture():
     ))
     for label in _POPP_LABELS:
         p1.lfib.install(label, LfibEntry(LabelOp.POP_PROCESS))
+    pe2.lfib.install(_PE2_POPP_LABEL, LfibEntry(LabelOp.POP_PROCESS))
+    p1.lfib.install(_SWAP_LABEL, LfibEntry(
+        LabelOp.SWAP, out_label=to_pe2.labels[0],
+        out_ifname=to_pe2.out_ifname,
+    ))
+    cr.fib.install("10.96.0.0/24", RouteEntry(
+        "to-pe2", alternates=(("to-pe2", None),)))
+    cr.fib.install("10.95.0.0/24", RouteEntry("nowhere"))
     sinks: list[tuple] = []
 
     def custom_deliver(pkt, vrf_name):
@@ -112,8 +160,15 @@ def _fixture():
         "pe1_local": str(pe1.loopback or next(iter(pe1.addresses))),
         "pe1_core": "to-p1",
         "p1_core": "to-pe1",
+        "plain_dst": "10.98.0.2",
+        "ecmp_dst": "10.96.0.9",
+        "noiface_dst": "10.95.0.9",
+        "cr_local": str(cr.loopback),
         "swap_labels": sorted(
             l for l, e in p1.lfib._entries.items() if e.op is LabelOp.SWAP
+        ),
+        "php_labels": sorted(
+            l for l, e in p1.lfib._entries.items() if e.op is LabelOp.POP
         ),
         "pop_labels": sorted(
             l for l, e in p1.lfib._entries.items()
@@ -130,10 +185,13 @@ def _fixture():
             ))
         )
 
-    for node in (pe1, p1, gh, c1.hosts[0], a1.hosts[0], c2.hosts[0],
+    for node in (pe1, p1, cr, gh, gh2, c1.hosts[0], a1.hosts[0], c2.hosts[0],
                  a2.hosts[0]):
         tap(node)
-    return net, (pe1, p1, p2, pe2), info, sinks
+    for node in (pe1, p1, p2, pe2, cr):
+        for ifname, iface in node.interfaces.items():
+            iface.qdisc = _TapFifo(sinks, ("tx", node.name, ifname))
+    return net, (pe1, p1, p2, pe2, cr), info, sinks
 
 
 # Row = (kind, ttl, dscp, pick).  ``pick`` selects among same-kind
@@ -260,6 +318,34 @@ def _snapshot(net, nodes, sinks):
     return tuple(out)
 
 
+def _count_receives(node, on_first=None) -> list[int]:
+    """Count ``node.receive`` calls from now on (the tier hands a burst
+    it does not serve to exactly that method); ``on_first`` runs before
+    the first one is processed."""
+    calls = [0]
+    receive = node.receive
+
+    def spy(pkt, ifname):
+        if not calls[0] and on_first is not None:
+            on_first()
+        calls[0] += 1
+        receive(pkt, ifname)
+
+    node.receive = spy
+    return calls
+
+
+def _inject(node, items, vector: bool) -> None:
+    """Hand ``items`` to ``node`` as one burst (vector) or packet by
+    packet (scalar)."""
+    if vector:
+        if items:
+            node.receive_batch(items)
+    else:
+        for pkt, ifn in items:
+            node.receive(pkt, ifn)
+
+
 def _run(spec, vector: bool):
     """One full fixture + injection + drain under the given mode."""
     runtime.set_vector_mode(vector)
@@ -268,17 +354,8 @@ def _run(spec, vector: bool):
     try:
         net, nodes, info, sinks = _fixture()
         edge, core = _build_bursts(spec, info)
-        pe1, p1 = nodes[0], nodes[1]
-        if vector:
-            if edge:
-                pe1.receive_batch(edge)
-            if core:
-                p1.receive_batch(core)
-        else:
-            for pkt, ifn in edge:
-                pe1.receive(pkt, ifn)
-            for pkt, ifn in core:
-                p1.receive(pkt, ifn)
+        _inject(nodes[0], edge, vector)
+        _inject(nodes[1], core, vector)
         net.run(until=net.sim.now + 10.0)
         return _snapshot(net, nodes, sinks)
     finally:
@@ -296,7 +373,7 @@ prop_settings = settings(
 @prop_settings
 @given(spec=_SPEC)
 def test_columnar_burst_matches_scalar(spec) -> None:
-    """Random burst composition: columnar tier ≡ scalar, full state."""
+    """Random burst composition: ``ingress_batch`` ≡ scalar, full state."""
     assert _run(spec, vector=True) == _run(spec, vector=False)
 
 
@@ -308,18 +385,192 @@ def test_columnar_burst_matches_scalar(spec) -> None:
               st.integers(0, 3)),
     min_size=4, max_size=24))
 def test_columnar_labeled_core_matches_scalar(spec) -> None:
-    """All-labeled bursts: the uniform-SWAP / fused-TTL fast shape."""
+    """All-labeled bursts at the transit LSR, mixed ops and TTLs."""
     assert _run(spec, vector=True) == _run(spec, vector=False)
 
 
 # ----------------------------------------------------------------------
-# Observability on: the columnar tier stays engaged with a flight
-# recorder attached — the apply pass itself must interleave records
-# exactly like scalar mode (per-row rx/label ops, per-packet sends).
+# Uniform bursts: the one shape the tier serves itself.
+# ----------------------------------------------------------------------
+
+_UNIFORM_KINDS = ["ip", "ipnull", "impose", "impose2", "imposefix",
+                  "swap", "pop"]
+# Row = (ttl, dscp): nothing expires, but TTL, DSCP and size vary per row.
+_UROWS = st.lists(
+    st.tuples(st.sampled_from([2, 3, 64]), st.sampled_from([0, 10, 26, 46, 63])),
+    min_size=pipeline_mod.COLUMNAR_MIN, max_size=24,
+)
+
+
+def _burst_of(kind, below, rows, nodes, info, flow="uni"):
+    """``(node, items)``: ``len(rows)`` packets of one ``kind`` arriving at
+    ``node``; labeled kinds carry ``below`` further labels under the top."""
+    pe1, p1, p2, _pe2, cr = nodes
+    node, ifn, dst, top = {
+        "ip": (cr, "to-pe2", info["plain_dst"], None),       # plain route
+        "ecmp": (cr, "to-pe2", info["ecmp_dst"], None),
+        "noiface": (cr, "to-pe2", info["noiface_dst"], None),
+        "crlocal": (cr, "to-pe2", info["cr_local"], None),
+        "ipnull": (p2, "to-p1", info["global_dst"], None),   # implicit null
+        "impose": (pe1, info["pe1_core"], info["global_dst"], None),
+        "swap": (p1, info["p1_core"], info["global_dst"],
+                 info["swap_labels"][below % len(info["swap_labels"])]),
+        "pop": (p1, info["p1_core"], info["global_dst"],
+                info["php_labels"][below % len(info["php_labels"])]),
+        "swappush": (p1, info["p1_core"], info["global_dst"], _FRR_LABEL),
+    }[{"impose2": "impose", "imposefix": "impose"}.get(kind, kind)]
+    items = []
+    for i, (ttl, dscp) in enumerate(rows):
+        stack = []
+        if top is not None:
+            stack = [MplsEntry(label=70 + d, exp=d, ttl=9 + d)
+                     for d in range(below)]
+            stack.append(MplsEntry(label=top, exp=dscp % 8, ttl=ttl))
+        ip = IPHeader(IPv4Address.parse("10.50.0.1"), IPv4Address.parse(dst),
+                      dscp=dscp, ttl=64 if stack else ttl)
+        pkt = Packet(ip=ip, payload_bytes=100 + i, mpls_stack=stack,
+                     flow=(flow, i), seq=i)
+        if i % 2:
+            # Arrival state off a real link: the upstream transmitter
+            # read, and so memoized, the wire size.
+            pkt.wire_bytes
+        items.append((pkt, ifn))
+    return node, items
+
+
+def _counters(node) -> tuple:
+    """Everything the tier moves when it serves a burst."""
+    pl = node.pipeline
+    lc = pl.label_cache
+    return (
+        node.stats.rx_packets, node.stats.forwarded,
+        pl.flow_cache.hits, pl.flow_cache.misses,
+        None if lc is None else (lc.hits, lc.misses, node.lfib.lookups),
+        node.fib.lookups,
+    )
+
+
+def _run_uniform(kind, below, rows, vector: bool, warm: bool = True,
+                 mutate=None):
+    """Warm the cache with one packet of ``kind``, then send the burst.
+
+    Returns ``(snapshot, receive calls the burst made, whether a counter
+    had moved when the first of them started)``.  ``mutate(items, net,
+    info)`` edits the burst or the network after the warm-up.
+    """
+    runtime.set_vector_mode(vector)
+    try:
+        net, nodes, info, sinks = _fixture()
+        pe1 = nodes[0]
+        if kind == "impose2":
+            # Two labels: pe2's POP_PROCESS label under the LDP tunnel label.
+            prefix, _route = pe1.fib.lookup_prefix(
+                IPv4Address.parse(info["global_dst"]))
+            ldp = pe1.ftn.lookup(prefix)
+            pe1.ftn.bind(prefix, Nhlfe(ldp.out_ifname,
+                                       (_PE2_POPP_LABEL, *ldp.labels)))
+        elif kind == "imposefix":
+            pe1.impose_exp = 5
+        if warm:
+            node, first = _burst_of(kind, below, [(64, 0)], nodes, info,
+                                         flow="warm")
+            _inject(node, first, False)
+            net.run(until=net.sim.now + 10.0)
+        node, items = _burst_of(kind, below, rows, nodes, info)
+        if mutate is not None:
+            mutate(items, net, info)
+        before = _counters(node)
+        moved: list[bool] = []
+        calls = _count_receives(
+            node, on_first=lambda: moved.append(_counters(node) != before))
+        _inject(node, items, vector)
+        received = calls[0]
+        net.run(until=net.sim.now + 10.0)
+        return _snapshot(net, nodes, sinks), received, moved
+    finally:
+        runtime.set_vector_mode(True)
+
+
+@pytest.mark.parametrize("kind", _UNIFORM_KINDS)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(below=st.integers(0, 3), rows=_UROWS)
+def test_uniform_burst_matches_scalar(kind, below, rows) -> None:
+    """A warm uniform burst is served without one ``receive`` call and
+    leaves exactly the state the scalar stages leave."""
+    fast, fast_calls, _ = _run_uniform(kind, below, rows, vector=True)
+    slow, slow_calls, _ = _run_uniform(kind, below, rows, vector=False)
+    assert fast == slow
+    assert (fast_calls, slow_calls) == (0, len(rows))
+
+
+def _edit_row(row: int, **fields):
+    """Bounce-case mutation: overwrite header fields of one row."""
+    def mutate(items, net, info):
+        pkt = items[row][0]
+        for name, value in fields.items():
+            if name == "dst":
+                pkt.ip.dst = IPv4Address.parse(info[value])
+            elif name == "ifname":
+                items[row] = (pkt, info[value])
+            elif name == "unlabel":
+                pkt.mpls_stack.clear()
+            elif pkt.mpls_stack:
+                setattr(pkt.mpls_stack[-1], name, value)
+            else:
+                setattr(pkt.ip, name, value)
+    return mutate
+
+
+def _attach_recorder(items, net, info):
+    net.trace.flight = FlightRecorder(capacity=1 << 12)
+
+
+# name -> (kind, warm cache?, mutation): each is one row or one condition
+# away from a burst the tier serves.
+_BOUNCES = {
+    "ttl1-row-ip": ("ip", True, _edit_row(2, ttl=1)),
+    "ttl1-row-labeled": ("swap", True, _edit_row(2, ttl=1)),
+    "odd-label": ("swap", True, _edit_row(1, label=_FRR_LABEL)),
+    "odd-destination": ("impose", True, _edit_row(3, dst="pe1_local")),
+    "unlabeled-row": ("pop", True, _edit_row(1, unlabel=True)),
+    "cold-cache-ip": ("ip", False, None),
+    "cold-cache-labeled": ("swap", False, None),
+    "missing-egress-interface": ("noiface", True, None),
+    "local-destination": ("crlocal", True, None),
+    "ecmp-route": ("ecmp", True, None),
+    "swap-push-entry": ("swappush", True, None),
+    "flight-recorder": ("swap", True, _attach_recorder),
+    "circuit-row": ("impose", True, _edit_row(0, ifname="corp_circuit")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNCES))
+def test_near_uniform_burst_bounces_untouched(case) -> None:
+    """The tier hands the whole burst to ``receive`` before ``rx_packets``,
+    a cache ``hits``/``misses`` or a lookup counter has moved, and the
+    final state equals scalar."""
+    kind, warm, mutate = _BOUNCES[case]
+    rows = [(64, 0), (3, 46), (2, 10), (64, 26), (64, 63), (5, 0)]
+    fast, calls, moved = _run_uniform(kind, 1, rows, True, warm, mutate)
+    slow, _, _ = _run_uniform(kind, 1, rows, False, warm, mutate)
+    assert calls == len(rows)
+    assert moved == [False]
+    assert fast == slow
+
+
+# ----------------------------------------------------------------------
+# Observability on: a flight recorder sends every burst through the
+# scalar stages, so records interleave exactly as in scalar mode
+# (per-row rx/label ops, per-packet sends).
 # ----------------------------------------------------------------------
 
 
-def _run_traced(spec, vector: bool, columnar_min: int = 1):
+def _run_traced(spec, vector: bool, columnar_min: int = 1, warm: bool = False):
+    """``_run`` with packet counters and the flight recorder on; returns
+    ``(snapshot, trace, receive calls the measured bursts made)``.
+    ``warm`` first sends a copy of both bursts packet by packet, so the
+    measured bursts find every decision cached."""
     runtime.set_vector_mode(vector)
     saved = pipeline_mod.COLUMNAR_MIN
     pipeline_mod.COLUMNAR_MIN = columnar_min
@@ -327,18 +578,17 @@ def _run_traced(spec, vector: bool, columnar_min: int = 1):
     runtime.enable(flight_capacity=1 << 20, profile=False)
     try:
         net, nodes, info, sinks = _fixture()
-        edge, core = _build_bursts(spec, info)
         pe1, p1 = nodes[0], nodes[1]
-        if vector:
-            if edge:
-                pe1.receive_batch(edge)
-            if core:
-                p1.receive_batch(core)
-        else:
-            for pkt, ifn in edge:
-                pe1.receive(pkt, ifn)
-            for pkt, ifn in core:
-                p1.receive(pkt, ifn)
+        if warm:
+            edge, core = _build_bursts(spec, info)
+            _inject(pe1, edge, False)
+            _inject(p1, core, False)
+            net.run(until=net.sim.now + 10.0)
+        edge, core = _build_bursts(spec, info)
+        calls = [_count_receives(pe1), _count_receives(p1)]
+        _inject(pe1, edge, vector)
+        _inject(p1, core, vector)
+        received = [c[0] for c in calls]
         net.run(until=net.sim.now + 10.0)
         snap = _snapshot(net, nodes, sinks)
         records = []
@@ -352,7 +602,7 @@ def _run_traced(spec, vector: bool, columnar_min: int = 1):
                 r.time, r.node, r.event, u, r.flow, r.seq, r.ifname,
                 r.labels, r.in_label, r.out_label, r.reason, r.backlog,
             ))
-        return snap, trace
+        return snap, trace, received
     finally:
         runtime.reset()
         pipeline_mod.COLUMNAR_MIN = saved
@@ -365,8 +615,8 @@ def _run_traced(spec, vector: bool, columnar_min: int = 1):
 @given(spec=_SPEC)
 def test_obs_enabled_batch_parity(spec) -> None:
     """Counters + flight recorder on: batch mode stays trace-identical."""
-    fast_snap, fast_trace = _run_traced(spec, vector=True)
-    slow_snap, slow_trace = _run_traced(spec, vector=False)
+    fast_snap, fast_trace, _ = _run_traced(spec, vector=True)
+    slow_snap, slow_trace, _ = _run_traced(spec, vector=False)
     assert fast_trace == slow_trace
     assert fast_snap == slow_snap
 
@@ -374,8 +624,8 @@ def test_obs_enabled_batch_parity(spec) -> None:
 @pytest.mark.parametrize("n", [2, 3])
 def test_small_traced_bursts_match_scalar(n) -> None:
     """Bursts below the real ``COLUMNAR_MIN`` with the recorder on — the
-    e7/e13 shape (same-time arrivals from two or three sources) — take
-    the per-packet tier and stay trace-identical to scalar mode."""
+    e7/e13 shape (same-time arrivals from two or three sources) — are
+    served per packet and stay trace-identical to scalar mode."""
     assert n < pipeline_mod.COLUMNAR_MIN
     # One n-packet burst at pe1 and one n-packet labeled burst at p1.
     edge = [("vrf_corp", 64, 46, 0), ("vpn", 64, 10, 1), ("circlbl", 64, 0, 1)]
@@ -388,32 +638,20 @@ def test_small_traced_bursts_match_scalar(n) -> None:
     assert {ev[2] for ev in fast[1]} >= {"rx", "push", "pop", "swap"}
 
 
-def test_traced_burst_takes_columnar_path(monkeypatch) -> None:
-    """A flight recorder must not push big bursts off the columnar tier
-    (``ForwardingPipeline._ingress_columns``) onto per-packet receives.
-
-    Regression guard for the old gate, which left the columnar tier
-    whenever a recorder or drop subscriber was attached.
-    """
-    calls: list[int] = []
-    orig = pipeline_mod.ForwardingPipeline._ingress_columns
-
-    def spy(self, items):
-        calls.append(len(items))
-        return orig(self, items)
-
-    monkeypatch.setattr(
-        pipeline_mod.ForwardingPipeline, "_ingress_columns", spy
-    )
-    spec = [("ip", 64, 0, 0), ("swap", 64, 10, 1),
-            ("vrf_corp", 64, 46, 0), ("pop", 2, 26, 2)] * 4
-    snap, trace = _run_traced(spec, vector=True)
-    assert calls and max(calls) >= 4
-    # The columnar apply pass really emitted records: per-row receives
-    # and at least one label operation from the traced burst.
-    events = {ev[2] for ev in trace}
-    assert "rx" in events
-    assert events & {"swap", "pop", "push"}
+def test_traced_uniform_burst_is_served_per_packet() -> None:
+    """With a flight recorder attached, even a warm uniform burst of at
+    least the real ``COLUMNAR_MIN`` goes through ``receive`` row by row:
+    the records come from the scalar stages, so the trace is the scalar
+    trace by construction."""
+    real = pipeline_mod.COLUMNAR_MIN
+    n = 2 * real
+    # One n-row imposition burst at pe1 and one n-row swap burst at p1.
+    spec = [("ip", 64, 0, 0)] * n + [("swap", 64, 10, 1)] * n
+    fast = _run_traced(spec, vector=True, columnar_min=real, warm=True)
+    slow = _run_traced(spec, vector=False, columnar_min=real, warm=True)
+    assert fast == slow
+    assert fast[2] == [n, n]  # every row of both bursts met receive()
+    assert {ev[2] for ev in fast[1]} >= {"rx", "push", "swap"}
 
 
 # ----------------------------------------------------------------------

@@ -400,7 +400,7 @@ class TestPipelineParity:
 
 # ----------------------------------------------------------------------
 # PE edge regressions: both run through the scalar stages and, as one
-# burst of at least COLUMNAR_MIN packets, through the columnar tier.
+# burst of at least COLUMNAR_MIN packets, through ``ingress_batch``.
 # ----------------------------------------------------------------------
 @pytest.fixture(params=[False, True], ids=["scalar", "vector"])
 def vector_mode(request):

@@ -2,14 +2,18 @@
 
 The burst-extraction kernel (``repro.sim.engine``) fuses consecutive
 same-timestamp ``Node.receive`` events at one node into a single
-``receive_batch`` call, and the data plane grows batch entry points
-(``ForwardingPipeline.ingress_batch``, ``Interface.send_batch``, ...).
-None of that is allowed to change a single observable: these tests run
-whole seeded experiments with vector mode on and off and demand
-bit-identical flight-recorder traces, then cover the mixed-burst corner
-cases (drop mid-batch, TTL expiry mid-batch, ECMP split inside one
-burst, cache invalidation between bursts) and the kernel's coalescing
-rules directly.
+``receive_batch`` call.  A ``Router`` hands the burst to
+``ForwardingPipeline.ingress_batch``, which serves a *uniform* burst (one
+already-cached verdict for every row) in one loop and every other burst
+packet by packet through ``node.receive`` — the scalar stages.  None of
+that is allowed to change a single observable: these tests run whole
+seeded experiments with vector mode on and off and demand bit-identical
+flight-recorder traces, then cover the bursts that are one row away from
+uniform as whole scenarios (drop mid-batch, TTL expiry mid-batch, ECMP
+split inside one burst, cache invalidation between bursts), node classes
+that override ``handle``, and the kernel's coalescing rules directly.
+The per-shape parity of the uniform tier and its bounce conditions is in
+``tests/test_columnar_properties.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable
 import pytest
 
 from repro.dataplane import GenCache
+from repro.dataplane.pipeline import COLUMNAR_MIN
 from repro.net.address import IPv4Address
 from repro.net.packet import IPHeader, Packet
 from repro.obs import runtime
@@ -27,6 +32,8 @@ from repro.routing import converge
 from repro.sim.engine import SimulationError, Simulator
 from repro.topology import Network, attach_host
 from repro.traffic import CbrSource, FlowSink
+from repro.vpn.ipsec import IpsecGateway
+from repro.vpn.overlay import OverlayVpnBuilder, VcRouter
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +179,8 @@ class TestGenCacheCapacity:
         assert list(entries) == ["c", "d"] and c.evictions == 2
 
     def test_no_eviction_between_put_and_sync(self) -> None:
-        # The columnar-tier contract: fills inside a burst never evict, so
-        # a pre-gathered entry stays valid until the next sync()/get().
+        # Fills never evict: an entry read off sync()'s dict stays valid
+        # until the next sync()/get().
         c = GenCache(_FakeTable(), capacity=1)
         entries = c.sync()
         c.put("a", 1)
@@ -417,8 +424,9 @@ class TestMixedBursts:
         src.start(0.0, stop_at=1.0)
         # Mid-run route churn: bumping the FIB generation from a scheduled
         # (non-receive) event must flush the flow cache before the next
-        # burst — via get() on the scalar path, via sync() on the batch
-        # path — with identical counter effects.
+        # burst — via get() on the scalar path, via sync() in the uniform
+        # tier (which then bounces the cold burst) — with identical
+        # counter effects.
         def churn() -> None:
             r1.fib.generation += 1
         net.sim.schedule_at(0.5, churn)
@@ -436,3 +444,115 @@ class TestMixedBursts:
         slow = _with_vector_mode(False, self._invalidation_between_bursts)
         assert fast == slow
         assert fast[1] >= 1  # the churn really flushed the cache
+
+
+# ----------------------------------------------------------------------
+# Node classes that override ``handle``: the burst tier stands in for
+# ``Router.handle`` only, so their bursts must reach the override.
+# ----------------------------------------------------------------------
+class TestHandleOverrides:
+    BURST = 2 * COLUMNAR_MIN
+
+    def _ipsec_fanin(self) -> tuple:
+        # BURST hosts on infinite-rate access links all send at the same
+        # instant, so the engine extracts one burst at gw1, whose policy
+        # protects the destination: every packet has to leave gw1 inside
+        # the tunnel.  One packet routed in the clear before the policy
+        # exists leaves gw1's flow cache warm for the destination — the
+        # state in which the pipeline alone could forward the burst.
+        net = Network(seed=5)
+        core = net.add_router("core")
+        gw1 = net.add_node(IpsecGateway(net.sim, "gw1"))
+        gw2 = net.add_node(IpsecGateway(net.sim, "gw2"))
+        net.connect(gw1, core, 10e6, 1e-3)
+        net.connect(core, gw2, 10e6, 1e-3)
+        txs = [
+            attach_host(net, gw1, f"10.1.{i}.1", name=f"tx{i}",
+                        rate_bps=float("inf"))
+            for i in range(self.BURST)
+        ]
+        rx = attach_host(net, gw2, "10.2.0.1", name="rx")
+        converge(net)
+        net.sim.schedule_call(0.0, txs[0].send, Packet(
+            ip=IPHeader(IPv4Address.parse("10.1.0.1"),
+                        IPv4Address.parse("10.2.0.1")),
+            payload_bytes=100, flow="warm",
+        ))
+        net.run(until=0.5)
+        gw1.add_policy("10.2.0.0/24", gw2.loopback)
+        sa_out = gw1.establish_sa(gw2.loopback)
+        sa_in = gw2.establish_sa(gw1.loopback)
+        sizes: list[int] = []
+        cleartext: list[Packet] = []
+        batch, arrive = gw1.receive_batch, core.receive
+
+        def spy_batch(items) -> None:
+            sizes.append(len(items))
+            batch(items)
+
+        def spy_core(pkt, ifname) -> None:
+            if not pkt.encrypted:
+                cleartext.append(pkt)
+            arrive(pkt, ifname)
+
+        gw1.receive_batch = spy_batch
+        core.receive = spy_core
+        got: list[Packet] = []
+        rx.add_local_sink(got.append)
+        for i, tx in enumerate(txs):
+            pkt = Packet(
+                ip=IPHeader(IPv4Address.parse(f"10.1.{i}.1"),
+                            IPv4Address.parse("10.2.0.1")),
+                payload_bytes=100, flow="f", seq=i,
+            )
+            net.sim.schedule_call(0.0, tx.send, pkt)
+        net.run(until=1.5)
+        return (
+            sizes,
+            sa_out.encapsulated,
+            sa_in.decapsulated,
+            len(cleartext),
+            sorted(p.seq for p in got),
+            gw1.interfaces["to-core"].stats.tx_bytes,
+        )
+
+    def test_ipsec_gateway_encapsulates_a_whole_burst(self) -> None:
+        fast = _with_vector_mode(True, self._ipsec_fanin)
+        slow = _with_vector_mode(False, self._ipsec_fanin)
+        assert fast[0] == [self.BURST] and slow[0] == []  # one real burst
+        assert fast[1:] == slow[1:]
+        assert fast[1] == fast[2] == self.BURST  # all tunnelled ...
+        assert fast[3] == 0                      # ... none in the clear
+        assert fast[4] == list(range(self.BURST))
+
+    @pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
+    def test_vc_router_switches_a_whole_burst(self, vector: bool) -> None:
+        net = Network(seed=5)
+        routers = [net.add_node(VcRouter(net.sim, f"v{i}")) for i in range(3)]
+        for a, b in zip(routers, routers[1:]):
+            net.connect(a, b, 10e6, 1e-3)
+        converge(net)
+        vc = OverlayVpnBuilder(net).provision_circuit("v0", "v2")
+        # The circuit's far end is also IP-routable, and one untagged
+        # packet warms v0's flow cache for it: the pipeline alone could
+        # forward the tagged burst, but only the VC switch strips the id.
+        def mk(seq: int, vc_id: int | None) -> Packet:
+            return Packet(ip=IPHeader(IPv4Address.parse("192.0.2.1"),
+                                      routers[2].loopback),
+                          payload_bytes=100, seq=seq, vc_id=vc_id)
+
+        routers[0].receive(mk(-1, None), "in")
+        net.run(until=0.5)
+        got: list[Packet] = []
+        routers[2].add_local_sink(got.append)
+        items = [(mk(i, vc.vc_id), "in") for i in range(self.BURST)]
+        if vector:
+            routers[0].receive_batch(items)
+        else:
+            for pkt, ifn in items:
+                routers[0].receive(pkt, ifn)
+        net.run(until=1.0)
+        assert all(r.stats.by_reason == {} for r in routers)
+        assert routers[0].stats.rx_packets == 1 + self.BURST
+        assert [p.seq for p in got] == list(range(self.BURST))
+        assert all(p.vc_id is None for p in got)

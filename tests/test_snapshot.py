@@ -341,6 +341,29 @@ def test_mid_run_snapshot_resumes_bit_identically() -> None:
     assert _normalized(net_c.trace.flight) == ref
 
 
+def test_vector_mode_snapshot_resumes_scalar_bit_identically() -> None:
+    # The image carries the simulator's burst-extraction target; restore
+    # re-syncs it to the *current* vector-mode switch, so an image taken
+    # in vector mode comes back scalar when the switch is off — and the
+    # resumed run still matches the uninterrupted (vector) one.
+    net_a = _armed_e2(seed=31)
+    assert net_a.sim._batch_func is not None
+    net_a.run(until=2.0)
+    ref = _normalized(net_a.trace.flight)
+
+    net_b = _armed_e2(seed=31)
+    net_b.run(until=0.9)
+    blob = snapshot_network(net_b)
+    runtime.set_vector_mode(False)
+    try:
+        net_c, _ = restore_network(blob)
+    finally:
+        runtime.set_vector_mode(True)
+    assert net_c.sim._batch_func is None and net_c.sim._batch_dispatch is None
+    net_c.run(until=2.0)
+    assert _normalized(net_c.trace.flight) == ref
+
+
 def test_save_load_file_roundtrip(tmp_path) -> None:
     from repro.experiments.e5_sla import _build
 
