@@ -4,20 +4,15 @@ What a whole scenario costs in absolute units, and the engine's share of
 it, is the performance ledger's job (``benchmarks/ledger``: E12a is its
 ``elastic_aqm`` row, the VPN chain its ``vpn_sla`` row).  Event-ordering
 parity with the frozen reference engine is held by
-``tests/test_engine_parity.py``.  What stays here are two comparisons no
-absolute row expresses:
-
-* the telemetry off-path: per-packet counters on vs off, asserting the
-  switch actually removes work,
-* sweep scaling: the same grid at 1 vs 4 workers.  The ≥3× scaling
-  floor only *can* hold with ≥4 usable cores, so it is enforced
-  core-aware: on smaller boxes (or under BENCH_PERF_NONBLOCKING=1) the
-  measured factor is still recorded but a miss downgrades to xfail.
+``tests/test_engine_parity.py``.  What stays here is one comparison no
+absolute row expresses: sweep scaling, the same grid at 1 vs 4 workers.
+The ≥3× scaling floor only *can* hold with ≥4 usable cores, so it is
+enforced core-aware: on smaller boxes (or under BENCH_PERF_NONBLOCKING=1)
+the measured factor is still recorded but a miss downgrades to xfail.
 
 Headline numbers land in ``BENCH_engine.json`` at the repo root (CI
 uploads it as a workflow artifact).  Timings use ``time.perf_counter``
-(best of interleaved rounds), so the file runs unchanged under
-``--benchmark-disable``.
+directly, so the file runs unchanged under ``--benchmark-disable``.
 """
 
 import json
@@ -27,7 +22,6 @@ from time import perf_counter
 
 import pytest
 
-from repro.obs import runtime
 from repro.sweep import run_sweep, smoke_grid
 from repro.sweep.grids import e1_grid
 
@@ -58,54 +52,6 @@ def _record(section: str, payload: dict) -> None:
             data = {}
     data[section] = payload
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best_of_pair(fn_new, fn_ref, rounds: int) -> tuple[float, float]:
-    """Best-of-``rounds`` wall clock for both sides, interleaved so slow
-    drift (thermal throttling, background load) lands on both."""
-    best_new = best_ref = float("inf")
-    for i in range(rounds):
-        order = (fn_new, fn_ref) if i % 2 == 0 else (fn_ref, fn_new)
-        for fn in order:
-            t0 = perf_counter()
-            fn()
-            dt = perf_counter() - t0
-            if fn is fn_new:
-                best_new = min(best_new, dt)
-            else:
-                best_ref = min(best_ref, dt)
-    return best_new, best_ref
-
-
-def test_counters_switch_is_off_path():
-    """Satellite (b): per-packet ClassStats/drop hooks cost nothing when
-    switched off.  Micro-floor: counters-off must not be slower."""
-    from repro.experiments.e2_qos import run_config
-
-    def run_off():
-        runtime.set_packet_counters(False)
-        try:
-            run_config("mpls-diffserv", measure_s=4.0)
-        finally:
-            runtime.set_packet_counters(True)
-
-    def run_on():
-        run_config("mpls-diffserv", measure_s=4.0)
-
-    t_off, t_on = _best_of_pair(run_off, run_on, rounds=4)
-    ratio = t_on / t_off
-    _record("counters_off_path", {
-        "counters_on_s": t_on,
-        "counters_off_s": t_off,
-        "on_over_off": ratio,
-        "min_required": 0.97,
-    })
-    # Equality would already prove the guard free; in practice skipping
-    # the bookkeeping wins a few percent.  3% tolerance for clock noise.
-    _require_floor(ratio, 0.97, (
-        f"counters-off path slower than counters-on: {ratio:.3f}x "
-        f"(off {t_off:.3f} s vs on {t_on:.3f} s)"
-    ))
 
 
 def test_sweep_scaling_four_workers():

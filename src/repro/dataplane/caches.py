@@ -42,15 +42,10 @@ class GenCache:
     secondary:
         Optional second generation source when a decision is derived from
         two tables (the LSR's IP path reads the FIB *and* the FTN).
-    capacity:
-        Optional residency bound.  ``None`` (the default) keeps the cache
-        unbounded as before; with a bound, the cache is trimmed back to
-        ``capacity`` entries at *epoch boundaries* — the top of every
-        :meth:`get` and every :meth:`sync` — evicting oldest first
-        (insertion-order FIFO — cheap, and churn workloads that would
-        thrash any policy are the ones the bound exists for) and counting
-        each eviction in ``evictions``.  Inserts themselves never evict:
-        fills between two probes may transiently overshoot the bound.
+
+    Residency is unbounded: an entry leaves only when a generation change
+    flushes the whole cache, so a cache holds at most one entry per key
+    looked up since the last table mutation.
 
     ``None`` is not a cacheable value — :meth:`get` returns ``None`` for
     a miss, so negative decisions must be encoded (the flow cache stores
@@ -59,12 +54,10 @@ class GenCache:
 
     __slots__ = (
         "_primary", "_secondary", "_gen_p", "_gen_s", "_entries",
-        "hits", "misses", "invalidations", "capacity", "evictions",
+        "hits", "misses", "invalidations",
     )
 
-    def __init__(
-        self, primary: Any, secondary: Any = None, capacity: int | None = None
-    ) -> None:
+    def __init__(self, primary: Any, secondary: Any = None) -> None:
         self._primary = primary
         self._secondary = secondary
         self._gen_p = primary.generation
@@ -73,28 +66,10 @@ class GenCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.capacity = capacity
-        self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _trim(self) -> None:
-        """Evict oldest entries (FIFO) until residency is back at capacity."""
-        entries = self._entries
-        cap = self.capacity
-        excess = len(entries) - cap
-        if excess > 0:
-            for key in list(entries)[:excess]:
-                del entries[key]
-            self.evictions += excess
-
     def get(self, key: int) -> Any:
-        """Cached decision for ``key``, or ``None`` on miss/stale.
-
-        For bounded caches this is also an epoch boundary: residency is
-        trimmed back to ``capacity`` before the probe, so the scalar
-        per-packet path keeps the bound tight while burst fills between
-        probes may transiently overshoot it.
-        """
+        """Cached decision for ``key``, or ``None`` on miss/stale."""
         if self._gen_p != self._primary.generation or (
             self._secondary is not None
             and self._gen_s != self._secondary.generation
@@ -106,8 +81,6 @@ class GenCache:
             self.invalidations += 1
             self.misses += 1
             return None
-        if self.capacity is not None:
-            self._trim()
         value = self._entries.get(key)
         if value is None:
             self.misses += 1
@@ -120,8 +93,6 @@ class GenCache:
 
         Callers must :meth:`get` first (the miss refreshes the captured
         generations), which the pipeline's lookup stages always do.
-        Never evicts — the capacity bound is applied at the next epoch
-        boundary (:meth:`get` / :meth:`sync`).
         """
         self._entries[key] = value
 
@@ -129,16 +100,16 @@ class GenCache:
         """Refresh the generation guard once and return the live entry dict.
 
         The guard half of :meth:`get` without the probe: a stale cache is
-        flushed (one invalidation), a bounded one trimmed, and no
-        ``hits``/``misses`` move.  The pipeline's uniform-burst tier calls
-        this once per burst, reads its one key from the returned dict and
-        bumps ``hits`` by the burst size itself, so every counter comes
-        out as per-packet :meth:`get` calls would leave it — also when
-        the key is absent and the burst is handed to the scalar stages,
-        whose first ``get`` then finds the guard fresh and counts only
-        its miss.  Sound only because no source table can mutate
-        mid-burst: control-plane mutations are scheduled events, never
-        run synchronously from packet delivery.
+        flushed (one invalidation) and no ``hits``/``misses`` move.  The
+        pipeline's uniform-burst tier calls this once per burst, reads
+        its one key from the returned dict and bumps ``hits`` by the
+        burst size itself, so every counter comes out as per-packet
+        :meth:`get` calls would leave it — also when the key is absent
+        and the burst is handed to the scalar stages, whose first ``get``
+        then finds the guard fresh and counts only its miss.  Sound only
+        because no source table can mutate mid-burst: control-plane
+        mutations are scheduled events, never run synchronously from
+        packet delivery.
         """
         if self._gen_p != self._primary.generation or (
             self._secondary is not None
@@ -149,8 +120,6 @@ class GenCache:
             if self._secondary is not None:
                 self._gen_s = self._secondary.generation
             self.invalidations += 1
-        elif self.capacity is not None:
-            self._trim()
         return self._entries
 
     # ------------------------------------------------------------------
@@ -167,6 +136,5 @@ class GenCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "evictions": self.evictions,
             "entries": len(self._entries),
         }

@@ -19,7 +19,7 @@ from typing import Callable
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
 from repro.net.link import Interface
-from repro.net.packet import POOL, Packet
+from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
@@ -56,22 +56,15 @@ class ProcessingModel:
 class NodeStats:
     """Aggregate per-node counters.
 
-    The three ``dropped_*`` buckets are the legacy coarse view (kept for
-    the experiment harnesses); ``by_reason`` holds the full
-    :class:`~repro.net.drops.DropReason` breakdown keyed by reason string.
+    ``by_reason`` splits ``dropped_total`` by
+    :class:`~repro.net.drops.DropReason`, keyed by ``reason.value``.
     """
 
     rx_packets: int = 0
     forwarded: int = 0
     delivered: int = 0
-    dropped_no_route: int = 0
-    dropped_ttl: int = 0
-    dropped_other: int = 0
+    dropped_total: int = 0
     by_reason: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def dropped_total(self) -> int:
-        return self.dropped_no_route + self.dropped_ttl + self.dropped_other
 
 
 class Node:
@@ -167,8 +160,8 @@ class Node:
     def deliver_local(self, pkt: Packet) -> None:
         """Hand a packet addressed to this node to the local application(s).
 
-        Delivery ends a pooled packet's life-cycle: once every sink has
-        run, the shell goes back to the freelist for the next emission.
+        The packet belongs to the sinks from here on: nothing in the
+        simulator touches it again, so a sink may keep it.
         """
         self.stats.delivered += 1
         fl = self.trace.flight
@@ -179,27 +172,13 @@ class Node:
             slo.deliver(self.sim.now, self.name, pkt)
         for sink in self.local_sinks:
             sink(pkt)
-        if pkt.pooled:
-            POOL.release(pkt)
 
-    def drop(self, pkt: Packet, reason: "DropReason | str") -> None:
-        """Account and trace a packet drop.
-
-        ``reason`` is normally a :class:`DropReason`; legacy string reasons
-        are parsed through the taxonomy (unknown strings land in OTHER but
-        keep their verbatim text in ``by_reason`` and on the trace record).
-        """
-        r = DropReason.parse(reason)
-        cat = r.category
-        if cat == "no_route":
-            self.stats.dropped_no_route += 1
-        elif cat == "ttl":
-            self.stats.dropped_ttl += 1
-        else:
-            self.stats.dropped_other += 1
-        text = reason if isinstance(reason, str) else r.value
-        by = self.stats.by_reason
-        by[text] = by.get(text, 0) + 1
+    def drop(self, pkt: Packet, reason: DropReason) -> None:
+        """Account and trace a packet drop."""
+        text = reason.value
+        stats = self.stats
+        stats.dropped_total += 1
+        stats.by_reason[text] = stats.by_reason.get(text, 0) + 1
         fl = self.trace.flight
         if fl is not None:
             fl.drop(self.sim.now, self.name, pkt, text)

@@ -32,8 +32,6 @@ __all__ = [
     "MplsEntry",
     "Packet",
     "PacketError",
-    "PacketPool",
-    "POOL",
 ]
 
 IPV4_HEADER_BYTES = 20
@@ -140,10 +138,6 @@ class Packet:
     # Memoized CRC32 ECMP key (repro.dataplane.flow_hash).  Never
     # invalidated: the 5-tuple is immutable for the packet's lifetime.
     flow_hash_cache: int | None = field(default=None, repr=False, compare=False)
-    # True while the packet is owned by the PacketPool life-cycle: acquired
-    # from POOL, recycled at local delivery.  Dropped packets keep the flag
-    # but are never released (trace subscribers may retain them).
-    pooled: bool = field(default=False, repr=False, compare=False)
     # Memoized wire size; invalidated by the label-stack mutators (the only
     # post-construction size changes — payload/encap are set at creation).
     _wire: int | None = field(default=None, repr=False, compare=False)
@@ -262,114 +256,3 @@ class Packet:
             f"{self.ip.src}->{self.ip.dst} dscp={self.ip.dscp} "
             f"{self.wire_bytes}B>"
         )
-
-
-class PacketPool:
-    """Freelist of :class:`Packet` shells for high-rate traffic sources.
-
-    Under heavy traffic the dominant allocation is one Packet (plus its
-    empty label-stack list) per generated datagram, almost all of which
-    die at the far-end sink a few simulated milliseconds later.  The pool
-    recycles those shells: traffic sources ``acquire`` instead of
-    constructing, and :meth:`repro.net.node.Node.deliver_local` releases a
-    pooled packet once every local sink has run.
-
-    Life-cycle rules (see docs/ARCHITECTURE.md):
-
-    * ``acquire`` re-initialises *every* field, including a fresh ``uid``
-      drawn from the same global counter — so a pooled run and an
-      unpooled run of the same seed produce identical uid sequences.
-    * Only packets that reach ``deliver_local`` are recycled.  Dropped
-      packets are never released: drop paths publish the object to the
-      TraceBus, whose subscribers (and the experiment harnesses) may
-      retain it indefinitely.
-    * Tunnel envelopes and protocol messages are built directly and have
-      ``pooled=False``; the flag travels with the customer packet through
-      encap/decap because the envelope's ``inner`` is the same object.
-    * The FlightRecorder is safe by construction: its rows copy
-      ``uid``/``flow``/``seq`` and the label values out of the packet at
-      record time and never hold the packet.
-    """
-
-    __slots__ = ("_free", "max_size", "hits", "misses", "releases")
-
-    def __init__(self, max_size: int = 4096) -> None:
-        self._free: list[Packet] = []
-        self.max_size = max_size
-        #: freelist telemetry (exported as ``repro_pool_*`` gauges):
-        #: ``hits`` counts acquires served from the freelist, ``misses``
-        #: fresh constructions, ``releases`` shells returned.
-        self.hits = 0
-        self.misses = 0
-        self.releases = 0
-
-    def acquire(
-        self,
-        ip: IPHeader,
-        payload_bytes: int,
-        flow: Any,
-        seq: int,
-        created: float,
-    ) -> Packet:
-        """A fresh-looking Packet, recycled from the freelist when possible."""
-        free = self._free
-        if not free:
-            self.misses += 1
-            pkt = Packet(
-                ip=ip, payload_bytes=payload_bytes, flow=flow, seq=seq,
-                created=created,
-            )
-            pkt.pooled = True
-            return pkt
-        self.hits += 1
-        pkt = free.pop()
-        pkt.ip = ip
-        pkt.payload_bytes = payload_bytes
-        if pkt.mpls_stack:
-            pkt.mpls_stack.clear()
-        pkt.flow = flow
-        pkt.seq = seq
-        pkt.inner = None
-        pkt.encrypted = False
-        pkt.encap_overhead = 0
-        pkt.created = created
-        pkt.vc_id = None
-        pkt.uid = next(_packet_ids)
-        pkt.hops = 0
-        pkt.flow_hash_cache = None
-        pkt.pooled = True
-        pkt._wire = None
-        return pkt
-
-    def release(self, pkt: Packet) -> None:
-        """Return a delivered pooled packet to the freelist.  Idempotent:
-        the flag flips off on release so a double release cannot alias.
-
-        The shell is scrubbed *here*, not just at acquire: label stacks,
-        the encap chain, and memoized flow-hash/wire state are per-flow
-        identity a recycled packet must never leak, and clearing the
-        object references (``ip``, ``flow``, ``inner``) also keeps the
-        freelist from pinning headers and whole encap chains alive
-        between uses."""
-        if pkt.pooled and len(self._free) < self.max_size:
-            pkt.pooled = False
-            if pkt.mpls_stack:
-                pkt.mpls_stack.clear()
-            pkt.ip = None  # type: ignore[assignment]
-            pkt.flow = None
-            pkt.inner = None
-            pkt.encrypted = False
-            pkt.encap_overhead = 0
-            pkt.vc_id = None
-            pkt.flow_hash_cache = None
-            pkt._wire = None
-            self.releases += 1
-            self._free.append(pkt)
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-
-#: Process-wide pool used by ``repro.traffic.generators`` (gated by its
-#: ``POOLING`` flag) and drained back by ``Node.deliver_local``.
-POOL = PacketPool()

@@ -14,8 +14,7 @@ materialised from rows only by :meth:`FlightRecorder.records`,
 :meth:`~FlightRecorder.path_of`, :meth:`~FlightRecorder.to_json` and
 :meth:`~FlightRecorder.explain`.  A row copies ``uid``/``flow``/``seq`` and
 the label values out of the packet at record time, so it is a snapshot:
-later stack mutation or :data:`~repro.net.packet.POOL` recycling of the
-packet cannot change it.
+later stack mutation of the packet cannot change it.
 
 Rows are keyed by the *innermost* packet (the original customer
 datagram), so one flow's journey can be reconstructed across label

@@ -28,8 +28,6 @@ __all__ = [
     "attach_if_enabled",
     "sessions",
     "reset",
-    "set_packet_counters",
-    "packet_counters_enabled",
     "set_vector_mode",
     "vector_mode_enabled",
     "set_slo",
@@ -74,9 +72,6 @@ def enable(**options: Any) -> None:
             raise ValueError(f"enable(): {name} must be an integer >= {floor}, got {value!r}")
     _enabled = True
     _options = dict(options)
-    # Telemetry scrapes the per-class packet counters, so enabling a
-    # session always re-enables them even if a sweep turned them off.
-    set_packet_counters(True)
 
 
 def disable() -> None:
@@ -118,28 +113,6 @@ def reset() -> None:
     _options = {}
     _slo = False
     _spans = False
-    set_packet_counters(True)
-
-
-def set_packet_counters(on: bool) -> None:
-    """Flip the per-packet ``ClassStats``/drop-hook switch in the qdiscs.
-
-    On (the default) every enqueue/dequeue maintains per-class counters and
-    notifies the interface's drop callback — the behaviour tests and
-    telemetry sessions rely on.  Off is the sweep/benchmark fast path: an
-    unobserved run skips the bookkeeping entirely.  Flow metrics come from
-    sinks, so experiment results are identical either way; only the
-    counters (and queue-drop trace records) go dark.
-    """
-    from repro.qos import queues
-
-    queues.COUNTERS = bool(on)
-
-
-def packet_counters_enabled() -> bool:
-    from repro.qos import queues
-
-    return queues.COUNTERS
 
 
 def set_vector_mode(on: bool) -> None:
@@ -197,13 +170,12 @@ def spans_enabled() -> bool:
 def flags() -> dict[str, bool]:
     """The process-wide observability switch state, for manifests.
 
-    A manifest must fully determine the run configuration; these four
+    A manifest must fully determine the run configuration; these three
     switches are the ones that change what a run collects (or how it
     dispatches packets) without appearing anywhere else in the config.
     """
     return {
         "vector_mode": _vector_mode,
-        "packet_counters": packet_counters_enabled(),
         "slo": _slo,
         "spans": _spans,
     }

@@ -29,7 +29,9 @@ SPAN_SCHEMA_ID = "repro.spans/v1"
 
 _FLOW_KEYS = {"pe", "vrf", "direction", "class", "packets", "bytes"}
 _FLIGHT_KEYS = {"capacity", "buffered", "recorded_total", "aged_out"}
-_OBS_RUNTIME_KEYS = {"vector_mode", "packet_counters", "slo", "spans"}
+# Required; a bundle may carry further boolean flags (older writers
+# recorded switches that no longer exist).
+_OBS_RUNTIME_KEYS = {"vector_mode", "slo", "spans"}
 
 
 def _err(errors: list[str], where: str, msg: str) -> None:
@@ -125,7 +127,7 @@ def _validate_run(doc: dict, where: str, errors: list[str]) -> None:
 
     obs_rt = _require(errors, doc, where, "obs_runtime", dict)
     if obs_rt is not None:
-        if set(obs_rt) != _OBS_RUNTIME_KEYS:
+        if not _OBS_RUNTIME_KEYS <= set(obs_rt):
             _err(errors, f"{where}.obs_runtime",
                  f"must have keys {sorted(_OBS_RUNTIME_KEYS)}")
         for key, v in obs_rt.items():

@@ -142,7 +142,6 @@ class Telemetry:
         self._scrape_interfaces(reg)
         self._scrape_counters(reg)
         self._scrape_caches(reg)
-        self._scrape_pool(reg)
         self._scrape_slo(reg)
         self._scrape_convergence(reg)
         return reg
@@ -245,7 +244,6 @@ class Telemetry:
         inval = reg.gauge(
             "repro_cache_invalidations", "Generation-bump invalidations", lab
         )
-        evict = reg.gauge("repro_cache_evictions", "Capacity evictions", lab)
         entries = reg.gauge("repro_cache_entries", "Entries currently cached", lab)
 
         def emit(node_name: str, cache_name: str, stats: dict[str, int]) -> None:
@@ -253,7 +251,6 @@ class Telemetry:
             hits.labels(**clab).set(stats["hits"])
             miss.labels(**clab).set(stats["misses"])
             inval.labels(**clab).set(stats["invalidations"])
-            evict.labels(**clab).set(stats["evictions"])
             entries.labels(**clab).set(stats["entries"])
 
         for router in sorted(self.net.routers(), key=lambda r: r.name):
@@ -263,33 +260,6 @@ class Telemetry:
                         emit(router.name, f"vrf:{vrf_name}", vstats)
                 else:
                     emit(router.name, cache_name, stats)
-
-    def _scrape_pool(self, reg: MetricsRegistry) -> None:
-        """Process-wide packet-freelist health (``repro.net.packet.POOL``).
-
-        Occupancy and hit/miss/release counters expose whether high-rate
-        sources actually recycle shells (hit ratio ~1 in steady state) or
-        the pool is thrashing (drops are never released, so a lossy run
-        leaks shells by design — visible here as misses outpacing
-        releases).
-        """
-        from repro.net.packet import POOL
-
-        reg.gauge(
-            "repro_pool_occupancy", "Packet shells on the freelist"
-        ).set(len(POOL))
-        reg.gauge(
-            "repro_pool_capacity", "Freelist size bound"
-        ).set(POOL.max_size)
-        reg.gauge(
-            "repro_pool_hits", "Acquires served from the freelist"
-        ).set(POOL.hits)
-        reg.gauge(
-            "repro_pool_misses", "Acquires that built a fresh Packet"
-        ).set(POOL.misses)
-        reg.gauge(
-            "repro_pool_releases", "Shells returned to the freelist"
-        ).set(POOL.releases)
 
     def _scrape_slo(self, reg: MetricsRegistry) -> None:
         """Streaming SLO conformance state, when an engine is attached."""

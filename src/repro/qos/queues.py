@@ -52,15 +52,6 @@ __all__ = [
 # MPLS EXP field or outer DSCP; see repro.qos.classifier for builders.
 ClassifyFn = Callable[[Packet], int]
 
-#: Per-packet counter/drop-hook switch.  True (the default) keeps the
-#: :class:`ClassStats` bumps and drop-callback notifications every test and
-#: telemetry session expects.  The sweep runner and benchmarks flip it off
-#: through :func:`repro.obs.runtime.set_packet_counters` so an unobserved
-#: run pays nothing per packet for observability it is not using.  Flow
-#: metrics (the experiment results) come from sinks, not these counters, so
-#: the off-path changes no experiment output.
-COUNTERS = True
-
 # Invoked when a discipline refuses a packet: (pkt, reason, now).  Wired by
 # the owning Interface so queue losses reach the TraceBus / flight recorder
 # with a taxonomy (QUEUE_TAIL vs QUEUE_AQM) instead of only bumping
@@ -182,10 +173,9 @@ class DropTailFifo(QueueDiscipline):
         if self.drop_policy is not None and self.drop_policy.should_drop(
             pkt, self._bytes + self.fluid_standing_bytes, now
         ):
-            if COUNTERS:
-                self.stats.dropped += 1
-                if self.on_drop is not None:
-                    self.on_drop(pkt, DropReason.QUEUE_AQM, now)
+            self.stats.dropped += 1
+            if self.on_drop is not None:
+                self.on_drop(pkt, DropReason.QUEUE_AQM, now)
             return False
         if (
             self.capacity_packets is not None
@@ -195,15 +185,13 @@ class DropTailFifo(QueueDiscipline):
             and self._bytes + size + self.fluid_standing_bytes
             > self.capacity_bytes
         ):
-            if COUNTERS:
-                self.stats.dropped += 1
-                if self.on_drop is not None:
-                    self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
+            self.stats.dropped += 1
+            if self.on_drop is not None:
+                self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
         self._q.append(pkt)
         self._bytes += size
-        if COUNTERS:
-            self.stats.enqueued += 1
+        self.stats.enqueued += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -212,9 +200,8 @@ class DropTailFifo(QueueDiscipline):
         pkt = self._q.popleft()
         size = pkt._wire or pkt.wire_bytes
         self._bytes -= size
-        if COUNTERS:
-            self.stats.dequeued += 1
-            self.stats.bytes_sent += size
+        self.stats.dequeued += 1
+        self.stats.bytes_sent += size
         if self.drop_policy is not None:
             self.drop_policy.notify_dequeue(
                 self._bytes + self.fluid_standing_bytes, now
@@ -247,10 +234,9 @@ class ClassQueue:
         if self.drop_policy is not None and self.drop_policy.should_drop(
             pkt, self.bytes, now
         ):
-            if COUNTERS:
-                self.stats.dropped += 1
-                if self.on_drop is not None:
-                    self.on_drop(pkt, DropReason.QUEUE_AQM, now)
+            self.stats.dropped += 1
+            if self.on_drop is not None:
+                self.on_drop(pkt, DropReason.QUEUE_AQM, now)
             return False
         if (
             self.capacity_packets is not None and len(self.q) >= self.capacity_packets
@@ -258,24 +244,21 @@ class ClassQueue:
             self.capacity_bytes is not None
             and self.bytes + size > self.capacity_bytes
         ):
-            if COUNTERS:
-                self.stats.dropped += 1
-                if self.on_drop is not None:
-                    self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
+            self.stats.dropped += 1
+            if self.on_drop is not None:
+                self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
         self.q.append(pkt)
         self.bytes += size
-        if COUNTERS:
-            self.stats.enqueued += 1
+        self.stats.enqueued += 1
         return True
 
     def pop(self, now: float) -> Packet:
         pkt = self.q.popleft()
         size = pkt._wire or pkt.wire_bytes
         self.bytes -= size
-        if COUNTERS:
-            self.stats.dequeued += 1
-            self.stats.bytes_sent += size
+        self.stats.dequeued += 1
+        self.stats.bytes_sent += size
         if self.drop_policy is not None:
             self.drop_policy.notify_dequeue(self.bytes, now)
         return pkt

@@ -62,10 +62,6 @@ _heappop = heapq.heappop
 #: outnumbering live events (see ``Simulator._note_cancel``).
 _COMPACT_MIN_DEAD = 64
 
-#: Bucket deques are recycled through a small free list; beyond this many
-#: spares they are released to the allocator.
-_SPARE_DEQUES = 8
-
 
 class SimulationError(RuntimeError):
     """Raised on kernel misuse (scheduling in the past, running twice...)."""
@@ -159,7 +155,6 @@ class Simulator:
         # ``_buckets[t]`` exists and is non-empty (modulo tombstones
         # awaiting compaction).
         self._buckets: dict[float, "Event | deque[Event]"] = {}
-        self._spare: list[deque[Event]] = []
         self._size = 0   # events currently in buckets, tombstones included
         self._dead = 0   # tombstones currently in buckets
         self._running = False
@@ -226,14 +221,7 @@ class Simulator:
         elif type(prev) is deque:
             prev.append(event)
         else:
-            spare = self._spare
-            if spare:
-                d = spare.pop()
-                d.append(prev)
-                d.append(event)
-            else:
-                d = deque((prev, event))
-            buckets[time] = d
+            buckets[time] = deque((prev, event))
         self._size += 1
         return event
 
@@ -266,14 +254,7 @@ class Simulator:
         elif type(prev) is deque:
             prev.append(event)
         else:
-            spare = self._spare
-            if spare:
-                d = spare.pop()
-                d.append(prev)
-                d.append(event)
-            else:
-                d = deque((prev, event))
-            buckets[time] = d
+            buckets[time] = deque((prev, event))
         self._size += 1
         return event
 
@@ -321,15 +302,8 @@ class Simulator:
             prev.append(event)
         else:
             # Second event at this timestamp: promote the inline Event to
-            # a FIFO deque (recycled through the spare list).
-            spare = self._spare
-            if spare:
-                d = spare.pop()
-                d.append(prev)
-                d.append(event)
-            else:
-                d = deque((prev, event))
-            buckets[time] = d
+            # a FIFO deque.
+            buckets[time] = deque((prev, event))
         self._size += 1
         return event
 
@@ -384,11 +358,8 @@ class Simulator:
                 size += len(bucket)
             else:
                 emptied.append(t)
-        spare = self._spare
         for t in emptied:
-            bucket = buckets.pop(t)
-            if type(bucket) is deque and len(spare) < _SPARE_DEQUES:
-                spare.append(bucket)
+            del buckets[t]
         times = self._times
         times[:] = buckets.keys()
         heapq.heapify(times)
@@ -424,7 +395,6 @@ class Simulator:
         # callback may attach/detach a profiler mid-run.
         times = self._times
         buckets = self._buckets
-        spare = self._spare
         heappop = _heappop
         limit = math.inf if until is None else until
         # The processed counter is kept in a local and written back in the
@@ -487,8 +457,6 @@ class Simulator:
                                 buckets[t] = bucket
                             else:
                                 heappop(times)
-                                if len(spare) < _SPARE_DEQUES:
-                                    spare.append(bucket)
                             self._size -= 1
                             event._sim = None
                             self.now = t
@@ -511,8 +479,6 @@ class Simulator:
                         buckets[t] = bucket
                     else:
                         heappop(times)
-                        if len(spare) < _SPARE_DEQUES:
-                            spare.append(bucket)
                 else:
                     event = bucket
                     heappop(times)
@@ -559,8 +525,6 @@ class Simulator:
                 if not bucket:
                     _heappop(times)
                     del buckets[t]
-                    if len(self._spare) < _SPARE_DEQUES:
-                        self._spare.append(bucket)
             else:
                 event = bucket
                 _heappop(times)
@@ -654,8 +618,6 @@ class Simulator:
                     return t
                 _heappop(times)
                 del buckets[t]
-                if len(self._spare) < _SPARE_DEQUES:
-                    self._spare.append(bucket)
             else:
                 if not bucket.cancelled:
                     return t

@@ -32,11 +32,6 @@ Design rules that make the merged report reproducible:
   (a worker crashed mid-write) is synthesized into a failure row rather
   than sinking the merge.
 
-Workers run with the per-packet ``ClassStats``/drop-hook counters
-switched off (:func:`repro.obs.runtime.set_packet_counters`) — the sweep
-fast path — unless telemetry manifests were requested, in which case the
-counters stay on so the scraped metrics are meaningful.
-
 **Warm start** (``warm_start=True`` / ``repro sweep --warm-start``): the
 parent builds and converges each *distinct base* in the grid exactly once
 — base = everything a task's result does not vary with: topology, VRF
@@ -372,15 +367,10 @@ def _restore_base(task: Task) -> Any:
 _SPILL_PATH: str | None = None
 
 
-def _worker_init(collect_telemetry: bool, spill_dir: str | None = None) -> None:
-    """Pool initializer: arm the sweep fast path in this worker."""
+def _worker_init(spill_dir: str) -> None:
+    """Pool initializer: name this worker's spill file."""
     global _SPILL_PATH
-    from repro.obs import runtime
-
-    if not collect_telemetry:
-        runtime.set_packet_counters(False)
-    if spill_dir is not None:
-        _SPILL_PATH = os.path.join(spill_dir, f"worker-{os.getpid()}.jsonl")
+    _SPILL_PATH = os.path.join(spill_dir, f"worker-{os.getpid()}.jsonl")
 
 
 def _run_task(task: Task) -> dict:
@@ -508,17 +498,10 @@ def run_sweep(
     t0 = time.perf_counter()
     warm_info = _prepare_bases(tasks) if warm_start else None
     if workers <= 1 or len(tasks) <= 1:
-        from repro.obs import runtime
-
-        if not telemetry:
-            runtime.set_packet_counters(False)
-        try:
-            # The JSON round-trip pins the inline results to exactly the
-            # types a spill-file merge produces (tuples become lists, ...),
-            # keeping reports byte-identical at any worker count.
-            results = [json.loads(json.dumps(_run_task(t))) for t in tasks]
-        finally:
-            runtime.set_packet_counters(True)
+        # The JSON round-trip pins the inline results to exactly the
+        # types a spill-file merge produces (tuples become lists, ...),
+        # keeping reports byte-identical at any worker count.
+        results = [json.loads(json.dumps(_run_task(t))) for t in tasks]
     else:
         # fork keeps the already-imported package (no PYTHONPATH replay
         # in children) and is the default start method on Linux anyway.
@@ -530,7 +513,7 @@ def run_sweep(
             with ctx.Pool(
                 processes=workers,
                 initializer=_worker_init,
-                initargs=(telemetry, sdir),
+                initargs=(sdir,),
             ) as pool:
                 pool.map(_run_task, tasks, chunksize=1)
             results = _merge_spills(sdir, tasks)

@@ -47,9 +47,8 @@ import networkx as nx
 
 from repro.net.address import IPv4Address
 from repro.net.link import Interface
-from repro.net.packet import POOL, IPHeader, Packet
+from repro.net.packet import IPHeader, Packet
 from repro.sim.engine import Periodic, Simulator
-from repro.traffic import generators as _generators
 
 __all__ = ["FluidAggregate", "PacketExpander", "FluidRouter", "FluidPath"]
 
@@ -215,9 +214,6 @@ class PacketExpander:
     therefore spans the fluid prefix too, and for a CBR aggregate the
     emitted train is *identical* (timing, seq, headers) to the scalar
     source's.
-
-    Packets shells come from the process-wide pool while
-    ``repro.traffic.generators.POOLING`` is on, same as scalar sources.
     """
 
     def __init__(self, agg: FluidAggregate) -> None:
@@ -284,15 +280,10 @@ class PacketExpander:
             src=agg.src, dst=agg.dst, dscp=agg.dscp, proto=agg.proto,
             src_port=agg.src_port, dst_port=agg.dst_port,
         )
-        if _generators.POOLING:
-            pkt = POOL.acquire(
-                header, agg.payload_bytes, agg.flow, agg.expanded_sent, vt
-            )
-        else:
-            pkt = Packet(
-                ip=header, payload_bytes=agg.payload_bytes, flow=agg.flow,
-                seq=agg.expanded_sent, created=vt,
-            )
+        pkt = Packet(
+            ip=header, payload_bytes=agg.payload_bytes, flow=agg.flow,
+            seq=agg.expanded_sent, created=vt,
+        )
         agg.expanded_sent += 1
         agg.expanded_bytes += pkt.wire_bytes
         # Advance the creation clock *before* injecting: forwarding may

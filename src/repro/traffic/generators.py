@@ -7,13 +7,10 @@ data needs AF (bursty on–off), and bulk/best-effort fills whatever is left
 schedules the next — and take a named RNG stream so traffic is identical
 across configuration A/B runs (see repro.sim.randomness).
 
-Packet shells come from the process-wide :data:`repro.net.packet.POOL`
-freelist while :data:`POOLING` is on (the default); delivered packets are
-recycled by ``Node.deliver_local``.  ``tests/test_engine_parity.py`` flips
-the flag off to show that recycling alters no hop of a seeded trace.
-Sources emitting back-to-back trains can pass ``burst > 1`` to amortise
-one scheduler event over the whole train instead of paying one per
-packet.
+Every emission builds a new :class:`~repro.net.packet.Packet`, which the
+far end's sinks own once it is delivered.  Sources emitting back-to-back
+trains can pass ``burst > 1`` to amortise one scheduler event over the
+whole train instead of paying one per packet.
 """
 
 from __future__ import annotations
@@ -23,12 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.net.address import IPv4Address
-from repro.net.packet import POOL, IPHeader, Packet
+from repro.net.packet import IPHeader, Packet
 from repro.sim.engine import Simulator
-
-#: When True (default) sources acquire packet shells from the freelist;
-#: the parity suite flips this off to compare against fresh allocation.
-POOLING = True
 
 __all__ = [
     "TrafficSource",
@@ -129,10 +122,6 @@ class TrafficSource:
             src_port=self.src_port,
             dst_port=self.dst_port,
         )
-        if POOLING:
-            return POOL.acquire(
-                header, self.payload_bytes, self.flow, self.sent, now
-            )
         return Packet(
             ip=header,
             payload_bytes=self.payload_bytes,

@@ -6,9 +6,8 @@ PE loopback, VPN label) — and imports the routes whose RT set intersects
 a VRF's import policy.  "Piggybacking labels in the routing protocol
 updates" is exactly the paper's §4 description of the mechanism.
 
-Unlike the frozen pre-churn model (:mod:`repro.vpn.reference`), the
-engine keeps a **persistent Adj-RIB**: per-(PE, VRF) export sets plus an
-incrementally maintained RT → prefix → routes index.  ``converge()`` is
+The engine keeps a **persistent Adj-RIB**: per-(PE, VRF) export sets plus
+an incrementally maintained RT → prefix → routes index.  ``converge()`` is
 a *resync* — it diffs desired state against the RIB, so re-running it on
 an unchanged network sends zero updates, installs nothing, and leaves
 every VRF generation untouched (the data-plane flow caches stay warm).
@@ -504,10 +503,9 @@ class MpBgp:
     def converge(self) -> BgpResult:
         """Resync every VRF's exports and imports against the Adj-RIB.
 
-        On a fresh engine this is the classic full convergence (and its
-        message/state accounting matches :mod:`repro.vpn.reference`
-        exactly); re-running it on an unchanged network is a no-op —
-        zero updates, zero installs, VRF generations untouched.
+        On a fresh engine this is the classic full convergence;
+        re-running it on an unchanged network is a no-op — zero updates,
+        zero installs, VRF generations untouched.
         """
         result = BgpResult(sessions=self.session_count())
         if not self._sessions_counted:

@@ -136,8 +136,7 @@ class TestVpnConservationUnderLoad:
         sent = sum(s.sent for s, _ in sources)
         recv = sum(sink.received(f"f{i}") for i, (_s, sink) in enumerate(sources))
         drops = net.total_drops() + sum(
-            n.stats.dropped_no_route + n.stats.dropped_ttl + n.stats.dropped_other
-            for n in net.nodes.values()
+            n.stats.dropped_total for n in net.nodes.values()
         )
         assert sent == recv + drops
         assert drops > 0  # the scenario actually congested

@@ -395,7 +395,7 @@ class TestPipelineParity:
         p = pkt()
         p.push_label(500)
         r.handle(p, "in")
-        assert r.stats.dropped_other == 1
+        assert r.stats.by_reason == {"labeled_at_ip_router": 1}
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +455,7 @@ class TestPeCircuitRegressions:
         self._arrive(net, pe, "to-ceA", spoofed)
         assert got["dB"] == [] and got["dA"] == []
         assert pe.stats.by_reason == {"labeled_on_circuit": self.BURST}
-        assert pe.stats.dropped_other == self.BURST
+        assert pe.stats.dropped_total == self.BURST
         assert pe.lfib.lookups == lfib_lookups
         assert pe.pipeline.label_cache.stats()["misses"] == 0
         # The honest, unlabeled packets still reach VPN A's 10.0.1.2.

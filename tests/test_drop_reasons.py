@@ -5,7 +5,9 @@ from repro.net.address import IPv4Address
 from repro.net.drops import DropReason
 from repro.net.node import Node
 from repro.net.packet import IPHeader, Packet
+from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.queues import ClassQueue, DropTailFifo, PriorityScheduler
+from repro.qos.shaper import TokenBucketShaper
 from repro.routing import converge
 from repro.sim.engine import Simulator
 from repro.topology import Network, attach_host, build_line
@@ -18,27 +20,6 @@ def mk_pkt(flow="f", seq=0, dscp=0):
 
 
 class TestTaxonomy:
-    def test_parse_enum_passthrough(self):
-        assert DropReason.parse(DropReason.TTL) is DropReason.TTL
-
-    def test_parse_known_string(self):
-        assert DropReason.parse("no_vrf_route") is DropReason.NO_VRF_ROUTE
-
-    def test_parse_unknown_string_is_other(self):
-        assert DropReason.parse("totally_new_reason") is DropReason.OTHER
-
-    def test_categories_match_legacy_buckets(self):
-        assert DropReason.NO_ROUTE.category == "no_route"
-        assert DropReason.NO_VRF_ROUTE.category == "no_route"
-        assert DropReason.TTL.category == "ttl"
-        assert DropReason.QUEUE_TAIL.category == "queue"
-        assert DropReason.QUEUE_AQM.category == "queue"
-        assert DropReason.CONDITIONER.category == "queue"
-        # These always landed in "other" before the taxonomy existed.
-        assert DropReason.NO_VC.category == "other"
-        assert DropReason.NO_TUNNEL.category == "other"
-        assert DropReason.NO_LABEL.category == "other"
-
     def test_values_are_stable_strings(self):
         for r in DropReason:
             assert r.value == r.value.lower()
@@ -53,15 +34,10 @@ class TestNodeAccounting:
     def test_enum_drop_fills_bucket_and_by_reason(self):
         n = self._node()
         n.drop(mk_pkt(), DropReason.NO_VRF_ROUTE)
-        assert n.stats.dropped_no_route == 1
-        assert n.stats.by_reason == {"no_vrf_route": 1}
-        assert n.stats.dropped_total == 1
-
-    def test_unknown_string_preserved_verbatim(self):
-        n = self._node()
-        n.drop(mk_pkt(), "weird_typo")
-        assert n.stats.dropped_other == 1
-        assert n.stats.by_reason == {"weird_typo": 1}
+        n.drop(mk_pkt(), DropReason.TTL)
+        n.drop(mk_pkt(), DropReason.TTL)
+        assert n.stats.by_reason == {"no_vrf_route": 1, "ttl": 2}
+        assert n.stats.dropped_total == 3
 
     def test_trace_reason_stays_a_string(self):
         n = self._node()
@@ -74,12 +50,25 @@ class TestNodeAccounting:
 
 class TestQueueDropCallbacks:
     def test_droptail_tail_drop_reason(self):
-        q = DropTailFifo(capacity_packets=1)
-        seen = []
-        q.set_drop_callback(lambda pkt, reason, now: seen.append(reason))
-        assert q.enqueue(mk_pkt(seq=0), 0.0)
-        assert not q.enqueue(mk_pkt(seq=1), 0.0)
-        assert seen == [DropReason.QUEUE_TAIL]
+        # One contract for every counting discipline: a refused packet is
+        # counted in ClassStats and reported to the callback.
+        fifo = DropTailFifo(capacity_packets=1)
+        cbq = CbqScheduler(
+            [CbqClass("only", rate_bps=1e6, capacity_packets=1)],
+            classify=lambda pkt: 0,
+        )
+        shaper = TokenBucketShaper(1e6, 10_000, capacity_packets=1)
+        for q, stats in (
+            (fifo, fifo.stats),
+            (cbq, cbq.cbq_classes[0].queue.stats),
+            (shaper, shaper.stats),
+        ):
+            seen = []
+            q.set_drop_callback(lambda pkt, reason, now: seen.append(reason))
+            assert q.enqueue(mk_pkt(seq=0), 0.0)
+            assert not q.enqueue(mk_pkt(seq=1), 0.0)
+            assert seen == [DropReason.QUEUE_TAIL], type(q).__name__
+            assert (stats.enqueued, stats.dropped) == (1, 1), type(q).__name__
 
     def test_droptail_aqm_drop_reason(self):
         class AlwaysDrop:

@@ -13,8 +13,7 @@ Records are therefore compared after first-appearance uid normalization
 (uid → order of first appearance in the trace), which preserves every
 packet identity relationship while erasing the global offset.
 
-Also here: packet-pool parity (pooling on vs off must not change a single
-hop) and the tombstone-leak regression test for the lazy-deletion
+Also here: the tombstone-leak regression test for the lazy-deletion
 scheduler.
 """
 
@@ -27,7 +26,6 @@ import pytest
 from repro.obs import runtime
 from repro.sim.engine import Simulator
 from repro.sim.reference import reference_engine
-from repro.traffic import generators
 
 
 def _trace(run_fn: Callable[[], object]) -> list[tuple]:
@@ -78,18 +76,6 @@ def test_engine_matches_reference_trace(run_fn) -> None:
         slow = _trace(run_fn)
     assert len(fast) > 1000  # the trace actually recorded a real run
     assert fast == slow
-
-
-def test_packet_pool_invisible_in_trace() -> None:
-    """Recycling packets through the freelist must not alter any hop."""
-    pooled = _trace(_e2)
-    generators.POOLING = False
-    try:
-        fresh = _trace(_e2)
-    finally:
-        generators.POOLING = True
-    assert len(pooled) > 1000
-    assert pooled == fresh
 
 
 # ----------------------------------------------------------------------

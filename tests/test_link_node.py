@@ -3,11 +3,16 @@
 import pytest
 
 from repro.net.address import IPv4Address, Prefix
+from repro.net.drops import DropReason
 from repro.net.link import Interface, Link
 from repro.net.node import Host, Node, ProcessingModel
 from repro.net.packet import IPHeader, Packet
 from repro.qos.queues import DropTailFifo
+from repro.routing import converge
 from repro.sim.engine import Simulator
+from repro.topology import Network, attach_host, build_line
+from repro.traffic import CbrSource
+from repro.traffic.fluid import FluidAggregate, PacketExpander
 
 
 class Recorder(Node):
@@ -162,18 +167,17 @@ class TestNode:
     def test_drop_accounting(self):
         sim = Simulator()
         n = Recorder(sim, "n")
-        n.drop(pkt(), "ttl")
-        n.drop(pkt(), "no_route")
-        n.drop(pkt(), "weird")
-        assert n.stats.dropped_ttl == 1
-        assert n.stats.dropped_no_route == 1
-        assert n.stats.dropped_other == 1
+        n.drop(pkt(), DropReason.TTL)
+        n.drop(pkt(), DropReason.NO_ROUTE)
+        n.drop(pkt(), DropReason.OTHER)
+        assert n.stats.by_reason == {"ttl": 1, "no_route": 1, "other": 1}
+        assert n.stats.dropped_total == 3
 
     def test_drop_publishes_trace(self):
         sim = Simulator()
         n = Recorder(sim, "n")
         n.trace.record("drop")
-        n.drop(pkt(), "ttl")
+        n.drop(pkt(), DropReason.TTL)
         recs = n.trace.records("drop")
         assert len(recs) == 1 and recs[0].reason == "ttl"
 
@@ -242,4 +246,32 @@ class TestHost:
         sim = Simulator()
         h = Host(sim, "h")
         h.send(pkt())
-        assert h.stats.dropped_no_route == 1
+        assert h.stats.by_reason == {"no_route": 1}
+
+    def test_sink_may_keep_delivered_packets(self):
+        # ``add_local_sink(got.append)`` is the idiom the examples teach:
+        # what a sink was handed stays intact, whichever source built it.
+        def cbr(net, tx):
+            return CbrSource(net.sim, tx.send, "f", "10.66.0.1", "10.66.0.2",
+                             payload_bytes=980, rate_bps=8e5)
+
+        def expander(net, tx):
+            agg = FluidAggregate(net.sim, "f", "10.66.0.1", "10.66.0.2",
+                                 payload_bytes=980, rate_bps=8e5)
+            exp = PacketExpander(agg)
+            exp.target(tx.send, 0.0)
+            return exp
+
+        for make in (cbr, expander):
+            net = Network(seed=1)
+            routers = build_line(net, 2)
+            tx = attach_host(net, routers[0], "10.66.0.1", name="tx")
+            rx = attach_host(net, routers[1], "10.66.0.2", name="rx")
+            converge(net)
+            got = []
+            rx.add_local_sink(got.append)
+            make(net, tx).start(0.0, stop_at=0.055)  # 10 ms apart: six
+            net.run(until=1.0)
+            assert [p.seq for p in got] == [0, 1, 2, 3, 4, 5], make.__name__
+            assert len({id(p) for p in got}) == 6, make.__name__
+            assert all(str(p.ip.dst) == "10.66.0.2" for p in got)

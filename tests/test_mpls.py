@@ -121,7 +121,7 @@ class TestLsrDataPlane:
         p = pkt()
         p.push_label(999)
         a.handle(p, "in")
-        assert a.stats.dropped_other == 1
+        assert a.stats.by_reason == {"no_label": 1}
 
     def test_php_pop_forwards_ip(self):
         net, a, b = self._lsr_pair()
@@ -141,7 +141,7 @@ class TestLsrDataPlane:
         p = pkt(ttl=64)
         p.push_label(16, ttl=1)
         a.handle(p, "in")
-        assert a.stats.dropped_ttl == 1
+        assert a.stats.by_reason == {"ttl": 1}
 
     def test_pop_process_delivers_own_ip(self):
         net, a, b = self._lsr_pair()
@@ -174,7 +174,7 @@ class TestLsrDataPlane:
         p = pkt()
         p.push_label(16)
         a.handle(p, "in")
-        assert a.stats.dropped_other == 1
+        assert a.stats.by_reason == {"vpn_label_no_vrf": 1}
 
     def test_imposition_sets_exp_from_dscp(self):
         net, a, b = self._lsr_pair()

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.net.packet import IPHeader, Packet, PacketPool
+from repro.net.packet import IPHeader, Packet
 from repro.net.address import IPv4Address
 from repro.obs.flightrec import FlightRecorder, HopRecord
 from repro.obs.telemetry import Telemetry
@@ -85,29 +85,6 @@ class TestProducers:
         after = fr.records()
         assert [r.labels for r in after] == [(100, 200), (100, 201), (100, 300, 400)]
         assert before == after[:1] and before[0].labels == (100, 200)
-
-    def test_records_survive_pool_recycling(self):
-        pool = PacketPool()
-        fr = FlightRecorder()
-        ip = IPHeader(IPv4Address(1), IPv4Address(2))
-        pkt = pool.acquire(ip, 10, "first", 7, 0.0)
-        pkt.push_label(55)
-        fr.enqueue(0.0, "n", pkt, "eth0", 1)
-        fr.deliver(0.1, "h", pkt)
-        uid = pkt.uid
-        before = fr.records()
-        pool.release(pkt)           # what deliver_local does after the sinks ran
-        shell = pool.acquire(ip, 10, "second", 0, 1.0)
-        assert shell is pkt and shell.uid != uid
-        fr.deliver(1.1, "h", shell)
-        expected = [
-            HopRecord(0.0, "n", "enqueue", uid, "first", 7, ifname="eth0",
-                      labels=(55,), backlog=1),
-            HopRecord(0.1, "h", "deliver", uid, "first", 7, labels=(55,)),
-        ]
-        assert before == expected
-        assert fr.records() == expected + [
-            HopRecord(1.1, "h", "deliver", shell.uid, "second", 0)]
 
 
 class TestRingBuffer:

@@ -206,6 +206,20 @@ class TestSchemaRejections:
         m["metrics"]["repro_node_rx_packets"]["series"][0]["labels"] = {"bad": "x"}
         assert any("label" in e for e in validate_manifest(m))
 
+    def test_runtime_flag_of_an_older_writer_accepted(self):
+        # Bundles written before the qdisc counters switch was removed
+        # carry a fourth flag; `repro telemetry` must still read them.
+        net, tel = vpn_run()
+        m = tel.manifest()
+        m["obs_runtime"]["packet_counters"] = True
+        assert validate_manifest(m) == []
+
+    def test_missing_runtime_flag_reported(self):
+        net, tel = vpn_run()
+        m = tel.manifest()
+        del m["obs_runtime"]["spans"]
+        assert any("obs_runtime" in e for e in validate_manifest(m))
+
     def test_bundle_validation(self):
         net, tel = vpn_run()
         good = {"schema": SCHEMA_ID, "kind": "bundle", "experiments": ["e2"],

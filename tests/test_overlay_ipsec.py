@@ -105,7 +105,7 @@ class TestOverlayBuilder:
         p = Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2)),
                    payload_bytes=10, vc_id=777)
         routers[0].handle(p, "in")
-        assert routers[0].stats.dropped_other == 1
+        assert routers[0].stats.by_reason == {"no_vc": 1}
 
     def test_state_census(self):
         net = Network()
@@ -260,4 +260,4 @@ class TestIpsecGateway:
         gw2.sas.clear()
         self._send(net, h1)
         net.run(until=1.0)
-        assert gw2.stats.dropped_other == 1
+        assert gw2.stats.by_reason == {"no_sa": 1}

@@ -17,7 +17,6 @@ from repro.net.packet import (
     IPHeader,
     Packet,
     PacketError,
-    PacketPool,
 )
 from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.queues import (
@@ -66,8 +65,8 @@ class TestSwapLabelValidation:
 
 # One step of a packet's life: the label ops an LSR applies, an
 # encapsulation (the packet becomes the ``inner`` of a fresh envelope, as
-# the IPsec and overlay gateways build them), or delivery + reuse of the
-# shell through the pool.
+# the IPsec and overlay gateways build them), or delivery, after which the
+# walk starts over with a new packet as a source builds it.
 OPS = st.one_of(
     st.tuples(st.just("push"), st.integers(16, 0xFFFFF), st.integers(0, 7)),
     st.tuples(st.just("pop")),
@@ -82,8 +81,7 @@ class TestWireBytesInvariant:
     @given(payload=st.integers(0, 1500), ops=st.lists(OPS, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_memo_matches_definition_after_any_history(self, payload, ops):
-        pool = PacketPool()
-        pkt = pool.acquire(header(), payload, "f", 0, 0.0)
+        pkt = Packet(ip=header(), payload_bytes=payload, flow="f")
         for op in ops:
             kind = op[0]
             if kind == "push":
@@ -98,10 +96,7 @@ class TestWireBytesInvariant:
                 pkt = Packet(ip=header(), inner=pkt, encrypted=op[2],
                              encap_overhead=op[1])
             elif kind == "recycle":
-                shell = pkt.innermost()
-                pool.release(shell)
-                pkt = pool.acquire(header(), op[1], "g", 1, 0.0)
-                assert not pkt.mpls_stack and pkt.inner is None
+                pkt = Packet(ip=header(), payload_bytes=op[1], flow="g", seq=1)
             else:
                 # A hop in between: warms the memo the next op must
                 # keep right.

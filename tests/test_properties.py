@@ -243,10 +243,7 @@ class TestConservation:
         total_sent = sum(s.sent for s, _ in sources)
         total_recv = sum(sink.received(f"f{i}") for i, (_s, sink) in enumerate(sources))
         queue_drops = net.total_drops()
-        node_drops = sum(
-            n.stats.dropped_no_route + n.stats.dropped_ttl + n.stats.dropped_other
-            for n in net.nodes.values()
-        )
+        node_drops = sum(n.stats.dropped_total for n in net.nodes.values())
         assert total_sent == total_recv + queue_drops + node_drops
         assert total_recv > 0 and queue_drops > 0  # actually congested
 

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.obs import runtime
 from repro.sweep import (
     build_grid,
     deterministic_view,
@@ -63,12 +62,6 @@ def test_failures_are_reported_not_raised() -> None:
     assert "no-such-scenario" in report["failed"][0]["error"]
     # The healthy task's rows still made it into the merge.
     assert report["rows"]
-
-
-def test_inline_sweep_restores_packet_counters() -> None:
-    assert runtime.packet_counters_enabled()
-    run_sweep(_small_grid()[:1], workers=1)
-    assert runtime.packet_counters_enabled()
 
 
 def test_telemetry_manifests_are_merged() -> None:

@@ -246,7 +246,7 @@ class TestEndToEndIpForwarding:
         net.sim.schedule(0.0, lambda: h1.send(p))
         net.run(until=1.0)
         assert got == []
-        assert sum(r.stats.dropped_ttl for r in routers) == 1
+        assert sum(r.stats.by_reason.get("ttl", 0) for r in routers) == 1
 
     def test_no_route_drop(self):
         net = Network()
@@ -257,7 +257,7 @@ class TestEndToEndIpForwarding:
                                IPv4Address.parse("99.9.9.9")), payload_bytes=100)
         net.sim.schedule(0.0, lambda: h1.send(p))
         net.run(until=1.0)
-        assert routers[0].stats.dropped_no_route == 1
+        assert routers[0].stats.by_reason == {"no_route": 1}
 
     def test_utilization_report(self):
         net = Network()

@@ -143,7 +143,7 @@ class TestPeRouter:
         p = Packet(ip=IPHeader(IPv4Address.parse("10.1.0.1"),
                                IPv4Address.parse("10.99.0.1")), payload_bytes=50)
         pe.handle(p, "to-ce")
-        assert pe.stats.dropped_no_route == 1
+        assert pe.stats.by_reason == {"no_vrf_route": 1}
 
     def test_remote_route_without_tunnel_dropped(self):
         net, pe, core, ce = self._pe()
@@ -154,7 +154,7 @@ class TestPeRouter:
         p = Packet(ip=IPHeader(IPv4Address.parse("10.1.0.1"),
                                IPv4Address.parse("10.2.0.1")), payload_bytes=50)
         pe.handle(p, "to-ce")
-        assert pe.stats.dropped_other == 1  # no_tunnel
+        assert pe.stats.by_reason == {"no_tunnel": 1}
 
 
 def two_pe_network(seed=5):

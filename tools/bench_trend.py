@@ -18,8 +18,8 @@ Usage::
 
 Rules, per section of each fresh file:
 
-* the measured value is the first key present among ``speedup_vs_scalar``,
-  ``speedup``, ``on_over_off``, ``scaling`` (all "higher is better");
+* the measured value is the first key present among ``speedup``,
+  ``scaling`` (both "higher is better");
 * the floor is ``floor`` or ``min_required``; a section carrying
   ``"floor_enforced": false`` (e.g. single-core sweep scaling) is
   reported but never fails the gate;
@@ -43,7 +43,7 @@ import os
 import sys
 from pathlib import Path
 
-_RATIO_KEYS = ("speedup_vs_scalar", "speedup", "on_over_off", "scaling")
+_RATIO_KEYS = ("speedup", "scaling")
 
 
 def _ratio(section: dict) -> tuple[str, float] | None:
