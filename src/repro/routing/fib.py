@@ -6,18 +6,31 @@ per-packet variable-length lookup against MPLS's exact-match label lookup;
 experiment E3 measures both on the real data structures, so the trie here
 is implemented faithfully rather than delegated to a dict of prefixes.
 
+The trie lives in three flat columns, one row per node, not one object
+per node: two ``array("i")`` columns hold the row of the child on bit 0
+and on bit 1 (0 = no child: row 0 is the root) and a list holds the
+entries.  The walk is still one step per address bit, but a table of any
+size is a handful of containers to Python's cyclic collector (at E1 N=1000
+it re-walked one tracked object per trie bit on every pass) and pickles as
+two byte strings and a list.
+
 A :class:`RouteEntry` resolves to an egress interface and an optional
 next-hop address (None for directly connected destinations).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Generic, Iterator, Optional, TypeVar
 
-from repro.net.address import IPv4Address, Prefix
+from repro.net.address import MASKS, IPv4Address, Prefix
 
 __all__ = ["RouteEntry", "Fib"]
+
+E = TypeVar("E")
+
+_SHIFTS = tuple(range(31, -1, -1))  # bit positions of the walk, MSB first
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,64 +66,60 @@ class RouteEntry:
         return ((self.out_ifname, self.next_hop), *self.alternates)
 
 
-class _TrieNode:
-    __slots__ = ("left", "right", "entry")
-
-    def __init__(self) -> None:
-        self.left: _TrieNode | None = None   # bit 0
-        self.right: _TrieNode | None = None  # bit 1
-        self.entry: RouteEntry | None = None
-
-
-class Fib:
+class Fib(Generic[E]):
     """Binary-trie longest-prefix-match forwarding table.
 
     ``generation`` increments on every mutation (install/withdraw); the
     data plane's flow caches compare it before serving a memoized
     decision, so SPF reconvergence or route churn can never leave a stale
     forwarding entry in service (see ``repro.dataplane.caches``).
+
+    The table never reads the entries it stores: a router's FIB holds
+    :class:`RouteEntry`, a VRF's holds its ``VrfRoute``.
     """
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._routes: dict[Prefix, RouteEntry] = {}
-        # Leaf-node cache: the trie node a prefix terminates at.  Interior
-        # nodes are never pruned (see :meth:`withdraw`), so a cached leaf
-        # stays valid forever and re-installing a known prefix — what every
+        self._left = array("i", (0,))   # node -> child on bit 0 (0 = none)
+        self._right = array("i", (0,))  # node -> child on bit 1
+        self._entries: list[E | None] = [None]  # node -> entry; node 0 = root
+        self._routes: dict[Prefix, E] = {}
+        # Leaf cache: the node a prefix terminates at.  Nodes are never
+        # pruned (see :meth:`withdraw_many`), so a cached index stays valid
+        # forever and re-installing a known prefix — what every
         # reconvergence does for most routes — skips the per-bit walk.
-        self._leaf: dict[Prefix, _TrieNode] = {}
+        self._leaf: dict[Prefix, int] = {}
         self.lookups = 0
         self.generation = 0
 
     # ------------------------------------------------------------------
-    def _leaf_node(self, pfx: Prefix) -> _TrieNode:
+    def _leaf_node(self, pfx: Prefix) -> int:
         """The (possibly new) trie node ``pfx`` terminates at, cached."""
         node = self._leaf.get(pfx)
         if node is not None:
             return node
-        node = self._root
+        left, right, entries = self._left, self._right, self._entries
+        node = 0
         net = pfx.network
-        for depth in range(pfx.length):
-            bit = (net >> (31 - depth)) & 1
-            if bit:
-                if node.right is None:
-                    node.right = _TrieNode()
-                node = node.right
-            else:
-                if node.left is None:
-                    node.left = _TrieNode()
-                node = node.left
+        for shift in range(31, 31 - pfx.length, -1):
+            column = right if (net >> shift) & 1 else left
+            child = column[node]
+            if not child:
+                child = column[node] = len(entries)
+                left.append(0)
+                right.append(0)
+                entries.append(None)
+            node = child
         self._leaf[pfx] = node
         return node
 
-    def install(self, prefix: Prefix | str, entry: RouteEntry) -> None:
+    def install(self, prefix: Prefix | str, entry: E) -> None:
         """Insert or replace the route for ``prefix``."""
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-        self._leaf_node(pfx).entry = entry
+        self._entries[self._leaf_node(pfx)] = entry
         self._routes[pfx] = entry
         self.generation += 1
 
-    def install_many(self, items: list[tuple[Prefix, RouteEntry]]) -> int:
+    def install_many(self, items: list[tuple[Prefix, E]]) -> int:
         """Install a batch of routes with a *single* generation bump.
 
         The control plane installs hundreds of routes per convergence;
@@ -123,88 +132,77 @@ class Fib:
             return 0
         leaf_get = self._leaf.get
         leaf_node = self._leaf_node
+        entries = self._entries
         routes = self._routes
         for pfx, entry in items:
             node = leaf_get(pfx)
             if node is None:
                 node = leaf_node(pfx)
-            node.entry = entry
+            entries[node] = entry
             routes[pfx] = entry
         self.generation += 1
         return len(items)
 
     def withdraw(self, prefix: Prefix | str) -> bool:
-        """Remove the route for ``prefix``; returns False when absent.
-
-        Trie nodes are not pruned (withdrawals are rare in our scenarios and
-        stale interior nodes are harmless to correctness) — which is also
-        what keeps the leaf-node cache sound.
-        """
+        """Remove the route for ``prefix``; returns False when absent."""
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-        if pfx not in self._routes:
-            return False
-        del self._routes[pfx]
-        self.generation += 1
-        self._leaf_node(pfx).entry = None
-        return True
+        return bool(self.withdraw_many([pfx]))
 
     def withdraw_many(self, prefixes: list[Prefix]) -> int:
         """Withdraw a batch of routes with a single generation bump.
 
         Returns the number of routes actually removed (absent prefixes are
-        skipped, like :meth:`withdraw` returning False).
+        skipped).  Trie nodes are not pruned (withdrawals are rare in our
+        scenarios and stale interior nodes are harmless to correctness) —
+        which is also what keeps the leaf cache sound.
         """
         removed = 0
         for pfx in prefixes:
-            if pfx not in self._routes:
-                continue
-            del self._routes[pfx]
-            removed += 1
-            self._leaf_node(pfx).entry = None
+            if self._routes.pop(pfx, None) is not None:
+                removed += 1
+                self._entries[self._leaf_node(pfx)] = None
         if removed:
             self.generation += 1
         return removed
 
     # ------------------------------------------------------------------
-    def lookup(self, addr: IPv4Address | int) -> Optional[RouteEntry]:
+    def lookup(self, addr: IPv4Address | int) -> Optional[E]:
         """Longest-prefix match; ``None`` when no route covers ``addr``."""
         self.lookups += 1
         value = addr.value if isinstance(addr, IPv4Address) else addr
-        node: _TrieNode | None = self._root
-        best = self._root.entry
-        depth = 0
-        while node is not None and depth < 32:
-            bit = (value >> (31 - depth)) & 1
-            node = node.right if bit else node.left
-            if node is not None and node.entry is not None:
-                best = node.entry
-            depth += 1
+        left, right, entries = self._left, self._right, self._entries
+        best = entries[0]
+        node = 0
+        for shift in _SHIFTS:
+            node = right[node] if (value >> shift) & 1 else left[node]
+            if not node:
+                break
+            entry = entries[node]
+            if entry is not None:
+                best = entry
         return best
 
-    def lookup_prefix(self, addr: IPv4Address | int) -> Optional[tuple[Prefix, RouteEntry]]:
+    def lookup_prefix(self, addr: IPv4Address | int) -> Optional[tuple[Prefix, E]]:
         """Like :meth:`lookup` but also returns the matching prefix."""
         value = addr.value if isinstance(addr, IPv4Address) else addr
-        best: tuple[Prefix, RouteEntry] | None = None
-        node: _TrieNode | None = self._root
-        if node.entry is not None:
-            best = (Prefix(0, 0), node.entry)
-        depth = 0
-        prefix_bits = 0
-        while node is not None and depth < 32:
-            bit = (value >> (31 - depth)) & 1
-            prefix_bits = (prefix_bits << 1) | bit
-            node = node.right if bit else node.left
-            depth += 1
-            if node is not None and node.entry is not None:
-                best = (Prefix(prefix_bits << (32 - depth), depth), node.entry)
-        return best
+        left, right, entries = self._left, self._right, self._entries
+        best = entries[0]
+        length = node = 0
+        for shift in _SHIFTS:
+            node = right[node] if (value >> shift) & 1 else left[node]
+            if not node:
+                break
+            entry = entries[node]
+            if entry is not None:
+                best, length = entry, 32 - shift
+        return None if best is None else (Prefix(value & MASKS[length], length), best)
 
     # ------------------------------------------------------------------
-    def routes(self) -> Iterator[tuple[Prefix, RouteEntry]]:
+    def routes(self) -> Iterator[tuple[Prefix, E]]:
         """All installed routes (arbitrary order)."""
         return iter(self._routes.items())
 
-    def get(self, prefix: Prefix | str) -> Optional[RouteEntry]:
+    def get(self, prefix: Prefix | str) -> Optional[E]:
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
         return self._routes.get(pfx)
 

@@ -31,7 +31,7 @@ from repro.mpls.ldp import LdpResult
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.mpls.lsr import Lsr
 from repro.net.address import IPv4Address, Prefix
-from repro.routing.fib import Fib, RouteEntry, _TrieNode
+from repro.routing.fib import Fib, RouteEntry
 from repro.routing.router import Router
 from repro.routing.spf import advertised_prefixes
 
@@ -48,23 +48,29 @@ __all__ = [
 ]
 
 
+def _fib_walk_reference(fib: Fib, pfx: Prefix) -> int:
+    """Pre-PR per-bit walk (no leaf-node cache) over the trie columns to
+    the node ``pfx`` terminates at, appending the nodes that are missing."""
+    left, right = fib._left, fib._right
+    node = 0
+    net = pfx.network
+    for depth in range(pfx.length):
+        column = right if (net >> (31 - depth)) & 1 else left
+        child = column[node]
+        if not child:
+            child = column[node] = len(left)
+            left.append(0)
+            right.append(0)
+            fib._entries.append(None)
+        node = child
+    return node
+
+
 def _fib_install_reference(fib: Fib, prefix: Prefix | str, entry: RouteEntry) -> None:
     """Pre-PR ``Fib.install``: per-bit trie walk + generation bump per route
     (no leaf-node cache, no batching)."""
     pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-    node = fib._root
-    net = pfx.network
-    for depth in range(pfx.length):
-        bit = (net >> (31 - depth)) & 1
-        if bit:
-            if node.right is None:
-                node.right = _TrieNode()
-            node = node.right
-        else:
-            if node.left is None:
-                node.left = _TrieNode()
-            node = node.left
-    node.entry = entry
+    fib._entries[_fib_walk_reference(fib, pfx)] = entry
     fib._routes[pfx] = entry
     fib.generation += 1
 
@@ -75,15 +81,7 @@ def _fib_withdraw_reference(fib: Fib, pfx: Prefix) -> bool:
         return False
     del fib._routes[pfx]
     fib.generation += 1
-    node: _TrieNode | None = fib._root
-    net = pfx.network
-    for depth in range(pfx.length):
-        if node is None:
-            return False
-        bit = (net >> (31 - depth)) & 1
-        node = node.right if bit else node.left
-    if node is not None:
-        node.entry = None
+    fib._entries[_fib_walk_reference(fib, pfx)] = None
     return True
 
 

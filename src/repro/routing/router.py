@@ -25,7 +25,7 @@ class Router(Node):
 
     def __init__(self, sim, name, **kw) -> None:
         super().__init__(sim, name, **kw)
-        self.fib = Fib()
+        self.fib: Fib[RouteEntry] = Fib()
         # Extra prefixes this router injects into the IGP (host subnets it
         # fronts, redistributed statics...).
         self.advertised_prefixes: set = set()

@@ -6,6 +6,11 @@ attached sites and (b) MP-BGP imports matching the VRF's import route
 targets.  Isolation is structural — a VRF lookup can only ever return
 routes that were installed into *this* VRF, so overlapping customer
 addresses never meet in one table.
+
+The table is one :class:`~repro.routing.fib.Fib` per VRF whose entries
+are the :class:`VrfRoute` objects themselves (the trie never reads what
+it stores): a lookup is one longest-prefix walk, and the VRF's routes are
+the table's — there is no second prefix-keyed dict to keep in step.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.address import IPv4Address, Prefix
-from repro.routing.fib import Fib, RouteEntry
+from repro.routing.fib import Fib
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
 
 __all__ = ["VrfRoute", "Vrf"]
@@ -75,8 +80,7 @@ class Vrf:
         self.import_rts = frozenset(import_rts)
         self.export_rts = frozenset(export_rts)
         self.vpn_label = vpn_label
-        self._fib = Fib()
-        self._routes: dict[Prefix, VrfRoute] = {}
+        self._fib: Fib[VrfRoute] = Fib()
         # Interfaces (attachment circuits) bound to this VRF on the PE.
         self.circuits: list[str] = []
 
@@ -89,11 +93,10 @@ class Vrf:
         origin_site: int | None = None,
     ) -> VrfRoute:
         """Install a route learned from an attached site."""
-        pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
         route = VrfRoute(
             "local", out_ifname=out_ifname, next_hop=next_hop, origin_site=origin_site
         )
-        self._install(pfx, route)
+        self._fib.install(prefix, route)
         return route
 
     def add_remote(
@@ -105,7 +108,6 @@ class Vrf:
         metric: float = 0.0,
     ) -> VrfRoute:
         """Install a route imported from MP-BGP."""
-        pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
         route = VrfRoute(
             "remote",
             remote_pe=remote_pe,
@@ -113,7 +115,7 @@ class Vrf:
             origin_site=origin_site,
             metric=metric,
         )
-        self._install(pfx, route)
+        self._fib.install(prefix, route)
         return route
 
     def add_remote_many(
@@ -127,19 +129,10 @@ class Vrf:
         per-VRF flow caches are invalidated once per batch, not once per
         route (PR 3's ``install_many`` pattern).  Returns the batch size.
         """
-        if not items:
-            return 0
-        batch: list[tuple[Prefix, RouteEntry]] = []
-        routes = self._routes
-        for prefix, remote_pe, vpn_label, origin_site in items:
-            routes[prefix] = VrfRoute(
-                "remote",
-                remote_pe=remote_pe,
-                vpn_label=vpn_label,
-                origin_site=origin_site,
-            )
-            batch.append((prefix, RouteEntry("", source="remote")))
-        return self._fib.install_many(batch)
+        return self._fib.install_many([
+            (prefix, VrfRoute("remote", remote_pe=pe, vpn_label=label, origin_site=site))
+            for prefix, pe, label, site in items
+        ])
 
     def remove_many(self, prefixes: list[Prefix]) -> int:
         """Withdraw a batch of routes with one FIB generation bump.
@@ -147,28 +140,14 @@ class Vrf:
         Absent prefixes are skipped; returns the number actually removed.
         A batch that removes nothing leaves the generation untouched.
         """
-        doomed = [p for p in prefixes if p in self._routes]
-        for prefix in doomed:
-            del self._routes[prefix]
-        return self._fib.withdraw_many(doomed)
-
-    def _install(self, prefix: Prefix, route: VrfRoute) -> None:
-        self._routes[prefix] = route
-        # The trie stores a RouteEntry shell; the VrfRoute carries the real
-        # decision and is recovered via the prefix.
-        self._fib.install(prefix, RouteEntry(route.out_ifname or "", source=route.kind))
+        return self._fib.withdraw_many(prefixes)
 
     def withdraw(self, prefix: Prefix | str) -> bool:
-        pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-        if pfx not in self._routes:
-            return False
-        del self._routes[pfx]
-        self._fib.withdraw(pfx)
-        return True
+        return self._fib.withdraw(prefix)
 
     def kind_of(self, prefix: Prefix) -> str | None:
         """``"local"``/``"remote"`` if ``prefix`` is installed, else None."""
-        route = self._routes.get(prefix)
+        route = self._fib.get(prefix)
         return None if route is None else route.kind
 
     # ------------------------------------------------------------------
@@ -176,28 +155,24 @@ class Vrf:
     def generation(self) -> int:
         """Mutation counter for the PE's per-VRF flow caches.
 
-        Every route change goes through ``_install``/``withdraw`` and thus
-        through the inner FIB, whose generation counts both.
+        Every route change is an install into or a withdrawal from the
+        inner FIB, whose generation counts both.
         """
         return self._fib.generation
 
     # ------------------------------------------------------------------
     def lookup(self, addr: IPv4Address) -> Optional[VrfRoute]:
         """Longest-prefix match inside this VRF only."""
-        match = self._fib.lookup_prefix(addr)
-        if match is None:
-            return None
-        prefix, _shell = match
-        return self._routes.get(prefix)
+        return self._fib.lookup(addr)
 
     def routes(self) -> dict[Prefix, VrfRoute]:
-        return dict(self._routes)
+        return dict(self._fib.routes())
 
     def local_routes(self) -> dict[Prefix, VrfRoute]:
-        return {p: r for p, r in self._routes.items() if r.kind == "local"}
+        return {p: r for p, r in self._fib.routes() if r.kind == "local"}
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self._fib)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Vrf {self.name} rd={self.rd} routes={len(self)}>"

@@ -116,13 +116,18 @@ class TestAccounting:
 
 
 # Brute-force oracle: linear scan over installed prefixes.
+def oracle_prefix(routes, value):
+    """Longest match as ``(prefix, entry)``, or ``None``."""
+    hits = [p for p in routes if p.contains(IPv4Address(value))]
+    if not hits:
+        return None
+    best = max(hits, key=lambda p: p.length)
+    return best, routes[best]
+
+
 def _oracle(routes, value):
-    best = None
-    best_len = -1
-    for pfx, ent in routes.items():
-        if pfx.contains(IPv4Address(value)) and pfx.length > best_len:
-            best, best_len = ent, pfx.length
-    return best
+    match = oracle_prefix(routes, value)
+    return None if match is None else match[1]
 
 
 @st.composite
@@ -167,3 +172,74 @@ class TestAgainstOracle:
             got_pfx, got_ent = fib.lookup_prefix(pfx.first)
             # The match is at least as specific as the installed prefix.
             assert got_pfx.length >= pfx.length
+
+
+# ----------------------------------------------------------------------
+# Stateful: any interleaving of mutations, checked against the linear scan
+# after every step.  Prefixes come from a small nested pool (a /0, /1s, a
+# 10/8 ladder down to /32s) so sequences re-install, shadow and withdraw
+# the same routes instead of scattering over the address space.
+
+_POOL_ADDRS = (0x00000000, 0x0A000000, 0x0A010000, 0x0A010200, 0x0A010203,
+               0x0A800000, 0xC0A80001, 0xFFFFFFFF)
+_POOL_LENGTHS = (0, 1, 8, 16, 24, 31, 32)
+POOL = sorted({Prefix.of(IPv4Address(a), n) for a in _POOL_ADDRS for n in _POOL_LENGTHS})
+QUERIES = sorted(
+    {v & 0xFFFFFFFF for a in _POOL_ADDRS for v in (a, a + 1, a ^ 0x80, a ^ 0x8000, a ^ 0x800000)}
+)
+
+pool_prefixes = st.sampled_from(POOL)
+
+
+def check_table(table, model):
+    """``table`` (a ``Fib``) holds exactly ``model`` and answers like it."""
+    assert len(table) == len(model)
+    assert dict(table.routes()) == model
+    for pfx in POOL:
+        assert (pfx in table) == (pfx in model)
+        assert table.get(pfx) == model.get(pfx)
+    for value in QUERIES:
+        assert table.lookup_prefix(IPv4Address(value)) == oracle_prefix(model, value)
+        assert table.lookup(value) == _oracle(model, value)
+
+
+_fib_ops = st.one_of(
+    st.tuples(st.just("install"), pool_prefixes, st.integers(0, 9)),
+    st.tuples(st.just("install_many"),
+              st.lists(st.tuples(pool_prefixes, st.integers(0, 9)), max_size=6)),
+    st.tuples(st.just("withdraw"), pool_prefixes),
+    st.tuples(st.just("withdraw_many"), st.lists(pool_prefixes, max_size=6)),
+)
+
+
+class TestStateful:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_fib_ops, min_size=1, max_size=25))
+    def test_any_mutation_sequence_matches_linear_scan(self, ops):
+        fib = Fib()
+        model = {}
+        for op in ops:
+            before = fib.generation
+            if op[0] == "install":
+                _, pfx, tag = op
+                fib.install(pfx, entry(f"if{tag}"))
+                model[pfx] = entry(f"if{tag}")
+                changed = True
+            elif op[0] == "install_many":
+                items = [(pfx, entry(f"if{tag}")) for pfx, tag in op[1]]
+                assert fib.install_many(items) == len(items)
+                model.update(items)
+                changed = bool(items)
+            elif op[0] == "withdraw":
+                changed = op[1] in model
+                assert fib.withdraw(op[1]) is changed
+                model.pop(op[1], None)
+            else:
+                present = {p for p in op[1] if p in model}
+                assert fib.withdraw_many(op[1]) == len(present)
+                for pfx in present:
+                    del model[pfx]
+                changed = bool(present)
+            # One bump per call that changed the table, none otherwise.
+            assert fib.generation == before + changed
+            check_table(fib, model)

@@ -3,9 +3,12 @@
 The two contracts under test:
 
 * **Format**: a snapshot is magic + versioned JSON header + pickle; any
-  mismatch of magic, schema, or repro version fails fast with a clear
-  :class:`~repro.sim.snapshot.SnapshotError` before the payload is
-  touched.
+  mismatch of magic, schema, or repro version, and any payload that is
+  not byte for byte what was written (length + CRC32 in the header),
+  fails fast with a clear :class:`~repro.sim.snapshot.SnapshotError`
+  before anything is unpickled.
+* **Collector**: dump and load run with the cyclic collector paused and
+  leave it as the caller had it, also when they raise.
 * **Parity**: a seeded run that passes through snapshot→restore is
   bit-identical to the uninterrupted run — both the warm-start shape
   (snapshot the converged build, restore, then run) and the true resume
@@ -15,8 +18,11 @@ The two contracts under test:
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
 import struct
+import zlib
 from typing import Any, Callable
 
 import pytest
@@ -77,15 +83,18 @@ def test_header_fields(tmp_path) -> None:
     assert "python" in header and "pickle_protocol" in header
 
 
+def _payload_offset(blob: bytes) -> int:
+    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    return len(MAGIC) + 4 + hlen
+
+
 def _tamper_header(blob: bytes, **overrides: Any) -> bytes:
     """Rewrite the snapshot's JSON header, keeping payload intact."""
-    off = len(MAGIC)
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    start = off + 4
-    header = json.loads(blob[start : start + hlen].decode())
+    end = _payload_offset(blob)
+    header = json.loads(blob[len(MAGIC) + 4 : end].decode())
     header.update(overrides)
     new = json.dumps(header, sort_keys=True).encode()
-    return MAGIC + struct.pack("<I", len(new)) + new + blob[start + hlen :]
+    return MAGIC + struct.pack("<I", len(new)) + new + blob[end:]
 
 
 def test_bad_magic_fails_fast() -> None:
@@ -120,11 +129,133 @@ def test_truncated_blob_fails_fast() -> None:
         restore_network(blob[: len(MAGIC) + 2])
 
 
+def _with_payload(blob: bytes, payload: bytes) -> bytes:
+    """``blob`` carrying ``payload`` instead, under a header that vouches
+    for it (right length, right CRC32)."""
+    return _tamper_header(
+        blob[: _payload_offset(blob)] + payload,
+        payload_bytes=len(payload),
+        payload_crc32=zlib.crc32(payload),
+    )
+
+
+def _must_not_unpickle(*_args: Any, **_kwargs: Any) -> None:
+    raise AssertionError("the payload reached pickle.loads")
+
+
+def test_header_vouches_for_payload() -> None:
+    blob = snapshot_network(_small_net())
+    off = _payload_offset(blob)
+    header = json.loads(blob[len(MAGIC) + 4 : off])
+    assert header["payload_bytes"] == len(blob) - off
+    assert header["payload_crc32"] == zlib.crc32(blob[off:])
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_flipped_payload_bit_fails_before_unpickling(monkeypatch, where: str) -> None:
+    blob = bytearray(snapshot_network(_small_net()))
+    off = _payload_offset(bytes(blob))
+    at = {"first": off, "middle": (off + len(blob)) // 2, "last": len(blob) - 1}[where]
+    blob[at] ^= 0x04
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match="payload is .* but the header declares"):
+        restore_network(bytes(blob))
+
+
+@pytest.mark.parametrize("cut", [1, 100])
+def test_short_payload_fails_before_unpickling(monkeypatch, cut: int) -> None:
+    blob = snapshot_network(_small_net())
+    want = len(blob) - _payload_offset(blob)
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(
+        SnapshotError,
+        match=rf"payload is .* \({want - cut}, \d+\) but the header declares \({want}, \d+\)",
+    ):
+        restore_network(blob[:-cut])
+
+
+def test_trailing_bytes_fail_before_unpickling(monkeypatch) -> None:
+    blob = snapshot_network(_small_net())
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match="payload is .* but the header declares"):
+        restore_network(blob + b"\0")
+
+
+def test_schema_1_image_refused_by_name() -> None:
+    # A /1 image holds the FIB trie as _TrieNode objects, which are gone.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/1")
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/1'"):
+        restore_network(old)
+
+
+def test_vouched_for_garbage_is_still_a_snapshot_error() -> None:
+    blob = snapshot_network(_small_net())
+    with pytest.raises(SnapshotError, match="payload failed to load"):
+        restore_network(_with_payload(blob, b"not a pickle"))
+
+
 def test_generator_in_graph_rejected() -> None:
     net = _small_net()
     net.nodes["a"].oops = (i for i in range(3))  # type: ignore[attr-defined]
     with pytest.raises(SnapshotError, match="generator"):
         snapshot_network(net)
+
+
+# ----------------------------------------------------------------------
+# The collector is paused across dump / load and left as it was found
+
+
+@pytest.fixture
+def collector_as_found():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+_collector_seen: list[tuple[str, bool]] = []
+
+
+def _probe_loaded() -> "_CollectorProbe":
+    _collector_seen.append(("load", gc.isenabled()))
+    return _CollectorProbe()
+
+
+class _CollectorProbe:
+    """Rides in ``extras`` and notes whether the collector is on at the
+    moment it is dumped and at the moment it is rebuilt."""
+
+    def __reduce__(self):
+        _collector_seen.append(("dump", gc.isenabled()))
+        return (_probe_loaded, ())
+
+
+def test_collector_is_off_inside_dump_and_load(collector_as_found) -> None:
+    gc.enable()
+    del _collector_seen[:]
+    blob = snapshot_network(_small_net(), {"probe": _CollectorProbe()})
+    restore_network(blob)
+    assert _collector_seen == [("dump", False), ("load", False)]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_left_as_the_caller_had_it(collector_as_found, enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+    net = _small_net()
+    blob = snapshot_network(net)
+    assert gc.isenabled() is enabled
+    restore_network(blob)
+    assert gc.isenabled() is enabled
+    # ... when the dump raises,
+    net.nodes["a"].oops = (i for i in range(3))  # type: ignore[attr-defined]
+    with pytest.raises(SnapshotError, match="generator"):
+        snapshot_network(net)
+    assert gc.isenabled() is enabled
+    # ... and when the payload fails to load.
+    with pytest.raises(SnapshotError, match="payload failed to load"):
+        restore_network(_with_payload(blob, b"not a pickle"))
+    assert gc.isenabled() is enabled
 
 
 def test_attached_telemetry_rejected() -> None:

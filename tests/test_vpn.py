@@ -1,6 +1,7 @@
 """Tests for the VPN layer: RD/RT, VRF, PE, MP-BGP, provisioning."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mpls.ldp import run_ldp
 from repro.mpls.lfib import LabelOp
@@ -14,6 +15,7 @@ from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
 from repro.vpn.vrf import Vrf, VrfRoute
+from tests.test_fib import POOL, QUERIES, _oracle, pool_prefixes
 
 
 class TestRdRt:
@@ -90,6 +92,76 @@ class TestVrf:
         vrf.add_remote("10.2.0.0/24", IPv4Address(9), 200)
         assert len(vrf.local_routes()) == 1
         assert len(vrf) == 2
+
+
+# The table machine of tests/test_fib.py over two VRFs of one PE: every
+# route carries its owner's number in ``origin_site``, both VRFs draw from
+# the same nested 10/8 pool, and nothing one holds may surface in the other.
+_owners = st.integers(0, 1)
+_remote = st.tuples(pool_prefixes, st.integers(1, 3), st.integers(16, 19))
+_vrf_ops = st.one_of(
+    st.tuples(st.just("add_local"), _owners, pool_prefixes, st.integers(0, 3)),
+    st.tuples(st.just("add_remote"), _owners, _remote),
+    st.tuples(st.just("add_remote_many"), _owners, st.lists(_remote, max_size=6)),
+    st.tuples(st.just("withdraw"), _owners, pool_prefixes),
+    st.tuples(st.just("remove_many"), _owners, st.lists(pool_prefixes, max_size=6)),
+)
+
+
+class TestVrfStateful:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_vrf_ops, min_size=1, max_size=25))
+    def test_any_mutation_sequence_matches_linear_scan(self, ops):
+        vrfs = [mk_vrf("red", 1, 100), mk_vrf("blue", 2, 200)]
+        models = [{}, {}]
+
+        def remote(owner, pe, label):
+            return VrfRoute("remote", remote_pe=IPv4Address(pe), vpn_label=label,
+                            origin_site=owner)
+
+        for kind, owner, arg, *rest in ops:
+            vrf, model = vrfs[owner], models[owner]
+            before = [v.generation for v in vrfs]
+            if kind == "add_local":
+                route = vrf.add_local(arg, f"ge{rest[0]}", origin_site=owner)
+                assert route == VrfRoute("local", out_ifname=f"ge{rest[0]}", origin_site=owner)
+                model[arg] = route
+                changed = True
+            elif kind == "add_remote":
+                pfx, pe, label = arg
+                model[pfx] = vrf.add_remote(pfx, IPv4Address(pe), label, origin_site=owner)
+                assert model[pfx] == remote(owner, pe, label)
+                changed = True
+            elif kind == "add_remote_many":
+                items = [(pfx, IPv4Address(pe), label, owner) for pfx, pe, label in arg]
+                assert vrf.add_remote_many(items) == len(items)
+                model.update((pfx, remote(owner, pe, label)) for pfx, pe, label in arg)
+                changed = bool(items)
+            elif kind == "withdraw":
+                changed = arg in model
+                assert vrf.withdraw(arg) is changed
+                model.pop(arg, None)
+            else:
+                present = {p for p in arg if p in model}
+                assert vrf.remove_many(arg) == len(present)
+                for pfx in present:
+                    del model[pfx]
+                changed = bool(present)
+            # One bump on the VRF that changed, none on its neighbour.
+            after = [v.generation for v in vrfs]
+            before[owner] += changed
+            assert after == before
+            for number, (v, m) in enumerate(zip(vrfs, models)):
+                assert len(v) == len(m)
+                assert v.routes() == m
+                assert v.local_routes() == {p: r for p, r in m.items() if r.kind == "local"}
+                for pfx in POOL:
+                    assert v.kind_of(pfx) == (m[pfx].kind if pfx in m else None)
+                for value in QUERIES:
+                    got = v.lookup(IPv4Address(value))
+                    assert got == _oracle(m, value)
+                    # C5: whatever a VRF answers with was installed into it.
+                    assert got is None or got.origin_site == number
 
 
 class TestPeRouter:
