@@ -10,13 +10,21 @@ objects.
 Addresses are 32-bit ints wrapped in a tiny value type; prefixes are
 (network-int, length) pairs.  Everything is hashable and immutable so they
 can key FIB/VRF dictionaries.
+
+The two types are built differently because they are read differently.
+:class:`Prefix` is the key of every RIB, RT-index and FIB dict, so it *is*
+a tuple (a ``NamedTuple`` subclass): hashing, ``==``, ``<`` and
+``sorted()`` run in C with no Python frame per key, and a ``Prefix``
+equals the plain ``(network, length)`` pair.  :class:`IPv4Address` is read
+by attribute once per packet-hop and hashed rarely, so it stays a slotted
+dataclass (a slot read is cheaper than a tuple-field getter).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = ["IPv4Address", "Prefix", "AddressError", "MASKS"]
 
@@ -84,31 +92,31 @@ class IPv4Address:
         return (self.value & MASKS[prefix.length]) == prefix.network
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Prefix:
-    """An IPv4 prefix: masked network int + prefix length.
-
-    The constructor *normalises* (clears host bits), so ``Prefix.parse``
-    accepts e.g. ``10.1.2.3/8`` and stores ``10.0.0.0/8``.
-    """
-
+class _PrefixFields(NamedTuple):
     network: int
     length: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
-            raise AddressError(f"prefix length out of range: {self.length}")
-        if not 0 <= self.network <= 0xFFFFFFFF:
-            raise AddressError(f"network out of range: {self.network:#x}")
-        masked = self.network & MASKS[self.length]
-        if masked != self.network:
-            object.__setattr__(self, "network", masked)
 
-    def __hash__(self) -> int:
-        # (network << 6) | length is injective over valid prefixes, so this
-        # is a perfect hash — and ~3x cheaper than the dataclass-generated
-        # tuple hash, which the route-install hot path felt.
-        return hash((self.network << 6) | self.length)
+_tuple_new = tuple.__new__
+
+
+class Prefix(_PrefixFields):
+    """An IPv4 prefix: masked network int + prefix length.
+
+    The constructor *normalises* (clears host bits), so ``Prefix.parse``
+    accepts e.g. ``10.1.2.3/8`` and stores ``10.0.0.0/8``.  Pickle and
+    ``copy`` rebuild through the constructor too (``__getnewargs__`` of the
+    tuple base), so a restored prefix has passed the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, network: int, length: int) -> "Prefix":
+        if not 0 <= length <= 32:
+            raise AddressError(f"prefix length out of range: {length}")
+        if not 0 <= network <= 0xFFFFFFFF:
+            raise AddressError(f"network out of range: {network:#x}")
+        return _tuple_new(cls, (network & MASKS[length], length))
 
     @classmethod
     def parse(cls, text: str | "Prefix") -> "Prefix":

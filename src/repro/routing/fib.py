@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Generic, Iterator, Optional, TypeVar
+from typing import Generic, Iterator, KeysView, Optional, TypeVar
 
 from repro.net.address import MASKS, IPv4Address, Prefix
 
@@ -201,6 +201,10 @@ class Fib(Generic[E]):
     def routes(self) -> Iterator[tuple[Prefix, E]]:
         """All installed routes (arbitrary order)."""
         return iter(self._routes.items())
+
+    def prefixes(self) -> KeysView[Prefix]:
+        """Live set-like view of the installed prefixes (no copy)."""
+        return self._routes.keys()
 
     def get(self, prefix: Prefix | str) -> Optional[E]:
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix

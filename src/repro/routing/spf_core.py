@@ -246,11 +246,13 @@ class DomainView:
         # in duplex_links order (matches the reference graph builder).
         best: dict[tuple[int, int], tuple[float, "DuplexLink"]] = {}
         for dl in net.duplex_links:
-            if not (dl.link_ab.up and dl.link_ba.up):
-                continue
+            # Membership first: most duplex links are access circuits with
+            # an end outside the domain, and ``Link.up`` is a property.
             ia = idx.get(dl.a.name)
+            if ia is None:
+                continue
             ib = idx.get(dl.b.name)
-            if ia is None or ib is None:
+            if ib is None or not (dl.link_ab.up and dl.link_ba.up):
                 continue
             key = (ia, ib) if ia < ib else (ib, ia)
             cur = best.get(key)

@@ -18,13 +18,15 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/2``), the ``repro`` version
+The header names the schema (``repro.snapshot/3``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
 a snapshot across a schema change (a ``/1`` image holds the FIB trie as
-node objects) or with a flipped bit (about one in six still unpickles) is
-exactly the class of bug the header exists to prevent.
+node objects, a ``/2`` image holds prefixes and route targets as slotted
+dataclass state where this reader builds tuples) or with a flipped bit
+(about one in six still unpickles) is exactly the class of bug the header
+exists to prevent.
 
 Why a custom pickler
 --------------------
@@ -95,7 +97,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/2"
+SCHEMA = "repro.snapshot/3"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

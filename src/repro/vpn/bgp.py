@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.net.address import IPv4Address, Prefix
 from repro.vpn.pe import PeRouter
@@ -64,9 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["VpnRoute", "BgpResult", "MpBgp"]
 
 
-@dataclass(frozen=True, slots=True)
-class VpnRoute:
-    """One VPN-IPv4 NLRI with its label and RT communities."""
+class VpnRoute(NamedTuple):
+    """One VPN-IPv4 NLRI with its label and RT communities.
+
+    A tuple, like its key types: the ``old == route`` / ``have != winner``
+    tests every resync makes per prefix compare in C.
+    """
 
     key: VpnPrefix
     prefix: Prefix
@@ -443,37 +446,55 @@ class MpBgp:
         key = (pe.name, vrf.name)
         current = self._imported.get(key, {})
         local = vrf.local_routes()
+        # Listed as imported but gone from the table (a local that shadowed
+        # it was withdrawn, or the route was removed by hand): an add again.
+        lost = current.keys() - vrf.prefixes()
         adds = [
             (p, r) for p, r in desired.items()
-            if p not in local and current.get(p) != r
+            if p not in local and (current.get(p) != r or p in lost)
         ]
         dels = [p for p in current if p not in desired or p in local]
         self._apply_import_changes(vrf, key, adds, dels, result)
 
     def _resync_imports_for(
-        self, changed: Sequence[VpnRoute], result: BgpResult
+        self,
+        changed: Sequence[VpnRoute],
+        result: BgpResult,
+        origin: Vrf | None = None,
     ) -> None:
         """Targeted import recompute: only VRFs whose import policy
-        intersects the changed routes, only the changed prefixes."""
+        intersects the changed routes, only the changed prefixes.
+
+        ``origin`` is the VRF whose own locals changed (``export_delta``).
+        It is re-examined on every changed prefix whatever it imports: a
+        hub-and-spoke spoke VRF exports ``rt_spoke`` and imports ``rt_hub``,
+        so its policy never matches its own routes, yet a local it gained
+        shadows an import and a local it lost uncovers one.
+        """
         if not changed:
             return
         prefixes_by_rt: dict[RouteTarget, set[Prefix]] = {}
         for route in changed:
             for rt in route.route_targets:
                 prefixes_by_rt.setdefault(rt, set()).add(route.prefix)
+        changed_rts = frozenset(prefixes_by_rt)
         vrf_order = self._vrf_order()
         for pe in self.pes:
             if pe.name in self._down:
                 continue
             for vrf in pe.vrfs.values():
-                hit = vrf.import_rts & prefixes_by_rt.keys()
-                if not hit:
+                if vrf is origin:
+                    prefixes = {route.prefix for route in changed}
+                elif vrf.import_rts.isdisjoint(changed_rts):
+                    # Set against set: both sides' stored hashes, no
+                    # re-hash of every changed RT per VRF provisioned.
                     continue
+                else:
+                    prefixes = set()
+                    for rt in vrf.import_rts & changed_rts:
+                        prefixes |= prefixes_by_rt[rt]
                 key = (pe.name, vrf.name)
                 current = self._imported.get(key, {})
-                prefixes: set[Prefix] = set()
-                for rt in hit:
-                    prefixes |= prefixes_by_rt[rt]
                 adds: list[tuple[Prefix, VpnRoute]] = []
                 dels: list[Prefix] = []
                 for prefix in sorted(prefixes):
@@ -560,7 +581,7 @@ class MpBgp:
         result.routes_exported = len(advertised)
         result.routes_withdrawn = len(withdrawn)
         self._count_updates(advertised, withdrawn, result)
-        self._resync_imports_for(advertised + withdrawn, result)
+        self._resync_imports_for(advertised + withdrawn, result, origin=vrf)
         key = (pe.name, vrf.name)
         if key not in self._known:
             # First sync for this VRF: route-refresh its imports so it

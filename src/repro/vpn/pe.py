@@ -101,10 +101,7 @@ class PeRouter(Lsr):
         if vrf is None:
             raise ValueError(f"{self.name}: {ifname!r} is not bound to a VRF")
         vrf.circuits.remove(ifname)
-        gone = [
-            p for p, r in vrf.routes().items()
-            if r.kind == "local" and r.out_ifname == ifname
-        ]
+        gone = vrf.circuit_prefixes(ifname)
         vrf.remove_many(gone)
         return gone
 

@@ -38,9 +38,14 @@ __all__ = ["Site", "Vpn", "VpnProvisioner"]
 _KEEP: object = object()
 
 
-@dataclass
+@dataclass(eq=False)
 class Site:
-    """One provisioned customer site."""
+    """One provisioned customer site.
+
+    Compared by identity: a site *is* its provisioning record, and
+    ``remove_site`` finds it among a VPN's sites without a field-by-field
+    compare of every record before it.
+    """
 
     vpn_name: str
     site_id: int
@@ -105,6 +110,9 @@ class VpnProvisioner:
         self.access_rate_bps = access_rate_bps
         self.access_delay_s = access_delay_s
         self.vpns: dict[str, Vpn] = {}
+        # PE name -> sites it hosts; what pes() answers from, so no churn
+        # op walks every provisioned site to learn the PE set.
+        self._sites_on: dict[str, int] = {}
         # Integer cursors (not itertools.count objects) so the provisioner
         # serializes with the network in a simulator snapshot.
         self._next_rd_number = 1
@@ -206,8 +214,7 @@ class VpnProvisioner:
                     role=role)
         for h in range(num_hosts):
             site.hosts.append(self._add_host(site, h, host_rate_bps))
-        v.sites.append(site)
-        self.net.counters.incr("vpn.sites")
+        self._register(v, site)
         return site
 
     def add_hub_site(
@@ -266,11 +273,15 @@ class VpnProvisioner:
                     role="hub", extra={"pe_up_ifname": pe_up, "ce_up_ifname": ce_up})
         for h in range(num_hosts):
             site.hosts.append(self._add_host(site, h, host_rate_bps))
-        v.sites.append(site)
-        self.net.counters.incr("vpn.sites")
+        self._register(v, site)
         return site
 
     # ------------------------------------------------------------------
+    def _register(self, v: Vpn, site: Site) -> None:
+        v.sites.append(site)
+        self._sites_on[site.pe.name] = self._sites_on.get(site.pe.name, 0) + 1
+        self.net.counters.incr("vpn.sites")
+
     def _pick_prefix(self, v: Vpn, prefix: Prefix | str | None) -> Prefix:
         if prefix is None:
             return v.next_site_prefix()
@@ -312,11 +323,8 @@ class VpnProvisioner:
     # ------------------------------------------------------------------
     def pes(self) -> list[PeRouter]:
         """All PEs hosting at least one site, in name order."""
-        seen: dict[str, PeRouter] = {}
-        for vpn in self.vpns.values():
-            for site in vpn.sites:
-                seen[site.pe.name] = site.pe
-        return [seen[k] for k in sorted(seen)]
+        nodes = self.net.nodes
+        return [nodes[name] for name in sorted(self._sites_on)]  # type: ignore[misc]
 
     def bgp_engine(
         self,
@@ -400,6 +408,9 @@ class VpnProvisioner:
         for ifname in circuits:
             pe.unbind_circuit(ifname)
         v.sites.remove(site)
+        self._sites_on[pe.name] -= 1
+        if not self._sites_on[pe.name]:
+            del self._sites_on[pe.name]
         self.net.counters.incr("vpn.sites", -1)
         if self._bgp is not None:
             for vrf_name in self._site_vrf_names(v, site):

@@ -16,7 +16,7 @@ the table's — there is no second prefix-keyed dict to keep in step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import KeysView, Optional
 
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import Fib
@@ -168,8 +168,19 @@ class Vrf:
     def routes(self) -> dict[Prefix, VrfRoute]:
         return dict(self._fib.routes())
 
+    def prefixes(self) -> KeysView[Prefix]:
+        """Live set-like view of the installed prefixes (no copy)."""
+        return self._fib.prefixes()
+
     def local_routes(self) -> dict[Prefix, VrfRoute]:
         return {p: r for p, r in self._fib.routes() if r.kind == "local"}
+
+    def circuit_prefixes(self, ifname: str) -> list[Prefix]:
+        """Prefixes of the local routes learned over one attachment circuit."""
+        return [
+            p for p, r in self._fib.routes()
+            if r.out_ifname == ifname and r.kind == "local"
+        ]
 
     def __len__(self) -> int:
         return len(self._fib)

@@ -1,5 +1,8 @@
 """Unit + property tests for IPv4 addresses and prefixes."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -156,3 +159,70 @@ class TestPrefix:
     def test_prefixes_hashable_for_dict_keys(self):
         d = {Prefix.parse("10.0.0.0/8"): 1}
         assert d[Prefix.parse("10.1.0.0/8")] == 1  # normalised to same key
+
+
+class TestPrefixIsATupleValue:
+    """The value-type contract: Prefix is an immutable (network, length)
+    tuple that only the checked, normalising constructor can build."""
+
+    def test_constructor_checks_and_normalises(self):
+        assert Prefix(0x0A010203, 8) == Prefix(0x0A000000, 8)
+        assert Prefix(0x0A010203, 8).network == 0x0A000000
+        for network, length in ((0, 33), (0, -1), (1 << 32, 8), (-1, 8)):
+            with pytest.raises(AddressError):
+                Prefix(network, length)
+
+    def test_attributes_are_read_only(self):
+        p = Prefix.parse("10.0.0.0/8")
+        with pytest.raises(AttributeError):
+            p.network = 1
+        with pytest.raises(AttributeError):
+            p.length = 9
+        with pytest.raises(AttributeError):
+            p.note = "no instance dict"
+
+    def test_sorted_is_network_then_length_order(self):
+        texts = ["10.1.0.0/16", "10.0.0.0/24", "9.255.0.0/16", "10.0.0.0/8", "0.0.0.0/0"]
+        ps = [Prefix.parse(t) for t in texts]
+        assert sorted(ps) == sorted(ps, key=lambda p: (p.network, p.length))
+        assert [str(p) for p in sorted(ps)] == [
+            "0.0.0.0/0", "9.255.0.0/16", "10.0.0.0/8", "10.0.0.0/24", "10.1.0.0/16",
+        ]
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_keeps_type_and_value(self, protocol):
+        p = Prefix.parse("10.1.2.0/24")
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is Prefix and q == p and hash(q) == hash(p)
+
+    def test_pickle_rebuilds_through_the_checks(self):
+        # Protocol 2+ calls Prefix.__new__(*__getnewargs__()): an image
+        # edited to carry host bits comes back normalised, not as stored.
+        blob = pickle.dumps(Prefix(0x0A000000, 8), 2)
+        dirty = blob.replace((0x0A000000).to_bytes(4, "little"), (0x0A010203).to_bytes(4, "little"))
+        assert dirty != blob
+        assert pickle.loads(dirty) == Prefix(0x0A000000, 8)
+
+    def test_copy_and_deepcopy_keep_type_and_value(self):
+        p = Prefix.parse("10.1.2.0/24")
+        for q in (copy.copy(p), copy.deepcopy(p), copy.deepcopy([p])[0]):
+            assert type(q) is Prefix and q == p
+
+    @given(st.lists(st.tuples(addresses, lengths), max_size=30), st.tuples(addresses, lengths))
+    def test_containers_behave_as_containers_of_pairs(self, raw, probe):
+        """A dict / set / sorted list of Prefix is the same container of
+        plain (network, length) pairs: same members, same order, and each
+        kind of key finds the other's entry."""
+        prefixes = [Prefix(n, l) for n, l in raw]
+        pairs = [(n & MASKS[l], l) for n, l in raw]
+        assert sorted(prefixes) == sorted(pairs)
+        assert set(prefixes) == set(pairs)
+        assert len(set(prefixes)) == len(set(pairs))
+        by_prefix = {p: i for i, p in enumerate(prefixes)}
+        by_pair = {t: i for i, t in enumerate(pairs)}
+        assert by_prefix == by_pair
+        assert list(by_prefix) == list(by_pair)           # same insertion order
+        p, t = Prefix(*probe), (probe[0] & MASKS[probe[1]], probe[1])
+        assert hash(p) == hash(t)
+        assert (p in by_pair) == (t in by_prefix) == (t in by_pair)
+        assert by_prefix.get(t) == by_pair.get(p)

@@ -9,6 +9,7 @@ from repro.routing import converge
 from repro.topology import Network
 from repro.vpn import MpBgp, PeRouter, VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, VpnPrefix
+from tests.test_churn_incremental import _oracle_snapshot, _vrf_snapshot
 
 
 def star_of_pes(n, seed=17):
@@ -99,6 +100,56 @@ class TestVpnPrefixSemantics:
     def test_vpn_prefix_str(self):
         vp = VpnPrefix(RouteDistinguisher(65000, 7), Prefix.parse("10.0.0.0/8"))
         assert str(vp) == "65000:7:10.0.0.0/8"
+
+
+class TestShadowedImports:
+    """A local route shadows an import of the same prefix; when the local
+    goes, the import must come back."""
+
+    def test_spoke_prefix_duplicating_hub_route_uncovers_it_on_removal(self):
+        """The spoke VRF exports rt_spoke and imports rt_hub: its policy
+        never matches its own routes, so the delta has to re-examine the
+        VRF whose locals changed whatever it imports."""
+        net, core, pes = star_of_pes(3)
+        prov = VpnProvisioner(net)
+        hs = prov.create_hub_spoke_vpn("hs")
+        hub = prov.add_hub_site(hs, pes[0], num_hosts=0)
+        for pe in pes[1:]:
+            prov.add_site(hs, pe, num_hosts=0)
+        prov.converge_bgp()
+        spoke_vrf = pes[1].vrfs["hs-spoke"]
+        assert spoke_vrf.kind_of(hub.prefix) == "remote"
+        before = spoke_vrf.routes()
+
+        dup = prov.add_site(hs, pes[1], prefix=hub.prefix, num_hosts=0)
+        prov.bgp_engine().export_delta(pes[1], spoke_vrf)
+        assert spoke_vrf.kind_of(hub.prefix) == "local"
+        prov.remove_site(dup)
+
+        tables = _vrf_snapshot(prov)
+        assert spoke_vrf.kind_of(hub.prefix) == "remote"
+        assert spoke_vrf.routes() == before
+        assert prov.converge_bgp().routes_imported == 0   # nothing left to repair
+        assert tables == _oracle_snapshot(prov, drained=())
+
+    def test_converge_reinstalls_an_import_the_table_lost(self):
+        """A duplicate site added and removed between two resyncs was never
+        advertised, so no delta sees it: the bookkeeping still lists the
+        import its local overwrote.  Listed but absent from the VRF is an
+        add, not a no-op."""
+        net, core, pes = star_of_pes(2)
+        prov = VpnProvisioner(net)
+        vpn = prov.create_vpn("v")
+        site = prov.add_site(vpn, pes[0], num_hosts=0)
+        prov.add_site(vpn, pes[1], num_hosts=0)
+        prov.converge_bgp()
+        vrf = pes[1].vrfs["v"]
+        before = vrf.routes()
+        prov.remove_site(prov.add_site(vpn, pes[1], prefix=site.prefix, num_hosts=0))
+        assert vrf.kind_of(site.prefix) is None
+        again = prov.converge_bgp()
+        assert again.routes_imported == 1 and again.updates_sent == 0
+        assert vrf.routes() == before
 
 
 class TestVpnConservationUnderLoad:

@@ -2,11 +2,13 @@
 
 The contract held here is the strongest one available: after *any*
 sequence of churn operations — sites added, removed, flapped between
-PEs, duplicate prefixes introduced, whole VPNs provisioned and torn
-down, PEs drained and restored — the incrementally maintained VRF state
-equals what a clear-remotes + from-scratch ``converge()`` produces on
-the same network (the same oracle style as
-``test_reconverge_incremental`` uses for the IGP fast path).
+PEs, duplicate prefixes introduced (in a mesh VPN, and a hub-and-spoke
+spoke duplicating a route its VRF imports), whole VPNs provisioned and
+torn down, PEs drained and restored, a bare resync in between — the
+incrementally maintained VRF state equals what a clear-remotes +
+from-scratch ``converge()`` produces on the same network (the same
+oracle style as ``test_reconverge_incremental`` uses for the IGP fast
+path).
 
 Alongside the property suite: RFC 4456 route-reflector cluster
 accounting (sessions, per-route fan-out, cluster-list suppression) and
@@ -41,18 +43,23 @@ def _pe_mesh(n_pes: int) -> tuple[Network, list[PeRouter]]:
 
 
 def _world(
-    n_pes: int = 4, rr_clusters=None
+    n_pes: int = 4, rr_clusters=None, hub_spoke: bool = False
 ) -> tuple[Network, list[PeRouter], VpnProvisioner]:
     """n PEs, a "corp" VPN with one anchor site per PE, converged.
 
     The anchors keep every PE in ``prov.pes()`` throughout the churn, so
-    the persistent engine is never rebuilt mid-sequence.
+    the persistent engine is never rebuilt mid-sequence.  ``hub_spoke``
+    adds an "hs" hub-and-spoke VPN: hub on pe0, one spoke on pe1.
     """
     net, pes = _pe_mesh(n_pes)
     prov = VpnProvisioner(net)
     corp = prov.create_vpn("corp")
     for pe in pes:
         prov.add_site(corp, pe, num_hosts=0)
+    if hub_spoke:
+        hs = prov.create_hub_spoke_vpn("hs")
+        prov.add_hub_site(hs, pes[0], num_hosts=0)
+        prov.add_site(hs, pes[1], num_hosts=0)
     prov.converge_bgp(rr_clusters=rr_clusters)
     return net, pes, prov
 
@@ -311,7 +318,15 @@ class TestChurnDeterministic:
 # ----------------------------------------------------------------------
 # The property: incremental churn ≡ clear + full converge
 # ----------------------------------------------------------------------
-OP_KINDS = ("site+", "site-", "flap", "dup+", "vpn+", "vpn-", "drain", "restore")
+OP_KINDS = (
+    "site+", "site-", "flap", "dup+", "vpn+", "vpn-", "drain", "restore",
+    "spoke-dup", "converge",
+)
+
+
+def _site_vrf(pe, v):
+    """The VRF ``add_site(v, pe)`` binds (a hub-and-spoke add is a spoke)."""
+    return pe.vrfs[f"{v.name}-spoke" if v.topology == "hub-spoke" else v.name]
 
 
 def _apply_op(prov, pes, engine, anchors, drained, op, state):
@@ -333,7 +348,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             return
         v, pe = vpns[a % len(vpns)], up_pes[b % len(up_pes)]
         prov.add_site(v, pe, num_hosts=0)
-        engine.export_delta(pe, pe.vrfs[v.name])
+        engine.export_delta(pe, _site_vrf(pe, v))
     elif kind == "site-":
         if not removable:
             return
@@ -346,7 +361,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         prov.remove_site(site)
         pe = up_pes[b % len(up_pes)]  # may re-home the site on another PE
         prov.add_site(v, pe, prefix=site.prefix, num_hosts=0)
-        engine.export_delta(pe, pe.vrfs[v.name])
+        engine.export_delta(pe, _site_vrf(pe, v))
     elif kind == "dup+":
         # Same prefix advertised by a second origin PE: exercises the
         # winner tie-break that keeps incremental == full-converge order.
@@ -359,9 +374,9 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             return
         pe = others[b % len(others)]
         prov.add_site(v, pe, prefix=site.prefix, num_hosts=0)
-        engine.export_delta(pe, pe.vrfs[v.name])
+        engine.export_delta(pe, _site_vrf(pe, v))
     elif kind == "vpn+":
-        if len(prov.vpns) >= 3 or len(up_pes) < 2:
+        if len(prov.vpns) >= 4 or len(up_pes) < 2:
             return
         name = f"x{state['vpn_seq']}"
         state["vpn_seq"] += 1
@@ -372,7 +387,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
     elif kind == "vpn-":
         extras = [
             name for name in sorted(prov.vpns)
-            if name != "corp"
+            if name not in ("corp", "hs")
             and not any(s.pe.name in drained for s in prov.vpns[name].sites)
         ]
         if not extras:
@@ -393,6 +408,20 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         name = sorted(drained)[a % len(drained)]
         prov.restore_pe(name)
         drained.discard(name)
+    elif kind == "spoke-dup":
+        # A spoke site on a prefix its own VRF imports from the hub (the
+        # hub's site prefix or the supernet): the local shadows the
+        # import, and removing the site must uncover it again.
+        hs = prov.vpns["hs"]
+        hub = next(s for s in hs.sites if s.role == "hub")
+        others = [pe for pe in up_pes if pe.name != hub.pe.name]
+        if not others:
+            return
+        pe = others[a % len(others)]
+        prov.add_site(hs, pe, prefix=(hub.prefix, hs.supernet)[b % 2], num_hosts=0)
+        engine.export_delta(pe, _site_vrf(pe, hs))
+    elif kind == "converge":
+        prov.converge_bgp()           # bare resync in the middle of the churn
 
 
 class TestIncrementalMatchesFullConverge:
@@ -412,9 +441,9 @@ class TestIncrementalMatchesFullConverge:
         )
     )
     def test_random_churn_sequences(self, rr_clusters, ops):
-        net, pes, prov = _world(4, rr_clusters=rr_clusters)
+        net, pes, prov = _world(4, rr_clusters=rr_clusters, hub_spoke=True)
         engine = prov.bgp_engine(rr_clusters=rr_clusters)
-        anchors = {s.site_id for s in prov.vpns["corp"].sites}
+        anchors = {s.site_id for v in prov.vpns.values() for s in v.sites}
         drained: set[str] = set()
         state = {"vpn_seq": 0}
         for op in ops:

@@ -28,6 +28,7 @@ from typing import Any, Callable
 import pytest
 
 import repro
+from repro.net.address import Prefix
 from repro.obs import runtime
 from repro.obs.flightrec import FlightRecorder
 from repro.sim.engine import Simulator, _BOUND_CODE, bind
@@ -45,6 +46,10 @@ from repro.sim.snapshot import (
     verify_cache_coherence,
 )
 from repro.topology import Network
+from repro.vpn.bgp import VpnRoute
+from repro.vpn.pe import PeRouter
+from repro.vpn.provision import VpnProvisioner
+from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +192,52 @@ def test_schema_1_image_refused_by_name() -> None:
     old = _tamper_header(blob, schema="repro.snapshot/1")
     with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/1'"):
         restore_network(old)
+
+
+def test_schema_2_image_refused_by_name(monkeypatch) -> None:
+    # A /2 image holds Prefix / RouteTarget / VpnRoute as slotted-dataclass
+    # state; they are tuples now and would fail inside pickle.loads.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/2")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/2'"):
+        restore_network(old)
+
+
+def test_restored_route_keys_are_the_value_types() -> None:
+    """The control plane's keys pickle as tuples: after a round trip they
+    must still be Prefix / RouteTarget instances (rebuilt through the
+    constructors) that hit the dict entries freshly built keys hit."""
+    net = Network(seed=5)
+    pes = [net.add_node(PeRouter(net.sim, f"pe{i}")) for i in range(2)]
+    prov = VpnProvisioner(net)
+    vpn = prov.create_vpn("v")
+    sites = [prov.add_site(vpn, pe, num_hosts=0) for pe in pes]
+    prov.converge_bgp()
+    net2, extras = restore_network(snapshot_network(net, {"prov": prov}))
+    prov2 = extras["prov"]
+    vpn2 = prov2.vpns["v"]
+    assert type(vpn2.rt) is RouteTarget and type(vpn2.rd) is RouteDistinguisher
+    assert (vpn2.rt, vpn2.rd) == (vpn.rt, vpn.rd)
+    engine, engine2 = prov.bgp_engine(), prov2.bgp_engine()
+    assert {type(rt) for rt in engine2._rt_index} == {RouteTarget}
+    assert engine2._rt_index[RouteTarget(vpn.rt.asn, vpn.rt.number)].keys() == (
+        engine._rt_index[vpn.rt].keys()
+    )
+    for pe, pe2 in zip(pes, (net2.nodes["pe0"], net2.nodes["pe1"])):
+        vrf, vrf2 = pe.vrfs["v"], pe2.vrfs["v"]
+        assert vrf2.import_rts == vrf.import_rts and vpn.rt in vrf2.import_rts
+        routes2 = vrf2.routes()
+        assert {type(p) for p in routes2} == {Prefix}
+        assert routes2 == vrf.routes()
+        for site in sites:
+            fresh = Prefix(site.prefix.network, site.prefix.length)
+            assert routes2[fresh] == vrf.routes()[site.prefix]
+            assert vrf2.kind_of(fresh) == vrf.kind_of(site.prefix)
+    rib2 = engine2._rib["pe0", "v"]
+    assert {type(r) for r in rib2.values()} == {VpnRoute}
+    assert {type(r.key) for r in rib2.values()} == {VpnPrefix}
+    assert rib2 == engine._rib["pe0", "v"]
 
 
 def test_vouched_for_garbage_is_still_a_snapshot_error() -> None:

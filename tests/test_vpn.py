@@ -1,5 +1,11 @@
 """Tests for the VPN layer: RD/RT, VRF, PE, MP-BGP, provisioning."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +16,7 @@ from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import IPHeader, Packet
 from repro.routing.spf import converge
 from repro.topology import Network
-from repro.vpn.bgp import MpBgp
+from repro.vpn.bgp import MpBgp, VpnRoute
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
@@ -41,6 +47,88 @@ class TestRdRt:
         b = VpnPrefix(RouteDistinguisher(65000, 2), p)
         assert a != b
         assert len({a, b}) == 2
+
+
+def _values():
+    rd, rt = RouteDistinguisher(65000, 7), RouteTarget(65000, 7)
+    vp = VpnPrefix(rd, Prefix.parse("10.0.0.0/8"))
+    route = VpnRoute(
+        key=vp, prefix=vp.prefix, route_targets=frozenset({rt}),
+        next_hop=IPv4Address(1), vpn_label=17, origin_pe="pe0",
+    )
+    return rd, rt, vp, route
+
+
+class TestControlPlaneTupleValues:
+    """The value-type contract of RouteDistinguisher / RouteTarget /
+    VpnPrefix / VpnRoute: immutable tuples, checked at construction, told
+    apart by type, hashed without a per-process salt."""
+
+    def test_range_errors(self):
+        for cls in (RouteDistinguisher, RouteTarget):
+            for asn, number in ((-1, 0), (1 << 16, 0), (0, -1), (0, 1 << 32)):
+                with pytest.raises(ValueError):
+                    cls(asn, number)
+            assert (cls(0xFFFF, 0xFFFFFFFF).asn, cls(0xFFFF, 0xFFFFFFFF).number) == (
+                0xFFFF, 0xFFFFFFFF,
+            )
+
+    def test_attributes_are_read_only(self):
+        for value in _values():
+            with pytest.raises(AttributeError):
+                setattr(value, value._fields[-1], 7)
+            with pytest.raises(AttributeError):
+                value.note = "no instance dict"
+
+    def test_rd_rt_and_prefix_never_compare_equal(self):
+        rd, rt = RouteDistinguisher(10, 8), RouteTarget(10, 8)
+        assert rd != rt and hash(rd) != hash(rt)
+        assert len({rd, rt, Prefix(10, 8)}) == 3
+        assert rd != Prefix(10, 8) and rt != Prefix(10, 8)
+        assert {rt: "rt"}.get(rd) is None
+        assert rd == RouteDistinguisher(10, 8) and rt == RouteTarget(10, 8)
+
+    def test_sorted_is_asn_then_number_order(self):
+        rts = [RouteTarget(2, 1), RouteTarget(1, 9), RouteTarget(1, 2)]
+        assert sorted(rts) == [RouteTarget(1, 2), RouteTarget(1, 9), RouteTarget(2, 1)]
+        assert repr(rts[0]) == "RouteTarget(asn=2, number=1)"
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_keeps_type_and_value(self, protocol):
+        for value in _values():
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value
+            assert hash(back) == hash(value)
+        route = pickle.loads(pickle.dumps(_values()[3], protocol))
+        assert type(route.key) is VpnPrefix and type(route.prefix) is Prefix
+        assert type(route.key.rd) is RouteDistinguisher
+        assert {type(rt) for rt in route.route_targets} == {RouteTarget}
+
+    def test_copy_and_deepcopy_keep_type_and_value(self):
+        for value in _values():
+            for back in (copy.copy(value), copy.deepcopy(value)):
+                assert type(back) is type(value) and back == value
+        assert type(copy.deepcopy(_values()[3]).key.rd) is RouteDistinguisher
+
+    def test_hashes_do_not_depend_on_pythonhashseed(self):
+        """RT sets are iterated (import order): a string in the hashed
+        tuple would make that order differ from process to process."""
+        code = (
+            "from repro.net.address import Prefix\n"
+            "from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix\n"
+            "rts = [RouteTarget(65000, n) for n in range(40)]\n"
+            "vp = VpnPrefix(RouteDistinguisher(65000, 1), Prefix.parse('10.0.0.0/8'))\n"
+            "print(hash(rts[7]), hash(vp), [rt.number for rt in frozenset(rts)])\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outs = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            outs.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            ).stdout)
+        assert len(outs) == 1 and outs.pop().strip()
 
 
 def mk_vrf(name="v", rd_num=1, label=100):
