@@ -11,8 +11,12 @@ per node: two ``array("i")`` columns hold the row of the child on bit 0
 and on bit 1 (0 = no child: row 0 is the root) and a list holds the
 entries.  The walk is still one step per address bit, but a table of any
 size is a handful of containers to Python's cyclic collector (at E1 N=1000
-it re-walked one tracked object per trie bit on every pass) and pickles as
-two byte strings and a list.
+it re-walked one tracked object per trie bit on every pass).
+
+The trie is an index over the table's route dict, not the table: it is
+brought up to date by the first lookup after a change (see :class:`Fib`),
+so only tables that forward packets pay for one, and a pickled table is
+its routes.
 
 A :class:`RouteEntry` resolves to an egress interface and an optional
 next-hop address (None for directly connected destinations).
@@ -67,7 +71,19 @@ class RouteEntry:
 
 
 class Fib(Generic[E]):
-    """Binary-trie longest-prefix-match forwarding table.
+    """Longest-prefix-match forwarding table: a route dict and its trie.
+
+    ``_routes`` is the table.  The unibit trie is its LPM index and is
+    written by the readers: a mutation writes the dict, bumps ``generation``
+    and notes in ``_stale`` what the trie must hold for that prefix (the
+    entry, or ``None`` once withdrawn); the first :meth:`lookup` /
+    :meth:`lookup_prefix` after it walks each stale prefix into the trie
+    bit by bit and then answers.  A table nobody looks up — every VRF of a
+    provisioning run — never builds a trie, and an image of a table is its
+    routes: the trie is rebuilt from them by the first lookup after a
+    restore.  Which row a node got depends on when lookups happened, so node
+    numbering is not observable; what a lookup returns depends on the
+    routes alone.
 
     ``generation`` increments on every mutation (install/withdraw); the
     data plane's flow caches compare it before serving a memoized
@@ -79,17 +95,29 @@ class Fib(Generic[E]):
     """
 
     def __init__(self) -> None:
+        self._routes: dict[Prefix, E] = {}
+        self._stale: dict[Prefix, E | None] = {}
+        self.lookups = 0
+        self.generation = 0
+        self._reset_trie()
+
+    def _reset_trie(self) -> None:
         self._left = array("i", (0,))   # node -> child on bit 0 (0 = none)
         self._right = array("i", (0,))  # node -> child on bit 1
         self._entries: list[E | None] = [None]  # node -> entry; node 0 = root
-        self._routes: dict[Prefix, E] = {}
         # Leaf cache: the node a prefix terminates at.  Nodes are never
-        # pruned (see :meth:`withdraw_many`), so a cached index stays valid
-        # forever and re-installing a known prefix — what every
-        # reconvergence does for most routes — skips the per-bit walk.
+        # pruned, so a cached index stays valid for as long as the trie
+        # does and re-installing a known prefix — what every reconvergence
+        # does for most routes — skips the per-bit walk.
         self._leaf: dict[Prefix, int] = {}
-        self.lookups = 0
-        self.generation = 0
+
+    def __getstate__(self) -> tuple[dict[Prefix, E], int, int]:
+        return self._routes, self.lookups, self.generation
+
+    def __setstate__(self, state: tuple[dict[Prefix, E], int, int]) -> None:
+        self._routes, self.lookups, self.generation = state
+        self._stale = dict(self._routes)
+        self._reset_trie()
 
     # ------------------------------------------------------------------
     def _leaf_node(self, pfx: Prefix) -> int:
@@ -112,11 +140,19 @@ class Fib(Generic[E]):
         self._leaf[pfx] = node
         return node
 
+    def _sync(self) -> None:
+        """Bring the trie up to date with the routes: one walk per stale
+        prefix (none for a prefix the trie has seen before)."""
+        leaf_node = self._leaf_node
+        entries = self._entries
+        for pfx, entry in self._stale.items():
+            entries[leaf_node(pfx)] = entry
+        self._stale.clear()
+
     def install(self, prefix: Prefix | str, entry: E) -> None:
         """Insert or replace the route for ``prefix``."""
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-        self._entries[self._leaf_node(pfx)] = entry
-        self._routes[pfx] = entry
+        self._routes[pfx] = self._stale[pfx] = entry
         self.generation += 1
 
     def install_many(self, items: list[tuple[Prefix, E]]) -> int:
@@ -130,16 +166,8 @@ class Fib(Generic[E]):
         """
         if not items:
             return 0
-        leaf_get = self._leaf.get
-        leaf_node = self._leaf_node
-        entries = self._entries
-        routes = self._routes
-        for pfx, entry in items:
-            node = leaf_get(pfx)
-            if node is None:
-                node = leaf_node(pfx)
-            entries[node] = entry
-            routes[pfx] = entry
+        self._routes.update(items)
+        self._stale.update(items)
         self.generation += 1
         return len(items)
 
@@ -160,7 +188,7 @@ class Fib(Generic[E]):
         for pfx in prefixes:
             if self._routes.pop(pfx, None) is not None:
                 removed += 1
-                self._entries[self._leaf_node(pfx)] = None
+                self._stale[pfx] = None
         if removed:
             self.generation += 1
         return removed
@@ -168,6 +196,8 @@ class Fib(Generic[E]):
     # ------------------------------------------------------------------
     def lookup(self, addr: IPv4Address | int) -> Optional[E]:
         """Longest-prefix match; ``None`` when no route covers ``addr``."""
+        if self._stale:
+            self._sync()
         self.lookups += 1
         value = addr.value if isinstance(addr, IPv4Address) else addr
         left, right, entries = self._left, self._right, self._entries
@@ -184,6 +214,8 @@ class Fib(Generic[E]):
 
     def lookup_prefix(self, addr: IPv4Address | int) -> Optional[tuple[Prefix, E]]:
         """Like :meth:`lookup` but also returns the matching prefix."""
+        if self._stale:
+            self._sync()
         value = addr.value if isinstance(addr, IPv4Address) else addr
         left, right, entries = self._left, self._right, self._entries
         best = entries[0]

@@ -68,10 +68,12 @@ def _fib_walk_reference(fib: Fib, pfx: Prefix) -> int:
 
 def _fib_install_reference(fib: Fib, prefix: Prefix | str, entry: RouteEntry) -> None:
     """Pre-PR ``Fib.install``: per-bit trie walk + generation bump per route
-    (no leaf-node cache, no batching)."""
+    (no leaf-node cache, no batching, the trie written on the spot — so
+    whatever the table had pending for the prefix is dropped)."""
     pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
     fib._entries[_fib_walk_reference(fib, pfx)] = entry
     fib._routes[pfx] = entry
+    fib._stale.pop(pfx, None)
     fib.generation += 1
 
 
@@ -80,6 +82,7 @@ def _fib_withdraw_reference(fib: Fib, pfx: Prefix) -> bool:
     if pfx not in fib._routes:
         return False
     del fib._routes[pfx]
+    fib._stale.pop(pfx, None)
     fib.generation += 1
     fib._entries[_fib_walk_reference(fib, pfx)] = None
     return True

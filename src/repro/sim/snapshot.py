@@ -18,15 +18,21 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/3``), the ``repro`` version
+The header names the schema (``repro.snapshot/4``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
 a snapshot across a schema change (a ``/1`` image holds the FIB trie as
 node objects, a ``/2`` image holds prefixes and route targets as slotted
-dataclass state where this reader builds tuples) or with a flipped bit
-(about one in six still unpickles) is exactly the class of bug the header
-exists to prevent.
+dataclass state where this reader builds tuples, a ``/3`` image holds each
+table's trie columns and leaf cache where this reader expects its routes
+only) or with a flipped bit (about one in six still unpickles) is exactly
+the class of bug the header exists to prevent.
+
+A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
+``(routes, lookups, generation)``): the LPM trie is an index the first
+lookup after a restore rebuilds, so a restored table answers every lookup
+as the live one did without the image carrying a byte of it.
 
 Why a custom pickler
 --------------------
@@ -97,7 +103,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/3"
+SCHEMA = "repro.snapshot/4"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

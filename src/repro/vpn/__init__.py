@@ -18,7 +18,7 @@ from repro.vpn.overlay import (
 from repro.vpn.interas import InterAsCircuit, connect_option_a, exchange_option_a
 from repro.vpn.pe import PeRouter
 from repro.vpn.profiles import BRONZE, GOLD, SILVER, QosProfile, apply_profile
-from repro.vpn.provision import Site, Vpn, VpnProvisioner
+from repro.vpn.provision import ProvisioningError, Site, Vpn, VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
 from repro.vpn.vrf import Vrf, VrfRoute
 
@@ -31,7 +31,7 @@ __all__ = [
     "expected_full_mesh_circuits",
     "PeRouter",
     "InterAsCircuit", "connect_option_a", "exchange_option_a",
-    "Site", "Vpn", "VpnProvisioner",
+    "ProvisioningError", "Site", "Vpn", "VpnProvisioner",
     "BRONZE", "GOLD", "SILVER", "QosProfile", "apply_profile",
     "RouteDistinguisher", "RouteTarget", "VpnPrefix",
     "Vrf", "VrfRoute",

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from repro.net.address import IPv4Address, Prefix
 from repro.vpn.pe import PeRouter
 from repro.vpn.rd_rt import RouteTarget, VpnPrefix
-from repro.vpn.vrf import Vrf
+from repro.vpn.vrf import Vrf, VrfRoute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Network
@@ -172,6 +172,11 @@ class MpBgp:
         # What each (pe, vrf) currently has installed from BGP — the diff
         # base that makes resync idempotent.
         self._imported: dict[tuple[str, str], dict[Prefix, VpnRoute]] = {}
+        # The forwarding decision of each advertisement some VRF imports,
+        # by (origin PE, VPN label, prefix) — a label names one VRF on its
+        # PE.  Built by the first import, handed to every later one, dropped
+        # with the advertisement (:meth:`_unindex`).
+        self._remote: dict[tuple[str, int, Prefix], VrfRoute] = {}
         # (pe, vrf) keys that have had at least one import sync; a key
         # seen for the first time in export_delta gets a one-time
         # wholesale import sync (BGP route refresh for a new VRF) so it
@@ -302,6 +307,7 @@ class MpBgp:
             self._rt_index.setdefault(rt, {}).setdefault(route.prefix, {})[key] = route
 
     def _unindex(self, key: tuple[str, str], route: VpnRoute) -> None:
+        self._remote.pop((route.origin_pe, route.vpn_label, route.prefix), None)
         for rt in route.route_targets:
             by_prefix = self._rt_index.get(rt)
             if by_prefix is None:
@@ -424,14 +430,19 @@ class MpBgp:
                 current.pop(prefix, None)
             result.routes_removed += len(doomed)
         if adds:
-            vrf.add_remote_many(
-                [
-                    (prefix, r.next_hop, r.vpn_label, r.origin_site)
-                    for prefix, r in adds
-                ]
-            )
+            remote = self._remote
+            items: list[tuple[Prefix, VrfRoute]] = []
             for prefix, r in adds:
-                current[prefix] = r
+                ad = (r.origin_pe, r.vpn_label, prefix)
+                route = remote.get(ad)
+                if route is None:
+                    route = remote[ad] = VrfRoute(
+                        "remote", remote_pe=r.next_hop, vpn_label=r.vpn_label,
+                        origin_site=r.origin_site,
+                    )
+                items.append((prefix, route))
+            vrf.add_remote_many(items)
+            current.update(adds)
             result.routes_imported += len(adds)
         if not current:
             self._imported.pop(key, None)
@@ -674,8 +685,9 @@ class MpBgp:
         return result
 
     def peer_up(self, pe: PeRouter | str) -> BgpResult:
-        """Bring a drained PE back: re-establish its sessions, re-advertise
-        its Adj-RIB, and refresh its VRFs from the mesh."""
+        """Bring a drained PE back: re-establish its sessions, bring its
+        Adj-RIB up to date with its VRFs' locals, re-advertise it, and
+        refresh its VRFs from the mesh."""
         name = pe if isinstance(pe, str) else pe.name
         if name not in self._pe_by_name:
             raise ValueError(f"{name} is not in this BGP mesh")
@@ -686,6 +698,12 @@ class MpBgp:
         self._prop_cache.clear()
         up_peers = [n for n in self._neighbors[name] if n not in self._down]
         self.net.counters.incr("bgp.sessions", len(up_peers))
+        node = self._pe_by_name[name]
+        # Locals that changed behind the drained PE never left it: re-read
+        # them first.  What they retract costs no message — the peers
+        # dropped everything of this PE's when its sessions went down.
+        for vrf in node.vrfs.values():
+            self._sync_exports(node, vrf, [], [])
         routes = [
             r for key, rib in self._rib.items() if key[0] == name
             for r in rib.values()
@@ -702,7 +720,6 @@ class MpBgp:
         )
         result.updates_sent += refresh
         vrf_order = self._vrf_order()
-        node = self._pe_by_name[name]
         for vrf in node.vrfs.values():
             self._sync_vrf_imports(
                 node, vrf, self._desired_imports(node, vrf, vrf_order), result

@@ -30,12 +30,21 @@ from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Network
 
-__all__ = ["Site", "Vpn", "VpnProvisioner"]
+__all__ = ["ProvisioningError", "Site", "Vpn", "VpnProvisioner"]
 
 # Sentinel for "topology argument not given" on bgp_engine/converge_bgp:
 # distinguishes a bare call (reuse the engine as built) from an explicit
 # ``route_reflector=None, rr_clusters=None`` (request a full mesh).
 _KEEP: object = object()
+
+
+class ProvisioningError(ValueError):
+    """A provisioning call named something it cannot provision.
+
+    The message starts with the offending argument, and it is raised before
+    anything is allocated: no node, link, site id or site prefix is spent on
+    a call that ends in one.
+    """
 
 
 @dataclass(eq=False)
@@ -123,6 +132,24 @@ class VpnProvisioner:
         self._bgp: MpBgp | None = None
         self._bgp_sig: tuple | None = None
 
+    def _vpn(self, vpn: Vpn | str) -> Vpn:
+        if not isinstance(vpn, str):
+            return vpn
+        found = self.vpns.get(vpn)
+        if found is None:
+            raise ProvisioningError(f"vpn: no VPN named {vpn!r}")
+        return found
+
+    @staticmethod
+    def _check_attachment(pe: PeRouter, num_hosts: int) -> None:
+        if not isinstance(pe, PeRouter):
+            raise ProvisioningError(
+                f"pe: {getattr(pe, 'name', pe)!r} is a {type(pe).__name__}, "
+                "not a PeRouter — only a PE can hold a VRF"
+            )
+        if num_hosts < 0:
+            raise ProvisioningError(f"num_hosts: {num_hosts} is negative")
+
     def _alloc_rd_number(self) -> int:
         n = self._next_rd_number
         self._next_rd_number = n + 1
@@ -178,7 +205,8 @@ class VpnProvisioner:
         for hub-and-spoke VPNs ``role`` selects the RT policy (default
         "spoke"; use :meth:`add_hub_site` or ``role="hub"`` for the hub).
         """
-        v = self.vpns[vpn] if isinstance(vpn, str) else vpn
+        v = self._vpn(vpn)
+        self._check_attachment(pe, num_hosts)
         if v.topology == "hub-spoke":
             role = role or "spoke"
             if role == "hub":
@@ -190,8 +218,8 @@ class VpnProvisioner:
                 raise ValueError(f"mesh VPN sites cannot have role {role!r}")
             role = "mesh"
 
-        site_id = self._alloc_site_id()
         site_prefix = self._pick_prefix(v, prefix)
+        site_id = self._alloc_site_id()
         ce, dl = self._wire_ce(v, pe, site_id)
         ce_ifname, pe_ifname = dl.if_ab.name, dl.if_ba.name
 
@@ -236,11 +264,12 @@ class VpnProvisioner:
         customer a central enforcement point, the reason this topology
         exists.
         """
-        v = self.vpns[vpn] if isinstance(vpn, str) else vpn
+        v = self._vpn(vpn)
+        self._check_attachment(pe, num_hosts)
         if v.topology != "hub-spoke":
             raise ValueError(f"{v.name} is not a hub-spoke VPN")
-        site_id = self._alloc_site_id()
         site_prefix = self._pick_prefix(v, prefix)
+        site_id = self._alloc_site_id()
 
         ce = CeRouter(self.net.sim, self._node_name(f"ce-{v.name}-hub{site_id}"),
                       site_id=site_id)
@@ -412,7 +441,10 @@ class VpnProvisioner:
         if not self._sites_on[pe.name]:
             del self._sites_on[pe.name]
         self.net.counters.incr("vpn.sites", -1)
-        if self._bgp is not None:
+        # Behind a drained PE there is nobody to tell: its peers dropped its
+        # routes when the sessions went down, and restore_pe() re-reads the
+        # PE's locals before it re-advertises.
+        if self._bgp is not None and pe.name not in self._bgp.drained:
             for vrf_name in self._site_vrf_names(v, site):
                 vrf = pe.vrfs.get(vrf_name)
                 if vrf is not None:
@@ -421,7 +453,7 @@ class VpnProvisioner:
 
     def remove_vpn(self, name: str) -> Vpn:
         """Tear down a whole VPN: every site, then every VRF it created."""
-        v = self.vpns[name]
+        v = self._vpn(name)
         holders = {site.pe.name: site.pe for site in v.sites}
         for site in list(reversed(v.sites)):
             self.remove_site(site)

@@ -8,9 +8,12 @@ routes that were installed into *this* VRF, so overlapping customer
 addresses never meet in one table.
 
 The table is one :class:`~repro.routing.fib.Fib` per VRF whose entries
-are the :class:`VrfRoute` objects themselves (the trie never reads what
+are the :class:`VrfRoute` objects themselves (the table never reads what
 it stores): a lookup is one longest-prefix walk, and the VRF's routes are
-the table's — there is no second prefix-keyed dict to keep in step.
+the table's — there is no second prefix-keyed dict to keep in step.  A
+remote route is frozen and says nothing about the VRF holding it (egress
+PE, VPN label, origin site), so every VRF importing one advertisement
+holds the same object.
 """
 
 from __future__ import annotations
@@ -118,21 +121,17 @@ class Vrf:
         self._fib.install(prefix, route)
         return route
 
-    def add_remote_many(
-        self,
-        items: list[tuple[Prefix, IPv4Address, int, int | None]],
-    ) -> int:
+    def add_remote_many(self, items: list[tuple[Prefix, VrfRoute]]) -> int:
         """Install a batch of MP-BGP imports with one FIB generation bump.
 
-        ``items`` is ``[(prefix, remote_pe, vpn_label, origin_site), ...]``.
-        The churn engine installs whole deltas through here so the PE's
-        per-VRF flow caches are invalidated once per batch, not once per
-        route (PR 3's ``install_many`` pattern).  Returns the batch size.
+        ``items`` is ``[(prefix, route), ...]`` with ready ``"remote"``
+        routes: MP-BGP builds one :class:`VrfRoute` per advertisement and
+        hands the same object to every VRF that imports it.  The churn
+        engine installs whole deltas through here so the PE's per-VRF flow
+        caches are invalidated once per batch, not once per route (PR 3's
+        ``install_many`` pattern).  Returns the batch size.
         """
-        return self._fib.install_many([
-            (prefix, VrfRoute("remote", remote_pe=pe, vpn_label=label, origin_site=site))
-            for prefix, pe, label, site in items
-        ])
+        return self._fib.install_many(items)
 
     def remove_many(self, prefixes: list[Prefix]) -> int:
         """Withdraw a batch of routes with one FIB generation bump.

@@ -4,7 +4,8 @@ The contract held here is the strongest one available: after *any*
 sequence of churn operations — sites added, removed, flapped between
 PEs, duplicate prefixes introduced (in a mesh VPN, and a hub-and-spoke
 spoke duplicating a route its VRF imports), whole VPNs provisioned and
-torn down, PEs drained and restored, a bare resync in between — the
+torn down, PEs drained and restored (sites removed behind them while they
+are away), a bare resync in between — the
 incrementally maintained VRF state equals what a clear-remotes +
 from-scratch ``converge()`` produces on the same network (the same
 oracle style as ``test_reconverge_incremental`` uses for the IGP fast
@@ -336,11 +337,10 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
     kind, a, b = op
     vpns = [prov.vpns[name] for name in sorted(prov.vpns)]
     up_pes = [pe for pe in pes if pe.name not in drained]
+    # De-provisioning behind a drained PE is legal (no delta: nobody to
+    # tell), so "site-" and the remove half of "flap" draw from every PE.
     removable = [
-        (v, s)
-        for v in vpns
-        for s in v.sites
-        if s.site_id not in anchors and s.pe.name not in drained
+        (v, s) for v in vpns for s in v.sites if s.site_id not in anchors
     ]
 
     if kind == "site+":
@@ -448,11 +448,29 @@ class TestIncrementalMatchesFullConverge:
         state = {"vpn_seq": 0}
         for op in ops:
             _apply_op(prov, pes, engine, anchors, drained, op, state)
-        # The Adj-RIB exactly mirrors what the PEs are exporting.
-        assert engine.adj_rib_size() == sum(
-            len(vrf.local_routes())
-            for pe in prov.pes() for vrf in pe.vrfs.values()
-        )
+        # The Adj-RIB exactly mirrors what the PEs in session are exporting
+        # (a drained PE's is brought up to date when it returns).
+        exporting = {
+            (pe.name, vrf.name): len(vrf.local_routes())
+            for pe in prov.pes() if pe.name not in drained
+            for vrf in pe.vrfs.values() if vrf.local_routes()
+        }
+        assert exporting == {
+            key: len(rib) for key, rib in engine._rib.items()
+            if key[0] not in drained
+        }
+        # One VrfRoute per advertisement: none outlives its advertisement,
+        # and every import in a VRF is the engine's object for it.
+        assert engine._remote.keys() <= {
+            (r.origin_pe, r.vpn_label, p)
+            for rib in engine._rib.values() for p, r in rib.items()
+        }
+        pe_of = {pe.loopback: pe.name for pe in pes}
+        for pe in pes:
+            for vrf in pe.vrfs.values():
+                for p, r in vrf.routes().items():
+                    if r.kind == "remote":
+                        assert engine._remote[pe_of[r.remote_pe], r.vpn_label, p] is r
         incremental = _vrf_snapshot(prov)
         assert incremental == _oracle_snapshot(
             prov, drained, rr_clusters=rr_clusters

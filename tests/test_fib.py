@@ -1,9 +1,12 @@
 """Unit + property tests for the LPM trie FIB."""
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import Fib, RouteEntry
+from repro.routing.reference import _fib_install_reference, _fib_withdraw_reference
 
 
 def entry(tag):
@@ -175,10 +178,16 @@ class TestAgainstOracle:
 
 
 # ----------------------------------------------------------------------
-# Stateful: any interleaving of mutations, checked against the linear scan
-# after every step.  Prefixes come from a small nested pool (a /0, /1s, a
-# 10/8 ladder down to /32s) so sequences re-install, shadow and withdraw
-# the same routes instead of scattering over the address space.
+# Stateful: any interleaving of mutations, lookups and pickle round trips,
+# checked against the linear scan.  The trie is written by the readers (the
+# first lookup after a change walks in whatever is stale), so the sequence
+# decides where the syncs land: a prefix withdrawn before the trie ever held
+# it, a withdrawn one re-installed across a sync, a restored table that has
+# only its routes.  Every step checks the route dict; only a drawn "lookup"
+# — and the end of the sequence — reads the trie.  Prefixes come from a
+# small nested pool (a /0, /1s, a 10/8 ladder down to /32s) so sequences
+# re-install, shadow and withdraw the same routes instead of scattering
+# over the address space.
 
 _POOL_ADDRS = (0x00000000, 0x0A000000, 0x0A010000, 0x0A010200, 0x0A010203,
                0x0A800000, 0xC0A80001, 0xFFFFFFFF)
@@ -191,13 +200,18 @@ QUERIES = sorted(
 pool_prefixes = st.sampled_from(POOL)
 
 
-def check_table(table, model):
-    """``table`` (a ``Fib``) holds exactly ``model`` and answers like it."""
+def check_routes(table, model):
+    """``table`` (a ``Fib``) holds exactly ``model`` — no trie read."""
     assert len(table) == len(model)
     assert dict(table.routes()) == model
     for pfx in POOL:
         assert (pfx in table) == (pfx in model)
         assert table.get(pfx) == model.get(pfx)
+
+
+def check_table(table, model):
+    """``table`` holds exactly ``model`` and answers like it."""
+    check_routes(table, model)
     for value in QUERIES:
         assert table.lookup_prefix(IPv4Address(value)) == oracle_prefix(model, value)
         assert table.lookup(value) == _oracle(model, value)
@@ -209,17 +223,20 @@ _fib_ops = st.one_of(
               st.lists(st.tuples(pool_prefixes, st.integers(0, 9)), max_size=6)),
     st.tuples(st.just("withdraw"), pool_prefixes),
     st.tuples(st.just("withdraw_many"), st.lists(pool_prefixes, max_size=6)),
+    st.tuples(st.just("lookup")),
+    st.tuples(st.just("pickle")),
 )
 
 
 class TestStateful:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(_fib_ops, min_size=1, max_size=25))
     def test_any_mutation_sequence_matches_linear_scan(self, ops):
         fib = Fib()
         model = {}
         for op in ops:
             before = fib.generation
+            changed = False
             if op[0] == "install":
                 _, pfx, tag = op
                 fib.install(pfx, entry(f"if{tag}"))
@@ -234,12 +251,73 @@ class TestStateful:
                 changed = op[1] in model
                 assert fib.withdraw(op[1]) is changed
                 model.pop(op[1], None)
-            else:
+            elif op[0] == "withdraw_many":
                 present = {p for p in op[1] if p in model}
                 assert fib.withdraw_many(op[1]) == len(present)
                 for pfx in present:
                     del model[pfx]
                 changed = bool(present)
-            # One bump per call that changed the table, none otherwise.
+            elif op[0] == "lookup":
+                check_table(fib, model)
+            else:
+                lookups = fib.lookups
+                fib = pickle.loads(pickle.dumps(fib))
+                assert fib.lookups == lookups
+            # One bump per call that changed the table, none otherwise —
+            # a lookup, its sync and a round trip included.
             assert fib.generation == before + changed
-            check_table(fib, model)
+            check_routes(fib, model)
+        check_table(fib, model)
+
+    def test_reinstall_across_a_sync_reuses_the_leaf(self):
+        fib = Fib()
+        pfx = Prefix.parse("10.1.2.0/24")
+        fib.install(pfx, entry("a"))
+        assert fib.lookup(0x0A010203) == entry("a")
+        rows = len(fib._entries)
+        fib.withdraw(pfx)
+        assert fib.lookup(0x0A010203) is None
+        fib.install(pfx, entry("b"))
+        assert fib.lookup(0x0A010203) == entry("b")
+        assert len(fib._entries) == rows
+
+    def test_image_is_the_routes(self):
+        fib = Fib()
+        fib.install_many([(pfx, entry("a")) for pfx in POOL])
+        fib.lookup(0)
+        routes, lookups, generation = fib.__getstate__()
+        assert (routes, lookups, generation) == (dict(fib.routes()), 1, 1)
+        back = pickle.loads(pickle.dumps(fib))
+        assert len(back._entries) == 1 and not back._leaf     # no trie yet
+        check_table(back, dict(fib.routes()))
+        assert len(back._entries) == len(fib._entries)
+
+
+class TestReferenceWritesOnAStaleTable:
+    """``routing.reference`` writes the trie columns itself; what the table
+    had pending for the prefix must not come back at the next sync."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("install", "withdraw", "ref_install",
+                                               "ref_withdraw", "lookup")),
+                              pool_prefixes, st.integers(0, 9)),
+                    min_size=1, max_size=20))
+    def test_mixed_writers_match_linear_scan(self, ops):
+        fib = Fib()
+        model = {}
+        for kind, pfx, tag in ops:
+            if kind == "install":
+                fib.install(pfx, entry(f"if{tag}"))
+                model[pfx] = entry(f"if{tag}")
+            elif kind == "ref_install":
+                _fib_install_reference(fib, pfx, entry(f"if{tag}"))
+                model[pfx] = entry(f"if{tag}")
+            elif kind == "withdraw":
+                assert fib.withdraw(pfx) is (pfx in model)
+                model.pop(pfx, None)
+            elif kind == "ref_withdraw":
+                assert _fib_withdraw_reference(fib, pfx) is (pfx in model)
+                model.pop(pfx, None)
+            else:
+                check_table(fib, model)
+        check_table(fib, model)

@@ -204,6 +204,16 @@ def test_schema_2_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_3_image_refused_by_name(monkeypatch) -> None:
+    # A /3 image holds each Fib as its full attribute dict (trie columns,
+    # leaf cache); this reader's Fib.__setstate__ takes the routes only.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/3")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/3'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -238,6 +248,83 @@ def test_restored_route_keys_are_the_value_types() -> None:
     assert {type(r) for r in rib2.values()} == {VpnRoute}
     assert {type(r.key) for r in rib2.values()} == {VpnPrefix}
     assert rib2 == engine._rib["pe0", "v"]
+
+
+def _tables(net: Network) -> dict[str, Any]:
+    """Every LPM table of ``net`` by name: router FIBs and VRF tables."""
+    out: dict[str, Any] = {}
+    for name, node in net.nodes.items():
+        if hasattr(node, "fib"):
+            out[name] = node.fib
+        for vrf in getattr(node, "vrfs", {}).values():
+            out[f"{name}/{vrf.name}"] = vrf._fib
+    return out
+
+
+def _answers(net: Network) -> dict[str, list]:
+    """What each table answers for the ends of every prefix any table holds."""
+    tables = _tables(net)
+    probes = sorted({
+        value for fib in tables.values() for pfx in fib.prefixes()
+        for value in (pfx.network, pfx.network + pfx.num_addresses - 1)
+    })
+    return {
+        name: [fib.lookup_prefix(value) for value in probes]
+        for name, fib in tables.items()
+    }
+
+
+def test_image_carries_routes_only_and_restored_tables_answer_identically() -> None:
+    """Some tables of the live net were looked up (traffic ran), most VRF
+    and core tables never were; the image is taken first, the live answers
+    after, so neither side's trie existed for the never-read ones."""
+    from repro.experiments.e5_sla import _build, run_stage
+
+    ctx = _build("full", seed=3)
+    run_stage("full", seed=3, measure_s=0.3, prebuilt=ctx)
+    net = ctx.pop("net")
+    assert sum(fib.lookups for fib in _tables(net).values()) > 0
+    coherence = verify_cache_coherence(net)
+    blob = snapshot_network(net, ctx)
+    net2, _ = restore_network(blob)
+    for name, fib in _tables(net2).items():
+        live = _tables(net)[name]
+        assert dict(fib.routes()) == dict(live.routes())
+        assert (fib.generation, fib.lookups) == (live.generation, live.lookups)
+        assert len(fib._entries) == 1 and len(fib._stale) == len(fib)
+    assert _answers(net2) == _answers(net)
+    # The first lookup after a restore syncs the trie; it is not a mutation,
+    # so every cache is exactly as coherent as it was when imaged.
+    assert not any(fib._stale for fib in _tables(net2).values())
+    assert verify_cache_coherence(net2) == coherence == verify_cache_coherence(net)
+
+
+def test_vrfs_share_one_route_per_advertisement_across_restore() -> None:
+    net = Network(seed=5)
+    pes = [net.add_node(PeRouter(net.sim, f"pe{i}")) for i in range(4)]
+    prov = VpnProvisioner(net)
+    vpn = prov.create_vpn("v")
+    sites = [prov.add_site(vpn, pe, num_hosts=0) for pe in pes]
+    prov.converge_bgp()
+    net2, extras = restore_network(snapshot_network(net, {"prov": prov}))
+    for nodes, engine in (
+        (net.nodes, prov.bgp_engine()), (net2.nodes, extras["prov"].bgp_engine()),
+    ):
+        for site in sites:
+            holders = [
+                nodes[pe.name].vrfs["v"].routes()[site.prefix]
+                for pe in pes if pe is not site.pe
+            ]
+            assert len(holders) == 3 and holders[0].kind == "remote"
+            assert all(route is holders[0] for route in holders)
+            # ...and it is the one the engine hands to the next importer.
+            label = nodes[site.pe.name].vrfs["v"].vpn_label
+            assert engine._remote[site.pe.name, label, site.prefix] is holders[0]
+    # A withdrawn advertisement takes its route with it.
+    engine2 = extras["prov"].bgp_engine()
+    extras["prov"].remove_site(extras["prov"].vpns["v"].sites[0])
+    assert not [k for k in engine2._remote if k[2] == sites[0].prefix]
+    assert len(engine2._remote) == engine2.adj_rib_size()
 
 
 def test_vouched_for_garbage_is_still_a_snapshot_error() -> None:

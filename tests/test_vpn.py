@@ -185,6 +185,9 @@ class TestVrf:
 # The table machine of tests/test_fib.py over two VRFs of one PE: every
 # route carries its owner's number in ``origin_site``, both VRFs draw from
 # the same nested 10/8 pool, and nothing one holds may surface in the other.
+# As there, the route dicts are checked after every step but the tries are
+# read only by a drawn "lookup" (and at the end), so their syncs land
+# anywhere in the sequence; "pickle" round-trips both VRFs in one image.
 _owners = st.integers(0, 1)
 _remote = st.tuples(pool_prefixes, st.integers(1, 3), st.integers(16, 19))
 _vrf_ops = st.one_of(
@@ -193,11 +196,13 @@ _vrf_ops = st.one_of(
     st.tuples(st.just("add_remote_many"), _owners, st.lists(_remote, max_size=6)),
     st.tuples(st.just("withdraw"), _owners, pool_prefixes),
     st.tuples(st.just("remove_many"), _owners, st.lists(pool_prefixes, max_size=6)),
+    st.tuples(st.just("lookup"), _owners, st.none()),
+    st.tuples(st.just("pickle"), _owners, st.none()),
 )
 
 
 class TestVrfStateful:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(_vrf_ops, min_size=1, max_size=25))
     def test_any_mutation_sequence_matches_linear_scan(self, ops):
         vrfs = [mk_vrf("red", 1, 100), mk_vrf("blue", 2, 200)]
@@ -207,9 +212,18 @@ class TestVrfStateful:
             return VrfRoute("remote", remote_pe=IPv4Address(pe), vpn_label=label,
                             origin_site=owner)
 
+        def check_lookups():
+            for number, (v, m) in enumerate(zip(vrfs, models)):
+                for value in QUERIES:
+                    got = v.lookup(IPv4Address(value))
+                    assert got == _oracle(m, value)
+                    # C5: whatever a VRF answers with was installed into it.
+                    assert got is None or got.origin_site == number
+
         for kind, owner, arg, *rest in ops:
             vrf, model = vrfs[owner], models[owner]
             before = [v.generation for v in vrfs]
+            changed = False
             if kind == "add_local":
                 route = vrf.add_local(arg, f"ge{rest[0]}", origin_site=owner)
                 assert route == VrfRoute("local", out_ifname=f"ge{rest[0]}", origin_site=owner)
@@ -221,35 +235,44 @@ class TestVrfStateful:
                 assert model[pfx] == remote(owner, pe, label)
                 changed = True
             elif kind == "add_remote_many":
-                items = [(pfx, IPv4Address(pe), label, owner) for pfx, pe, label in arg]
+                items = [(pfx, remote(owner, pe, label)) for pfx, pe, label in arg]
                 assert vrf.add_remote_many(items) == len(items)
-                model.update((pfx, remote(owner, pe, label)) for pfx, pe, label in arg)
+                model.update(items)
                 changed = bool(items)
             elif kind == "withdraw":
                 changed = arg in model
                 assert vrf.withdraw(arg) is changed
                 model.pop(arg, None)
-            else:
+            elif kind == "remove_many":
                 present = {p for p in arg if p in model}
                 assert vrf.remove_many(arg) == len(present)
                 for pfx in present:
                     del model[pfx]
                 changed = bool(present)
-            # One bump on the VRF that changed, none on its neighbour.
+            elif kind == "lookup":
+                check_lookups()
+            else:
+                vrfs = pickle.loads(pickle.dumps(vrfs))
+            # One bump on the VRF that changed, none on its neighbour, none
+            # for a lookup (its sync included) or a round trip.
             after = [v.generation for v in vrfs]
             before[owner] += changed
             assert after == before
-            for number, (v, m) in enumerate(zip(vrfs, models)):
+            for v, m in zip(vrfs, models):
                 assert len(v) == len(m)
                 assert v.routes() == m
                 assert v.local_routes() == {p: r for p, r in m.items() if r.kind == "local"}
                 for pfx in POOL:
                     assert v.kind_of(pfx) == (m[pfx].kind if pfx in m else None)
-                for value in QUERIES:
-                    got = v.lookup(IPv4Address(value))
-                    assert got == _oracle(m, value)
-                    # C5: whatever a VRF answers with was installed into it.
-                    assert got is None or got.origin_site == number
+        check_lookups()
+
+    def test_add_remote_many_installs_the_route_it_is_given(self):
+        red, blue = mk_vrf("red", 1, 100), mk_vrf("blue", 2, 200)
+        shared = VrfRoute("remote", remote_pe=IPv4Address(9), vpn_label=300, origin_site=4)
+        pfx = Prefix.parse("10.4.0.0/24")
+        for vrf in (red, blue):
+            assert vrf.add_remote_many([(pfx, shared)]) == 1
+        assert red.lookup(pfx.first) is shared and blue.lookup(pfx.first) is shared
 
 
 class TestPeRouter:
