@@ -7,54 +7,24 @@ parity with the frozen reference engine is held by
 ``tests/test_engine_parity.py``.  What stays here is one comparison no
 absolute row expresses: sweep scaling, the same grid at 1 vs 4 workers.
 The ≥3× scaling floor only *can* hold with ≥4 usable cores, so it is
-enforced core-aware: on smaller boxes (or under BENCH_PERF_NONBLOCKING=1)
-the measured factor is still recorded but a miss downgrades to xfail.
+enforced core-aware: on smaller boxes the measured factor is still
+recorded but a miss downgrades to xfail (``require_floor``, conftest).
 
-Headline numbers land in ``BENCH_engine.json`` at the repo root (CI
-uploads it as a workflow artifact).  Timings use ``time.perf_counter``
-directly, so the file runs unchanged under ``--benchmark-disable``.
+Headline numbers land in ``benchmarks/out/engine.json``.
 """
 
-import json
 import os
-from pathlib import Path
 from time import perf_counter
-
-import pytest
 
 from repro.sweep import run_sweep, smoke_grid
 from repro.sweep.grids import e1_grid
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 # ISSUE 4 acceptance: ≥3× sweep scaling at 4 workers.
 MIN_SWEEP_SCALING = 3.0
 SWEEP_WORKERS = 4
 
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
 
-
-def _require_floor(speedup: float, floor: float, msg: str, soft: bool = False) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS or soft:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_engine.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_sweep_scaling_four_workers():
+def test_sweep_scaling_four_workers(record, require_floor):
     """Sweep throughput at 4 workers vs 1 over the E1 grid.
 
     The ≥3× floor needs ≥4 usable cores; with fewer, parallel workers
@@ -76,7 +46,7 @@ def test_sweep_scaling_four_workers():
 
     assert solo["rows"] == multi["rows"]  # scaling must not cost determinism
     scaling = t_solo / t_multi
-    _record("sweep_scaling", {
+    record("sweep_scaling", {
         "tasks": len(grid),
         "workers": SWEEP_WORKERS,
         "cores_available": cores,
@@ -86,17 +56,17 @@ def test_sweep_scaling_four_workers():
         "min_required": MIN_SWEEP_SCALING,
         "floor_enforced": cores >= SWEEP_WORKERS,
     })
-    _require_floor(scaling, MIN_SWEEP_SCALING, (
+    require_floor(scaling, MIN_SWEEP_SCALING, (
         f"sweep scaling {scaling:.2f}x < {MIN_SWEEP_SCALING}x at "
         f"{SWEEP_WORKERS} workers ({cores} core(s) available)"
     ), soft=cores < SWEEP_WORKERS)
 
 
-def test_smoke_grid_stays_fast():
+def test_smoke_grid_stays_fast(record):
     """The CI smoke sweep must stay seconds-scale."""
     t0 = perf_counter()
     report = run_sweep(smoke_grid(), workers=2)
     wall = perf_counter() - t0
     assert not report["failed"]
-    _record("smoke_grid", {"tasks": report["tasks"], "wall_s": wall})
+    record("smoke_grid", {"tasks": report["tasks"], "wall_s": wall})
     assert wall < 60.0

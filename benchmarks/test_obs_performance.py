@@ -5,53 +5,21 @@ delivery and a ``getattr`` per control-plane event, nothing more) is the
 performance ledger's ``vpn_sla`` row in absolute units, next to
 ``vpn_sla_obs`` with everything on (``benchmarks/ledger``).  Enabled-mode
 cost is *measured and recorded* here (soft floors): live SLO conformance
-and convergence tracing are priced, not free, and ``BENCH_obs.json``
-documents the price.
-
-Headline numbers land in ``BENCH_obs.json`` at the repo root (CI uploads
-it as a workflow artifact).
+and convergence tracing are priced, not free, and
+``benchmarks/out/obs.json`` documents the price.
 """
 
-import json
-import os
-from pathlib import Path
 from time import perf_counter
-
-import pytest
 
 from repro.obs import runtime
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.sketch import QuantileSketch
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 # Enabled-mode budget (soft): live SLO may cost at most 30% end to end.
 MAX_SLO_ENABLED_OVERHEAD = 1.30
 # A whole telemetry session (flight recorder, flow accountant, kernel
 # profiler) may cost at most 2x end to end (soft).
 MAX_TELEMETRY_ENABLED_OVERHEAD = 2.0
-
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
-
-
-def _require_floor(speedup: float, floor: float, msg: str, soft: bool = False) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS or soft:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_obs.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _best_of_pair(fn_new, fn_ref, rounds: int) -> tuple[float, float]:
@@ -71,7 +39,7 @@ def _best_of_pair(fn_new, fn_ref, rounds: int) -> tuple[float, float]:
     return best_new, best_ref
 
 
-def test_slo_enabled_overhead_documented():
+def test_slo_enabled_overhead_documented(record, require_floor):
     """Price of live SLO conformance on E5 (streaming on vs off)."""
     from repro.experiments.e5_sla import run_stage
 
@@ -83,20 +51,20 @@ def test_slo_enabled_overhead_documented():
 
     t_off, t_on = _best_of_pair(run_off, run_on, rounds=3)
     overhead = t_on / t_off
-    _record("slo_enabled_e5", {
+    record("slo_enabled_e5", {
         "streaming_off_s": t_off,
         "streaming_on_s": t_on,
         "overhead": overhead,
         "max_budget": MAX_SLO_ENABLED_OVERHEAD,
     })
     # Soft: enabled mode is allowed to cost, the budget just flags drift.
-    _require_floor(MAX_SLO_ENABLED_OVERHEAD, overhead, (
+    require_floor(MAX_SLO_ENABLED_OVERHEAD, overhead, (
         f"live SLO engine costs {overhead:.2f}x on e5 "
         f"(budget {MAX_SLO_ENABLED_OVERHEAD}x)"
     ), soft=True)
 
 
-def test_telemetry_enabled_overhead_documented():
+def test_telemetry_enabled_overhead_documented(record, require_floor):
     """Price of a telemetry session on E5: flight recorder, flow
     accountant and kernel profiler on vs off (the ledger's ``vpn_sla_obs``
     / ``vpn_sla`` pair is the same question at full size)."""
@@ -114,19 +82,19 @@ def test_telemetry_enabled_overhead_documented():
 
     t_off, t_on = _best_of_pair(run_off, run_on, rounds=3)
     overhead = t_on / t_off
-    _record("telemetry_enabled_e5", {
+    record("telemetry_enabled_e5", {
         "telemetry_off_s": t_off,
         "telemetry_on_s": t_on,
         "overhead": overhead,
         "max_budget": MAX_TELEMETRY_ENABLED_OVERHEAD,
     })
-    _require_floor(MAX_TELEMETRY_ENABLED_OVERHEAD, overhead, (
+    require_floor(MAX_TELEMETRY_ENABLED_OVERHEAD, overhead, (
         f"telemetry session costs {overhead:.2f}x on e5 "
         f"(budget {MAX_TELEMETRY_ENABLED_OVERHEAD}x)"
     ), soft=True)
 
 
-def test_span_tracing_enabled_overhead_documented():
+def test_span_tracing_enabled_overhead_documented(record, require_floor):
     """Price of convergence tracing on an E11 flap (spans on vs off)."""
     from repro.experiments.e11_resilience import run_variant
 
@@ -138,7 +106,7 @@ def test_span_tracing_enabled_overhead_documented():
 
     t_off, t_on = _best_of_pair(run_off, run_on, rounds=3)
     overhead = t_on / t_off
-    _record("spans_enabled_e11", {
+    record("spans_enabled_e11", {
         "tracing_off_s": t_off,
         "tracing_on_s": t_on,
         "overhead": overhead,
@@ -146,12 +114,12 @@ def test_span_tracing_enabled_overhead_documented():
     })
     # The tracer's per-event cost is negligible; the healing probe is the
     # real (and intended) cost.  Record only; 2x is a drift tripwire.
-    _require_floor(2.0, overhead, (
+    require_floor(2.0, overhead, (
         f"convergence tracing costs {overhead:.2f}x on e11 (tripwire 2x)"
     ), soft=True)
 
 
-def test_sketch_insert_throughput():
+def test_sketch_insert_throughput(record, require_floor):
     """Streaming quantile sketch: inserts must stay cheap enough to ride
     the delivery path (soft floor: ≥1M inserts/s on any modern box)."""
     n = 200_000
@@ -165,7 +133,7 @@ def test_sketch_insert_throughput():
     rate = n / dt
     # One query amortises the materialisation cost into the number.
     q = sk.query(99.0)
-    _record("sketch_insert_throughput", {
+    record("sketch_insert_throughput", {
         "inserts": n,
         "wall_s": dt,
         "inserts_per_sec": rate,
@@ -173,12 +141,12 @@ def test_sketch_insert_throughput():
         "p99_sample": q,
     })
     assert sk.retained < 16 * 2048  # bounded memory held
-    _require_floor(rate, 1e6, (
+    require_floor(rate, 1e6, (
         f"sketch insert throughput {rate:.0f}/s < 1M/s"
     ), soft=True)
 
 
-def test_flight_record_throughput():
+def test_flight_record_throughput(record, require_floor):
     """Flight recorder: a hop row must stay cheap enough to leave on
     (soft floor: ≥1M records/s).  Mixed labeled/unlabeled packets through
     the producers a transit hop calls, on a ring that is already full so
@@ -214,13 +182,13 @@ def test_flight_record_throughput():
     materialised = fr.records()
     read_dt = perf_counter() - t0
     assert materialised[-1].event == "dequeue" and materialised[-1].labels == (100, 200)
-    _record("flight_record_throughput", {
+    record("flight_record_throughput", {
         "records": n,
         "wall_s": dt,
         "records_per_sec": rate,
         "ring_capacity": fr.capacity,
         "read_us_per_record": read_dt / len(materialised) * 1e6,
     })
-    _require_floor(rate, 1e6, (
+    require_floor(rate, 1e6, (
         f"flight recorder throughput {rate:.0f} records/s < 1M/s"
     ), soft=True)

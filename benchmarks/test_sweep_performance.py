@@ -7,66 +7,34 @@ through the copy-on-write tiers in :mod:`repro.sweep.runner` — the live
 object graph for read-only scenarios, a snapshot blob restored per task
 for mutating ones.
 
-Headline numbers land in ``BENCH_sweep.json`` at the repo root (CI
-uploads it as a workflow artifact, and ``tools/bench_trend.py`` gates it
-against ``benchmarks/baselines/``):
+Headline numbers land in ``benchmarks/out/sweep.json``:
 
 * the E1-scale acceptance case — the paper's §2.1 provisioning grid
   (overlay + MPLS at 200 sites, 8 seeds each) swept cold vs warm at 4
   workers, asserting a ≥3× wall-clock speedup *and* row-for-row report
   equality.  The win comes from eliminating 15 of 16 base builds, not
   from extra parallelism, so the floor holds at any core count; it is
-  only softened under ``BENCH_PERF_NONBLOCKING=1`` (shared runners).
+  only softened on shared runners (``require_floor``, conftest).
 * snapshot serialize/restore latency + image size per mutable base
-  (e2/e5) — recorded for the trend log, no floor: these bound the
-  per-task overhead the blob tier pays for isolation.
+  (e2/e5) — recorded, no floor: these bound the per-task overhead the
+  blob tier pays for isolation.
 
-Timings use ``time.perf_counter`` (whole sweeps, one measured pass —
-a 16-task grid is its own averaging), so the file runs unchanged under
-``--benchmark-disable``.
+Whole sweeps, one measured pass: a 16-task grid is its own averaging.
 """
 
-import json
 import os
-from pathlib import Path
 from time import perf_counter
-
-import pytest
 
 from repro.sweep import run_sweep
 from repro.sweep.grids import e1_grid
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 MIN_WARM_SPEEDUP = 3.0
 SWEEP_WORKERS = 4
 E1_SITES = 200
 E1_REPS = 8
 
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
 
-
-def _require_floor(speedup: float, floor: float, msg: str) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_sweep.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_warm_start_speedup_e1_grid():
+def test_warm_start_speedup_e1_grid(record, require_floor):
     """Acceptance: warm-start ≥3× faster than cold on the E1-scale grid
     at 4 workers, with byte-identical deterministic rows."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -87,7 +55,7 @@ def test_warm_start_speedup_e1_grid():
 
     speedup = t_cold / t_warm
     warm_info = warm["timing"]["warm_start"]
-    _record("warm_start_e1", {
+    record("warm_start_e1", {
         "tasks": len(grid),
         "sites": E1_SITES,
         "workers": SWEEP_WORKERS,
@@ -100,17 +68,17 @@ def test_warm_start_speedup_e1_grid():
         "min_required": MIN_WARM_SPEEDUP,
         "floor_enforced": True,
     })
-    _require_floor(speedup, MIN_WARM_SPEEDUP, (
+    require_floor(speedup, MIN_WARM_SPEEDUP, (
         f"warm-start sweep speedup {speedup:.2f}x < {MIN_WARM_SPEEDUP}x "
         f"(cold {t_cold:.2f} s vs warm {t_warm:.2f} s, "
         f"{len(grid)} tasks, {cores} core(s))"
     ))
 
 
-def test_snapshot_latency_and_size_recorded():
-    """Blob-tier cost model, for the trend log: how many bytes a
-    converged e2/e5 base serializes to, and what one save/restore
-    round-trip costs — the per-task isolation overhead of warm start."""
+def test_snapshot_latency_and_size_recorded(record):
+    """Blob-tier cost model: how many bytes a converged e2/e5 base
+    serializes to, and what one save/restore round-trip costs — the
+    per-task isolation overhead of warm start."""
     from repro.experiments.e2_qos import _build as e2_build
     from repro.experiments.e5_sla import _build as e5_build
     from repro.sim.snapshot import restore_network, snapshot_network
@@ -134,4 +102,4 @@ def test_snapshot_latency_and_size_recorded():
             "save_s": t_save,
             "restore_s": t_restore,
         }
-    _record("snapshot_roundtrip", payload)
+    record("snapshot_roundtrip", payload)

@@ -178,6 +178,13 @@ def _window_s(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--sites`` / ``--reps`` / ``--workers``: an int >= 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     run.add_argument("--measure", type=_window_s, default=6.0,
                      help="measurement window in simulated seconds (default 6)")
-    run.add_argument("--sites", type=int, nargs="+", default=[10, 50, 100, 200],
+    run.add_argument("--sites", type=_positive_int, nargs="+", default=[10, 50, 100, 200],
                      help="site counts for e1")
     run.add_argument("--telemetry", metavar="PATH", default=None,
                      help="record a telemetry bundle (metrics, kernel "
@@ -217,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--grid", choices=["e1", "e2", "e5", "e15", "all"],
                        default="e2", help="which grid to run (default e2)")
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_positive_int, default=1,
                        help="worker processes (1 = inline, default)")
-    sweep.add_argument("--reps", type=int, default=1,
+    sweep.add_argument("--reps", type=_positive_int, default=1,
                        help="seeded repetitions per grid point")
     sweep.add_argument("--measure", type=_window_s, default=2.0,
                        help="measurement window per run (default 2)")
-    sweep.add_argument("--sites", type=int, nargs="+",
+    sweep.add_argument("--sites", type=_positive_int, nargs="+",
                        default=[10, 50, 100, 200], help="site counts for e1")
     sweep.add_argument("--smoke", action="store_true",
                        help="run the seconds-scale CI smoke grid instead")

@@ -15,7 +15,7 @@ lookup, drop taxonomy, flight-recorder event ordering — live here once,
 which is what the paper's claim C4 ("label swapping makes the per-hop
 data plane cheap and uniform") looks like as code.
 
-Performance notes (measured, see benchmarks/test_simulator_performance.py):
+Performance notes (measured: the ledger's ``vpn_sla`` row, benchmarks/ledger):
 
 * Zero-closure hot path: when a node's modeled processing cost is zero —
   the default — stages call each other directly; closures are allocated

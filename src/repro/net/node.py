@@ -308,7 +308,7 @@ def install_vector_dispatch(sim: Simulator) -> None:
     (the default); ``remove_vector_dispatch`` restores pure scalar dispatch
     (the parity oracle in ``tests/test_dataplane_batch.py`` runs both).
     No-op on kernels without burst extraction (the frozen reference engine
-    in ``repro.sim.reference``, which is scalar by definition).
+    in ``tests/reference/sim.py``, which is scalar by definition).
     """
     set_target = getattr(sim, "set_batch_target", None)
     if set_target is not None:

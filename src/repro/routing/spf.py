@@ -23,8 +23,8 @@ land in the FIB through batched installs, and :func:`reconverge` is
 *incremental*: it diffs the edge set against the snapshot of the last
 convergence and recomputes only the sources whose shortest-path trees the
 change can touch.  FIB contents are bit-identical to the reference
-implementation (``repro.routing.reference``); ``tests/test_spf_parity.py``
-holds that equivalence.
+implementation (``tests/reference/routing.py``);
+``tests/test_spf_parity.py`` holds that equivalence.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ on forwarding workloads, where every hop lands on its own float), and is
 promoted to a ``deque`` only when a same-time sibling arrives.  Two
 events at the same timestamp always fire in the order they were
 scheduled — same contract as the classic ``(time, seq, Event)`` heap
-this replaced (frozen in :mod:`repro.sim.reference`, held to it by
+this replaced (frozen in ``tests/reference/sim.py``, held to it by
 ``tests/test_engine_parity.py``) — but same-time siblings now cost O(1)
 to add and pop instead of a log-n heap rebalance each, and the heap
 itself compares bare floats rather than 3-tuples.  Determinism matters

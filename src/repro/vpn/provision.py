@@ -17,6 +17,7 @@ local site."  :class:`VpnProvisioner` automates exactly that:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -114,6 +115,10 @@ class VpnProvisioner:
         access_rate_bps: float = 10e6,
         access_delay_s: float = 0.5e-3,
     ) -> None:
+        if not access_rate_bps > 0.0:  # Interface's rule: NaN refused, inf legal
+            raise ProvisioningError(f"access_rate_bps: {access_rate_bps} is not a rate > 0")
+        if not 0.0 <= access_delay_s < math.inf:  # Link's rule
+            raise ProvisioningError(f"access_delay_s: {access_delay_s} is not finite and >= 0")
         self.net = net
         self.asn = asn
         self.access_rate_bps = access_rate_bps
@@ -141,7 +146,7 @@ class VpnProvisioner:
         return found
 
     @staticmethod
-    def _check_attachment(pe: PeRouter, num_hosts: int) -> None:
+    def _check_attachment(pe: PeRouter, num_hosts: int, host_rate_bps: float) -> None:
         if not isinstance(pe, PeRouter):
             raise ProvisioningError(
                 f"pe: {getattr(pe, 'name', pe)!r} is a {type(pe).__name__}, "
@@ -149,6 +154,8 @@ class VpnProvisioner:
             )
         if num_hosts < 0:
             raise ProvisioningError(f"num_hosts: {num_hosts} is negative")
+        if not host_rate_bps > 0.0:
+            raise ProvisioningError(f"host_rate_bps: {host_rate_bps} is not a rate > 0")
 
     def _alloc_rd_number(self) -> int:
         n = self._next_rd_number
@@ -166,12 +173,13 @@ class VpnProvisioner:
         overlapping plans are the E7 scenario and are fully supported."""
         if name in self.vpns:
             raise ValueError(f"duplicate VPN {name!r}")
+        supernet = Prefix.parse(supernet)  # before an RD number is spent on it
         number = self._alloc_rd_number()
         vpn = Vpn(
             name=name,
             rd=RouteDistinguisher(self.asn, number),
             rt=RouteTarget(self.asn, number),
-            supernet=Prefix.parse(supernet) if isinstance(supernet, str) else supernet,
+            supernet=supernet,
         )
         self.vpns[name] = vpn
         return vpn
@@ -206,7 +214,7 @@ class VpnProvisioner:
         "spoke"; use :meth:`add_hub_site` or ``role="hub"`` for the hub).
         """
         v = self._vpn(vpn)
-        self._check_attachment(pe, num_hosts)
+        self._check_attachment(pe, num_hosts, host_rate_bps)
         if v.topology == "hub-spoke":
             role = role or "spoke"
             if role == "hub":
@@ -265,7 +273,7 @@ class VpnProvisioner:
         exists.
         """
         v = self._vpn(vpn)
-        self._check_attachment(pe, num_hosts)
+        self._check_attachment(pe, num_hosts, host_rate_bps)
         if v.topology != "hub-spoke":
             raise ValueError(f"{v.name} is not a hub-spoke VPN")
         site_prefix = self._pick_prefix(v, prefix)

@@ -6,18 +6,14 @@ path-tuple-keyed Dijkstra, a networkx graph rebuilt on every call, one
 ``fib.install`` per route, and a ``reconverge`` that flushes and
 recomputes the whole domain.
 
-They are kept for two reasons:
+They are kept as the parity oracle: ``tests/test_spf_parity.py`` asserts
+the fast path in :mod:`repro.routing.spf` / :mod:`repro.mpls.ldp` produces
+bit-identical FIB/LFIB/FTN contents on the same topologies.
 
-* **Parity** — ``tests/test_spf_parity.py`` asserts the fast path in
-  :mod:`repro.routing.spf` / :mod:`repro.mpls.ldp` produces bit-identical
-  FIB/LFIB/FTN contents on the same topologies.
-* **Self-calibrating benchmarks** — ``benchmarks/
-  test_control_plane_performance.py`` measures the speedup live against
-  this module instead of hard-coding machine-dependent baselines.
-
-Nothing in the library imports this module; it is a test/bench oracle
-only, so keep it byte-for-byte faithful to the old semantics rather than
-clean or fast.
+Nothing in the library imports this module, and it writes a table only
+through the public ``Fib.install`` / ``Fib.withdraw``: how a table indexes
+its routes is :mod:`repro.routing.fib`'s business alone.  Keep the
+algorithms faithful to the old semantics rather than clean or fast.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.mpls.ldp import LdpResult
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.mpls.lsr import Lsr
 from repro.net.address import IPv4Address, Prefix
-from repro.routing.fib import Fib, RouteEntry
+from repro.routing.fib import RouteEntry
 from repro.routing.router import Router
 from repro.routing.spf import advertised_prefixes
 
@@ -48,46 +44,6 @@ __all__ = [
 ]
 
 
-def _fib_walk_reference(fib: Fib, pfx: Prefix) -> int:
-    """Pre-PR per-bit walk (no leaf-node cache) over the trie columns to
-    the node ``pfx`` terminates at, appending the nodes that are missing."""
-    left, right = fib._left, fib._right
-    node = 0
-    net = pfx.network
-    for depth in range(pfx.length):
-        column = right if (net >> (31 - depth)) & 1 else left
-        child = column[node]
-        if not child:
-            child = column[node] = len(left)
-            left.append(0)
-            right.append(0)
-            fib._entries.append(None)
-        node = child
-    return node
-
-
-def _fib_install_reference(fib: Fib, prefix: Prefix | str, entry: RouteEntry) -> None:
-    """Pre-PR ``Fib.install``: per-bit trie walk + generation bump per route
-    (no leaf-node cache, no batching, the trie written on the spot — so
-    whatever the table had pending for the prefix is dropped)."""
-    pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-    fib._entries[_fib_walk_reference(fib, pfx)] = entry
-    fib._routes[pfx] = entry
-    fib._stale.pop(pfx, None)
-    fib.generation += 1
-
-
-def _fib_withdraw_reference(fib: Fib, pfx: Prefix) -> bool:
-    """Pre-PR ``Fib.withdraw``: per-bit walk, one generation bump each."""
-    if pfx not in fib._routes:
-        return False
-    del fib._routes[pfx]
-    fib._stale.pop(pfx, None)
-    fib.generation += 1
-    fib._entries[_fib_walk_reference(fib, pfx)] = None
-    return True
-
-
 def clear_routes_reference(
     router: Router, sources: tuple[str, ...] = ("spf", "connected")
 ) -> int:
@@ -95,7 +51,7 @@ def clear_routes_reference(
     removed = 0
     for prefix, entry in list(router.fib.routes()):
         if entry.source in sources:
-            _fib_withdraw_reference(router.fib, prefix)
+            router.fib.withdraw(prefix)
             removed += 1
     return removed
 
@@ -172,7 +128,7 @@ def converge_reference(net: "Network", domain: str = "core", ecmp: bool = False)
         assert isinstance(src, Router)
         # Connected routes first (most specific provenance).
         for subnet, ifname in src.connected_prefixes.items():
-            _fib_install_reference(src.fib, subnet, RouteEntry(ifname, None, 0.0, "connected"))
+            src.fib.install(subnet, RouteEntry(ifname, None, 0.0, "connected"))
             installed += 1
         dist, paths = deterministic_dijkstra_reference(g, src_name)
         for dst_name, path in paths.items():
@@ -186,8 +142,8 @@ def converge_reference(net: "Network", domain: str = "core", ecmp: bool = False)
             for prefix in advertised_prefixes(dst):
                 if prefix in src.connected_prefixes:
                     continue  # already covered by the connected route
-                _fib_install_reference(
-                    src.fib, prefix, RouteEntry(out_ifname, nh_addr, dist[dst_name], "spf")
+                src.fib.install(
+                    prefix, RouteEntry(out_ifname, nh_addr, dist[dst_name], "spf")
                 )
                 installed += 1
     return installed
@@ -201,7 +157,7 @@ def _converge_ecmp_reference(net: "Network", domain: str) -> int:
     for src in routers.values():
         assert isinstance(src, Router)
         for subnet, ifname in src.connected_prefixes.items():
-            _fib_install_reference(src.fib, subnet, RouteEntry(ifname, None, 0.0, "connected"))
+            src.fib.install(subnet, RouteEntry(ifname, None, 0.0, "connected"))
             installed += 1
     for dst_name, dst in routers.items():
         assert isinstance(dst, Router)
@@ -225,8 +181,8 @@ def _converge_ecmp_reference(net: "Network", domain: str) -> int:
             for prefix in prefixes:
                 if prefix in src.connected_prefixes:
                     continue
-                _fib_install_reference(
-                    src.fib, prefix,
+                src.fib.install(
+                    prefix,
                     RouteEntry(primary_if, primary_nh, dist[src_name], "spf",
                                alternates=tuple(alts)),
                 )

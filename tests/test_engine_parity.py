@@ -4,7 +4,7 @@ The event-ordering contract — time first, schedule order within a
 timestamp — is what every seeded experiment depends on.  These tests run
 whole experiments (e2 / e5 / e11) twice with the flight recorder
 attached: once on the current time-bucketed engine, once on the frozen
-pre-fast-path engine from ``repro.sim.reference``, and assert the
+pre-fast-path engine from ``tests.reference.sim``, and assert the
 per-hop event sequences are **bit-identical**.
 
 Packet ``uid`` values come from a process-global counter, so two runs of
@@ -25,7 +25,7 @@ import pytest
 
 from repro.obs import runtime
 from repro.sim.engine import Simulator
-from repro.sim.reference import reference_engine
+from tests.reference.sim import reference_engine
 
 
 def _trace(run_fn: Callable[[], object]) -> list[tuple]:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import Fib, RouteEntry
-from repro.routing.reference import _fib_install_reference, _fib_withdraw_reference
 
 
 def entry(tag):
@@ -291,33 +290,3 @@ class TestStateful:
         assert len(back._entries) == 1 and not back._leaf     # no trie yet
         check_table(back, dict(fib.routes()))
         assert len(back._entries) == len(fib._entries)
-
-
-class TestReferenceWritesOnAStaleTable:
-    """``routing.reference`` writes the trie columns itself; what the table
-    had pending for the prefix must not come back at the next sync."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(("install", "withdraw", "ref_install",
-                                               "ref_withdraw", "lookup")),
-                              pool_prefixes, st.integers(0, 9)),
-                    min_size=1, max_size=20))
-    def test_mixed_writers_match_linear_scan(self, ops):
-        fib = Fib()
-        model = {}
-        for kind, pfx, tag in ops:
-            if kind == "install":
-                fib.install(pfx, entry(f"if{tag}"))
-                model[pfx] = entry(f"if{tag}")
-            elif kind == "ref_install":
-                _fib_install_reference(fib, pfx, entry(f"if{tag}"))
-                model[pfx] = entry(f"if{tag}")
-            elif kind == "withdraw":
-                assert fib.withdraw(pfx) is (pfx in model)
-                model.pop(pfx, None)
-            elif kind == "ref_withdraw":
-                assert _fib_withdraw_reference(fib, pfx) is (pfx in model)
-                model.pop(pfx, None)
-            else:
-                check_table(fib, model)
-        check_table(fib, model)

@@ -25,7 +25,7 @@ from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.queues import ClassQueue, DropTailFifo, PriorityScheduler
 from repro.routing.spf import converge
 from repro.sim.engine import Simulator
-from repro.sim.reference import ReferenceSimulator
+from tests.reference.sim import ReferenceSimulator
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.topology import Network, attach_host, build_line
 from repro.traffic.generators import CbrSource

@@ -29,8 +29,9 @@ def _footprint(net: Network, prov: VpnProvisioner) -> dict:
         "sites_on": dict(prov._sites_on),
         "cursors": (prov._next_site_id, prov._next_rd_number,
                     {name: v._next_site_prefix for name, v in prov.vpns.items()}),
-        "vrfs": {n.name: sorted(n.vrfs) for n in net.nodes.values()
-                 if isinstance(n, PeRouter)},
+        "vrfs": {n.name: {name: len(vrf) for name, vrf in n.vrfs.items()}
+                 for n in net.nodes.values() if isinstance(n, PeRouter)},
+        "interfaces": sum(len(n.interfaces) for n in net.nodes.values()),
     }
 
 
@@ -65,6 +66,39 @@ class TestRejectedBeforeAnythingIsAllocated:
         before = _footprint(net, prov)
         with pytest.raises(ProvisioningError, match=r"^num_hosts: -1 is negative"):
             getattr(prov, call)("hs", pes[2], num_hosts=-1)
+        assert _footprint(net, prov) == before
+
+    @pytest.mark.parametrize("call", ["add_site", "add_hub_site"])
+    @pytest.mark.parametrize("rate", [0, -1, float("nan")])
+    def test_impossible_host_rate(self, world, call, rate):
+        # Interface refuses the rate too, but only once the CE, the access
+        # link, the circuit binding and the local route exist, with no Site
+        # registered to remove them through.
+        net, pes, prov, core = world
+        before = _footprint(net, prov)
+        with pytest.raises(ProvisioningError, match=r"^host_rate_bps: "):
+            getattr(prov, call)("hs", pes[2], host_rate_bps=rate)
+        assert _footprint(net, prov) == before
+
+    @pytest.mark.parametrize("arg, bad", [
+        ("access_rate_bps", 0), ("access_rate_bps", float("nan")),
+        ("access_delay_s", -1e-3), ("access_delay_s", float("inf")),
+    ])
+    def test_impossible_access_link(self, world, arg, bad):
+        # Refused here, not by the first add_site's connect(): by then the
+        # CE is in the network and a site id and a site prefix are spent.
+        net, pes, prov, core = world
+        before = _footprint(net, prov)
+        with pytest.raises(ProvisioningError, match=rf"^{arg}: "):
+            VpnProvisioner(net, **{arg: bad})
+        assert _footprint(net, prov) == before
+
+    @pytest.mark.parametrize("call", ["create_vpn", "create_hub_spoke_vpn"])
+    def test_bad_supernet_spends_no_rd_number(self, world, call):
+        net, pes, prov, core = world
+        before = _footprint(net, prov)
+        with pytest.raises(ValueError):
+            getattr(prov, call)("late", supernet="garbage")
         assert _footprint(net, prov) == before
 
     @pytest.mark.parametrize("call", ["add_site", "add_hub_site", "remove_vpn"])

@@ -1,6 +1,6 @@
 """Bit-for-bit parity between the control-plane fast path and the reference.
 
-``repro.routing.reference`` preserves the pre-fast-path implementation
+``tests.reference.routing`` preserves the pre-fast-path implementation
 verbatim (path-tuple-heap Dijkstra, networkx graph rebuilt per call, one
 ``fib.install`` per route).  These tests build the same topology twice,
 converge one copy with each implementation, and demand *identical* FIB,
@@ -13,7 +13,7 @@ import pytest
 
 from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
-from repro.routing.reference import (
+from tests.reference.routing import (
     converge_reference,
     deterministic_dijkstra_reference,
     domain_graph_reference,

@@ -150,6 +150,30 @@ class TestCli:
         assert "Traceback" not in err
         assert not built
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "e1", "--sites"], "--sites"),
+        (["sweep", "--grid", "e1", "--sites"], "--sites"),
+        (["sweep", "--reps"], "--reps"),
+        (["sweep", "--workers"], "--workers"),
+    ])
+    @pytest.mark.parametrize("bad", ["0", "-5"])
+    def test_bad_count_exits_2_naming_the_option(
+        self, argv, flag, bad, capsys, monkeypatch
+    ):
+        # Unchecked, --sites 0 ends in a traceback from vpn/bgp.py, --reps 0
+        # runs an empty grid and exits 0, --workers 0 / -2 runs inline.
+        built = []
+        monkeypatch.setattr(
+            Network, "__init__", lambda self, *a, **k: built.append(self)
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and bad in err
+        assert "Traceback" not in err
+        assert not built
+
 
 class TestExperimentRunWindow:
     """The library entry point names the field; the CLI check above never
