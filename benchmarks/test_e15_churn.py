@@ -8,7 +8,11 @@ def test_e15_churn_table(run_once):
     rows, raw = run_once(run_e15, n_sites=500)
     print_table(rows, title="E15 — churn storms at N=500")
     storms = {r["storm"]: r for r in rows if not r["storm"].startswith("—")}
-    assert set(storms) == {"site-flap", "pe-drain", "vpn-wave", "link-flap"}
+    assert set(storms) == {"site-flap", "pe-drain", "vpn-wave", "link-flap", "residue"}
+
+    # Every storm put back what it took: nothing left in the graph.
+    residue = storms["residue"]
+    assert [residue[k] for k in ("nodes", "links", "pe_interfaces", "subnets")] == [0] * 4
 
     # Delta distribution: a 10-flap storm moves tens of NLRI, not ten
     # full ~2N-route tables.

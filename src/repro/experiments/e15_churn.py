@@ -22,6 +22,11 @@ Storms
   incremental IGP ``reconverge()``; BGP state is untouched (next hops
   are loopbacks), which is itself the point.
 
+Every storm puts back what it took, so a last ``residue`` row reports what
+the sequence left behind in the graph — nodes, links, PE interfaces,
+point-to-point /30s, after minus before — and the run fails if any of them
+is not zero: a removed site is unwired, not decommissioned in place.
+
 A final topology table prices one UPDATE under full-mesh, single-RR, and
 RR-cluster session layouts on the same PE set (sessions, per-route
 fan-out, cluster-list suppressions) without re-provisioning anything.
@@ -49,6 +54,34 @@ def _delta(before: dict[str, int], after: dict[str, int], key: str) -> int:
     return after.get(key, 0) - before.get(key, 0)
 
 
+def _check_storm_sizes(
+    n_sites: int, site_flaps: int, wave_sites: int, link_flaps: int
+) -> None:
+    """Name the parameter that cannot be run, before anything is built."""
+    if n_sites < 1:
+        raise ValueError(f"n_sites: {n_sites} is not at least one site")
+    if wave_sites < 1:
+        raise ValueError(f"wave_sites: {wave_sites} is not at least one site")
+    if site_flaps < 0:
+        raise ValueError(f"site_flaps: {site_flaps} is negative")
+    if link_flaps < 0:
+        raise ValueError(f"link_flaps: {link_flaps} is negative")
+    if site_flaps > n_sites:
+        raise ValueError(
+            f"site_flaps: {site_flaps} flaps need as many sites, n_sites is {n_sites}"
+        )
+
+
+def _footprint(net, prov) -> dict[str, int]:
+    """What a storm must not leave behind in the graph."""
+    return {
+        "nodes": len(net.nodes),
+        "links": len(net.duplex_links),
+        "pe_interfaces": sum(len(pe.interfaces) for pe in prov.pes()),
+        "subnets": -net.linknets_free(),    # /30s in use, up to the pool's size
+    }
+
+
 def churn_storms(
     ctx: dict[str, Any],
     site_flaps: int = 10,
@@ -58,6 +91,8 @@ def churn_storms(
     """Run the scripted storm sequence against a converged mpls_base ctx."""
     net, nodes, prov = ctx["net"], ctx["nodes"], ctx["prov"]
     vpn = prov.vpns["corp"]
+    _check_storm_sizes(len(vpn.sites), site_flaps, wave_sites, link_flaps)
+    footprint = _footprint(net, prov)
     rows: list[dict[str, Any]] = []
 
     def record(storm: str, events: int, wall_s: float, before, after) -> None:
@@ -120,6 +155,11 @@ def churn_storms(
     record("link-flap", 2 * link_flaps, perf_counter() - t0,
            before, _bgp_counters(net))
     rows[row_before]["spf_installs"] = spf_events
+
+    residue = {k: v - footprint[k] for k, v in _footprint(net, prov).items()}
+    if any(residue.values()):
+        raise RuntimeError(f"churn storms left residue in the graph: {residue}")
+    rows.append({"storm": "residue", "events": 0, "wall_ms": 0.0, **residue})
     return rows
 
 
@@ -161,6 +201,7 @@ def run_e15(
     link_flaps: int = 2,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Provision N sites, then run the storm suite and the topology table."""
+    _check_storm_sizes(n_sites, site_flaps, wave_sites, link_flaps)
     t0 = perf_counter()
     ctx = mpls_base(n_sites, seed=seed)
     build_s = perf_counter() - t0

@@ -209,6 +209,25 @@ class Interface:
         self.peer_node = peer_node
         self.peer_ifname = peer_ifname
 
+    def detach(self) -> None:
+        """Unwire this interface (:meth:`repro.topology.Network.disconnect`).
+
+        The link goes down first, which cuts the frame on the transmitter
+        short like any link failure does; here that frame is a counted
+        ``NO_IFACE`` drop at the owning node, and so is every packet still
+        queued behind it when the transmitter reaches it (see
+        :meth:`_transmit_next`) — nothing an unwire loses is lost silently.
+        """
+        link = self.link
+        if link is None:
+            return
+        ev = link._tx_event
+        serializing = ev is not None and not ev.cancelled
+        link.up = False
+        self.link = self.peer_node = self.peer_ifname = None
+        if serializing and ev.cancelled:
+            self.node.drop(ev.args[0], DropReason.NO_IFACE)
+
     def add_conditioner(self, fn: Conditioner) -> None:
         """Append an egress conditioner (classify/meter/mark/police stage)."""
         self.conditioners.append(fn)
@@ -413,6 +432,10 @@ class Interface:
             link._tx_event = sim.schedule_at(
                 free_at + link.delay_s, link.dst_node.receive, pkt, link.dst_ifname
             )
+        elif link is None:
+            # Detached with this packet still queued: the same verdict
+            # ``Node.transmit`` gives a packet that finds no interface.
+            self.node.drop(pkt, DropReason.NO_IFACE)
         if backlog:
             self._busy = True
             sim.schedule_at(free_at, self._transmit_next)

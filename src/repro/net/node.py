@@ -85,12 +85,26 @@ class Node:
         self.addresses: dict[IPv4Address, str] = {}  # address -> ifname ('' = loopback)
         self.connected_prefixes: dict[Prefix, str] = {}  # subnet -> ifname
         self.loopback: IPv4Address | None = None
-        # Routing domain tag: provider routers are "core"; customer equipment
-        # is "customer" and stays out of the provider IGP (its addresses may
-        # overlap other customers').
-        self.domain: str = "core"
+        self._domain = "core"
+        # The Network this node is in (add_node / remove_node keep it), so a
+        # ``domain`` write after add_node reaches the per-domain index.
+        self._network = None
         self.stats = NodeStats()
         self.local_sinks: list[Callable[[Packet], None]] = []
+
+    @property
+    def domain(self) -> str:
+        """Routing domain tag: provider routers are "core"; customer
+        equipment is "customer" and stays out of the provider IGP (its
+        addresses may overlap other customers')."""
+        return self._domain
+
+    @domain.setter
+    def domain(self, value: str) -> None:
+        changed = value != self._domain
+        self._domain = value
+        if changed and self._network is not None:
+            self._network._domain_changed()
 
     # ------------------------------------------------------------------
     # Wiring

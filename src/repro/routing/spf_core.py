@@ -201,10 +201,11 @@ class DomainView:
     of the FIB-content contract for shared prefixes.
 
     Built by :meth:`repro.topology.Network.domain_view`, which caches one
-    view per domain and rebuilds when ``topology_generation`` moves or the
-    domain membership changes (``node.domain`` flips don't bump the
-    counter).  Per-source SPF results are memoized on the view, so they
-    share its lifetime exactly.
+    view per domain and rebuilds it when ``topology_generation`` has moved,
+    from the domain's members and intra-domain links as the network keeps
+    them — a rebuild never reads a node or link outside the domain.
+    Per-source SPF results are memoized on the view, so they share its
+    lifetime exactly.
     """
 
     __slots__ = (
@@ -230,7 +231,12 @@ class DomainView:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, net: "Network", domain: str, members: list[str]) -> "DomainView":
+    def build(
+        cls, net: "Network", domain: str, members: list[str], links: list["DuplexLink"]
+    ) -> "DomainView":
+        """``members``: the domain's router names in ``net.nodes`` order;
+        ``links``: the duplex links with both ends among them, in
+        ``net.duplex_links`` order."""
         view = cls()
         view.generation = net.topology_generation
         view.domain = domain
@@ -245,15 +251,11 @@ class DomainView:
         # Lowest-metric live duplex per adjacency; ties keep the first link
         # in duplex_links order (matches the reference graph builder).
         best: dict[tuple[int, int], tuple[float, "DuplexLink"]] = {}
-        for dl in net.duplex_links:
-            # Membership first: most duplex links are access circuits with
-            # an end outside the domain, and ``Link.up`` is a property.
-            ia = idx.get(dl.a.name)
-            if ia is None:
+        for dl in links:
+            if not (dl.link_ab.up and dl.link_ba.up):
                 continue
-            ib = idx.get(dl.b.name)
-            if ib is None or not (dl.link_ab.up and dl.link_ba.up):
-                continue
+            ia = idx[dl.a.name]
+            ib = idx[dl.b.name]
             key = (ia, ib) if ia < ib else (ib, ia)
             cur = best.get(key)
             if cur is None or dl.metric < cur[0]:

@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/4``), the ``repro`` version
+The header names the schema (``repro.snapshot/5``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
@@ -26,7 +26,9 @@ a snapshot across a schema change (a ``/1`` image holds the FIB trie as
 node objects, a ``/2`` image holds prefixes and route targets as slotted
 dataclass state where this reader builds tuples, a ``/3`` image holds each
 table's trie columns and leaf cache where this reader expects its routes
-only) or with a flipped bit (about one in six still unpickles) is exactly
+only, a ``/4`` image holds a network without the free /30 list, the
+per-domain index and the node-to-network links that ``disconnect`` /
+``remove_node`` and a ``node.domain`` write rely on) or with a flipped bit (about one in six still unpickles) is exactly
 the class of bug the header exists to prevent.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
@@ -103,7 +105,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/4"
+SCHEMA = "repro.snapshot/5"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -15,6 +15,7 @@ topology, and a 12-node reference ISP backbone modeled on the two-level
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 import networkx as nx
@@ -47,7 +48,7 @@ def _default_qdisc(node: Node, ifname: str) -> QueueDiscipline:
     return DropTailFifo(capacity_packets=100)
 
 
-@dataclass
+@dataclass(eq=False)
 class DuplexLink:
     """Bookkeeping record for one bidirectional connection.
 
@@ -55,7 +56,11 @@ class DuplexLink:
     :meth:`Network.connect` so the control plane resolves a next hop with
     one attribute read instead of scanning the peer's address table;
     ``net`` points back at the owning network so :meth:`set_up` can bump
-    its topology generation (link state is part of the IGP topology).
+    its topology generation (link state is part of the IGP topology), and
+    is ``None`` again once :meth:`Network.disconnect` has taken the link
+    out.  Compared by identity: a link *is* its record, and ``disconnect``
+    finds it among the network's links without a field-by-field compare of
+    every record before it.
 
     Invariant: every routing-relevant mutation must bump the owning
     network's ``topology_generation``, or cached domain views go stale.
@@ -117,6 +122,9 @@ def _dl_metric_set(self: DuplexLink, value: float) -> None:
 DuplexLink.metric = property(_dl_metric_get, _dl_metric_set)  # type: ignore[assignment]
 
 
+_DomainIndex = tuple[dict[str, Router], list[DuplexLink]]
+
+
 class Network:
     """A simulated network: kernel + nodes + links + address plan.
 
@@ -124,6 +132,12 @@ class Network:
     (one /32 per node) and point-to-point /30s from 192.168.0.0/16.  The
     10.0.0.0/8 space is deliberately left to *customers*, so VPN experiments
     can use overlapping 10/8 plans without colliding with the provider.
+
+    What :meth:`connect` and :meth:`add_node` put in, :meth:`disconnect`
+    and :meth:`remove_node` take out again — interfaces, addresses,
+    connected prefixes and the /30, which goes back to the allocator and is
+    the next one handed out (lowest first), so a circuit that flaps gets
+    its subnet back.
     """
 
     LOOPBACK_POOL = Prefix.parse("172.16.0.0/16")
@@ -143,6 +157,11 @@ class Network:
         self.topology_generation = 0
         self._domain_views: dict = {}
         self._spf_state: dict = {}
+        # Routing domain -> (its routers by name, in add order; the duplex
+        # links with both ends in it, in connect order).  Indexed by the
+        # first domain_view() of a domain and kept in step from then on, so
+        # a view rebuild reads the domain, not everything provisioned.
+        self._domains: dict[str, _DomainIndex] = {}
         # Observability attachment points: extra link state-change
         # listeners (each called with the simplex Link that changed) and
         # the convergence tracer the control-plane hook sites notify.
@@ -154,6 +173,8 @@ class Network:
         # object graph) and a half-consumed generator cannot.
         self._next_loopback = 1
         self._next_linknet = 0
+        # /30s disconnect() handed back, as pool indices in a heap.
+        self._free_linknets: list[int] = []
         # ``None`` unless the process-wide telemetry switch is on (see
         # repro.obs.runtime); imported late so repro.topology stays importable
         # without pulling the whole observability stack into every user.
@@ -177,10 +198,42 @@ class Network:
             raise ValueError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
         node.trace = self.trace
+        node._network = self
+        indexed = self._domains.get(node.domain)
+        if indexed is not None and isinstance(node, Router):
+            indexed[0][node.name] = node
         self.topology_generation += 1
         if loopback and node.loopback is None:
             node.set_loopback(self._alloc_loopback())
         return node
+
+    def remove_node(self, node: Node) -> None:
+        """Take a node out of the network.
+
+        Its links go first (:meth:`disconnect`): a node that still has an
+        interface is refused by name, so no link is left pointing at a
+        node the network no longer holds.  A loopback it was given is not
+        handed out again.
+        """
+        if self.nodes.get(node.name) is not node:
+            raise ValueError(f"node {node.name!r} is not in this network")
+        if node.interfaces:
+            raise ValueError(
+                f"node {node.name!r} still has interfaces "
+                f"{sorted(node.interfaces)}; disconnect its links first"
+            )
+        del self.nodes[node.name]
+        node._network = None
+        indexed = self._domains.get(node.domain)
+        if indexed is not None:
+            indexed[0].pop(node.name, None)
+        self.topology_generation += 1
+
+    def _domain_changed(self) -> None:
+        """A node's ``domain`` was rewritten after :meth:`add_node`: who is
+        in which domain is re-read by each domain's next view."""
+        self._domains.clear()
+        self.topology_generation += 1
 
     def _alloc_loopback(self) -> IPv4Address:
         """Next free loopback /32 (resumable: a restored network keeps
@@ -192,13 +245,24 @@ class Network:
         return self.LOOPBACK_POOL.host(n)
 
     def _alloc_linknet(self) -> Prefix:
-        """Next free point-to-point /30 out of the linknet pool."""
-        step = 1 << 2  # /30
-        base = self.LINKNET_POOL.network + self._next_linknet * step
-        if base >= self.LINKNET_POOL.network + self.LINKNET_POOL.num_addresses:
-            raise ValueError("linknet pool exhausted")
-        self._next_linknet += 1
-        return Prefix(base, 30)
+        """Lowest free point-to-point /30 of the linknet pool: one that
+        :meth:`disconnect` handed back, else the next never used."""
+        pool = self.LINKNET_POOL
+        if self._free_linknets:
+            n = heappop(self._free_linknets)
+        else:
+            n = self._next_linknet
+            if n >= pool.num_addresses >> 2:
+                raise ValueError(f"linknet pool {pool} exhausted: all {n} /30s are in use")
+            self._next_linknet = n + 1
+        return Prefix(pool.network + (n << 2), 30)
+
+    def linknets_free(self) -> int:
+        """Point-to-point /30s :meth:`connect` can still hand out."""
+        return (
+            (self.LINKNET_POOL.num_addresses >> 2)
+            - self._next_linknet + len(self._free_linknets)
+        )
 
     def add_router(self, name: str, **kw) -> Router:
         return self.add_node(Router(self.sim, name, **kw))  # type: ignore[return-value]
@@ -237,17 +301,18 @@ class Network:
 
         if_ab_name = self._ifname(na, nb)
         if_ba_name = self._ifname(nb, na)
-        # Interface and Link reject impossible rates / delays (ValueError);
-        # build all four before touching the nodes so a refused connect
-        # leaves the network as it was.
+        # Interface and Link reject impossible rates / delays, and the pool
+        # may be spent (ValueError all): build all four and take the /30
+        # before touching the nodes, so a refused connect leaves the
+        # network as it was.
         if_ab = Interface(self.sim, na, if_ab_name, rate_bps, factory(na, if_ab_name))
         if_ba = Interface(self.sim, nb, if_ba_name, rate_bps, factory(nb, if_ba_name))
         link_ab = Link(self.sim, f"{na.name}->{nb.name}", nb, if_ba_name, delay_s)
         link_ba = Link(self.sim, f"{nb.name}->{na.name}", na, if_ab_name, delay_s)
+        subnet = self._alloc_linknet()
         na.add_interface(if_ab)
         nb.add_interface(if_ba)
 
-        subnet = self._alloc_linknet()
         addr_a, addr_b = subnet.host(1), subnet.host(2)
         na.add_address(addr_a, if_ab_name, subnet)
         nb.add_address(addr_b, if_ba_name, subnet)
@@ -263,8 +328,47 @@ class Network:
             net=self,
         )
         self.duplex_links.append(dl)
+        indexed = self._domain_holding(na, nb)
+        if indexed is not None:
+            indexed[1].append(dl)
         self.topology_generation += 1
         return dl
+
+    def disconnect(self, dl: DuplexLink) -> None:
+        """Take a duplex link out of the graph: the inverse of :meth:`connect`.
+
+        Both directions go down first (:meth:`Interface.detach`: what is on
+        a transmitter or in a queue ends as a counted ``NO_IFACE`` drop, what
+        is already propagating still arrives), then each end loses the
+        interface, its address and its connected prefix, and the /30 goes
+        back to the allocator.  Routes and bindings that name the interface
+        are their owners' to remove (``PeRouter.unbind_circuit``, the next
+        ``reconverge``).
+        """
+        if dl.net is not self:
+            raise ValueError(f"link {dl.a.name}-{dl.b.name} is not in this network")
+        dl.if_ab.detach()
+        dl.if_ba.detach()
+        subnet = Prefix.of(dl.addr_a, 30)
+        for node, iface, addr in ((dl.a, dl.if_ab, dl.addr_a), (dl.b, dl.if_ba, dl.addr_b)):
+            del node.interfaces[iface.name]
+            del node.addresses[addr]
+            if node.connected_prefixes.get(subnet) == iface.name:
+                del node.connected_prefixes[subnet]
+        self.duplex_links.remove(dl)
+        indexed = self._domain_holding(dl.a, dl.b)
+        if indexed is not None:
+            indexed[1].remove(dl)
+        heappush(self._free_linknets, (subnet.network - self.LINKNET_POOL.network) >> 2)
+        dl.net = None
+        self.topology_generation += 1
+
+    def _domain_holding(self, na: Node, nb: Node) -> _DomainIndex | None:
+        """The indexed domain a link between ``na`` and ``nb`` is inside."""
+        indexed = self._domains.get(na.domain)
+        if indexed is not None and na.name in indexed[0] and nb.name in indexed[0]:
+            return indexed
+        return None
 
     @staticmethod
     def _ifname(node: Node, peer: Node) -> str:
@@ -301,26 +405,29 @@ class Network:
     def domain_view(self, domain: str = "core"):
         """Cached indexed snapshot of one routing domain (see ``spf_core``).
 
-        Rebuilt when ``topology_generation`` moves *or* the domain's
-        membership changes — ``node.domain`` reassignment (the inter-AS
-        experiments do this) doesn't bump the counter, so membership is
-        re-derived on every call; that scan is O(nodes), dwarfed by any
-        SPF the caller is about to run.
+        Rebuilt when ``topology_generation`` has moved — every structural
+        change bumps it, a ``node.domain`` reassignment (the inter-AS
+        experiments do this) included — from the domain's own routers and
+        links: the rebuild after a core link flap costs the core, not the
+        access circuits provisioned around it.
         """
         from repro.routing.spf_core import DomainView
 
-        members = [
-            name for name, node in self.nodes.items()
-            if isinstance(node, Router) and node.domain == domain
-        ]
         view = self._domain_views.get(domain)
-        if (
-            view is not None
-            and view.generation == self.topology_generation
-            and view.order_names == members
-        ):
+        if view is not None and view.generation == self.topology_generation:
             return view
-        view = DomainView.build(self, domain, members)
+        indexed = self._domains.get(domain)
+        if indexed is None:
+            members = {
+                name: node for name, node in self.nodes.items()
+                if isinstance(node, Router) and node.domain == domain
+            }
+            links = [
+                dl for dl in self.duplex_links
+                if dl.a.name in members and dl.b.name in members
+            ]
+            indexed = self._domains[domain] = (members, links)
+        view = DomainView.build(self, domain, list(indexed[0]), indexed[1])
         self._domain_views[domain] = view
         return view
 

@@ -11,7 +11,11 @@ an incrementally maintained RT → prefix → routes index.  ``converge()`` is
 a *resync* — it diffs desired state against the RIB, so re-running it on
 an unchanged network sends zero updates, installs nothing, and leaves
 every VRF generation untouched (the data-plane flow caches stay warm).
-Delta operations propagate only the changed routes:
+It is also the delta of what moved: the engine remembers each VRF as it
+last left it in sync (the object, its table generation, its policy) and
+re-reads only the VRFs that are new or differ from that record; what
+those advertise and withdraw reaches every other VRF the way a delta
+operation's does.  Delta operations propagate only the changed routes:
 
 * :meth:`export_delta` — re-sync one VRF's exports after local route
   changes (site added/removed behind an existing PE).
@@ -177,11 +181,18 @@ class MpBgp:
         # PE.  Built by the first import, handed to every later one, dropped
         # with the advertisement (:meth:`_unindex`).
         self._remote: dict[tuple[str, int, Prefix], VrfRoute] = {}
-        # (pe, vrf) keys that have had at least one import sync; a key
-        # seen for the first time in export_delta gets a one-time
-        # wholesale import sync (BGP route refresh for a new VRF) so it
-        # catches up on NLRI advertised before it existed.
-        self._known: set[tuple[str, str]] = set()
+        # Each (pe, vrf) as the engine last left it with exports and
+        # imports both in sync: (the Vrf, its table generation, rd, export
+        # RTs, import RTs, VPN label, PE loopback) — :meth:`_state_of`.
+        # converge() re-reads a VRF only when it is new or differs from
+        # this record (a route written, a policy attribute assigned, a VRF
+        # re-created under the name — whoever did it); a key seen for the
+        # first time in export_delta gets a one-time wholesale import sync
+        # (BGP route refresh for a new VRF) so it catches up on NLRI
+        # advertised before it existed.  The engine's own import writes
+        # carry the generation forward (:meth:`_apply_import_changes`);
+        # :meth:`withdraw` drops the record of what it retracted from.
+        self._synced: dict[tuple[str, str], tuple] = {}
         self._down: set[str] = set()
         self._sessions_counted = False
         # Per-origin fan-out (receivers, sent, suppressed), memoized until
@@ -365,7 +376,7 @@ class MpBgp:
         for route in routes:
             self._unindex(key, route)
         self._imported.pop(key, None)
-        self._known.discard(key)
+        self._synced.pop(key, None)
         return routes
 
     # ------------------------------------------------------------------
@@ -411,6 +422,13 @@ class MpBgp:
                 desired[prefix] = winner
         return desired
 
+    @staticmethod
+    def _state_of(pe: PeRouter, vrf: Vrf) -> tuple:
+        """What :attr:`_synced` remembers of a VRF — the one definition of
+        the record, for the compare in ``converge`` and for every writer."""
+        return (vrf, vrf.generation, vrf.rd, vrf.export_rts, vrf.import_rts,
+                vrf.vpn_label, pe.loopback)
+
     def _apply_import_changes(
         self,
         vrf: Vrf,
@@ -419,6 +437,12 @@ class MpBgp:
         dels: list[Prefix],
         result: BgpResult,
     ) -> None:
+        if not adds and not dels:
+            return
+        # A table in step with its record stays in step across the engine's
+        # own writes; one somebody else wrote to keeps reading as changed.
+        seen = self._synced.get(key)
+        in_step = seen is not None and seen[0] is vrf and seen[1] == vrf.generation
         current = self._imported.setdefault(key, {})
         if dels:
             # A del may be a bookkeeping-only drop: a prefix the VRF now
@@ -446,6 +470,8 @@ class MpBgp:
             result.routes_imported += len(adds)
         if not current:
             self._imported.pop(key, None)
+        if in_step:
+            self._synced[key] = (vrf, vrf.generation, *seen[2:])
 
     def _sync_vrf_imports(
         self,
@@ -472,6 +498,7 @@ class MpBgp:
         changed: Sequence[VpnRoute],
         result: BgpResult,
         origin: Vrf | None = None,
+        skip: frozenset[Vrf] = frozenset(),
     ) -> None:
         """Targeted import recompute: only VRFs whose import policy
         intersects the changed routes, only the changed prefixes.
@@ -480,7 +507,8 @@ class MpBgp:
         It is re-examined on every changed prefix whatever it imports: a
         hub-and-spoke spoke VRF exports ``rt_spoke`` and imports ``rt_hub``,
         so its policy never matches its own routes, yet a local it gained
-        shadows an import and a local it lost uncovers one.
+        shadows an import and a local it lost uncovers one.  ``skip`` names
+        the VRFs the caller syncs wholesale itself (``converge``).
         """
         if not changed:
             return
@@ -496,6 +524,8 @@ class MpBgp:
             for vrf in pe.vrfs.values():
                 if vrf is origin:
                     prefixes = {route.prefix for route in changed}
+                elif vrf in skip:
+                    continue
                 elif vrf.import_rts.isdisjoint(changed_rts):
                     # Set against set: both sides' stored hashes, no
                     # re-hash of every changed RT per VRF provisioned.
@@ -533,11 +563,16 @@ class MpBgp:
     # Public operations
     # ------------------------------------------------------------------
     def converge(self) -> BgpResult:
-        """Resync every VRF's exports and imports against the Adj-RIB.
+        """Resync exports and imports against the Adj-RIB.
 
         On a fresh engine this is the classic full convergence;
         re-running it on an unchanged network is a no-op — zero updates,
-        zero installs, VRF generations untouched.
+        zero installs, VRF generations untouched.  In between it costs
+        what moved: a VRF that is new, or differs from the engine's record
+        of it (:attr:`_synced` — its table or its policy was written, by
+        anyone), has its exports re-read and its imports synced wholesale;
+        every other VRF is re-examined only on the prefixes those
+        advertised or withdrew, like after any delta.
         """
         result = BgpResult(sessions=self.session_count())
         if not self._sessions_counted:
@@ -545,14 +580,16 @@ class MpBgp:
             self._sessions_counted = True
         advertised: list[VpnRoute] = []
         withdrawn: list[VpnRoute] = []
-        live_keys: set[tuple[str, str]] = set()
-        for pe in self.pes:
-            if pe.name in self._down:
-                continue
-            for vrf in pe.vrfs.values():
-                live_keys.add((pe.name, vrf.name))
-                self._sync_exports(pe, vrf, advertised, withdrawn)
-        self._known |= live_keys
+        up = [pe for pe in self.pes if pe.name not in self._down]
+        live_keys = {(pe.name, name) for pe in up for name in pe.vrfs}
+        synced = self._synced
+        moved: list[tuple[PeRouter, Vrf]] = []
+        for pe in up:
+            pe_name = pe.name
+            for name, vrf in pe.vrfs.items():
+                if synced.get((pe_name, name)) != self._state_of(pe, vrf):
+                    moved.append((pe, vrf))
+                    self._sync_exports(pe, vrf, advertised, withdrawn)
         for key in [
             k for k in self._rib if k not in live_keys and k[0] not in self._down
         ]:
@@ -562,14 +599,18 @@ class MpBgp:
         result.routes_withdrawn = len(withdrawn)
         self._count_updates(advertised, withdrawn, result)
 
-        vrf_order = self._vrf_order()
-        for pe in self.pes:
-            if pe.name in self._down:
-                continue
-            for vrf in pe.vrfs.values():
+        if len(moved) < len(live_keys):
+            self._resync_imports_for(
+                advertised + withdrawn, result,
+                skip=frozenset(vrf for _, vrf in moved),
+            )
+        if moved:
+            vrf_order = self._vrf_order()
+            for pe, vrf in moved:
                 self._sync_vrf_imports(
                     pe, vrf, self._desired_imports(pe, vrf, vrf_order), result
                 )
+                synced[pe.name, vrf.name] = self._state_of(pe, vrf)
         self.net.counters.incr("bgp.updates", result.updates_sent)
         self.net.counters.incr("bgp.routes_imported", result.routes_imported)
         if result.routes_removed:
@@ -594,13 +635,14 @@ class MpBgp:
         self._count_updates(advertised, withdrawn, result)
         self._resync_imports_for(advertised + withdrawn, result, origin=vrf)
         key = (pe.name, vrf.name)
-        if key not in self._known:
+        seen = self._synced.get(key)
+        if seen is None or seen[0] is not vrf:
             # First sync for this VRF: route-refresh its imports so it
             # catches up on NLRI advertised before it existed.
-            self._known.add(key)
             self._sync_vrf_imports(
                 pe, vrf, self._desired_imports(pe, vrf, self._vrf_order()), result
             )
+            self._synced[key] = self._state_of(pe, vrf)
         self._tally(result)
         return result
 
@@ -612,7 +654,8 @@ class MpBgp:
     ) -> BgpResult:
         """Retract advertisements: a whole VRF's, one site's, or all of
         ``pe``'s.  Local routes are untouched — this is the control-plane
-        half of de-provisioning (the provisioner removes the locals)."""
+        half of de-provisioning (the provisioner removes the locals); ones
+        still there at the next :meth:`converge` are advertised again."""
         if pe.name not in self._pe_by_name:
             raise ValueError(f"{pe.name} is not in this BGP mesh")
         vrf_name = vrf.name if isinstance(vrf, Vrf) else vrf
@@ -632,6 +675,10 @@ class MpBgp:
                 withdrawn.append(route)
             if not current:
                 del self._rib[key]
+            if doomed:
+                # The locals are still there: the Adj-RIB no longer holds
+                # what the record says, so the next converge() re-reads.
+                self._synced.pop(key, None)
         result.routes_withdrawn = len(withdrawn)
         self._count_updates((), withdrawn, result)
         self._resync_imports_for(withdrawn, result)
@@ -646,7 +693,7 @@ class MpBgp:
             raise ValueError(f"{key} still has advertisements; withdraw first")
         self._rib.pop(key, None)
         self._imported.pop(key, None)
-        self._known.discard(key)
+        self._synced.pop(key, None)
 
     def peer_down(self, pe: PeRouter | str) -> BgpResult:
         """PE maintenance drain: sessions to ``pe`` go down, its routes

@@ -95,7 +95,8 @@ class PeRouter(Lsr):
         *and* the access /30 that :meth:`bind_circuit` moved in) is
         withdrawn in one batch; the freed prefixes are returned so the
         provisioner can drive the MP-BGP withdraw.  The interface itself
-        stays on the node — decommissioned, not unwired.
+        is the network's to remove (``Network.disconnect``, which
+        ``VpnProvisioner.remove_site`` calls next).
         """
         vrf = self._vrf_of_circuit.pop(ifname, None)
         if vrf is None:

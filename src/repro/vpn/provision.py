@@ -29,7 +29,7 @@ from repro.vpn.pe import PeRouter
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.topology import Network
+    from repro.topology import DuplexLink, Network
 
 __all__ = ["ProvisioningError", "Site", "Vpn", "VpnProvisioner"]
 
@@ -62,11 +62,23 @@ class Site:
     pe: PeRouter
     ce: CeRouter
     prefix: Prefix
-    pe_ifname: str       # PE's interface toward the CE
-    ce_ifname: str       # CE's interface toward the PE
+    # Everything add_site wired for this site — the access circuit first
+    # (``connect(ce, pe)``: the CE is its ``a`` end), then the hub's second
+    # circuit, then one link per host: what remove_site takes out again.
+    links: list["DuplexLink"]
     hosts: list[Host] = field(default_factory=list)
     role: str = "mesh"   # "mesh" | "spoke" | "hub"
     extra: dict = field(default_factory=dict)  # hub: second-circuit names
+
+    @property
+    def pe_ifname(self) -> str:
+        """The PE's interface toward the CE."""
+        return self.links[0].if_ba.name
+
+    @property
+    def ce_ifname(self) -> str:
+        """The CE's interface toward the PE."""
+        return self.links[0].if_ab.name
 
     def host_addr(self, index: int = 0) -> IPv4Address:
         """Address of the ``index``-th host in this site."""
@@ -145,8 +157,9 @@ class VpnProvisioner:
             raise ProvisioningError(f"vpn: no VPN named {vpn!r}")
         return found
 
-    @staticmethod
-    def _check_attachment(pe: PeRouter, num_hosts: int, host_rate_bps: float) -> None:
+    def _check_attachment(
+        self, pe: PeRouter, num_hosts: int, host_rate_bps: float, circuits: int = 1
+    ) -> None:
         if not isinstance(pe, PeRouter):
             raise ProvisioningError(
                 f"pe: {getattr(pe, 'name', pe)!r} is a {type(pe).__name__}, "
@@ -156,6 +169,12 @@ class VpnProvisioner:
             raise ProvisioningError(f"num_hosts: {num_hosts} is negative")
         if not host_rate_bps > 0.0:
             raise ProvisioningError(f"host_rate_bps: {host_rate_bps} is not a rate > 0")
+        free = self.net.linknets_free()
+        if free < circuits + num_hosts:
+            raise ProvisioningError(
+                f"linknet pool {self.net.LINKNET_POOL} exhausted: the site needs "
+                f"{circuits + num_hosts} point-to-point /30s, {free} are free"
+            )
 
     def _alloc_rd_number(self) -> int:
         n = self._next_rd_number
@@ -229,7 +248,7 @@ class VpnProvisioner:
         site_prefix = self._pick_prefix(v, prefix)
         site_id = self._alloc_site_id()
         ce, dl = self._wire_ce(v, pe, site_id)
-        ce_ifname, pe_ifname = dl.if_ab.name, dl.if_ba.name
+        pe_ifname = dl.if_ba.name
 
         ce.add_site_prefix(site_prefix)
         if role == "spoke":
@@ -246,8 +265,7 @@ class VpnProvisioner:
             site_prefix, pe_ifname, next_hop=ce_addr_on_link, origin_site=site_id
         )
 
-        site = Site(v.name, site_id, pe, ce, site_prefix, pe_ifname, ce_ifname,
-                    role=role)
+        site = Site(v.name, site_id, pe, ce, site_prefix, [dl], role=role)
         for h in range(num_hosts):
             site.hosts.append(self._add_host(site, h, host_rate_bps))
         self._register(v, site)
@@ -273,7 +291,7 @@ class VpnProvisioner:
         exists.
         """
         v = self._vpn(vpn)
-        self._check_attachment(pe, num_hosts, host_rate_bps)
+        self._check_attachment(pe, num_hosts, host_rate_bps, circuits=2)
         if v.topology != "hub-spoke":
             raise ValueError(f"{v.name} is not a hub-spoke VPN")
         site_prefix = self._pick_prefix(v, prefix)
@@ -284,7 +302,7 @@ class VpnProvisioner:
         self.net.add_node(ce, loopback=False)
         dl_dn = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
         dl_up = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
-        ce_dn, pe_dn = dl_dn.if_ab.name, dl_dn.if_ba.name
+        pe_dn = dl_dn.if_ba.name
         ce_up, pe_up = dl_up.if_ab.name, dl_up.if_ba.name
 
         # CE: default route (spoke-bound traffic) via the UP circuit.
@@ -306,8 +324,8 @@ class VpnProvisioner:
         pe.vrfs[dn_name].add_local(v.supernet, pe_dn, next_hop=ce_dn_addr,
                                    origin_site=site_id)
 
-        site = Site(v.name, site_id, pe, ce, site_prefix, pe_dn, ce_dn,
-                    role="hub", extra={"pe_up_ifname": pe_up, "ce_up_ifname": ce_up})
+        site = Site(v.name, site_id, pe, ce, site_prefix, [dl_dn, dl_up], role="hub",
+                    extra={"pe_up_ifname": pe_up, "ce_up_ifname": ce_up})
         for h in range(num_hosts):
             site.hosts.append(self._add_host(site, h, host_rate_bps))
         self._register(v, site)
@@ -348,6 +366,7 @@ class VpnProvisioner:
                     self._node_name(f"h-{site.vpn_name}-s{site.site_id}-{index}"))
         self.net.add_node(host, loopback=False)
         dl = self.net.connect(host, site.ce, rate_bps, 0.1e-3)
+        site.links.append(dl)
         host_ifname, ce_ifname = dl.if_ab.name, dl.if_ba.name
         host.gateway_ifname = host_ifname
         # Host address inside the site prefix (offset past the link /30s).
@@ -431,19 +450,28 @@ class VpnProvisioner:
 
     def remove_site(self, site: Site) -> Site:
         """De-provision one site: unbind its circuit(s) — which withdraws
-        every local route learned over them — then push the withdrawal
-        through MP-BGP as a delta.  The CE and hosts stay in the graph as
-        decommissioned nodes (no VRF binding ⇒ unreachable from the VPN).
+        every local route learned over them — take what ``add_site`` wired
+        (the CE, the hosts, their links, the PE-side interface(s) and the
+        /30s) out of the network, then push the withdrawal through MP-BGP
+        as a delta.  A packet still queued on or crossing the access link
+        is dropped by name (``Network.disconnect``) or arrives.
         """
-        v = self.vpns[site.vpn_name]
-        if site not in v.sites:
-            raise ValueError(f"site {site.site_id} is not provisioned")
+        v = self.vpns.get(site.vpn_name)
+        if v is None or site not in v.sites:
+            raise ProvisioningError(
+                f"site: {site.vpn_name} site {site.site_id} is not provisioned "
+                "(already removed?)"
+            )
         pe = site.pe
         circuits = [site.pe_ifname]
         if site.role == "hub":
             circuits.append(site.extra["pe_up_ifname"])
         for ifname in circuits:
             pe.unbind_circuit(ifname)
+        for dl in site.links:
+            self.net.disconnect(dl)
+        for node in (*site.hosts, site.ce):
+            self.net.remove_node(node)
         v.sites.remove(site)
         self._sites_on[pe.name] -= 1
         if not self._sites_on[pe.name]:

@@ -1,4 +1,5 @@
-"""Exact-count gate on what one site flap costs the control plane.
+"""Exact-count gates on what a churn op costs the control plane, and on
+what it leaves behind.
 
 A count, not a time (the ``test_hop_budget.py`` pattern): function calls
 per big-VPN site flap — ``remove_site`` + ``add_site`` + ``export_delta``
@@ -21,16 +22,40 @@ Recorded values (8 PEs, one 200-site VPN, sites round-robin over the PEs,
 * beside 80 small VPNs: 7 953 / 3 175 before, 2 681 / 2 after — what still
   grows with the number of VPNs is one ``isdisjoint`` per provisioned VRF
   in ``_resync_imports_for``.
+
+The other ops of a storm are held to the same rule, as differences between
+two sizes of the same network rather than as absolute ceilings:
+
+* a wave's ``converge()`` (8 sites of a new VPN, provisioned with no delta)
+  on a converged base: 48 031 calls beside 20 small VPNs and 118 111 beside
+  80 with every VRF's exports and imports re-derived — 146 calls per
+  additional provisioned VRF — and 2 391 / 4 311, 4 per VRF, with the
+  engine re-reading only the VRFs that differ from its record of them (the
+  record lookup, the record as it would be written now — ``_state_of``,
+  the one definition of it — with the table generation it reads, one
+  ``isdisjoint`` against the wave's route targets);
+* the two ``reconverge()`` calls of a P1-P2 link flap on the 12-node
+  backbone: 4 335 calls with 200 sites provisioned and 6 735 with 800 when
+  the domain view was rebuilt from every node and every duplex link, 3 421
+  at both sizes with the domain's members and links kept by the network;
+* and none of them leaves anything: after 50 site flaps, a wave and a
+  drain / restore the graph holds the nodes, links, interfaces, addresses
+  and /30s it started with and the collector tracks as many objects (each
+  flap used to leave a CE, a link, a PE interface and a /30 behind).
 """
 
 import cProfile
+import gc
 import pstats
 
 import pytest
 
+from repro.experiments.e1_scalability import mpls_base
+from repro.routing.spf import reconverge
 from repro.topology import Network
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
+from tests.test_state_budget import _tracked
 
 N_PES = 8
 BIG_SITES = 200
@@ -55,9 +80,9 @@ def _converged(small_vpns: int) -> tuple[VpnProvisioner, list[PeRouter]]:
     return prov, pes
 
 
-def _flap(prov: VpnProvisioner) -> None:
+def _flap(prov: VpnProvisioner, at: int = 0) -> None:
     big = prov.vpns["big"]
-    site = big.sites[0]           # a flap re-appends, so this walks the VPN
+    site = big.sites[at]          # a flap re-appends, so 0 walks the VPN
     pe = site.pe
     prov.remove_site(site)
     prov.add_site(big, pe, prefix=site.prefix, num_hosts=0)
@@ -93,3 +118,101 @@ def test_calls_per_big_vpn_site_flap(small_vpns, max_calls_per_flap):
     assert key_frames / COUNTED_FLAPS <= MAX_KEY_FRAMES_PER_FLAP, (
         f"{key_frames} __hash__/__eq__/__lt__ frames / {COUNTED_FLAPS} flaps"
     )
+
+
+def _calls(fn) -> int:
+    # Collector paused: a pass inside the profile would add whatever sits in
+    # ``gc.callbacks`` (Hypothesis keeps a timer there) to an exact count.
+    profile = cProfile.Profile()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    profile.enable()
+    try:
+        fn()
+    finally:
+        profile.disable()
+        if was_enabled:
+            gc.enable()
+    return pstats.Stats(profile).total_calls
+
+
+def _wave(prov: VpnProvisioner, pes: list[PeRouter], name: str) -> int:
+    """Provision 8 sites of a new VPN with no delta, count the calls of the
+    resync that finds them, and tear the VPN down again."""
+    wave = prov.create_vpn(name, supernet="172.16.0.0/12")
+    for pe in pes:
+        prov.add_site(wave, pe, num_hosts=0)
+    engine = prov.bgp_engine()
+    calls = _calls(engine.converge)
+    prov.remove_vpn(name)
+    return calls
+
+
+def test_wave_converge_costs_what_moved():
+    per_size = {}
+    for small_vpns in (20, 80):
+        prov, pes = _converged(small_vpns)
+        tables = sum(pe.vrf_state_entries() for pe in pes)
+        _wave(prov, pes, "warm")
+        per_size[small_vpns] = _wave(prov, pes, "wave")
+        assert sum(pe.vrf_state_entries() for pe in pes) == tables
+    more_vrfs = (80 - 20) * N_PES
+    grown = per_size[80] - per_size[20]
+    assert grown <= 4 * more_vrfs, (
+        f"{per_size} calls: {grown / more_vrfs:.1f} per additional provisioned VRF"
+    )
+
+
+def _link_flap_calls(n_sites: int) -> int:
+    net = mpls_base(n_sites)["net"]
+    link = net.link_between("P1", "P2")
+
+    def flap() -> int:
+        calls = 0
+        for up in (False, True):
+            link.set_up(up)
+            calls += _calls(lambda: reconverge(net))
+        return calls
+
+    flap()          # the first flap fills first-use state
+    return flap()
+
+
+def test_core_link_flap_does_not_read_the_access_circuits():
+    small, large = _link_flap_calls(200), _link_flap_calls(800)
+    assert abs(large - small) <= 0.01 * small, (
+        f"{small} calls in reconverge at 200 sites, {large} at 800"
+    )
+
+
+def _graph_footprint(net: Network, pes: list[PeRouter]) -> dict:
+    return {
+        "nodes": len(net.nodes),
+        "links": len(net.duplex_links),
+        "pe interfaces": [len(pe.interfaces) for pe in pes],
+        "pe addresses": [len(pe.addresses) for pe in pes],
+        "free /30s": net.linknets_free(),
+    }
+
+
+def test_churn_leaves_nothing_behind():
+    prov, pes = _converged(20)
+    net = prov.net
+
+    def storm(flaps: int) -> None:
+        for _ in range(flaps):
+            _flap(prov, at=-5)      # round and round the same five sites
+        _wave(prov, pes, "wave")
+        prov.drain_pe(pes[3])
+        prov.restore_pe(pes[3])
+
+    # First-use state fills here: counter keys, fan-out memos, and the
+    # second Prefix object a table's pending-write list keeps per prefix
+    # once it has been withdrawn and re-installed (``Fib._stale``).
+    storm(5)
+    tracked = _tracked()
+    before = _graph_footprint(net, pes)
+    storm(50)
+    assert _graph_footprint(net, pes) == before
+    del before      # three containers the first count did not see
+    assert _tracked() == tracked

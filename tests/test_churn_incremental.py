@@ -5,7 +5,11 @@ sequence of churn operations — sites added, removed, flapped between
 PEs, duplicate prefixes introduced (in a mesh VPN, and a hub-and-spoke
 spoke duplicating a route its VRF imports), whole VPNs provisioned and
 torn down, PEs drained and restored (sites removed behind them while they
-are away), a bare resync in between — the
+are away), a bare resync in between, a wave of sites provisioned with no
+delta and picked up by the next resync, and state moved behind the
+engine's back (an import policy assigned, an imported route withdrawn by
+hand, a VRF deleted and re-created under its name), advertisements
+retracted while the locals stay — the
 incrementally maintained VRF state equals what a clear-remotes +
 from-scratch ``converge()`` produces on the same network (the same
 oracle style as ``test_reconverge_incremental`` uses for the IGP fast
@@ -95,8 +99,14 @@ def _oracle_snapshot(prov: VpnProvisioner, drained, rr_clusters=None):
 # Satellite: idempotent re-convergence (the double-import regression)
 # ----------------------------------------------------------------------
 class TestIdempotentReconverge:
-    def test_second_converge_is_a_noop(self):
+    def test_second_converge_is_a_noop(self, monkeypatch):
         net, pes, prov = _world(4)
+        engine = prov.bgp_engine()
+        reread = []
+        for name in ("_sync_exports", "_desired_imports"):
+            monkeypatch.setattr(
+                engine, name, lambda *a, _name=name, **k: reread.append(_name)
+            )
         counters = net.counters.snapshot()
         gens = {
             (pe.name, v.name): v.generation
@@ -107,6 +117,8 @@ class TestIdempotentReconverge:
         assert again.routes_exported == 0
         assert again.routes_imported == 0
         assert again.routes_removed == 0
+        # Nothing moved, so no VRF's exports or imports were re-read.
+        assert reread == []
         # Counters unchanged: no double-counted sessions, updates, imports.
         assert net.counters.snapshot() == counters
         # Data-plane flow caches stay warm: no VRF generation bumps.
@@ -283,6 +295,24 @@ class TestChurnDeterministic:
         engine.export_delta(pes[0], pes[0].vrfs["corp"])
         assert _vrf_snapshot(prov) == full
 
+    @pytest.mark.parametrize("scope", ["site", "vrf", "pe"])
+    def test_withdraw_then_converge_readvertises(self, scope):
+        """``withdraw`` leaves the locals, so a VRF whose table and policy
+        nobody wrote to still differs from what the Adj-RIB holds: the next
+        resync re-advertises it (it did when every resync re-read all)."""
+        net, pes, prov = _world(3)
+        engine = prov.bgp_engine()
+        full = _vrf_snapshot(prov)
+        site = prov.vpns["corp"].sites[0]
+        engine.withdraw(pes[0], **{
+            "site": {"site": site.site_id}, "vrf": {"vrf": "corp"}, "pe": {},
+        }[scope])
+        for pe in pes[1:]:
+            assert site.prefix not in pe.vrfs["corp"].routes()
+        again = prov.converge_bgp()
+        assert again.routes_exported >= 1
+        assert _vrf_snapshot(prov) == full
+
     def test_drain_restore_roundtrip(self):
         net, pes, prov = _world(4)
         before = _vrf_snapshot(prov)
@@ -321,7 +351,7 @@ class TestChurnDeterministic:
 # ----------------------------------------------------------------------
 OP_KINDS = (
     "site+", "site-", "flap", "dup+", "vpn+", "vpn-", "drain", "restore",
-    "spoke-dup", "converge",
+    "spoke-dup", "converge", "wave", "rts=", "hand-", "vrf-readd", "withdraw",
 )
 
 
@@ -422,6 +452,61 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         engine.export_delta(pe, _site_vrf(pe, hs))
     elif kind == "converge":
         prov.converge_bgp()           # bare resync in the middle of the churn
+    elif kind == "wave":
+        # What churn_storm does: sites provisioned with no delta at all,
+        # then one bare resync that has to find them.
+        if not up_pes:
+            return
+        v = vpns[a % len(vpns)]
+        for pe in (up_pes[a % len(up_pes)], up_pes[b % len(up_pes)]):
+            prov.add_site(v, pe, num_hosts=0)
+        prov.converge_bgp()
+    elif kind == "rts=":
+        # A direct policy assignment: toggle another VPN's RT in or out of
+        # one VRF's import set (an extranet import on overlapping plans).
+        vrfs = [vrf for pe in pes for vrf in pe.vrfs.values()]
+        vrf = vrfs[a % len(vrfs)]
+        vrf.import_rts = vrf.import_rts ^ {vpns[b % len(vpns)].rt}
+        prov.converge_bgp()
+    elif kind == "hand-":
+        # An imported route withdrawn by hand; the resync puts it back.
+        holders = [
+            (vrf, p) for pe in up_pes for vrf in pe.vrfs.values()
+            for p, r in sorted(vrf.routes().items()) if r.kind == "remote"
+        ]
+        if not holders:
+            return
+        vrf, prefix = holders[a % len(holders)]
+        assert vrf.withdraw(prefix)
+        prov.converge_bgp()
+        assert vrf.kind_of(prefix) == "remote"
+    elif kind == "vrf-readd":
+        # A VRF deleted and re-created under its name behind the engine's
+        # back (legal once its last circuit is gone): a new, empty table.
+        idle = [
+            (pe, vrf) for pe in pes for vrf in pe.vrfs.values() if not vrf.circuits
+        ]
+        if not idle:
+            return
+        pe, vrf = idle[a % len(idle)]
+        pe.remove_vrf(vrf.name)
+        pe.add_vrf(vrf.name, vrf.rd, vrf.import_rts, vrf.export_rts)
+        prov.converge_bgp()
+    elif kind == "withdraw":
+        # Advertisements retracted (one site's, or its whole VRF's) with
+        # the locals left where they are; the resync re-advertises them.
+        sites = [
+            s for v in vpns for s in v.sites if s.pe.name not in drained
+        ]
+        if not sites:
+            return
+        site = sites[a % len(sites)]
+        if b % 2:
+            engine.withdraw(site.pe, site=site.site_id)
+        else:
+            names = prov._site_vrf_names(prov.vpns[site.vpn_name], site)
+            engine.withdraw(site.pe, vrf=names[b // 2 % len(names)])
+        prov.converge_bgp()
 
 
 class TestIncrementalMatchesFullConverge:

@@ -11,7 +11,10 @@ record and the counters had already gone.
 
 import pytest
 
+from repro.experiments.e1_scalability import mpls_base
+from repro.experiments.e15_churn import churn_storms, run_e15
 from repro.mpls.lsr import Lsr
+from repro.net.address import Prefix
 from repro.topology import Network
 from repro.vpn import ProvisioningError
 from repro.vpn.pe import PeRouter
@@ -32,6 +35,8 @@ def _footprint(net: Network, prov: VpnProvisioner) -> dict:
         "vrfs": {n.name: {name: len(vrf) for name, vrf in n.vrfs.items()}
                  for n in net.nodes.values() if isinstance(n, PeRouter)},
         "interfaces": sum(len(n.interfaces) for n in net.nodes.values()),
+        "addresses": sum(len(n.addresses) for n in net.nodes.values()),
+        "free /30s": net.linknets_free(),
     }
 
 
@@ -183,3 +188,141 @@ class TestRemoveSiteBehindADrainedPe:
         prov.restore_pe(pes[2])
         assert not [k for k in prov.bgp_engine()._rib if k[1] == "other"]
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+
+class _FourSubnets(Network):
+    LINKNET_POOL = Prefix.parse("192.168.0.0/28")
+
+
+class TestLinknetPool:
+    """A /30 comes back when its link goes, and a spent pool is a named
+    provisioning error raised before the CE exists (it used to be a bare
+    ``ValueError`` from ``connect``, after ``add_node(ce)`` and both
+    ``add_interface`` calls, and a flapping site spent one /30 per flap)."""
+
+    def _world(self):
+        net = _FourSubnets(seed=5)
+        pes = [net.add_node(PeRouter(net.sim, f"pe{i}")) for i in range(2)]
+        prov = VpnProvisioner(net)
+        prov.create_vpn("corp")
+        prov.create_hub_spoke_vpn("hs")
+        return net, pes, prov
+
+    def test_a_flapping_site_gets_its_subnet_back(self):
+        net, pes, prov = self._world()
+        site = prov.add_site("corp", pes[0], num_hosts=0)
+        subnet = Prefix.of(site.links[0].addr_a, 30)
+        for _ in range(10):
+            prov.remove_site(site)
+            site = prov.add_site("corp", pes[0], prefix=site.prefix, num_hosts=0)
+            assert Prefix.of(site.links[0].addr_a, 30) == subnet
+        assert net.linknets_free() == 3
+
+    def test_lowest_free_subnet_first(self):
+        net, pes, prov = self._world()
+        sites = [prov.add_site("corp", pes[i % 2], num_hosts=0) for i in range(4)]
+        subnets = [Prefix.of(s.links[0].addr_a, 30) for s in sites]
+        assert subnets == sorted(subnets) and net.linknets_free() == 0
+        prov.remove_site(sites[2])
+        prov.remove_site(sites[0])
+        again = [prov.add_site("corp", pes[0], num_hosts=0) for _ in range(2)]
+        assert [Prefix.of(s.links[0].addr_a, 30) for s in again] == [subnets[0], subnets[2]]
+
+    @pytest.mark.parametrize("free, call, kw", [
+        (0, "add_site", {"num_hosts": 0}),
+        (1, "add_site", {"num_hosts": 1}),      # access /30 + one host link
+        (1, "add_hub_site", {"num_hosts": 0}),  # two circuits
+    ])
+    def test_a_spent_pool_is_named_before_anything_is_allocated(self, free, call, kw):
+        net, pes, prov = self._world()
+        for _ in range(4 - free):
+            prov.add_site("corp", pes[1], num_hosts=0)
+        before = _footprint(net, prov)
+        vpn = "hs" if call == "add_hub_site" else "corp"
+        with pytest.raises(
+            ProvisioningError, match=r"^linknet pool 192\.168\.0\.0/28 exhausted"
+        ):
+            getattr(prov, call)(vpn, pes[0], **kw)
+        assert _footprint(net, prov) == before
+        assert len(pes[0].interfaces) == 0 and not prov.vpns[vpn].sites[4 - free:]
+
+    def test_connect_takes_its_subnet_before_it_touches_a_node(self):
+        net, pes, prov = self._world()
+        for _ in range(4):
+            prov.add_site("corp", pes[1], num_hosts=0)
+        before = _footprint(net, prov)
+        with pytest.raises(ValueError, match=r"^linknet pool 192\.168\.0\.0/28 exhausted"):
+            net.connect(pes[0], pes[1])
+        assert _footprint(net, prov) == before
+
+
+class TestRemoveSiteTwice:
+    def test_is_named_and_touches_nothing(self):
+        net, pes, prov = _world(3, hub_spoke=True)
+        engine = prov.bgp_engine()
+        extra = prov.add_site("corp", pes[1], num_hosts=0)
+        engine.export_delta(pes[1], pes[1].vrfs["corp"])
+        prov.remove_site(extra)
+        before = _footprint(net, prov)
+        rib = {key: dict(routes) for key, routes in engine._rib.items()}
+        updates = net.counters["bgp.updates"]
+        with pytest.raises(ProvisioningError, match=r"^site: corp site \d+ is not provisioned"):
+            prov.remove_site(extra)
+        assert _footprint(net, prov) == before
+        assert engine._rib == rib and net.counters["bgp.updates"] == updates
+
+    def test_site_of_a_removed_vpn(self):
+        net, pes, prov = _world(3)
+        wave = prov.create_vpn("wave")
+        site = prov.add_site(wave, pes[0], num_hosts=0)
+        prov.converge_bgp()
+        prov.remove_vpn("wave")
+        before = _footprint(net, prov)
+        with pytest.raises(ProvisioningError, match=r"^site: wave site"):
+            prov.remove_site(site)
+        assert _footprint(net, prov) == before
+
+
+class TestChurnStormParameters:
+    """``run_e15`` / ``churn_storms`` name the parameter at entry: ``n_sites=0``
+    used to say "need at least one PE", ``wave_sites=0`` and more flaps than
+    sites raised ``IndexError`` after the flap storm had already run, and
+    negative counts passed silently."""
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"n_sites": 0}, r"^n_sites: 0 "),
+        ({"wave_sites": 0}, r"^wave_sites: 0 "),
+        ({"site_flaps": -1}, r"^site_flaps: -1 "),
+        ({"link_flaps": -2}, r"^link_flaps: -2 "),
+        ({"n_sites": 8, "site_flaps": 9}, r"^site_flaps: 9 .* n_sites is 8"),
+    ])
+    def test_run_e15_names_the_parameter(self, kw, message, monkeypatch):
+        def must_not_build(*a, **k):
+            raise AssertionError("a network was built for a refused call")
+
+        monkeypatch.setattr("repro.experiments.e15_churn.mpls_base", must_not_build)
+        with pytest.raises(ValueError, match=message):
+            run_e15(**{"n_sites": 16, **kw})
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"wave_sites": 0}, r"^wave_sites: 0 "),
+        ({"site_flaps": -1}, r"^site_flaps: -1 "),
+        ({"link_flaps": -1}, r"^link_flaps: -1 "),
+        ({"site_flaps": 9}, r"^site_flaps: 9 .* n_sites is 8"),
+    ])
+    def test_churn_storms_refuses_before_the_first_storm(self, kw, message):
+        ctx = mpls_base(8)
+        net, prov = ctx["net"], ctx["prov"]
+        before = _footprint(net, prov)
+        updates = net.counters["bgp.updates"]
+        with pytest.raises(ValueError, match=message):
+            churn_storms(ctx, **kw)
+        assert _footprint(net, prov) == before
+        assert net.counters["bgp.updates"] == updates
+
+    def test_zero_flaps_are_legal_and_leave_no_residue(self):
+        rows = churn_storms(mpls_base(8), site_flaps=0, wave_sites=1, link_flaps=0)
+        residue = next(r for r in rows if r["storm"] == "residue")
+        assert {k: residue[k] for k in ("nodes", "links", "pe_interfaces", "subnets")} == {
+            "nodes": 0, "links": 0, "pe_interfaces": 0, "subnets": 0,
+        }

@@ -214,6 +214,17 @@ def test_schema_3_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_4_image_refused_by_name(monkeypatch) -> None:
+    # A /4 network has no free /30 list, no per-domain index and nodes that
+    # do not know their network: the first disconnect() or node.domain write
+    # after a restore would fail far from the cause.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/4")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/4'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the

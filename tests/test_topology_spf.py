@@ -14,6 +14,7 @@ from repro.topology import (
     build_line,
     build_star,
 )
+from repro.vpn.ce import CeRouter
 
 
 class TestNetworkWiring:
@@ -52,6 +53,76 @@ class TestNetworkWiring:
         # A refused connect leaves no half-wired interface behind.
         assert not a.interfaces and not b.interfaces and not net.duplex_links
         assert net.connect(a, b, rate_bps=float("inf"), delay_s=0.0).if_ab.name == "to-b"
+
+    def test_disconnect_is_the_inverse_of_connect(self):
+        net = Network()
+        a, b, c = (net.add_router(n) for n in "abc")
+        keep = net.connect(a, b)
+        before = (dict(a.interfaces), dict(a.addresses), dict(a.connected_prefixes),
+                  net.linknets_free(), list(net.duplex_links))
+        gone = net.connect(a, c)
+        generation = net.topology_generation
+        net.disconnect(gone)
+        assert (dict(a.interfaces), dict(a.addresses), dict(a.connected_prefixes),
+                net.linknets_free(), list(net.duplex_links)) == before
+        assert not c.interfaces and not c.connected_prefixes and list(c.addresses) == [c.loopback]
+        assert not (gone.link_ab.up or gone.link_ba.up) and gone.net is None
+        assert net.topology_generation > generation
+        # The /30 is the next one handed out; the link that stayed kept its own.
+        again = net.connect(c, b)
+        assert {again.addr_a, again.addr_b} == {gone.addr_a, gone.addr_b}
+        assert keep.net is net and keep.link_ab.up
+        with pytest.raises(ValueError, match=r"^link a-c is not in this network"):
+            net.disconnect(gone)
+
+    def test_remove_node_refuses_a_wired_or_foreign_node_by_name(self):
+        net = Network()
+        a, b = net.add_router("a"), net.add_router("b")
+        dl = net.connect(a, b)
+        with pytest.raises(ValueError, match=r"^node 'b' still has interfaces \['to-a'\]"):
+            net.remove_node(b)
+        assert "b" in net.nodes
+        net.disconnect(dl)
+        net.remove_node(b)
+        assert list(net.nodes) == ["a"]
+        with pytest.raises(ValueError, match=r"^node 'b' is not in this network"):
+            net.remove_node(b)
+        # Same name, different node: not the one this network holds.
+        net.add_router("b")
+        with pytest.raises(ValueError, match=r"^node 'b' is not in this network"):
+            net.remove_node(b)
+
+    def test_domain_view_follows_the_graph_after_its_first_read(self):
+        net = Network()
+        a, b = build_line(net, 2)
+        assert net.domain_view().order_names == ["r0", "r1"]
+        c = net.add_router("r2")
+        dl = net.connect(b, c)
+        host = attach_host(net, c, "10.66.0.1", "h")       # not a router: never a member
+        view = net.domain_view()
+        assert view.order_names == ["r0", "r1", "r2"] and len(view.edges) == 2
+        net.disconnect(dl)
+        assert len(net.domain_view().edges) == 1
+        net.disconnect(next(d for d in net.duplex_links if d.a is host))
+        net.remove_node(c)
+        assert net.domain_view().order_names == ["r0", "r1"]
+
+    def test_domain_write_after_add_node_goes_through_the_network(self):
+        net = Network()
+        a, b, c = build_line(net, 3)
+        assert len(net.domain_view().names) == 3
+        generation = net.topology_generation
+        c.domain = "elsewhere"
+        assert net.topology_generation > generation
+        view = net.domain_view()
+        assert view.order_names == ["r0", "r1"] and len(view.edges) == 1
+        assert net.domain_view("elsewhere").order_names == ["r2"]
+        c.domain = "core"
+        assert net.domain_view().order_names == ["r0", "r1", "r2"]
+        # Before add_node there is no network to tell: nothing moves.
+        generation = net.topology_generation
+        ce = CeRouter(net.sim, "ce")
+        assert ce.domain == "customer" and net.topology_generation == generation
 
     def test_parallel_links_get_distinct_ifnames(self):
         net = Network()
