@@ -19,16 +19,13 @@ from repro.mpls.label import IMPLICIT_NULL
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
-from repro.routing.spf import _deterministic_dijkstra, _domain_graph, _egress_towards
+from repro.routing.admission import AdmissionError, ReservationLedger
+from repro.routing.spf_core import NoPathError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Network
 
 __all__ = ["AdmissionError", "TeLsp", "TrafficEngineering"]
-
-
-class AdmissionError(RuntimeError):
-    """A link on the requested path lacks reservable bandwidth."""
 
 
 @dataclass
@@ -58,7 +55,7 @@ class TeLsp:
         return self.path[-1]
 
 
-class TrafficEngineering:
+class TrafficEngineering(ReservationLedger):
     """CSPF path computation + LSP signaling + per-link reservations.
 
     Parameters
@@ -73,25 +70,8 @@ class TrafficEngineering:
     """
 
     def __init__(self, net: "Network", domain: str = "core", subscription: float = 1.0) -> None:
-        self.net = net
-        self.domain = domain
-        self.subscription = subscription
-        # Directed reservations: (from_name, to_name) -> reserved bps.
-        self.reserved: dict[tuple[str, str], float] = {}
+        super().__init__(net, domain, subscription)
         self.lsps: dict[str, TeLsp] = {}
-
-    # ------------------------------------------------------------------
-    # Bandwidth accounting
-    # ------------------------------------------------------------------
-    def _capacity(self, u: str, v: str) -> float:
-        dl = self.net.link_between(u, v)
-        if dl is None:
-            raise KeyError(f"no link {u}-{v}")
-        return dl.rate_bps * self.subscription
-
-    def residual(self, u: str, v: str) -> float:
-        """Reservable bandwidth remaining on the directed link u→v."""
-        return self._capacity(u, v) - self.reserved.get((u, v), 0.0)
 
     # ------------------------------------------------------------------
     # Constraint-based routing
@@ -107,31 +87,29 @@ class TrafficEngineering:
         """Shortest metric path satisfying the bandwidth constraint.
 
         Returns ``None`` when no feasible path exists.  The search runs on
-        a *directed* residual graph — a link may be saturated toward the
-        destination yet empty the other way — with the IGP's deterministic
-        tie-breaking.
+        the domain view's links pruned *per direction* — a link may be
+        saturated toward the destination yet empty the other way — with
+        the IGP's deterministic tie-breaking.
         """
-        import networkx as nx
-
-        base = _domain_graph(self.net, self.domain)
+        view = self.net.domain_view(self.domain)
+        names = view.names
         avoid_n = set(avoid_nodes)
         avoid_l = {frozenset(l) for l in avoid_links}
-        dg = nx.DiGraph()
-        dg.add_nodes_from(n for n in base.nodes if n not in avoid_n)
-        for u, v, data in base.edges(data=True):
-            if u in avoid_n or v in avoid_n or frozenset((u, v)) in avoid_l:
-                continue
-            if self.residual(u, v) >= bandwidth_bps:
-                dg.add_edge(u, v, metric=data["metric"], duplex=data["duplex"])
-            if self.residual(v, u) >= bandwidth_bps:
-                dg.add_edge(v, u, metric=data["metric"], duplex=data["duplex"])
-        if src not in dg or dst not in dg:
+
+        def admits(i: int, j: int) -> bool:
+            u, v = names[i], names[j]
+            return (
+                u not in avoid_n
+                and v not in avoid_n
+                and frozenset((u, v)) not in avoid_l
+                and self.residual(u, v) >= bandwidth_bps
+            )
+
+        try:
+            path = view.route(src, dst, admits)
+        except NoPathError:
             return None
-        _dist, paths = _deterministic_dijkstra(dg, src)
-        path = paths.get(dst)
-        if path is None or len(path) < 2:
-            return None
-        return path
+        return [names[i] for i in path] if len(path) > 1 else None
 
     # ------------------------------------------------------------------
     # Signaling
@@ -146,7 +124,9 @@ class TrafficEngineering:
     ) -> TeLsp:
         """Set up an LSP along an explicit ``path`` with admission control.
 
-        Raises :class:`AdmissionError` (without partial state) when any hop
+        Raises :class:`AdmissionError` before anything is written — no
+        reservation, message count, label or table entry — when a node is
+        outside the domain or not an LSR, or a hop is not a live link or
         lacks bandwidth; counts one PATH + one RESV message per hop.
 
         ``scheduling_class`` makes this an **L-LSP** (RFC 3270): every node
@@ -160,30 +140,26 @@ class TrafficEngineering:
         path = list(path)
         if len(path) < 2:
             raise ValueError("path needs at least two nodes")
+        view = self.net.domain_view(self.domain)
+        lsrs: dict[str, Lsr] = {}
+        for n in path:
+            i = view.idx.get(n)
+            if i is None:
+                raise AdmissionError(f"{name}: {n} is not in domain {self.domain!r}")
+            node = view.routers[i]
+            if not isinstance(node, Lsr):
+                raise AdmissionError(f"{name}: {n} is not an LSR")
+            lsrs[n] = node
+        self.admit(name, path, bandwidth_bps)
         hops = list(zip(path, path[1:]))
-        # Admission control across all hops *before* touching any state.
-        for u, v in hops:
-            if self.residual(u, v) < bandwidth_bps:
-                raise AdmissionError(
-                    f"{name}: link {u}->{v} has "
-                    f"{self.residual(u, v):.0f}bps < {bandwidth_bps:.0f}bps"
-                )
-        for u, v in hops:
-            self.reserved[(u, v)] = self.reserved.get((u, v), 0.0) + bandwidth_bps
         self.net.counters.incr("rsvp.path_msgs", len(hops))
         self.net.counters.incr("rsvp.resv_msgs", len(hops))
 
-        lsrs = {n: self.net.nodes[n] for n in path}
-        for n, node in lsrs.items():
-            if not isinstance(node, Lsr):
-                raise TypeError(f"{n} is not an LSR")
-
-        g = _domain_graph(self.net, self.domain)
         # Allocate labels from egress backward (RESV direction).
         hop_labels: list[int] = [0] * len(hops)
         downstream_label = IMPLICIT_NULL
         if not php:
-            egress: Lsr = lsrs[path[-1]]  # type: ignore[assignment]
+            egress = lsrs[path[-1]]
             downstream_label = egress.labels.allocate()
             egress.lfib.install(
                 downstream_label, LfibEntry(LabelOp.POP_PROCESS, lsp_id=name)
@@ -193,10 +169,9 @@ class TrafficEngineering:
             hop_labels[i] = downstream_label
             if i == 0:
                 break
-            lsr: Lsr = lsrs[u]  # type: ignore[assignment]
+            lsr = lsrs[u]
             in_label = lsr.labels.allocate()
-            dl = g[u][v]["duplex"]
-            out_ifname, _ = _egress_towards(dl, u)
+            out_ifname = view.edge(u, v)[1]
             if downstream_label == IMPLICIT_NULL:
                 entry = LfibEntry(LabelOp.POP, out_ifname=out_ifname, lsp_id=name)
             else:
@@ -221,9 +196,7 @@ class TrafficEngineering:
                 if label == IMPLICIT_NULL:
                     continue
                 for node_name in (path[i], path[i + 1]):
-                    node = lsrs[node_name]
-                    assert isinstance(node, Lsr)
-                    node.label_class[label] = scheduling_class
+                    lsrs[node_name].label_class[label] = scheduling_class
         self.lsps[name] = lsp
         self.net.trace.publish(
             "te.lsp_up",
@@ -254,9 +227,10 @@ class TrafficEngineering:
 
     def teardown(self, name: str) -> None:
         """Release the LSP's reservations and forwarding state."""
-        lsp = self.lsps.pop(name)
-        for u, v in zip(lsp.path, lsp.path[1:]):
-            self.reserved[(u, v)] -= lsp.bandwidth_bps
+        lsp = self.lsps.pop(name, None)
+        if lsp is None:
+            raise ValueError(f"name: no LSP {name!r} is up (never signaled, or torn down)")
+        self.release(lsp.path, lsp.bandwidth_bps)
         for n in lsp.path:
             node = self.net.nodes[n]
             if isinstance(node, Lsr):
@@ -277,11 +251,13 @@ class TrafficEngineering:
     # ------------------------------------------------------------------
     def ingress_nhlfe(self, lsp: TeLsp) -> Nhlfe:
         """The NHLFE an ingress uses to put a packet on ``lsp``."""
-        g = _domain_graph(self.net, self.domain)
         u, v = lsp.path[0], lsp.path[1]
-        dl = g[u][v]["duplex"]
-        out_ifname, _ = _egress_towards(dl, u)
-        return Nhlfe(out_ifname, (lsp.hop_labels[0],), lsp_id=lsp.name)
+        edge = self.net.domain_view(self.domain).edge(u, v)
+        if edge is None:
+            raise AdmissionError(
+                f"{lsp.name}: no live link {u}->{v} in domain {self.domain!r}"
+            )
+        return Nhlfe(edge[1], (lsp.hop_labels[0],), lsp_id=lsp.name)
 
     def autoroute(self, lsp: TeLsp, prefixes: Sequence[Prefix | str]) -> None:
         """Bind destination ``prefixes`` at the ingress onto the tunnel.

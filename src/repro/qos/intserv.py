@@ -29,12 +29,14 @@ from typing import TYPE_CHECKING
 
 from repro.net.packet import Packet
 from repro.qos.classifier import FlowMatch, exp_classifier
-from repro.routing.spf import _deterministic_dijkstra, _domain_graph
+from repro.routing.admission import AdmissionError, ReservationLedger
+from repro.routing.spf_core import NoPathError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Network
 
 __all__ = [
+    "AdmissionError",
     "RSVP_REFRESH_S",
     "Reservation",
     "IntServ",
@@ -43,10 +45,6 @@ __all__ = [
 
 #: RFC 2205 default refresh period.
 RSVP_REFRESH_S = 30.0
-
-
-class AdmissionError(RuntimeError):
-    """Insufficient reservable bandwidth on the flow's path."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +61,7 @@ class Reservation:
         return len(self.path) - 1
 
 
-class IntServ:
+class IntServ(ReservationLedger):
     """Per-flow guaranteed-service manager over plain IP routers.
 
     Routers gain a ``rsvp_flows`` list (installed lazily); the interior
@@ -73,22 +71,9 @@ class IntServ:
     """
 
     def __init__(self, net: "Network", domain: str = "core", subscription: float = 1.0) -> None:
-        self.net = net
-        self.domain = domain
-        self.subscription = subscription
-        self.reserved: dict[tuple[str, str], float] = {}
+        super().__init__(net, domain, subscription)
         self.reservations: list[Reservation] = []
         self._next_id = 1
-
-    # ------------------------------------------------------------------
-    def _capacity(self, u: str, v: str) -> float:
-        dl = self.net.link_between(u, v)
-        if dl is None:
-            raise KeyError(f"no link {u}-{v}")
-        return dl.rate_bps * self.subscription
-
-    def residual(self, u: str, v: str) -> float:
-        return self._capacity(u, v) - self.reserved.get((u, v), 0.0)
 
     # ------------------------------------------------------------------
     def reserve(
@@ -101,22 +86,18 @@ class IntServ:
         """Admit one flow along the IGP path; install state at every hop.
 
         Counts one PATH + one RESV message per hop (``rsvp.*`` counters).
-        Raises :class:`AdmissionError` without side effects when a hop
-        lacks bandwidth.
+        Raises :class:`AdmissionError` without side effects when there is
+        no path or a hop lacks bandwidth.
         """
-        g = _domain_graph(self.net, self.domain)
-        _dist, paths = _deterministic_dijkstra(g, src_router)
-        path = paths.get(dst_router)
-        if path is None or len(path) < 2:
-            raise AdmissionError(f"no path {src_router}->{dst_router}")
-        hops = list(zip(path, path[1:]))
-        for u, v in hops:
-            if self.residual(u, v) < rate_bps:
-                raise AdmissionError(
-                    f"link {u}->{v}: {self.residual(u, v):.0f} < {rate_bps:.0f}bps"
-                )
-        for u, v in hops:
-            self.reserved[(u, v)] = self.reserved.get((u, v), 0.0) + rate_bps
+        flow = f"{src_router} -> {dst_router}"
+        view = self.net.domain_view(self.domain)
+        try:
+            path = [view.names[i] for i in view.route(src_router, dst_router)]
+        except NoPathError as exc:
+            raise AdmissionError(str(exc)) from None
+        if len(path) < 2:
+            raise AdmissionError(f"{flow}: a reservation needs at least one hop")
+        self.admit(flow, path, rate_bps)
 
         res = Reservation(self._next_id, match, rate_bps, tuple(path))
         self._next_id += 1
@@ -126,8 +107,8 @@ class IntServ:
             if not hasattr(node, "rsvp_flows"):
                 node.rsvp_flows = []  # type: ignore[attr-defined]
             node.rsvp_flows.append(res)  # type: ignore[attr-defined]
-        self.net.counters.incr("rsvp.path_msgs", len(hops))
-        self.net.counters.incr("rsvp.resv_msgs", len(hops))
+        self.net.counters.incr("rsvp.path_msgs", res.hops)
+        self.net.counters.incr("rsvp.resv_msgs", res.hops)
         return res
 
     # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """IP routing: FIB with longest-prefix match, SPF control plane, router node."""
 
+from repro.routing.admission import AdmissionError, ReservationLedger
 from repro.routing.fib import Fib, RouteEntry
 from repro.routing.router import Router
 from repro.routing.spf import (
@@ -9,8 +10,10 @@ from repro.routing.spf import (
     reconverge,
     spf_paths,
 )
+from repro.routing.spf_core import NoPathError
 
 __all__ = [
-    "Fib", "RouteEntry", "Router", "advertised_prefixes", "clear_routes",
-    "converge", "reconverge", "spf_paths",
+    "AdmissionError", "Fib", "NoPathError", "ReservationLedger", "RouteEntry",
+    "Router", "advertised_prefixes", "clear_routes", "converge", "reconverge",
+    "spf_paths",
 ]

@@ -16,10 +16,11 @@ Customer equipment (``node.domain != domain``) is excluded: its addresses
 may overlap between customers and must never enter the provider IGP
 (claim C5); reachability for them is the VPN layer's job.
 
-Since the control-plane fast path, all graph work runs on the network's
-cached :class:`~repro.routing.spf_core.DomainView` (integer-indexed,
-generation-stamped) instead of a networkx graph rebuilt per call, routes
-land in the FIB through batched installs, and :func:`reconverge` is
+All graph work runs on the network's cached
+:class:`~repro.routing.spf_core.DomainView` (integer-indexed,
+generation-stamped) — the one topology read-model, which CSPF, IntServ
+admission and the fluid plane route on too — routes land in the FIB
+through batched installs, and :func:`reconverge` is
 *incremental*: it diffs the edge set against the snapshot of the last
 convergence and recomputes only the sources whose shortest-path trees the
 change can touch.  FIB contents are bit-identical to the reference
@@ -33,8 +34,6 @@ from math import inf
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import RouteEntry
 from repro.routing.router import Router
@@ -42,13 +41,12 @@ from repro.routing.spf_core import (
     TIE_EPS,
     SpfState,
     costs_equal,
-    dijkstra_pred,
     first_hop_array,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology -> routing)
     from repro.routing.spf_core import DomainView
-    from repro.topology import DuplexLink, Network
+    from repro.topology import Network
 
 __all__ = ["converge", "spf_paths", "advertised_prefixes"]
 
@@ -65,29 +63,6 @@ def advertised_prefixes(router: "Router") -> list[Prefix]:
     out.extend(router.connected_prefixes)
     out.extend(router.advertised_prefixes)
     return out
-
-
-def _domain_graph(net: "Network", domain: str) -> nx.Graph:
-    """networkx export of the cached domain view (CSPF/IntServ consumers)."""
-    view = net.domain_view(domain)
-    g = nx.Graph()
-    g.add_nodes_from(view.order_names)
-    names = view.names
-    for (i, j), metric in view.edges.items():
-        g.add_edge(names[i], names[j], metric=metric, duplex=view.duplex[(i, j)])
-    return g
-
-
-def _egress_towards(dl: "DuplexLink", src_name: str) -> tuple[str, IPv4Address]:
-    """(out_ifname, next_hop_addr) for ``src`` using duplex link ``dl``."""
-    if dl.a.name == src_name:
-        if dl.egress_a is not None:  # precomputed at connect time
-            return dl.egress_a
-    elif dl.egress_b is not None:
-        return dl.egress_b
-    from repro.routing.spf_core import _egress_scan
-
-    return _egress_scan(dl, src_name)
 
 
 def _install_spf_for_source(
@@ -217,51 +192,6 @@ def _converge_ecmp(net: "Network", domain: str) -> int:
         installed += view.routers[sj].fib.install_many(batches[sj])
     _save_state(net, domain, view, True, prefixes_by_idx)
     return installed
-
-
-def _deterministic_dijkstra(
-    g: nx.Graph, src: str
-) -> tuple[dict[str, float], dict[str, list[str]]]:
-    """Dijkstra with lexicographic tie-breaking on the path's node names.
-
-    Works on any networkx graph with ``metric`` edge attributes (the TE
-    module runs it on a *directed* residual graph).  Same results — values
-    and dict insertion order — as the reference path-tuple implementation,
-    via the indexed predecessor-map core.
-    """
-    names = sorted(g.nodes)
-    idx = {name: i for i, name in enumerate(names)}
-    adj: list[list[tuple[int, float]]] = [[] for _ in names]
-    directed = g.is_directed()
-    for u, v, data in g.edges(data=True):
-        w = data["metric"]
-        adj[idx[u]].append((idx[v], w))
-        if not directed:
-            adj[idx[v]].append((idx[u], w))
-    for lst in adj:
-        lst.sort()
-    dist_arr, pred, disc = dijkstra_pred(adj, idx[src])
-    dist: dict[str, float] = {}
-    paths: dict[str, list[str]] = {}
-    # ``disc`` is first-discovery order, which is NOT topological with
-    # respect to the final pred map — a relaxation can re-point a node at a
-    # predecessor discovered after it — so each path is materialized by a
-    # memoized walk up the predecessor chain (the final_path /
-    # first_hop_array pattern), never by trusting disc order.
-    by_idx: dict[int, list[str]] = {idx[src]: [src]}
-    for i in disc:
-        chain: list[int] = []
-        j = i
-        while (p := by_idx.get(j)) is None:
-            chain.append(j)
-            j = pred[j]
-        while chain:
-            j = chain.pop()
-            p = p + [names[j]]
-            by_idx[j] = p
-        dist[names[i]] = dist_arr[i]
-        paths[names[i]] = p
-    return dist, paths
 
 
 def clear_routes(router: Router, sources: tuple[str, ...] = ("spf", "connected")) -> int:
@@ -511,13 +441,8 @@ def _reconverge_ecmp_delta(
 
 
 def spf_paths(net: "Network", src: str, dst: str, domain: str = "core") -> list[str]:
-    """The deterministic shortest path ``src → dst`` as a node-name list."""
+    """The deterministic shortest path ``src → dst`` as a node-name list
+    (:class:`~repro.routing.spf_core.NoPathError` when there is none)."""
     view = net.domain_view(domain)
-    si = view.idx.get(src)
-    di = view.idx.get(dst)
-    if si is None or di is None:
-        raise nx.NetworkXNoPath(f"no path {src} -> {dst}")
-    path = view.path_names(si, di)
-    if path is None:
-        raise nx.NetworkXNoPath(f"no path {src} -> {dst}")
-    return path
+    names = view.names
+    return [names[i] for i in view.route(src, dst)]

@@ -1,9 +1,7 @@
 """Control-plane fast path primitives: indexed SPF over a cached domain view.
 
-The pre-PR control plane rebuilt a networkx graph and ran a Dijkstra whose
-heap keys were whole path tuples — O(path length) comparisons and one
-tuple allocation per relaxation — for every source, on every call.  This
-module replaces that with:
+One read-model of the topology for everything that computes a path — the
+IGP, LDP, CSPF, IntServ admission and the fluid plane:
 
 * :class:`DomainView` — an integer-indexed snapshot of one routing domain
   (sorted-name index assignment, adjacency lists, per-neighbour egress
@@ -17,6 +15,12 @@ module replaces that with:
   exact tie-break of the reference implementation (smallest path as a
   name sequence) is preserved by materializing candidate paths lazily —
   only when two candidates actually tie on cost.
+* :meth:`DomainView.route` — the one shortest-path entry over a view:
+  the memoized SPF tree, or, given an ``admits(i, j)`` filter on directed
+  edges (CSPF's residual-bandwidth and avoid-list pruning), a
+  :func:`dijkstra_pred` run over the edges the filter leaves.  Either way
+  the metric and the tie-break are the IGP's, and the caller reads each
+  hop's link, rate and egress interface off ``view.nbr``.
 * :class:`SpfState` — the per-domain snapshot (edges + per-source SPF
   arrays) that :func:`repro.routing.spf.reconverge` diffs against to
   recompute only the sources whose shortest-path trees a link event
@@ -39,7 +43,7 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from math import inf
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.address import IPv4Address, Prefix
 
@@ -53,6 +57,7 @@ __all__ = [
     "dijkstra_pred",
     "first_hop_array",
     "DomainView",
+    "NoPathError",
     "SpfState",
 ]
 
@@ -61,6 +66,11 @@ __all__ = [
 #: reconvergence tests) so float metric sums like 0.1+0.2 vs 0.3 are ties
 #: everywhere or nowhere.
 TIE_EPS = 1e-12
+
+
+class NoPathError(LookupError):
+    """No path ``src -> dst`` on the view: a node is not on it, or the live
+    (and admitted) links do not connect the two."""
 
 
 def costs_equal(a: float, b: float) -> bool:
@@ -206,6 +216,12 @@ class DomainView:
     them — a rebuild never reads a node or link outside the domain.
     Per-source SPF results are memoized on the view, so they share its
     lifetime exactly.
+
+    What a view leaves out, for every reader alike: links with a direction
+    down, nodes outside the domain (and the links to them), and all but
+    the lowest-metric link of a parallel set.  :meth:`Network.node_view`
+    builds the same thing over *every* node — ``routers`` then holds hosts
+    too — for paths that cross domains (the fluid plane's host-to-host ones).
     """
 
     __slots__ = (
@@ -272,10 +288,8 @@ class DomainView:
             adj[j].append((i, metric))
             ia = idx[dl.a.name]
             ib = idx[dl.b.name]
-            eg_a = dl.egress_a or _egress_scan(dl, dl.a.name)
-            eg_b = dl.egress_b or _egress_scan(dl, dl.b.name)
-            nbr[ia][ib] = (dl, eg_a[0], eg_a[1])
-            nbr[ib][ia] = (dl, eg_b[0], eg_b[1])
+            nbr[ia][ib] = (dl, *dl.egress_a)
+            nbr[ib][ia] = (dl, *dl.egress_b)
             view.edges[key] = metric
             view.duplex[key] = dl
         for lst in adj:
@@ -295,35 +309,44 @@ class DomainView:
             self._spf[i] = r
         return r
 
-    def first_hops(self, i: int) -> list[int]:
-        """First-hop index per node for source ``i`` (undefined entries -1)."""
-        _dist, pred, disc = self.spf(i)
-        return first_hop_array(pred, disc, i, len(self.names))
+    def edge(self, u: str, v: str) -> tuple["DuplexLink", str, IPv4Address] | None:
+        """The view's link ``u → v`` as ``(duplex, u's egress interface,
+        v's address on it)``; None when no live link joins the two here."""
+        i = self.idx.get(u)
+        return None if i is None else self.nbr[i].get(self.idx.get(v))
 
-    def path_names(self, i: int, j: int) -> list[str] | None:
-        """Node-name shortest path ``i → j``; None when unreachable."""
-        dist, pred, _disc = self.spf(i)
-        if dist[j] == inf:
-            return None
-        rev = []
-        k = j
-        while k != i:
-            rev.append(k)
-            k = pred[k]
-        rev.append(i)
-        names = self.names
-        return [names[k] for k in reversed(rev)]
+    def route(
+        self, src: str, dst: str, admits: Callable[[int, int], bool] | None = None
+    ) -> list[int]:
+        """Node indices of the shortest path ``src → dst``.
 
-
-def _egress_scan(dl: "DuplexLink", src_name: str) -> tuple[str, IPv4Address]:
-    """Fallback egress resolution for hand-built DuplexLinks that predate
-    the connect-time precompute (scan the peer's address table)."""
-    if dl.a.name == src_name:
-        for addr, ifname in dl.b.addresses.items():
-            if ifname == dl.if_ba.name:
-                return dl.if_ab.name, addr
-    else:
-        for addr, ifname in dl.a.addresses.items():
-            if ifname == dl.if_ab.name:
-                return dl.if_ba.name, addr
-    raise RuntimeError(f"no peer address on duplex link {dl.a.name}-{dl.b.name}")
+        Metric and tie-break are the IGP's: among equal-cost paths the
+        lexicographically smallest name sequence.  ``admits(i, j)`` keeps
+        or drops the directed edge ``i → j`` before the search (a link may
+        be full one way and empty the other); without it the memoized SPF
+        tree is read.  Raises :class:`NoPathError` when either name is not
+        on the view or nothing (admitted) connects them.
+        """
+        si = self.idx.get(src)
+        di = self.idx.get(dst)
+        if si is None or di is None:
+            missing = src if si is None else dst
+            raise NoPathError(f"{src} -> {dst}: {missing} is not in domain {self.domain!r}")
+        if admits is None:
+            dist, pred, _disc = self.spf(si)
+        else:
+            adj = [
+                [(j, w) for j, w in row if admits(i, j)]
+                for i, row in enumerate(self.adj)
+            ]
+            dist, pred, _disc = dijkstra_pred(adj, si)
+        if dist[di] == inf:
+            raise NoPathError(f"{src} -> {dst}: no path in domain {self.domain!r}")
+        # Walked up the final predecessor chain: discovery order is not
+        # topological (a relaxation can re-point a node at a predecessor
+        # discovered after it).
+        path = [di]
+        while path[-1] != si:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return path

@@ -2,9 +2,9 @@
 
 :class:`Network` owns the simulator, the nodes, and the duplex links, and
 provides the wiring helpers every experiment uses: create routers/LSRs/
-hosts, connect them with rate+delay+metric links, export a ``networkx``
-graph for the control-plane computations (SPF, CSPF), and collect link
-utilization at the end of a run.
+hosts, connect them with rate+delay+metric links, hand the control plane
+its indexed view of the topology (SPF, CSPF, admission, the fluid plane),
+and collect link utilization at the end of a run.
 
 Topology builders at the bottom create the recurring shapes of the
 evaluation: a line, a star, the classic *fish* traffic-engineering
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
-
-import networkx as nx
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.link import Interface, Link
@@ -400,7 +398,7 @@ class Network:
         return None
 
     # ------------------------------------------------------------------
-    # Graph export & reporting
+    # Topology views & reporting
     # ------------------------------------------------------------------
     def domain_view(self, domain: str = "core"):
         """Cached indexed snapshot of one routing domain (see ``spf_core``).
@@ -431,24 +429,17 @@ class Network:
         self._domain_views[domain] = view
         return view
 
-    def graph(self, routers_only: bool = False) -> nx.Graph:
-        """Undirected topology graph with metric/rate/delay edge attributes."""
-        g = nx.Graph()
-        for name, node in self.nodes.items():
-            if routers_only and not isinstance(node, Router):
-                continue
-            g.add_node(name, node=node)
-        for dl in self.duplex_links:
-            if dl.a.name in g and dl.b.name in g:
-                g.add_edge(
-                    dl.a.name,
-                    dl.b.name,
-                    metric=dl.metric,
-                    rate_bps=dl.rate_bps,
-                    delay_s=dl.delay_s,
-                    duplex=dl,
-                )
-        return g
+    def node_view(self):
+        """The same read-model over every node and live link, routing
+        domains ignored: what a host-to-host path (host, CE, PE, core) is
+        computed on.  Cached like a domain's view, under the key ``None``."""
+        from repro.routing.spf_core import DomainView
+
+        view = self._domain_views.get(None)
+        if view is None or view.generation != self.topology_generation:
+            view = DomainView.build(self, "*", list(self.nodes), self.duplex_links)
+            self._domain_views[None] = view
+        return view
 
     def run(self, until: float) -> float:
         """Run the simulation to ``until`` seconds."""

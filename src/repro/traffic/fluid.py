@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import networkx as nx
-
 from repro.net.address import IPv4Address
 from repro.net.link import Interface
 from repro.net.packet import IPHeader, Packet
@@ -332,10 +330,11 @@ class FluidRouter:
        ``Interface.set_fluid_load`` + the qdisc background hook, and
        expanders are (re)targeted/started/parked.
 
-    Paths are computed from the network graph by metric-weighted
-    shortest path — the same criterion SPF uses — so envelopes follow
-    the FIB/LFIB paths of the converged network.  ECMP limitation: one
-    representative path per aggregate (documented in ARCHITECTURE §12).
+    Paths are read off :meth:`repro.topology.Network.node_view` — the
+    IGP's read-model over every node and live link — by the IGP's metric
+    and tie-break, so envelopes follow the FIB/LFIB paths of the converged
+    network.  ECMP limitation: one representative path per aggregate
+    (documented in ARCHITECTURE §12).
     """
 
     def __init__(
@@ -357,8 +356,6 @@ class FluidRouter:
         self._stop_at: float | None = None
         self._started = False
         self._loaded: dict[Interface, float] = {}
-        self._graph: nx.Graph | None = None
-        self._graph_gen = -1
 
     # ------------------------------------------------------------------
     def add(
@@ -383,21 +380,13 @@ class FluidRouter:
         """
         if expand not in ("auto", "source", "never"):
             raise ValueError(f"unknown expand policy {expand!r}")
-        if self._graph is None or self._graph_gen != self.net.topology_generation:
-            self._graph = self.net.graph()
-            self._graph_gen = self.net.topology_generation
-        names = nx.shortest_path(
-            self._graph, src_host.name, dst_host.name, weight="metric"
-        )
+        view = self.net.node_view()
+        nodes, nbr = view.routers, view.nbr
+        idxs = view.route(src_host.name, dst_host.name)
         hops: list[_Hop] = []
-        for u, v in zip(names, names[1:]):
-            dl = self.net.link_between(u, v)
-            if dl is None:  # pragma: no cover - graph and links agree
-                raise ValueError(f"no link between {u} and {v}")
-            if dl.a.name == u:
-                hops.append((dl.if_ab, dl.delay_s, dl.b, dl.link_ab.dst_ifname))
-            else:
-                hops.append((dl.if_ba, dl.delay_s, dl.a, dl.link_ba.dst_ifname))
+        for i, j in zip(idxs, idxs[1:]):
+            dl, out_ifname, _next_hop = nbr[i][j]
+            hops.append((nodes[i].interfaces[out_ifname], dl.delay_s, nodes[j], nbr[j][i][1]))
         path = FluidPath(
             agg=agg, hops=hops, src_host=src_host,
             expand=expand, expand_at_sink=expand_at_sink,

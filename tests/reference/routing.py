@@ -40,6 +40,7 @@ __all__ = [
     "run_ldp_reference",
     "deterministic_dijkstra_reference",
     "domain_graph_reference",
+    "cspf_reference",
     "clear_routes_reference",
 ]
 
@@ -113,6 +114,42 @@ def deterministic_dijkstra_reference(
                 paths[v] = list(path_key) + [v]
                 heapq.heappush(heap, (nd, path_key + (v,), v))
     return dist, paths
+
+
+def cspf_reference(
+    net: "Network",
+    domain: str,
+    reserved: dict[tuple[str, str], float],
+    subscription: float,
+    src: str,
+    dst: str,
+    bandwidth_bps: float,
+    avoid_nodes=(),
+    avoid_links=(),
+) -> list[str] | None:
+    """CSPF as ``TrafficEngineering.cspf`` computed it on networkx: a
+    directed residual graph pruned per arc, then the path-tuple Dijkstra.
+    A link's capacity is the rate of the link the graph holds for the pair
+    (live, lowest metric), times ``subscription``."""
+    base = domain_graph_reference(net, domain)
+    avoid_n = set(avoid_nodes)
+    avoid_l = {frozenset(l) for l in avoid_links}
+    dg = nx.DiGraph()
+    dg.add_nodes_from(n for n in base.nodes if n not in avoid_n)
+    for u, v, data in base.edges(data=True):
+        if u in avoid_n or v in avoid_n or frozenset((u, v)) in avoid_l:
+            continue
+        capacity = data["duplex"].rate_bps * subscription
+        for x, y in ((u, v), (v, u)):
+            if capacity - reserved.get((x, y), 0.0) >= bandwidth_bps:
+                dg.add_edge(x, y, metric=data["metric"])
+    if src not in dg or dst not in dg:
+        return None
+    _dist, paths = deterministic_dijkstra_reference(dg, src)
+    path = paths.get(dst)
+    if path is None or len(path) < 2:
+        return None
+    return path
 
 
 def converge_reference(net: "Network", domain: str = "core", ecmp: bool = False) -> int:

@@ -13,6 +13,7 @@ import pytest
 from repro.experiments.common import ExperimentRun
 from repro.obs.slo import SloEngine
 from repro.qos.queues import DropTailFifo
+from repro.routing import NoPathError
 from repro.routing.spf import converge
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
@@ -239,6 +240,80 @@ class TestFluidRouter:
             FluidRouter(net, headroom=0.0)
         with pytest.raises(ValueError):
             FluidRouter(net, headroom=1.5)
+
+
+def diamond_net():
+    """``a-{b,c}-d`` at equal metrics, the ``c`` branch connected first; the
+    IGP's tie-break (smallest name sequence) forwards ``a -> b -> d``."""
+    net = Network(seed=5)
+    for name in "abcd":
+        net.add_router(name)
+    for u, v in (("a", "c"), ("c", "d"), ("a", "b"), ("b", "d")):
+        net.connect(u, v, 10e6, 1e-3)
+    tx = attach_host(net, net.nodes["a"], "10.9.0.1", name="tx")
+    rx = attach_host(net, net.nodes["d"], "10.9.0.2", name="rx")
+    converge(net)
+    return net, tx, rx
+
+
+class TestFluidFollowsTheIgp:
+    def _agg(self, net, name, rate_bps):
+        return FluidAggregate(
+            net.sim, name, "10.9.0.1", "10.9.0.2",
+            payload_bytes=980, kind="cbr", rate_bps=rate_bps,
+        )
+
+    def test_path_is_the_fib_chains_on_an_equal_cost_diamond(self):
+        net, tx, rx = diamond_net()
+        fib_chain, node = ["tx", "a"], net.nodes["a"]
+        while node is not net.nodes["d"]:
+            out = node.fib.lookup(rx.loopback).out_ifname
+            node = node.interfaces[out].peer_node
+            fib_chain.append(node.name)
+        assert fib_chain == ["tx", "a", "b", "d"]
+        path = FluidRouter(net).add(self._agg(net, "f", 1e6), tx, rx)
+        assert [h[0].node.name for h in path.hops] == fib_chain
+        assert [h[2].name for h in path.hops] == ["a", "b", "d", "rx"]
+        assert [h[0].name for h in path.hops[1:3]] == ["to-b", "to-d"]
+
+    def test_fluid_charge_and_expanded_packets_share_interfaces(self):
+        net, tx, rx = diamond_net()
+        router = FluidRouter(net)
+        big = router.add(self._agg(net, "big", 9.5e6), tx, rx)        # expands at a
+        router.add(self._agg(net, "bg", 0.4e6), tx, rx, expand="never")  # stays fluid
+        router.start(0.0, stop_at=1.0)
+        net.run(until=0.5)
+        a, b, c = (net.nodes[n] for n in "abc")
+        assert big.exp_index == 1 and big.hops[1][0] is a.interfaces["to-b"]
+        # The branch the packets take is the branch that is charged ...
+        assert a.interfaces["to-b"].fluid_load_bps == 0.4e6
+        assert b.interfaces["to-d"].fluid_load_bps == 0.4e6
+        assert a.interfaces["to-b"].stats.tx_packets > 0
+        assert b.interfaces["to-d"].stats.tx_packets > 0
+        # ... and the other one sees neither.
+        for iface in (a.interfaces["to-c"], c.interfaces["to-d"]):
+            assert iface.fluid_load_bps == 0.0 and iface.stats.tx_packets == 0
+        net.run(until=1.5)
+
+    def test_one_spf_per_source_not_per_aggregate(self):
+        net, tx, rx = diamond_net()
+        router = FluidRouter(net)
+        for i in range(5):
+            router.add(self._agg(net, f"f{i}", 1e5), tx, rx)
+        view = net.node_view()
+        assert list(view._spf) == [view.idx["tx"]]
+        assert net.node_view() is view
+        net.link_between("a", "b").set_up(False)  # a new generation re-reads
+        path = router.add(self._agg(net, "g", 1e5), tx, rx)
+        assert [h[2].name for h in path.hops] == ["a", "c", "d", "rx"]
+
+    def test_unroutable_demand_is_a_named_error(self):
+        net, tx, rx = diamond_net()
+        router = FluidRouter(net)
+        net.link_between("d", "rx").set_up(False)
+        with pytest.raises(NoPathError, match="^tx -> rx: no path"):
+            router.add(self._agg(net, "f", 1e6), tx, rx)
+        assert router.paths == []
 
 
 class TestSloFluidAccounting:

@@ -131,7 +131,7 @@ class TestTeReservationInvariant:
                 te.teardown(live.pop())
             # Invariant: no directed link over-reserved.
             for (u, v), reserved in te.reserved.items():
-                assert reserved <= te._capacity(u, v) + 1e-6
+                assert reserved <= te.capacity(u, v) + 1e-6
                 assert reserved >= -1e-6
         # Teardown everything: accounting returns to zero, labels freed.
         for name in live:

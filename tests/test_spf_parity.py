@@ -10,18 +10,21 @@ not different.
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
+from repro.mpls.te import TrafficEngineering
 from tests.reference.routing import (
     converge_reference,
+    cspf_reference,
     deterministic_dijkstra_reference,
     domain_graph_reference,
     reconverge_reference,
     run_ldp_reference,
 )
 from repro.routing.router import Router
-from repro.routing.spf import _deterministic_dijkstra, converge, reconverge
+from repro.routing.spf import converge, reconverge
 from repro.topology import (
     Network,
     attach_host,
@@ -104,53 +107,126 @@ class TestConvergeParity:
         assert fib_snapshot(new) == fib_snapshot(ref)
 
 
+def net_from_edges(edges):
+    """Routers and links from ``(u, v, metric)`` triples, in that order."""
+    net = Network()
+    for u, v, _metric in edges:
+        for name in (u, v):
+            if name not in net.nodes:
+                net.add_router(name)
+    for u, v, metric in edges:
+        net.connect(u, v, metric=metric)
+    return net
+
+
+def pruned(net, dropped):
+    """The domain's links minus the directed arcs in ``dropped``, both ways
+    of saying it: the oracle's DiGraph and ``DomainView.route``'s filter."""
+    dg = nx.DiGraph()
+    for u, v, data in domain_graph_reference(net, "core").edges(data=True):
+        for arc in ((u, v), (v, u)):
+            if arc not in dropped:
+                dg.add_edge(*arc, metric=data["metric"])
+    names = net.domain_view().names
+    return dg, lambda i, j: (names[i], names[j]) not in dropped
+
+
+def route_names(net, src, dst, admits=None):
+    view = net.domain_view()
+    return [view.names[i] for i in view.route(src, dst, admits)]
+
+
 class TestDijkstraWrapperParity:
-    """`_deterministic_dijkstra` survives as a compatibility wrapper for the
-    TE/IntServ code; it must return exactly what the reference returned —
-    including dict iteration order, which downstream loops rely on."""
+    """The cases the ``_deterministic_dijkstra`` wrapper was held to (hence
+    the name), now held by what replaced it: ``DomainView.route``, the one
+    shortest-path entry CSPF, IntServ and the fluid plane share.  It must
+    return exactly the reference's path, tie-break included."""
 
     def test_undirected_identical_including_order(self):
         net = Network(seed=23)
         build_backbone(net)
         g = domain_graph_reference(net, "core")
         for src in ("P1", "E4"):
-            dist_n, paths_n = _deterministic_dijkstra(g, src)
-            dist_r, paths_r = deterministic_dijkstra_reference(g, src)
-            assert dist_n == dist_r
-            assert paths_n == paths_r
-            assert list(paths_n) == list(paths_r)  # discovery order too
+            _dist, paths_r = deterministic_dijkstra_reference(g, src)
+            assert len(paths_r) == 12
+            for dst in paths_r:  # the reference's discovery order
+                assert route_names(net, src, dst) == paths_r[dst]
 
     def test_late_discovered_final_predecessor(self):
         # Regression: S-A=10, S-B=1, B-C=1, C-A=1.  A is *discovered*
         # first (via the heavy S-A edge) and then re-pointed at C, which
         # enters the discovery order after A — so reconstruction must walk
         # the final predecessor chain rather than trust discovery order
-        # (the old code raised KeyError('C') here).
-        g = nx.Graph()
-        g.add_edge("S", "A", metric=10.0)
-        g.add_edge("S", "B", metric=1.0)
-        g.add_edge("B", "C", metric=1.0)
-        g.add_edge("C", "A", metric=1.0)
-        dist_n, paths_n = _deterministic_dijkstra(g, "S")
-        dist_r, paths_r = deterministic_dijkstra_reference(g, "S")
-        assert dist_n == dist_r
-        assert paths_n == paths_r
-        assert list(paths_n) == list(paths_r)  # discovery order too
-        assert paths_n["A"] == ["S", "B", "C", "A"]
-        assert dist_n["A"] == 3.0
+        # (PR 3's code raised KeyError('C') here).  Run as CSPF runs it: on
+        # a directed graph, with the arcs back toward S pruned.
+        net = net_from_edges(
+            [("S", "A", 10.0), ("S", "B", 1.0), ("B", "C", 1.0), ("C", "A", 1.0)]
+        )
+        dg, admits = pruned(net, {("A", "S"), ("B", "S"), ("A", "C")})
+        dist_r, paths_r = deterministic_dijkstra_reference(dg, "S")
+        assert list(paths_r) == ["S", "A", "B", "C"]  # A discovered before C
+        for dst in "ABC":
+            assert route_names(net, "S", dst, admits) == paths_r[dst]
+        assert route_names(net, "S", "A", admits) == ["S", "B", "C", "A"]
+        assert dist_r["A"] == 3.0
 
     def test_digraph_supported(self):
-        # The TE CSPF runs this on a DiGraph of residual-capacity arcs.
-        g = nx.DiGraph()
-        g.add_edge("a", "b", metric=1.0)
-        g.add_edge("b", "c", metric=1.0)
-        g.add_edge("a", "c", metric=2.0)  # ties a-b-c; path tie-break picks a-b-c
-        g.add_edge("c", "a", metric=5.0)  # asymmetric return arc
-        dist_n, paths_n = _deterministic_dijkstra(g, "a")
-        dist_r, paths_r = deterministic_dijkstra_reference(g, "a")
-        assert dist_n == dist_r
-        assert paths_n == paths_r
-        assert paths_n["c"] == ["a", "b", "c"]
+        # CSPF searches directed residual arcs: a link can be full one way.
+        net = net_from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 2.0)])
+        dg, admits = pruned(net, {("c", "b")})
+        _dist, paths_r = deterministic_dijkstra_reference(dg, "a")
+        # a-c ties a-b-c; the name-sequence tie-break picks a-b-c.
+        assert route_names(net, "a", "c", admits) == paths_r["c"] == ["a", "b", "c"]
+        # The way back cannot use the pruned arc c->b.
+        _dist, back_r = deterministic_dijkstra_reference(dg, "c")
+        assert route_names(net, "c", "b", admits) == back_r["b"] == ["c", "a", "b"]
+
+
+NODES = [f"n{i}" for i in range(7)]
+RATES = (6e6, 10e6)
+
+
+@st.composite
+def cspf_cases(draw):
+    """A random LSR graph (a chain plus extra and parallel links, small
+    integer metrics so paths tie, the odd link down), booked reservations,
+    and one CSPF question."""
+    n = draw(st.integers(3, 7))
+    names = NODES[:n]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1]
+    )
+    attrs = st.tuples(st.sampled_from((1.0, 1.0, 2.0, 3.0)), st.sampled_from(RATES),
+                      st.sampled_from((True,) * 7 + (False,)))
+    links = [((u, v), *draw(attrs)) for u, v in zip(names, names[1:])]
+    links += [(p, *a) for p, a in draw(st.lists(st.tuples(pair, attrs), max_size=2 * n))]
+    src, dst = draw(pair)
+    return {
+        "names": names, "links": draw(st.permutations(links)),
+        "booked": draw(st.lists(st.tuples(pair, st.sampled_from((1e6, 3e6, 6e6))), max_size=6)),
+        "src": src, "dst": dst, "bw": draw(st.sampled_from((1e6, 2e6, 5e6))),
+        "avoid_nodes": draw(st.lists(st.sampled_from(names), max_size=1)),
+        "avoid_links": draw(st.lists(pair, max_size=2)),
+    }
+
+
+class TestCspfParity:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cspf_cases())
+    def test_cspf_returns_the_reference_path(self, case):
+        net = Network()
+        for name in case["names"]:
+            net.add_node(Lsr(net.sim, name))
+        for (u, v), metric, rate, up in case["links"]:
+            net.connect(u, v, rate_bps=rate, metric=metric).set_up(up)
+        te = TrafficEngineering(net)
+        for hop, bps in case["booked"]:
+            te.reserved[hop] = te.reserved.get(hop, 0.0) + bps
+        args = (case["src"], case["dst"], case["bw"])
+        kw = {"avoid_nodes": case["avoid_nodes"], "avoid_links": case["avoid_links"]}
+        expected = cspf_reference(net, "core", te.reserved, te.subscription, *args, **kw)
+        assert te.cspf(*args, **kw) == expected
 
 
 class TestLdpParity:

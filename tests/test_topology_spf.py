@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import IPHeader, Packet
+from repro.routing import NoPathError
 from repro.routing.spf import advertised_prefixes, converge, spf_paths
 from repro.topology import (
     Network,
@@ -145,14 +146,6 @@ class TestNetworkWiring:
         assert net.link_between("b", "a") is not None
         assert net.link_between("a", "c") is None
 
-    def test_graph_export(self):
-        net = Network()
-        build_line(net, 3)
-        g = net.graph()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 2
-        assert g["r0"]["r1"]["metric"] == 1.0
-
     def test_set_up_down(self):
         net = Network()
         build_line(net, 2)
@@ -281,11 +274,19 @@ class TestSpf:
         assert Prefix.parse("10.1.0.0/24") in prefixes
 
     def test_spf_paths_raises_when_partitioned(self):
-        import networkx as nx
         net = Network()
         net.add_router("a"); net.add_router("b")
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError, match="^a -> b: no path"):
             spf_paths(net, "a", "b")
+
+    def test_spf_paths_names_the_node_it_does_not_know(self):
+        net = Network()
+        build_line(net, 2)
+        net.add_host("h")  # on the network, not in the IGP
+        for src, dst, missing in (("r0", "nope", "nope"), ("nope", "r1", "nope"),
+                                  ("r0", "h", "h")):
+            with pytest.raises(NoPathError, match=f"^{src} -> {dst}: {missing} is not in"):
+                spf_paths(net, src, dst)
 
 
 class TestEndToEndIpForwarding:
