@@ -198,6 +198,11 @@ class ForwardingPipeline:
                 else:
                     self.sim.schedule_call(cost, self.customer_stage, pkt, vrf)
                 return
+            if ifname not in node.interfaces:
+                # Arrived over a circuit unwired while it was on the wire:
+                # no VRF claims it, and the provider's table must not.
+                node.drop(pkt, DropReason.NO_IFACE)
+                return
         if pkt.mpls_stack:
             if self.lfib is None:
                 # Labeled packet at a non-MPLS router: the deployment
@@ -246,7 +251,8 @@ class ForwardingPipeline:
         entry is SWAP or POP, or one non-local destination whose
         flow-cache entry is a plain route or an imposition — with a
         usable egress interface, nothing expiring (min TTL > 1), no
-        attachment-circuit row, no flight recorder and no modeled
+        attachment-circuit row (nor, at a PE, one over an interface it no
+        longer has), no flight recorder and no modeled
         per-packet CPU cost.  Then the per-row work is header writes
         only, and hit / logical-lookup / rx / forwarded counters move by
         the burst size to exactly the per-packet totals.
@@ -270,8 +276,10 @@ class ForwardingPipeline:
         ):
             return False
         voc = self.vrf_of_circuit
-        if voc and not voc.keys().isdisjoint([ifn for _, ifn in items]):
-            return False
+        if voc is not None:
+            ifnames = {ifn for _, ifn in items}
+            if not ifnames.isdisjoint(voc) or not ifnames <= node.interfaces.keys():
+                return False
         n = len(items)
         pkts = [p for p, _ in items]
         if pkts[0].mpls_stack:

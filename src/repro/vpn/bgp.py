@@ -182,22 +182,43 @@ class MpBgp:
         # with the advertisement (:meth:`_unindex`).
         self._remote: dict[tuple[str, int, Prefix], VrfRoute] = {}
         # Each (pe, vrf) as the engine last left it with exports and
-        # imports both in sync: (the Vrf, its table generation, rd, export
-        # RTs, import RTs, VPN label, PE loopback) — :meth:`_state_of`.
-        # converge() re-reads a VRF only when it is new or differs from
-        # this record (a route written, a policy attribute assigned, a VRF
-        # re-created under the name — whoever did it); a key seen for the
-        # first time in export_delta gets a one-time wholesale import sync
-        # (BGP route refresh for a new VRF) so it catches up on NLRI
-        # advertised before it existed.  The engine's own import writes
-        # carry the generation forward (:meth:`_apply_import_changes`);
-        # :meth:`withdraw` drops the record of what it retracted from.
+        # imports both in sync: (the Vrf, its table generation, its local
+        # generation, rd, export RTs, import RTs, VPN label, PE loopback) —
+        # :meth:`_state_of`.  converge() re-reads a VRF only when it is new
+        # or differs from this record (a route written, a policy attribute
+        # assigned, a VRF re-created under the name — whoever did it); a
+        # key seen for the first time in export_delta gets a one-time
+        # wholesale import sync (BGP route refresh for a new VRF) so it
+        # catches up on NLRI advertised before it existed, and a key whose
+        # every write since its record was local-only is written anew by
+        # export_delta.  The engine's own import writes carry the
+        # generation forward (:meth:`_apply_import_changes`); :meth:`withdraw`
+        # drops the record of what it retracted from, and so does an import
+        # re-examination that passes over a local not yet advertised.
         self._synced: dict[tuple[str, str], tuple] = {}
         self._down: set[str] = set()
         self._sessions_counted = False
         # Per-origin fan-out (receivers, sent, suppressed), memoized until
         # the up/down set changes.
         self._prop_cache: dict[tuple[str, bool], tuple[frozenset[str], int, int]] = {}
+
+    # An image holds each record without its local generation, which a
+    # restored Vrf restarts at 0: the record comes back with 0 too.  A record
+    # whose table generation still matches reads as in sync, as it did live;
+    # any other can no longer show that the writes since it were local-only,
+    # so the next converge() re-reads that VRF.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_synced"] = {
+            key: (seen[0], seen[1], *seen[3:]) for key, seen in self._synced.items()
+        }
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._synced = {
+            key: (seen[0], seen[1], 0, *seen[2:]) for key, seen in self._synced.items()
+        }
 
     # ------------------------------------------------------------------
     # Topology census
@@ -339,22 +360,40 @@ class MpBgp:
         advertised: list[VpnRoute],
         withdrawn: list[VpnRoute],
     ) -> None:
-        """Diff one VRF's local routes against its Adj-RIB-Out."""
+        """Diff one VRF's local routes against its Adj-RIB-Out.
+
+        Every route a key's Adj-RIB-Out holds was built under one export
+        policy (rd, export RTs, loopback, VPN label: this method is its only
+        writer and re-advertises all of it when one changes), so any route
+        there says what that policy was.  While it is unchanged, a local
+        whose advertisement is present with the same origin site has
+        nothing to send, and only the others get a :class:`VpnRoute` built
+        — in prefix order, as a full re-read advertises them.
+        """
         assert pe.loopback is not None, f"PE {pe.name} needs a loopback"
         key = (pe.name, vrf.name)
-        desired: dict[Prefix, VpnRoute] = {}
-        for prefix, route in sorted(vrf.local_routes().items()):
-            desired[prefix] = VpnRoute(
+        locals_ = vrf.local_routes()
+        current = self._rib.setdefault(key, {})
+        sample = next(iter(current.values()), None)
+        if sample is not None and (
+            sample.key.rd, sample.route_targets, sample.next_hop, sample.vpn_label
+        ) == (vrf.rd, vrf.export_rts, pe.loopback, vrf.vpn_label):
+            changed = sorted([
+                p for p, r in locals_.items()
+                if p not in current or current[p].origin_site != r.origin_site
+            ])
+        else:
+            changed = sorted(locals_)
+        for prefix in changed:
+            route = VpnRoute(
                 key=VpnPrefix(vrf.rd, prefix),
                 prefix=prefix,
                 route_targets=vrf.export_rts,
                 next_hop=pe.loopback,
                 vpn_label=vrf.vpn_label,
                 origin_pe=pe.name,
-                origin_site=route.origin_site,
+                origin_site=locals_[prefix].origin_site,
             )
-        current = self._rib.setdefault(key, {})
-        for prefix, route in desired.items():
             old = current.get(prefix)
             if old == route:
                 continue
@@ -363,10 +402,12 @@ class MpBgp:
             current[prefix] = route
             self._index(key, route)
             advertised.append(route)
-        for prefix in [p for p in current if p not in desired]:
-            route = current.pop(prefix)
-            self._unindex(key, route)
-            withdrawn.append(route)
+        # Every local is in ``current`` now: anything more is withdrawn.
+        if len(current) > len(locals_):
+            for prefix in [p for p in current if p not in locals_]:
+                route = current.pop(prefix)
+                self._unindex(key, route)
+                withdrawn.append(route)
         if not current:
             del self._rib[key]
 
@@ -382,33 +423,29 @@ class MpBgp:
     # ------------------------------------------------------------------
     # Import side
     # ------------------------------------------------------------------
-    def _vrf_order(self) -> dict[str, dict[str, int]]:
-        """Per-PE VRF insertion order — the tie-break that keeps the
-        incremental winner identical to the full-converge import order."""
-        return {
-            pe.name: {name: i for i, name in enumerate(pe.vrfs)}
-            for pe in self.pes
-        }
-
     def _pick_winner(
-        self,
-        importer: str,
-        candidates: dict[tuple[str, str], VpnRoute],
-        vrf_order: dict[str, dict[str, int]],
+        self, importer: str, candidates: dict[tuple[str, str], VpnRoute]
     ) -> VpnRoute | None:
-        best: VpnRoute | None = None
-        best_key: tuple[int, int] | None = None
-        for (origin, vrf_name), route in candidates.items():
-            if origin == importer or origin in self._down:
+        down = self._down
+        best = None
+        for item in candidates.items():
+            origin = item[0][0]
+            if origin == importer or origin in down:
                 continue
-            rank = (self._pe_pos[origin], vrf_order.get(origin, {}).get(vrf_name, -1))
-            if best_key is None or rank > best_key:
-                best_key, best = rank, route
-        return best
+            # Ranked only when a second origin is eligible.
+            if best is None or self._rank(item) > self._rank(best):
+                best = item
+        return None if best is None else best[1]
 
-    def _desired_imports(
-        self, pe: PeRouter, vrf: Vrf, vrf_order: dict[str, dict[str, int]]
-    ) -> dict[Prefix, VpnRoute]:
+    def _rank(self, item: tuple[tuple[str, str], VpnRoute]) -> tuple[int, int]:
+        """Tie-break between origins of one prefix: the later PE, then the
+        later VRF on it (-1 for one no longer there) — the order a full
+        converge imports in, so the incremental winner is the same."""
+        origin, vrf_name = item[0]
+        names = list(self._pe_by_name[origin].vrfs)
+        return self._pe_pos[origin], names.index(vrf_name) if vrf_name in names else -1
+
+    def _desired_imports(self, pe: PeRouter, vrf: Vrf) -> dict[Prefix, VpnRoute]:
         if not vrf.import_rts:
             return {}
         merged: dict[Prefix, dict[tuple[str, str], VpnRoute]] = {}
@@ -417,7 +454,7 @@ class MpBgp:
                 merged.setdefault(prefix, {}).update(origins)
         desired: dict[Prefix, VpnRoute] = {}
         for prefix, candidates in merged.items():
-            winner = self._pick_winner(pe.name, candidates, vrf_order)
+            winner = self._pick_winner(pe.name, candidates)
             if winner is not None:
                 desired[prefix] = winner
         return desired
@@ -426,8 +463,8 @@ class MpBgp:
     def _state_of(pe: PeRouter, vrf: Vrf) -> tuple:
         """What :attr:`_synced` remembers of a VRF — the one definition of
         the record, for the compare in ``converge`` and for every writer."""
-        return (vrf, vrf.generation, vrf.rd, vrf.export_rts, vrf.import_rts,
-                vrf.vpn_label, pe.loopback)
+        return (vrf, vrf.generation, vrf.local_generation, vrf.rd,
+                vrf.export_rts, vrf.import_rts, vrf.vpn_label, pe.loopback)
 
     def _apply_import_changes(
         self,
@@ -517,7 +554,6 @@ class MpBgp:
             for rt in route.route_targets:
                 prefixes_by_rt.setdefault(rt, set()).add(route.prefix)
         changed_rts = frozenset(prefixes_by_rt)
-        vrf_order = self._vrf_order()
         for pe in self.pes:
             if pe.name in self._down:
                 continue
@@ -536,21 +572,29 @@ class MpBgp:
                         prefixes |= prefixes_by_rt[rt]
                 key = (pe.name, vrf.name)
                 current = self._imported.get(key, {})
+                local = vrf.local_routes()
+                exported = self._rib.get(key, ())
                 adds: list[tuple[Prefix, VpnRoute]] = []
                 dels: list[Prefix] = []
                 for prefix in sorted(prefixes):
-                    if vrf.kind_of(prefix) == "local":
+                    if prefix in local:
                         # Locals are preferred over any import; drop stale
                         # bookkeeping but leave the VRF entry alone.
                         if prefix in current:
                             dels.append(prefix)
+                        if prefix not in exported:
+                            # A local the Adj-RIB-Out has not seen: if it
+                            # goes before it is advertised, no delta will
+                            # re-examine this prefix, so the record can no
+                            # longer vouch for the VRF.
+                            self._synced.pop(key, None)
                         continue
                     candidates: dict[tuple[str, str], VpnRoute] = {}
                     for rt in vrf.import_rts:
                         candidates.update(
                             self._rt_index.get(rt, {}).get(prefix, {})
                         )
-                    winner = self._pick_winner(pe.name, candidates, vrf_order)
+                    winner = self._pick_winner(pe.name, candidates)
                     have = current.get(prefix)
                     if winner is None:
                         if have is not None:
@@ -604,13 +648,9 @@ class MpBgp:
                 advertised + withdrawn, result,
                 skip=frozenset(vrf for _, vrf in moved),
             )
-        if moved:
-            vrf_order = self._vrf_order()
-            for pe, vrf in moved:
-                self._sync_vrf_imports(
-                    pe, vrf, self._desired_imports(pe, vrf, vrf_order), result
-                )
-                synced[pe.name, vrf.name] = self._state_of(pe, vrf)
+        for pe, vrf in moved:
+            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf), result)
+            synced[pe.name, vrf.name] = self._state_of(pe, vrf)
         self.net.counters.incr("bgp.updates", result.updates_sent)
         self.net.counters.incr("bgp.routes_imported", result.routes_imported)
         if result.routes_removed:
@@ -618,13 +658,33 @@ class MpBgp:
         return result
 
     def export_delta(self, pe: PeRouter, vrf: Vrf | str) -> BgpResult:
-        """Propagate one VRF's local-route changes to affected VRFs only."""
-        if isinstance(vrf, str):
-            vrf = pe.vrfs[vrf]
+        """Propagate one VRF's local-route changes to affected VRFs only.
+
+        ``vrf`` must be one of ``pe``'s VRFs (the object, or its name);
+        anything else is a :class:`ValueError` before anything is written.
+        When every write to the VRF since the engine's record of it was
+        local-only (:attr:`Vrf.local_generation`), the delta leaves it in
+        sync — its exports re-read, its imports re-examined on every prefix
+        they moved — and writes the record anew, so the next ``converge()``
+        does not re-read it.
+        """
         if pe.name not in self._pe_by_name:
             raise ValueError(f"{pe.name} is not in this BGP mesh")
         if pe.name in self._down:
             raise ValueError(f"{pe.name} is drained; peer_up() it first")
+        name = vrf if isinstance(vrf, str) else vrf.name
+        found = pe.vrfs.get(name)
+        if found is None or (found is not vrf and not isinstance(vrf, str)):
+            raise ValueError(f"vrf: {vrf!r} is not a VRF of {pe.name}")
+        vrf = found
+        key = (pe.name, name)
+        seen = self._synced.get(key)
+        state = self._state_of(pe, vrf)
+        fresh = seen is None or seen[0] is not vrf
+        local_only = (
+            not fresh and seen[3:] == state[3:]
+            and state[1] - seen[1] == state[2] - seen[2]
+        )
         result = BgpResult(sessions=self.session_count())
         advertised: list[VpnRoute] = []
         withdrawn: list[VpnRoute] = []
@@ -634,14 +694,11 @@ class MpBgp:
         result.routes_withdrawn = len(withdrawn)
         self._count_updates(advertised, withdrawn, result)
         self._resync_imports_for(advertised + withdrawn, result, origin=vrf)
-        key = (pe.name, vrf.name)
-        seen = self._synced.get(key)
-        if seen is None or seen[0] is not vrf:
+        if fresh:
             # First sync for this VRF: route-refresh its imports so it
             # catches up on NLRI advertised before it existed.
-            self._sync_vrf_imports(
-                pe, vrf, self._desired_imports(pe, vrf, self._vrf_order()), result
-            )
+            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf), result)
+        if fresh or local_only:
             self._synced[key] = self._state_of(pe, vrf)
         self._tally(result)
         return result
@@ -766,11 +823,8 @@ class MpBgp:
             if key[0] != name and key[0] not in self._down
         )
         result.updates_sent += refresh
-        vrf_order = self._vrf_order()
         for vrf in node.vrfs.values():
-            self._sync_vrf_imports(
-                node, vrf, self._desired_imports(node, vrf, vrf_order), result
-            )
+            self._sync_vrf_imports(node, vrf, self._desired_imports(node, vrf), result)
         self._tally(result)
         return result
 

@@ -9,17 +9,25 @@ addresses never meet in one table.
 
 The table is one :class:`~repro.routing.fib.Fib` per VRF whose entries
 are the :class:`VrfRoute` objects themselves (the table never reads what
-it stores): a lookup is one longest-prefix walk, and the VRF's routes are
-the table's — there is no second prefix-keyed dict to keep in step.  A
-remote route is frozen and says nothing about the VRF holding it (egress
-PE, VPN label, origin site), so every VRF importing one advertisement
-holds the same object.
+it stores): a lookup is one longest-prefix walk.  A remote route is frozen
+and says nothing about the VRF holding it (egress PE, VPN label, origin
+site), so every VRF importing one advertisement holds the same object.
+
+Beside the table, a VRF keeps its local routes in a prefix-keyed dict (the
+same objects), so what a site flap asks of it — the locals to export, the
+prefixes learned over one circuit — costs the locals, not the table, which
+in a big VPN is mostly imports.  Only this module writes that dict; every
+write method below keeps it equal to the table's ``kind == "local"``
+entries.  An image carries neither it nor :attr:`Vrf.local_generation`:
+restore rebuilds the dict from the table and restarts the counter at 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import KeysView, Optional
+from operator import itemgetter
+from types import MappingProxyType
+from typing import KeysView, Mapping, Optional
 
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import Fib
@@ -68,6 +76,16 @@ class Vrf:
     vpn_label:
         The per-VRF aggregate label this PE advertises for all of the
         VRF's routes; packets arriving with it are looked up in this VRF.
+
+    ``generation`` counts every write to the table; ``local_generation``
+    counts the *local-only* ones — a write whose every installed or
+    removed route is a local: an :meth:`add_local` over nothing or over a
+    local, a :meth:`withdraw` of a local, a :meth:`remove_many` that
+    removes locals only.  An ``add_local`` over an import, any import
+    write, and a ``remove_many`` that also removes an import do not move
+    it, and a write that changes nothing moves neither.  MP-BGP compares
+    the two against its record of the VRF: when they moved by the same
+    amount, nobody touched what the VRF imports.
     """
 
     def __init__(
@@ -86,6 +104,18 @@ class Vrf:
         self._fib: Fib[VrfRoute] = Fib()
         # Interfaces (attachment circuits) bound to this VRF on the PE.
         self.circuits: list[str] = []
+        self._locals: dict[Prefix, VrfRoute] = {}
+        self.local_generation = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_locals"], state["local_generation"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._locals = {p: r for p, r in self._fib.routes() if r.kind == "local"}
+        self.local_generation = 0
 
     # ------------------------------------------------------------------
     def add_local(
@@ -96,10 +126,15 @@ class Vrf:
         origin_site: int | None = None,
     ) -> VrfRoute:
         """Install a route learned from an attached site."""
+        pfx = Prefix.parse(prefix)
         route = VrfRoute(
             "local", out_ifname=out_ifname, next_hop=next_hop, origin_site=origin_site
         )
-        self._fib.install(prefix, route)
+        over_import = pfx not in self._locals and pfx in self._fib
+        self._fib.install(pfx, route)
+        self._locals[pfx] = route
+        if not over_import:
+            self.local_generation += 1
         return route
 
     def add_remote(
@@ -111,6 +146,7 @@ class Vrf:
         metric: float = 0.0,
     ) -> VrfRoute:
         """Install a route imported from MP-BGP."""
+        pfx = Prefix.parse(prefix)
         route = VrfRoute(
             "remote",
             remote_pe=remote_pe,
@@ -118,7 +154,8 @@ class Vrf:
             origin_site=origin_site,
             metric=metric,
         )
-        self._fib.install(prefix, route)
+        self._fib.install(pfx, route)
+        self._locals.pop(pfx, None)
         return route
 
     def add_remote_many(self, items: list[tuple[Prefix, VrfRoute]]) -> int:
@@ -131,18 +168,30 @@ class Vrf:
         caches are invalidated once per batch, not once per route (PR 3's
         ``install_many`` pattern).  Returns the batch size.
         """
+        locals_ = self._locals
+        if not locals_.keys().isdisjoint(map(itemgetter(0), items)):
+            for prefix, _ in items:
+                locals_.pop(prefix, None)
         return self._fib.install_many(items)
 
     def remove_many(self, prefixes: list[Prefix]) -> int:
         """Withdraw a batch of routes with one FIB generation bump.
 
-        Absent prefixes are skipped; returns the number actually removed.
-        A batch that removes nothing leaves the generation untouched.
+        Absent prefixes (and repeats) are skipped; returns the number
+        actually removed.  A batch that removes nothing leaves the
+        generation untouched.
         """
-        return self._fib.withdraw_many(prefixes)
+        locals_ = self._locals
+        if locals_.keys().isdisjoint(prefixes):
+            return self._fib.withdraw_many(prefixes)
+        gone = sum(locals_.pop(p, None) is not None for p in prefixes)
+        removed = self._fib.withdraw_many(prefixes)
+        if removed == gone:
+            self.local_generation += 1
+        return removed
 
     def withdraw(self, prefix: Prefix | str) -> bool:
-        return self._fib.withdraw(prefix)
+        return bool(self.remove_many([Prefix.parse(prefix)]))
 
     def kind_of(self, prefix: Prefix) -> str | None:
         """``"local"``/``"remote"`` if ``prefix`` is installed, else None."""
@@ -171,15 +220,13 @@ class Vrf:
         """Live set-like view of the installed prefixes (no copy)."""
         return self._fib.prefixes()
 
-    def local_routes(self) -> dict[Prefix, VrfRoute]:
-        return {p: r for p, r in self._fib.routes() if r.kind == "local"}
+    def local_routes(self) -> Mapping[Prefix, VrfRoute]:
+        """Live read-only view of the local routes (no copy, no table walk)."""
+        return MappingProxyType(self._locals)
 
     def circuit_prefixes(self, ifname: str) -> list[Prefix]:
         """Prefixes of the local routes learned over one attachment circuit."""
-        return [
-            p for p, r in self._fib.routes()
-            if r.out_ifname == ifname and r.kind == "local"
-        ]
+        return [p for p, r in self._locals.items() if r.out_ifname == ifname]
 
     def __len__(self) -> int:
         return len(self._fib)

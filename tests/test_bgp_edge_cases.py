@@ -152,6 +152,73 @@ class TestShadowedImports:
         assert vrf.routes() == before
 
 
+    @pytest.mark.parametrize("delta_after_add", [False, True])
+    def test_converge_reinstalls_an_import_the_table_lost_after_a_delta(
+        self, delta_after_add
+    ):
+        """The same duplicate, with an ``export_delta`` before the
+        ``converge()`` (and, or not, one right after the add): the add
+        overwrote an import, which is not a local-only write, so no delta
+        may mark the VRF in sync — the converge still repairs what the
+        deltas could not see, and leaves nothing for a fresh engine to fix."""
+        net, core, pes = star_of_pes(2)
+        prov = VpnProvisioner(net)
+        vpn = prov.create_vpn("v")
+        site = prov.add_site(vpn, pes[0], num_hosts=0)
+        prov.add_site(vpn, pes[1], num_hosts=0)
+        prov.converge_bgp()
+        engine = prov.bgp_engine()
+        vrf = pes[1].vrfs["v"]
+        before = vrf.routes()
+        dup = prov.add_site(vpn, pes[1], prefix=site.prefix, num_hosts=0)
+        if delta_after_add:
+            engine.export_delta(pes[1], vrf)
+        prov.remove_site(dup)
+        engine.export_delta(pes[1], vrf)
+        # A delta that saw the local go uncovered the import again itself.
+        assert (vrf.kind_of(site.prefix) == "remote") is delta_after_add
+        again = prov.converge_bgp()
+        assert again.routes_imported == (0 if delta_after_add else 1)
+        assert again.updates_sent == 0
+        assert vrf.routes() == before
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+
+class TestExportDeltaArguments:
+    """``export_delta`` takes one of the PE's own VRFs; anything else is a
+    ``ValueError`` naming the argument, raised before anything is written
+    (it used to withdraw pe0's routes everywhere and advertise pe1's under
+    pe0's loopback for a foreign VRF, and raise a bare ``KeyError`` for an
+    unknown name)."""
+
+    @staticmethod
+    def _state(prov, engine):
+        return (
+            {key: dict(rib) for key, rib in engine._rib.items()},
+            dict(engine._synced),
+            {key: dict(imp) for key, imp in engine._imported.items()},
+            _vrf_snapshot(prov),
+            {(pe.name, v.name): v.generation for pe in prov.pes() for v in pe.vrfs.values()},
+            prov.net.counters.snapshot(),
+        )
+
+    @pytest.mark.parametrize("arg", ["foreign", "unknown"])
+    def test_a_vrf_that_is_not_the_pes_is_refused_untouched(self, arg):
+        net, core, pes = star_of_pes(3)
+        prov = VpnProvisioner(net)
+        vpn = prov.create_vpn("v")
+        for pe in pes:
+            prov.add_site(vpn, pe, num_hosts=0)
+        prov.converge_bgp()
+        engine = prov.bgp_engine()
+        vrf = pes[1].vrfs["v"] if arg == "foreign" else "nope"
+        before = self._state(prov, engine)
+        with pytest.raises(ValueError) as err:
+            engine.export_delta(pes[0], vrf)
+        assert str(err.value).startswith("vrf: ")
+        assert self._state(prov, engine) == before
+
+
 class TestVpnConservationUnderLoad:
     def test_labeled_conservation(self):
         """Packet conservation holds through the full VPN encapsulation

@@ -8,12 +8,16 @@ torn down, PEs drained and restored (sites removed behind them while they
 are away), a bare resync in between, a wave of sites provisioned with no
 delta and picked up by the next resync, and state moved behind the
 engine's back (an import policy assigned, an imported route withdrawn by
-hand, a VRF deleted and re-created under its name), advertisements
+hand, a VRF deleted and re-created under its name, a local added or
+withdrawn by hand with or without a delta after it), advertisements
 retracted while the locals stay — the
 incrementally maintained VRF state equals what a clear-remotes +
 from-scratch ``converge()`` produces on the same network (the same
 oracle style as ``test_reconverge_incremental`` uses for the IGP fast
-path).
+path).  After every op, a copy of the network (a snapshot round trip)
+is resynced with a bare ``converge()`` and held to the same oracle: an
+``export_delta`` that marked a VRF in sync when it was not would leave
+that resync skipping it.
 
 Alongside the property suite: RFC 4456 route-reflector cluster
 accounting (sessions, per-route fan-out, cluster-list suppression) and
@@ -24,6 +28,8 @@ double-count bug.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.net.address import Prefix
+from repro.sim.snapshot import restore_network, snapshot_network
 from repro.topology import Network
 from repro.vpn.bgp import MpBgp
 from repro.vpn.pe import PeRouter
@@ -93,6 +99,15 @@ def _oracle_snapshot(prov: VpnProvisioner, drained, rr_clusters=None):
         oracle.peer_down(name)
     oracle.converge()
     return _vrf_snapshot(prov)
+
+
+def _resync_reaches_oracle(prov: VpnProvisioner, drained, rr_clusters=None) -> None:
+    """On a copy, so the live run goes on untouched: a bare resync from
+    wherever the ops left the engine gives the oracle's tables."""
+    _, extras = restore_network(snapshot_network(prov.net, {"prov": prov}))
+    copy = extras["prov"]
+    copy.converge_bgp()
+    assert _vrf_snapshot(copy) == _oracle_snapshot(copy, drained, rr_clusters)
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +355,27 @@ class TestChurnDeterministic:
         with pytest.raises(ValueError, match="drained"):
             prov.bgp_engine().export_delta(pes[1], pes[1].vrfs["corp"])
 
+    def test_hand_local_passed_over_then_withdrawn(self):
+        """A local added by hand and never advertised shadows a prefix
+        another PE then advertises; withdrawn again, it uncovers that
+        import, but its VRF's delta advertises nothing and so re-examines
+        nothing.  Every write to the VRF since the engine's record was
+        local-only — yet the VRF is not in sync, so the delta may not write
+        the record anew, and the next resync must install the import."""
+        net, pes, prov = _world(3)
+        engine = prov.bgp_engine()
+        here, there = pes[1].vrfs["corp"], pes[0].vrfs["corp"]
+        prefix = Prefix.parse("10.9.0.0/24")
+        here.add_local(prefix, "by-hand")
+        there.add_local(prefix, "by-hand")
+        engine.export_delta(pes[0], there)       # passes over `here`'s local
+        assert here.kind_of(prefix) == "local"
+        assert here.withdraw(prefix)
+        engine.export_delta(pes[1], here)        # nothing to advertise
+        prov.converge_bgp()
+        assert here.kind_of(prefix) == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
     def test_forget_vrf_requires_withdraw_first(self):
         net, pes, prov = _world(2)
         with pytest.raises(ValueError, match="withdraw first"):
@@ -352,6 +388,7 @@ class TestChurnDeterministic:
 OP_KINDS = (
     "site+", "site-", "flap", "dup+", "vpn+", "vpn-", "drain", "restore",
     "spoke-dup", "converge", "wave", "rts=", "hand-", "vrf-readd", "withdraw",
+    "hand-local",
 )
 
 
@@ -507,6 +544,25 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             names = prov._site_vrf_names(prov.vpns[site.vpn_name], site)
             engine.withdraw(site.pe, vrf=names[b // 2 % len(names)])
         prov.converge_bgp()
+    elif kind == "hand-local":
+        # A local toggled by hand on one of the first /24s of the plan sites
+        # are numbered from: added over nothing (maybe the prefix a later
+        # site brings), over an import or over a local, or a local
+        # withdrawn — then an export_delta, or nothing, and the next
+        # resync has to find it.
+        vrfs = [(pe, vrf) for pe in up_pes for vrf in pe.vrfs.values()]
+        if not vrfs:
+            return
+        pe, vrf = vrfs[a % len(vrfs)]
+        prefix = Prefix.parse(f"10.0.{b % 6}.0/24")
+        if vrf.kind_of(prefix) == "local" and (a + b) % 3:
+            vrf.withdraw(prefix)
+        else:
+            vrf.add_local(prefix, "by-hand")
+        if (a + b) % 2:
+            engine.export_delta(pe, vrf)
+        else:
+            state["unadvertised"] = True
 
 
 class TestIncrementalMatchesFullConverge:
@@ -530,9 +586,14 @@ class TestIncrementalMatchesFullConverge:
         engine = prov.bgp_engine(rr_clusters=rr_clusters)
         anchors = {s.site_id for v in prov.vpns.values() for s in v.sites}
         drained: set[str] = set()
-        state = {"vpn_seq": 0}
+        state = {"vpn_seq": 0, "unadvertised": False}
         for op in ops:
             _apply_op(prov, pes, engine, anchors, drained, op, state)
+            _resync_reaches_oracle(prov, drained, rr_clusters)
+        if state["unadvertised"]:
+            # A local added by hand with no delta after it: only a resync
+            # advertises it, so the Adj-RIB checks below follow one.
+            prov.converge_bgp()
         # The Adj-RIB exactly mirrors what the PEs in session are exporting
         # (a drained PE's is brought up to date when it returns).
         exporting = {

@@ -382,7 +382,8 @@ class TestPipelineParity:
             got = []
             n[2].add_local_sink(got.append)
             p = pkt(dst=str(n[2].loopback), ttl=64)
-            net.sim.schedule(0.0, lambda: n[0].handle(p, "in"))
+            # Over an interface n0 has: a PE drops an arrival over any other.
+            net.sim.schedule(0.0, lambda: n[0].handle(p, "to-n1"))
             net.run(until=net.sim.now + 1.0)
             assert len(got) == 1
             results[factory.__name__] = (got[0].ip.ttl, got[0].hops,

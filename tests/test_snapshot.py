@@ -338,6 +338,55 @@ def test_vrfs_share_one_route_per_advertisement_across_restore() -> None:
     assert len(engine2._remote) == engine2.adj_rib_size()
 
 
+def _flap(prov: VpnProvisioner, at: int):
+    """Re-attach a big-VPN site where it was: what its deltas return, what
+    they counted, and every VRF table afterwards."""
+    big = prov.vpns["big"]
+    site, counters = big.sites[at], prov.net.counters.snapshot()
+    prov.remove_site(site)
+    prov.add_site(big, site.pe, prefix=site.prefix, num_hosts=0)
+    result = prov.bgp_engine().export_delta(site.pe, site.pe.vrfs["big"])
+    moved = {k: v - counters.get(k, 0) for k, v in prov.net.counters.snapshot().items()}
+    tables = {
+        (pe.name, vrf.name): vrf.routes() for pe in prov.pes() for vrf in pe.vrfs.values()
+    }
+    return result, moved, tables
+
+
+def test_restored_vrfs_rebuild_their_locals_and_flap_like_the_live_ones() -> None:
+    """An image carries neither a VRF's locals dict nor its local generation
+    (their bytes would be a copy of the table's): restore rebuilds the one
+    from the table and restarts the other, and the engine's records come
+    back in step with that.  Big-VPN flaps — one taken before the image —
+    and the resync after them then return on the restored network exactly
+    what they return on the live one."""
+    net = Network(seed=5)
+    pes = [net.add_node(PeRouter(net.sim, f"pe{i}")) for i in range(4)]
+    prov = VpnProvisioner(net)
+    big, small = prov.create_vpn("big"), prov.create_vpn("small")
+    for i in range(24):
+        prov.add_site(big, pes[i % 4], num_hosts=0)
+    for pe in pes:
+        prov.add_site(small, pe, num_hosts=0)
+    prov.converge_bgp()
+    _flap(prov, 0)
+    blob = snapshot_network(net, {"prov": prov})
+    assert b"_locals" not in blob and b"local_generation" not in blob
+    net2, extras = restore_network(blob)
+    prov2 = extras["prov"]
+    for pe in pes:
+        for vrf in net2.nodes[pe.name].vrfs.values():
+            table = vrf.routes()
+            assert vrf.local_routes() == {p: r for p, r in table.items() if r.kind == "local"}
+            assert all(route is table[p] for p, route in vrf.local_routes().items())
+            assert vrf.local_routes() == pe.vrfs[vrf.name].local_routes()
+            assert vrf.local_generation == 0
+    assert prov2.bgp_engine()._synced.keys() == prov.bgp_engine()._synced.keys()
+    for at in (3, 7, 3):
+        assert _flap(prov2, at) == _flap(prov, at)
+    assert prov2.converge_bgp() == prov.converge_bgp()
+
+
 def test_vouched_for_garbage_is_still_a_snapshot_error() -> None:
     blob = snapshot_network(_small_net())
     with pytest.raises(SnapshotError, match="payload failed to load"):

@@ -143,13 +143,12 @@ def test_remove_site_under_queued_and_in_flight_packets():
     assert sinks["red"].record("red-ab").arrival_times[-1] < 1.1
 
 
-def test_arrival_over_a_removed_circuit_reads_the_global_table():
-    """The open hole of ROADMAP item 1, pinned as it stands.  What is
-    already on the wire still arrives (a link failure's rule) — here over a
-    circuit the PE no longer has, so no VRF claims it and it is looked up
-    in the provider's own table.  A 10/8 destination finds nothing there
-    (the tests above); a provider address does.  Turn this around with the
-    fix: the packet should end as a named drop at pe2."""
+def test_arrival_over_a_removed_circuit_is_a_named_drop():
+    """What is already on the wire still arrives (a link failure's rule) —
+    here over a circuit the PE no longer has.  No VRF claims it, and the
+    provider's own table must not either: a customer packet addressed to a
+    provider loopback ends as a counted ``NO_IFACE`` drop at pe2, and every
+    packet is still accounted for."""
     w = _two_vpns_under_load()
     net, prov = w["net"], w["prov"]
     red_far = w["sites"]["red"][1]
@@ -160,6 +159,7 @@ def test_arrival_over_a_removed_circuit_reads_the_global_table():
         payload_bytes=400, rate_bps=0.2 * ACCESS_BPS,
     )
     to_core.start(0.0, stop_at=STOP_AT)
+    books = _Books(net)
     access = red_far.links[0].link_ab       # CE -> PE
     net.run(until=1.0)
     # Bound, the circuit's VRF has no route to a provider address.
@@ -171,8 +171,14 @@ def test_arrival_over_a_removed_circuit_reads_the_global_table():
         net.run(until=net.sim.now + 1e-3)
     net.run(until=access._tx_event.time - access.delay_s / 2)
     prov.remove_site(red_far)
+    # Dropped by name at pe2 so far, and still queued toward the gone CE
+    # (each one dropped by name when the transmitter reaches it).
+    cut = pe2.stats.by_reason.get("no_iface", 0)
+    queued = len(red_far.links[0].if_ba.qdisc)
     net.run(until=DRAINED_AT)
-    assert p.stats.delivered == 1
+    assert p.stats.delivered == 0
+    assert pe2.stats.by_reason["no_iface"] == cut + queued + 1
+    books.check([*w["sources"], to_core], drained=True)
 
 
 def test_flap_after_snapshot_restore_mid_run():

@@ -188,6 +188,12 @@ class TestVrf:
 # As there, the route dicts are checked after every step but the tries are
 # read only by a drawn "lookup" (and at the end), so their syncs land
 # anywhere in the sequence; "pickle" round-trips both VRFs in one image.
+# Beside the table, each VRF's locals (``local_routes()``, per-circuit
+# ``circuit_prefixes``) must equal the table's after every write, and
+# ``local_generation`` must move by one exactly on a local-only write: an
+# add_local over nothing or a local, a withdraw of a local, a remove_many
+# (repeats and mixed kinds drawn from the small pool) that removes locals
+# only.  A round trip rebuilds the locals from the table and restarts it at 0.
 _owners = st.integers(0, 1)
 _remote = st.tuples(pool_prefixes, st.integers(1, 3), st.integers(16, 19))
 _vrf_ops = st.one_of(
@@ -207,6 +213,7 @@ class TestVrfStateful:
     def test_any_mutation_sequence_matches_linear_scan(self, ops):
         vrfs = [mk_vrf("red", 1, 100), mk_vrf("blue", 2, 200)]
         models = [{}, {}]
+        local_gens = [0, 0]
 
         def remote(owner, pe, label):
             return VrfRoute("remote", remote_pe=IPv4Address(pe), vpn_label=label,
@@ -223,8 +230,9 @@ class TestVrfStateful:
         for kind, owner, arg, *rest in ops:
             vrf, model = vrfs[owner], models[owner]
             before = [v.generation for v in vrfs]
-            changed = False
+            changed = local_only = False
             if kind == "add_local":
+                local_only = arg not in model or model[arg].kind == "local"
                 route = vrf.add_local(arg, f"ge{rest[0]}", origin_site=owner)
                 assert route == VrfRoute("local", out_ifname=f"ge{rest[0]}", origin_site=owner)
                 model[arg] = route
@@ -241,10 +249,12 @@ class TestVrfStateful:
                 changed = bool(items)
             elif kind == "withdraw":
                 changed = arg in model
+                local_only = changed and model[arg].kind == "local"
                 assert vrf.withdraw(arg) is changed
                 model.pop(arg, None)
             elif kind == "remove_many":
                 present = {p for p in arg if p in model}
+                local_only = bool(present) and all(model[p].kind == "local" for p in present)
                 assert vrf.remove_many(arg) == len(present)
                 for pfx in present:
                     del model[pfx]
@@ -253,15 +263,23 @@ class TestVrfStateful:
                 check_lookups()
             else:
                 vrfs = pickle.loads(pickle.dumps(vrfs))
+                local_gens = [0, 0]
             # One bump on the VRF that changed, none on its neighbour, none
             # for a lookup (its sync included) or a round trip.
             after = [v.generation for v in vrfs]
             before[owner] += changed
             assert after == before
+            local_gens[owner] += local_only
+            assert [v.local_generation for v in vrfs] == local_gens
             for v, m in zip(vrfs, models):
                 assert len(v) == len(m)
                 assert v.routes() == m
-                assert v.local_routes() == {p: r for p, r in m.items() if r.kind == "local"}
+                locals_ = {p: r for p, r in m.items() if r.kind == "local"}
+                assert v.local_routes() == locals_
+                for i in range(4):
+                    assert sorted(v.circuit_prefixes(f"ge{i}")) == sorted(
+                        p for p, r in locals_.items() if r.out_ifname == f"ge{i}"
+                    )
                 for pfx in POOL:
                     assert v.kind_of(pfx) == (m[pfx].kind if pfx in m else None)
         check_lookups()
