@@ -22,4 +22,6 @@ def test_e1_scalability_table(run_once):
     # Quadratic vs linear growth between N=10 and N=200 (20x sites).
     assert by_n[200]["overlay_VCs"] / by_n[10]["overlay_VCs"] > 400
     assert by_n[200]["mpls_vrf_routes"] / by_n[10]["mpls_vrf_routes"] < 40
+    # C1, measured: no P router holds a VRF or a VRF-bound label (the
+    # column counts `c1` audit findings) at any N.
     assert all(r["mpls_core_vpn_state"] == 0 for r in rows)

@@ -9,12 +9,13 @@ enterprise path, IP-SLA probes monitoring each tier, and a mid-run core
 link failure that the protected traffic survives.
 
 Prints the provider's dashboard: per-customer probe SLAs, link
-utilization of the core mesh, control-plane inventory, and a validation
-sweep.
+utilization of the core mesh, control-plane inventory, and a network
+audit.
 
 Run:  python examples/backbone_deployment.py   (~15 s)
 """
 
+from repro.audit import audit
 from repro.experiments.common import make_qdisc_factory
 from repro.metrics import VOICE_SLA, ProbeAgent, print_table
 from repro.mpls import FastReroute, Lsr, TrafficEngineering, run_ldp
@@ -23,7 +24,6 @@ from repro.mpls import reset_ldp
 from repro.routing import converge, reconverge
 from repro.topology import Network, build_backbone
 from repro.traffic import FlowSink, OnOffSource
-from repro.validate import validate
 from repro.vpn import BRONZE, GOLD, SILVER, PeRouter, VpnProvisioner, apply_profile
 
 RUN_S = 10.0
@@ -139,8 +139,8 @@ def main() -> None:
           f"{bgp.sessions} iBGP sessions (route reflector), "
           f"{bgp.routes_imported} VPN routes imported, "
           f"{len(te.lsps)} TE LSPs ({len(protected)} protected hops).")
-    errors = [i for i in validate(net) if i.severity == "error"]
-    print(f"Validation sweep: {len(errors)} errors.")
+    errors = [f for f in audit(net) if f.severity == "error"]
+    print(f"Network audit: {len(errors)} errors.")
     assert not errors
 
 

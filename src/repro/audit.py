@@ -1,0 +1,136 @@
+"""One network auditor: the invariants a built network must hold.
+
+``audit(net)`` sweeps a built network and returns a list of
+:class:`Finding`, errors first, then warnings, then notes.  The rules, by
+``check`` name:
+
+* ``interface`` (error): an interface with no attached link, or with a
+  non-positive rate.
+* ``address`` (error): an address held by two routers of one provider
+  domain.  Customer addresses may overlap freely across VPNs.
+* ``lfib`` / ``ftn`` (error): an entry pointing at a missing interface; a
+  PE's VPN label naming a VRF the PE does not hold.
+* ``c1`` (error): a non-PE node holding a VRF, or an LFIB entry bound to
+  one.  Claim C1: core LSRs hold only the transport labels every VPN
+  shares.
+* ``loopback`` (error): a PE with VRFs and no loopback (MP-BGP's next hop).
+* ``vrf`` (error / warning): a VRF bound to a missing interface; a VRF
+  with no circuits and no routes.
+* ``cache`` (note): a ``GenCache`` whose captured generation trails its
+  source table's.  This is legal live state (the guard flushes on the next
+  probe), so the snapshot contract is that a restore leaves the list
+  identical: it neither invents staleness nor discards warm state.
+
+The auditor only reads.  It looks nothing up, probes no cache and moves no
+counter, so it may run on the live graph the warm-start sweep shares.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
+
+from repro.mpls.lfib import LabelOp
+from repro.mpls.lsr import Lsr
+from repro.routing.router import Router
+from repro.vpn.pe import PeRouter
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dataplane.pipeline import ForwardingPipeline
+    from repro.net.node import Node
+    from repro.topology import Network
+
+__all__ = ["Finding", "audit"]
+
+_RANK = {"error": 0, "warning": 1, "note": 2}
+_Rule = Iterator[tuple[str, str, str]]  # (severity, check, message)
+
+
+@dataclass(frozen=True, slots=True)
+class Finding:
+    """One audit result; ``check`` names the rule that made it."""
+
+    severity: str   # "error" | "warning" | "note"
+    check: str
+    node: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"[{self.severity}] {self.node}: {self.message}"
+
+
+def audit(net: "Network") -> list[Finding]:
+    """Run every rule on every node; see module docstring.  Sorted by
+    severity, then by node, in emission order within one node."""
+    seen: dict = {}  # (provider domain, address) -> first router holding it
+    found = [
+        Finding(severity, check, node.name, message)
+        for node in net.nodes.values()
+        for severity, check, message in _node_rules(node, seen)
+    ]
+    found.sort(key=lambda f: (_RANK[f.severity], f.node))
+    return found
+
+
+def _node_rules(node: "Node", seen: dict) -> _Rule:
+    for ifname, iface in node.interfaces.items():
+        if iface.link is None:
+            yield "error", "interface", f"interface {ifname} has no attached link"
+        if iface.rate_bps <= 0:
+            yield "error", "interface", f"interface {ifname} has non-positive rate"
+    if not isinstance(node, Router):
+        return
+    if node.domain != "customer":
+        for addr in node.addresses:
+            holder = seen.setdefault((node.domain, addr), node.name)
+            if holder != node.name:
+                yield "error", "address", f"{node.domain} address {addr} also on {holder}"
+    if isinstance(node, Lsr):
+        yield from _label_state(node)
+    if isinstance(node, PeRouter):
+        yield from _vrf_state(node)
+    yield from _cache_notes(node.pipeline)
+
+
+def _label_state(node: Lsr) -> _Rule:
+    core = not isinstance(node, PeRouter)
+    vrfs = getattr(node, "vrfs", {})
+    for in_label, entry in node.lfib.entries().items():
+        if entry.out_ifname is not None and entry.out_ifname not in node.interfaces:
+            yield "error", "lfib", (f"LFIB label {in_label} points to missing "
+                                    f"interface {entry.out_ifname!r}")
+        if core and entry.vrf is not None:
+            yield "error", "c1", f"LFIB label {in_label} is bound to VRF {entry.vrf!r} on a non-PE"
+        elif entry.op is LabelOp.VPN and entry.vrf not in vrfs:
+            yield "error", "lfib", f"LFIB label {in_label} targets unknown VRF {entry.vrf!r}"
+    if core:
+        for name in vrfs:
+            yield "error", "c1", f"non-PE holds VRF {name!r}"
+    for prefix, nhlfe in node.ftn.entries().items():
+        if nhlfe.out_ifname not in node.interfaces:
+            yield "error", "ftn", f"FTN {prefix} points to missing interface {nhlfe.out_ifname!r}"
+
+
+def _vrf_state(node: PeRouter) -> _Rule:
+    if node.vrfs and node.loopback is None:
+        yield "error", "loopback", "PE has VRFs but no loopback (MP-BGP next hop)"
+    for vrf in node.vrfs.values():
+        for ifname in vrf.circuits:
+            if ifname not in node.interfaces:
+                yield "error", "vrf", f"VRF {vrf.name} bound to missing interface {ifname!r}"
+        if not vrf.circuits and len(vrf) == 0:
+            yield "warning", "vrf", f"VRF {vrf.name} has no circuits and no routes"
+
+
+def _cache_notes(pipe: "ForwardingPipeline") -> _Rule:
+    caches = [("flow_cache", pipe.flow_cache), ("label_cache", pipe.label_cache),
+              ("tunnel_cache", pipe.tunnel_cache),
+              *((f"vrf[{name}]", cache) for name, cache in pipe.vrf_caches.items())]
+    for name, cache in caches:
+        if cache is None:
+            continue
+        for which, captured, source in (("primary", cache._gen_p, cache._primary),
+                                        ("secondary", cache._gen_s, cache._secondary)):
+            if source is not None and captured != source.generation:
+                yield "note", "cache", (f"{name} captured {which} gen {captured} "
+                                        f"!= source gen {source.generation}")

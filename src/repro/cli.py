@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario base key, same naming as the warm-start sweep: "
              "e1/overlay/<sites>, e1/mpls/<sites>, e2/<config>, e5/<stage>")
     snap_restore = snap_sub.add_parser(
-        "restore", help="restore a snapshot and verify it round-trips")
+        "restore", help="restore a snapshot and audit it (exit 1 on any error)")
     snap_restore.add_argument("path", help="snapshot file to restore")
     snap_info = snap_sub.add_parser(
         "info", help="print a snapshot file's schema/version header")
@@ -399,11 +399,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_snapshot(args: argparse.Namespace) -> int:
-    """``repro snapshot save/restore/info``: checkpoint converged state."""
-    from repro.sim.snapshot import (
-        SnapshotError, load, pending_schedule, read_header,
-        verify_cache_coherence,
-    )
+    """``repro snapshot save/restore/info``: checkpoint converged state.
+
+    ``restore`` audits the restored graph (:func:`repro.audit.audit`),
+    lists every error and warning, and exits 1 on any error."""
+    from repro.audit import audit
+    from repro.sim.snapshot import SnapshotError, load, pending_schedule, read_header
 
     if args.snapshot_command == "save":
         from repro.sweep.runner import _build_base
@@ -427,14 +428,19 @@ def _run_snapshot(args: argparse.Namespace) -> int:
             return 0
         # restore
         net, extras = load(args.path)
-        problems = verify_cache_coherence(net)
+        findings = audit(net)
         pending = pending_schedule(net.sim)
+        count = {s: sum(f.severity == s for f in findings)
+                 for s in ("error", "warning", "note")}
         print(f"[snapshot: {len(net.nodes)} node(s), "
               f"{len(net.duplex_links)} link(s), t={net.sim.now}s, "
               f"{len(pending)} pending event(s), "
-              f"{len(extras)} extra(s), "
-              f"cache deltas: {len(problems)}]")
-        return 0
+              f"{len(extras)} extra(s)]")
+        print("[audit: " + ", ".join(f"{n} {s}(s)" for s, n in count.items()) + "]")
+        for f in findings:
+            if f.severity != "note":
+                print(f"  {f}")
+        return 1 if count["error"] else 0
     except OSError as exc:
         print(f"{args.path}: {exc.strerror or exc}")
         return 1

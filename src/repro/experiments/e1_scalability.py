@@ -24,6 +24,7 @@ import gc
 from time import perf_counter
 from typing import Any, Sequence
 
+from repro.audit import audit
 from repro.mpls.lsr import Lsr
 from repro.mpls.ldp import run_ldp
 from repro.routing.spf import converge
@@ -140,8 +141,10 @@ def mpls_census(
     nodes, prov, ldp, bgp = ctx["nodes"], ctx["prov"], ctx["ldp"], ctx["bgp"]
     census = prov.state_census()
     wall_s = perf_counter() - t0
-    # Core (P) routers hold *zero* per-VPN state — only LDP transport state
-    # that is shared by every VPN; count it separately to make that visible.
+    # C1, measured: per-VPN state on a non-PE is a ``c1`` audit finding.
+    # The P routers' LDP transport state is shared by every VPN; count it
+    # separately to make that visible.
+    core_vpn_state = sum(f.check == "c1" for f in audit(ctx["net"]))
     p_state = sum(
         len(nodes[f"P{i}"].lfib) for i in range(1, 5)
     )
@@ -149,7 +152,7 @@ def mpls_census(
         "sites": n_sites,
         "pes": census["pes"],
         "vrf_routes_total": census["vrf_routes_total"],
-        "core_per_vpn_state": 0,
+        "core_per_vpn_state": core_vpn_state,
         "core_ldp_state": p_state,
         "bgp_sessions": bgp.sessions,
         "bgp_updates": bgp.updates_sent,

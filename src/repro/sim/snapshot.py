@@ -65,8 +65,9 @@ Generation-stamped state (``Fib``/``Lfib``/``FtnTable``/``Vrf`` counters,
 captured generations) is pickled *together with* the tables it guards, so
 a restored graph is exactly as coherent as the live one: every cache's
 captured generation still equals (or validly trails) its source table's.
-:func:`verify_cache_coherence` proves this property after restore — the
-Hypothesis round-trip suite runs it on random topologies.
+:func:`repro.audit.audit` reports each trailing capture as a ``cache``
+note, and the round-trip suites hold its findings identical across a
+restore.
 
 Telemetry sessions are intentionally *not* snapshotted: a session holds
 process-global hooks (profiler, flight ring) whose lifecycle belongs to
@@ -101,7 +102,6 @@ __all__ = [
     "load",
     "read_header",
     "pending_schedule",
-    "verify_cache_coherence",
 ]
 
 MAGIC = b"RSNP1\n"
@@ -357,7 +357,7 @@ def read_header(path: str) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Inspection helpers (used by the parity and property tests)
+# Inspection helper (used by the parity and property tests)
 # ---------------------------------------------------------------------------
 
 def pending_schedule(sim: Simulator) -> list[tuple[float, str, tuple]]:
@@ -387,43 +387,3 @@ def pending_schedule(sim: Simulator) -> list[tuple[float, str, tuple]]:
                 desc = getattr(cb, "__qualname__", repr(cb))
             out.append((t, desc, tuple(repr(a) for a in ev.args)))
     return out
-
-
-def verify_cache_coherence(net: Any) -> list[str]:
-    """Report every GenCache whose captured generations trail its sources.
-
-    Returns a list of human-readable deltas.  A *trailing* capture is
-    legal live state (a cache built before the control plane bumped the
-    table, not yet refreshed by a ``get``) — the generation guard flushes
-    and self-heals on the next probe.  The snapshot contract is therefore
-    equality of reports: the restored network's report must be identical
-    to the pre-snapshot one, i.e. restore neither invents staleness nor
-    silently discards warm cache state.  The round-trip suites assert
-    exactly that.
-    """
-    problems: list[str] = []
-
-    def _check(name: str, cache: Any) -> None:
-        if cache is None:
-            return
-        if cache._gen_p != cache._primary.generation:
-            problems.append(
-                f"{name}: captured primary gen {cache._gen_p} != "
-                f"source gen {cache._primary.generation}"
-            )
-        if cache._secondary is not None and cache._gen_s != cache._secondary.generation:
-            problems.append(
-                f"{name}: captured secondary gen {cache._gen_s} != "
-                f"source gen {cache._secondary.generation}"
-            )
-
-    for node in net.nodes.values():
-        pipe = getattr(node, "pipeline", None)
-        if pipe is None:
-            continue
-        _check(f"{node.name}.flow_cache", getattr(pipe, "flow_cache", None))
-        _check(f"{node.name}.label_cache", getattr(pipe, "label_cache", None))
-        _check(f"{node.name}.tunnel_cache", getattr(pipe, "tunnel_cache", None))
-        for vrf_name, cache in getattr(pipe, "vrf_caches", {}).items():
-            _check(f"{node.name}.vrf[{vrf_name}]", cache)
-    return problems

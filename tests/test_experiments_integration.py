@@ -8,7 +8,7 @@ to the reduced run length.
 
 import pytest
 
-from repro.experiments.e1_scalability import mpls_census, overlay_census, run_e1
+from repro.experiments.e1_scalability import mpls_base, mpls_census, overlay_census, run_e1
 from repro.experiments.e2_qos import run_config as e2_config
 from repro.experiments.e3_forwarding import run_e3
 from repro.experiments.e4_ipsec import run_ipsec_config, run_mpls_config
@@ -22,6 +22,7 @@ from repro.experiments.e9_ablations import (
     run_e9d_stack_overhead,
     run_e9e_ibgp,
 )
+from repro.mpls.lfib import LabelOp, LfibEntry
 
 
 class TestE1Scalability:
@@ -51,6 +52,11 @@ class TestE1Scalability:
         m = mpls_census(20)
         assert m["core_per_vpn_state"] == 0
         assert m["core_ldp_state"] > 0  # shared transport state exists
+
+    def test_core_per_vpn_state_is_measured(self):
+        ctx = mpls_base(10)
+        ctx["nodes"]["P1"].lfib.install(9999, LfibEntry(LabelOp.VPN, vrf="corp"))
+        assert mpls_census(10, prebuilt=ctx)["core_per_vpn_state"] == 1
 
     def test_ldp_cost_independent_of_sites(self):
         """The LSP mesh is shared: loopback-FEC LDP cost does not grow with

@@ -28,6 +28,7 @@ from typing import Any, Callable
 import pytest
 
 import repro
+from repro.audit import audit
 from repro.net.address import Prefix
 from repro.obs import runtime
 from repro.obs.flightrec import FlightRecorder
@@ -43,7 +44,6 @@ from repro.sim.snapshot import (
     restore_network,
     save,
     snapshot_network,
-    verify_cache_coherence,
 )
 from repro.topology import Network
 from repro.vpn.bgp import VpnRoute
@@ -295,7 +295,7 @@ def test_image_carries_routes_only_and_restored_tables_answer_identically() -> N
     run_stage("full", seed=3, measure_s=0.3, prebuilt=ctx)
     net = ctx.pop("net")
     assert sum(fib.lookups for fib in _tables(net).values()) > 0
-    coherence = verify_cache_coherence(net)
+    findings = audit(net)
     blob = snapshot_network(net, ctx)
     net2, _ = restore_network(blob)
     for name, fib in _tables(net2).items():
@@ -307,7 +307,7 @@ def test_image_carries_routes_only_and_restored_tables_answer_identically() -> N
     # The first lookup after a restore syncs the trie; it is not a mutation,
     # so every cache is exactly as coherent as it was when imaged.
     assert not any(fib._stale for fib in _tables(net2).values())
-    assert verify_cache_coherence(net2) == coherence == verify_cache_coherence(net)
+    assert audit(net2) == findings == audit(net)
 
 
 def test_vrfs_share_one_route_per_advertisement_across_restore() -> None:
@@ -571,14 +571,14 @@ def test_e2_restored_run_trace_bit_identical() -> None:
 
     net, src, dst = _build("mpls-diffserv", seed=0)
     blob = snapshot_network(net, {"src": src.name, "dst": dst.name})
-    before = verify_cache_coherence(net)
+    before = audit(net)
 
     def cold() -> None:
         run_config("mpls-diffserv", seed=77, measure_s=1.5)
 
     def warm() -> None:
         net2, extras = restore_network(blob)
-        assert verify_cache_coherence(net2) == before
+        assert audit(net2) == before
         run_config(
             "mpls-diffserv", seed=77, measure_s=1.5,
             prebuilt=(net2, net2.nodes[extras["src"]], net2.nodes[extras["dst"]]),
@@ -703,4 +703,4 @@ def test_save_load_file_roundtrip(tmp_path) -> None:
     net2, extras = load(path)
     assert set(extras) == set(ctx)
     assert extras["s1"].hosts[0] is net2.nodes[extras["s1"].hosts[0].name]
-    assert verify_cache_coherence(net2) == verify_cache_coherence(net)
+    assert audit(net2) == audit(net)

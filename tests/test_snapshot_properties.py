@@ -7,8 +7,8 @@ and the restored graph must be indistinguishable from the original:
 * FIB/LFIB/FTN *contents* per router (routes, label ops, FEC bindings),
 * every generation counter (tables, VRFs, DomainView vs topology),
 * the pending-event schedule, including same-timestamp FIFO order,
-* GenCache coherence reports (restore neither invents staleness nor
-  discards warm state),
+* the audit findings, GenCache notes included (restore neither invents
+  staleness nor discards warm state),
 * RNG stream states — mid-stream draws continue identically.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.audit import audit
 from repro.mpls import Lsr, run_ldp
 from repro.routing import converge
 from repro.sim.engine import bind
@@ -23,7 +24,6 @@ from repro.sim.snapshot import (
     pending_schedule,
     restore_network,
     snapshot_network,
-    verify_cache_coherence,
 )
 from repro.topology import Network
 from repro.vpn import PeRouter, VpnProvisioner
@@ -135,13 +135,14 @@ class TestSnapshotRoundTrip:
         view = net.domain_view()
         before_tables = _fib_contents(net)
         before_sched = pending_schedule(net.sim)
-        before_caches = verify_cache_coherence(net)
+        before_audit = audit(net)
+        assert [f for f in before_audit if f.severity == "error"] == []
 
         net2, _ = restore_network(snapshot_network(net))
 
         assert _fib_contents(net2) == before_tables
         assert pending_schedule(net2.sim) == before_sched
-        assert verify_cache_coherence(net2) == before_caches
+        assert audit(net2) == before_audit
         assert net2.topology_generation == net.topology_generation
         view2 = net2.domain_view()
         assert view2.generation == view.generation

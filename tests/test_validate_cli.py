@@ -1,7 +1,8 @@
-"""Tests for the validation sweep and the CLI."""
+"""Tests for the network auditor (``repro.audit``) and the CLI."""
 
 import pytest
 
+from repro.audit import Finding, audit
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.experiments.common import ExperimentRun
 from repro.mpls import Lsr, run_ldp
@@ -9,8 +10,8 @@ from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.link import Interface
 from repro.qos.queues import DropTailFifo
 from repro.routing import converge
+from repro.sim.snapshot import restore_network, save, snapshot_network
 from repro.topology import Network, build_backbone
-from repro.validate import Issue, validate
 from repro.vpn import PeRouter, VpnProvisioner
 
 
@@ -32,61 +33,105 @@ def provisioned_network():
     return net, nodes
 
 
+def _e5_after_run():
+    """E5's full chain after a short run: warm caches, looked-up tables."""
+    from repro.experiments.e5_sla import _build, run_stage
+
+    ctx = _build("full", seed=41)
+    run_stage("full", seed=41, measure_s=0.3, prebuilt=ctx)
+    return ctx["net"]
+
+
 class TestValidate:
+    """Each rule of ``audit``, fired by one planted defect."""
+
     def test_clean_network_has_no_errors(self):
         net, _ = provisioned_network()
-        errors = [i for i in validate(net) if i.severity == "error"]
+        errors = [f for f in audit(net) if f.severity == "error"]
         assert errors == []
 
     def test_unattached_interface_flagged(self):
         net, nodes = provisioned_network()
         lone = Interface(net.sim, nodes["P1"], "dangling", 1e6, DropTailFifo())
         nodes["P1"].add_interface(lone)
-        issues = validate(net)
-        assert any("no attached link" in i.message for i in issues)
+        findings = audit(net)
+        assert any("no attached link" in f.message for f in findings)
 
     def test_rate_zeroed_behind_the_setter_flagged(self):
         net, nodes = provisioned_network()
         iface = next(iter(nodes["P1"].interfaces.values()))
         iface._rate_bps = 0.0  # the setter and constructor refuse this
-        issues = validate(net)
-        assert any("non-positive rate" in i.message for i in issues)
+        findings = audit(net)
+        assert any("non-positive rate" in f.message for f in findings)
 
     def test_duplicate_core_address_flagged(self):
         net, nodes = provisioned_network()
         nodes["P1"].add_address("172.16.0.1", "")
         nodes["P2"].add_address("172.16.0.1", "")
-        issues = validate(net)
-        assert any("also on" in i.message for i in issues)
+        findings = audit(net)
+        assert any("also on" in f.message for f in findings)
+
+    def test_duplicate_address_in_a_non_core_provider_domain_flagged(self):
+        # E10's providers are the domains "core-a" and "core-b"; an audit
+        # that checks only "core" never looks at them.
+        from repro.experiments.e10_interas import build_two_providers
+
+        ctx = build_two_providers(seed=101, qos=False)
+        ctx["nodes"]["p-a"].add_address("172.16.0.1", "")
+        ctx["nodes"]["pe-a"].add_address("172.16.0.1", "")
+        found = [f for f in audit(ctx["net"]) if f.check == "address"]
+        assert [(f.severity, f.node) for f in found] == [("error", "p-a")]
+        assert "core-a address 172.16.0.1 also on pe-a" in found[0].message
+
+    def test_same_address_in_two_provider_domains_is_legal(self):
+        from repro.experiments.e10_interas import build_two_providers
+
+        ctx = build_two_providers(seed=101, qos=False)
+        ctx["nodes"]["p-a"].add_address("192.0.2.1", "")
+        ctx["nodes"]["p-b"].add_address("192.0.2.1", "")
+        assert [f for f in audit(ctx["net"]) if f.check == "address"] == []
 
     def test_lfib_to_missing_interface_flagged(self):
         net, nodes = provisioned_network()
         nodes["P1"].lfib.install(
             9999, LfibEntry(LabelOp.SWAP, out_label=10, out_ifname="ghost")
         )
-        issues = validate(net)
-        assert any("missing" in i.message and "9999" in i.message for i in issues)
+        findings = audit(net)
+        assert any("missing" in f.message and "9999" in f.message for f in findings)
 
     def test_vpn_label_unknown_vrf_flagged(self):
         net, nodes = provisioned_network()
         nodes["E1"].lfib.install(9998, LfibEntry(LabelOp.VPN, vrf="ghost-vrf"))
-        issues = validate(net)
-        assert any("unknown VRF" in i.message for i in issues)
+        findings = audit(net)
+        assert any("unknown VRF" in f.message for f in findings)
+
+    def test_vrf_label_on_a_core_lsr_is_a_c1_error_not_an_unknown_vrf(self):
+        net, nodes = provisioned_network()
+        nodes["P1"].lfib.install(9997, LfibEntry(LabelOp.VPN, vrf="v"))
+        found = [f for f in audit(net) if f.node == "P1" and f.severity == "error"]
+        assert [f.check for f in found] == ["c1"]
+        assert "9997" in found[0].message
+
+    def test_vrf_held_by_a_core_lsr_is_a_c1_error(self):
+        net, nodes = provisioned_network()
+        nodes["P2"].vrfs = dict(nodes["E1"].vrfs)
+        found = [f for f in audit(net) if f.check == "c1"]
+        assert [(f.node, f.message) for f in found] == [("P2", "non-PE holds VRF 'v'")]
 
     def test_ftn_to_missing_interface_flagged(self):
         net, nodes = provisioned_network()
         nodes["P1"].ftn.bind("9.9.9.0/24", Nhlfe("ghost", (17,)))
-        issues = validate(net)
-        assert any("FTN" in i.message for i in issues)
+        findings = audit(net)
+        assert any("FTN" in f.message for f in findings)
 
     def test_empty_vrf_warns(self):
         net, nodes = provisioned_network()
         from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
         rt = RouteTarget(65000, 99)
         nodes["E2"].add_vrf("empty", RouteDistinguisher(65000, 99), {rt}, {rt})
-        issues = validate(net)
-        warnings = [i for i in issues if i.severity == "warning"]
-        assert any("no circuits" in i.message for i in warnings)
+        findings = audit(net)
+        warnings = [f for f in findings if f.severity == "warning"]
+        assert any("no circuits" in f.message for f in warnings)
 
     def test_errors_sort_first(self):
         net, nodes = provisioned_network()
@@ -94,13 +139,57 @@ class TestValidate:
         rt = RouteTarget(65000, 99)
         nodes["E2"].add_vrf("empty", RouteDistinguisher(65000, 99), {rt}, {rt})
         nodes["P1"].ftn.bind("9.9.9.0/24", Nhlfe("ghost", (17,)))
-        issues = validate(net)
-        severities = [i.severity for i in issues]
-        assert severities == sorted(severities, key=lambda s: s != "error")
+        findings = audit(net)
+        rank = {"error": 0, "warning": 1, "note": 2}
+        keys = [(rank[f.severity], f.node) for f in findings]
+        assert keys == sorted(keys)
+        assert {f.severity for f in findings} == set(rank)
 
-    def test_issue_str(self):
-        i = Issue("error", "r1", "boom")
-        assert str(i) == "[error] r1: boom"
+    def test_trailing_cache_capture_is_a_note(self):
+        net, nodes = provisioned_network()
+        for node in net.nodes.values():
+            pipe = getattr(node, "pipeline", None)
+            if pipe is not None:
+                for cache in (pipe.flow_cache, pipe.label_cache, pipe.tunnel_cache,
+                              *pipe.vrf_caches.values()):
+                    if cache is not None:
+                        cache.sync()
+        assert audit(net) == []
+        # A binding the caches have not seen yet: E1's flow cache reads the
+        # FTN second, its tunnel cache reads it first.
+        nodes["E1"].ftn.bind("9.9.9.0/24", Nhlfe(next(iter(nodes["E1"].interfaces)), (17,)))
+        found = audit(net)
+        assert [(f.severity, f.check, f.node) for f in found] == [("note", "cache", "E1")] * 2
+        assert found[0].message.startswith("flow_cache captured secondary gen")
+        assert found[1].message.startswith("tunnel_cache captured primary gen")
+
+    def test_finding_str(self):
+        f = Finding("error", "c1", "r1", "boom")
+        assert str(f) == "[error] r1: boom"
+
+    def test_audit_is_read_only(self):
+        # The warm-start sweep shares one live graph between tasks, so the
+        # auditor may not look anything up, probe a cache or count.
+        net = _e5_after_run()
+
+        def state():
+            tables, caches = [], []
+            for node in net.nodes.values():
+                for table in (getattr(node, "fib", None), getattr(node, "lfib", None)):
+                    if table is not None:
+                        tables.append((table.generation, table.lookups))
+                if getattr(node, "ftn", None) is not None:
+                    tables.append(node.ftn.generation)
+                for vrf in getattr(node, "vrfs", {}).values():
+                    tables.append((vrf.generation, vrf._fib.lookups))
+                if getattr(node, "pipeline", None) is not None:
+                    caches.append(node.pipeline.cache_stats())
+            return net.counters.snapshot(), tables, caches
+
+        before = state()
+        assert sum(t[1] for t in before[1] if isinstance(t, tuple)) > 0
+        audit(net)
+        assert state() == before
 
 
 class TestCli:
@@ -193,21 +282,75 @@ class TestExperimentRunWindow:
         assert ExperimentRun(net=None, warmup_s=0.0, measure_s=0.1).warmup_s == 0.0
 
 
+def _e1():
+    from repro.experiments.e1_scalability import mpls_base
+    return mpls_base(10)["net"]
+
+
+def _e6():
+    from repro.experiments.e6_te import build_fish_scenario
+    return build_fish_scenario(seed=51)["net"]
+
+
+def _e7():
+    from repro.experiments.e7_isolation import build_overlap_scenario
+    return build_overlap_scenario(seed=61, extranet=True)["net"]
+
+
+def _e10():
+    from repro.experiments.e10_interas import build_two_providers
+    return build_two_providers(seed=101, qos=False)["net"]
+
+
+def _e11():
+    from repro.experiments.e11_resilience import _build
+    return _build(seed=111)["net"]
+
+
+def _e15():
+    # Removed sites must leave no LFIB / FTN entry or VRF circuit on an
+    # interface that left with them.
+    from repro.experiments.e1_scalability import mpls_base
+    from repro.experiments.e15_churn import churn_storms
+    ctx = mpls_base(40, seed=23)
+    churn_storms(ctx, site_flaps=10, wave_sites=8, link_flaps=2)
+    return ctx["net"]
+
+
 class TestValidateExperimentNetworks:
-    """Every experiment's provisioned network must pass the sweep clean —
-    the harness itself should never rely on misconfiguration."""
+    """Every experiment's network audits clean, and a snapshot round trip
+    leaves its findings identical — the harness itself should never rely
+    on misconfiguration."""
 
-    def test_e5_full_stage_clean(self):
+    @pytest.mark.parametrize("build", [_e1, _e5_after_run, _e6, _e7, _e10, _e11, _e15],
+                             ids=["e1", "e5", "e6", "e7", "e10", "e11", "e15"])
+    def test_audits_clean_live_and_restored(self, build):
+        net = build()
+        findings = audit(net)
+        assert [f for f in findings if f.severity == "error"] == []
+        restored, _ = restore_network(snapshot_network(net))
+        assert audit(restored) == findings
+
+
+class TestSnapshotCli:
+    def test_restore_of_a_broken_image_exits_1_naming_the_entry(self, tmp_path, capsys):
         from repro.experiments.e5_sla import _build
-        net = _build("full", seed=41)["net"]
-        assert [i for i in validate(net) if i.severity == "error"] == []
 
-    def test_e10_two_providers_clean(self):
-        from repro.experiments.e10_interas import build_two_providers
-        net = build_two_providers(seed=101, qos=False)["net"]
-        assert [i for i in validate(net) if i.severity == "error"] == []
+        ctx = _build("full", seed=0)
+        net = ctx.pop("net")
+        net.nodes["p1"].lfib.install(
+            9999, LfibEntry(LabelOp.SWAP, out_label=10, out_ifname="ghost")
+        )
+        path = str(tmp_path / "broken.snap")
+        save(path, net, ctx)
+        assert main(["snapshot", "restore", path]) == 1
+        out = capsys.readouterr().out
+        assert "1 error(s)" in out
+        assert "[error] p1: LFIB label 9999 points to missing interface 'ghost'" in out
 
-    def test_e7_overlap_scenario_clean(self):
-        from repro.experiments.e7_isolation import build_overlap_scenario
-        net = build_overlap_scenario(seed=61, extranet=True)["net"]
-        assert [i for i in validate(net) if i.severity == "error"] == []
+    def test_restore_of_the_e5_base_exits_0(self, tmp_path, capsys):
+        path = str(tmp_path / "e5.snap")
+        assert main(["snapshot", "save", path, "--base", "e5/full"]) == 0
+        assert main(["snapshot", "restore", path]) == 0
+        out = capsys.readouterr().out
+        assert "[audit: 0 error(s), 0 warning(s)," in out
