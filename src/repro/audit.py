@@ -20,6 +20,14 @@
   source table's.  This is legal live state (the guard flushes on the next
   probe), so the snapshot contract is that a restore leaves the list
   identical: it neither invents staleness nor discards warm state.
+* ``keys`` (error): a FIB or VRF table keyed by something that is not a
+  :class:`~repro.net.address.Prefix`, or a VRF route target that is not a
+  :class:`~repro.vpn.rd_rt.RouteTarget` — and, given the MP-BGP engine
+  (``bgp=``), the same of its Adj-RIB-Out, import record and RT index,
+  reported under the node ``mp-bgp``.  A plain ``(network, length)`` tuple
+  hashes and compares like the ``Prefix`` it spells, so a key that lost its
+  type in a restore (or was written around the constructors) answers
+  lookups and fails only where the type is read.
 
 The auditor only reads.  It looks nothing up, probes no cache and moves no
 counter, so it may run on the live graph the warm-start sweep shares.
@@ -28,17 +36,20 @@ counter, so it may run on the live graph the warm-start sweep shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.mpls.lfib import LabelOp
 from repro.mpls.lsr import Lsr
+from repro.net.address import Prefix
 from repro.routing.router import Router
 from repro.vpn.pe import PeRouter
+from repro.vpn.rd_rt import RouteTarget
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dataplane.pipeline import ForwardingPipeline
     from repro.net.node import Node
     from repro.topology import Network
+    from repro.vpn.bgp import MpBgp
 
 __all__ = ["Finding", "audit"]
 
@@ -59,8 +70,9 @@ class Finding:
         return f"[{self.severity}] {self.node}: {self.message}"
 
 
-def audit(net: "Network") -> list[Finding]:
-    """Run every rule on every node; see module docstring.  Sorted by
+def audit(net: "Network", bgp: "MpBgp | None" = None) -> list[Finding]:
+    """Run every rule on every node, and the ``keys`` rule on ``bgp`` when
+    the network's MP-BGP engine is given; see module docstring.  Sorted by
     severity, then by node, in emission order within one node."""
     seen: dict = {}  # (provider domain, address) -> first router holding it
     found = [
@@ -68,6 +80,8 @@ def audit(net: "Network") -> list[Finding]:
         for node in net.nodes.values()
         for severity, check, message in _node_rules(node, seen)
     ]
+    if bgp is not None:
+        found.extend(Finding(*f) for f in _engine_keys(bgp))
     found.sort(key=lambda f: (_RANK[f.severity], f.node))
     return found
 
@@ -89,7 +103,33 @@ def _node_rules(node: "Node", seen: dict) -> _Rule:
         yield from _label_state(node)
     if isinstance(node, PeRouter):
         yield from _vrf_state(node)
+    yield from _bad_keys("FIB", node.fib.prefixes(), Prefix)
+    for vrf in getattr(node, "vrfs", {}).values():
+        yield from _bad_keys(f"VRF {vrf.name} table", vrf.prefixes(), Prefix)
+        yield from _bad_keys(f"VRF {vrf.name} route targets",
+                             (*vrf.import_rts, *vrf.export_rts), RouteTarget)
     yield from _cache_notes(node.pipeline)
+
+
+def _bad_keys(what: str, keys: Iterable, cls: type) -> _Rule:
+    """One ``keys`` error for a collection holding keys of another type."""
+    bad = [k for k in keys if type(k) is not cls]
+    if bad:
+        yield "error", "keys", (f"{what}: {len(bad)} key(s) not a {cls.__name__}, "
+                                f"e.g. {bad[0]!r} ({type(bad[0]).__name__})")
+
+
+def _engine_keys(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
+    """The ``keys`` rule over the engine's prefix- and RT-keyed state."""
+    for kind, table in (("Adj-RIB-Out", bgp._rib), ("imports", bgp._imported)):
+        for (pe, vrf), routes in table.items():
+            for severity, check, message in _bad_keys(f"{kind} of {pe}/{vrf}", routes, Prefix):
+                yield severity, check, "mp-bgp", message
+    for severity, check, message in _bad_keys("RT index", bgp._rt_index, RouteTarget):
+        yield severity, check, "mp-bgp", message
+    for rt, by_prefix in bgp._rt_index.items():
+        for severity, check, message in _bad_keys(f"RT index {rt}", by_prefix, Prefix):
+            yield severity, check, "mp-bgp", message
 
 
 def _label_state(node: Lsr) -> _Rule:

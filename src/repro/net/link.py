@@ -23,12 +23,16 @@ link therefore costs one event per packet-hop and a backlogged one two.
 Egress *conditioners* (classifier/meter/marker chains from ``repro.qos``)
 run before the queue discipline and may drop or remark packets — this is
 where the DiffServ traffic-conditioning block of claim C6 attaches.
+
+Both classes are slotted: a provisioned site is two of each, and an
+instance dict per object is what the cyclic collector would re-walk (and
+what pickling an unslotted object materialises).  They take no attribute
+that is not in ``__slots__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.drops import DropReason
@@ -39,30 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
     from repro.qos.queues import QueueDiscipline
 
-__all__ = ["Interface", "Link", "InterfaceStats"]
+__all__ = ["Interface", "Link"]
 
 Conditioner = Callable[[Packet, float], Optional[Packet]]
-
-
-@dataclass(slots=True)
-class InterfaceStats:
-    """Egress counters for one interface.
-
-    ``tx_packets`` / ``tx_bytes`` / ``busy_time`` are credited when a
-    packet's serialization *starts*, so a packet still on the transmitter
-    when the run stops is already counted.
-    """
-
-    tx_packets: int = 0
-    tx_bytes: int = 0
-    enqueued: int = 0
-    dropped: int = 0
-    conditioner_dropped: int = 0
-    busy_time: float = 0.0
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the transmitter was busy."""
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
 
 
 class Link:
@@ -72,6 +55,11 @@ class Link:
     adds only propagation delay (so back-to-back packets can be "in flight"
     simultaneously, as on a real wire).
     """
+
+    __slots__ = (
+        "sim", "name", "dst_node", "dst_ifname", "delay_s", "_up", "_tx_event",
+        "on_state_change",
+    )
 
     def __init__(
         self,
@@ -99,7 +87,8 @@ class Link:
         # this to its topology-generation bump so *any* ``link.up`` write —
         # not just DuplexLink.set_up — invalidates cached domain views.
         # The changed link rides on the callback so listeners (e.g. the
-        # convergence tracer) know *which* link flipped.
+        # convergence tracer) know *which* link flipped, and every link of
+        # a network shares the one callable.
         self.on_state_change: Optional[Callable[["Link"], None]] = None
 
     @property
@@ -161,8 +150,24 @@ class Interface:
         Transmit rate in bits per second.
     qdisc:
         Queue discipline instance; defaults are installed by the topology
-        builder (a plain DropTail FIFO unless QoS is configured).
+        builder (a plain DropTail FIFO unless QoS is configured).  A
+        discipline queues for one interface at a time (see :attr:`qdisc`).
+
+    The egress counters are attributes the hot path writes directly:
+    ``tx_packets`` / ``tx_bytes`` / ``busy_time`` are credited when a
+    packet's serialization *starts* (a packet still on the transmitter when
+    the run stops is already counted), ``enqueued`` / ``dropped`` when the
+    discipline takes or refuses one, ``conditioner_dropped`` when a
+    conditioner does.  :attr:`stats` is the interface itself, so
+    ``iface.stats.tx_packets`` reads the live counter.
     """
+
+    __slots__ = (
+        "sim", "node", "name", "fluid_load_bps", "_rate_bps", "_eff_rate_bps",
+        "_qdisc", "link", "conditioners",
+        "tx_packets", "tx_bytes", "enqueued", "dropped", "conditioner_dropped", "busy_time",
+        "_free_at", "_busy", "_retry_event", "_retry_time", "peer_node", "peer_ifname",
+    )
 
     def __init__(
         self,
@@ -184,10 +189,18 @@ class Interface:
         # fluid is charged (it equals rate_bps exactly, same float).
         self.fluid_load_bps = 0.0
         self.rate_bps = rate_bps  # property setter: validates, derives _eff_rate_bps
-        self.qdisc = qdisc  # property setter: also wires the drop callback
+        self._qdisc: "QueueDiscipline | None" = None
+        self.qdisc = qdisc  # property setter: takes ownership, wires the drop callback
         self.link: Link | None = None
-        self.conditioners: list[Conditioner] = []
-        self.stats = InterfaceStats()
+        # Empty and immutable until add_conditioner: most interfaces never
+        # get one, and an empty tuple is shared, not an object per interface.
+        self.conditioners: tuple[Conditioner, ...] = ()
+        self.tx_packets = 0
+        self.tx_bytes = 0
+        self.enqueued = 0
+        self.dropped = 0
+        self.conditioner_dropped = 0
+        self.busy_time = 0.0
         # Transmitter state: serializing until ``_free_at``; ``_busy`` is
         # true while a drain event is armed there (something is queued
         # behind the packet on the transmitter).
@@ -230,7 +243,17 @@ class Interface:
 
     def add_conditioner(self, fn: Conditioner) -> None:
         """Append an egress conditioner (classify/meter/mark/police stage)."""
-        self.conditioners.append(fn)
+        self.conditioners = (*self.conditioners, fn)
+
+    @property
+    def stats(self) -> "Interface":
+        """The egress counters: the interface holds them itself (no record
+        object per interface), so this is the interface."""
+        return self
+
+    def utilization(self, elapsed: float) -> float:
+        """Fraction of ``elapsed`` the transmitter was busy."""
+        return self.busy_time / elapsed if elapsed > 0 else 0.0
 
     @property
     def rate_bps(self) -> float:
@@ -272,12 +295,31 @@ class Interface:
     # Hot methods read ``_qdisc`` directly to skip the property descriptor.
     @property
     def qdisc(self) -> "QueueDiscipline":
+        """The queue discipline.  Installing one records this interface as
+        its ``interface`` and the interface itself as its drop callback.  A
+        discipline another interface owns is refused by name before anything
+        changes — two transmitters draining one queue would each send the
+        other's packets, and the drops would be reported against whichever
+        was wired last — and the one replaced is released, free to be
+        installed elsewhere."""
         return self._qdisc
 
     @qdisc.setter
     def qdisc(self, q: "QueueDiscipline") -> None:
+        owner = q.interface
+        if owner is not None and owner is not self:
+            raise ValueError(
+                f"interface {self.node.name}.{self.name}: the {type(q).__name__} "
+                f"already queues for interface {owner.node.name}.{owner.name}; "
+                "give each interface its own queue discipline"
+            )
+        old = self._qdisc
+        if old is not None and old is not q:
+            old.interface = None
+            old.set_drop_callback(None)
+        q.interface = self
+        q.set_drop_callback(self)
         self._qdisc = q
-        q.set_drop_callback(self._queue_drop)
 
     def _queue_drop(self, pkt: Packet, reason: DropReason, now: float) -> None:
         """Called by the queue discipline when it refuses a packet.
@@ -300,6 +342,10 @@ class Interface:
                 pkt=pkt,
             )
 
+    # The interface is its discipline's drop callback: one callable per
+    # interface, where a bound method would be one more object per qdisc.
+    __call__ = _queue_drop
+
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Run conditioners, enqueue, and kick the transmitter.
@@ -312,14 +358,14 @@ class Interface:
             for fn in self.conditioners:
                 out = fn(pkt, now)
                 if out is None:
-                    self.stats.conditioner_dropped += 1
+                    self.conditioner_dropped += 1
                     self._queue_drop(pkt, DropReason.CONDITIONER, now)
                     return False
                 pkt = out
         if not self._qdisc.enqueue(pkt, now):
-            self.stats.dropped += 1
+            self.dropped += 1
             return False
-        self.stats.enqueued += 1
+        self.enqueued += 1
         fl = self.node.trace.flight
         if fl is not None:
             fl.enqueue(now, self.node.name, pkt, self.name, len(self._qdisc))
@@ -364,7 +410,6 @@ class Interface:
                 send(pkt)
             return
         now = self.sim.now
-        stats = self.stats
         qdisc = self._qdisc
         fl = self.node.trace.flight
         for pkt in pkts:
@@ -372,9 +417,9 @@ class Interface:
                 send(pkt)  # regulated: full coalesced-timer logic
                 continue
             if not qdisc.enqueue(pkt, now):
-                stats.dropped += 1
+                self.dropped += 1
                 continue
-            stats.enqueued += 1
+            self.enqueued += 1
             if fl is not None:
                 fl.enqueue(now, self.node.name, pkt, self.name, len(qdisc))
             if not self._busy:
@@ -418,10 +463,9 @@ class Interface:
             fl.dequeue(now, self.node.name, pkt, self.name, backlog)
         wire = pkt._wire or pkt.wire_bytes
         tx_time = wire * 8.0 / self._eff_rate_bps
-        stats = self.stats
-        stats.busy_time += tx_time
-        stats.tx_packets += 1
-        stats.tx_bytes += wire
+        self.busy_time += tx_time
+        self.tx_packets += 1
+        self.tx_bytes += wire
         self._free_at = free_at = now + tx_time
         # ``Link.carry`` is fused inline: one call frame per forwarded
         # packet matters at millions of packet-hops per experiment.  The

@@ -27,18 +27,21 @@ __all__ = [
     "Node",
     "Host",
     "ProcessingModel",
+    "ZERO_COST",
     "NodeStats",
     "install_vector_dispatch",
     "remove_vector_dispatch",
 ]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ProcessingModel:
     """Per-packet CPU costs, in seconds.
 
     ``crypto_bps`` models IPsec encrypt/decrypt throughput (bits/second of
-    payload through the crypto engine); 0 disables crypto cost.
+    payload through the crypto engine); 0 disables crypto cost.  Frozen:
+    every node built without one shares :data:`ZERO_COST`, so a node that
+    models CPU is given its own instance instead of having fields rewritten.
     """
 
     ip_lookup_s: float = 0.0
@@ -50,6 +53,10 @@ class ProcessingModel:
         if self.crypto_bps <= 0:
             return 0.0
         return nbytes * 8.0 / self.crypto_bps
+
+
+#: What a node costs when none is modeled: every lookup free (the default).
+ZERO_COST = ProcessingModel()
 
 
 @dataclass(slots=True)
@@ -68,7 +75,13 @@ class NodeStats:
 
 
 class Node:
-    """Base network element: interfaces + address ownership + dispatch."""
+    """Base network element: interfaces + address ownership + dispatch.
+
+    ``trace`` is the bus the node publishes to; :meth:`Network.add_node
+    <repro.topology.Network.add_node>` replaces it with the network's, so a
+    caller that builds a node for a network hands the network's bus in and
+    no bus is built only to be thrown away.
+    """
 
     def __init__(
         self,
@@ -79,8 +92,8 @@ class Node:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.trace = trace or TraceBus()
-        self.processing = processing or ProcessingModel()
+        self.trace = trace if trace is not None else TraceBus()
+        self.processing = processing if processing is not None else ZERO_COST
         self.interfaces: dict[str, Interface] = {}
         self.addresses: dict[IPv4Address, str] = {}  # address -> ifname ('' = loopback)
         self.connected_prefixes: dict[Prefix, str] = {}  # subnet -> ifname
@@ -90,7 +103,9 @@ class Node:
         # ``domain`` write after add_node reaches the per-domain index.
         self._network = None
         self.stats = NodeStats()
-        self.local_sinks: list[Callable[[Packet], None]] = []
+        # Empty and immutable until add_local_sink: only hosts that receive
+        # traffic ever get one.
+        self.local_sinks: tuple[Callable[[Packet], None], ...] = ()
 
     @property
     def domain(self) -> str:
@@ -135,7 +150,7 @@ class Node:
 
     def add_local_sink(self, fn: Callable[[Packet], None]) -> None:
         """Register a callback for packets addressed to this node."""
-        self.local_sinks.append(fn)
+        self.local_sinks = (*self.local_sinks, fn)
 
     # ------------------------------------------------------------------
     # Receive path

@@ -52,10 +52,10 @@ __all__ = [
 # MPLS EXP field or outer DSCP; see repro.qos.classifier for builders.
 ClassifyFn = Callable[[Packet], int]
 
-# Invoked when a discipline refuses a packet: (pkt, reason, now).  Wired by
-# the owning Interface so queue losses reach the TraceBus / flight recorder
-# with a taxonomy (QUEUE_TAIL vs QUEUE_AQM) instead of only bumping
-# ClassStats.dropped.
+# Invoked when a discipline refuses a packet: (pkt, reason, now).  The owning
+# Interface installs itself (it is callable with this signature) so queue
+# losses reach the TraceBus / flight recorder with a taxonomy (QUEUE_TAIL vs
+# QUEUE_AQM) instead of only bumping the drop counter.
 DropCallback = Callable[[Packet, DropReason, float], None]
 
 
@@ -83,6 +83,11 @@ class ClassStats:
 
 class QueueDiscipline:
     """Abstract scheduler; see module docstring for the contract."""
+
+    #: The interface this discipline queues for: written by the
+    #: ``Interface.qdisc`` setter, which refuses a discipline another
+    #: interface owns and clears it on the one it replaces.
+    interface = None
 
     #: Fluid background load (hybrid traffic plane): the analytic rate of
     #: fluid aggregates sharing this egress and the equivalent standing
@@ -146,6 +151,11 @@ class DropTailFifo(QueueDiscipline):
         Tail-drop thresholds; ``None`` disables that limit.
     drop_policy:
         Optional AQM (e.g. RED) consulted before the tail-drop check.
+
+    The FIFO is every interface's default discipline, so it keeps the
+    :class:`ClassStats` counters (``enqueued``, ``dropped``, ``dequeued``,
+    ``bytes_sent``) as attributes of its own rather than in a record object,
+    and :attr:`stats` is the FIFO itself.
     """
 
     def __init__(
@@ -159,8 +169,13 @@ class DropTailFifo(QueueDiscipline):
         self.capacity_packets = capacity_packets
         self.capacity_bytes = capacity_bytes
         self.drop_policy = drop_policy
-        self.stats = ClassStats()
+        self.enqueued = self.dropped = self.dequeued = self.bytes_sent = 0
         self.on_drop: DropCallback | None = None
+
+    @property
+    def stats(self) -> "DropTailFifo":
+        """The counters: the FIFO holds them itself, so this is the FIFO."""
+        return self
 
     def set_drop_callback(self, cb: DropCallback | None) -> None:
         self.on_drop = cb
@@ -173,7 +188,7 @@ class DropTailFifo(QueueDiscipline):
         if self.drop_policy is not None and self.drop_policy.should_drop(
             pkt, self._bytes + self.fluid_standing_bytes, now
         ):
-            self.stats.dropped += 1
+            self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(pkt, DropReason.QUEUE_AQM, now)
             return False
@@ -185,13 +200,13 @@ class DropTailFifo(QueueDiscipline):
             and self._bytes + size + self.fluid_standing_bytes
             > self.capacity_bytes
         ):
-            self.stats.dropped += 1
+            self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
         self._q.append(pkt)
         self._bytes += size
-        self.stats.enqueued += 1
+        self.enqueued += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -200,8 +215,8 @@ class DropTailFifo(QueueDiscipline):
         pkt = self._q.popleft()
         size = pkt._wire or pkt.wire_bytes
         self._bytes -= size
-        self.stats.dequeued += 1
-        self.stats.bytes_sent += size
+        self.dequeued += 1
+        self.bytes_sent += size
         if self.drop_policy is not None:
             self.drop_policy.notify_dequeue(
                 self._bytes + self.fluid_standing_bytes, now

@@ -14,9 +14,9 @@ size is a handful of containers to Python's cyclic collector (at E1 N=1000
 it re-walked one tracked object per trie bit on every pass).
 
 The trie is an index over the table's route dict, not the table: it is
-brought up to date by the first lookup after a change (see :class:`Fib`),
-so only tables that forward packets pay for one, and a pickled table is
-its routes.
+built by the first lookup and brought up to date by the first lookup after
+a change (see :class:`Fib`), so only tables that forward packets pay for
+one, and a pickled table is its routes.
 
 A :class:`RouteEntry` resolves to an egress interface and an optional
 next-hop address (None for directly connected destinations).
@@ -70,20 +70,28 @@ class RouteEntry:
         return ((self.out_ifname, self.next_hop), *self.alternates)
 
 
+# ``Fib._stale`` of a table that has no trie yet: every route is pending.
+# Truthy, so the lookup path's one ``if self._stale:`` test builds the trie;
+# the writers test for it and note nothing while it is there.
+_UNBUILT = object()
+
+
 class Fib(Generic[E]):
     """Longest-prefix-match forwarding table: a route dict and its trie.
 
     ``_routes`` is the table.  The unibit trie is its LPM index and is
-    written by the readers: a mutation writes the dict, bumps ``generation``
-    and notes in ``_stale`` what the trie must hold for that prefix (the
-    entry, or ``None`` once withdrawn); the first :meth:`lookup` /
-    :meth:`lookup_prefix` after it walks each stale prefix into the trie
-    bit by bit and then answers.  A table nobody looks up — every VRF of a
-    provisioning run — never builds a trie, and an image of a table is its
-    routes: the trie is rebuilt from them by the first lookup after a
-    restore.  Which row a node got depends on when lookups happened, so node
-    numbering is not observable; what a lookup returns depends on the
-    routes alone.
+    built by the readers.  A table starts without one (``_stale`` holds the
+    ``_UNBUILT`` marker) and its first :meth:`lookup` / :meth:`lookup_prefix`
+    walks every route into a fresh trie.  From then on a mutation writes the
+    dict, bumps ``generation`` and notes in ``_stale`` what the trie must
+    hold for that prefix (the entry, or ``None`` once withdrawn); the next
+    lookup walks each stale prefix into the trie bit by bit and then
+    answers.  A table nobody looks up — every CE's and every VRF's in a
+    provisioning run — holds its route dict and nothing else, and an image
+    of a table is its routes: a restored table is back to no trie, built by
+    its first lookup.  Which row a node got depends on when lookups
+    happened, so node numbering is not observable; what a lookup returns
+    depends on the routes alone.
 
     ``generation`` increments on every mutation (install/withdraw); the
     data plane's flow caches compare it before serving a memoized
@@ -94,30 +102,23 @@ class Fib(Generic[E]):
     :class:`RouteEntry`, a VRF's holds its ``VrfRoute``.
     """
 
+    __slots__ = (
+        "_routes", "_stale", "lookups", "generation",
+        "_left", "_right", "_entries", "_leaf",   # the trie, once built
+    )
+
     def __init__(self) -> None:
         self._routes: dict[Prefix, E] = {}
-        self._stale: dict[Prefix, E | None] = {}
+        self._stale: dict[Prefix, E | None] = _UNBUILT  # type: ignore[assignment]
         self.lookups = 0
         self.generation = 0
-        self._reset_trie()
-
-    def _reset_trie(self) -> None:
-        self._left = array("i", (0,))   # node -> child on bit 0 (0 = none)
-        self._right = array("i", (0,))  # node -> child on bit 1
-        self._entries: list[E | None] = [None]  # node -> entry; node 0 = root
-        # Leaf cache: the node a prefix terminates at.  Nodes are never
-        # pruned, so a cached index stays valid for as long as the trie
-        # does and re-installing a known prefix — what every reconvergence
-        # does for most routes — skips the per-bit walk.
-        self._leaf: dict[Prefix, int] = {}
 
     def __getstate__(self) -> tuple[dict[Prefix, E], int, int]:
         return self._routes, self.lookups, self.generation
 
     def __setstate__(self, state: tuple[dict[Prefix, E], int, int]) -> None:
         self._routes, self.lookups, self.generation = state
-        self._stale = dict(self._routes)
-        self._reset_trie()
+        self._stale = _UNBUILT  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     def _leaf_node(self, pfx: Prefix) -> int:
@@ -141,18 +142,36 @@ class Fib(Generic[E]):
         return node
 
     def _sync(self) -> None:
-        """Bring the trie up to date with the routes: one walk per stale
-        prefix (none for a prefix the trie has seen before)."""
+        """Bring the trie up to date with the routes: on the first call
+        build it from every route, after that one walk per stale prefix
+        (none for a prefix the trie has seen before)."""
+        stale = self._stale
+        if stale is _UNBUILT:
+            self._left = array("i", (0,))   # node -> child on bit 0 (0 = none)
+            self._right = array("i", (0,))  # node -> child on bit 1
+            self._entries: list[E | None] = [None]  # node -> entry; node 0 = root
+            # Leaf cache: the node a prefix terminates at.  Nodes are never
+            # pruned, so a cached index stays valid for as long as the trie
+            # does and re-installing a known prefix — what every
+            # reconvergence does for most routes — skips the per-bit walk.
+            self._leaf: dict[Prefix, int] = {}
+            self._stale = {}
+            pending = self._routes
+        else:
+            pending = stale
         leaf_node = self._leaf_node
         entries = self._entries
-        for pfx, entry in self._stale.items():
+        for pfx, entry in pending.items():
             entries[leaf_node(pfx)] = entry
-        self._stale.clear()
+        if pending is stale:
+            stale.clear()
 
     def install(self, prefix: Prefix | str, entry: E) -> None:
         """Insert or replace the route for ``prefix``."""
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-        self._routes[pfx] = self._stale[pfx] = entry
+        self._routes[pfx] = entry
+        if self._stale is not _UNBUILT:
+            self._stale[pfx] = entry
         self.generation += 1
 
     def install_many(self, items: list[tuple[Prefix, E]]) -> int:
@@ -167,7 +186,8 @@ class Fib(Generic[E]):
         if not items:
             return 0
         self._routes.update(items)
-        self._stale.update(items)
+        if self._stale is not _UNBUILT:
+            self._stale.update(items)
         self.generation += 1
         return len(items)
 
@@ -184,11 +204,14 @@ class Fib(Generic[E]):
         scenarios and stale interior nodes are harmless to correctness) —
         which is also what keeps the leaf cache sound.
         """
+        routes, stale = self._routes, self._stale
+        built = stale is not _UNBUILT
         removed = 0
         for pfx in prefixes:
-            if self._routes.pop(pfx, None) is not None:
+            if routes.pop(pfx, None) is not None:
                 removed += 1
-                self._stale[pfx] = None
+                if built:
+                    stale[pfx] = None
         if removed:
             self.generation += 1
         return removed

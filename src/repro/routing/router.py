@@ -13,11 +13,14 @@ this class composes the pipeline with just the lookup and dispatch stages
 from __future__ import annotations
 
 from repro.dataplane.pipeline import ForwardingPipeline
+from repro.net.address import Prefix
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.routing.fib import Fib, RouteEntry
 
 __all__ = ["Router"]
+
+_NOTHING: frozenset[Prefix] = frozenset()
 
 
 class Router(Node):
@@ -27,11 +30,18 @@ class Router(Node):
         super().__init__(sim, name, **kw)
         self.fib: Fib[RouteEntry] = Fib()
         # Extra prefixes this router injects into the IGP (host subnets it
-        # fronts, redistributed statics...).
-        self.advertised_prefixes: set = set()
+        # fronts, redistributed statics...): written by :meth:`advertise`,
+        # empty and immutable until then (no CE advertises any).
+        self.advertised_prefixes: frozenset[Prefix] | set[Prefix] = _NOTHING
         # One staged forwarding engine, shared (by composition) with the
         # Lsr and PeRouter subclasses — see repro.dataplane.pipeline.
         self.pipeline = ForwardingPipeline(self, self.fib)
+
+    def advertise(self, prefix: Prefix) -> None:
+        """Inject ``prefix`` into the IGP from this router."""
+        if not isinstance(self.advertised_prefixes, set):
+            self.advertised_prefixes = set(self.advertised_prefixes)
+        self.advertised_prefixes.add(prefix)
 
     # ------------------------------------------------------------------
     def handle(self, pkt: Packet, ifname: str) -> None:

@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/5``), the ``repro`` version
+The header names the schema (``repro.snapshot/6``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
@@ -28,13 +28,20 @@ dataclass state where this reader builds tuples, a ``/3`` image holds each
 table's trie columns and leaf cache where this reader expects its routes
 only, a ``/4`` image holds a network without the free /30 list, the
 per-domain index and the node-to-network links that ``disconnect`` /
-``remove_node`` and a ``node.domain`` write rely on) or with a flipped bit (about one in six still unpickles) is exactly
-the class of bug the header exists to prevent.
+``remove_node`` and a ``node.domain`` write rely on, a ``/5`` image holds
+interfaces, links, sites and VRFs as instance dicts where this reader's
+classes are slotted, and a stats object per interface) or with a flipped
+bit (about one in six still unpickles) is exactly the class of bug the
+header exists to prevent.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
 ``(routes, lookups, generation)``): the LPM trie is an index the first
-lookup after a restore rebuilds, so a restored table answers every lookup
-as the live one did without the image carrying a byte of it.
+lookup after a restore builds, so a restored table answers every lookup
+as the live one did without the image carrying a byte of it, and holds
+nothing but its routes until then.  The per-site classes (interface,
+link, duplex link, site, table, VRF) are slotted, so dumping one does not
+leave an instance dict behind on the live object and loading one builds
+none.
 
 Why a custom pickler
 --------------------
@@ -105,7 +112,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/5"
+SCHEMA = "repro.snapshot/6"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

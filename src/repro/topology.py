@@ -14,7 +14,6 @@ topology, and a 12-node reference ISP backbone modeled on the two-level
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -46,19 +45,18 @@ def _default_qdisc(node: Node, ifname: str) -> QueueDiscipline:
     return DropTailFifo(capacity_packets=100)
 
 
-@dataclass(eq=False)
 class DuplexLink:
     """Bookkeeping record for one bidirectional connection.
 
-    ``addr_a``/``addr_b`` and the ``egress_*`` pairs are precomputed by
-    :meth:`Network.connect` so the control plane resolves a next hop with
-    one attribute read instead of scanning the peer's address table;
-    ``net`` points back at the owning network so :meth:`set_up` can bump
-    its topology generation (link state is part of the IGP topology), and
-    is ``None`` again once :meth:`Network.disconnect` has taken the link
-    out.  Compared by identity: a link *is* its record, and ``disconnect``
-    finds it among the network's links without a field-by-field compare of
-    every record before it.
+    ``addr_a``/``addr_b`` are set by :meth:`Network.connect`, and the
+    ``egress_*`` pairs read off them, so the control plane resolves a next
+    hop without scanning the peer's address table; ``net`` points back at
+    the owning network so :meth:`set_up` can bump its topology generation
+    (link state is part of the IGP topology), and is ``None`` again once
+    :meth:`Network.disconnect` has taken the link out.  Compared by
+    identity: a link *is* its record, and ``disconnect`` finds it among the
+    network's links without a field-by-field compare of every record before
+    it.  Slotted, like the interfaces and links it holds.
 
     Invariant: every routing-relevant mutation must bump the owning
     network's ``topology_generation``, or cached domain views go stale.
@@ -69,20 +67,57 @@ class DuplexLink:
     instead of going through :meth:`set_up`.
     """
 
-    a: Node
-    b: Node
-    if_ab: Interface
-    if_ba: Interface
-    link_ab: Link
-    link_ba: Link
-    rate_bps: float
-    delay_s: float
-    metric: float
-    addr_a: IPv4Address | None = None
-    addr_b: IPv4Address | None = None
-    egress_a: tuple[str, IPv4Address] | None = None  # a's (out_if, next hop)
-    egress_b: tuple[str, IPv4Address] | None = None  # b's (out_if, next hop)
-    net: "Network | None" = None
+    __slots__ = (
+        "a", "b", "if_ab", "if_ba", "link_ab", "link_ba", "rate_bps", "delay_s",
+        "_metric", "addr_a", "addr_b", "net",
+    )
+
+    def __init__(
+        self,
+        a: Node,
+        b: Node,
+        if_ab: Interface,
+        if_ba: Interface,
+        link_ab: Link,
+        link_ba: Link,
+        rate_bps: float,
+        delay_s: float,
+        metric: float,
+        addr_a: IPv4Address | None = None,
+        addr_b: IPv4Address | None = None,
+        net: "Network | None" = None,
+    ) -> None:
+        self.a, self.b = a, b
+        self.if_ab, self.if_ba = if_ab, if_ba
+        self.link_ab, self.link_ba = link_ab, link_ba
+        self.rate_bps = rate_bps
+        self.delay_s = delay_s
+        self._metric = metric
+        self.addr_a, self.addr_b = addr_a, addr_b
+        self.net = net
+
+    @property
+    def metric(self) -> float:
+        """IGP cost.  IGP state, so a rewrite invalidates cached domain
+        views exactly like a link up/down."""
+        return self._metric
+
+    @metric.setter
+    def metric(self, value: float) -> None:
+        changed = self._metric != value
+        self._metric = value
+        if changed and self.net is not None:
+            self.net.topology_generation += 1
+
+    @property
+    def egress_a(self) -> tuple[str, IPv4Address | None]:
+        """``a``'s way over the link: (out interface, next hop = ``b``'s address)."""
+        return self.if_ab.name, self.addr_b
+
+    @property
+    def egress_b(self) -> tuple[str, IPv4Address | None]:
+        """``b``'s way over the link: (out interface, next hop = ``a``'s address)."""
+        return self.if_ba.name, self.addr_a
 
     def set_up(self, up: bool) -> None:
         """Raise/fail both directions (simulates a link cut)."""
@@ -93,31 +128,10 @@ class DuplexLink:
 
     def utilization(self, elapsed: float) -> tuple[float, float]:
         """(a→b, b→a) transmitter utilization over ``elapsed`` seconds."""
-        return (
-            self.if_ab.stats.utilization(elapsed),
-            self.if_ba.stats.utilization(elapsed),
-        )
+        return self.if_ab.utilization(elapsed), self.if_ba.utilization(elapsed)
 
-
-def _dl_metric_get(self: DuplexLink) -> float:
-    return self._metric
-
-
-def _dl_metric_set(self: DuplexLink, value: float) -> None:
-    changed = getattr(self, "_metric", value) != value
-    self._metric = value
-    if changed:
-        net = getattr(self, "net", None)
-        if net is not None:
-            net.topology_generation += 1
-
-
-# ``metric`` is IGP state, so rewriting it must invalidate cached domain
-# views exactly like a link up/down.  The property is installed after the
-# dataclass machinery has generated ``__init__`` (a ``metric = property()``
-# line in the class body would read as a field default); the __init__
-# assignment itself runs before ``self.net`` exists and never bumps.
-DuplexLink.metric = property(_dl_metric_get, _dl_metric_set)  # type: ignore[assignment]
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<DuplexLink {self.a.name}-{self.b.name} metric={self._metric:g}>"
 
 
 _DomainIndex = tuple[dict[str, Router], list[DuplexLink]]
@@ -166,6 +180,9 @@ class Network:
         # Both default empty/None so unobserved networks pay nothing.
         self.link_listeners: list[Callable[[Link], None]] = []
         self.convergence_tracer = None
+        # The state-change hook connect() wires into every Link: one bound
+        # method for the network, not one per link pair.
+        self._link_hook = self._link_state_changed
         # Address allocators are plain integer cursors, not live iterators:
         # the network must serialize (repro.sim.snapshot pickles the whole
         # object graph) and a half-consumed generator cannot.
@@ -263,9 +280,11 @@ class Network:
         )
 
     def add_router(self, name: str, **kw) -> Router:
+        kw.setdefault("trace", self.trace)
         return self.add_node(Router(self.sim, name, **kw))  # type: ignore[return-value]
 
     def add_host(self, name: str, **kw) -> Host:
+        kw.setdefault("trace", self.trace)
         return self.add_node(Host(self.sim, name, **kw), loopback=False)  # type: ignore[return-value]
 
     def node(self, name: str) -> Node:
@@ -292,6 +311,7 @@ class Network:
         Each direction gets its own interface (named ``to-<peer>``), queue
         discipline, and simplex :class:`Link`.  A fresh /30 subnet is
         assigned so routed next hops resolve to real addresses.
+        ``qdisc_factory`` must hand each interface a discipline of its own.
         """
         na = self.nodes[a] if isinstance(a, str) else a
         nb = self.nodes[b] if isinstance(b, str) else b
@@ -299,12 +319,19 @@ class Network:
 
         if_ab_name = self._ifname(na, nb)
         if_ba_name = self._ifname(nb, na)
-        # Interface and Link reject impossible rates / delays, and the pool
-        # may be spent (ValueError all): build all four and take the /30
-        # before touching the nodes, so a refused connect leaves the
-        # network as it was.
-        if_ab = Interface(self.sim, na, if_ab_name, rate_bps, factory(na, if_ab_name))
-        if_ba = Interface(self.sim, nb, if_ba_name, rate_bps, factory(nb, if_ba_name))
+        # Interface and Link reject impossible rates / delays and a queue
+        # discipline another interface owns, and the pool may be spent
+        # (ValueError all): build all four and take the /30 before touching
+        # the nodes, so a refused connect leaves the network as it was.
+        q_ab, q_ba = factory(na, if_ab_name), factory(nb, if_ba_name)
+        if q_ab is q_ba:
+            raise ValueError(
+                f"interfaces {na.name}.{if_ab_name} and {nb.name}.{if_ba_name} were "
+                f"handed one {type(q_ab).__name__}; give each interface its own "
+                "queue discipline"
+            )
+        if_ab = Interface(self.sim, na, if_ab_name, rate_bps, q_ab)
+        if_ba = Interface(self.sim, nb, if_ba_name, rate_bps, q_ba)
         link_ab = Link(self.sim, f"{na.name}->{nb.name}", nb, if_ba_name, delay_s)
         link_ba = Link(self.sim, f"{nb.name}->{na.name}", na, if_ab_name, delay_s)
         subnet = self._alloc_linknet()
@@ -315,15 +342,13 @@ class Network:
         na.add_address(addr_a, if_ab_name, subnet)
         nb.add_address(addr_b, if_ba_name, subnet)
 
-        link_ab.on_state_change = link_ba.on_state_change = self._link_state_changed
+        link_ab.on_state_change = link_ba.on_state_change = self._link_hook
         if_ab.attach(link_ab, nb, if_ba_name)
         if_ba.attach(link_ba, na, if_ab_name)
 
         dl = DuplexLink(
             na, nb, if_ab, if_ba, link_ab, link_ba, rate_bps, delay_s, metric,
-            addr_a=addr_a, addr_b=addr_b,
-            egress_a=(if_ab_name, addr_b), egress_b=(if_ba_name, addr_a),
-            net=self,
+            addr_a=addr_a, addr_b=addr_b, net=self,
         )
         self.duplex_links.append(dl)
         indexed = self._domain_holding(na, nb)
@@ -457,7 +482,7 @@ class Network:
     def total_drops(self) -> int:
         """All queue + conditioner drops across every interface."""
         return sum(
-            i.stats.dropped + i.stats.conditioner_dropped
+            i.dropped + i.conditioner_dropped
             for n in self.nodes.values()
             for i in n.interfaces.values()
         )
@@ -501,7 +526,7 @@ def attach_host(
             Prefix.of(a, 32), RouteEntry(dl.if_ba.name, None, source="connected")
         )
         if advertise:
-            router.advertised_prefixes.add(Prefix.of(a, 32))
+            router.advertise(Prefix.of(a, 32))
     return host
 
 

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.net.address import IPv4Address, Prefix
 from repro.vpn.pe import PeRouter
-from repro.vpn.rd_rt import RouteTarget, VpnPrefix
+from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
 from repro.vpn.vrf import Vrf, VrfRoute
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,16 +72,23 @@ class VpnRoute(NamedTuple):
     """One VPN-IPv4 NLRI with its label and RT communities.
 
     A tuple, like its key types: the ``old == route`` / ``have != winner``
-    tests every resync makes per prefix compare in C.
+    tests every resync makes per prefix compare in C.  It holds the RD and
+    the prefix, and builds its VPN-IPv4 :attr:`key` from them when asked:
+    one object per advertisement, not two.
     """
 
-    key: VpnPrefix
+    rd: RouteDistinguisher
     prefix: Prefix
     route_targets: frozenset[RouteTarget]
     next_hop: IPv4Address          # originating PE loopback
     vpn_label: int                 # per-VRF aggregate label at the origin
     origin_pe: str
     origin_site: int | None = None
+
+    @property
+    def key(self) -> VpnPrefix:
+        """The VPN-IPv4 prefix (RD:prefix) the route is advertised under."""
+        return VpnPrefix(self.rd, self.prefix)
 
 
 @dataclass
@@ -376,7 +383,7 @@ class MpBgp:
         current = self._rib.setdefault(key, {})
         sample = next(iter(current.values()), None)
         if sample is not None and (
-            sample.key.rd, sample.route_targets, sample.next_hop, sample.vpn_label
+            sample.rd, sample.route_targets, sample.next_hop, sample.vpn_label
         ) == (vrf.rd, vrf.export_rts, pe.loopback, vrf.vpn_label):
             changed = sorted([
                 p for p, r in locals_.items()
@@ -386,7 +393,7 @@ class MpBgp:
             changed = sorted(locals_)
         for prefix in changed:
             route = VpnRoute(
-                key=VpnPrefix(vrf.rd, prefix),
+                rd=vrf.rd,
                 prefix=prefix,
                 route_targets=vrf.export_rts,
                 next_hop=pe.loopback,

@@ -48,13 +48,15 @@ class ProvisioningError(ValueError):
     """
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Site:
     """One provisioned customer site.
 
     Compared by identity: a site *is* its provisioning record, and
     ``remove_site`` finds it among a VPN's sites without a field-by-field
-    compare of every record before it.
+    compare of every record before it.  Slotted (one per site, so no
+    instance dict), and ``hosts`` is a tuple the provisioner writes once:
+    most sites of a scale run have none.
     """
 
     vpn_name: str
@@ -66,7 +68,7 @@ class Site:
     # (``connect(ce, pe)``: the CE is its ``a`` end), then the hub's second
     # circuit, then one link per host: what remove_site takes out again.
     links: list["DuplexLink"]
-    hosts: list[Host] = field(default_factory=list)
+    hosts: tuple[Host, ...] = ()
     role: str = "mesh"   # "mesh" | "spoke" | "hub"
     extra: dict = field(default_factory=dict)  # hub: second-circuit names
 
@@ -266,8 +268,7 @@ class VpnProvisioner:
         )
 
         site = Site(v.name, site_id, pe, ce, site_prefix, [dl], role=role)
-        for h in range(num_hosts):
-            site.hosts.append(self._add_host(site, h, host_rate_bps))
+        site.hosts = tuple(self._add_host(site, h, host_rate_bps) for h in range(num_hosts))
         self._register(v, site)
         return site
 
@@ -298,7 +299,7 @@ class VpnProvisioner:
         site_id = self._alloc_site_id()
 
         ce = CeRouter(self.net.sim, self._node_name(f"ce-{v.name}-hub{site_id}"),
-                      site_id=site_id)
+                      site_id=site_id, trace=self.net.trace)
         self.net.add_node(ce, loopback=False)
         dl_dn = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
         dl_up = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
@@ -326,8 +327,7 @@ class VpnProvisioner:
 
         site = Site(v.name, site_id, pe, ce, site_prefix, [dl_dn, dl_up], role="hub",
                     extra={"pe_up_ifname": pe_up, "ce_up_ifname": ce_up})
-        for h in range(num_hosts):
-            site.hosts.append(self._add_host(site, h, host_rate_bps))
+        site.hosts = tuple(self._add_host(site, h, host_rate_bps) for h in range(num_hosts))
         self._register(v, site)
         return site
 
@@ -352,7 +352,7 @@ class VpnProvisioner:
     def _wire_ce(self, v: Vpn, pe: PeRouter, site_id: int):
         """Create the CE, its access link, and its default route."""
         ce = CeRouter(self.net.sim, self._node_name(f"ce-{v.name}-s{site_id}"),
-                      site_id=site_id)
+                      site_id=site_id, trace=self.net.trace)
         self.net.add_node(ce, loopback=False)
         dl = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
         # The link carries its endpoint addresses (addr_a = CE side,
@@ -363,7 +363,8 @@ class VpnProvisioner:
 
     def _add_host(self, site: Site, index: int, rate_bps: float) -> Host:
         host = Host(self.net.sim,
-                    self._node_name(f"h-{site.vpn_name}-s{site.site_id}-{index}"))
+                    self._node_name(f"h-{site.vpn_name}-s{site.site_id}-{index}"),
+                    trace=self.net.trace)
         self.net.add_node(host, loopback=False)
         dl = self.net.connect(host, site.ce, rate_bps, 0.1e-3)
         site.links.append(dl)

@@ -20,6 +20,7 @@ in a big VPN is mostly imports.  Only this module writes that dict; every
 write method below keeps it equal to the table's ``kind == "local"``
 entries.  An image carries neither it nor :attr:`Vrf.local_generation`:
 restore rebuilds the dict from the table and restarts the counter at 0.
+A :class:`Vrf` is slotted and takes no attribute outside ``__slots__``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ class Vrf:
     amount, nobody touched what the VRF imports.
     """
 
+    __slots__ = (
+        "name", "rd", "import_rts", "export_rts", "vpn_label", "_fib", "circuits",
+        "_locals", "local_generation",
+    )
+
     def __init__(
         self,
         name: str,
@@ -107,13 +113,13 @@ class Vrf:
         self._locals: dict[Prefix, VrfRoute] = {}
         self.local_generation = 0
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_locals"], state["local_generation"]
-        return state
+    def __getstate__(self) -> tuple:
+        return (self.name, self.rd, self.import_rts, self.export_rts, self.vpn_label,
+                self._fib, self.circuits)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def __setstate__(self, state: tuple) -> None:
+        (self.name, self.rd, self.import_rts, self.export_rts, self.vpn_label,
+         self._fib, self.circuits) = state
         self._locals = {p: r for p, r in self._fib.routes() if r.kind == "local"}
         self.local_generation = 0
 

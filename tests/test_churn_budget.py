@@ -248,9 +248,8 @@ def test_churn_leaves_nothing_behind():
         prov.drain_pe(pes[3])
         prov.restore_pe(pes[3])
 
-    # First-use state fills here: counter keys, fan-out memos, and the
-    # second Prefix object a table's pending-write list keeps per prefix
-    # once it has been withdrawn and re-installed (``Fib._stale``).
+    # First-use state fills here: counter keys and fan-out memos.  (No
+    # table here is looked up, so none keeps a pending-write map.)
     storm(5)
     tracked = _tracked()
     before = _graph_footprint(net, pes)

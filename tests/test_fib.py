@@ -287,6 +287,7 @@ class TestStateful:
         routes, lookups, generation = fib.__getstate__()
         assert (routes, lookups, generation) == (dict(fib.routes()), 1, 1)
         back = pickle.loads(pickle.dumps(fib))
-        assert len(back._entries) == 1 and not back._leaf     # no trie yet
+        # Back to no trie at all — not an empty one — until the first lookup.
+        assert not hasattr(back, "_entries") and not hasattr(back, "_leaf")
         check_table(back, dict(fib.routes()))
         assert len(back._entries) == len(fib._entries)

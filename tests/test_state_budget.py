@@ -7,33 +7,73 @@ On ``provision_scale`` the collector was 47 % of a repeat while freeing
 nothing, because route state was a graph of small objects: one trie node
 per address bit, one shell entry per VRF route.  Host seconds gate only in
 ten-pair ledger comparisons; this catches the same regression — a per-node
-or per-route Python object back in the tables — deterministically and in
-about a second.
+or per-route Python object back in the tables, a per-site record or
+container back in the provisioning path — deterministically and in a few
+seconds.
 
-Recorded values: the E1-shaped build at N=200 (one VPN over 8 PEs, IGP +
-LDP + MP-BGP converge) added 25 738 tracked objects with the trie as
+Recorded values (CPython 3.11; the gates keep a 3 % margin for the other
+interpreters CI runs).  The E1-shaped build at N=200 (one VPN over 8 PEs,
+IGP + LDP + MP-BGP converge) added 25 738 tracked objects with the trie as
 ``_TrieNode`` objects and a ``RouteEntry`` shell per VRF route, 14 797
-with the trie in flat columns holding the ``VrfRoute`` itself, 12 798 with
+with the trie in flat columns holding the ``VrfRoute`` itself, 13 020 with
 one ``VrfRoute`` per advertisement shared by the VRFs importing it (400
-remote ones for 2 800 imports).  1000 installs of ready-made prefixes and
-entries into one ``Fib`` added 2 016 (two nodes per /24 below a shared
-/8), now 2 (the route dict and the stale dict start being tracked once
-they hold a key) — and no trie row at all until something is looked up.
+remote ones for 2 800 imports), and 8 463 once a site stopped holding what
+it does not use: no trie, stale map, stats record, bound method or empty
+mutable container per table or interface until something needs one, one
+zero-cost ``ProcessingModel`` for every node, and an advertisement that
+holds its RD instead of a ``VpnPrefix``.  Per site of the ledger's
+section-B shape (20 small VPNs x 20 sites on one 10/8 plan) that is 67.0 ->
+43.6.  ``snapshot_network`` of the E1 N=1000 net left 9 250 instance dicts
+on the live objects it pickled; with interfaces, links, duplex links,
+sites, tables and VRFs slotted it leaves 3 128.  1000 installs of
+ready-made prefixes and entries into one ``Fib`` added 2 016 (two nodes per
+/24 below a shared /8), then 2 (the route dict and the stale dict), now 1.
 """
 
 import gc
 
 from repro.experiments.e1_scalability import mpls_base
+from repro.mpls.ldp import run_ldp
+from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
 from repro.routing.fib import Fib, RouteEntry
+from repro.routing.spf import converge
+from repro.sim.snapshot import snapshot_network
+from repro.topology import Network, build_backbone
+from repro.vpn.pe import PeRouter
+from repro.vpn.provision import VpnProvisioner
 
-MAX_TRACKED_E1_N200 = 13_500
-MAX_TRACKED_PER_1000_INSTALLS = 8
+MAX_TRACKED_E1_N200 = 8_720
+MAX_TRACKED_PER_SITE_B = 45.0
+MAX_TRACKED_BY_SNAPSHOT_N1000 = 3_230
+MAX_TRACKED_PER_1000_INSTALLS = 3
 
 
 def _tracked() -> int:
     gc.collect()
     return len(gc.get_objects())
+
+
+def build_section_b(vpns: int, sites: int, seed: int = 1):
+    """The ledger's ``provision_scale`` section B from public constructors:
+    ``vpns`` VPNs of ``sites`` host-less sites each, all on one 10/8 plan,
+    over the 12-node backbone (E1-E8 PEs), IGP + LDP + MP-BGP converged."""
+    net = Network(seed=seed)
+
+    def factory(n: Network, name: str):
+        return n.add_node((PeRouter if name.startswith("E") else Lsr)(n.sim, name))
+
+    nodes = build_backbone(net, node_factory=factory)
+    pes = [nodes[f"E{i}"] for i in range(1, 9)]
+    prov = VpnProvisioner(net)
+    for k in range(vpns):
+        vpn = prov.create_vpn(f"cust{k}", supernet="10.0.0.0/8")
+        for i in range(sites):
+            prov.add_site(vpn, pes[(i + k) % len(pes)], num_hosts=0)
+    converge(net)
+    run_ldp(net)
+    prov.converge_bgp()
+    return net, prov
 
 
 def test_e1_build_tracked_objects():
@@ -44,6 +84,25 @@ def test_e1_build_tracked_objects():
     added = _tracked() - before
     assert ctx["bgp"].routes_imported == 200 * 2 * 7
     assert added <= MAX_TRACKED_E1_N200, f"{added} tracked objects added"
+
+
+def test_section_b_tracked_objects_per_site():
+    build_section_b(1, 20)
+    before = _tracked()
+    net, prov = build_section_b(20, 20)
+    per_site = (_tracked() - before) / 400
+    assert sum(len(v.sites) for v in prov.vpns.values()) == 400
+    assert per_site <= MAX_TRACKED_PER_SITE_B, f"{per_site:.2f} tracked objects per site"
+
+
+def test_snapshot_leaves_few_objects_on_the_live_net():
+    """Pickling an unslotted object materialises its instance dict, which
+    stays on the live object (and a restored one is built with it)."""
+    ctx = mpls_base(1000)
+    before = _tracked()
+    snapshot_network(ctx["net"], {"prov": ctx["prov"]})
+    added = _tracked() - before
+    assert added <= MAX_TRACKED_BY_SNAPSHOT_N1000, f"{added} tracked objects added"
 
 
 def test_fib_installs_add_no_tracked_objects():
@@ -65,9 +124,12 @@ def test_table_never_looked_up_builds_no_trie():
     fib.install_many([(pfx, RouteEntry("eth0")) for pfx in prefixes])
     fib.withdraw_many(prefixes[::2])
     assert len(fib) == 500
-    assert len(fib._entries) == len(fib._left) == len(fib._right) == 1
-    assert not fib._leaf
-    # The first lookup builds it: a shared /8, then 16 rows per /24.
+    # No columns, no leaf cache and no pending-write map: the routes are
+    # all the table holds.
+    assert not any(hasattr(fib, a) for a in ("_left", "_right", "_entries", "_leaf"))
+    assert not isinstance(fib._stale, dict)
+    # The first lookup builds it from the routes: a shared /8, then 16 rows
+    # per /24 still installed.
     assert fib.lookup(prefixes[1].network + 7) is not None
     assert fib.lookup(prefixes[0].network + 7) is None
     assert len(fib._entries) > 500 and not fib._stale
@@ -76,5 +138,8 @@ def test_table_never_looked_up_builds_no_trie():
 def test_e1_build_looks_no_vrf_route_up():
     ctx = mpls_base(8)
     vrfs = [vrf for pe in ctx["prov"].pes() for vrf in pe.vrfs.values()]
-    assert vrfs and sum(len(vrf) for vrf in vrfs) > 0
-    assert all(len(vrf._fib._entries) == 1 for vrf in vrfs)
+    ces = [site.ce for vpn in ctx["prov"].vpns.values() for site in vpn.sites]
+    assert vrfs and sum(len(vrf) for vrf in vrfs) > 0 and ces
+    # Neither a VRF's table nor a CE's FIB has been read: no trie built.
+    tables = [vrf._fib for vrf in vrfs] + [ce.fib for ce in ces]
+    assert all(len(t) and not hasattr(t, "_entries") for t in tables)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import IPHeader, Packet
+from repro.qos.queues import DropTailFifo
 from repro.routing import NoPathError
 from repro.routing.spf import advertised_prefixes, converge, spf_paths
 from repro.topology import (
@@ -154,6 +155,60 @@ class TestNetworkWiring:
         assert not dl.link_ab.up and not dl.link_ba.up
 
 
+def _wiring(net: Network) -> tuple:
+    return ({name: dict(node.interfaces) for name, node in net.nodes.items()},
+            net.linknets_free(), list(net.duplex_links))
+
+
+class TestOneQueuePerInterface:
+    """A queue discipline serves one interface.  Shared by two, both
+    transmitters drained one queue and its drops were reported against
+    whichever interface was wired last."""
+
+    def test_one_discipline_for_both_ends_is_refused_before_anything_is_wired(self):
+        net = Network()
+        a, b = net.add_router("a"), net.add_router("b")
+        shared = DropTailFifo()
+        before = _wiring(net)
+        with pytest.raises(ValueError, match=r"^interfaces a\.to-b and b\.to-a were handed "
+                                             r"one DropTailFifo"):
+            net.connect(a, b, qdisc_factory=lambda node, ifname: shared)
+        assert _wiring(net) == before
+        assert shared.interface is None
+        dl = net.connect(a, b)
+        assert dl.if_ab.qdisc is not dl.if_ba.qdisc
+
+    def test_a_discipline_another_interface_owns_is_refused_by_name(self):
+        net = Network()
+        r0, r1, r2 = build_line(net, 3)
+        first, second = net.duplex_links
+        owned = first.if_ab.qdisc
+        before = _wiring(net)
+        with pytest.raises(ValueError, match=r"^interface r1\.to-r2: the DropTailFifo "
+                                             r"already queues for interface r0\.to-r1;"):
+            second.if_ab.qdisc = owned
+        with pytest.raises(ValueError, match=r"^interface r0\.to-r2: the DropTailFifo "
+                                             r"already queues for interface r0\.to-r1;"):
+            net.connect(r0, r2, qdisc_factory=lambda node, ifname: (
+                owned if node is r0 else DropTailFifo()))
+        assert _wiring(net) == before
+        assert second.if_ab.qdisc is not owned and owned.interface is first.if_ab
+
+    def test_a_swapped_out_discipline_is_released(self):
+        net = Network()
+        build_line(net, 3)
+        first, second = net.duplex_links
+        old = first.if_ab.qdisc
+        first.if_ab.qdisc = DropTailFifo(capacity_packets=5)
+        assert old.interface is None and first.if_ab.qdisc.interface is first.if_ab
+        # Free to queue elsewhere, and its drops are that interface's now.
+        second.if_ba.qdisc = old
+        old.capacity_packets = 0
+        net.trace.record("drop")
+        assert not old.enqueue(Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2))), 0.0)
+        assert [(r.node, r.iface) for r in net.trace.records("drop")] == [("r2", "to-r1")]
+
+
 class TestBuilders:
     def test_line(self):
         net = Network()
@@ -260,7 +315,7 @@ class TestSpf:
     def test_advertised_prefixes_reachable(self):
         net = Network()
         a, b, c = build_line(net, 3)
-        a.advertised_prefixes.add(Prefix.parse("10.42.0.0/24"))
+        a.advertise(Prefix.parse("10.42.0.0/24"))
         converge(net)
         entry = c.fib.lookup(IPv4Address.parse("10.42.0.7"))
         assert entry is not None and entry.source == "spf"
@@ -268,7 +323,7 @@ class TestSpf:
     def test_advertised_prefixes_helper(self):
         net = Network()
         a, b = build_line(net, 2)
-        a.advertised_prefixes.add(Prefix.parse("10.1.0.0/24"))
+        a.advertise(Prefix.parse("10.1.0.0/24"))
         prefixes = advertised_prefixes(a)
         assert Prefix.of(a.loopback, 32) in prefixes
         assert Prefix.parse("10.1.0.0/24") in prefixes

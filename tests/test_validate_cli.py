@@ -8,11 +8,14 @@ from repro.experiments.common import ExperimentRun
 from repro.mpls import Lsr, run_ldp
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.link import Interface
+from repro.net.address import Prefix
 from repro.qos.queues import DropTailFifo
-from repro.routing import converge
+from repro.routing import converge, reconverge
+from repro.routing.fib import RouteEntry
 from repro.sim.snapshot import restore_network, save, snapshot_network
 from repro.topology import Network, build_backbone
 from repro.vpn import PeRouter, VpnProvisioner
+from tests.test_state_budget import build_section_b
 
 
 def provisioned_network():
@@ -33,13 +36,17 @@ def provisioned_network():
     return net, nodes
 
 
-def _e5_after_run():
+def _e5_run():
     """E5's full chain after a short run: warm caches, looked-up tables."""
     from repro.experiments.e5_sla import _build, run_stage
 
     ctx = _build("full", seed=41)
     run_stage("full", seed=41, measure_s=0.3, prebuilt=ctx)
-    return ctx["net"]
+    return ctx
+
+
+def _e5_after_run():
+    return _e5_run()["net"]
 
 
 class TestValidate:
@@ -163,6 +170,39 @@ class TestValidate:
         assert found[0].message.startswith("flow_cache captured secondary gen")
         assert found[1].message.startswith("tunnel_cache captured primary gen")
 
+    def test_route_key_that_lost_its_type_is_a_keys_error(self):
+        # A plain (network, length) tuple hashes and compares like the
+        # Prefix it spells, so the table takes it; the type is gone, and
+        # the first trie build would fail on it far from the cause.
+        net, nodes = provisioned_network()
+        nodes["P1"].fib.install_many([((0x0A090000, 16), RouteEntry("to-P2"))])
+        assert nodes["P1"].fib.get(Prefix(0x0A090000, 16)) == RouteEntry("to-P2")
+        for graph in (net, restore_network(snapshot_network(net))[0]):
+            found = [f for f in audit(graph) if f.check == "keys"]
+            assert [(f.severity, f.node) for f in found] == [("error", "P1")]
+            assert found[0].message == (
+                "FIB: 1 key(s) not a Prefix, e.g. (168361984, 16) (tuple)"
+            )
+
+    def test_engine_keys_that_lost_their_type_are_keys_errors(self):
+        net, nodes = provisioned_network()
+        prov = VpnProvisioner(net)
+        vpn = prov.create_vpn("w")
+        prov.add_site(vpn, nodes["E2"], num_hosts=0)
+        prov.add_site(vpn, nodes["E3"], num_hosts=0)
+        bgp = prov.bgp_engine()
+        prov.converge_bgp()
+        assert [f for f in audit(net, bgp) if f.check == "keys"] == []
+        index = bgp._rt_index
+        index[tuple(vpn.rt)] = index.pop(vpn.rt)
+        rib = bgp._rib["E2", "w"]
+        prefix = next(iter(rib))
+        rib[tuple(prefix)] = rib.pop(prefix)
+        found = [f for f in audit(net, bgp) if f.check == "keys"]
+        assert [(f.severity, f.node) for f in found] == [("error", "mp-bgp")] * 2
+        assert [f.message.split(":")[0] for f in found] == ["Adj-RIB-Out of E2/w", "RT index"]
+        assert audit(net) == audit(net, None)   # no engine, no engine findings
+
     def test_finding_str(self):
         f = Finding("error", "c1", "r1", "boom")
         assert str(f) == "[error] r1: boom"
@@ -284,27 +324,34 @@ class TestExperimentRunWindow:
 
 def _e1():
     from repro.experiments.e1_scalability import mpls_base
-    return mpls_base(10)["net"]
+    ctx = mpls_base(10)
+    return ctx["net"], ctx["prov"].bgp_engine()
+
+
+def _e5():
+    ctx = _e5_run()
+    return ctx["net"], ctx["prov"].bgp_engine()
 
 
 def _e6():
     from repro.experiments.e6_te import build_fish_scenario
-    return build_fish_scenario(seed=51)["net"]
+    return build_fish_scenario(seed=51)["net"], None
 
 
 def _e7():
     from repro.experiments.e7_isolation import build_overlap_scenario
-    return build_overlap_scenario(seed=61, extranet=True)["net"]
+    ctx = build_overlap_scenario(seed=61, extranet=True)
+    return ctx["net"], ctx["prov"].bgp_engine()
 
 
 def _e10():
     from repro.experiments.e10_interas import build_two_providers
-    return build_two_providers(seed=101, qos=False)["net"]
+    return build_two_providers(seed=101, qos=False)["net"], None
 
 
 def _e11():
     from repro.experiments.e11_resilience import _build
-    return _build(seed=111)["net"]
+    return _build(seed=111)["net"], None
 
 
 def _e15():
@@ -314,22 +361,63 @@ def _e15():
     from repro.experiments.e15_churn import churn_storms
     ctx = mpls_base(40, seed=23)
     churn_storms(ctx, site_flaps=10, wave_sites=8, link_flaps=2)
-    return ctx["net"]
+    return ctx["net"], ctx["prov"].bgp_engine()
+
+
+def _provision_b():
+    """The ledger's provision_scale section B: 20 VPNs x 20 sites on one 10/8."""
+    net, prov = build_section_b(20, 20)
+    return net, prov.bgp_engine()
+
+
+def _churn_base():
+    """The ledger's churn_storm base (one big VPN and small VPNs, all on one
+    10/8), after one op of each kind: a site flap, a PE drain and restore,
+    a VPN wave and a core link flap."""
+    net, prov = build_section_b(4, 20, seed=2)
+    pes = [net.nodes[f"E{i}"] for i in range(1, 9)]
+    big = prov.create_vpn("big", supernet="10.0.0.0/8")
+    for i in range(40):
+        prov.add_site(big, pes[i % len(pes)], num_hosts=0)
+    bgp = prov.bgp_engine()
+    prov.converge_bgp()
+    site = big.sites[5]
+    pe = site.pe
+    prov.remove_site(site)
+    prov.add_site(big, pe, prefix=site.prefix, num_hosts=0)
+    bgp.export_delta(pe, pe.vrfs["big"])
+    prov.drain_pe(pes[2])
+    prov.restore_pe(pes[2])
+    wave = prov.create_vpn("wave", supernet="172.16.0.0/12")
+    for pe in pes[:6]:
+        prov.add_site(wave, pe, num_hosts=0)
+    prov.converge_bgp()
+    prov.remove_vpn("wave")
+    link = net.link_between("P1", "P2")
+    link.set_up(False)
+    reconverge(net, domain="core")
+    link.set_up(True)
+    reconverge(net, domain="core")
+    assert prov.bgp_engine() is bgp
+    return net, bgp
 
 
 class TestValidateExperimentNetworks:
     """Every experiment's network audits clean, and a snapshot round trip
     leaves its findings identical — the harness itself should never rely
-    on misconfiguration."""
+    on misconfiguration.  Where the build has an MP-BGP engine it is
+    audited too, and imaged with the network."""
 
-    @pytest.mark.parametrize("build", [_e1, _e5_after_run, _e6, _e7, _e10, _e11, _e15],
-                             ids=["e1", "e5", "e6", "e7", "e10", "e11", "e15"])
+    @pytest.mark.parametrize(
+        "build", [_e1, _e5, _e6, _e7, _e10, _e11, _e15, _provision_b, _churn_base],
+        ids=["e1", "e5", "e6", "e7", "e10", "e11", "e15", "provision_b", "churn_base"],
+    )
     def test_audits_clean_live_and_restored(self, build):
-        net = build()
-        findings = audit(net)
+        net, bgp = build()
+        findings = audit(net, bgp)
         assert [f for f in findings if f.severity == "error"] == []
-        restored, _ = restore_network(snapshot_network(net))
-        assert audit(restored) == findings
+        restored, extras = restore_network(snapshot_network(net, {"bgp": bgp}))
+        assert audit(restored, extras["bgp"]) == findings
 
 
 class TestSnapshotCli:

@@ -53,7 +53,7 @@ def _values():
     rd, rt = RouteDistinguisher(65000, 7), RouteTarget(65000, 7)
     vp = VpnPrefix(rd, Prefix.parse("10.0.0.0/8"))
     route = VpnRoute(
-        key=vp, prefix=vp.prefix, route_targets=frozenset({rt}),
+        rd=rd, prefix=vp.prefix, route_targets=frozenset({rt}),
         next_hop=IPv4Address(1), vpn_label=17, origin_pe="pe0",
     )
     return rd, rt, vp, route
