@@ -18,10 +18,9 @@ data plane cheap and uniform") looks like as code.
 Performance notes (measured: the ledger's ``vpn_sla`` row, benchmarks/ledger):
 
 * Zero-closure hot path: when a node's modeled processing cost is zero —
-  the default — stages call each other directly; closures are allocated
-  only when a nonzero cost forces a trip through the scheduler, and even
-  then :meth:`Simulator.schedule_call` stores the arguments on the event
-  instead of building a ``bind()`` closure.
+  the default — stages call each other directly; when a nonzero cost
+  forces a trip through the scheduler, :meth:`Simulator.schedule_call`
+  stores the arguments on the event, so no closure is built either way.
 * Exact-match fast caches: the destination→decision flow cache fronts the
   LPM trie, the label→entry cache fronts the LFIB, and per-VRF caches
   front the VRF tables.  All are generation-stamped (``GenCache``) so SPF

@@ -166,9 +166,6 @@ class FastReroute:
             self.net.trace.publish(
                 "frr.repair", self.net.sim.now, link=(a, b), repaired=repaired
             )
-            tracer = getattr(self.net, "convergence_tracer", None)
-            if tracer is not None:
-                tracer.on_frr_repair(a, b, repaired)
         return repaired
 
     def restore_link(self, a: str, b: str) -> int:

@@ -59,9 +59,7 @@ def reset_ldp(net: "Network", domain: str = "core") -> int:
         for prefix, nhlfe in list(node.ftn.entries().items()):
             if nhlfe.lsp_id and nhlfe.lsp_id.startswith("ldp:"):
                 node.ftn.unbind(prefix)
-    tracer = getattr(net, "convergence_tracer", None)
-    if tracer is not None:
-        tracer.on_ldp_reset(removed)
+    net.trace.publish("ldp.reset", net.sim.now, removed=removed)
     return removed
 
 
@@ -164,23 +162,15 @@ def run_ldp(
     for name, items in pending_ftn.items():
         lsrs[name].ftn.bind_many(items)
     net.trace.publish(
-        "ldp.converged",
+        "ldp.converge",
         net.sim.now,
         sessions=result.sessions,
         mapping_messages=result.mapping_messages,
         lfib_entries=result.lfib_entries,
         ftn_entries=result.ftn_entries,
         fecs=len(result.bindings),
+        wall_s=perf_counter() - t0,
     )
-    tracer = getattr(net, "convergence_tracer", None)
-    if tracer is not None:
-        tracer.on_ldp_converged(
-            sessions=result.sessions,
-            lfib_entries=result.lfib_entries,
-            ftn_entries=result.ftn_entries,
-            fecs=len(result.bindings),
-            wall_s=perf_counter() - t0,
-        )
     return result
 
 

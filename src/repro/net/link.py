@@ -86,9 +86,9 @@ class Link:
         # Link state is routing-topology state: the owning Network wires
         # this to its topology-generation bump so *any* ``link.up`` write —
         # not just DuplexLink.set_up — invalidates cached domain views.
-        # The changed link rides on the callback so listeners (e.g. the
-        # convergence tracer) know *which* link flipped, and every link of
-        # a network shares the one callable.
+        # The changed link rides on the callback so the network can
+        # announce *which* link flipped (``link.down`` / ``link.up`` on its
+        # trace bus), and every link of a network shares the one callable.
         self.on_state_change: Optional[Callable[["Link"], None]] = None
 
     @property

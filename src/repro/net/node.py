@@ -14,7 +14,7 @@ forwarding-cost experiment (E3) turns them on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
@@ -241,20 +241,20 @@ class Node:
         self.stats.forwarded += len(pkts)
         iface.send_batch(pkts)
 
-    def after_processing(self, cost_s: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after a modeled CPU cost (immediately when zero).
+    def after_processing(self, cost_s: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after a modeled CPU cost (immediately when zero).
 
         Zero-cost processing bypasses the scheduler entirely — the common
         case — so experiments that do not model CPU pay nothing for the
-        hook.  The forwarding pipeline (``repro.dataplane``) applies the
-        same rule inline with ``Simulator.schedule_call`` to avoid the
-        per-packet closure; this thunk-based variant is kept for gateways
-        and tests that already hold a zero-argument callable.
+        hook; a positive cost goes through ``Simulator.schedule_call``, so
+        the arguments ride on the event instead of in a closure.  The
+        forwarding pipeline (``repro.dataplane``) applies the same rule
+        inline.
         """
         if cost_s <= 0.0:
-            fn()
+            fn(*args)
         else:
-            self.sim.schedule(cost_s, fn)
+            self.sim.schedule_call(cost_s, fn, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -17,9 +17,9 @@ With no profiler attached the kernel pays exactly one ``is None`` check
 per event (see ``sim/engine.py``).
 
 Kind resolution understands the kernel's callback shapes: bound methods
-(``Node.receive``), plain functions, callable objects — and crucially
-``bind(...)`` closures, which all share one code object and are unwrapped
-through their closure cell so attribution lands on the *inner* callback.
+(``Node.receive``), plain functions, callable objects.  A call scheduled
+with arguments (``Simulator.schedule_call``) carries the real callback on
+the event, so attribution lands on it without unwrapping anything.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from time import perf_counter
 from typing import Any
 
 from repro.obs.registry import DEFAULT_TIME_BUCKETS, Histogram
-from repro.sim.engine import _BOUND_CODE, Event, Simulator
+from repro.sim.engine import Event, Simulator
 
 __all__ = ["KernelProfiler", "DEPTH_BUCKETS"]
 
 #: Heap-depth histogram bounds (events pending), powers of two to 64k.
 DEPTH_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(17))
-
-_CB_CELL = _BOUND_CODE.co_freevars.index("callback")
 
 
 class KernelProfiler:
@@ -117,12 +115,6 @@ class KernelProfiler:
         """Human-readable kind for a callback (cached by code object)."""
         func = getattr(cb, "__func__", None)
         code = func.__code__ if func is not None else getattr(cb, "__code__", None)
-        while code is _BOUND_CODE:
-            cb = cb.__closure__[_CB_CELL].cell_contents
-            func = getattr(cb, "__func__", None)
-            code = (
-                func.__code__ if func is not None else getattr(cb, "__code__", None)
-            )
         key = code if code is not None else type(cb)
         name = self._kind_cache.get(key)
         if name is None:

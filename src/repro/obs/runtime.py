@@ -155,9 +155,9 @@ def set_spans(on: bool) -> None:
     """Arm the convergence tracer for subsequently attached sessions.
 
     When on, every new :class:`Telemetry` session attaches a
-    :class:`~repro.obs.spans.ConvergenceTracer` to the network's link
-    state-change listeners and control-plane hook points.  Costs nothing
-    per packet; only link flaps and reconvergence events are observed.
+    :class:`~repro.obs.spans.ConvergenceTracer` to the network's trace
+    bus.  Costs nothing per packet; only link flaps and reconvergence
+    events are observed.
     """
     global _spans
     _spans = bool(on)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.obs.spans import SPAN_SCHEMA as SPAN_SCHEMA_ID
 from repro.obs.telemetry import SCHEMA_ID
 
 __all__ = ["validate_manifest", "validate_spans", "SCHEMA_ID", "SPAN_SCHEMA_ID"]
-
-SPAN_SCHEMA_ID = "repro.spans/v1"
 
 _FLOW_KEYS = {"pe", "vrf", "direction", "class", "packets", "bytes"}
 _FLIGHT_KEYS = {"capacity", "buffered", "recorded_total", "aged_out"}

@@ -44,22 +44,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
+
+from repro.sim.trace import TraceRecord
 
 __all__ = ["SPAN_SCHEMA", "Span", "HealingWatch", "ConvergenceTracer"]
 
 SPAN_SCHEMA = "repro.spans/v1"
-
-#: Span kinds in causal order within one trace (used by tests and docs).
-SPAN_KINDS = (
-    "link.down",
-    "link.up",
-    "frr.repair",
-    "spf.reconverge",
-    "ldp.reset",
-    "ldp.converge",
-    "heal.first_packet",
-)
 
 
 @dataclass(slots=True)
@@ -186,12 +177,13 @@ class HealingWatch:
 class ConvergenceTracer:
     """Per-network causal convergence tracing (see module docstring).
 
-    Attach with :meth:`attach` — this registers on the network's
-    ``link_listeners`` and publishes itself as ``net.convergence_tracer``
-    so the control-plane hook points (``reconverge``, ``run_ldp``,
-    ``reset_ldp``, FRR repair) can notify without importing this module.
-    Detached networks pay one ``getattr(..., None)`` per control-plane
-    event and nothing per packet.
+    An ordinary subscriber to the network's trace bus: :meth:`attach`
+    subscribes to the link-state and control-plane kinds the topology,
+    ``reconverge``, ``reset_ldp``, ``run_ldp`` and FRR publish (see
+    :data:`repro.sim.trace.KINDS`), and :meth:`detach` removes exactly
+    those subscriptions.  Any number of tracers may listen to one network.
+    A network nobody traces pays one dict lookup per control-plane event
+    and nothing per packet.
     """
 
     def __init__(self, net) -> None:
@@ -204,23 +196,30 @@ class ConvergenceTracer:
         # Active trace: (trace_id, root span id, t_down).  One failure
         # event at a time — a new link.down opens a new trace.
         self._active: tuple[str, str, float] | None = None
-        # DuplexLink.set_up writes both simplex directions; both fire the
-        # network hook at the same sim time for the same canonical pair.
+        # DuplexLink.set_up writes both simplex directions; both publish
+        # at the same sim time for the same canonical pair.
         self._last_key: tuple[float, str, bool] | None = None
+        # The (kind, callable) pairs attach() subscribed, for detach().
+        self._subs: tuple[tuple[str, Callable[[TraceRecord], None]], ...] = ()
 
     # ------------------------------------------------------------------
     def attach(self) -> "ConvergenceTracer":
-        self.net.convergence_tracer = self
-        self.net.link_listeners.append(self._on_link_state)
+        self._subs = (
+            ("link.down", self._on_link_state),
+            ("link.up", self._on_link_state),
+            ("frr.repair", self.on_frr_repair),
+            ("spf.reconverge", self.on_reconverge),
+            ("ldp.reset", self.on_ldp_reset),
+            ("ldp.converge", self.on_ldp_converged),
+        )
+        for kind, fn in self._subs:
+            self.net.trace.subscribe(kind, fn)
         return self
 
     def detach(self) -> None:
-        if getattr(self.net, "convergence_tracer", None) is self:
-            self.net.convergence_tracer = None
-        try:
-            self.net.link_listeners.remove(self._on_link_state)
-        except ValueError:
-            pass
+        for kind, fn in self._subs:
+            self.net.trace.unsubscribe(kind, fn)
+        self._subs = ()
 
     def add_watch(
         self,
@@ -266,16 +265,17 @@ class ConvergenceTracer:
         self.spans.append(span)
         return span
 
-    # -- topology hook (wired via Network.link_listeners) ---------------
-    def _on_link_state(self, link) -> None:
-        now = self.sim.now
-        a, _, b = link.name.partition("->")
+    # -- link.down / link.up ---------------------------------------------
+    def _on_link_state(self, rec: TraceRecord) -> None:
+        now = rec.time
+        up = rec.kind == "link.up"
+        a, _, b = rec.link.name.partition("->")
         canon = "<->".join(sorted((a, b)))
-        key = (now, canon, link.up)
+        key = (now, canon, up)
         if key == self._last_key:
             return  # second simplex direction of the same duplex event
         self._last_key = key
-        if not link.up:
+        if not up:
             self._trace_seq += 1
             trace_id = f"t{self._trace_seq}"
             root = self._new_span(
@@ -298,46 +298,36 @@ class ConvergenceTracer:
                 )
                 self._active = (trace_id, root.span_id, now)
 
-    # -- control-plane hooks (called by routing/mpls when tracer set) ---
-    def _child(self, kind: str, name: str, attrs: dict[str, Any]) -> None:
+    # -- control-plane records: children of the active trace -----------
+    def _child(self, rec: TraceRecord, name: str, attrs: dict[str, Any]) -> None:
         if self._active is None:
             return  # steady-state control-plane run, not churn recovery
         trace_id, root_id, _ = self._active
-        now = self.sim.now
-        self._new_span(trace_id, root_id, kind, name, now, now, attrs)
+        self._new_span(trace_id, root_id, rec.kind, name, rec.time, rec.time, attrs)
 
-    def on_reconverge(self, domain: str, installs: int, wall_s: float) -> None:
+    def on_reconverge(self, rec: TraceRecord) -> None:
         self._child(
-            "spf.reconverge",
-            domain,
-            {"domain": domain, "installs": installs,
-             "wall_ms": round(wall_s * 1e3, 3)},
+            rec, rec.domain,
+            {"domain": rec.domain, "installs": rec.installs,
+             "wall_ms": round(rec.wall_s * 1e3, 3)},
         )
 
-    def on_ldp_reset(self, removed: int) -> None:
-        self._child("ldp.reset", "ldp", {"removed": removed})
+    def on_ldp_reset(self, rec: TraceRecord) -> None:
+        self._child(rec, "ldp", {"removed": rec.removed})
 
-    def on_ldp_converged(
-        self,
-        sessions: int,
-        lfib_entries: int,
-        ftn_entries: int,
-        fecs: int,
-        wall_s: float,
-    ) -> None:
+    def on_ldp_converged(self, rec: TraceRecord) -> None:
         self._child(
-            "ldp.converge",
-            "ldp",
-            {"sessions": sessions, "lfib_entries": lfib_entries,
-             "ftn_entries": ftn_entries, "fecs": fecs,
-             "wall_ms": round(wall_s * 1e3, 3)},
+            rec, "ldp",
+            {"sessions": rec.sessions, "lfib_entries": rec.lfib_entries,
+             "ftn_entries": rec.ftn_entries, "fecs": rec.fecs,
+             "wall_ms": round(rec.wall_s * 1e3, 3)},
         )
 
-    def on_frr_repair(self, a: str, b: str, repaired: int) -> None:
+    def on_frr_repair(self, rec: TraceRecord) -> None:
+        a, b = rec.link
         self._child(
-            "frr.repair",
-            f"{a}<->{b}",
-            {"link": "<->".join(sorted((a, b))), "repaired": repaired},
+            rec, f"{a}<->{b}",
+            {"link": "<->".join(sorted((a, b))), "repaired": rec.repaired},
         )
 
     # -- data-plane healing (called by HealingWatch) --------------------

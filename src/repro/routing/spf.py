@@ -214,18 +214,19 @@ def _full_reconverge(net: "Network", domain: str, ecmp: bool) -> int:
 def reconverge(net: "Network", domain: str = "core") -> int:
     """Recompute the IGP after a topology change — the public entry point.
 
-    Thin wrapper over :func:`_reconverge_impl` that notifies the network's
-    convergence tracer (``repro.obs.spans``) when one is attached, so the
-    SPF re-run lands as a causal span in the churn trace.  Only this
-    public entry is instrumented: the ``_full_reconverge`` → ``converge``
-    internal path must not emit a second span for the same event.
+    Thin wrapper over :func:`_reconverge_impl` that publishes
+    ``spf.reconverge`` (``domain``, ``installs``, ``wall_s``) on the
+    network's trace bus, timed only when someone listens.  Only this
+    public entry publishes: the ``_full_reconverge`` → ``converge``
+    internal path must not announce the same event twice.
     """
-    tracer = getattr(net, "convergence_tracer", None)
-    if tracer is None:
+    trace = net.trace
+    if not trace.active("spf.reconverge"):
         return _reconverge_impl(net, domain)
     t0 = perf_counter()
     installs = _reconverge_impl(net, domain)
-    tracer.on_reconverge(domain, installs, perf_counter() - t0)
+    trace.publish("spf.reconverge", net.sim.now, domain=domain, installs=installs,
+                  wall_s=perf_counter() - t0)
     return installs
 
 

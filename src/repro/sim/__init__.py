@@ -6,7 +6,6 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     Timer,
-    bind,
     drain,
 )
 from repro.sim.randomness import RandomStreams
@@ -18,7 +17,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "bind",
     "drain",
     "RandomStreams",
     "Counter",

@@ -76,7 +76,7 @@ class Event:
         Absolute simulation time (seconds) at which the callback fires.
     callback:
         Callable invoked when the event fires.  Zero-argument callables
-        (closures, ``bind`` products) have empty ``args``; callables
+        scheduled through :meth:`Simulator.schedule` have empty ``args``; callables
         scheduled through :meth:`Simulator.schedule_call` or
         :meth:`Simulator.schedule_at` carry their positional arguments
         here instead of in a closure, which keeps
@@ -263,10 +263,10 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback(*args)`` without allocating a closure.
 
-        The alternative to ``schedule(delay, bind(fn, ...))``: arguments
-        ride on the :class:`Event` itself, so modeled processing cost and
-        ``Link.carry`` create no closure objects.  The kernel profiler
-        attributes these events to ``callback`` directly — no unwrapping.
+        The way to schedule a call with arguments: they ride on the
+        :class:`Event` itself, so modeled processing cost and
+        ``Link.carry`` create no closure objects, and the kernel profiler
+        attributes these events to ``callback`` directly.
         """
         if not 0.0 <= delay < math.inf:
             if delay < 0:
@@ -709,23 +709,3 @@ def drain(sim: Simulator, horizon: float, chunk: float = 1.0) -> Iterable[float]
         t = min(t + chunk, horizon)
         sim.run(until=t)
         yield sim.now
-
-
-def bind(callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Callable[[], None]:
-    """Tiny ``functools.partial`` equivalent returning a zero-arg closure.
-
-    Exists so call sites read ``sim.schedule(d, bind(node.receive, pkt))``
-    without importing functools everywhere; closures proved marginally
-    faster than ``partial`` under profiling for our callback mix.
-    """
-
-    def _bound() -> None:
-        callback(*args, **kwargs)
-
-    return _bound
-
-
-# All ``bind`` closures share this code object; the kernel profiler uses it
-# to recognise a bound callback and unwrap the inner callable for per-kind
-# attribution (see repro.obs.profiler).
-_BOUND_CODE = bind(lambda: None).__code__

@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/6``), the ``repro`` version
+The header names the schema (``repro.snapshot/7``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
@@ -30,9 +30,11 @@ only, a ``/4`` image holds a network without the free /30 list, the
 per-domain index and the node-to-network links that ``disconnect`` /
 ``remove_node`` and a ``node.domain`` write rely on, a ``/5`` image holds
 interfaces, links, sites and VRFs as instance dicts where this reader's
-classes are slotted, and a stats object per interface) or with a flipped
-bit (about one in six still unpickles) is exactly the class of bug the
-header exists to prevent.
+classes are slotted, and a stats object per interface, a ``/6`` image holds
+a network with the link-listener list and convergence-tracer slot this
+reader's networks no longer have, and may hold a ``bind`` closure event
+whose rebuild function is gone) or with a flipped bit (about one in six
+still unpickles) is exactly the class of bug the header exists to prevent.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
 ``(routes, lookups, generation)``): the LPM trie is an index the first
@@ -47,19 +49,15 @@ Why a custom pickler
 --------------------
 The object graph is *almost* plain data after the generator→cursor
 refactors (``Network``/``Vpn``/``VpnProvisioner``/``OverlayVpnBuilder``
-all allocate from integer cursors now), but two kinds of callables still
-live in event buckets and conditioners:
-
-* ``bind(...)`` closures — the kernel's zero-arg callback wrapper.  They
-  are reduced to ``(bind, (callback, *args), kwargs)`` so the rebuilt
-  closure shares ``_BOUND_CODE`` again and the kernel profiler keeps
-  recognising it.
-* ad-hoc lambdas / local functions (e.g. the E5 EF-match predicate).
-  These are serialized by :mod:`marshal`-ing their code object together
-  with closure cell values, defaults, and qualname.  Marshal output is
-  interpreter-version-specific, which is fine: the header pins the Python
-  version, and snapshots are a same-machine warm-start/checkpoint
-  mechanism, not an archival format.
+all allocate from integer cursors now), and an event scheduled with
+arguments carries them on the :class:`~repro.sim.engine.Event`, not in a
+closure.  What still needs help is ad-hoc lambdas / local functions in
+event buckets and conditioners (e.g. the E5 EF-match predicate).  These
+are serialized by :mod:`marshal`-ing their code object together with
+closure cell values, defaults, and qualname.  Marshal output is
+interpreter-version-specific, which is fine: the header pins the Python
+version, and snapshots are a same-machine warm-start/checkpoint
+mechanism, not an archival format.
 
 Generators are rejected with a pointed error — a half-consumed generator
 cannot be serialized, and every one we had has been refactored away;
@@ -98,7 +96,7 @@ import zlib
 from typing import Any, Callable
 
 import repro
-from repro.sim.engine import Event, Simulator, bind, _BOUND_CODE
+from repro.sim.engine import Event, Simulator
 
 __all__ = [
     "SnapshotError",
@@ -112,7 +110,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/6"
+SCHEMA = "repro.snapshot/7"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 
@@ -127,11 +125,6 @@ class SnapshotError(RuntimeError):
 
 def _cell_values(fn: types.FunctionType) -> tuple:
     return tuple(c.cell_contents for c in (fn.__closure__ or ()))
-
-
-def _rebuild_bound(callback: Callable, args: tuple, kwargs: dict) -> Callable:
-    """Recreate a ``bind`` closure (restores ``_BOUND_CODE`` identity)."""
-    return bind(callback, *args, **kwargs)
 
 
 def _rebuild_function(
@@ -151,29 +144,16 @@ def _rebuild_function(
     return fn
 
 
-# ``bind`` freevar order is fixed by its source; assert rather than assume.
-_BOUND_FREEVARS = _BOUND_CODE.co_freevars
-assert _BOUND_FREEVARS == ("args", "callback", "kwargs"), _BOUND_FREEVARS
-
-
 class _SnapshotPickler(pickle.Pickler):
     """Pickler that knows how to serialize the simulator's callables."""
 
-    def reducer_override(self, obj: Any):  # noqa: C901 - dispatch table
+    def reducer_override(self, obj: Any):
         if isinstance(obj, types.GeneratorType):
             raise SnapshotError(
                 f"cannot snapshot a live generator ({obj!r}); refactor the "
                 "holder to an integer cursor or explicit state"
             )
         if isinstance(obj, types.FunctionType):
-            if obj.__code__ is _BOUND_CODE:
-                # A bind() closure: re-bind at load so the rebuilt closure
-                # shares _BOUND_CODE and stays profiler-recognisable.
-                free = dict(zip(_BOUND_FREEVARS, _cell_values(obj)))
-                return (
-                    _rebuild_bound,
-                    (free["callback"], free["args"], free["kwargs"]),
-                )
             qualname = obj.__qualname__
             if "<locals>" in qualname or "<lambda>" in qualname or obj.__closure__:
                 try:

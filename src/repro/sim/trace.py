@@ -1,10 +1,15 @@
 """Lightweight tracing / instrumentation bus.
 
-Components publish structured trace records (packet drops, LSP setups, BGP
-updates, SLA violations) to a :class:`TraceBus`; tests and experiment
-harnesses subscribe to the record kinds they care about.  When nobody is
-subscribed to a kind, publishing is a single dict lookup + ``None`` check,
-so tracing costs almost nothing in production benchmark runs.
+Components publish structured trace records (packet drops, link state,
+control-plane reconvergence, LSP setups) to a :class:`TraceBus`; tests,
+experiment harnesses and the convergence tracer (:mod:`repro.obs.spans`)
+subscribe to the record kinds they care about.  When nobody is subscribed
+to a kind, publishing is a single dict lookup + ``None`` check, so tracing
+costs almost nothing in production benchmark runs.
+
+:data:`KINDS` is the whole vocabulary: every kind published anywhere in
+the simulator.  A control-plane event is announced once, here, and any
+number of listeners may subscribe to it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,21 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-__all__ = ["TraceBus", "TraceRecord", "Counter"]
+__all__ = ["KINDS", "TraceBus", "TraceRecord", "Counter"]
+
+#: Every record kind a component publishes, and what it carries.
+KINDS = (
+    "drop",            # node, reason, pkt (+ iface from an interface)
+    "link.down",       # link: the simplex Link that went down
+    "link.up",         # link: the simplex Link that came back
+    "frr.repair",      # link=(a, b), repaired
+    "frr.restore",     # link=(a, b), restored
+    "spf.reconverge",  # domain, installs, wall_s
+    "ldp.reset",       # removed
+    "ldp.converge",    # sessions, mapping_messages, lfib_entries, ftn_entries, fecs, wall_s
+    "te.lsp_up",       # name, path, bandwidth_bps, php, scheduling_class
+    "te.lsp_down",     # name
+)
 
 
 @dataclass(slots=True, frozen=True)

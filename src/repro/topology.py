@@ -174,12 +174,6 @@ class Network:
         # first domain_view() of a domain and kept in step from then on, so
         # a view rebuild reads the domain, not everything provisioned.
         self._domains: dict[str, _DomainIndex] = {}
-        # Observability attachment points: extra link state-change
-        # listeners (each called with the simplex Link that changed) and
-        # the convergence tracer the control-plane hook sites notify.
-        # Both default empty/None so unobserved networks pay nothing.
-        self.link_listeners: list[Callable[[Link], None]] = []
-        self.convergence_tracer = None
         # The state-change hook connect() wires into every Link: one bound
         # method for the network, not one per link pair.
         self._link_hook = self._link_state_changed
@@ -410,10 +404,10 @@ class Network:
 
     def _link_state_changed(self, link: Link) -> None:
         """Link up-state hook (wired into every Link by :meth:`connect`):
-        bump the topology generation and fan out to observers."""
+        bump the topology generation and announce ``link.up`` /
+        ``link.down`` for the simplex link on the trace bus."""
         self.topology_generation += 1
-        for fn in self.link_listeners:
-            fn(link)
+        self.trace.publish("link.up" if link.up else "link.down", self.sim.now, link=link)
 
     def link_between(self, a: str, b: str) -> Optional[DuplexLink]:
         """First duplex link between the two named nodes, if any."""

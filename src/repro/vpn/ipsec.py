@@ -35,7 +35,6 @@ from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
 from repro.net.packet import IPHeader, Packet
 from repro.routing.router import Router
-from repro.sim.engine import bind
 
 __all__ = [
     "esp_overhead_bytes",
@@ -178,7 +177,7 @@ class IpsecGateway(Router):
         )
         sa.encapsulated += 1
         cost = self.processing.crypto_time(outer.wire_bytes)
-        self.after_processing(cost, bind(self._forward_outer, outer))
+        self.after_processing(cost, self._forward_outer, outer)
 
     def _forward_outer(self, pkt: Packet) -> None:
         entry = self.fib.lookup(pkt.ip.dst)
@@ -196,7 +195,7 @@ class IpsecGateway(Router):
         cost = self.processing.crypto_time(pkt.wire_bytes)
         inner = pkt.inner
         assert inner is not None
-        self.after_processing(cost, bind(self._forward_inner, inner))
+        self.after_processing(cost, self._forward_inner, inner)
 
     def _forward_inner(self, pkt: Packet) -> None:
         if self.owns(pkt.ip.dst):

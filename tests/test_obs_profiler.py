@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.profiler import KernelProfiler
-from repro.sim.engine import Simulator, bind
+from repro.sim.engine import Simulator
 
 
 class TestHook:
@@ -53,21 +53,6 @@ class TestCounting:
         assert snap["events"] == 10
         # Every sample_every-th event is timed.
         assert snap["sampled"] == 10 // 4
-
-    def test_kind_resolution_unwraps_bind(self):
-        """bind() closures all share one code object; attribution must land
-        on the wrapped callback, not on the wrapper."""
-        sim = Simulator()
-        prof = KernelProfiler(sim, sample_every=1).attach()
-        def inner():
-            pass
-        sim.schedule(0.0, bind(inner))
-        sim.schedule(0.1, bind(bind(inner)))  # nested wrapping
-        sim.run()
-        kinds = {k["kind"]: k["events"] for k in prof.snapshot()["kinds"]}
-        (name,) = kinds
-        assert "inner" in name
-        assert kinds[name] == 2
 
     def test_kind_resolution_bound_method(self):
         class Thing:

@@ -11,8 +11,11 @@ import json
 
 import pytest
 
+from repro.obs import runtime
 from repro.obs.schema import validate_spans
 from repro.obs.spans import SPAN_SCHEMA, ConvergenceTracer
+from repro.routing.spf import reconverge
+from repro.sim.trace import KINDS
 
 
 def igp_flap(measure_s=4.0):
@@ -109,7 +112,7 @@ def test_default_run_has_no_tracer_and_identical_results():
 
     plain = run_variant("igp-tuned", "igp", 1.0, measure_s=4.0)
     assert "tracer" not in plain and "spans" not in plain
-    assert plain["net"].convergence_tracer is None
+    assert not any(plain["net"].trace.active(kind) for kind in KINDS)
     traced = igp_flap()
     # Healing probes ride the same network but must not perturb the
     # experiment's own loss accounting.
@@ -130,8 +133,38 @@ def test_detach_unhooks_listener():
 
     net = _build(seed=5)["net"]
     tracer = ConvergenceTracer(net).attach()
-    assert net.convergence_tracer is tracer
+    assert net.trace.active("link.down") and net.trace.active("spf.reconverge")
     tracer.detach()
-    assert net.convergence_tracer is None
+    tracer.detach()  # a second detach is a no-op
+    assert not any(net.trace.active(kind) for kind in KINDS)
     net.link_between("G", "H").set_up(False)
     assert tracer.spans == []
+
+
+def test_two_tracers_on_one_network_both_see_the_chain():
+    """The telemetry session's tracer and E11's own share one network: each
+    control-plane record reaches both, and detaching one leaves the other
+    listening."""
+    runtime.reset()
+    runtime.enable()
+    runtime.set_spans(True)
+    try:
+        result = igp_flap()
+        (session,) = runtime.sessions()
+        tracers = (session.tracer, result["tracer"])
+        for tracer in tracers:
+            kinds = {s.kind for s in tracer.spans}
+            assert {"link.down", "spf.reconverge", "ldp.reset", "ldp.converge"} <= kinds
+            (trace,) = tracer.summary()["traces"]
+            assert trace["cp_healing_s"] == pytest.approx(1.0)
+
+        net = result["net"]
+        result["tracer"].detach()
+        before = [len(t.spans) for t in tracers]
+        net.link_between("G", "H").set_up(True)
+        reconverge(net)
+        assert len(result["tracer"].spans) == before[1]
+        assert [s.kind for s in session.tracer.spans[before[0]:]] == [
+            "link.up", "spf.reconverge"]
+    finally:
+        runtime.reset()

@@ -86,7 +86,7 @@ class TestOneSessionPerNetwork:
         # The network is untouched: the first session's collectors are
         # still the wired ones and nothing of the second's was attached.
         assert net.trace.flight is first.flight and net.trace.flows is first.flows
-        assert net.trace.slo is None and net.convergence_tracer is None
+        assert net.trace.slo is None and not net.trace.active("link.down")
         assert first.profiler is None or first.profiler.attached
         prov.converge_bgp()
         h1, h2 = s1.hosts[0], s2.hosts[0]

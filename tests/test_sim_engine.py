@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator, Timer, bind, drain
+from repro.sim.engine import SimulationError, Simulator, Timer, drain
 
 
 class TestScheduling:
@@ -77,8 +77,8 @@ class TestScheduling:
         def chain(n):
             fired.append(n)
             if n < 5:
-                sim.schedule(1.0, bind(chain, n + 1))
-        sim.schedule(0.0, bind(chain, 0))
+                sim.schedule_call(1.0, chain, n + 1)
+        sim.schedule_call(0.0, chain, 0)
         sim.run()
         assert fired == [0, 1, 2, 3, 4, 5]
         assert sim.now == 5.0
@@ -227,9 +227,3 @@ class TestHelpers:
         sim = Simulator()
         ticks = list(drain(sim, horizon=3.0, chunk=1.0))
         assert ticks == [1.0, 2.0, 3.0]
-
-    def test_bind_captures_args(self):
-        calls = []
-        f = bind(lambda a, b=0: calls.append((a, b)), 1, b=2)
-        f()
-        assert calls == [(1, 2)]

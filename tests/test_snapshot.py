@@ -32,7 +32,7 @@ from repro.audit import audit
 from repro.net.address import Prefix
 from repro.obs import runtime
 from repro.obs.flightrec import FlightRecorder
-from repro.sim.engine import Simulator, _BOUND_CODE, bind
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.snapshot import (
     MAGIC,
@@ -233,6 +233,18 @@ def test_schema_5_image_refused_by_name(monkeypatch) -> None:
     old = _tamper_header(blob, schema="repro.snapshot/5")
     monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
     with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/5'"):
+        restore_network(old)
+
+
+def test_schema_6_image_refused_by_name(monkeypatch) -> None:
+    # A /6 network carries a link-listener list and a convergence-tracer
+    # slot, and a pending event scheduled through the old bind() helper
+    # names a rebuild function this reader no longer has: it would fail
+    # deep inside pickle.loads.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/6")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/6'"):
         restore_network(old)
 
 
@@ -520,28 +532,27 @@ def test_rng_reseed_only_before_first_draw() -> None:
 
 
 # ----------------------------------------------------------------------
-# bind() closures survive with profiler-recognisable identity
+# Events scheduled with arguments survive with callback and args intact
 
 
-def test_bind_closure_survives_snapshot() -> None:
+def test_schedule_call_event_survives_snapshot() -> None:
     net = _small_net()
-    hits: list[int] = []  # local list → the callback must be rebuilt
+    hits: list[int] = []  # ride in extras: the restored callback is its append
 
-    net.sim.schedule(1.0, bind(hits.append, 1))
-    blob = snapshot_network(net)
-    net2, _ = restore_network(blob)
-    (t, desc, _args), = pending_schedule(net2.sim)
-    assert t == 1.0
-    bucket = net2.sim._buckets[1.0]
-    assert bucket.callback.__code__ is _BOUND_CODE
+    net.sim.schedule_call(1.0, hits.append, 1)
+    blob = snapshot_network(net, {"hits": hits})
+    net2, extras = restore_network(blob)
+    assert pending_schedule(net2.sim) == [(1.0, "list.append", ("1",))]
+    assert net2.sim._buckets[1.0].args == (1,)
     net2.sim.run(until=2.0)
+    assert extras["hits"] == [1] and hits == []
 
 
 def test_pending_schedule_lists_live_events_in_order() -> None:
     sim = Simulator()
-    sim.schedule(2.0, bind(print, "late"))
-    sim.schedule(1.0, bind(print, "early"))
-    doomed = sim.schedule(1.5, bind(print, "never"))
+    sim.schedule_call(2.0, print, "late")
+    sim.schedule_call(1.0, print, "early")
+    doomed = sim.schedule_call(1.5, print, "never")
     doomed.cancel()
     times = [t for t, _d, _a in pending_schedule(sim)]
     assert times == [1.0, 2.0]

@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.audit import audit
 from repro.mpls import Lsr, run_ldp
 from repro.routing import converge
-from repro.sim.engine import bind
 from repro.sim.snapshot import (
     pending_schedule,
     restore_network,
@@ -74,9 +73,9 @@ def provisioned_networks(draw):
         min_size=0, max_size=6,
     ))
     for i, t in enumerate(times):
-        net.sim.schedule(t, bind(net.counters.incr, f"probe.{i}"))
+        net.sim.schedule_call(t, net.counters.incr, f"probe.{i}")
         if draw(st.booleans()):
-            net.sim.schedule(t, bind(net.counters.incr, f"probe.{i}.twin"))
+            net.sim.schedule_call(t, net.counters.incr, f"probe.{i}.twin")
     return net, prov
 
 
