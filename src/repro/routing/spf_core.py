@@ -186,18 +186,18 @@ def first_hop_array(pred, disc, src: int, n: int) -> list[int]:
 class SpfState:
     """Per-domain snapshot :func:`~repro.routing.spf.reconverge` diffs against.
 
-    ``spf[i]`` holds the ``(dist, pred, disc)`` arrays computed for source
-    (or, in ECMP mode, destination) index ``i`` at the last convergence;
-    ``edges`` is the edge→metric map of the topology those arrays were
-    computed on.  ``prefixes`` snapshots each router's advertised prefix
-    list — prefix churn (``attach_host`` after converge) cannot be located
-    from an edge diff, so it forces a full recompute.
+    ``spf[i]`` holds the ``(dist, pred, disc)`` arrays of the tree rooted at
+    index ``i`` at the last convergence; ``edges`` is the view's edge map
+    (metric and chosen link per adjacency) those arrays were computed on.
+    ``prefixes`` snapshots each router's advertised prefix list — prefix
+    churn (``attach_host`` after converge) cannot be located from an edge
+    diff, so it makes the next reconverge diff every router.
     """
 
     ecmp: bool
     names: list[str]
-    edges: dict[tuple[int, int], float]
-    prefixes: list[tuple[Prefix, ...]]
+    edges: dict[tuple[int, int], tuple[float, "DuplexLink"]]
+    prefixes: list[list[Prefix]]
     spf: dict[int, tuple[array, array, array]] = field(default_factory=dict)
 
 
@@ -226,7 +226,7 @@ class DomainView:
 
     __slots__ = (
         "generation", "domain", "names", "idx", "order_names", "order_idx",
-        "routers", "adj", "nbr", "edges", "duplex", "_spf",
+        "routers", "adj", "nbr", "edges", "_spf",
     )
 
     def __init__(self) -> None:
@@ -241,8 +241,9 @@ class DomainView:
         # nbr[i][j] = (duplex, out_ifname, next_hop_addr) for i -> j over
         # the lowest-metric parallel link.
         self.nbr: list[dict[int, tuple["DuplexLink", str, IPv4Address]]] = []
-        self.edges: dict[tuple[int, int], float] = {}
-        self.duplex: dict[tuple[int, int], "DuplexLink"] = {}
+        # edges[(i, j)] = (metric, duplex) for i < j: the adjacency and the
+        # link chosen for it (a failover between parallel links changes it).
+        self.edges: dict[tuple[int, int], tuple[float, "DuplexLink"]] = {}
         self._spf: dict[int, tuple[array, array, array]] = {}
 
     # ------------------------------------------------------------------
@@ -290,12 +291,11 @@ class DomainView:
             ib = idx[dl.b.name]
             nbr[ia][ib] = (dl, *dl.egress_a)
             nbr[ib][ia] = (dl, *dl.egress_b)
-            view.edges[key] = metric
-            view.duplex[key] = dl
         for lst in adj:
             lst.sort()
         view.adj = adj
         view.nbr = nbr
+        view.edges = best
         return view
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/7``), the ``repro`` version
+The header names the schema (``repro.snapshot/8``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
@@ -33,7 +33,9 @@ interfaces, links, sites and VRFs as instance dicts where this reader's
 classes are slotted, and a stats object per interface, a ``/6`` image holds
 a network with the link-listener list and convergence-tracer slot this
 reader's networks no longer have, and may hold a ``bind`` closure event
-whose rebuild function is gone) or with a flipped bit (about one in six
+whose rebuild function is gone, a ``/7`` image holds a site with the
+``extra`` slot and domain views and IGP state with the metric-only edge map
+this reader's classes no longer have) or with a flipped bit (about one in six
 still unpickles) is exactly the class of bug the header exists to prevent.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
@@ -110,7 +112,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/7"
+SCHEMA = "repro.snapshot/8"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -513,8 +513,9 @@ def attach_host(
     host.add_address(a, dl.if_ab.name)
     host.set_loopback(a)
     if isinstance(router, _Router):
-        # Register the host /32 as a *connected* prefix so reconvergence
-        # after a failure reinstalls it (clear_routes flushes the FIB).
+        # Register the host /32 as a *connected* prefix: the IGP builds the
+        # router's connected routes from that map, and reconverge withdraws
+        # a connected route it does not build.
         router.connected_prefixes[Prefix.of(a, 32)] = dl.if_ba.name
         router.fib.install(
             Prefix.of(a, 32), RouteEntry(dl.if_ba.name, None, source="connected")

@@ -80,8 +80,8 @@ def apply_profile(vpn: Vpn, profile: QosProfile) -> int:
     configured = 0
     for site in vpn.sites:
         uplinks = [site.ce_ifname]
-        if site.role == "hub" and "ce_up_ifname" in site.extra:
-            uplinks.append(site.extra["ce_up_ifname"])
+        if site.role == "hub":
+            uplinks.append(site.ce_up_ifname)
         for ifname in uplinks:
             site.ce.interfaces[ifname].add_conditioner(profile.conditioner())
         configured += 1

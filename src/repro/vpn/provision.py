@@ -70,7 +70,6 @@ class Site:
     links: list["DuplexLink"]
     hosts: tuple[Host, ...] = ()
     role: str = "mesh"   # "mesh" | "spoke" | "hub"
-    extra: dict = field(default_factory=dict)  # hub: second-circuit names
 
     @property
     def pe_ifname(self) -> str:
@@ -81,6 +80,21 @@ class Site:
     def ce_ifname(self) -> str:
         """The CE's interface toward the PE."""
         return self.links[0].if_ab.name
+
+    @property
+    def pe_up_ifname(self) -> str:
+        """A hub's second circuit, the PE's end (bound to the up VRF)."""
+        return self._up_circuit().if_ba.name
+
+    @property
+    def ce_up_ifname(self) -> str:
+        """A hub's second circuit, the CE's end (its default route)."""
+        return self._up_circuit().if_ab.name
+
+    def _up_circuit(self) -> "DuplexLink":
+        if self.role != "hub":
+            raise AttributeError(f"{self.vpn_name} site {self.site_id} is not a hub")
+        return self.links[1]
 
     def host_addr(self, index: int = 0) -> IPv4Address:
         """Address of the ``index``-th host in this site."""
@@ -325,8 +339,7 @@ class VpnProvisioner:
         pe.vrfs[dn_name].add_local(v.supernet, pe_dn, next_hop=ce_dn_addr,
                                    origin_site=site_id)
 
-        site = Site(v.name, site_id, pe, ce, site_prefix, [dl_dn, dl_up], role="hub",
-                    extra={"pe_up_ifname": pe_up, "ce_up_ifname": ce_up})
+        site = Site(v.name, site_id, pe, ce, site_prefix, [dl_dn, dl_up], role="hub")
         site.hosts = tuple(self._add_host(site, h, host_rate_bps) for h in range(num_hosts))
         self._register(v, site)
         return site
@@ -466,7 +479,7 @@ class VpnProvisioner:
         pe = site.pe
         circuits = [site.pe_ifname]
         if site.role == "hub":
-            circuits.append(site.extra["pe_up_ifname"])
+            circuits.append(site.pe_up_ifname)
         for ifname in circuits:
             pe.unbind_circuit(ifname)
         for dl in site.links:

@@ -49,7 +49,11 @@ two sizes of the same network rather than as absolute ceilings:
 * the two ``reconverge()`` calls of a P1-P2 link flap on the 12-node
   backbone: 4 335 calls with 200 sites provisioned and 6 735 with 800 when
   the domain view was rebuilt from every node and every duplex link, 3 421
-  at both sizes with the domain's members and links kept by the network;
+  at both sizes with the domain's members and links kept by the network.
+  In absolute terms at 200 sites (CPython 3.11): 3 517 with a writer per
+  mode diffing ``spf`` routes only, 3 615 with one writer that diffs
+  connected routes too and also re-diffs a source whose discovery order the
+  link set; diffing every router instead costs about 5 950;
 * and none of them leaves anything: after 50 site flaps, a wave and a
   drain / restore the graph holds the nodes, links, interfaces, addresses
   and /30s it started with and the collector tracks as many objects (each
@@ -78,6 +82,9 @@ MAX_KEY_FRAMES_PER_FLAP = 50
 # Calls per flap by the number of small VPNs beside the big one: the
 # recorded values above plus about 10 %.
 MAX_CALLS_PER_FLAP = {20: 1_350, 80: 2_400}
+# Calls in the two reconverge() calls of one P1-P2 flap at 200 sites: the
+# recorded value above plus about 2 %; diffing every router costs ~5 950.
+MAX_CALLS_PER_LINK_FLAP = 3_700
 
 
 def _converged(
@@ -225,6 +232,12 @@ def test_core_link_flap_does_not_read_the_access_circuits():
     assert abs(large - small) <= 0.01 * small, (
         f"{small} calls in reconverge at 200 sites, {large} at 800"
     )
+
+
+def test_core_link_flap_calls():
+    """A core flap diffs only the routers whose trees the link touched."""
+    calls = _link_flap_calls(200)
+    assert calls <= MAX_CALLS_PER_LINK_FLAP, f"{calls} calls in one P1-P2 flap's reconverge"
 
 
 def _graph_footprint(net: Network, pes: list[PeRouter]) -> dict:

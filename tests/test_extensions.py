@@ -294,7 +294,12 @@ class TestHubSpoke:
     def test_hub_role_recorded(self):
         net, prov, vpn, hub, s1, s2 = self._build()
         assert hub.role == "hub" and s1.role == "spoke"
-        assert "pe_up_ifname" in hub.extra
+        # The second circuit is the site's second link; only a hub has one.
+        assert (hub.ce_up_ifname, hub.pe_up_ifname) == (
+            hub.links[1].if_ab.name, hub.links[1].if_ba.name)
+        assert hub.pe.vrf_of_circuit(hub.pe_up_ifname) is hub.pe.vrfs["hs-hub-up"]
+        with pytest.raises(AttributeError, match="not a hub"):
+            s1.pe_up_ifname
 
     def test_role_validation(self):
         net = Network()

@@ -71,7 +71,7 @@ class TestQosProfiles:
         hub = prov.add_hub_site(vpn, pe)
         apply_profile(vpn, SILVER)
         assert len(hub.ce.interfaces[hub.ce_ifname].conditioners) == 1
-        assert len(hub.ce.interfaces[hub.extra["ce_up_ifname"]].conditioners) == 1
+        assert len(hub.ce.interfaces[hub.ce_up_ifname].conditioners) == 1
 
     def test_tier_marks_end_to_end(self):
         """Unmarked customer traffic arrives tier-marked across the VPN."""

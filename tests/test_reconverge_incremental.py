@@ -1,20 +1,24 @@
 """Property tests for incremental reconvergence.
 
-:func:`repro.routing.spf.reconverge` diffs the topology against the
-snapshot of the last convergence and recomputes only the affected
-shortest-path trees.  The property held here is the strongest one
-available: after *any* sequence of single-link fail/restore events, the
-incrementally maintained FIBs equal what a from-scratch
-``clear + converge`` produces on a twin network — for both the unipath
-and the ECMP control plane.
+:func:`repro.routing.spf.reconverge` diffs each router it selects against
+the routes the domain should now hold and writes only the difference.
+The property held here is the strongest one available: after *any*
+sequence of single-link fail/restore events, isolated routers joining the
+domain and hosts attached behind its routers, the incrementally maintained
+FIBs equal what a from-scratch ``clear + converge`` produces on a twin
+network — for both the unipath and the ECMP control plane — and a FIB's
+generation moves iff its contents changed.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.net.address import Prefix
+from repro.net.packet import IPHeader, Packet
 from repro.routing.router import Router
-from repro.routing.spf import clear_routes, converge, reconverge
-from repro.topology import Network, build_backbone, build_fish, build_waxman
+from repro.routing.spf import converge, reconverge
+from repro.topology import Network, attach_host, build_backbone, build_fish, build_waxman
+from tests.reference.routing import clear_routes_reference
 
 slow_settings = settings(
     max_examples=25,
@@ -31,52 +35,86 @@ def fib_snapshot(net):
     }
 
 
+def generations(net):
+    return {name: node.fib.generation for name, node in net.nodes.items()
+            if isinstance(node, Router)}
+
+
 def full_reconverge(net, ecmp):
     """The oracle: flush every in-domain FIB and converge from scratch."""
     for node in net.nodes.values():
         if isinstance(node, Router) and node.domain == "core":
-            clear_routes(node)
+            clear_routes_reference(node)
     converge(net, ecmp=ecmp)
+
+
+def build_parallel(net):
+    """A ring of four routers, every hop a pair of equal-metric links, and a
+    heavier chord: failing the link in use must move routes onto its twin."""
+    routers = [net.add_router(f"r{i}") for i in range(4)]
+    for i in range(4):
+        for _ in range(2):
+            net.connect(routers[i], routers[(i + 1) % 4])
+    net.connect(routers[0], routers[2], metric=3.0)
 
 
 BUILDERS = {
     "backbone": lambda net: build_backbone(net),
     "fish": lambda net: build_fish(net),
     "waxman9": lambda net: build_waxman(net, 9, alpha=0.9, beta=0.9),
+    "parallel": build_parallel,
 }
 
+#: One step of a sequence: an int fails or restores that link, "router"
+#: adds an isolated router to the domain, "host" attaches a host behind a
+#: router (new connected and advertised prefixes).
+STEPS = st.one_of(st.integers(min_value=0, max_value=63), st.sampled_from(["router", "host"]))
 
-def _run_sequence(topo, ecmp, toggles):
-    """Apply a toggle sequence to twin nets: incremental vs from-scratch."""
+
+def _apply(net, step, k):
+    if step == "router":
+        net.add_router(f"x{k}")
+    elif step == "host":
+        routers = [n for n in net.nodes.values() if isinstance(n, Router)]
+        attach_host(net, routers[k % len(routers)], f"10.66.{k}.1", name=f"hx{k}")
+    else:
+        dl = net.duplex_links[step % len(net.duplex_links)]
+        dl.set_up(not dl.link_ab.up)
+
+
+def _run_sequence(topo, ecmp, steps):
+    """Apply a step sequence to twin nets: incremental vs from-scratch."""
     inc = Network(seed=47)
     BUILDERS[topo](inc)
     oracle = Network(seed=47)
     BUILDERS[topo](oracle)
     converge(inc, ecmp=ecmp)
     converge(oracle, ecmp=ecmp)
-
-    links_inc = list(inc.duplex_links)
-    links_orc = list(oracle.duplex_links)
-    assert len(links_inc) == len(links_orc)
-    for li in toggles:
-        dl_i = links_inc[li % len(links_inc)]
-        dl_o = links_orc[li % len(links_orc)]
-        up = not dl_i.link_ab.up
-        dl_i.set_up(up)
-        dl_o.set_up(up)
-        reconverge(inc)
+    for k, step in enumerate(steps):
+        _apply(inc, step, k)
+        _apply(oracle, step, k)
+        before, gens = fib_snapshot(inc), generations(inc)
+        installs = reconverge(inc)
         full_reconverge(oracle, ecmp)
-        assert fib_snapshot(inc) == fib_snapshot(oracle)
+        after = fib_snapshot(inc)
+        assert after == fib_snapshot(oracle)
+        # installs counts the writes that changed a route, and only a FIB
+        # whose contents changed moves its generation.
+        assert installs == sum(
+            1 for name, routes in after.items() for p, e in routes.items()
+            if before[name].get(p) != e
+        )
+        moved = {name for name, g in generations(inc).items() if g != gens[name]}
+        assert moved == {name for name in after if after[name] != before[name]}
 
 
 class TestIncrementalMatchesFullRecompute:
     @pytest.mark.parametrize("ecmp", [False, True])
     @pytest.mark.parametrize("topo", sorted(BUILDERS))
     @slow_settings
-    @given(toggles=st.lists(st.integers(min_value=0, max_value=63),
-                            min_size=1, max_size=6))
-    def test_single_link_sequences(self, topo, ecmp, toggles):
-        _run_sequence(topo, ecmp, toggles)
+    @given(steps=st.lists(STEPS, min_size=1, max_size=6))
+    def test_single_link_sequences(self, topo, ecmp, steps):
+        _run_sequence(topo, ecmp, steps)
 
     def test_flap_same_link_repeatedly(self):
         # Down/up/down on one core trunk: the restore path exercises the
@@ -109,15 +147,12 @@ class TestIncrementalMatchesFullRecompute:
         build_backbone(net)
         converge(net)
         before = fib_snapshot(net)
-        gens = {n: r.fib.generation for n, r in net.nodes.items()
-                if isinstance(r, Router)}
+        gens = generations(net)
         assert reconverge(net) == 0
         assert fib_snapshot(net) == before
         # Contract: a FIB generation moves iff the FIB's contents changed,
         # so unchanged FIBs keep their flow caches warm.
-        for name, node in net.nodes.items():
-            if isinstance(node, Router):
-                assert node.fib.generation == gens[name]
+        assert generations(net) == gens
 
     def test_reconverge_delta_keeps_unaffected_generations(self):
         # Same contract on the incremental path: routers whose FIB the
@@ -129,8 +164,7 @@ class TestIncrementalMatchesFullRecompute:
         build_backbone(oracle)
         converge(net)
         converge(oracle)
-        gens = {n: r.fib.generation for n, r in net.nodes.items()
-                if isinstance(r, Router)}
+        gens = generations(net)
         before = fib_snapshot(net)
         net.link_between("P1", "P2").set_up(False)
         oracle.link_between("P1", "P2").set_up(False)
@@ -193,3 +227,71 @@ class TestIncrementalMatchesFullRecompute:
         reconverge(net)  # sticky: stays in ECMP mode
         full_reconverge(oracle, True)
         assert fib_snapshot(net) == fib_snapshot(oracle)
+
+
+@pytest.mark.parametrize("ecmp", [False, True])
+def test_failing_one_of_two_parallel_links_moves_the_route(ecmp):
+    """Two equal-metric links join A and B.  The view routes over the first;
+    when it fails, the view picks the second with the same metric, and the
+    routes must follow it: a FIB left on the down interface loses every
+    packet it forwards there without a count."""
+    net = Network(seed=47)
+    a, b, c = (net.add_router(name) for name in "ABC")
+    first = net.connect(a, b)
+    second = net.connect(a, b)
+    net.connect(b, c)
+    tx = attach_host(net, a, "10.66.0.1", name="tx")
+    rx = attach_host(net, c, "10.66.0.2", name="rx")
+    converge(net, ecmp=ecmp)
+    towards_rx = Prefix.of(rx.loopback, 32)
+    assert a.fib.get(towards_rx).out_ifname == first.if_ab.name
+    first.set_up(False)
+    assert reconverge(net) > 0
+    assert a.fib.get(towards_rx).out_ifname == second.if_ab.name
+    got = []
+    rx.add_local_sink(got.append)
+    probe = Packet(ip=IPHeader(tx.loopback, rx.loopback), payload_bytes=100)
+    net.sim.schedule(0.0, lambda: tx.send(probe))
+    net.run(until=1.0)
+    assert got == [probe]
+
+
+@pytest.mark.parametrize("up", [False, True])
+def test_a_link_no_tree_uses_still_orders_shared_prefixes(up):
+    """A ring of four and a heavy r0-r2 chord no shortest path uses.  From
+    r2 the chord still *discovers* r0 first (r2 pops first), so r0 comes
+    before r1 in r2's discovery order and the r0-r1 /30, which both
+    advertise, resolves toward r1, the one discovered last.  Failing the
+    chord reverses that; restoring it reverses it back."""
+    nets = []
+    for _ in range(2):
+        net = Network(seed=47)
+        routers = [net.add_router(f"r{i}") for i in range(4)]
+        for i in range(4):
+            net.connect(routers[i], routers[(i + 1) % 4])
+        chord = net.connect(routers[0], routers[2], metric=3.0)
+        if up:
+            chord.set_up(False)
+        converge(net)
+        chord.set_up(up)
+        nets.append(net)
+    inc, oracle = nets
+    assert reconverge(inc) > 0
+    full_reconverge(oracle, False)
+    assert fib_snapshot(inc) == fib_snapshot(oracle)
+
+
+@pytest.mark.parametrize("ecmp", [False, True])
+def test_membership_change_keeps_unchanged_generations(ecmp):
+    """A router joining the domain with no link changes no other router's
+    routes: nothing is written and no flow cache is flushed."""
+    net = Network(seed=47)
+    build_backbone(net)
+    converge(net, ecmp=ecmp)
+    before, gens = fib_snapshot(net), generations(net)
+    net.add_router("X")
+    assert reconverge(net) == 0
+    after = fib_snapshot(net)
+    assert after.pop("X") == {}
+    assert after == before
+    assert {name: g for name, g in generations(net).items() if name != "X"} == gens

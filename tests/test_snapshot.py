@@ -248,6 +248,18 @@ def test_schema_6_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_7_image_refused_by_name(monkeypatch) -> None:
+    # A /7 image holds each site's ``extra`` dict, a slot this reader's Site
+    # does not have, and IGP state whose edge map holds metrics without the
+    # link chosen per adjacency: the first would fail inside pickle.loads,
+    # the second would make the next reconverge misread every edge.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/7")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/7'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
