@@ -20,7 +20,6 @@ from repro.experiments.common import make_qdisc_factory
 from repro.metrics import VOICE_SLA, ProbeAgent, print_table
 from repro.mpls import FastReroute, Lsr, TrafficEngineering, run_ldp
 from repro.net.address import Prefix
-from repro.mpls import reset_ldp
 from repro.routing import converge, reconverge
 from repro.topology import Network, build_backbone
 from repro.traffic import FlowSink, OnOffSource
@@ -101,12 +100,13 @@ def main() -> None:
 
         def igp_recovers():
             # The rest of the backbone (LDP-routed customers) waits for the
-            # tuned IGP: reconverge + re-distribute labels 1 s later.  The
-            # gold trunk never noticed; everyone else eats a 1 s outage.
+            # tuned IGP: reconverge, and LDP follows it 1 s later.  The gold
+            # trunk never noticed (LDP leaves its autoroute binding alone);
+            # everyone else eats a 1 s outage.
             reconverge(net)
-            reset_ldp(net)
-            run_ldp(net)
-            print(f"[t={net.sim.now:.1f}s] IGP reconverged; LDP re-distributed")
+            moved = run_ldp(net)
+            print(f"[t={net.sim.now:.1f}s] IGP reconverged; LDP rewrote "
+                  f"{moved.written} and withdrew {moved.withdrawn} label entries")
         net.sim.schedule(1.0, igp_recovers)
     net.sim.schedule(RUN_S / 2, fail)
 

@@ -13,6 +13,11 @@
 * ``c1`` (error): a non-PE node holding a VRF, or an LFIB entry bound to
   one.  Claim C1: core LSRs hold only the transport labels every VPN
   shares.
+* ``ldp`` (error): an LDP-owned LFIB SWAP / POP or FTN entry that leaves
+  on a down interface, or on one the FIB's route for its FEC does not use
+  (ECMP alternates count); or that sends a label its next hop does not hold
+  for the same FEC.  LDP follows the IGP: between a ``reconverge`` and the
+  ``run_ldp`` after it, the entries the flap moved are reported here.
 * ``loopback`` (error): a PE with VRFs and no loopback (MP-BGP's next hop).
 * ``vrf`` (error / warning): a VRF bound to a missing interface; a VRF
   with no circuits and no routes.
@@ -38,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.mpls.label import EXPLICIT_NULL, IMPLICIT_NULL
+from repro.mpls.ldp import _owned as _ldp_owned
 from repro.mpls.lfib import LabelOp
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
@@ -143,12 +150,42 @@ def _label_state(node: Lsr) -> _Rule:
             yield "error", "c1", f"LFIB label {in_label} is bound to VRF {entry.vrf!r} on a non-PE"
         elif entry.op is LabelOp.VPN and entry.vrf not in vrfs:
             yield "error", "lfib", f"LFIB label {in_label} targets unknown VRF {entry.vrf!r}"
+        if _ldp_owned(entry) and entry.op in (LabelOp.SWAP, LabelOp.POP):
+            yield from _ldp_hop(node, f"LDP label {in_label}", entry.lsp_id,
+                                entry.out_ifname, entry.out_label)
     if core:
         for name in vrfs:
             yield "error", "c1", f"non-PE holds VRF {name!r}"
     for prefix, nhlfe in node.ftn.entries().items():
         if nhlfe.out_ifname not in node.interfaces:
             yield "error", "ftn", f"FTN {prefix} points to missing interface {nhlfe.out_ifname!r}"
+        elif _ldp_owned(nhlfe):
+            pushed = nhlfe.labels[-1]
+            yield from _ldp_hop(node, "LDP FTN", nhlfe.lsp_id, nhlfe.out_ifname,
+                                None if pushed == IMPLICIT_NULL else pushed)
+
+
+def _ldp_hop(node: Lsr, what: str, lsp_id: str, ifname: str, out_label: int | None) -> _Rule:
+    """The ``ldp`` rule for one LDP-owned entry: it leaves where the IGP
+    does, and the label it sends (``None``: unlabelled) is held downstream."""
+    iface = node.interfaces.get(ifname)
+    if iface is None or iface.link is None:
+        return  # the lfib / ftn / interface rules name it
+    fec = lsp_id.partition(":")[2]
+    route = node.fib.get(fec)
+    if not iface.link.up:
+        yield "error", "ldp", f"{what} for {fec} leaves on {ifname!r}, which is down"
+    elif route is None or all(ifname != out for out, _nh in route.all_paths):
+        yield "error", "ldp", (f"{what} for {fec} leaves on {ifname!r}, which the "
+                               f"FIB route for {fec} does not use")
+    if out_label is None:
+        return
+    peer = iface.peer_node
+    held = peer.lfib.entries().get(out_label) if isinstance(peer, Lsr) else None
+    if held is None or not (held.lsp_id == lsp_id or (
+            out_label == EXPLICIT_NULL and held.op is LabelOp.POP_PROCESS)):
+        yield "error", "ldp", (f"{what} for {fec} sends label {out_label} to "
+                               f"{peer.name}, which does not hold it for {fec}")
 
 
 def _vrf_state(node: PeRouter) -> _Rule:

@@ -13,7 +13,7 @@ install/withdraw, label install/remove, FTN bind/unbind.  Every cache
 read first compares the sources' current generations against the ones
 captured when the cache was last (re)filled; any mismatch flushes the
 whole cache in O(1) amortized (one ``dict.clear``) and reports a miss.
-SPF reconvergence, ``reset_ldp``, FRR bypass activation, and VRF route
+SPF reconvergence, LDP passes, FRR bypass activation, and VRF route
 churn all mutate their tables through the counted entry points, so stale
 entries are structurally unreachable — there is no event-subscription
 protocol to forget.

@@ -24,7 +24,7 @@ Performance notes (measured: the ledger's ``vpn_sla`` row, benchmarks/ledger):
 * Exact-match fast caches: the destination→decision flow cache fronts the
   LPM trie, the label→entry cache fronts the LFIB, and per-VRF caches
   front the VRF tables.  All are generation-stamped (``GenCache``) so SPF
-  reconvergence, ``reset_ldp``, FRR activation, and VRF churn invalidate
+  reconvergence, LDP passes, FRR activation, and VRF churn invalidate
   them without any notification protocol.
 * ``flow_hash`` memoizes its CRC32 on the packet — the 5-tuple is
   immutable for a packet's lifetime, so the ECMP key is computed at most

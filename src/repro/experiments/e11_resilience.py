@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.experiments.common import ExperimentRun
 from repro.mpls.frr import FastReroute
-from repro.mpls.ldp import reset_ldp, run_ldp
+from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.mpls.te import TrafficEngineering
 from repro.net.address import Prefix
@@ -95,7 +95,6 @@ def run_variant(
 
         def recover() -> None:
             reconverge(net)
-            reset_ldp(net)
             run_ldp(net)
 
     def fail() -> None:

@@ -19,13 +19,16 @@ Storms
 * **vpn-wave**   — provision a new VPN across the edge, converge the
   delta, then tear the whole VPN down again.
 * **link-flap**  — fail and restore a core (P–P) trunk, driving the
-  incremental IGP ``reconverge()``; BGP state is untouched (next hops
-  are loopbacks), which is itself the point.
+  incremental IGP ``reconverge()`` with LDP following it (``run_ldp``
+  writes only the label entries the flap moved: ``ldp_writes``); BGP state
+  is untouched (next hops are loopbacks), which is itself the point.
 
 Every storm puts back what it took, so a last ``residue`` row reports what
 the sequence left behind in the graph — nodes, links, PE interfaces,
 point-to-point /30s, after minus before — and the run fails if any of them
-is not zero: a removed site is unwired, not decommissioned in place.
+is not zero: a removed site is unwired, not decommissioned in place.  The
+network is then audited (:func:`repro.audit.audit`), and any error finding
+fails the run too: a stale label path after the flaps is an ``ldp`` error.
 
 A final topology table prices one UPDATE under full-mesh, single-RR, and
 RR-cluster session layouts on the same PE set (sessions, per-route
@@ -37,7 +40,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any
 
+from repro.audit import audit
 from repro.experiments.e1_scalability import mpls_base
+from repro.mpls.ldp import run_ldp
 from repro.routing.spf import reconverge
 from repro.vpn.bgp import MpBgp
 
@@ -144,21 +149,26 @@ def churn_storms(
     # --- storm 4: core link flaps (IGP fast path) ---------------------
     before = _bgp_counters(net)
     t0 = perf_counter()
-    spf_events = 0
+    spf_events = ldp_writes = 0
     for _ in range(link_flaps):
         link = net.link_between("P1", "P2")
-        link.set_up(False)
-        spf_events += reconverge(net)
-        link.set_up(True)
-        spf_events += reconverge(net)
+        for up in (False, True):
+            link.set_up(up)
+            spf_events += reconverge(net)
+            ldp = run_ldp(net)
+            ldp_writes += ldp.written + ldp.withdrawn
     row_before = len(rows)
     record("link-flap", 2 * link_flaps, perf_counter() - t0,
            before, _bgp_counters(net))
     rows[row_before]["spf_installs"] = spf_events
+    rows[row_before]["ldp_writes"] = ldp_writes
 
     residue = {k: v - footprint[k] for k, v in _footprint(net, prov).items()}
     if any(residue.values()):
         raise RuntimeError(f"churn storms left residue in the graph: {residue}")
+    errors = [str(f) for f in audit(net) if f.severity == "error"]
+    if errors:
+        raise RuntimeError(f"churn storms left {len(errors)} audit error(s): {errors[:3]}")
     rows.append({"storm": "residue", "events": 0, "wall_ms": 0.0, **residue})
     return rows
 

@@ -6,11 +6,25 @@ IGP shortest-path tree, exactly as downstream-unsolicited LDP with ordered
 control would: the egress originates a binding, each upstream LSR allocates
 its own incoming label and records the downstream label to swap to.
 
+:func:`run_ldp` is the one writer of LDP state, and it follows the IGP:
+LDP owns the LFIB and FTN entries whose ``lsp_id`` is ``ldp:<fec>``, and
+each pass computes the bindings the current IGP view implies, reads the
+ones LDP holds, and writes per LSR only the entries that differ.  An LSR
+keeps its local label for a FEC while the FEC stays reachable (liberal
+retention: a next-hop switch is a local rewrite); a label is allocated only
+for a new binding and released when its binding goes away.  A fresh network
+holds nothing, so its first pass allocates, writes and counts what a
+one-shot install would.  After a topology change, ``reconverge(net);
+run_ldp(net)`` moves the labelled paths with the routes.  An FTN slot
+another owner holds (a TE autoroute) is never overwritten or removed; a
+slot left empty is bound.
+
 Wire behaviour is abstracted to *message counting*: with liberal label
 retention every LSR advertises each binding over every LDP session, so the
-message count per FEC equals twice the number of LSR adjacencies.  These
-counters are the MPLS side of experiment E1 — compare their growth in the
-number of VPN sites against the O(N²) virtual-circuit mesh.
+message count per FEC equals twice the number of LSR adjacencies.  A pass
+counts the advertisements of its new bindings only.  These counters are the
+MPLS side of experiment E1 — compare their growth in the number of VPN
+sites against the O(N²) virtual-circuit mesh.
 
 Penultimate-hop popping (PHP) is on by default; pass
 ``use_explicit_null=True`` to keep the label (and its EXP bits) until the
@@ -38,29 +52,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LdpResult", "run_ldp", "reset_ldp"]
 
 
-def reset_ldp(net: "Network", domain: str = "core") -> int:
-    """Withdraw all LDP-installed state (LFIB entries, FTN bindings, labels).
+def _owned(entry: LfibEntry | Nhlfe) -> bool:
+    """True for an LFIB / FTN entry LDP installed."""
+    return entry.lsp_id is not None and entry.lsp_id.startswith("ldp:")
 
-    Used together with :func:`repro.routing.spf.reconverge`: after the IGP
-    moves, LDP bindings must follow the new next hops, so the resilience
-    experiment resets and re-runs distribution.  Returns the number of
-    LFIB entries removed.
-    """
-    removed = 0
-    for node in net.nodes.values():
-        if not isinstance(node, Lsr) or node.domain != domain:
-            continue
-        for in_label, entry in list(node.lfib.entries().items()):
-            if entry.lsp_id and entry.lsp_id.startswith("ldp:"):
-                node.lfib.remove(in_label)
-                if in_label in node.labels:
-                    node.labels.release(in_label)
-                removed += 1
-        for prefix, nhlfe in list(node.ftn.entries().items()):
-            if nhlfe.lsp_id and nhlfe.lsp_id.startswith("ldp:"):
-                node.ftn.unbind(prefix)
-    net.trace.publish("ldp.reset", net.sim.now, removed=removed)
-    return removed
+
+def reset_ldp(net: "Network", domain: str = "core") -> int:
+    """Withdraw all LDP state (LFIB entries, FTN bindings, labels): the
+    :func:`run_ldp` pass with no FEC.  Returns the number of LFIB and FTN
+    entries withdrawn."""
+    return run_ldp(net, fecs=[], domain=domain).withdrawn
 
 
 @dataclass
@@ -70,7 +71,10 @@ class LdpResult:
     ``bindings[fec][node_name]`` is the incoming label that node advertised
     for the FEC (IMPLICIT_NULL / EXPLICIT_NULL at the egress under PHP /
     explicit-null).  ``sessions`` is the number of LDP adjacencies and
-    ``mapping_messages`` the total label-mapping advertisements sent.
+    ``mapping_messages`` the label-mapping advertisements of the bindings
+    this pass created.  ``lfib_entries`` / ``ftn_entries`` count the entries
+    the bindings imply; ``written`` / ``withdrawn`` the LFIB and FTN entries
+    the pass installed or rewrote / removed to get there.
     """
 
     bindings: dict[Prefix, dict[str, int]] = field(default_factory=dict)
@@ -78,6 +82,8 @@ class LdpResult:
     mapping_messages: int = 0
     lfib_entries: int = 0
     ftn_entries: int = 0
+    written: int = 0
+    withdrawn: int = 0
 
 
 def run_ldp(
@@ -87,11 +93,13 @@ def run_ldp(
     php: bool = True,
     use_explicit_null: bool = False,
 ) -> LdpResult:
-    """Distribute labels for ``fecs`` among all in-domain LSRs.
+    """Make the LDP state of ``domain``'s LSRs what the IGP implies for
+    ``fecs``, writing only the difference (see module docstring).
 
     Requires a converged IGP (:func:`repro.routing.spf.converge`) since
-    LDP follows IGP next hops.  Returns the binding table and the
-    control-plane cost counters.
+    LDP follows IGP next hops.  State held for a FEC outside ``fecs`` is
+    withdrawn.  Returns the binding table and the control-plane cost
+    counters.
     """
     if php and use_explicit_null:
         raise ValueError("php and explicit-null are mutually exclusive")
@@ -134,33 +142,59 @@ def run_ldp(
         for p in lsr.advertised_prefixes:
             owner_of.setdefault(p, name)
 
-    # Batched install: every LFIB/FTN write for the whole pass lands per
-    # node in one generation bump (nothing consults the tables mid-run).
-    pending_lfib: dict[str, list[tuple[int, LfibEntry]]] = defaultdict(list)
-    pending_ftn: dict[str, list[tuple[Prefix, Nhlfe]]] = defaultdict(list)
-    for fec in fecs:
+    # Each LSR's local label per binding it holds.  The pass pops the ones
+    # it keeps; what is left belongs to bindings that went away.
+    kept: dict[str, dict[str, int]] = {
+        name: {e.lsp_id: label for label, e in lsr.lfib.entries().items()
+               if _owned(e) and label in lsr.labels}
+        for name, lsr in lsrs.items()
+    }
+    held_fecs = {lsp_id for labels in kept.values() for lsp_id in labels}
+
+    want_lfib: dict[str, dict[int, LfibEntry]] = defaultdict(dict)
+    want_ftn: dict[str, dict[Prefix, Nhlfe]] = defaultdict(dict)
+    for fec in dict.fromkeys(fecs):  # a FEC listed twice is one binding
         egress_name = owner_of.get(fec)
         if egress_name is None:
             continue  # FEC not originated by an LSR in this domain
+        lsp_id = f"ldp:{fec}"
+        # LSRs whose binding is new this pass; the egress's reserved-label
+        # binding leaves no state of its own, so it is new with its FEC.
+        new: set[str] = set() if lsp_id in held_fecs else {egress_name}
         bindings = _distribute_one(
-            view, lsrs, fec, egress_name, php, use_explicit_null, result,
-            pending_lfib, pending_ftn,
+            view, lsrs, fec, lsp_id, egress_name, php, use_explicit_null, result,
+            kept, new, want_lfib, want_ftn,
         )
         result.bindings[fec] = bindings
-        # Liberal retention: every LSR advertises its binding to every
-        # neighbour LSR; the egress advertises too.
-        msgs = sum(
-            1
-            for u, v in session_pairs
-            for end in (u, v)
-            if end in bindings or end == egress_name
-        )
+        # Liberal retention: every LSR advertises a new binding to every
+        # neighbour LSR.
+        msgs = sum(1 for u, v in session_pairs for end in (u, v) if end in new)
         result.mapping_messages += msgs
         net.counters.incr("ldp.mapping_msgs", msgs)
-    for name, items in pending_lfib.items():
-        lsrs[name].lfib.install_many(items)
-    for name, items in pending_ftn.items():
-        lsrs[name].ftn.bind_many(items)
+
+    # Write per LSR only what differs: one batched install (one generation
+    # bump), then the withdrawals, then the labels of bindings gone away.
+    for name, lsr in lsrs.items():
+        have = {label: e for label, e in lsr.lfib.entries().items() if _owned(e)}
+        want = want_lfib.get(name, {})
+        installs = [(label, e) for label, e in want.items() if have.get(label) != e]
+        removals = [label for label in have if label not in want]
+        lsr.lfib.install_many(installs)
+        for label in removals:
+            lsr.lfib.remove(label)
+        for label in kept[name].values():
+            lsr.labels.release(label)
+        ftn, bind = lsr.ftn.entries(), want_ftn.get(name, {})
+        binds = [
+            (p, n) for p, n in bind.items()
+            if (cur := ftn.get(p)) != n and (cur is None or _owned(cur))
+        ]
+        unbinds = [p for p, n in ftn.items() if _owned(n) and p not in bind]
+        lsr.ftn.bind_many(binds)
+        for p in unbinds:
+            lsr.ftn.unbind(p)
+        result.written += len(installs) + len(binds)
+        result.withdrawn += len(removals) + len(unbinds)
     net.trace.publish(
         "ldp.converge",
         net.sim.now,
@@ -169,47 +203,53 @@ def run_ldp(
         lfib_entries=result.lfib_entries,
         ftn_entries=result.ftn_entries,
         fecs=len(result.bindings),
+        withdrawn=result.withdrawn,
         wall_s=perf_counter() - t0,
     )
     return result
+
+
+def _local_label(lsr: Lsr, kept: dict[str, int], lsp_id: str, new: set[str]) -> int:
+    """``lsr``'s incoming label for ``lsp_id``: the one it holds, else a
+    fresh one (and the binding is new)."""
+    label = kept.pop(lsp_id, None)
+    if label is None:
+        label = lsr.labels.allocate()
+        new.add(lsr.name)
+    return label
 
 
 def _distribute_one(
     view: "DomainView",
     lsrs: dict[str, Lsr],
     fec: Prefix,
+    lsp_id: str,
     egress_name: str,
     php: bool,
     use_explicit_null: bool,
     result: LdpResult,
-    pending_lfib: dict[str, list[tuple[int, LfibEntry]]],
-    pending_ftn: dict[str, list[tuple[Prefix, Nhlfe]]],
+    kept: dict[str, dict[str, int]],
+    new: set[str],
+    want_lfib: dict[str, dict[int, LfibEntry]],
+    want_ftn: dict[str, dict[Prefix, Nhlfe]],
 ) -> dict[str, int]:
-    """Queue LFIB/FTN state for one FEC; returns node → incoming label.
+    """Compute the LFIB/FTN state one FEC implies; returns node → incoming
+    label.
 
     Runs on the cached domain view: one memoized SPF per *node* for the
-    whole pass (the pre-PR implementation ran a fresh Dijkstra per
-    (FEC, node) pair).  Label allocation order — and therefore every label
-    value — matches the reference exactly.
+    whole pass.  Labels are taken in the reference's order, so on a network
+    that holds nothing every label value matches it exactly.
     """
-    lsp_id = f"ldp:{fec}"
     egress = lsrs[egress_name]
     bindings: dict[str, int] = {}
 
     if php:
         bindings[egress_name] = IMPLICIT_NULL
-    elif use_explicit_null:
-        bindings[egress_name] = EXPLICIT_NULL
-        pending_lfib[egress_name].append(
-            (EXPLICIT_NULL, LfibEntry(LabelOp.POP_PROCESS, lsp_id=lsp_id))
-        )
-        result.lfib_entries += 1
     else:
-        label = egress.labels.allocate()
+        label = (EXPLICIT_NULL if use_explicit_null
+                 else _local_label(egress, kept[egress_name], lsp_id, new))
         bindings[egress_name] = label
-        pending_lfib[egress_name].append(
-            (label, LfibEntry(LabelOp.POP_PROCESS, lsp_id=lsp_id))
-        )
+        want_lfib[egress_name][label] = LfibEntry(LabelOp.POP_PROCESS, lsp_id=lsp_id)
         result.lfib_entries += 1
 
     # Ordered control: a node may only advertise a binding once its own next
@@ -240,7 +280,7 @@ def _distribute_one(
         nh_name = names[j]
         if nh_name not in bindings:
             continue  # next hop is not label-capable for this FEC
-        bindings[name] = lsr.labels.allocate()
+        bindings[name] = _local_label(lsr, kept[name], lsp_id, new)
 
         out_ifname = view.nbr[ni][j][1]
         downstream = bindings[nh_name]
@@ -253,11 +293,11 @@ def _distribute_one(
                 out_ifname=out_ifname,
                 lsp_id=lsp_id,
             )
-        pending_lfib[name].append((bindings[name], entry))
+        want_lfib[name][bindings[name]] = entry
         result.lfib_entries += 1
 
         # Every LSR can also act as ingress for this FEC: bind the FTN so
         # unlabeled packets entering here get the tunnel label.
-        pending_ftn[name].append((fec, Nhlfe(out_ifname, (downstream,), lsp_id=lsp_id)))
+        want_ftn[name][fec] = Nhlfe(out_ifname, (downstream,), lsp_id=lsp_id)
         result.ftn_entries += 1
     return bindings

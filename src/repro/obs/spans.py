@@ -15,8 +15,7 @@ chain** per failure event:
     link.down  A<->B                       (root — opens the trace)
     ├─ frr.repair                          (if a bypass PLR fired)
     ├─ spf.reconverge   domain=core        (edge diff → batched installs)
-    ├─ ldp.reset                           (label state flushed)
-    ├─ ldp.converge     lfib=… ftn=…       (batched label installs)
+    ├─ ldp.converge     lfib=… withdrawn=… (label state follows the IGP)
     └─ heal.first_packet  watch=…          (first correctly-forwarded
                                             packet per watched VRF path)
 
@@ -179,7 +178,7 @@ class ConvergenceTracer:
 
     An ordinary subscriber to the network's trace bus: :meth:`attach`
     subscribes to the link-state and control-plane kinds the topology,
-    ``reconverge``, ``reset_ldp``, ``run_ldp`` and FRR publish (see
+    ``reconverge``, ``run_ldp`` and FRR publish (see
     :data:`repro.sim.trace.KINDS`), and :meth:`detach` removes exactly
     those subscriptions.  Any number of tracers may listen to one network.
     A network nobody traces pays one dict lookup per control-plane event
@@ -209,7 +208,6 @@ class ConvergenceTracer:
             ("link.up", self._on_link_state),
             ("frr.repair", self.on_frr_repair),
             ("spf.reconverge", self.on_reconverge),
-            ("ldp.reset", self.on_ldp_reset),
             ("ldp.converge", self.on_ldp_converged),
         )
         for kind, fn in self._subs:
@@ -312,15 +310,12 @@ class ConvergenceTracer:
              "wall_ms": round(rec.wall_s * 1e3, 3)},
         )
 
-    def on_ldp_reset(self, rec: TraceRecord) -> None:
-        self._child(rec, "ldp", {"removed": rec.removed})
-
     def on_ldp_converged(self, rec: TraceRecord) -> None:
         self._child(
             rec, "ldp",
             {"sessions": rec.sessions, "lfib_entries": rec.lfib_entries,
              "ftn_entries": rec.ftn_entries, "fecs": rec.fecs,
-             "wall_ms": round(rec.wall_s * 1e3, 3)},
+             "withdrawn": rec.withdrawn, "wall_ms": round(rec.wall_s * 1e3, 3)},
         )
 
     def on_frr_repair(self, rec: TraceRecord) -> None:
@@ -359,7 +354,7 @@ class ConvergenceTracer:
         the latest watched first-healed-packet.  Either is ``None`` when
         the trace saw no such span.
         """
-        cp_kinds = {"spf.reconverge", "ldp.reset", "ldp.converge", "frr.repair"}
+        cp_kinds = {"spf.reconverge", "ldp.converge", "frr.repair"}
         traces: list[dict[str, Any]] = []
         by_trace: dict[str, list[Span]] = {}
         for span in self.spans:

@@ -28,8 +28,8 @@ KINDS = (
     "frr.repair",      # link=(a, b), repaired
     "frr.restore",     # link=(a, b), restored
     "spf.reconverge",  # domain, installs, wall_s
-    "ldp.reset",       # removed
-    "ldp.converge",    # sessions, mapping_messages, lfib_entries, ftn_entries, fecs, wall_s
+    "ldp.converge",    # sessions, mapping_messages, lfib_entries, ftn_entries, fecs,
+                       # withdrawn, wall_s
     "te.lsp_up",       # name, path, bandwidth_bps, php, scheduling_class
     "te.lsp_down",     # name
 )

@@ -29,7 +29,7 @@ def test_igp_flap_produces_complete_causal_chain():
     result = igp_flap()
     spans = result["spans"]
     by_kind = {s.kind: s for s in spans}
-    assert {"link.down", "spf.reconverge", "ldp.reset", "ldp.converge",
+    assert {"link.down", "spf.reconverge", "ldp.converge",
             "heal.first_packet"} <= set(by_kind)
 
     down = by_kind["link.down"]
@@ -154,7 +154,7 @@ def test_two_tracers_on_one_network_both_see_the_chain():
         tracers = (session.tracer, result["tracer"])
         for tracer in tracers:
             kinds = {s.kind for s in tracer.spans}
-            assert {"link.down", "spf.reconverge", "ldp.reset", "ldp.converge"} <= kinds
+            assert {"link.down", "spf.reconverge", "ldp.converge"} <= kinds
             (trace,) = tracer.summary()["traces"]
             assert trace["cp_healing_s"] == pytest.approx(1.0)
 

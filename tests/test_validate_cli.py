@@ -203,6 +203,72 @@ class TestValidate:
         assert [f.message.split(":")[0] for f in found] == ["Adj-RIB-Out of E2/w", "RT index"]
         assert audit(net) == audit(net, None)   # no engine, no engine findings
 
+    def test_ldp_entry_off_the_igp_next_hop_flagged(self):
+        net, nodes = provisioned_network()
+        p1 = nodes["P1"]
+        label, entry = next((label, e) for label, e in p1.lfib.entries().items()
+                            if e.op is LabelOp.POP)
+        other = next(name for name in p1.interfaces if name != entry.out_ifname)
+        p1.lfib.install(label, LfibEntry(LabelOp.POP, out_ifname=other, lsp_id=entry.lsp_id))
+        fec = entry.lsp_id[4:]
+        found = [f for f in audit(net) if f.check == "ldp"]
+        assert [(f.severity, f.node, f.message) for f in found] == [(
+            "error", "P1", f"LDP label {label} for {fec} leaves on {other!r}, "
+                           f"which the FIB route for {fec} does not use")]
+
+    def test_ldp_swap_to_a_label_the_next_hop_does_not_hold_flagged(self):
+        net, nodes = provisioned_network()
+        node, label, entry = next(
+            (node, label, e) for node in nodes.values()
+            for label, e in node.lfib.entries().items() if e.op is LabelOp.SWAP)
+        node.lfib.install(label, LfibEntry(LabelOp.SWAP, out_label=9999,
+                                           out_ifname=entry.out_ifname, lsp_id=entry.lsp_id))
+        fec, peer = entry.lsp_id[4:], node.interfaces[entry.out_ifname].peer_node.name
+        found = [f for f in audit(net) if f.check == "ldp"]
+        assert [(f.severity, f.node, f.message) for f in found] == [(
+            "error", node.name, f"LDP label {label} for {fec} sends label 9999 to "
+                                f"{peer}, which does not hold it for {fec}")]
+
+    def test_ldp_entries_a_flap_moved_are_errors_until_ldp_follows(self):
+        """After ``reconverge`` alone, exactly the LDP entries that differ
+        from a fresh distribution on the flapped topology are reported; the
+        ``run_ldp`` pass after it leaves the audit clean."""
+        from repro.experiments.e1_scalability import mpls_base
+        from tests.reference.routing import converge_reference, run_ldp_reference
+
+        net = mpls_base(40)["net"]
+        fresh = Network(seed=13)
+        build_backbone(fresh, node_factory=lambda n, name: n.add_node(
+            (PeRouter if name.startswith("E") else Lsr)(n.sim, name)))
+        for graph in (net, fresh):
+            graph.link_between("P1", "P2").set_up(False)
+        converge_reference(fresh)
+        run_ldp_reference(fresh)
+        reconverge(net)
+
+        def ldp_hops(graph):
+            """(node, what, FEC) -> out interface of every LDP SWAP / POP / FTN entry."""
+            hops = {}
+            for node in graph.nodes.values():
+                if isinstance(node, Lsr) and node.domain == "core":
+                    for label, e in node.lfib.entries().items():
+                        if e.op in (LabelOp.SWAP, LabelOp.POP):
+                            hops[node.name, f"LDP label {label}", e.lsp_id[4:]] = e.out_ifname
+                    for prefix, n in node.ftn.entries().items():
+                        hops[node.name, "LDP FTN", str(prefix)] = n.out_ifname
+            return hops
+
+        # Label values differ between the two nets; the FEC and hop do not.
+        want = {(node, fec): out for (node, _what, fec), out in ldp_hops(fresh).items()}
+        stale = {(node, f"{what} for {fec}") for (node, what, fec), out in ldp_hops(net).items()
+                 if want.get((node, fec)) != out}
+        found = [f for f in audit(net) if f.severity == "error"]
+        assert {f.check for f in found} == {"ldp"}
+        assert {(f.node, f.message.split(" leaves on ")[0]) for f in found} == stale
+        assert len(stale) == 20
+        run_ldp(net)
+        assert [f for f in audit(net) if f.severity == "error"] == []
+
     def test_finding_str(self):
         f = Finding("error", "c1", "r1", "boom")
         assert str(f) == "[error] r1: boom"

@@ -11,7 +11,6 @@ from repro.mpls import (
     FastReroute,
     Lsr,
     TrafficEngineering,
-    reset_ldp,
     run_ldp,
 )
 from repro.net.address import Prefix
@@ -52,12 +51,11 @@ class TestVpnIgpRecovery:
 
         def fail_and_recover():
             net.link_between("pe1", "p-up").set_up(False)
-            # Reconvergence after 0.5 s: IGP + fresh LDP bindings.  The BGP
+            # Reconvergence after 0.5 s: IGP, then LDP follows it.  The BGP
             # routes (PE loopback next hops) are untouched — only the
             # transport tunnel moves, which is the VPN layering working.
             def recover():
                 reconverge(net)
-                reset_ldp(net)
                 run_ldp(net)
             net.sim.schedule(0.5, recover)
         net.sim.schedule(2.0, fail_and_recover)
@@ -77,7 +75,6 @@ class TestVpnIgpRecovery:
         before = dict(s1.pe.vrfs["c"].routes())
         net.link_between("pe1", "p-up").set_up(False)
         reconverge(net)
-        reset_ldp(net)
         run_ldp(net)
         assert dict(s1.pe.vrfs["c"].routes()) == before
 
@@ -115,6 +112,38 @@ class TestVpnFrrRecovery:
         # At most the packets in flight on the cut link are lost.
         assert src.sent - rec.count <= 2
 
+    def test_ldp_following_the_igp_leaves_the_autoroute_binding(self):
+        """The trunk's FTN slot is TE's: the LDP pass after the IGP moves
+        rewrites only LDP's own entries, so the VPN stays on its protected
+        tunnel — and an LSP torn down leaves the slot to LDP again."""
+        net, prov, s1, s2 = diamond_vpn()
+        run_ldp(net)
+        te = TrafficEngineering(net)
+        lsp = te.signal("t", ["pe1", "p-up", "pe2"], 1e6, php=False)
+        fec = Prefix.of(s2.pe.loopback, 32)
+        te.autoroute(lsp, [fec])
+        prov.converge_bgp()
+        frr = FastReroute(te)
+        frr.protect_lsp(lsp)
+        net.link_between("p-up", "pe2").set_up(False)
+        frr.trigger_link_failure("p-up", "pe2")
+        reconverge(net)
+        run_ldp(net)
+        assert s1.pe.ftn.lookup(fec).lsp_id == "t"
+
+        h1, h2 = s1.hosts[0], s2.hosts[0]
+        got = []
+        h2.add_local_sink(got.append)
+        net.sim.schedule(0.0, lambda: h1.send(
+            Packet(ip=IPHeader(h1.loopback, h2.loopback), payload_bytes=60)))
+        net.run(until=1.0)
+        assert len(got) == 1
+        assert net.node("p-up").lfib.lookups >= 1   # rode the tunnel's bypass
+
+        te.teardown("t")
+        run_ldp(net)
+        assert s1.pe.ftn.lookup(fec).lsp_id == f"ldp:{fec}"
+
     def test_bypass_keeps_vpn_label_stack_intact(self):
         """During repair the packet carries 3 labels (bypass over tunnel
         over VPN) and still lands in the right VRF."""
@@ -122,7 +151,6 @@ class TestVpnFrrRecovery:
         te = TrafficEngineering(net)
         run_ldp(net)   # reverse direction via LDP is fine
         lsp = te.signal("t", ["pe1", "p-up", "pe2"], 1e6, php=False)
-        # Autoroute after LDP so the TE binding wins the FTN for pe2.
         te.autoroute(lsp, [Prefix.of(s2.pe.loopback, 32)])
         prov.converge_bgp()
         frr = FastReroute(te)
