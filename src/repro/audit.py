@@ -33,6 +33,9 @@
   hashes and compares like the ``Prefix`` it spells, so a key that lost its
   type in a restore (or was written around the constructors) answers
   lookups and fails only where the type is read.
+* ``importers`` (error, given ``bgp=``): the engine's RT -> importing-VRF
+  index (if built: never here) lists a VRF its PE dropped or that does not
+  import the RT, or misses one with a sync record (a hand policy, till converge).
 
 The auditor only reads.  It looks nothing up, probes no cache and moves no
 counter, so it may run on the live graph the warm-start sweep shares.
@@ -78,7 +81,7 @@ class Finding:
 
 
 def audit(net: "Network", bgp: "MpBgp | None" = None) -> list[Finding]:
-    """Run every rule on every node, and the ``keys`` rule on ``bgp`` when
+    """Run every rule on every node, and the engine rules on ``bgp`` when
     the network's MP-BGP engine is given; see module docstring.  Sorted by
     severity, then by node, in emission order within one node."""
     seen: dict = {}  # (provider domain, address) -> first router holding it
@@ -137,6 +140,22 @@ def _engine_keys(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
     for rt, by_prefix in bgp._rt_index.items():
         for severity, check, message in _bad_keys(f"RT index {rt}", by_prefix, Prefix):
             yield severity, check, "mp-bgp", message
+    yield from _engine_importers(bgp)
+
+
+def _engine_importers(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
+    """The ``importers`` rule; an index not built yet has nothing to check."""
+    index, bad = bgp._importers, ("error", "importers", "mp-bgp")
+    if index is None:
+        return
+    for rt, entries in index.items():
+        for (pe, name), vrf in entries.items():
+            if bgp._pe_by_name[pe].vrfs.get(name) is not vrf or rt not in vrf.import_rts:
+                yield *bad, f"importers of {rt} list {pe}/{name}, not a VRF of {pe} importing it"
+    for (pe, name), (vrf, *_) in bgp._synced.items():
+        for rt in vrf.import_rts:
+            if index.get(rt, {}).get((pe, name)) is not vrf:
+                yield *bad, f"importers of {rt} miss {pe}/{name}, which imports it"
 
 
 def _label_state(node: Lsr) -> _Rule:

@@ -203,6 +203,10 @@ class MpBgp:
         # drops the record of what it retracted from, and so does an import
         # re-examination that passes over a local not yet advertised.
         self._synced: dict[tuple[str, str], tuple] = {}
+        # Importer index RT -> (pe, vrf) -> Vrf (RFC 4684's RT constraint) and
+        # each key's RTs: built by :meth:`importers`, kept by :meth:`_file`.
+        self._importers: dict[RouteTarget, dict[tuple[str, str], Vrf]] | None = None
+        self._importer_rts: dict[tuple[str, str], frozenset[RouteTarget]] = {}
         self._down: set[str] = set()
         self._sessions_counted = False
         # Per-origin fan-out (receivers, sent, suppressed), memoized until
@@ -216,6 +220,7 @@ class MpBgp:
     # so the next converge() re-reads that VRF.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
+        del state["_importers"], state["_importer_rts"]
         state["_synced"] = {
             key: (seen[0], seen[1], *seen[3:]) for key, seen in self._synced.items()
         }
@@ -226,6 +231,7 @@ class MpBgp:
         self._synced = {
             key: (seen[0], seen[1], 0, *seen[2:]) for key, seen in self._synced.items()
         }
+        self._importers, self._importer_rts = None, {}
 
     # ------------------------------------------------------------------
     # Topology census
@@ -425,7 +431,37 @@ class MpBgp:
             self._unindex(key, route)
         self._imported.pop(key, None)
         self._synced.pop(key, None)
+        self._file(key, None)
         return routes
+
+    def importers(self) -> dict[RouteTarget, dict[tuple[str, str], Vrf]]:
+        """The importer index; a new or restored engine builds it here."""
+        if self._importers is None:
+            self._importers, self._importer_rts = {}, {}
+            for pe in self.pes:
+                for vrf in pe.vrfs.values():
+                    self._file((pe.name, vrf.name), vrf)
+        return self._importers
+
+    def _file(self, key: tuple[str, str], vrf: Vrf | None) -> None:
+        """Re-file ``key`` under ``vrf``'s :meth:`_policy` (``None``: out)."""
+        index = self._importers
+        if index is None:
+            return
+        for rt in self._importer_rts.pop(key, ()):
+            del index[rt][key]
+            if not index[rt]:
+                del index[rt]
+        if vrf is not None:
+            rts = self._importer_rts[key] = self._policy(key, vrf)
+            for rt in rts:
+                index.setdefault(rt, {})[key] = vrf
+
+    def _policy(self, key: tuple[str, str], vrf: Vrf) -> frozenset[RouteTarget]:
+        """Import RTs the engine acts on: its record's, so a policy assigned
+        by hand (or put back) waits for converge(); else the VRF's own."""
+        seen = self._synced.get(key)
+        return seen[5] if seen is not None and seen[0] is vrf else vrf.import_rts
 
     # ------------------------------------------------------------------
     # Import side
@@ -452,19 +488,22 @@ class MpBgp:
         names = list(self._pe_by_name[origin].vrfs)
         return self._pe_pos[origin], names.index(vrf_name) if vrf_name in names else -1
 
-    def _desired_imports(self, pe: PeRouter, vrf: Vrf) -> dict[Prefix, VpnRoute]:
-        if not vrf.import_rts:
-            return {}
+    def _offers(self, rts: frozenset[RouteTarget], prefixes: set[Prefix] | None = None) -> dict:
+        """Prefix -> origins under ``rts`` (of ``prefixes`` only, if given):
+        one RT reads the RT index's own dict, several merge a copy."""
+        if len(rts) == 1:
+            (rt,) = rts
+            return self._rt_index.get(rt, {})
         merged: dict[Prefix, dict[tuple[str, str], VpnRoute]] = {}
-        for rt in vrf.import_rts:
-            for prefix, origins in self._rt_index.get(rt, {}).items():
-                merged.setdefault(prefix, {}).update(origins)
-        desired: dict[Prefix, VpnRoute] = {}
-        for prefix, candidates in merged.items():
-            winner = self._pick_winner(pe.name, candidates)
-            if winner is not None:
-                desired[prefix] = winner
-        return desired
+        for rt in rts:
+            by_prefix = self._rt_index.get(rt, {})
+            for prefix in by_prefix.keys() if prefixes is None else by_prefix.keys() & prefixes:
+                merged.setdefault(prefix, {}).update(by_prefix[prefix])
+        return merged
+
+    def _desired_imports(self, pe: PeRouter, rts: frozenset[RouteTarget]) -> dict[Prefix, VpnRoute]:
+        return {p: won for p, origins in self._offers(rts).items()
+                if (won := self._pick_winner(pe.name, origins)) is not None}
 
     @staticmethod
     def _state_of(pe: PeRouter, vrf: Vrf) -> tuple:
@@ -492,11 +531,10 @@ class MpBgp:
             # A del may be a bookkeeping-only drop: a prefix the VRF now
             # holds as a *local* route (locals are preferred over BGP —
             # never overwritten, so never removed here either).
-            doomed = [p for p in dels if vrf.kind_of(p) == "remote"]
-            vrf.remove_many(doomed)
+            local = vrf.local_routes()
+            result.routes_removed += vrf.remove_many([p for p in dels if p not in local])
             for prefix in dels:
                 current.pop(prefix, None)
-            result.routes_removed += len(doomed)
         if adds:
             remote = self._remote
             items: list[tuple[Prefix, VrfRoute]] = []
@@ -541,74 +579,58 @@ class MpBgp:
         self,
         changed: Sequence[VpnRoute],
         result: BgpResult,
-        origin: Vrf | None = None,
+        origin: tuple[str, Vrf] | None = None,
         skip: frozenset[Vrf] = frozenset(),
     ) -> None:
-        """Targeted import recompute: only VRFs whose import policy
-        intersects the changed routes, only the changed prefixes.
-
-        ``origin`` is the VRF whose own locals changed (``export_delta``).
-        It is re-examined on every changed prefix whatever it imports: a
-        hub-and-spoke spoke VRF exports ``rt_spoke`` and imports ``rt_hub``,
-        so its policy never matches its own routes, yet a local it gained
-        shadows an import and a local it lost uncovers one.  ``skip`` names
-        the VRFs the caller syncs wholesale itself (``converge``).
-        """
+        """Targeted import recompute: only the VRFs filed under a changed
+        route's RT (:meth:`importers`), only the changed prefixes.  ``origin``,
+        ``(pe name, VRF)`` of ``export_delta``, is re-examined on every changed
+        prefix whatever it imports (a hub-and-spoke spoke imports ``rt_hub``
+        only, yet a local it gains shadows an import and one it loses uncovers
+        one).  ``skip``: VRFs the caller syncs itself."""
         if not changed:
             return
         prefixes_by_rt: dict[RouteTarget, set[Prefix]] = {}
         for route in changed:
             for rt in route.route_targets:
                 prefixes_by_rt.setdefault(rt, set()).add(route.prefix)
-        changed_rts = frozenset(prefixes_by_rt)
-        for pe in self.pes:
-            if pe.name in self._down:
-                continue
-            for vrf in pe.vrfs.values():
-                if vrf is origin:
-                    prefixes = {route.prefix for route in changed}
-                elif vrf in skip:
+        visits: dict[tuple[str, str], tuple[Vrf, set[Prefix]]] = {}
+        if origin is not None:
+            visits[origin[0], origin[1].name] = (origin[1], {r.prefix for r in changed})
+        index, pes, down = self.importers(), self._pe_by_name, self._down
+        for rt, prefixes in prefixes_by_rt.items():
+            for key, vrf in index.get(rt, {}).items():
+                if key[0] in down or vrf in skip or pes[key[0]].vrfs.get(key[1]) is not vrf:
+                    continue        # drained, synced by the caller, or stale
+                seen = visits.get(key)
+                visits[key] = (vrf, prefixes if seen is None else seen[1] | prefixes)
+        for key, (vrf, prefixes) in visits.items():
+            current = self._imported.get(key, {})
+            local = vrf.local_routes()
+            exported = self._rib.get(key, ())
+            offers = self._offers(self._policy(key, vrf), prefixes)
+            adds: list[tuple[Prefix, VpnRoute]] = []
+            dels: list[Prefix] = []
+            for prefix in sorted(prefixes):
+                if prefix in local:
+                    # Locals are preferred over any import; drop stale
+                    # bookkeeping but leave the VRF entry alone.
+                    if prefix in current:
+                        dels.append(prefix)
+                    if prefix not in exported:
+                        # A local the Adj-RIB-Out has not seen: if it goes
+                        # before it is advertised, no delta re-examines this
+                        # prefix, so the record can no longer vouch for it.
+                        self._synced.pop(key, None)
                     continue
-                elif vrf.import_rts.isdisjoint(changed_rts):
-                    # Set against set: both sides' stored hashes, no
-                    # re-hash of every changed RT per VRF provisioned.
-                    continue
-                else:
-                    prefixes = set()
-                    for rt in vrf.import_rts & changed_rts:
-                        prefixes |= prefixes_by_rt[rt]
-                key = (pe.name, vrf.name)
-                current = self._imported.get(key, {})
-                local = vrf.local_routes()
-                exported = self._rib.get(key, ())
-                adds: list[tuple[Prefix, VpnRoute]] = []
-                dels: list[Prefix] = []
-                for prefix in sorted(prefixes):
-                    if prefix in local:
-                        # Locals are preferred over any import; drop stale
-                        # bookkeeping but leave the VRF entry alone.
-                        if prefix in current:
-                            dels.append(prefix)
-                        if prefix not in exported:
-                            # A local the Adj-RIB-Out has not seen: if it
-                            # goes before it is advertised, no delta will
-                            # re-examine this prefix, so the record can no
-                            # longer vouch for the VRF.
-                            self._synced.pop(key, None)
-                        continue
-                    candidates: dict[tuple[str, str], VpnRoute] = {}
-                    for rt in vrf.import_rts:
-                        candidates.update(
-                            self._rt_index.get(rt, {}).get(prefix, {})
-                        )
-                    winner = self._pick_winner(pe.name, candidates)
-                    have = current.get(prefix)
-                    if winner is None:
-                        if have is not None:
-                            dels.append(prefix)
-                    elif have != winner:
-                        adds.append((prefix, winner))
-                self._apply_import_changes(vrf, key, adds, dels, result)
+                winner = self._pick_winner(key[0], offers.get(prefix, {}))
+                have = current.get(prefix)
+                if winner is None:
+                    if have is not None:
+                        dels.append(prefix)
+                elif have != winner:
+                    adds.append((prefix, winner))
+            self._apply_import_changes(vrf, key, adds, dels, result)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -656,8 +678,9 @@ class MpBgp:
                 skip=frozenset(vrf for _, vrf in moved),
             )
         for pe, vrf in moved:
-            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf), result)
+            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf.import_rts), result)
             synced[pe.name, vrf.name] = self._state_of(pe, vrf)
+            self._file((pe.name, vrf.name), vrf)
         self.net.counters.incr("bgp.updates", result.updates_sent)
         self.net.counters.incr("bgp.routes_imported", result.routes_imported)
         if result.routes_removed:
@@ -700,11 +723,12 @@ class MpBgp:
         result.routes_exported = len(advertised)
         result.routes_withdrawn = len(withdrawn)
         self._count_updates(advertised, withdrawn, result)
-        self._resync_imports_for(advertised + withdrawn, result, origin=vrf)
+        self._resync_imports_for(advertised + withdrawn, result, origin=(pe.name, vrf))
         if fresh:
             # First sync for this VRF: route-refresh its imports so it
             # catches up on NLRI advertised before it existed.
-            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf), result)
+            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf.import_rts), result)
+            self._file(key, vrf)
         if fresh or local_only:
             self._synced[key] = self._state_of(pe, vrf)
         self._tally(result)
@@ -743,6 +767,8 @@ class MpBgp:
                 # The locals are still there: the Adj-RIB no longer holds
                 # what the record says, so the next converge() re-reads.
                 self._synced.pop(key, None)
+        if pe.name in self._down:
+            return result   # its peers dropped these at peer_down: nobody to tell
         result.routes_withdrawn = len(withdrawn)
         self._count_updates((), withdrawn, result)
         self._resync_imports_for(withdrawn, result)
@@ -758,6 +784,7 @@ class MpBgp:
         self._rib.pop(key, None)
         self._imported.pop(key, None)
         self._synced.pop(key, None)
+        self._file(key, None)
 
     def peer_down(self, pe: PeRouter | str) -> BgpResult:
         """PE maintenance drain: sessions to ``pe`` go down, its routes
@@ -831,7 +858,9 @@ class MpBgp:
         )
         result.updates_sent += refresh
         for vrf in node.vrfs.values():
-            self._sync_vrf_imports(node, vrf, self._desired_imports(node, vrf), result)
+            rts = self._policy((name, vrf.name), vrf)
+            self._sync_vrf_imports(node, vrf, self._desired_imports(node, rts), result)
+            self._file((name, vrf.name), vrf)
         self._tally(result)
         return result
 

@@ -9,6 +9,7 @@ from repro.routing import converge
 from repro.topology import Network
 from repro.vpn import MpBgp, PeRouter, VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, VpnPrefix
+from tests.test_churn_budget import _converged
 from tests.test_churn_incremental import _oracle_snapshot, _vrf_snapshot
 
 
@@ -217,6 +218,51 @@ class TestExportDeltaArguments:
             engine.export_delta(pes[0], vrf)
         assert str(err.value).startswith("vrf: ")
         assert self._state(prov, engine) == before
+
+
+class TestWithdrawBehindADrain:
+    """A drained PE's peers flushed its routes at ``peer_down``, so taking
+    them out of its Adj-RIB afterwards tells nobody anything: no UPDATE, no
+    import re-examination (it used to charge the fan-out over the sessions
+    that were down: 14 UPDATEs for ``small0``'s two routes on pe0)."""
+
+    @staticmethod
+    def _drained():
+        prov, pes = _converged(2, big_sites=16)
+        solo = prov.create_vpn("solo")
+        for _ in range(2):
+            prov.add_site(solo, pes[0], num_hosts=0)
+        prov.converge_bgp()
+        prov.drain_pe(pes[0])
+        return prov, pes, prov.bgp_engine()
+
+    @staticmethod
+    def _tables(prov):
+        return (
+            prov.net.counters["bgp.updates"],
+            {(pe.name, v.name): (v.routes(), v.generation)
+             for pe in prov.pes() for v in pe.vrfs.values()},
+        )
+
+    def test_withdraw_on_a_drained_pe_sends_nothing(self):
+        prov, pes, engine = self._drained()
+        before = self._tables(prov)
+        result = engine.withdraw(pes[0], vrf="small0")
+        assert (result.updates_sent, result.routes_withdrawn, result.routes_removed) == (0, 0, 0)
+        assert ("pe0", "small0") not in engine._rib
+        assert self._tables(prov) == before
+        # The locals are still there: the return re-advertises them.
+        prov.restore_pe(pes[0])
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+    def test_removing_a_vpn_behind_a_drain_sends_nothing(self):
+        prov, pes, engine = self._drained()
+        before = self._tables(prov)
+        prov.remove_vpn("solo")
+        updates, tables = before
+        del tables["pe0", "solo"]
+        assert self._tables(prov) == (updates, tables)
+        assert not [key for key in (*engine._rib, *engine._synced) if key[1] == "solo"]
 
 
 class TestVpnConservationUnderLoad:

@@ -7,7 +7,8 @@ spoke duplicating a route its VRF imports), whole VPNs provisioned and
 torn down, PEs drained and restored (sites removed behind them while they
 are away), a bare resync in between, a wave of sites provisioned with no
 delta and picked up by the next resync, and state moved behind the
-engine's back (an import policy assigned, an imported route withdrawn by
+engine's back (an import policy assigned, with deltas under the old one
+before the resync that reads it or none, an imported route withdrawn by
 hand, a VRF deleted and re-created under its name, a local added or
 withdrawn by hand with or without a delta after it), advertisements
 retracted while the locals stay — the
@@ -376,6 +377,88 @@ class TestChurnDeterministic:
         assert here.kind_of(prefix) == "remote"
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
 
+    def test_a_vrf_first_seen_by_a_delta_hears_the_next_delta(self):
+        """A delta visits only the VRFs the importer index holds: a VRF the
+        engine first met in ``export_delta`` must be in it, though the index
+        was built before the VRF existed."""
+        net, pes, prov = _world(3)
+        engine = prov.bgp_engine()
+        engine.importers()      # built, as any delta before this one would
+        x = prov.create_vpn("x")
+        prov.add_site(x, pes[0], num_hosts=0)
+        engine.export_delta(pes[0], pes[0].vrfs["x"])
+        site = prov.add_site(x, pes[1], num_hosts=0)
+        assert engine.export_delta(pes[1], pes[1].vrfs["x"]).routes_imported == 4
+        assert pes[0].vrfs["x"].kind_of(site.prefix) == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+    def test_a_delta_skips_a_vrf_its_pe_no_longer_holds(self):
+        """An index entry whose PE dropped that Vrf (deleted by hand, with no
+        resync yet) is passed over: the delta writes to no table nobody
+        holds, and counts only the imports of the VRFs in service."""
+        net, pes, prov = _world(4)
+        engine = prov.bgp_engine()
+        corp = prov.vpns["corp"]
+        prov.remove_site(next(s for s in corp.sites if s.pe is pes[1]))
+        gone = pes[1].remove_vrf("corp")
+        generation = gone.generation
+        prov.add_site(corp, pes[2], num_hosts=0)
+        # Two routes (the site /24 and its access /30) into pe0's and pe3's.
+        assert engine.export_delta(pes[2], pes[2].vrfs["corp"]).routes_imported == 4
+        assert gone.generation == generation
+        prov.converge_bgp()
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+    def test_a_vrf_recreated_behind_a_drain_hears_deltas_after_the_return(self):
+        """The index a delta built before a drain files the VRF the drained
+        PE held then; one re-created there by hand while it was away is
+        reached by the deltas after ``peer_up``, not passed over as stale."""
+        net, pes, prov = _world(4)
+        engine = prov.bgp_engine()
+        x = prov.create_vpn("x")
+        gone = prov.add_site(x, pes[1], num_hosts=0)
+        prov.add_site(x, pes[2], num_hosts=0)
+        prov.converge_bgp()
+        prov.remove_site(gone)          # its delta builds the index
+        assert engine._importers is not None
+        prov.drain_pe(pes[1])
+        old = pes[1].remove_vrf("x")
+        pes[1].add_vrf("x", old.rd, old.import_rts, old.export_rts)
+        prov.restore_pe(pes[1])
+        site = prov.add_site(x, pes[2], num_hosts=0)
+        engine.export_delta(pes[2], pes[2].vrfs["x"])
+        assert pes[1].vrfs["x"].kind_of(site.prefix) == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+    def test_a_policy_put_back_before_the_converge_leaves_no_gap(self):
+        """Deltas act on the import policy the engine last read: a VRF whose
+        RT is taken out by hand and put back before any converge() still
+        hears the deltas in between (that converge sees no change)."""
+        net, pes, prov = _world(4)
+        engine = prov.bgp_engine()
+        here = pes[0].vrfs["corp"]
+        read = here.import_rts
+        here.import_rts = frozenset()
+        site = prov.add_site(prov.vpns["corp"], pes[1], num_hosts=0)
+        engine.export_delta(pes[1], pes[1].vrfs["corp"])
+        here.import_rts = read
+        prov.converge_bgp()
+        assert here.kind_of(site.prefix) == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+    def test_a_policy_put_back_across_a_drain_leaves_no_gap(self):
+        """``peer_up`` refreshes the returning PE's VRFs under the policy the
+        engine last read, not one assigned by hand while it was away."""
+        net, pes, prov = _world(4)
+        here = pes[0].vrfs["corp"]
+        read = here.import_rts
+        prov.drain_pe(pes[0])
+        here.import_rts = frozenset()
+        prov.restore_pe(pes[0])
+        here.import_rts = read
+        prov.converge_bgp()
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
     def test_forget_vrf_requires_withdraw_first(self):
         net, pes, prov = _world(2)
         with pytest.raises(ValueError, match="withdraw first"):
@@ -501,22 +584,31 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
     elif kind == "rts=":
         # A direct policy assignment: toggle another VPN's RT in or out of
         # one VRF's import set (an extranet import on overlapping plans).
+        # The next converge() reads it — this one, or one after whatever
+        # deltas the ops that follow run against the old policy.
         vrfs = [vrf for pe in pes for vrf in pe.vrfs.values()]
         vrf = vrfs[a % len(vrfs)]
         vrf.import_rts = vrf.import_rts ^ {vpns[b % len(vpns)].rt}
-        prov.converge_bgp()
+        if (a + b) % 2:
+            prov.converge_bgp()
+        else:
+            state["unsynced"] = True
     elif kind == "hand-":
-        # An imported route withdrawn by hand; the resync puts it back.
+        # An imported route withdrawn by hand; the resync puts it back —
+        # unless a policy assigned by hand and read by that resync no
+        # longer imports the route's RT.
         holders = [
-            (vrf, p) for pe in up_pes for vrf in pe.vrfs.values()
+            (pe, vrf, p) for pe in up_pes for vrf in pe.vrfs.values()
             for p, r in sorted(vrf.routes().items()) if r.kind == "remote"
         ]
         if not holders:
             return
-        vrf, prefix = holders[a % len(holders)]
+        pe, vrf, prefix = holders[a % len(holders)]
+        route = engine._imported.get((pe.name, vrf.name), {}).get(prefix)
         assert vrf.withdraw(prefix)
         prov.converge_bgp()
-        assert vrf.kind_of(prefix) == "remote"
+        if route is None or not route.route_targets.isdisjoint(vrf.import_rts):
+            assert vrf.kind_of(prefix) == "remote"
     elif kind == "vrf-readd":
         # A VRF deleted and re-created under its name behind the engine's
         # back (legal once its last circuit is gone): a new, empty table.
@@ -562,7 +654,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         if (a + b) % 2:
             engine.export_delta(pe, vrf)
         else:
-            state["unadvertised"] = True
+            state["unsynced"] = True
 
 
 class TestIncrementalMatchesFullConverge:
@@ -586,13 +678,14 @@ class TestIncrementalMatchesFullConverge:
         engine = prov.bgp_engine(rr_clusters=rr_clusters)
         anchors = {s.site_id for v in prov.vpns.values() for s in v.sites}
         drained: set[str] = set()
-        state = {"vpn_seq": 0, "unadvertised": False}
+        state = {"vpn_seq": 0, "unsynced": False}
         for op in ops:
             _apply_op(prov, pes, engine, anchors, drained, op, state)
             _resync_reaches_oracle(prov, drained, rr_clusters)
-        if state["unadvertised"]:
-            # A local added by hand with no delta after it: only a resync
-            # advertises it, so the Adj-RIB checks below follow one.
+        if state["unsynced"]:
+            # A local added by hand with no delta after it, or an import
+            # policy assigned with no resync after it: only a resync reads
+            # it, so the checks below follow one.
             prov.converge_bgp()
         # The Adj-RIB exactly mirrors what the PEs in session are exporting
         # (a drained PE's is brought up to date when it returns).

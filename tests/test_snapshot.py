@@ -423,6 +423,46 @@ def test_restored_vrfs_rebuild_their_locals_and_flap_like_the_live_ones() -> Non
     assert prov2.converge_bgp() == prov.converge_bgp()
 
 
+def test_importer_index_is_not_imaged_and_a_restored_engine_churns_like_the_live_one() -> None:
+    """The engine's RT -> importing-VRF index is derived from the PEs' VRFs:
+    the image leaves it out (its bytes are what they were before the index
+    existed), the restored engine rebuilds it on first use, and the next
+    flap, drain and wave then move the restored network exactly as they move
+    the live one."""
+    from tests.test_churn_budget import N_PES, _converged
+
+    prov, pes = _converged(20)
+    _flap(prov, 0)
+    prov.drain_pe(pes[3])
+    prov.restore_pe(pes[3])
+    assert prov.bgp_engine()._importers is not None     # built by the flap
+    blob = snapshot_network(prov.net, {"prov": prov})
+    assert b"_importers" not in blob
+    _, extras = restore_network(blob)
+    prov2 = extras["prov"]
+    assert prov2.bgp_engine()._importers is None
+
+    def churn(p: VpnProvisioner):
+        nodes = [p.net.nodes[f"pe{i}"] for i in range(N_PES)]
+        flap = _flap(p, 7)
+        p.drain_pe(nodes[5])
+        p.restore_pe(nodes[5])
+        wave = p.create_vpn("wave", supernet="172.16.0.0/12")
+        for pe in nodes:
+            p.add_site(wave, pe, num_hosts=0)
+        converged = p.converge_bgp()
+        p.remove_vpn("wave")
+        tables = {
+            (pe.name, vrf.name): (vrf.routes(), vrf.generation)
+            for pe in nodes for vrf in pe.vrfs.values()
+        }
+        return flap, converged, p.net.counters.snapshot(), tables
+
+    assert churn(prov2) == churn(prov)
+    index, index2 = prov.bgp_engine().importers(), prov2.bgp_engine().importers()
+    assert {rt: set(e) for rt, e in index2.items()} == {rt: set(e) for rt, e in index.items()}
+
+
 def test_vouched_for_garbage_is_still_a_snapshot_error() -> None:
     blob = snapshot_network(_small_net())
     with pytest.raises(SnapshotError, match="payload failed to load"):
