@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.net.empty import EMPTY_MAP
+
 __all__ = ["GenCache"]
 
 
@@ -47,6 +49,10 @@ class GenCache:
     flushes the whole cache, so a cache holds at most one entry per key
     looked up since the last table mutation.
 
+    The entries are the shared empty mapping until the first :meth:`put`
+    (and again after a flush): a cache nothing has been memoized in holds
+    no dict of its own.
+
     ``None`` is not a cacheable value — :meth:`get` returns ``None`` for
     a miss, so negative decisions must be encoded (the flow cache stores
     the tuple ``(None, None)`` for "no route") or simply left uncached.
@@ -62,7 +68,7 @@ class GenCache:
         self._secondary = secondary
         self._gen_p = primary.generation
         self._gen_s = secondary.generation if secondary is not None else 0
-        self._entries: dict[int, Any] = {}
+        self._entries: dict[int, Any] = EMPTY_MAP
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -74,7 +80,7 @@ class GenCache:
             self._secondary is not None
             and self._gen_s != self._secondary.generation
         ):
-            self._entries.clear()
+            self._entries = EMPTY_MAP
             self._gen_p = self._primary.generation
             if self._secondary is not None:
                 self._gen_s = self._secondary.generation
@@ -94,10 +100,13 @@ class GenCache:
         Callers must :meth:`get` first (the miss refreshes the captured
         generations), which the pipeline's lookup stages always do.
         """
-        self._entries[key] = value
+        entries = self._entries
+        if entries is EMPTY_MAP:
+            entries = self._entries = {}
+        entries[key] = value
 
     def sync(self) -> dict[int, Any]:
-        """Refresh the generation guard once and return the live entry dict.
+        """Refresh the generation guard once and return the live entries.
 
         The guard half of :meth:`get` without the probe: a stale cache is
         flushed (one invalidation) and no ``hits``/``misses`` move.  The
@@ -115,7 +124,7 @@ class GenCache:
             self._secondary is not None
             and self._gen_s != self._secondary.generation
         ):
-            self._entries.clear()
+            self._entries = EMPTY_MAP
             self._gen_p = self._primary.generation
             if self._secondary is not None:
                 self._gen_s = self._secondary.generation
@@ -125,7 +134,7 @@ class GenCache:
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Explicit flush (the generation guard makes this rarely needed)."""
-        self._entries.clear()
+        self._entries = EMPTY_MAP
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Any
 from repro.dataplane.caches import GenCache
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
+from repro.net.empty import EMPTY_MAP
 from repro.net.packet import MPLS_SHIM_BYTES, MplsEntry, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -131,7 +132,9 @@ class ForwardingPipeline:
         self.flow_cache = GenCache(fib)
         self.label_cache: GenCache | None = None
         self.tunnel_cache: GenCache | None = None
-        self.vrf_caches: dict[str, GenCache] = {}
+        # One lookup cache per VRF on a PE; the shared empty mapping until
+        # enable_vrf_demux, so a router that is not a PE holds no dict here.
+        self.vrf_caches: dict[str, GenCache] = EMPTY_MAP
 
     # ------------------------------------------------------------------
     # Stage composition
@@ -154,6 +157,7 @@ class ForwardingPipeline:
         self.vrf_of_circuit = vrf_of_circuit
         self.vrfs = vrfs
         self.tunnel_cache = GenCache(self.ftn)
+        self.vrf_caches = {}
 
     def stages(self) -> tuple[str, ...]:
         """The composed stage sequence (for conformance tests and docs)."""

@@ -35,6 +35,7 @@ class DropReason(Enum):
     LABELED_ON_CIRCUIT = "labeled_on_circuit"  # shim from a CE (RFC 4364 §13.1)
     # -- interface / queueing --------------------------------------------
     NO_IFACE = "no_iface"                  # transmit on a missing interface
+    LINK_DOWN = "link_down"                # serialized onto / cut by a down link
     QUEUE_TAIL = "queue_tail"              # buffer full (packet/byte cap)
     QUEUE_AQM = "queue_aqm"                # RED/WRED early drop
     CONDITIONER = "conditioner"            # policer / meter red action

@@ -54,11 +54,15 @@ class Link:
     The serialisation time lives in the sending :class:`Interface`; the link
     adds only propagation delay (so back-to-back packets can be "in flight"
     simultaneously, as on a real wire).
+
+    A link is imaged as the tuple of its slot values (see ``__getstate__``):
+    a network holds two per site, and an image that named every slot would
+    spend more on the names than on the values.
     """
 
     __slots__ = (
         "sim", "name", "dst_node", "dst_ifname", "delay_s", "_up", "_tx_event",
-        "on_state_change",
+        "on_state_change", "tx_iface",
     )
 
     def __init__(
@@ -83,6 +87,9 @@ class Link:
         # last; a link failure revokes it while the packet's tail has not
         # left the transmitter yet (see the ``up`` setter).
         self._tx_event = None
+        # The interface transmitting onto this link (``Interface.attach``
+        # wires it): a frame a failure cuts short is a drop at its node.
+        self.tx_iface: "Interface | None" = None
         # Link state is routing-topology state: the owning Network wires
         # this to its topology-generation bump so *any* ``link.up`` write —
         # not just DuplexLink.set_up — invalidates cached domain views.
@@ -90,6 +97,18 @@ class Link:
         # announce *which* link flipped (``link.down`` / ``link.up`` on its
         # trace bus), and every link of a network shares the one callable.
         self.on_state_change: Optional[Callable[["Link"], None]] = None
+
+    def __getstate__(self) -> tuple:
+        return (
+            self.sim, self.name, self.dst_node, self.dst_ifname, self.delay_s,
+            self._up, self._tx_event, self.on_state_change, self.tx_iface,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.sim, self.name, self.dst_node, self.dst_ifname, self.delay_s,
+            self._up, self._tx_event, self.on_state_change, self.tx_iface,
+        ) = state
 
     @property
     def up(self) -> bool:
@@ -103,14 +122,26 @@ class Link:
         if not changed:
             return
         if not value:
-            # Packets already propagating still arrive; the one being
-            # serialized is cut short and lost.  It is the one whose arrival
-            # lies more than a propagation delay ahead.
-            ev = self._tx_event
-            if ev is not None and self.sim.now + self.delay_s < ev.time:
-                ev.cancel()
+            pkt = self._cut()
+            if pkt is not None and self.tx_iface is not None:
+                self.tx_iface.node.drop(pkt, DropReason.LINK_DOWN)
         if self.on_state_change is not None:
             self.on_state_change(self)
+
+    def _cut(self) -> Optional[Packet]:
+        """Revoke the arrival of the frame still on the transmitter.
+
+        Packets already propagating still arrive; the one being serialized
+        is cut short and lost.  It is the one whose arrival lies more than a
+        propagation delay ahead.  Returns it (``None`` when there is none):
+        the caller counts the loss.
+        """
+        ev = self._tx_event
+        if ev is None or not self.sim.now + self.delay_s < ev.time:
+            return None
+        ev.cancel()
+        self._tx_event = None
+        return ev.args[0]
 
     def carry(self, pkt: Packet) -> None:
         """Propagate ``pkt`` to the far end (silently lost if link is down)."""
@@ -219,27 +250,28 @@ class Interface:
     def attach(self, link: Link, peer_node: "Node", peer_ifname: str) -> None:
         """Wire this interface to its outgoing simplex link."""
         self.link = link
+        link.tx_iface = self
         self.peer_node = peer_node
         self.peer_ifname = peer_ifname
 
     def detach(self) -> None:
         """Unwire this interface (:meth:`repro.topology.Network.disconnect`).
 
-        The link goes down first, which cuts the frame on the transmitter
-        short like any link failure does; here that frame is a counted
-        ``NO_IFACE`` drop at the owning node, and so is every packet still
-        queued behind it when the transmitter reaches it (see
-        :meth:`_transmit_next`) — nothing an unwire loses is lost silently.
+        The frame on the transmitter is cut short as a link failure would
+        cut it, and the link goes down; here that frame is a counted
+        ``NO_IFACE`` drop at the owning node (not ``LINK_DOWN``), and so is
+        every packet still queued behind it when the transmitter reaches it
+        (see :meth:`_transmit_next`) — nothing an unwire loses is lost
+        silently.
         """
         link = self.link
         if link is None:
             return
-        ev = link._tx_event
-        serializing = ev is not None and not ev.cancelled
+        cut = link._cut()
         link.up = False
         self.link = self.peer_node = self.peer_ifname = None
-        if serializing and ev.cancelled:
-            self.node.drop(ev.args[0], DropReason.NO_IFACE)
+        if cut is not None:
+            self.node.drop(cut, DropReason.NO_IFACE)
 
     def add_conditioner(self, fn: Conditioner) -> None:
         """Append an egress conditioner (classify/meter/mark/police stage)."""
@@ -480,6 +512,9 @@ class Interface:
             # Detached with this packet still queued: the same verdict
             # ``Node.transmit`` gives a packet that finds no interface.
             self.node.drop(pkt, DropReason.NO_IFACE)
+        else:
+            # Serialized onto a down link: lost on the wire, and counted.
+            self.node.drop(pkt, DropReason.LINK_DOWN)
         if backlog:
             self._busy = True
             sim.schedule_at(free_at, self._transmit_next)

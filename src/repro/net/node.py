@@ -13,11 +13,12 @@ forwarding-cost experiment (E3) turns them on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
+from repro.net.empty import EMPTY_MAP
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
@@ -64,14 +65,16 @@ class NodeStats:
     """Aggregate per-node counters.
 
     ``by_reason`` splits ``dropped_total`` by
-    :class:`~repro.net.drops.DropReason`, keyed by ``reason.value``.
+    :class:`~repro.net.drops.DropReason`, keyed by ``reason.value``: the
+    shared empty mapping until :meth:`Node.drop` counts the first drop, a
+    ``dict`` from then on.
     """
 
     rx_packets: int = 0
     forwarded: int = 0
     delivered: int = 0
     dropped_total: int = 0
-    by_reason: dict[str, int] = field(default_factory=dict)
+    by_reason: Mapping[str, int] = EMPTY_MAP
 
 
 class Node:
@@ -207,7 +210,10 @@ class Node:
         text = reason.value
         stats = self.stats
         stats.dropped_total += 1
-        stats.by_reason[text] = stats.by_reason.get(text, 0) + 1
+        counts = stats.by_reason
+        if counts is EMPTY_MAP:
+            counts = stats.by_reason = {}
+        counts[text] = counts.get(text, 0) + 1
         fl = self.trace.flight
         if fl is not None:
             fl.drop(self.sim.now, self.name, pkt, text)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.net.empty import EMPTY_MAP
 from repro.net.packet import Packet
 from repro.qos.meter import TokenBucket
 from repro.qos.queues import ClassifyFn, ClassQueue, DropCallback, QueueDiscipline
@@ -84,8 +85,9 @@ class CbqScheduler(QueueDiscipline):
             raise ValueError("need at least one CBQ class")
         self.cbq_classes = list(classes)
         self.classify = classify
-        # Round-robin pointer per priority level for fairness among equals.
-        self._rr_pointer: dict[int, int] = {}
+        # Round-robin pointer per priority level for fairness among equals;
+        # the shared empty mapping until the first dequeue writes one.
+        self._rr_pointer: dict[int, int] = EMPTY_MAP
         # Total backlog, maintained on push/pop so len() is O(1) — the
         # driving interface checks it every transmit cycle.
         self._count = 0
@@ -150,6 +152,8 @@ class CbqScheduler(QueueDiscipline):
         # Rotate candidates so the pointer advances fairly.
         ordered = sorted(candidates, key=lambda i: (i <= start, i))
         chosen = ordered[0]
+        if self._rr_pointer is EMPTY_MAP:
+            self._rr_pointer = {}
         self._rr_pointer[prio] = chosen
         return chosen
 

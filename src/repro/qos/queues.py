@@ -22,6 +22,15 @@ packet's wire size so MPLS shim and ESP overheads count against queues,
 exactly as they would on a real box; each call reads it once, off the
 packet's memo (``pkt._wire or pkt.wire_bytes`` — no property frame per
 queue operation).
+
+An idle discipline holds no packet store: each of its deques (a
+:class:`DropTailFifo`'s, each class's :class:`ClassQueue`, a
+:class:`FairQueueing` class's finish tags, the :class:`DeficitRoundRobin`
+active list, the shaper's FIFO) starts as :data:`IDLE`, the shared empty
+tuple, and the first packet it accepts swaps in a ``deque`` that it then
+keeps.  Most interfaces of a provisioned network never queue a packet, and
+an empty ``deque`` (760 bytes) would be the largest thing such an interface
+holds.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from repro.net.drops import DropReason
 from repro.net.packet import Packet
 
 __all__ = [
+    "IDLE",
     "ClassifyFn",
     "DropCallback",
     "QueueDiscipline",
@@ -47,6 +57,12 @@ __all__ = [
     "DeficitRoundRobin",
     "FairQueueing",
 ]
+
+#: An idle discipline's packet store: the shared empty tuple, which truth
+#: tests, ``len`` and iteration read as an empty queue and which pickles
+#: back as itself.  The first accepted packet replaces it with a ``deque``
+#: (one identity check per enqueue).
+IDLE: tuple = ()
 
 # Maps a packet to a class index (0-based).  Interior nodes classify on the
 # MPLS EXP field or outer DSCP; see repro.qos.classifier for builders.
@@ -164,7 +180,7 @@ class DropTailFifo(QueueDiscipline):
         capacity_bytes: int | None = None,
         drop_policy: DropPolicy | None = None,
     ) -> None:
-        self._q: deque[Packet] = deque()
+        self._q: deque[Packet] | tuple = IDLE
         self._bytes = 0
         self.capacity_packets = capacity_packets
         self.capacity_bytes = capacity_bytes
@@ -204,7 +220,10 @@ class DropTailFifo(QueueDiscipline):
             if self.on_drop is not None:
                 self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
-        self._q.append(pkt)
+        q = self._q
+        if q is IDLE:
+            q = self._q = deque()
+        q.append(pkt)
         self._bytes += size
         self.enqueued += 1
         return True
@@ -239,7 +258,7 @@ class ClassQueue:
     capacity_packets: int | None = 100
     capacity_bytes: int | None = None
     drop_policy: DropPolicy | None = None
-    q: deque[Packet] = field(default_factory=deque)
+    q: deque[Packet] | tuple = IDLE
     bytes: int = 0
     stats: ClassStats = field(default_factory=ClassStats)
     on_drop: DropCallback | None = field(default=None, repr=False)
@@ -263,7 +282,10 @@ class ClassQueue:
             if self.on_drop is not None:
                 self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
-        self.q.append(pkt)
+        q = self.q
+        if q is IDLE:
+            q = self.q = deque()
+        q.append(pkt)
         self.bytes += size
         self.stats.enqueued += 1
         return True
@@ -397,7 +419,7 @@ class DeficitRoundRobin(_ClassfulBase):
             raise ValueError("quanta must be positive")
         self.quanta = list(quanta)
         self.deficits = [0] * len(self.classes)
-        self._active: deque[int] = deque()
+        self._active: deque[int] | tuple = IDLE
         self._in_active = [False] * len(self.classes)
 
     def enqueue(self, pkt: Packet, now: float) -> bool:
@@ -408,7 +430,10 @@ class DeficitRoundRobin(_ClassfulBase):
         if ok:
             self._count += 1
             if not self._in_active[idx]:
-                self._active.append(idx)
+                active = self._active
+                if active is IDLE:
+                    active = self._active = deque()
+                active.append(idx)
                 self._in_active[idx] = True
                 self.deficits[idx] = 0
         return ok
@@ -468,7 +493,7 @@ class FairQueueing(_ClassfulBase):
         self.weights = [float(w) for w in weights]
         self._virtual = 0.0
         self._last_finish = [0.0] * len(self.classes)
-        self._tags: list[deque[float]] = [deque() for _ in self.classes]
+        self._tags: list[deque[float] | tuple] = [IDLE] * len(self.classes)
 
     def enqueue(self, pkt: Packet, now: float) -> bool:
         idx = self.classify(pkt)
@@ -482,7 +507,10 @@ class FairQueueing(_ClassfulBase):
         start = last if last > self._virtual else self._virtual
         finish = start + (pkt._wire or pkt.wire_bytes) / self.weights[idx]
         self._last_finish[idx] = finish
-        self._tags[idx].append(finish)
+        tags = self._tags[idx]
+        if tags is IDLE:
+            tags = self._tags[idx] = deque()
+        tags.append(finish)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.net.drops import DropReason
 from repro.net.packet import Packet
 from repro.qos.meter import TokenBucket
-from repro.qos.queues import ClassStats, DropCallback, QueueDiscipline
+from repro.qos.queues import IDLE, ClassStats, DropCallback, QueueDiscipline
 
 __all__ = ["TokenBucketShaper"]
 
@@ -47,7 +47,7 @@ class TokenBucketShaper(QueueDiscipline):
         capacity_bytes: int | None = None,
     ) -> None:
         self.bucket = TokenBucket(rate_bps, burst_bytes)
-        self._q: deque[Packet] = deque()
+        self._q: deque[Packet] | tuple = IDLE
         self._bytes = 0
         self.capacity_packets = capacity_packets
         self.capacity_bytes = capacity_bytes
@@ -70,7 +70,10 @@ class TokenBucketShaper(QueueDiscipline):
             if self.on_drop is not None:
                 self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
             return False
-        self._q.append(pkt)
+        q = self._q
+        if q is IDLE:
+            q = self._q = deque()
+        q.append(pkt)
         self._bytes += size
         self.stats.enqueued += 1
         return True

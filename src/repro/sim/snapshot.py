@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/8``), the ``repro`` version
+The header names the schema (``repro.snapshot/9``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
@@ -35,17 +35,25 @@ a network with the link-listener list and convergence-tracer slot this
 reader's networks no longer have, and may hold a ``bind`` closure event
 whose rebuild function is gone, a ``/7`` image holds a site with the
 ``extra`` slot and domain views and IGP state with the metric-only edge map
-this reader's classes no longer have) or with a flipped bit (about one in six
-still unpickles) is exactly the class of bug the header exists to prevent.
+this reader's classes no longer have, a ``/8`` image holds a ``deque`` per
+idle queue discipline and an empty dict per idle cache and drop counter
+where this reader's hold none, and each link as a slot-name dict without
+its sender where this reader's ``Link`` takes a tuple) or with a flipped
+bit (about one in six still unpickles) is exactly the class of bug the
+header exists to prevent.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
 ``(routes, lookups, generation)``): the LPM trie is an index the first
 lookup after a restore builds, so a restored table answers every lookup
 as the live one did without the image carrying a byte of it, and holds
-nothing but its routes until then.  The per-site classes (interface,
-link, duplex link, site, table, VRF) are slotted, so dumping one does not
-leave an instance dict behind on the live object and loading one builds
-none.
+nothing but its routes until then.  An idle queue discipline is imaged
+with its packet store as the empty tuple and an idle cache, drop counter or
+round-robin map as the shared empty mapping (both load as the shared
+objects), so a site that never queued a packet adds no container to the
+image.  The per-site classes (interface, link, duplex link, site, table,
+VRF) are slotted, so dumping one does not leave an instance dict behind on
+the live object and loading one builds none; a link is imaged as the tuple
+of its slot values.
 
 Why a custom pickler
 --------------------
@@ -112,7 +120,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/8"
+SCHEMA = "repro.snapshot/9"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -191,6 +191,57 @@ def test_link_down_mid_serialization_loses_that_packet_only():
     assert sim.pending == 0
 
 
+def test_link_down_losses_are_counted_drops():
+    """The same five packets: the one that starts on the dead link, the one
+    the failure cuts and the one queued behind it are ``link_down`` drops
+    at the sender, so every packet is accounted for after the run."""
+    sim = Simulator()
+    iface, link, b = wire(sim)
+    a = iface.node
+
+    def set_up(value):
+        link.up = value
+
+    for t, step in [
+        (0.000, lambda: iface.send(pkt(1000, tag=0))),
+        (0.009, lambda: set_up(False)),
+        (0.010, lambda: iface.send(pkt(1000, tag=1))),
+        (0.011, lambda: set_up(True)),
+        (0.020, lambda: iface.send(pkt(1000, tag=2))),
+        (0.024, lambda: set_up(False)),
+        (0.025, lambda: iface.send(pkt(1000, tag=3))),
+        (0.040, lambda: set_up(True)),
+        (0.050, lambda: iface.send(pkt(1000, tag=4))),
+    ]:
+        sim.schedule_at(t, step)
+    seen = []
+    a.trace.subscribe("drop", lambda rec: seen.append((rec.time, rec.reason)))
+    sim.run()
+    assert a.stats.by_reason == {"link_down": 3}
+    assert seen == [(0.010, "link_down"), (0.024, "link_down"), (0.028, "link_down")]
+    delivered = len(b.got)
+    dropped = a.stats.dropped_total + iface.stats.dropped
+    backlog = len(iface.qdisc)
+    on_wire = sim.pending
+    assert 5 == delivered + dropped + backlog + on_wire
+    assert iface.stats.tx_packets == 5 and b.stats.dropped_total == 0
+
+
+def test_second_failure_does_not_count_a_cut_frame_twice():
+    sim = Simulator()
+    iface, link, b = wire(sim)
+
+    def flap():
+        link.up = False
+        link.up = True
+        link.up = False
+
+    sim.schedule_at(0.0, iface.send, pkt(1000, tag=0))  # serializing until 8 ms
+    sim.schedule_at(0.004, flap)
+    sim.run()
+    assert iface.node.stats.by_reason == {"link_down": 1} and b.got == []
+
+
 def test_e11_loss_counts_unchanged():
     from repro.experiments.e11_resilience import run_e11
 

@@ -1,11 +1,17 @@
 """Unit + property tests for the queue disciplines."""
 
+import gc
+import types
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.address import IPv4Address
 from repro.net.packet import IPHeader, Packet
+from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.queues import (
+    IDLE,
     ClassQueue,
     DeficitRoundRobin,
     DropTailFifo,
@@ -13,6 +19,9 @@ from repro.qos.queues import (
     PriorityScheduler,
     WeightedRoundRobin,
 )
+from repro.qos.shaper import TokenBucketShaper
+from repro.sim.snapshot import restore_network, snapshot_network
+from repro.topology import Network
 
 
 def pkt(size=100, cls=0):
@@ -262,3 +271,139 @@ class TestConservation:
         assert len(out) == accepted
         assert len(disc) == 0
         assert len(set(p.uid for p in out)) == len(out)  # no duplicates
+
+
+# ----------------------------------------------------------------------
+# Idle storage: a discipline holds no packet store until its first packet
+
+
+IDLE_SIZES = (100, 1500, 300, 700)
+
+
+def _numbered(i):
+    return Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2)),
+                  payload_bytes=IDLE_SIZES[i % 4] - 20, flow=i)
+
+
+def by_flow_class(p):
+    return p.flow % 3
+
+
+def _three(cap=3):
+    return [ClassQueue(f"c{i}", capacity_packets=cap) for i in range(3)]
+
+
+def _discipline(kind):
+    if kind == "fifo":
+        return DropTailFifo(capacity_packets=8)
+    if kind == "priority":
+        return PriorityScheduler(_three(), by_flow_class)
+    if kind == "wrr":
+        return WeightedRoundRobin(_three(), by_flow_class, [3, 2, 1])
+    if kind == "drr":
+        return DeficitRoundRobin(_three(), by_flow_class, [1500, 600, 300])
+    if kind == "wfq":
+        return FairQueueing(_three(), by_flow_class, [4.0, 2.0, 1.0])
+    if kind == "cbq":
+        return CbqScheduler([
+            CbqClass("voice", rate_bps=8e3, priority=0, can_borrow=False,
+                     burst_bytes=800, capacity_packets=3),
+            CbqClass("data", rate_bps=16e3, priority=1, capacity_packets=3),
+            CbqClass("bulk", rate_bps=8e3, priority=2, capacity_packets=3),
+        ], by_flow_class)
+    return TokenBucketShaper(rate_bps=8e4, burst_bytes=1600, capacity_packets=8)
+
+
+def _counters(q):
+    if isinstance(q, CbqScheduler):
+        stats = [c.queue.stats for c in q.cbq_classes]
+    elif hasattr(q, "classes"):
+        stats = [c.stats for c in q.classes]
+    else:
+        stats = [q.stats]
+    return [(s.enqueued, s.dropped, s.dequeued, s.bytes_sent) for s in stats]
+
+
+def _first_packets(q):
+    """Offer packets 0..11 at t=0, drain (retrying a regulated discipline
+    at its next eligible time, floored as the interface floors it) and
+    return (accepted, departure order, counters, drain end)."""
+    accepted = sum(q.enqueue(_numbered(i), 0.0) for i in range(12))
+    now, order = 0.0, []
+    for _ in range(1000):
+        p = q.dequeue(now)
+        if p is not None:
+            order.append(p.flow)
+        elif not len(q):
+            break
+        else:
+            now = max(q.next_eligible(now), now + 1e-9)
+    return accepted, order, _counters(q), round(now, 9)
+
+
+_THREE_CLASSES = [(3, 1, 3, 1100), (3, 1, 3, 2300), (3, 1, 3, 1900)]
+_ONE_FIFO = [(8, 4, 8, 5200)]
+
+# What each discipline did with these packets before its store was lazy.
+FIRST_PACKETS = {
+    "fifo": (8, [0, 1, 2, 3, 4, 5, 6, 7], _ONE_FIFO, 0.0),
+    "priority": (9, [0, 3, 6, 1, 4, 7, 2, 5, 8], _THREE_CLASSES, 0.0),
+    "wrr": (9, [0, 3, 6, 1, 4, 2, 7, 5, 8], _THREE_CLASSES, 0.0),
+    "drr": (9, [2, 0, 3, 6, 1, 4, 7, 5, 8], _THREE_CLASSES, 0.0),
+    "wfq": (9, [0, 3, 6, 2, 1, 4, 7, 5, 8], _THREE_CLASSES, 0.0),
+    "cbq": (9, [0, 3, 1, 4, 7, 2, 5, 8, 6], _THREE_CLASSES, 0.3),
+    "shaper": (8, [0, 1, 2, 3, 4, 5, 6, 7], _ONE_FIFO, 0.36),
+}
+
+
+def _reachable_deques(root):
+    """Deques reachable from ``root``, not through a class, function or
+    module (the classifier's globals reach the whole test module)."""
+    seen, stack, found = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found += type(obj) is deque
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def _restored(q):
+    net = Network(seed=1)
+    net.add_router("a")
+    _, extras = restore_network(snapshot_network(net, {"q": q}))
+    return extras["q"]
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_PACKETS))
+class TestIdleStore:
+    def test_idle_discipline_is_empty_and_holds_no_deque(self, kind):
+        q = _discipline(kind)
+        assert len(q) == 0 and q.backlog_bytes == 0
+        assert q.dequeue(0.0) is None and q.dequeue(1.0) is None
+        assert _reachable_deques(q) == 0
+
+    def test_first_packets_leave_as_before(self, kind):
+        q = _discipline(kind)
+        assert _first_packets(q) == FIRST_PACKETS[kind]
+        assert len(q) == 0 and q.backlog_bytes == 0
+        assert _reachable_deques(q) > 0  # built on the first packet and kept
+
+    def test_restored_idle_discipline_images_no_deque_and_behaves_alike(self, kind):
+        q = _restored(_discipline(kind))
+        assert len(q) == 0 and q.backlog_bytes == 0 and q.dequeue(0.0) is None
+        assert _reachable_deques(q) == 0
+        assert _first_packets(q) == FIRST_PACKETS[kind]
+
+
+def test_idle_store_is_the_shared_empty_tuple():
+    fifo = DropTailFifo()
+    wfq = FairQueueing(_three(), by_flow_class, [4.0, 2.0, 1.0])
+    drr = DeficitRoundRobin(_three(), by_flow_class, [1500, 600, 300])
+    stores = [fifo._q, drr._active, *wfq._tags, *(c.q for c in wfq.classes)]
+    assert all(store is IDLE for store in stores)
+    fifo.enqueue(pkt(), 0.0)
+    fifo.dequeue(0.0)
+    assert type(fifo._q) is deque and not fifo._q  # kept once built

@@ -260,6 +260,18 @@ def test_schema_7_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_8_image_refused_by_name(monkeypatch) -> None:
+    # A /8 image holds a deque per idle queue discipline and an empty dict
+    # per idle cache and drop counter, and links without the transmitting
+    # interface a failure counts its LINK_DOWN drop at: this reader's
+    # Link.__setstate__ takes a tuple and would fail inside pickle.loads.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/8")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/8'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -742,6 +754,71 @@ def test_mid_run_snapshot_resumes_bit_identically() -> None:
     net_c, _ = restore_network(blob)
     assert pending_schedule(net_c.sim) == pending_schedule(net_b.sim)
     net_c.run(until=2.0)
+    assert _normalized(net_c.trace.flight) == ref
+
+
+def _armed_e5(seed: int) -> tuple[Network, dict[str, Any]]:
+    """E5 ``full`` (CPE CBQ, WFQ core) with its four sources and a manual
+    flight recorder: the customer's bulk backlogs the CBQ uplink and both
+    customers' traffic the PE's WFQ uplink within the first half second."""
+    from repro.experiments.common import ExperimentRun
+    from repro.experiments.e5_sla import _build
+    from repro.qos.dscp import DSCP
+    from repro.traffic.generators import CbrSource, OnOffSource, voice_source
+
+    ctx = _build("full", seed)
+    net = ctx["net"]
+    h1, h2 = ctx["s1"].hosts[0], ctx["s2"].hosts[0]
+    b1, b2 = ctx["o1"].hosts[0], ctx["o2"].hosts[0]
+    net.trace.flight = FlightRecorder(capacity=1 << 20)
+    run = ExperimentRun(net, warmup_s=0.1, measure_s=1.0)
+    run.sink_at(h2)
+    run.sink_at(b2)
+    src, dst = str(h1.loopback), str(h2.loopback)
+    run.add_source(voice_source(net.sim, h1.send, "voice", src, dst))
+    run.add_source(
+        OnOffSource(
+            net.sim, h1.send, "data", src, dst, payload_bytes=700,
+            dscp=int(DSCP.AF11), proto="tcp", peak_bps=2.5e6,
+            mean_on_s=0.15, mean_off_s=0.35, rng=net.streams.stream("e5.data"),
+        )
+    )
+    run.add_source(
+        CbrSource(net.sim, h1.send, "bulk", src, dst, payload_bytes=1400,
+                  dscp=int(DSCP.BE), rate_bps=4e6)
+    )
+    run.add_source(
+        CbrSource(net.sim, b1.send, "bg", str(b1.loopback), str(b2.loopback),
+                  payload_bytes=1400, dscp=int(DSCP.BE), rate_bps=4e6)
+    )
+    return net, ctx
+
+
+def test_e5_mid_run_snapshot_with_wfq_and_cbq_backlogged_resumes_bit_identically() -> None:
+    from collections import deque
+
+    from repro.qos.queues import IDLE
+
+    net_a, _ = _armed_e5(seed=13)
+    net_a.run(until=1.3)
+    ref = _normalized(net_a.trace.flight)
+    assert len(ref) > 1000
+
+    net_b, ctx = _armed_e5(seed=13)
+    net_b.run(until=0.5)
+    blob = snapshot_network(net_b, {"s1": ctx["s1"]})
+    net_c, extras = restore_network(blob)
+    s1 = extras["s1"]
+    cbq = s1.ce.interfaces[s1.ce_ifname].qdisc
+    wfq = net_c.nodes["pe1"].interfaces["to-p1"].qdisc
+    assert len(cbq) > 0 and len(wfq) > 0
+    # The backlogged disciplines come back with their deques; one nothing
+    # was ever queued on (the traffic runs one way) with no store at all.
+    assert type(cbq.cbq_classes[-1].queue.q) is deque and type(wfq._tags[-1]) is deque
+    idle = net_c.nodes["p1"].interfaces["to-pe1"].qdisc
+    assert all(c.q is IDLE for c in idle.classes) and all(t is IDLE for t in idle._tags)
+    assert pending_schedule(net_c.sim) == pending_schedule(net_b.sim)
+    net_c.run(until=1.3)
     assert _normalized(net_c.trace.flight) == ref
 
 

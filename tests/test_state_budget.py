@@ -28,9 +28,24 @@ on the live objects it pickled; with interfaces, links, duplex links,
 sites, tables and VRFs slotted it leaves 3 128.  1000 installs of
 ready-made prefixes and entries into one ``Fib`` added 2 016 (two nodes per
 /24 below a shared /8), then 2 (the route dict and the stale dict), now 1.
+
+Bytes, not only objects: an object the collector does not track still
+costs memory, and an empty ``collections.deque`` is 760 bytes on CPython
+3.11-3.13 — two per site, one per access-interface FIFO, were 1.5 KB of the
+8 295 bytes a section-B site cost (``tracemalloc``, the marginal between
+10 and 30 VPNs of 20 sites), and a router's empty drop-reason split, flow
+cache entries and VRF-cache map (64 bytes each) about 0.2 KB more.  With
+every queue discipline's packet store built on its first packet, and the
+three mappings the shared empty one until their first write, a site costs
+6 599 bytes and 41.6 tracked objects (43.6 before, two deques fewer), and
+no empty dict, list, set or deque per site is reachable from a converged
+idle network and its provisioner.
 """
 
+import collections
 import gc
+import tracemalloc
+import types
 
 from repro.experiments.e1_scalability import mpls_base
 from repro.mpls.ldp import run_ldp
@@ -44,7 +59,8 @@ from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 
 MAX_TRACKED_E1_N200 = 8_720
-MAX_TRACKED_PER_SITE_B = 45.0
+MAX_TRACKED_PER_SITE_B = 42.8
+MAX_BYTES_PER_SITE_B = 7_000
 MAX_TRACKED_BY_SNAPSHOT_N1000 = 3_230
 MAX_TRACKED_PER_1000_INSTALLS = 3
 
@@ -93,6 +109,52 @@ def test_section_b_tracked_objects_per_site():
     per_site = (_tracked() - before) / 400
     assert sum(len(v.sites) for v in prov.vpns.values()) == 400
     assert per_site <= MAX_TRACKED_PER_SITE_B, f"{per_site:.2f} tracked objects per site"
+
+
+def _traced_bytes(vpns: int, sites: int) -> int:
+    """Bytes a section-B build holds once built, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        net, prov = build_section_b(vpns, sites)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_section_b_bytes_per_site():
+    build_section_b(1, 20)
+    per_site = (_traced_bytes(30, 20) - _traced_bytes(10, 20)) / 400
+    assert per_site <= MAX_BYTES_PER_SITE_B, f"{per_site:.0f} bytes per site"
+
+
+_EMPTY_KINDS = (dict, list, set, collections.deque)
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.CodeType)
+
+
+def _empty_containers(*roots) -> dict[str, int]:
+    """Empty dicts / lists / sets / deques reachable from ``roots``, by
+    type, not through a class, module, function or code object."""
+    seen, stack = set(), list(roots)
+    found: collections.Counter[str] = collections.Counter()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen.add(id(obj))
+        if type(obj) in _EMPTY_KINDS and not obj:
+            found[type(obj).__name__] += 1
+        stack.extend(gc.get_referents(obj))
+    return dict(found)
+
+
+def test_an_idle_site_holds_no_empty_container():
+    small = _empty_containers(*build_section_b(3, 20))
+    large = _empty_containers(*build_section_b(6, 20))
+    # What the backbone and the engines hold once; nothing per site.
+    assert large == small, (small, large)
 
 
 def test_snapshot_leaves_few_objects_on_the_live_net():
