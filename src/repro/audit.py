@@ -28,14 +28,22 @@
 * ``keys`` (error): a FIB or VRF table keyed by something that is not a
   :class:`~repro.net.address.Prefix`, or a VRF route target that is not a
   :class:`~repro.vpn.rd_rt.RouteTarget` — and, given the MP-BGP engine
-  (``bgp=``), the same of its Adj-RIB-Out, import record and RT index,
-  reported under the node ``mp-bgp``.  A plain ``(network, length)`` tuple
+  (``bgp=``), the same of its Adj-RIB-Out and RT index, reported under the
+  node ``mp-bgp``.  A plain ``(network, length)`` tuple
   hashes and compares like the ``Prefix`` it spells, so a key that lost its
   type in a restore (or was written around the constructors) answers
   lookups and fails only where the type is read.
 * ``importers`` (error, given ``bgp=``): the engine's RT -> importing-VRF
   index (if built: never here) lists a VRF its PE dropped or that does not
   import the RT, or misses one with a sync record (a hand policy, till converge).
+* ``imports`` (error, given ``bgp=``): an advertisement object
+  (:class:`~repro.vpn.bgp.VpnRoute`, what the engine imports) in a VRF of
+  one of the engine's PEs that is not the route the Adj-RIB-Out holds for
+  that prefix from its origin, that comes from a drained PE or sits on one,
+  or that carries no RT of the import policy the engine acts on for that
+  VRF.  The table is the engine's only record of its imports, so this is
+  the check that the record says what the Adj-RIB-Out does.  Reported under
+  the PE holding the VRF.
 
 The auditor only reads.  It looks nothing up, probes no cache and moves no
 counter, so it may run on the live graph the warm-start sweep shares.
@@ -52,6 +60,7 @@ from repro.mpls.lfib import LabelOp
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
 from repro.routing.router import Router
+from repro.vpn.bgp import VpnRoute
 from repro.vpn.pe import PeRouter
 from repro.vpn.rd_rt import RouteTarget
 
@@ -92,6 +101,7 @@ def audit(net: "Network", bgp: "MpBgp | None" = None) -> list[Finding]:
     ]
     if bgp is not None:
         found.extend(Finding(*f) for f in _engine_keys(bgp))
+        found.extend(Finding(*f) for f in _engine_imports(bgp))
     found.sort(key=lambda f: (_RANK[f.severity], f.node))
     return found
 
@@ -131,10 +141,9 @@ def _bad_keys(what: str, keys: Iterable, cls: type) -> _Rule:
 
 def _engine_keys(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
     """The ``keys`` rule over the engine's prefix- and RT-keyed state."""
-    for kind, table in (("Adj-RIB-Out", bgp._rib), ("imports", bgp._imported)):
-        for (pe, vrf), routes in table.items():
-            for severity, check, message in _bad_keys(f"{kind} of {pe}/{vrf}", routes, Prefix):
-                yield severity, check, "mp-bgp", message
+    for (pe, vrf), routes in bgp._rib.items():
+        for severity, check, message in _bad_keys(f"Adj-RIB-Out of {pe}/{vrf}", routes, Prefix):
+            yield severity, check, "mp-bgp", message
     for severity, check, message in _bad_keys("RT index", bgp._rt_index, RouteTarget):
         yield severity, check, "mp-bgp", message
     for rt, by_prefix in bgp._rt_index.items():
@@ -156,6 +165,26 @@ def _engine_importers(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
         for rt in vrf.import_rts:
             if index.get(rt, {}).get((pe, name)) is not vrf:
                 yield *bad, f"importers of {rt} miss {pe}/{name}, which imports it"
+
+
+def _engine_imports(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
+    """The ``imports`` rule: every advertisement object in a VRF of the
+    engine's PEs is advertised, in session and under the VRF's policy."""
+    advertised = {route for rib in bgp._rib.values() for route in rib.values()}
+    down = bgp._down
+    for pe in bgp.pes:
+        for vrf in pe.vrfs.values():
+            policy = bgp._policy((pe.name, vrf.name), vrf)
+            for prefix, route in vrf.entries().items():
+                if type(route) is not VpnRoute:
+                    continue
+                what = f"VRF {vrf.name} import of {prefix} from {route.origin_pe}"
+                if route.prefix != prefix or route not in advertised:
+                    yield "error", "imports", pe.name, f"{what} is not in its Adj-RIB-Out"
+                if route.origin_pe in down or pe.name in down:
+                    yield "error", "imports", pe.name, f"{what} crosses a drained PE"
+                if route.route_targets.isdisjoint(policy):
+                    yield "error", "imports", pe.name, f"{what} carries no RT the VRF imports"
 
 
 def _label_state(node: Lsr) -> _Rule:

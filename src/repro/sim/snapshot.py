@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/9``), the ``repro`` version
+The header names the schema (``repro.snapshot/10``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled — silently loading
@@ -38,7 +38,10 @@ whose rebuild function is gone, a ``/7`` image holds a site with the
 this reader's classes no longer have, a ``/8`` image holds a ``deque`` per
 idle queue discipline and an empty dict per idle cache and drop counter
 where this reader's hold none, and each link as a slot-name dict without
-its sender where this reader's ``Link`` takes a tuple) or with a flipped
+its sender where this reader's ``Link`` takes a tuple, a ``/9`` image holds
+each MP-BGP import as a ``VrfRoute`` copy, which this reader's engine would
+never recognise as its own and so never withdraw, beside an import mirror
+and copy map its engine no longer has) or with a flipped
 bit (about one in six still unpickles) is exactly the class of bug the
 header exists to prevent.
 
@@ -53,7 +56,9 @@ objects), so a site that never queued a packet adds no container to the
 image.  The per-site classes (interface, link, duplex link, site, table,
 VRF) are slotted, so dumping one does not leave an instance dict behind on
 the live object and loading one builds none; a link is imaged as the tuple
-of its slot values.
+of its slot values.  Each advertisement is one object in the image, shared
+by the MP-BGP engine's Adj-RIB-Out and RT index and by every VRF table that
+imports it, and the tables are the engine's only record of its imports.
 
 Why a custom pickler
 --------------------
@@ -120,7 +125,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/9"
+SCHEMA = "repro.snapshot/10"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

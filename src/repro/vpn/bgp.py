@@ -33,6 +33,11 @@ overwritten (or removed) by the import side — the standard BGP
 admin-distance rule, and what keeps churn idempotent when two sites
 advertise the same prefix.
 
+Every importing VRF holds the Adj-RIB-Out's :class:`VpnRoute` itself, and
+its table is the only record of the engine's imports: the entries that are
+a ``VpnRoute``.  A hand-written ``VrfRoute`` never is one; an advertisement
+that wins its prefix replaces it, and nothing else touches it.
+
 Three session topologies are supported, because their control-plane
 cost is an E9e ablation:
 
@@ -60,7 +65,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from repro.net.address import IPv4Address, Prefix
 from repro.vpn.pe import PeRouter
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
-from repro.vpn.vrf import Vrf, VrfRoute
+from repro.vpn.vrf import Vrf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Network
@@ -73,8 +78,10 @@ class VpnRoute(NamedTuple):
 
     A tuple, like its key types: the ``old == route`` / ``have != winner``
     tests every resync makes per prefix compare in C.  It holds the RD and
-    the prefix, and builds its VPN-IPv4 :attr:`key` from them when asked:
-    one object per advertisement, not two.
+    the prefix, and builds its VPN-IPv4 :attr:`key` from them when asked.
+    It is the one object of its advertisement: the Adj-RIB-Out's, the RT
+    index's and the entry of every VRF importing it, answering the data
+    plane's reads of a remote ``VrfRoute`` (``kind`` ... ``vpn_label``).
     """
 
     rd: RouteDistinguisher
@@ -85,10 +92,16 @@ class VpnRoute(NamedTuple):
     origin_pe: str
     origin_site: int | None = None
 
+    kind = "remote"  # class attributes, not fields
+    out_ifname = None
+
     @property
     def key(self) -> VpnPrefix:
         """The VPN-IPv4 prefix (RD:prefix) the route is advertised under."""
         return VpnPrefix(self.rd, self.prefix)
+
+
+VpnRoute.remote_pe = VpnRoute.next_hop  # type: ignore[attr-defined]
 
 
 @dataclass
@@ -180,14 +193,6 @@ class MpBgp:
         self._rt_index: dict[
             RouteTarget, dict[Prefix, dict[tuple[str, str], VpnRoute]]
         ] = {}
-        # What each (pe, vrf) currently has installed from BGP — the diff
-        # base that makes resync idempotent.
-        self._imported: dict[tuple[str, str], dict[Prefix, VpnRoute]] = {}
-        # The forwarding decision of each advertisement some VRF imports,
-        # by (origin PE, VPN label, prefix) — a label names one VRF on its
-        # PE.  Built by the first import, handed to every later one, dropped
-        # with the advertisement (:meth:`_unindex`).
-        self._remote: dict[tuple[str, int, Prefix], VrfRoute] = {}
         # Each (pe, vrf) as the engine last left it with exports and
         # imports both in sync: (the Vrf, its table generation, its local
         # generation, rd, export RTs, import RTs, VPN label, PE loopback) —
@@ -352,7 +357,6 @@ class MpBgp:
             self._rt_index.setdefault(rt, {}).setdefault(route.prefix, {})[key] = route
 
     def _unindex(self, key: tuple[str, str], route: VpnRoute) -> None:
-        self._remote.pop((route.origin_pe, route.vpn_label, route.prefix), None)
         for rt in route.route_targets:
             by_prefix = self._rt_index.get(rt)
             if by_prefix is None:
@@ -429,7 +433,6 @@ class MpBgp:
         routes = list(self._rib.pop(key, {}).values())
         for route in routes:
             self._unindex(key, route)
-        self._imported.pop(key, None)
         self._synced.pop(key, None)
         self._file(key, None)
         return routes
@@ -520,38 +523,17 @@ class MpBgp:
         dels: list[Prefix],
         result: BgpResult,
     ) -> None:
+        """Install ``adds`` (never over a local), remove ``dels`` (engine entries)."""
         if not adds and not dels:
             return
         # A table in step with its record stays in step across the engine's
         # own writes; one somebody else wrote to keeps reading as changed.
         seen = self._synced.get(key)
         in_step = seen is not None and seen[0] is vrf and seen[1] == vrf.generation
-        current = self._imported.setdefault(key, {})
         if dels:
-            # A del may be a bookkeeping-only drop: a prefix the VRF now
-            # holds as a *local* route (locals are preferred over BGP —
-            # never overwritten, so never removed here either).
-            local = vrf.local_routes()
-            result.routes_removed += vrf.remove_many([p for p in dels if p not in local])
-            for prefix in dels:
-                current.pop(prefix, None)
+            result.routes_removed += vrf.remove_many(dels)
         if adds:
-            remote = self._remote
-            items: list[tuple[Prefix, VrfRoute]] = []
-            for prefix, r in adds:
-                ad = (r.origin_pe, r.vpn_label, prefix)
-                route = remote.get(ad)
-                if route is None:
-                    route = remote[ad] = VrfRoute(
-                        "remote", remote_pe=r.next_hop, vpn_label=r.vpn_label,
-                        origin_site=r.origin_site,
-                    )
-                items.append((prefix, route))
-            vrf.add_remote_many(items)
-            current.update(adds)
-            result.routes_imported += len(adds)
-        if not current:
-            self._imported.pop(key, None)
+            result.routes_imported += vrf.add_remote_many(adds)
         if in_step:
             self._synced[key] = (vrf, vrf.generation, *seen[2:])
 
@@ -562,18 +544,12 @@ class MpBgp:
         desired: dict[Prefix, VpnRoute],
         result: BgpResult,
     ) -> None:
-        key = (pe.name, vrf.name)
-        current = self._imported.get(key, {})
+        table = vrf.entries()
         local = vrf.local_routes()
-        # Listed as imported but gone from the table (a local that shadowed
-        # it was withdrawn, or the route was removed by hand): an add again.
-        lost = current.keys() - vrf.prefixes()
-        adds = [
-            (p, r) for p, r in desired.items()
-            if p not in local and (current.get(p) != r or p in lost)
-        ]
-        dels = [p for p in current if p not in desired or p in local]
-        self._apply_import_changes(vrf, key, adds, dels, result)
+        # An entry that is not the winner is replaced, a hand route too.
+        adds = [(p, r) for p, r in desired.items() if p not in local and table.get(p) != r]
+        dels = [p for p, r in table.items() if type(r) is VpnRoute and p not in desired]
+        self._apply_import_changes(vrf, (pe.name, vrf.name), adds, dels, result)
 
     def _resync_imports_for(
         self,
@@ -605,7 +581,7 @@ class MpBgp:
                 seen = visits.get(key)
                 visits[key] = (vrf, prefixes if seen is None else seen[1] | prefixes)
         for key, (vrf, prefixes) in visits.items():
-            current = self._imported.get(key, {})
+            table = vrf.entries()
             local = vrf.local_routes()
             exported = self._rib.get(key, ())
             offers = self._offers(self._policy(key, vrf), prefixes)
@@ -613,10 +589,6 @@ class MpBgp:
             dels: list[Prefix] = []
             for prefix in sorted(prefixes):
                 if prefix in local:
-                    # Locals are preferred over any import; drop stale
-                    # bookkeeping but leave the VRF entry alone.
-                    if prefix in current:
-                        dels.append(prefix)
                     if prefix not in exported:
                         # A local the Adj-RIB-Out has not seen: if it goes
                         # before it is advertised, no delta re-examines this
@@ -624,9 +596,9 @@ class MpBgp:
                         self._synced.pop(key, None)
                     continue
                 winner = self._pick_winner(key[0], offers.get(prefix, {}))
-                have = current.get(prefix)
+                have = table.get(prefix)
                 if winner is None:
-                    if have is not None:
+                    if type(have) is VpnRoute:
                         dels.append(prefix)
                 elif have != winner:
                     adds.append((prefix, winner))
@@ -782,7 +754,6 @@ class MpBgp:
         if self._rib.get(key):
             raise ValueError(f"{key} still has advertisements; withdraw first")
         self._rib.pop(key, None)
-        self._imported.pop(key, None)
         self._synced.pop(key, None)
         self._file(key, None)
 
@@ -816,9 +787,8 @@ class MpBgp:
         # The drained PE's own VRFs lose everything they learned.
         node = self._pe_by_name[name]
         for vrf in node.vrfs.values():
-            key = (name, vrf.name)
-            dels = list(self._imported.get(key, {}))
-            self._apply_import_changes(vrf, key, [], dels, result)
+            dels = [p for p, r in vrf.entries().items() if type(r) is VpnRoute]
+            self._apply_import_changes(vrf, (name, vrf.name), [], dels, result)
         self._tally(result)
         return result
 

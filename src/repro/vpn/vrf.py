@@ -8,10 +8,10 @@ routes that were installed into *this* VRF, so overlapping customer
 addresses never meet in one table.
 
 The table is one :class:`~repro.routing.fib.Fib` per VRF whose entries
-are the :class:`VrfRoute` objects themselves (the table never reads what
-it stores): a lookup is one longest-prefix walk.  A remote route is frozen
-and says nothing about the VRF holding it (egress PE, VPN label, origin
-site), so every VRF importing one advertisement holds the same object.
+are the route objects themselves (the table never reads what it stores): a
+lookup is one longest-prefix walk.  An import is MP-BGP's advertisement
+object (:class:`~repro.vpn.bgp.VpnRoute`), shared by every VRF importing
+it; the engine's imports are exactly the entries of that type.
 
 Beside the table, a VRF keeps its local routes in a prefix-keyed dict (the
 same objects), so what a site flap asks of it — the locals to export, the
@@ -28,11 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import KeysView, Mapping, Optional
+from typing import TYPE_CHECKING, KeysView, Mapping, Optional, Union
 
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import Fib
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.vpn.bgp import VpnRoute
 
 __all__ = ["VrfRoute", "Vrf"]
 
@@ -61,6 +64,9 @@ class VrfRoute:
             raise ValueError("remote VRF route needs remote_pe and vpn_label")
         if self.kind not in ("local", "remote"):
             raise ValueError(f"unknown VRF route kind {self.kind!r}")
+
+
+Entry = Union[VrfRoute, "VpnRoute"]  # a table entry: both answer the data plane's reads
 
 
 class Vrf:
@@ -107,7 +113,7 @@ class Vrf:
         self.import_rts = frozenset(import_rts)
         self.export_rts = frozenset(export_rts)
         self.vpn_label = vpn_label
-        self._fib: Fib[VrfRoute] = Fib()
+        self._fib: Fib[Entry] = Fib()
         # Interfaces (attachment circuits) bound to this VRF on the PE.
         self.circuits: list[str] = []
         self._locals: dict[Prefix, VrfRoute] = {}
@@ -151,7 +157,10 @@ class Vrf:
         origin_site: int | None = None,
         metric: float = 0.0,
     ) -> VrfRoute:
-        """Install a route imported from MP-BGP."""
+        """Install a remote route by hand.  An entry of the MP-BGP engine is
+        an advertisement object and a ``VrfRoute`` never is: the engine
+        replaces this one where an advertisement wins the prefix and leaves
+        it alone everywhere else."""
         pfx = Prefix.parse(prefix)
         route = VrfRoute(
             "remote",
@@ -164,12 +173,11 @@ class Vrf:
         self._locals.pop(pfx, None)
         return route
 
-    def add_remote_many(self, items: list[tuple[Prefix, VrfRoute]]) -> int:
+    def add_remote_many(self, items: list[tuple[Prefix, Entry]]) -> int:
         """Install a batch of MP-BGP imports with one FIB generation bump.
 
         ``items`` is ``[(prefix, route), ...]`` with ready ``"remote"``
-        routes: MP-BGP builds one :class:`VrfRoute` per advertisement and
-        hands the same object to every VRF that imports it.  The churn
+        routes: MP-BGP's advertisement objects themselves.  The churn
         engine installs whole deltas through here so the PE's per-VRF flow
         caches are invalidated once per batch, not once per route (PR 3's
         ``install_many`` pattern).  Returns the batch size.
@@ -215,12 +223,16 @@ class Vrf:
         return self._fib.generation
 
     # ------------------------------------------------------------------
-    def lookup(self, addr: IPv4Address) -> Optional[VrfRoute]:
+    def lookup(self, addr: IPv4Address) -> Optional[Entry]:
         """Longest-prefix match inside this VRF only."""
         return self._fib.lookup(addr)
 
-    def routes(self) -> dict[Prefix, VrfRoute]:
+    def routes(self) -> dict[Prefix, Entry]:
         return dict(self._fib.routes())
+
+    def entries(self) -> Mapping[Prefix, Entry]:
+        """Live read-only view of the table (no copy)."""
+        return self._fib.prefixes().mapping
 
     def prefixes(self) -> KeysView[Prefix]:
         """Live set-like view of the installed prefixes (no copy)."""

@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.net.address import Prefix
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.topology import Network
-from repro.vpn.bgp import MpBgp
+from repro.vpn.bgp import MpBgp, VpnRoute
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 
@@ -82,6 +82,26 @@ def _vrf_snapshot(prov: VpnProvisioner):
         for pe in prov.pes()
         for vrf in pe.vrfs.values()
     }
+
+
+def _imports_are_advertisements(prov: VpnProvisioner, engine: MpBgp) -> set:
+    """Every engine route in a VRF (a :class:`VpnRoute` entry) is the
+    Adj-RIB-Out's own object for its prefix and origin, so none outlives
+    its advertisement.  Returns the advertisements some VRF holds, by
+    (origin PE, VPN label, prefix): a label names one VRF on its PE."""
+    advertised = {
+        (r.origin_pe, r.vpn_label, p): r
+        for rib in engine._rib.values() for p, r in rib.items()
+    }
+    held = set()
+    for pe in prov.pes():
+        for vrf in pe.vrfs.values():
+            for p, r in vrf.entries().items():
+                if type(r) is VpnRoute:
+                    ad = (r.origin_pe, r.vpn_label, p)
+                    assert advertised.get(ad) is r, (pe.name, vrf.name, p)
+                    held.add(ad)
+    return held
 
 
 def _strip_remotes(prov: VpnProvisioner) -> None:
@@ -604,10 +624,10 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         if not holders:
             return
         pe, vrf, prefix = holders[a % len(holders)]
-        route = engine._imported.get((pe.name, vrf.name), {}).get(prefix)
+        route = vrf.entries()[prefix]     # the engine's: these ops write no hand remote
         assert vrf.withdraw(prefix)
         prov.converge_bgp()
-        if route is None or not route.route_targets.isdisjoint(vrf.import_rts):
+        if not route.route_targets.isdisjoint(vrf.import_rts):
             assert vrf.kind_of(prefix) == "remote"
     elif kind == "vrf-readd":
         # A VRF deleted and re-created under its name behind the engine's
@@ -698,18 +718,15 @@ class TestIncrementalMatchesFullConverge:
             key: len(rib) for key, rib in engine._rib.items()
             if key[0] not in drained
         }
-        # One VrfRoute per advertisement: none outlives its advertisement,
-        # and every import in a VRF is the engine's object for it.
-        assert engine._remote.keys() <= {
-            (r.origin_pe, r.vpn_label, p)
-            for rib in engine._rib.values() for p, r in rib.items()
-        }
-        pe_of = {pe.loopback: pe.name for pe in pes}
-        for pe in pes:
-            for vrf in pe.vrfs.values():
-                for p, r in vrf.routes().items():
-                    if r.kind == "remote":
-                        assert engine._remote[pe_of[r.remote_pe], r.vpn_label, p] is r
+        # One object per advertisement: every import in a VRF is the
+        # Adj-RIB-Out's object for its prefix and origin, and none outlives
+        # its advertisement.  The ops write no remote route by hand, so
+        # every remote entry is one.
+        _imports_are_advertisements(prov, engine)
+        assert all(
+            type(r) is VpnRoute for pe in pes for vrf in pe.vrfs.values()
+            for r in vrf.entries().values() if r.kind == "remote"
+        )
         incremental = _vrf_snapshot(prov)
         assert incremental == _oracle_snapshot(
             prov, drained, rr_clusters=rr_clusters

@@ -19,7 +19,9 @@ from repro.topology import Network
 from repro.vpn import ProvisioningError
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
-from tests.test_churn_incremental import _oracle_snapshot, _vrf_snapshot, _world
+from tests.test_churn_incremental import (
+    _imports_are_advertisements, _oracle_snapshot, _vrf_snapshot, _world,
+)
 
 
 def _footprint(net: Network, prov: VpnProvisioner) -> dict:
@@ -162,7 +164,9 @@ class TestRemoveSiteBehindADrainedPe:
             assert extra.prefix not in pe.vrfs["corp"].routes()
         engine = prov.bgp_engine()
         assert extra.prefix not in engine._rib["pe2", "corp"]
-        assert len(engine._remote) == engine.adj_rib_size()
+        # Every import is the Adj-RIB-Out's object, and every advertisement
+        # left is imported somewhere.
+        assert len(_imports_are_advertisements(prov, engine)) == engine.adj_rib_size()
         census = prov.state_census()["vrf_routes_total"]
         tables = _vrf_snapshot(prov)
         assert tables == _oracle_snapshot(prov, drained=())

@@ -50,6 +50,7 @@ from repro.vpn.bgp import VpnRoute
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget, VpnPrefix
+from tests.test_churn_incremental import _imports_are_advertisements, _vrf_snapshot
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +273,17 @@ def test_schema_8_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_9_image_refused_by_name(monkeypatch) -> None:
+    # A /9 image holds each MP-BGP import as a VrfRoute copy beside the
+    # engine's import mirror: this reader's engine takes only its own
+    # advertisement objects for imports, so it would never withdraw those.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/9")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/9'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -359,31 +371,52 @@ def test_image_carries_routes_only_and_restored_tables_answer_identically() -> N
 
 
 def test_vrfs_share_one_route_per_advertisement_across_restore() -> None:
+    """An import is the Adj-RIB-Out's advertisement object itself, one per
+    advertisement however many VRFs hold it, and an image keeps it one: the
+    restored engine finds its own objects in the restored tables, so its
+    next flap, drain and wave do exactly what the live engine's do."""
     net = Network(seed=5)
     pes = [net.add_node(PeRouter(net.sim, f"pe{i}")) for i in range(4)]
     prov = VpnProvisioner(net)
     vpn = prov.create_vpn("v")
     sites = [prov.add_site(vpn, pe, num_hosts=0) for pe in pes]
     prov.converge_bgp()
-    net2, extras = restore_network(snapshot_network(net, {"prov": prov}))
-    for nodes, engine in (
-        (net.nodes, prov.bgp_engine()), (net2.nodes, extras["prov"].bgp_engine()),
-    ):
+    _, extras = restore_network(snapshot_network(net, {"prov": prov}))
+    provs = (prov, extras["prov"])
+    for each in provs:
+        engine = each.bgp_engine()
         for site in sites:
+            advertised = engine._rib[site.pe.name, "v"][site.prefix]
             holders = [
-                nodes[pe.name].vrfs["v"].routes()[site.prefix]
+                each.net.nodes[pe.name].vrfs["v"].routes()[site.prefix]
                 for pe in pes if pe is not site.pe
             ]
-            assert len(holders) == 3 and holders[0].kind == "remote"
-            assert all(route is holders[0] for route in holders)
-            # ...and it is the one the engine hands to the next importer.
-            label = nodes[site.pe.name].vrfs["v"].vpn_label
-            assert engine._remote[site.pe.name, label, site.prefix] is holders[0]
-    # A withdrawn advertisement takes its route with it.
-    engine2 = extras["prov"].bgp_engine()
-    extras["prov"].remove_site(extras["prov"].vpns["v"].sites[0])
-    assert not [k for k in engine2._remote if k[2] == sites[0].prefix]
-    assert len(engine2._remote) == engine2.adj_rib_size()
+            assert type(advertised) is VpnRoute and advertised.kind == "remote"
+            assert len(holders) == 3 and all(route is advertised for route in holders)
+    # The next flap, drain and wave: equal counters after each, live and
+    # restored, and every import still the Adj-RIB-Out's own object.
+    steps = []
+    for each in provs:
+        v, pe = each.vpns["v"], each.net.nodes["pe1"]
+        site = v.sites[0]
+        each.remove_site(site)
+        gone = site.prefix
+        assert all(gone not in p.vrfs["v"].prefixes() for p in each.pes())
+        each.add_site(v, site.pe, prefix=site.prefix, num_hosts=0)
+        each.bgp_engine().export_delta(site.pe, site.pe.vrfs["v"])
+        counted = [each.net.counters.snapshot()]
+        each.drain_pe(pe)
+        each.restore_pe(pe)
+        counted.append(each.net.counters.snapshot())
+        for at in ("pe2", "pe3"):
+            each.add_site(v, each.net.nodes[at], num_hosts=0)
+        each.converge_bgp()
+        counted.append(each.net.counters.snapshot())
+        engine = each.bgp_engine()
+        held = _imports_are_advertisements(each, engine)
+        assert len(held) == engine.adj_rib_size() == 2 * 6   # site and access /30
+        steps.append((counted, _vrf_snapshot(each)))
+    assert steps[0] == steps[1]
 
 
 def _flap(prov: VpnProvisioner, at: int):

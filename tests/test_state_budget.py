@@ -40,6 +40,14 @@ three mappings the shared empty one until their first write, a site costs
 6 599 bytes and 41.6 tracked objects (43.6 before, two deques fewer), and
 no empty dict, list, set or deque per site is reachable from a converged
 idle network and its provisioner.
+
+One copy of each import: MP-BGP kept every import twice (the VRF table
+and an import mirror per VRF) and every advertisement as two objects (the
+``VpnRoute`` of its Adj-RIB-Out and a ``VrfRoute`` copy the VRFs shared).
+With the advertisement itself as the entry of every importing VRF and the
+table as the only record of what was imported, a section-B site costs
+5 731 bytes and 37.15 tracked objects (6 588 and 41.55 before), and the
+E1 build at N=200 adds 7 231 (8 041 before).
 """
 
 import collections
@@ -58,9 +66,9 @@ from repro.topology import Network, build_backbone
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
 
-MAX_TRACKED_E1_N200 = 8_720
-MAX_TRACKED_PER_SITE_B = 42.8
-MAX_BYTES_PER_SITE_B = 7_000
+MAX_TRACKED_E1_N200 = 7_450
+MAX_TRACKED_PER_SITE_B = 38.3
+MAX_BYTES_PER_SITE_B = 6_000
 MAX_TRACKED_BY_SNAPSHOT_N1000 = 3_230
 MAX_TRACKED_PER_1000_INSTALLS = 3
 

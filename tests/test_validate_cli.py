@@ -245,6 +245,67 @@ class TestValidate:
         found = [(f.severity, f.message) for f in audit(net, bgp) if f.check == "importers"]
         assert found == [("error", f"importers of {vpn.rt} miss E3/w, which imports it")]
 
+    @staticmethod
+    def _engine_with_imports():
+        """VPNs w and x on E2 and E3, one provisioner, converged: each VRF
+        holds the other PE's two advertisements (site and access /30)."""
+        net, nodes = provisioned_network()
+        prov = VpnProvisioner(net)
+        for name in ("w", "x"):
+            vpn = prov.create_vpn(name)
+            for pe in ("E2", "E3"):
+                prov.add_site(vpn, nodes[pe], num_hosts=0)
+        bgp = prov.bgp_engine()
+        prov.converge_bgp()
+        assert TestValidate._imports(net, bgp) == []
+        return net, nodes, bgp
+
+    @staticmethod
+    def _imports(net, bgp):
+        return [(f.severity, f.node, f.message) for f in audit(net, bgp) if f.check == "imports"]
+
+    @staticmethod
+    def _remotes(vrf):
+        return sorted((p, r) for p, r in vrf.routes().items() if r.kind == "remote")
+
+    def test_import_the_adj_rib_out_does_not_hold_flagged(self):
+        net, nodes, bgp = self._engine_with_imports()
+        vrf = nodes["E3"].vrfs["w"]
+        (prefix, route), (other, _) = self._remotes(vrf)
+        vrf.add_remote_many([(prefix, route._replace(vpn_label=999))])
+        assert self._imports(net, bgp) == [
+            ("error", "E3", f"VRF w import of {prefix} from E2 is not in its Adj-RIB-Out")]
+        # Installed under another prefix, the advertised object is wrong too.
+        vrf.add_remote_many([(prefix, route), (other, route)])
+        assert self._imports(net, bgp) == [
+            ("error", "E3", f"VRF w import of {other} from E2 is not in its Adj-RIB-Out")]
+
+    def test_import_across_a_drained_pe_flagged(self):
+        net, nodes, bgp = self._engine_with_imports()
+        held = {pe: self._remotes(nodes[pe].vrfs["w"]) for pe in ("E2", "E3")}
+        bgp.peer_down("E2")
+        assert self._imports(net, bgp) == []
+        for pe, routes in held.items():   # put back behind the engine's back
+            nodes[pe].vrfs["w"].add_remote_many(routes)
+        assert self._imports(net, bgp) == [
+            ("error", pe, f"VRF w import of {p} from {r.origin_pe} crosses a drained PE")
+            for pe, routes in held.items() for p, r in routes
+        ]
+
+    def test_import_under_an_rt_the_vrf_does_not_import_flagged(self):
+        net, nodes, bgp = self._engine_with_imports()
+        vrf = nodes["E3"].vrfs["w"]
+        prefix, route = self._remotes(nodes["E3"].vrfs["x"])[0]
+        vrf.add_remote_many([(prefix, route)])
+        error = ("error", "E3", f"VRF w import of {prefix} from E2 carries no RT the VRF imports")
+        assert self._imports(net, bgp) == [error]
+        # The rule reads the policy the engine acts on: one assigned by hand
+        # counts from the converge() that reads it.
+        vrf.import_rts = vrf.import_rts | route.route_targets
+        assert self._imports(net, bgp) == [error]
+        bgp.converge()
+        assert self._imports(net, bgp) == []
+
     def test_ldp_entry_off_the_igp_next_hop_flagged(self):
         net, nodes = provisioned_network()
         p1 = nodes["P1"]
