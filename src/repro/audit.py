@@ -36,12 +36,12 @@
 * ``importers`` (error, given ``bgp=``): the engine's RT -> importing-VRF
   index (if built: never here) lists a VRF its PE dropped or that does not
   import the RT, or misses one with a sync record (a hand policy, till converge).
-* ``imports`` (error, given ``bgp=``): an advertisement object
-  (:class:`~repro.vpn.bgp.VpnRoute`, what the engine imports) in a VRF of
-  one of the engine's PEs that is not the route the Adj-RIB-Out holds for
-  that prefix from its origin, that comes from a drained PE or sits on one,
-  or that carries no RT of the import policy the engine acts on for that
-  VRF.  The table is the engine's only record of its imports, so this is
+* ``imports`` (error, given ``bgp=``): a VRF entry that is not a local
+  (so an advertisement object, :class:`~repro.vpn.bgp.VpnRoute`, what the
+  engine imports) in a VRF of one of the engine's PEs that is not the
+  route the Adj-RIB-Out holds for that prefix from its origin, that comes
+  from a drained PE or sits on one, or that carries no RT of the import
+  policy the engine acts on for that VRF.  The table is the engine's only record of its imports, so this is
   the check that the record says what the Adj-RIB-Out does.  Reported under
   the PE holding the VRF.
 
@@ -60,7 +60,6 @@ from repro.mpls.lfib import LabelOp
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
 from repro.routing.router import Router
-from repro.vpn.bgp import VpnRoute
 from repro.vpn.pe import PeRouter
 from repro.vpn.rd_rt import RouteTarget
 
@@ -168,15 +167,15 @@ def _engine_importers(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
 
 
 def _engine_imports(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
-    """The ``imports`` rule: every advertisement object in a VRF of the
-    engine's PEs is advertised, in session and under the VRF's policy."""
+    """The ``imports`` rule: every entry of a VRF of the engine's PEs that is
+    not a local is advertised, in session and under the VRF's policy."""
     advertised = {route for rib in bgp._rib.values() for route in rib.values()}
     down = bgp._down
     for pe in bgp.pes:
         for vrf in pe.vrfs.values():
             policy = bgp._policy((pe.name, vrf.name), vrf)
             for prefix, route in vrf.entries().items():
-                if type(route) is not VpnRoute:
+                if route.kind == "local":
                     continue
                 what = f"VRF {vrf.name} import of {prefix} from {route.origin_pe}"
                 if route.prefix != prefix or route not in advertised:
@@ -248,8 +247,7 @@ def _vrf_state(node: PeRouter) -> _Rule:
 
 
 def _cache_notes(pipe: "ForwardingPipeline") -> _Rule:
-    caches = [("flow_cache", pipe.flow_cache), ("label_cache", pipe.label_cache),
-              ("tunnel_cache", pipe.tunnel_cache),
+    caches = [("flow_cache", pipe.flow_cache), ("tunnel_cache", pipe.tunnel_cache),
               *((f"vrf[{name}]", cache) for name, cache in pipe.vrf_caches.items())]
     for name, cache in caches:
         if cache is None:

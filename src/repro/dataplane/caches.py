@@ -1,22 +1,21 @@
 """Generation-stamped exact-match caches for the forwarding pipeline.
 
 A :class:`GenCache` sits in front of a slower (or allocation-heavier)
-lookup structure — the LPM trie, the LFIB, a VRF table — and memoizes
+lookup structure — the LPM trie, a VRF table, the FTN — and memoizes
 fully-resolved forwarding decisions keyed by an exact-match integer
-(destination address value, incoming label).  Correctness under control-
+(destination or egress-PE address value).  Correctness under control-
 plane churn is the whole design problem: a cached decision must never
 outlive the tables it was derived from.
 
 The guard is a *generation counter* on each source table (``Fib``,
-``Lfib``, ``FtnTable``, ``Vrf``), bumped on every mutation — route
-install/withdraw, label install/remove, FTN bind/unbind.  Every cache
-read first compares the sources' current generations against the ones
-captured when the cache was last (re)filled; any mismatch flushes the
-whole cache in O(1) amortized (one ``dict.clear``) and reports a miss.
-SPF reconvergence, LDP passes, FRR bypass activation, and VRF route
-churn all mutate their tables through the counted entry points, so stale
-entries are structurally unreachable — there is no event-subscription
-protocol to forget.
+``FtnTable``, ``Vrf``), bumped on every mutation — route install/withdraw,
+FTN bind/unbind.  Every cache read first compares the sources' current
+generations against the ones captured when the cache was last (re)filled;
+any mismatch flushes the whole cache in O(1) amortized (one
+``dict.clear``) and reports a miss.  SPF reconvergence, LDP passes and VRF
+route churn all mutate their tables through the counted entry points, so
+stale entries are structurally unreachable — there is no
+event-subscription protocol to forget.
 
 The full-flush policy (rather than per-entry invalidation) is deliberate:
 topology events are rare and coarse (a reconvergence rewrites most of the

@@ -22,17 +22,19 @@ Performance notes (measured: the ledger's ``vpn_sla`` row, benchmarks/ledger):
   forces a trip through the scheduler, :meth:`Simulator.schedule_call`
   stores the arguments on the event, so no closure is built either way.
 * Exact-match fast caches: the destination→decision flow cache fronts the
-  LPM trie, the label→entry cache fronts the LFIB, and per-VRF caches
-  front the VRF tables.  All are generation-stamped (``GenCache``) so SPF
-  reconvergence, LDP passes, FRR activation, and VRF churn invalidate
-  them without any notification protocol.
+  LPM trie, per-VRF caches front the VRF tables, and the tunnel cache
+  fronts the FTN's ``Prefix`` build.  All are generation-stamped
+  (``GenCache``) so SPF reconvergence, LDP passes and VRF churn invalidate
+  them without any notification protocol.  The LFIB is already one
+  exact-match dict read and has no cache in front of it.
 * ``flow_hash`` memoizes its CRC32 on the packet — the 5-tuple is
   immutable for a packet's lifetime, so the ECMP key is computed at most
   once per packet rather than once per hop.
 
 Logical lookup counters (``fib.lookups``, ``lfib.lookups``) are bumped on
-cache hits too, so experiment E8's per-node lookup census keeps its
-meaning ("packets that consulted this table") regardless of cache state.
+cache hits and burst rows too, so experiment E8's per-node lookup census
+keeps its meaning ("packets that consulted this table") regardless of
+cache state or tier.
 
 The scalar stages are the only definition of forwarding.  Beside them
 sits one accelerator, the uniform-burst tier (``ingress_batch``): a big
@@ -118,7 +120,7 @@ class ForwardingPipeline:
 
     __slots__ = (
         "node", "sim", "fib", "lfib", "ftn", "vrf_of_circuit", "vrfs",
-        "flow_cache", "label_cache", "tunnel_cache", "vrf_caches",
+        "flow_cache", "tunnel_cache", "vrf_caches",
     )
 
     def __init__(self, node, fib: "Fib") -> None:
@@ -130,7 +132,6 @@ class ForwardingPipeline:
         self.vrf_of_circuit: dict | None = None
         self.vrfs: dict | None = None
         self.flow_cache = GenCache(fib)
-        self.label_cache: GenCache | None = None
         self.tunnel_cache: GenCache | None = None
         # One lookup cache per VRF on a PE; the shared empty mapping until
         # enable_vrf_demux, so a router that is not a PE holds no dict here.
@@ -149,7 +150,6 @@ class ForwardingPipeline:
         self.lfib = lfib
         self.ftn = ftn
         self.flow_cache = GenCache(self.fib, ftn)
-        self.label_cache = GenCache(lfib)
 
     def enable_vrf_demux(self, vrf_of_circuit: dict, vrfs: dict) -> None:
         """Plug in the VRF demux stage (PE): circuit→VRF ingress mapping."""
@@ -249,21 +249,22 @@ class ForwardingPipeline:
     def _uniform_burst(self, items: "list[tuple[Packet, str]]") -> bool:
         """Forward ``items`` in one loop if the burst is uniform.
 
-        Uniform means every row gets the same verdict from one decision
-        the scalar stages have *already cached*: one top label whose LFIB
-        entry is SWAP or POP, or one non-local destination whose
-        flow-cache entry is a plain route or an imposition — with a
-        usable egress interface, nothing expiring (min TTL > 1), no
-        attachment-circuit row (nor, at a PE, one over an interface it no
-        longer has), no flight recorder and no modeled
-        per-packet CPU cost.  Then the per-row work is header writes
-        only, and hit / logical-lookup / rx / forwarded counters move by
-        the burst size to exactly the per-packet totals.
+        Uniform means every row gets the same verdict from one decision:
+        one top label whose LFIB entry is SWAP or POP, or one non-local
+        destination whose flow-cache entry the scalar stage has *already
+        cached* as a plain route or an imposition — with a usable egress
+        interface, nothing expiring (min TTL > 1), no attachment-circuit
+        row (nor, at a PE, one over an interface it no longer has), no
+        flight recorder and no modeled per-packet CPU cost.  Then the
+        per-row work is header writes only, and hit / logical-lookup / rx
+        / forwarded counters move by the burst size to exactly the
+        per-packet totals.
 
         Anything else returns ``False`` **before any counter, cache entry
-        or packet is touched** (a cold decision too: the scalar stage
-        fills the cache, and the next burst is served here), so this
-        method performs no table lookup, cache fill or drop of its own.
+        or packet is touched** (a cold flow decision too: the scalar
+        stage fills the cache, and the next burst is served here), so
+        this method performs no counted lookup, cache fill or drop of its
+        own: the LFIB entry is read uncounted and counted only on commit.
         The one shared side effect is :meth:`GenCache.sync` — the guard
         refresh the first scalar ``get`` would do — which is why it runs
         last, once every check that could keep the scalar path away from
@@ -296,8 +297,7 @@ class ForwardingPipeline:
             ttls = [t.ttl for t in tops]
             if [t.label for t in tops].count(label) != n or min(ttls) <= 1:
                 return False
-            cache = self.label_cache
-            entry = cache.sync().get(label)
+            entry = self.lfib._entries.get(label)  # counted below, on commit
             if entry is None:
                 return False
             op = entry.op
@@ -306,7 +306,6 @@ class ForwardingPipeline:
             iface = node.interfaces.get(entry.out_ifname)
             if iface is None or iface.link is None:
                 return False
-            cache.hits += n
             self.lfib.lookups += n
             if op is LabelOp.SWAP:
                 out_label = entry.out_label
@@ -401,21 +400,15 @@ class ForwardingPipeline:
         """
         node = self.node
         sim = self.sim
-        lfib = self.lfib
-        cache = self.label_cache
+        lookup = self.lfib.lookup
         fl = node.trace.flight
         while True:
             top = pkt.mpls_stack[-1]
             label = top.label
-            entry = cache.get(label)
+            entry = lookup(label)
             if entry is None:
-                entry = lfib.lookup(label)
-                if entry is None:
-                    node.drop(pkt, DropReason.NO_LABEL)
-                    return
-                cache.put(label, entry)
-            else:
-                lfib.lookups += 1  # logical lookup served from the cache
+                node.drop(pkt, DropReason.NO_LABEL)
+                return
             op = entry.op
             if op is LabelOp.SWAP:
                 if pkt.decrement_ttl() <= 0:
@@ -653,8 +646,6 @@ class ForwardingPipeline:
     def cache_stats(self) -> dict[str, Any]:
         """Counters for every enabled cache (observability/test hook)."""
         out: dict[str, Any] = {"flow": self.flow_cache.stats()}
-        if self.label_cache is not None:
-            out["label"] = self.label_cache.stats()
         if self.tunnel_cache is not None:
             out["tunnel"] = self.tunnel_cache.stats()
         if self.vrf_caches:

@@ -11,6 +11,7 @@ charged to the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -75,10 +76,6 @@ class FlowStats:
     throughput_bps: float
     duration_s: float
 
-    @property
-    def delivered_ratio(self) -> float:
-        return 1.0 - self.loss_ratio
-
     def row(self) -> dict[str, float | str | int]:
         """Flat dict for table rendering."""
         return {
@@ -94,6 +91,51 @@ class FlowStats:
         }
 
 
+def _flow_stats(
+    flow: Any,
+    sent: int,
+    received: int,
+    delays: np.ndarray,
+    arrivals: np.ndarray,
+    pkt_delays: np.ndarray,
+    total_bytes: int,
+    duration_s: float | None,
+) -> FlowStats:
+    """The one :class:`FlowStats` construction.
+
+    ``delays`` holds one sample per received packet; ``arrivals`` and
+    ``pkt_delays`` are the sink's own samples, which set the default
+    duration (first to last arrival) and the RFC 3550 jitter.
+    """
+    if duration_s is None:
+        duration_s = float(arrivals[-1] - arrivals[0]) if len(arrivals) >= 2 else 0.0
+    if not received:
+        nan = float("nan")
+        return FlowStats(
+            flow=str(flow), sent=sent, received=0,
+            mean_delay_s=nan, p50_delay_s=nan, p95_delay_s=nan, p99_delay_s=nan,
+            max_delay_s=nan, jitter_rfc3550_s=nan, delay_std_s=nan,
+            loss_ratio=1.0 if sent else 0.0, throughput_bps=0.0,
+            duration_s=duration_s or 0.0,
+        )
+    loss = 1.0 - received / sent if sent else 0.0
+    return FlowStats(
+        flow=str(flow),
+        sent=sent,
+        received=received,
+        mean_delay_s=float(delays.mean()),
+        p50_delay_s=float(np.percentile(delays, 50)),
+        p95_delay_s=float(np.percentile(delays, 95)),
+        p99_delay_s=float(np.percentile(delays, 99)),
+        max_delay_s=float(delays.max()),
+        jitter_rfc3550_s=rfc3550_jitter(arrivals - pkt_delays, arrivals),
+        delay_std_s=float(delays.std()),
+        loss_ratio=max(0.0, loss),
+        throughput_bps=total_bytes * 8.0 / duration_s if duration_s > 0 else 0.0,
+        duration_s=duration_s,
+    )
+
+
 def summarize_flow(
     source: TrafficSource,
     sink: FlowSink,
@@ -106,49 +148,8 @@ def summarize_flow(
     """
     rec: FlowRecord = sink.record(source.flow)
     delays = rec.delays_array()
-    arrivals = rec.arrivals_array()
-    received = rec.count
-    sent = source.sent
-    loss = 1.0 - received / sent if sent else 0.0
-
-    if duration_s is None:
-        duration_s = float(arrivals[-1] - arrivals[0]) if received >= 2 else 0.0
-    thru = rec.bytes_received * 8.0 / duration_s if duration_s > 0 else 0.0
-
-    if received:
-        send_times = arrivals - delays
-        stats = FlowStats(
-            flow=str(source.flow),
-            sent=sent,
-            received=received,
-            mean_delay_s=float(delays.mean()),
-            p50_delay_s=float(np.percentile(delays, 50)),
-            p95_delay_s=float(np.percentile(delays, 95)),
-            p99_delay_s=float(np.percentile(delays, 99)),
-            max_delay_s=float(delays.max()),
-            jitter_rfc3550_s=rfc3550_jitter(send_times, arrivals),
-            delay_std_s=float(delays.std()),
-            loss_ratio=max(0.0, loss),
-            throughput_bps=thru,
-            duration_s=duration_s,
-        )
-    else:
-        stats = FlowStats(
-            flow=str(source.flow),
-            sent=sent,
-            received=0,
-            mean_delay_s=float("nan"),
-            p50_delay_s=float("nan"),
-            p95_delay_s=float("nan"),
-            p99_delay_s=float("nan"),
-            max_delay_s=float("nan"),
-            jitter_rfc3550_s=float("nan"),
-            delay_std_s=float("nan"),
-            loss_ratio=1.0 if sent else 0.0,
-            throughput_bps=0.0,
-            duration_s=duration_s or 0.0,
-        )
-    return stats
+    return _flow_stats(source.flow, source.sent, rec.count, delays,
+                       rec.arrivals_array(), delays, rec.bytes_received, duration_s)
 
 
 def summarize_hybrid_flow(
@@ -170,56 +171,13 @@ def summarize_hybrid_flow(
     """
     rec: FlowRecord = sink.record(agg.flow)
     pkt_delays = rec.delays_array()
-    arrivals = rec.arrivals_array()
     fluid_pkts = agg.fluid_delivered_packets
-    received = rec.count + fluid_pkts
-    sent = agg.sent
-    loss = 1.0 - received / sent if sent else 0.0
-
-    if duration_s is None:
-        duration_s = float(arrivals[-1] - arrivals[0]) if rec.count >= 2 else 0.0
-    total_bytes = rec.bytes_received + agg.fluid_delivered_bytes
-    thru = total_bytes * 8.0 / duration_s if duration_s > 0 else 0.0
-
-    if received == 0:
-        return FlowStats(
-            flow=str(agg.flow),
-            sent=sent,
-            received=0,
-            mean_delay_s=float("nan"),
-            p50_delay_s=float("nan"),
-            p95_delay_s=float("nan"),
-            p99_delay_s=float("nan"),
-            max_delay_s=float("nan"),
-            jitter_rfc3550_s=float("nan"),
-            delay_std_s=float("nan"),
-            loss_ratio=1.0 if sent else 0.0,
-            throughput_bps=0.0,
-            duration_s=duration_s or 0.0,
-        )
-
     if fluid_pkts:
         delays = np.concatenate(
             [pkt_delays, np.full(fluid_pkts, agg.analytic_delay_s)]
         )
     else:
         delays = pkt_delays
-    if rec.count >= 2:
-        jitter = rfc3550_jitter(arrivals - pkt_delays, arrivals)
-    else:
-        jitter = 0.0
-    return FlowStats(
-        flow=str(agg.flow),
-        sent=sent,
-        received=received,
-        mean_delay_s=float(delays.mean()),
-        p50_delay_s=float(np.percentile(delays, 50)),
-        p95_delay_s=float(np.percentile(delays, 95)),
-        p99_delay_s=float(np.percentile(delays, 99)),
-        max_delay_s=float(delays.max()),
-        jitter_rfc3550_s=jitter,
-        delay_std_s=float(delays.std()),
-        loss_ratio=max(0.0, loss),
-        throughput_bps=thru,
-        duration_s=duration_s,
-    )
+    return _flow_stats(agg.flow, agg.sent, rec.count + fluid_pkts, delays,
+                       rec.arrivals_array(), pkt_delays,
+                       rec.bytes_received + agg.fluid_delivered_bytes, duration_s)

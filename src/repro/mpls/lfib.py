@@ -63,9 +63,10 @@ class LfibEntry:
 class Lfib:
     """Exact-match incoming-label table.
 
-    ``generation`` increments on every mutation so the data plane's label
-    cache can detect churn (LDP reset, FRR bypass activation/restore)
-    before serving a memoized entry.
+    A lookup is one dict read, so the data plane reads it with no cache
+    in front.  ``generation`` increments on every mutation (an LDP pass
+    that writes, FRR bypass activation/restore), so a reader can tell a
+    pass that changed the table from one that did not.
     """
 
     def __init__(self) -> None:
@@ -79,8 +80,8 @@ class Lfib:
 
     def install_many(self, items: list[tuple[int, LfibEntry]]) -> int:
         """Batch install with a single generation bump (LDP convergence
-        writes one entry per FEC; invalidating the label cache per entry
-        buys nothing).  Returns the number of entries installed."""
+        writes one entry per FEC).  Returns the number of entries
+        installed."""
         if not items:
             return 0
         self._entries.update(items)

@@ -230,17 +230,6 @@ class Packet:
             pkt = pkt.inner
         return pkt
 
-    def visible_header(self) -> IPHeader:
-        """The header a multi-field classifier at this point can act on.
-
-        For cleartext tunnels the classifier could in principle look inside,
-        but interior DiffServ equipment classifies on the outer header; for
-        *encrypted* tunnels the inner header is unreadable by construction.
-        Either way the answer is the outer ``ip`` — the distinction that
-        matters is captured by :meth:`classifiable_dscp`.
-        """
-        return self.ip
-
     def classifiable_dscp(self) -> int:
         """DSCP available to an interior Behaviour-Aggregate classifier."""
         return self.ip.dscp

@@ -313,7 +313,6 @@ class SloEngine:
         self.flows: dict[Any, SloStream] = {}
         self.classes: dict[tuple[str, str], SloStream] = {}
         self._flow_specs: dict[Any, SlaSpec] = {}
-        self._class_specs: dict[tuple[str, str], SlaSpec] = {}
         self._node_vrf: dict[str, str] = {}
         self.delivered = 0
         #: flow -> {"packets", "bytes", "delay_s"} analytic deliveries
@@ -325,12 +324,6 @@ class SloEngine:
         """Commit ``spec`` for ``flow`` (continuous windowed checking)."""
         self._flow_specs[flow] = spec
         stream = self.flows.get(flow)
-        if stream is not None:
-            stream.spec = spec
-
-    def bind_class(self, vrf: str, cls: str, spec: SlaSpec) -> None:
-        self._class_specs[(vrf, cls)] = spec
-        stream = self.classes.get((vrf, cls))
         if stream is not None:
             stream.spec = spec
 
@@ -370,7 +363,7 @@ class SloEngine:
             cstream = self.classes.get(ckey)
             if cstream is None:
                 cstream = self.classes[ckey] = SloStream(
-                    f"{vrf}×{cls}", self._class_specs.get(ckey),
+                    f"{vrf}×{cls}", None,
                     self.window_s, self.sketch_k,
                 )
             cstream.observe(now, delay, original.seq, original.wire_bytes)

@@ -236,7 +236,7 @@ class Telemetry:
         """GenCache counters from every router's forwarding pipeline.
 
         VRF route caches are labeled ``vrf:<name>`` so one gauge family
-        covers flow/label/tunnel/VRF caches uniformly.
+        covers flow/tunnel/VRF caches uniformly.
         """
         lab = ("node", "cache")
         hits = reg.gauge("repro_cache_hits", "Forwarding-cache hits", lab)

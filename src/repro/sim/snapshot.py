@@ -18,32 +18,16 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/10``), the ``repro`` version
+The header names the schema (``repro.snapshot/11``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
-on any mismatch of these, before anything is unpickled — silently loading
-a snapshot across a schema change (a ``/1`` image holds the FIB trie as
-node objects, a ``/2`` image holds prefixes and route targets as slotted
-dataclass state where this reader builds tuples, a ``/3`` image holds each
-table's trie columns and leaf cache where this reader expects its routes
-only, a ``/4`` image holds a network without the free /30 list, the
-per-domain index and the node-to-network links that ``disconnect`` /
-``remove_node`` and a ``node.domain`` write rely on, a ``/5`` image holds
-interfaces, links, sites and VRFs as instance dicts where this reader's
-classes are slotted, and a stats object per interface, a ``/6`` image holds
-a network with the link-listener list and convergence-tracer slot this
-reader's networks no longer have, and may hold a ``bind`` closure event
-whose rebuild function is gone, a ``/7`` image holds a site with the
-``extra`` slot and domain views and IGP state with the metric-only edge map
-this reader's classes no longer have, a ``/8`` image holds a ``deque`` per
-idle queue discipline and an empty dict per idle cache and drop counter
-where this reader's hold none, and each link as a slot-name dict without
-its sender where this reader's ``Link`` takes a tuple, a ``/9`` image holds
-each MP-BGP import as a ``VrfRoute`` copy, which this reader's engine would
-never recognise as its own and so never withdraw, beside an import mirror
-and copy map its engine no longer has) or with a flipped
-bit (about one in six still unpickles) is exactly the class of bug the
-header exists to prevent.
+on any mismatch of these, before anything is unpickled.  An image is the
+pickled object graph, so one written under another schema holds state in a
+shape this reader's classes no longer have (a ``/10`` image, for one,
+holds remote fields on a ``VrfRoute`` and a label cache per LSR); it
+unpickles into a wrong graph or fails deep inside it, and so does one with
+a flipped bit (about one in six still unpickles).  The header exists to
+refuse both up front.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
 ``(routes, lookups, generation)``): the LPM trie is an index the first
@@ -125,7 +109,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/10"
+SCHEMA = "repro.snapshot/11"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -397,11 +397,6 @@ class Network:
             n += 1
         return name
 
-    def _bump_topology(self) -> None:
-        """Invalidate cached domain views / SPF state after a structural
-        change."""
-        self.topology_generation += 1
-
     def _link_state_changed(self, link: Link) -> None:
         """Link up-state hook (wired into every Link by :meth:`connect`):
         bump the topology generation and announce ``link.up`` /

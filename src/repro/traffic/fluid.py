@@ -553,10 +553,6 @@ class FluidRouter:
             exp.start(self.sim.now, self._stop_at)
 
     # ------------------------------------------------------------------
-    def utilization_bps(self, iface: Interface) -> float:
-        """Current fluid charge on ``iface`` (0.0 when uncharged)."""
-        return self._loaded.get(iface, 0.0)
-
     def summary(self) -> dict[str, Any]:
         """JSON-able state: per-aggregate counters + plane totals."""
         return {

@@ -35,8 +35,7 @@ advertise the same prefix.
 
 Every importing VRF holds the Adj-RIB-Out's :class:`VpnRoute` itself, and
 its table is the only record of the engine's imports: the entries that are
-a ``VpnRoute``.  A hand-written ``VrfRoute`` never is one; an advertisement
-that wins its prefix replaces it, and nothing else touches it.
+not a local.
 
 Three session topologies are supported, because their control-plane
 cost is an E9e ablation:
@@ -81,7 +80,8 @@ class VpnRoute(NamedTuple):
     the prefix, and builds its VPN-IPv4 :attr:`key` from them when asked.
     It is the one object of its advertisement: the Adj-RIB-Out's, the RT
     index's and the entry of every VRF importing it, answering the data
-    plane's reads of a remote ``VrfRoute`` (``kind`` ... ``vpn_label``).
+    plane's reads of a remote VRF entry (``kind``, ``remote_pe``,
+    ``vpn_label``).
     """
 
     rd: RouteDistinguisher
@@ -92,8 +92,7 @@ class VpnRoute(NamedTuple):
     origin_pe: str
     origin_site: int | None = None
 
-    kind = "remote"  # class attributes, not fields
-    out_ifname = None
+    kind = "remote"  # a class attribute, not a field
 
     @property
     def key(self) -> VpnPrefix:
@@ -263,16 +262,6 @@ class MpBgp:
     def session_count(self) -> int:
         """Configured iBGP sessions (topology census, ignores drains)."""
         return sum(len(peers) for peers in self._neighbors.values()) // 2
-
-    def _updates_for_export(self) -> int:
-        """UPDATE messages triggered by one exported route (client origin)."""
-        if len(self.pes) < 2:
-            return 0
-        origin = next(
-            (n for n in self._pe_by_name if n not in self._rr_cluster_of),
-            self.pes[0].name,
-        )
-        return self._propagate(origin)[1]
 
     # ------------------------------------------------------------------
     def _propagate(
@@ -546,9 +535,8 @@ class MpBgp:
     ) -> None:
         table = vrf.entries()
         local = vrf.local_routes()
-        # An entry that is not the winner is replaced, a hand route too.
         adds = [(p, r) for p, r in desired.items() if p not in local and table.get(p) != r]
-        dels = [p for p, r in table.items() if type(r) is VpnRoute and p not in desired]
+        dels = [p for p in table if p not in desired and p not in local]
         self._apply_import_changes(vrf, (pe.name, vrf.name), adds, dels, result)
 
     def _resync_imports_for(
@@ -598,7 +586,7 @@ class MpBgp:
                 winner = self._pick_winner(key[0], offers.get(prefix, {}))
                 have = table.get(prefix)
                 if winner is None:
-                    if type(have) is VpnRoute:
+                    if have is not None:
                         dels.append(prefix)
                 elif have != winner:
                     adds.append((prefix, winner))
@@ -787,7 +775,8 @@ class MpBgp:
         # The drained PE's own VRFs lose everything they learned.
         node = self._pe_by_name[name]
         for vrf in node.vrfs.values():
-            dels = [p for p, r in vrf.entries().items() if type(r) is VpnRoute]
+            local = vrf.local_routes()
+            dels = [p for p in vrf.entries() if p not in local]
             self._apply_import_changes(vrf, (name, vrf.name), [], dels, result)
         self._tally(result)
         return result

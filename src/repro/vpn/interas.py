@@ -66,11 +66,9 @@ def connect_option_a(
             raise ValueError(f"{asbr.name} has no VRF {vpn_name!r}")
     dl = net.connect(asbr_a, asbr_b, rate_bps, delay_s)
     a_if, b_if = dl.if_ab.name, dl.if_ba.name
-    a_addr = next(a for a, ifn in asbr_a.addresses.items() if ifn == a_if)
-    b_addr = next(a for a, ifn in asbr_b.addresses.items() if ifn == b_if)
     asbr_a.bind_circuit(a_if, vpn_name)
     asbr_b.bind_circuit(b_if, vpn_name)
-    return InterAsCircuit(vpn_name, asbr_a, asbr_b, a_if, b_if, a_addr, b_addr)
+    return InterAsCircuit(vpn_name, asbr_a, asbr_b, a_if, b_if, dl.addr_a, dl.addr_b)
 
 
 def exchange_option_a(net: "Network", circuit: InterAsCircuit) -> int:

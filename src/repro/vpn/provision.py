@@ -39,6 +39,15 @@ __all__ = ["ProvisioningError", "Site", "Vpn", "VpnProvisioner"]
 _KEEP: object = object()
 
 
+def _vrf_names(vpn: str, role: str) -> tuple[str, ...]:
+    """The VRFs a site of ``role`` is bound to on its PE: the naming rule."""
+    if role == "hub":
+        return (f"{vpn}-hub-dn", f"{vpn}-hub-up")
+    if role == "spoke":
+        return (f"{vpn}-spoke",)
+    return (vpn,)
+
+
 class ProvisioningError(ValueError):
     """A provisioning call named something it cannot provision.
 
@@ -267,13 +276,11 @@ class VpnProvisioner:
         pe_ifname = dl.if_ba.name
 
         ce.add_site_prefix(site_prefix)
-        if role == "spoke":
-            vrf_name = f"{v.name}-spoke"
-            if vrf_name not in pe.vrfs:
+        (vrf_name,) = _vrf_names(v.name, role)
+        if vrf_name not in pe.vrfs:
+            if role == "spoke":
                 pe.add_vrf(vrf_name, v.rd, {v.rt_hub}, {v.rt_spoke})
-        else:
-            vrf_name = v.name
-            if vrf_name not in pe.vrfs:
+            else:
                 pe.add_vrf(vrf_name, v.rd, {v.rt}, {v.rt})
         pe.bind_circuit(pe_ifname, vrf_name)
         ce_addr_on_link = dl.addr_a  # CE is the `a` end of connect(ce, pe)
@@ -325,7 +332,7 @@ class VpnProvisioner:
         ce.set_default_route(ce_up, pe_up_addr)
         ce.add_site_prefix(site_prefix)
 
-        dn_name, up_name = f"{v.name}-hub-dn", f"{v.name}-hub-up"
+        dn_name, up_name = _vrf_names(v.name, "hub")
         if dn_name not in pe.vrfs:
             pe.add_vrf(dn_name, v.rd, set(), {v.rt_hub})
             pe.add_vrf(up_name, v.rd, {v.rt_spoke}, set())
@@ -455,13 +462,6 @@ class VpnProvisioner:
     # ------------------------------------------------------------------
     # Churn: de-provisioning and maintenance
     # ------------------------------------------------------------------
-    def _site_vrf_names(self, v: Vpn, site: Site) -> list[str]:
-        if site.role == "hub":
-            return [f"{v.name}-hub-dn", f"{v.name}-hub-up"]
-        if site.role == "spoke":
-            return [f"{v.name}-spoke"]
-        return [v.name]
-
     def remove_site(self, site: Site) -> Site:
         """De-provision one site: unbind its circuit(s) — which withdraws
         every local route learned over them — take what ``add_site`` wired
@@ -495,26 +495,35 @@ class VpnProvisioner:
         # routes when the sessions went down, and restore_pe() re-reads the
         # PE's locals before it re-advertises.
         if self._bgp is not None and pe.name not in self._bgp.drained:
-            for vrf_name in self._site_vrf_names(v, site):
+            for vrf_name in _vrf_names(v.name, site.role):
                 vrf = pe.vrfs.get(vrf_name)
                 if vrf is not None:
                     self._bgp.export_delta(pe, vrf)
         return site
 
     def remove_vpn(self, name: str) -> Vpn:
-        """Tear down a whole VPN: every site, then every VRF it created."""
+        """Tear down a whole VPN: every site, then every VRF it created.
+
+        A VRF outlives the last site behind its PE, so the VRFs are found on
+        the PEs, not through the sites: every VRF named by the VPN's roles
+        that carries its RD (another provider's same-named VPN has another).
+        """
         v = self._vpn(name)
-        holders = {site.pe.name: site.pe for site in v.sites}
         for site in list(reversed(v.sites)):
             self.remove_site(site)
-        vrf_names = [name, f"{name}-spoke", f"{name}-hub-dn", f"{name}-hub-up"]
-        for pe in holders.values():
+        roles = ("mesh",) if v.topology == "mesh" else ("spoke", "hub")
+        vrf_names = [n for role in roles for n in _vrf_names(name, role)]
+        engine = self._bgp
+        for pe in self.net.nodes.values():
+            if not isinstance(pe, PeRouter):
+                continue
             for vrf_name in vrf_names:
-                if vrf_name not in pe.vrfs:
+                vrf = pe.vrfs.get(vrf_name)
+                if vrf is None or vrf.rd != v.rd:
                     continue
-                if self._bgp is not None:
-                    self._bgp.withdraw(pe, vrf=vrf_name)
-                    self._bgp.forget_vrf(pe, vrf_name)
+                if engine is not None and pe in engine.pes:
+                    engine.withdraw(pe, vrf=vrf_name)
+                    engine.forget_vrf(pe, vrf_name)
                 pe.remove_vrf(vrf_name)
         del self.vpns[name]
         return v

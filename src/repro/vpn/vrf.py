@@ -9,9 +9,10 @@ addresses never meet in one table.
 
 The table is one :class:`~repro.routing.fib.Fib` per VRF whose entries
 are the route objects themselves (the table never reads what it stores): a
-lookup is one longest-prefix walk.  An import is MP-BGP's advertisement
-object (:class:`~repro.vpn.bgp.VpnRoute`), shared by every VRF importing
-it; the engine's imports are exactly the entries of that type.
+lookup is one longest-prefix walk.  An entry is a site's route (a
+:class:`VrfRoute`) or MP-BGP's advertisement object
+(:class:`~repro.vpn.bgp.VpnRoute`), shared by every VRF importing it: the
+engine's imports are exactly the entries that are not a local.
 
 Beside the table, a VRF keeps its local routes in a prefix-keyed dict (the
 same objects), so what a site flap asks of it — the locals to export, the
@@ -42,31 +43,20 @@ __all__ = ["VrfRoute", "Vrf"]
 
 @dataclass(frozen=True, slots=True)
 class VrfRoute:
-    """One VRF forwarding decision.
+    """A local VRF route: reachable over an attachment circuit of this PE.
 
-    ``kind`` is ``"local"`` (reachable via an attachment circuit on this
-    PE) or ``"remote"`` (reachable via an MPLS tunnel to another PE, using
-    ``vpn_label`` as the inner label).
+    Every other VRF entry is MP-BGP's advertisement object
+    (:class:`~repro.vpn.bgp.VpnRoute`, ``kind == "remote"``).
     """
 
-    kind: str
-    out_ifname: str | None = None            # local: PE->CE interface
-    next_hop: IPv4Address | None = None      # local: CE address (informational)
-    remote_pe: IPv4Address | None = None     # remote: egress PE loopback
-    vpn_label: int | None = None             # remote: inner label
+    out_ifname: str                          # PE->CE interface
+    next_hop: IPv4Address | None = None      # CE address (informational)
     origin_site: int | None = None
-    metric: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.kind == "local" and self.out_ifname is None:
-            raise ValueError("local VRF route needs out_ifname")
-        if self.kind == "remote" and (self.remote_pe is None or self.vpn_label is None):
-            raise ValueError("remote VRF route needs remote_pe and vpn_label")
-        if self.kind not in ("local", "remote"):
-            raise ValueError(f"unknown VRF route kind {self.kind!r}")
+    kind = "local"  # a class attribute, not a field
 
 
-Entry = Union[VrfRoute, "VpnRoute"]  # a table entry: both answer the data plane's reads
+Entry = Union[VrfRoute, "VpnRoute"]  # a table entry: a site's route or an advertisement
 
 
 class Vrf:
@@ -139,9 +129,7 @@ class Vrf:
     ) -> VrfRoute:
         """Install a route learned from an attached site."""
         pfx = Prefix.parse(prefix)
-        route = VrfRoute(
-            "local", out_ifname=out_ifname, next_hop=next_hop, origin_site=origin_site
-        )
+        route = VrfRoute(out_ifname, next_hop, origin_site)
         over_import = pfx not in self._locals and pfx in self._fib
         self._fib.install(pfx, route)
         self._locals[pfx] = route
@@ -149,38 +137,14 @@ class Vrf:
             self.local_generation += 1
         return route
 
-    def add_remote(
-        self,
-        prefix: Prefix | str,
-        remote_pe: IPv4Address,
-        vpn_label: int,
-        origin_site: int | None = None,
-        metric: float = 0.0,
-    ) -> VrfRoute:
-        """Install a remote route by hand.  An entry of the MP-BGP engine is
-        an advertisement object and a ``VrfRoute`` never is: the engine
-        replaces this one where an advertisement wins the prefix and leaves
-        it alone everywhere else."""
-        pfx = Prefix.parse(prefix)
-        route = VrfRoute(
-            "remote",
-            remote_pe=remote_pe,
-            vpn_label=vpn_label,
-            origin_site=origin_site,
-            metric=metric,
-        )
-        self._fib.install(pfx, route)
-        self._locals.pop(pfx, None)
-        return route
-
-    def add_remote_many(self, items: list[tuple[Prefix, Entry]]) -> int:
+    def add_remote_many(self, items: list[tuple[Prefix, "VpnRoute"]]) -> int:
         """Install a batch of MP-BGP imports with one FIB generation bump.
 
-        ``items`` is ``[(prefix, route), ...]`` with ready ``"remote"``
-        routes: MP-BGP's advertisement objects themselves.  The churn
-        engine installs whole deltas through here so the PE's per-VRF flow
-        caches are invalidated once per batch, not once per route (PR 3's
-        ``install_many`` pattern).  Returns the batch size.
+        ``items`` is ``[(prefix, route), ...]`` with MP-BGP's advertisement
+        objects themselves.  The churn engine installs whole deltas through
+        here so the PE's per-VRF flow caches are invalidated once per batch,
+        not once per route (the ``Fib.install_many`` pattern).  Returns the
+        batch size.
         """
         locals_ = self._locals
         if not locals_.keys().isdisjoint(map(itemgetter(0), items)):
@@ -206,11 +170,6 @@ class Vrf:
 
     def withdraw(self, prefix: Prefix | str) -> bool:
         return bool(self.remove_many([Prefix.parse(prefix)]))
-
-    def kind_of(self, prefix: Prefix) -> str | None:
-        """``"local"``/``"remote"`` if ``prefix`` is installed, else None."""
-        route = self._fib.get(prefix)
-        return None if route is None else route.kind
 
     # ------------------------------------------------------------------
     @property

@@ -9,7 +9,7 @@ from repro.routing import converge
 from repro.topology import Network
 from repro.vpn import MpBgp, PeRouter, VpnProvisioner
 from repro.vpn.rd_rt import RouteDistinguisher, VpnPrefix
-from tests.test_churn_budget import _converged, _flap
+from tests.test_churn_budget import _converged
 from tests.test_churn_incremental import _oracle_snapshot, _vrf_snapshot
 
 
@@ -119,16 +119,16 @@ class TestShadowedImports:
             prov.add_site(hs, pe, num_hosts=0)
         prov.converge_bgp()
         spoke_vrf = pes[1].vrfs["hs-spoke"]
-        assert spoke_vrf.kind_of(hub.prefix) == "remote"
+        assert spoke_vrf.entries()[hub.prefix].kind == "remote"
         before = spoke_vrf.routes()
 
         dup = prov.add_site(hs, pes[1], prefix=hub.prefix, num_hosts=0)
         prov.bgp_engine().export_delta(pes[1], spoke_vrf)
-        assert spoke_vrf.kind_of(hub.prefix) == "local"
+        assert spoke_vrf.entries()[hub.prefix].kind == "local"
         prov.remove_site(dup)
 
         tables = _vrf_snapshot(prov)
-        assert spoke_vrf.kind_of(hub.prefix) == "remote"
+        assert spoke_vrf.entries()[hub.prefix].kind == "remote"
         assert spoke_vrf.routes() == before
         assert prov.converge_bgp().routes_imported == 0   # nothing left to repair
         assert tables == _oracle_snapshot(prov, drained=())
@@ -147,7 +147,7 @@ class TestShadowedImports:
         vrf = pes[1].vrfs["v"]
         before = vrf.routes()
         prov.remove_site(prov.add_site(vpn, pes[1], prefix=site.prefix, num_hosts=0))
-        assert vrf.kind_of(site.prefix) is None
+        assert site.prefix not in vrf.prefixes()
         again = prov.converge_bgp()
         assert again.routes_imported == 1 and again.updates_sent == 0
         assert vrf.routes() == before
@@ -177,7 +177,7 @@ class TestShadowedImports:
         prov.remove_site(dup)
         engine.export_delta(pes[1], vrf)
         # A delta that saw the local go uncovered the import again itself.
-        assert (vrf.kind_of(site.prefix) == "remote") is delta_after_add
+        assert (site.prefix in vrf.prefixes()) is delta_after_add
         again = prov.converge_bgp()
         assert again.routes_imported == (0 if delta_after_add else 1)
         assert again.updates_sent == 0
@@ -217,66 +217,6 @@ class TestExportDeltaArguments:
             engine.export_delta(pes[0], vrf)
         assert str(err.value).startswith("vrf: ")
         assert self._state(prov, engine) == before
-
-
-class TestHandRemoteRoutes:
-    """A VRF's table is the engine's only record of what it imported: its
-    entries that are an advertisement object (``VpnRoute``).  A remote
-    route written by hand (``Vrf.add_remote``) is a ``VrfRoute`` and never
-    one of them, so the engine replaces it where an advertisement wins the
-    prefix and leaves it alone everywhere else."""
-
-    HAND_PE = IPv4Address.parse("192.0.2.1")
-
-    def test_converge_repairs_an_import_overwritten_by_hand(self):
-        """The VRF reads as changed, and the sync reads the table: the
-        engine's advertisement goes back in (it used to stay overwritten,
-        because the engine's import mirror still listed it)."""
-        prov, pes = _converged(2, 16)
-        vrf = pes[1].vrfs["big"]
-        prefix, route = next((p, r) for p, r in sorted(vrf.routes().items())
-                             if r.kind == "remote")
-        vrf.add_remote(prefix, self.HAND_PE, 999)
-        assert vrf.routes()[prefix].vpn_label == 999
-        again = prov.converge_bgp()
-        assert again.routes_imported == 1 and again.updates_sent == 0
-        assert vrf.routes()[prefix] is route
-        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
-
-    def test_one_nobody_advertises_is_left_alone(self):
-        prov, pes = _converged(2, 16)
-        vrf = pes[1].vrfs["big"]
-        prefix = Prefix.parse("203.0.113.0/24")
-        hand = vrf.add_remote(prefix, self.HAND_PE, 999)
-        prov.converge_bgp()
-        assert vrf.routes()[prefix] is hand
-        for pe in (pes[1], pes[2]):        # the holder, then another PE
-            prov.drain_pe(pe)
-            assert vrf.routes()[prefix] is hand
-            prov.restore_pe(pe)
-            assert vrf.routes()[prefix] is hand
-        _flap(prov, 1)                     # a big site on pes[1]: this VRF's
-        _flap(prov, 0)
-        assert vrf.routes()[prefix] is hand
-        assert prov.converge_bgp().routes_imported == 0
-
-    def test_one_over_an_import_outlives_the_advertisement(self):
-        """Withdrawn, the advertisement takes only the VRFs' engine entries
-        with it; advertised again, it wins the prefix back."""
-        prov, pes = _converged(2, 16)
-        big = prov.vpns["big"]
-        site = big.sites[0]
-        vrf = pes[1].vrfs["big"]
-        assert vrf.kind_of(site.prefix) == "remote"
-        hand = vrf.add_remote(site.prefix, self.HAND_PE, 999)
-        prov.remove_site(site)
-        assert vrf.routes()[site.prefix] is hand
-        assert all(site.prefix not in pe.vrfs["big"].prefixes()
-                   for pe in pes if pe is not pes[1])
-        prov.add_site(big, site.pe, prefix=site.prefix, num_hosts=0)
-        prov.bgp_engine().export_delta(site.pe, site.pe.vrfs["big"])
-        assert vrf.routes()[site.prefix] is prov.bgp_engine()._rib[
-            site.pe.name, "big"][site.prefix]
 
 
 class TestWithdrawBehindADrain:

@@ -34,7 +34,7 @@ from repro.sim.snapshot import restore_network, snapshot_network
 from repro.topology import Network
 from repro.vpn.bgp import MpBgp, VpnRoute
 from repro.vpn.pe import PeRouter
-from repro.vpn.provision import VpnProvisioner
+from repro.vpn.provision import VpnProvisioner, _vrf_names
 
 slow_settings = settings(
     max_examples=25,
@@ -390,11 +390,11 @@ class TestChurnDeterministic:
         here.add_local(prefix, "by-hand")
         there.add_local(prefix, "by-hand")
         engine.export_delta(pes[0], there)       # passes over `here`'s local
-        assert here.kind_of(prefix) == "local"
+        assert here.entries()[prefix].kind == "local"
         assert here.withdraw(prefix)
         engine.export_delta(pes[1], here)        # nothing to advertise
         prov.converge_bgp()
-        assert here.kind_of(prefix) == "remote"
+        assert here.entries()[prefix].kind == "remote"
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
 
     def test_a_vrf_first_seen_by_a_delta_hears_the_next_delta(self):
@@ -409,7 +409,7 @@ class TestChurnDeterministic:
         engine.export_delta(pes[0], pes[0].vrfs["x"])
         site = prov.add_site(x, pes[1], num_hosts=0)
         assert engine.export_delta(pes[1], pes[1].vrfs["x"]).routes_imported == 4
-        assert pes[0].vrfs["x"].kind_of(site.prefix) == "remote"
+        assert pes[0].vrfs["x"].entries()[site.prefix].kind == "remote"
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
 
     def test_a_delta_skips_a_vrf_its_pe_no_longer_holds(self):
@@ -447,7 +447,7 @@ class TestChurnDeterministic:
         prov.restore_pe(pes[1])
         site = prov.add_site(x, pes[2], num_hosts=0)
         engine.export_delta(pes[2], pes[2].vrfs["x"])
-        assert pes[1].vrfs["x"].kind_of(site.prefix) == "remote"
+        assert pes[1].vrfs["x"].entries()[site.prefix].kind == "remote"
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
 
     def test_a_policy_put_back_before_the_converge_leaves_no_gap(self):
@@ -463,7 +463,7 @@ class TestChurnDeterministic:
         engine.export_delta(pes[1], pes[1].vrfs["corp"])
         here.import_rts = read
         prov.converge_bgp()
-        assert here.kind_of(site.prefix) == "remote"
+        assert here.entries()[site.prefix].kind == "remote"
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
 
     def test_a_policy_put_back_across_a_drain_leaves_no_gap(self):
@@ -628,7 +628,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         assert vrf.withdraw(prefix)
         prov.converge_bgp()
         if not route.route_targets.isdisjoint(vrf.import_rts):
-            assert vrf.kind_of(prefix) == "remote"
+            assert vrf.entries()[prefix].kind == "remote"
     elif kind == "vrf-readd":
         # A VRF deleted and re-created under its name behind the engine's
         # back (legal once its last circuit is gone): a new, empty table.
@@ -653,7 +653,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         if b % 2:
             engine.withdraw(site.pe, site=site.site_id)
         else:
-            names = prov._site_vrf_names(prov.vpns[site.vpn_name], site)
+            names = _vrf_names(site.vpn_name, site.role)
             engine.withdraw(site.pe, vrf=names[b // 2 % len(names)])
         prov.converge_bgp()
     elif kind == "hand-local":
@@ -667,7 +667,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             return
         pe, vrf = vrfs[a % len(vrfs)]
         prefix = Prefix.parse(f"10.0.{b % 6}.0/24")
-        if vrf.kind_of(prefix) == "local" and (a + b) % 3:
+        if prefix in vrf.local_routes() and (a + b) % 3:
             vrf.withdraw(prefix)
         else:
             vrf.add_local(prefix, "by-hand")

@@ -17,7 +17,8 @@ comparing the full observable state:
   route, implicit-null, imposition with one or two labels or a pinned
   EXP, swap, pop; 0–3 labels below the top) on a warm cache: the one
   shape the tier serves itself, checked to really have been served
-  without a single ``receive`` call.
+  without a single ``receive`` call.  A swap or pop burst is served cold
+  too: the LFIB has no cache in front of it.
 * **Bounce cases** — each one row or one condition away from uniform: the
   tier must hand the whole burst over before any counter has moved.
 
@@ -299,10 +300,6 @@ def _snapshot(net, nodes, sinks):
         pl = n.pipeline
         fc = pl.flow_cache
         out.append((n.name, "flow", fc.hits, fc.misses, fc.invalidations))
-        lc = pl.label_cache
-        if lc is not None:
-            out.append((n.name, "label", lc.hits, lc.misses,
-                        lc.invalidations))
         for vname in sorted(getattr(pl, "vrf_caches", {})):
             vc = pl.vrf_caches[vname]
             out.append((n.name, "vrf", vname, vc.hits, vc.misses))
@@ -436,11 +433,10 @@ def _burst_of(kind, below, rows, nodes, info, flow="uni"):
 def _counters(node) -> tuple:
     """Everything the tier moves when it serves a burst."""
     pl = node.pipeline
-    lc = pl.label_cache
     return (
         node.stats.rx_packets, node.stats.forwarded,
         pl.flow_cache.hits, pl.flow_cache.misses,
-        None if lc is None else (lc.hits, lc.misses, node.lfib.lookups),
+        None if pl.lfib is None else pl.lfib.lookups,
         node.fib.lookups,
     )
 
@@ -499,6 +495,18 @@ def test_uniform_burst_matches_scalar(kind, below, rows) -> None:
     assert (fast_calls, slow_calls) == (0, len(rows))
 
 
+@pytest.mark.parametrize("kind", ["swap", "pop"])
+def test_cold_labeled_burst_is_served(kind) -> None:
+    """The LFIB has no cache to warm: the first uniform labeled burst a
+    node sees is served without a ``receive`` call, moves ``lfib.lookups``
+    by the burst size on commit and leaves exactly the scalar state."""
+    rows = [(64, 0), (3, 46), (2, 10), (64, 26), (64, 63), (5, 0)]
+    fast, fast_calls, _ = _run_uniform(kind, 1, rows, vector=True, warm=False)
+    slow, slow_calls, _ = _run_uniform(kind, 1, rows, vector=False, warm=False)
+    assert fast == slow
+    assert (fast_calls, slow_calls) == (0, len(rows))
+
+
 def _edit_row(row: int, **fields):
     """Bounce-case mutation: overwrite header fields of one row."""
     def mutate(items, net, info):
@@ -530,7 +538,6 @@ _BOUNCES = {
     "odd-destination": ("impose", True, _edit_row(3, dst="pe1_local")),
     "unlabeled-row": ("pop", True, _edit_row(1, unlabel=True)),
     "cold-cache-ip": ("ip", False, None),
-    "cold-cache-labeled": ("swap", False, None),
     "missing-egress-interface": ("noiface", True, None),
     "local-destination": ("crlocal", True, None),
     "ecmp-route": ("ecmp", True, None),

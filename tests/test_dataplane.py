@@ -230,16 +230,17 @@ class TestCacheInvalidation:
         run_ldp(net)
         return net, r
 
-    def test_label_cache_hits_on_lsp(self):
+    def test_lfib_lookup_census_counts_every_labeled_packet(self):
+        # The LFIB has no cache in front: every labeled packet at the
+        # transit LSR is one lookup, the first and the repeats alike.
         net, r = self._ldp_line()
         dst = str(r[2].loopback)
-        for _ in range(3):
+        for sent in range(1, 4):
             net.sim.schedule(0.0, lambda: r[0].handle(pkt(dst=dst), "in"))
             net.run(until=net.sim.now + 1.0)
-        lc = r[1].pipeline.label_cache
-        assert lc.hits == 2 and lc.misses == 1
-        assert r[1].lfib.lookups == 3
+            assert r[1].lfib.lookups == sent
         assert r[2].stats.delivered == 3
+        assert "label" not in r[1].pipeline.cache_stats()
 
     def test_caches_cold_after_reset_ldp(self):
         net, r = self._ldp_line()
@@ -256,28 +257,31 @@ class TestCacheInvalidation:
         assert r[2].stats.delivered == 2        # second packet went plain IP
         assert r[1].lfib.lookups == 1           # no labeled packet reached r1
 
-    def test_label_cache_cold_after_lfib_churn(self):
+    def test_lfib_rewrite_takes_effect_on_next_packet(self):
+        # a swaps 16 -> 17, which b does not hold; rewritten to 16 -> 19,
+        # which b pops and delivers, the very next packet follows it.
         net = Network()
         a = net.add_node(Lsr(net.sim, "a"))
         b = net.add_node(Lsr(net.sim, "b"))
         net.connect(a, b)
+        b.lfib.install(19, LfibEntry(LabelOp.POP_PROCESS))
         a.lfib.install(16, LfibEntry(LabelOp.SWAP, out_label=17, out_ifname="to-b"))
-        for _ in range(2):
-            p = pkt()
-            p.push_label(16)
-            net.sim.schedule(0.0, lambda q=p: a.handle(q, "in"))
-            net.run(until=net.sim.now + 1.0)
-        lc = a.pipeline.label_cache
-        assert lc.hits == 1
-        before = lc.invalidations
-        a.lfib.install(18, LfibEntry(LabelOp.SWAP, out_label=19, out_ifname="to-b"))
-        p = pkt()
-        p.push_label(16)
-        net.sim.schedule(0.0, lambda: a.handle(p, "in"))
-        net.run(until=net.sim.now + 1.0)
-        assert lc.invalidations == before + 1
 
-    def test_label_cache_cold_after_frr_activation(self):
+        def send():
+            p = pkt(dst=str(b.loopback))
+            p.push_label(16)
+            net.sim.schedule(0.0, lambda: a.handle(p, "in"))
+            net.run(until=net.sim.now + 1.0)
+
+        for _ in range(2):
+            send()
+        assert b.stats.by_reason == {"no_label": 2} and b.stats.delivered == 0
+        a.lfib.install(16, LfibEntry(LabelOp.SWAP, out_label=19, out_ifname="to-b"))
+        send()
+        assert b.stats.delivered == 1 and b.stats.by_reason == {"no_label": 2}
+        assert a.lfib.lookups == 3
+
+    def test_frr_activation_takes_effect_on_next_packet(self):
         net = Network()
         nodes = build_fish(net, rate_bps=10e6, trunk_rate_bps=30e6,
                            node_factory=lambda n, name: n.add_node(Lsr(n.sim, name)))
@@ -291,18 +295,25 @@ class TestCacheInvalidation:
         frr.protect_lsp(lsp)
         g = nodes["G"]
 
+        looked = g.lfib.lookups
         net.sim.schedule(0.0, lambda: tx.send(pkt("10.71.0.1", "10.71.0.2")))
         net.run(until=net.sim.now + 1.0)
-        assert g.pipeline.label_cache.misses >= 1
-        before = g.pipeline.label_cache.invalidations
+        assert g.lfib.lookups == looked + 1
 
         net.link_between("G", "H").set_up(False)
         assert frr.trigger_link_failure("G", "H") == 1
+        (bp,) = [bp for bp in frr.bypasses if bp.active]
+        entry = g.lfib.entries()[bp.in_label]
+        assert entry.op is LabelOp.SWAP_PUSH
+        bypass = g.interfaces[entry.out_ifname].stats
+        sent = bypass.tx_packets
         net.sim.schedule(0.0, lambda: tx.send(pkt("10.71.0.1", "10.71.0.2")))
         net.run(until=net.sim.now + 1.0)
-        # The PLR's swapped-in SWAP_PUSH entry bumped its LFIB generation;
-        # a stale cached SWAP toward the dead link must not survive.
-        assert g.pipeline.label_cache.invalidations == before + 1
+        # The PLR reads its swapped-in SWAP_PUSH entry: the packet right
+        # after the activation leaves over the bypass, not the dead link.
+        assert g.lfib.lookups == looked + 2
+        assert bypass.tx_packets == sent + 1
+        assert g.stats.by_reason == {}
         assert nodes["F"].interfaces["to-rx"].stats.tx_packets == 2
 
     def test_vrf_cache_cold_after_route_churn(self):
@@ -458,7 +469,6 @@ class TestPeCircuitRegressions:
         assert pe.stats.by_reason == {"labeled_on_circuit": self.BURST}
         assert pe.stats.dropped_total == self.BURST
         assert pe.lfib.lookups == lfib_lookups
-        assert pe.pipeline.label_cache.stats()["misses"] == 0
         # The honest, unlabeled packets still reach VPN A's 10.0.1.2.
         self._arrive(net, pe, "to-ceA",
                      [pkt("10.0.9.1", "10.0.1.2") for _ in range(self.BURST)])

@@ -11,11 +11,14 @@ record and the counters had already gone.
 
 import pytest
 
+from repro.audit import audit
 from repro.experiments.e1_scalability import mpls_base
 from repro.experiments.e15_churn import churn_storms, run_e15
+from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
-from repro.topology import Network
+from repro.routing.spf import converge
+from repro.topology import Network, build_backbone
 from repro.vpn import ProvisioningError
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
@@ -192,6 +195,53 @@ class TestRemoveSiteBehindADrainedPe:
         prov.restore_pe(pes[2])
         assert not [k for k in prov.bgp_engine()._rib if k[1] == "other"]
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+
+class TestRemoveVpn:
+    """``remove_vpn`` takes the VPN's VRFs off every PE that holds one, not
+    only off the PEs still hosting a site: a VRF outlives the last site
+    behind its PE (it used to stay, and a re-created VPN of the same name
+    inherited it with the old RD and RT, so its sites never met)."""
+
+    @staticmethod
+    def _backbone():
+        net = Network(seed=3)
+        nodes = build_backbone(net, node_factory=lambda n, name: n.add_node(
+            (PeRouter if name.startswith("E") else Lsr)(n.sim, name)))
+        return net, nodes, VpnProvisioner(net)
+
+    @staticmethod
+    def _chain(net, prov):
+        converge(net)
+        run_ldp(net)
+        prov.converge_bgp()
+
+    def test_a_vpn_recreated_after_its_last_site_left_a_pe_starts_clean(self):
+        net, nodes, prov = self._backbone()
+        e1, e5, e8 = nodes["E1"], nodes["E5"], nodes["E8"]
+        acme = prov.create_vpn("acme")
+        first = prov.add_site(acme, e1, num_hosts=0)
+        prov.add_site(acme, e8, num_hosts=0)
+        # Another provider's same-named VPN: its RD is not this one's.
+        other = VpnProvisioner(net, asn=65001)
+        other.add_site(other.create_vpn("acme"), e5, num_hosts=0)
+        self._chain(net, prov)
+        prov.remove_site(first)
+        prov.converge_bgp()         # the engine is rebuilt without E1
+        assert e1 not in prov.bgp_engine().pes
+        prov.remove_vpn("acme")
+        assert "acme" not in e1.vrfs and "acme" not in e8.vrfs
+        assert e5.vrfs["acme"].rd == other.vpns["acme"].rd
+
+        acme = prov.create_vpn("acme")
+        sites = [prov.add_site(acme, pe, num_hosts=0) for pe in (e1, e8)]
+        self._chain(net, prov)
+        for site, peer in zip(sites, reversed(sites)):
+            vrf = site.pe.vrfs["acme"]
+            assert (vrf.rd, vrf.import_rts) == (acme.rd, frozenset({acme.rt}))
+            assert vrf.entries()[peer.prefix].kind == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+        assert [f for f in audit(net, bgp=prov.bgp_engine()) if f.severity == "error"] == []
 
 
 class _FourSubnets(Network):

@@ -284,6 +284,17 @@ def test_schema_9_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_10_image_refused_by_name(monkeypatch) -> None:
+    # A /10 image holds VrfRoute objects with the remote fields this
+    # reader's local-only VrfRoute lacks, and a label cache per LSR
+    # pipeline, whose slot this reader's pipeline no longer has.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/10")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/10'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -313,7 +324,7 @@ def test_restored_route_keys_are_the_value_types() -> None:
         for site in sites:
             fresh = Prefix(site.prefix.network, site.prefix.length)
             assert routes2[fresh] == vrf.routes()[site.prefix]
-            assert vrf2.kind_of(fresh) == vrf.kind_of(site.prefix)
+            assert vrf2.entries()[fresh].kind == vrf.entries()[site.prefix].kind
     rib2 = engine2._rib["pe0", "v"]
     assert {type(r) for r in rib2.values()} == {VpnRoute}
     assert {type(r.key) for r in rib2.values()} == {VpnPrefix}

@@ -113,9 +113,7 @@ def _fib_contents(net: Network) -> dict:
                     "label": vrf.vpn_label,
                     "rd": str(vrf.rd),
                     "routes": sorted(
-                        (str(p), r.kind, r.out_ifname, str(r.next_hop),
-                         str(r.remote_pe), r.vpn_label)
-                        for p, r in vrf.routes().items()
+                        (str(p), repr(r)) for p, r in vrf.routes().items()
                     ),
                 }
                 for vname, vrf in sorted(vrfs.items())

@@ -48,6 +48,12 @@ With the advertisement itself as the entry of every importing VRF and the
 table as the only record of what was imported, a section-B site costs
 5 731 bytes and 37.15 tracked objects (6 588 and 41.55 before), and the
 E1 build at N=200 adds 7 231 (8 041 before).
+
+A VRF entry is a site's route or an advertisement: with the remote fields
+gone from ``VrfRoute`` and no label cache in front of each LFIB, a
+section-B site costs 5 659 bytes and 37.12 tracked objects, the E1 build
+at N=200 adds 7 218 (7 230 before) and a snapshot of the N=1000 net still
+leaves 3 127.
 """
 
 import collections

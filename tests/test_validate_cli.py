@@ -158,7 +158,7 @@ class TestValidate:
         for node in net.nodes.values():
             pipe = getattr(node, "pipeline", None)
             if pipe is not None:
-                for cache in (pipe.flow_cache, pipe.label_cache, pipe.tunnel_cache,
+                for cache in (pipe.flow_cache, pipe.tunnel_cache,
                               *pipe.vrf_caches.values()):
                     if cache is not None:
                         cache.sync()

@@ -137,6 +137,15 @@ def mk_vrf(name="v", rd_num=1, label=100):
                frozenset({rt}), label)
 
 
+def advert(prefix, pe, label, origin_site=None):
+    """An MP-BGP advertisement from PE loopback ``pe``: the only kind of
+    VRF entry that is not a site's route."""
+    pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
+    pe = IPv4Address.parse(pe) if isinstance(pe, str) else IPv4Address(pe)
+    rd, rt = RouteDistinguisher(65000, 99), RouteTarget(65000, 99)
+    return VpnRoute(rd, pfx, frozenset({rt}), pe, label, f"pe-{pe}", origin_site)
+
+
 class TestVrf:
     def test_local_route_lookup(self):
         vrf = mk_vrf()
@@ -146,9 +155,12 @@ class TestVrf:
 
     def test_remote_route_lookup(self):
         vrf = mk_vrf()
-        vrf.add_remote("10.2.0.0/24", IPv4Address.parse("172.16.0.9"), 201)
+        route = advert("10.2.0.0/24", "172.16.0.9", 201)
+        vrf.add_remote_many([(route.prefix, route)])
         r = vrf.lookup(IPv4Address.parse("10.2.0.5"))
+        assert r is route
         assert r.kind == "remote" and r.vpn_label == 201
+        assert r.remote_pe == IPv4Address.parse("172.16.0.9")
 
     def test_lpm_within_vrf(self):
         vrf = mk_vrf()
@@ -167,17 +179,19 @@ class TestVrf:
         assert not vrf.withdraw("10.1.0.0/24")
 
     def test_route_validation(self):
-        with pytest.raises(ValueError):
-            VrfRoute("local")
-        with pytest.raises(ValueError):
-            VrfRoute("remote", remote_pe=IPv4Address(1))
-        with pytest.raises(ValueError):
-            VrfRoute("bogus", out_ifname="x")
+        # A VrfRoute is a site's route: it needs its circuit and carries
+        # nothing of a remote one.
+        with pytest.raises(TypeError):
+            VrfRoute()
+        route = VrfRoute("ge0", origin_site=3)
+        assert (route.kind, route.out_ifname, route.origin_site) == ("local", "ge0", 3)
+        assert not hasattr(route, "remote_pe") and not hasattr(route, "vpn_label")
 
     def test_local_routes_filter(self):
         vrf = mk_vrf()
         vrf.add_local("10.1.0.0/24", "ge0")
-        vrf.add_remote("10.2.0.0/24", IPv4Address(9), 200)
+        route = advert("10.2.0.0/24", 9, 200)
+        vrf.add_remote_many([(route.prefix, route)])
         assert len(vrf.local_routes()) == 1
         assert len(vrf) == 2
 
@@ -198,7 +212,6 @@ _owners = st.integers(0, 1)
 _remote = st.tuples(pool_prefixes, st.integers(1, 3), st.integers(16, 19))
 _vrf_ops = st.one_of(
     st.tuples(st.just("add_local"), _owners, pool_prefixes, st.integers(0, 3)),
-    st.tuples(st.just("add_remote"), _owners, _remote),
     st.tuples(st.just("add_remote_many"), _owners, st.lists(_remote, max_size=6)),
     st.tuples(st.just("withdraw"), _owners, pool_prefixes),
     st.tuples(st.just("remove_many"), _owners, st.lists(pool_prefixes, max_size=6)),
@@ -215,9 +228,8 @@ class TestVrfStateful:
         models = [{}, {}]
         local_gens = [0, 0]
 
-        def remote(owner, pe, label):
-            return VrfRoute("remote", remote_pe=IPv4Address(pe), vpn_label=label,
-                            origin_site=owner)
+        def remote(owner, pfx, pe, label):
+            return advert(pfx, pe, label, origin_site=owner)
 
         def check_lookups():
             for number, (v, m) in enumerate(zip(vrfs, models)):
@@ -234,16 +246,11 @@ class TestVrfStateful:
             if kind == "add_local":
                 local_only = arg not in model or model[arg].kind == "local"
                 route = vrf.add_local(arg, f"ge{rest[0]}", origin_site=owner)
-                assert route == VrfRoute("local", out_ifname=f"ge{rest[0]}", origin_site=owner)
+                assert route == VrfRoute(f"ge{rest[0]}", origin_site=owner)
                 model[arg] = route
                 changed = True
-            elif kind == "add_remote":
-                pfx, pe, label = arg
-                model[pfx] = vrf.add_remote(pfx, IPv4Address(pe), label, origin_site=owner)
-                assert model[pfx] == remote(owner, pe, label)
-                changed = True
             elif kind == "add_remote_many":
-                items = [(pfx, remote(owner, pe, label)) for pfx, pe, label in arg]
+                items = [(pfx, remote(owner, pfx, pe, label)) for pfx, pe, label in arg]
                 assert vrf.add_remote_many(items) == len(items)
                 model.update(items)
                 changed = bool(items)
@@ -281,13 +288,13 @@ class TestVrfStateful:
                         p for p, r in locals_.items() if r.out_ifname == f"ge{i}"
                     )
                 for pfx in POOL:
-                    assert v.kind_of(pfx) == (m[pfx].kind if pfx in m else None)
+                    assert (pfx in v.prefixes()) == (pfx in m)
         check_lookups()
 
     def test_add_remote_many_installs_the_route_it_is_given(self):
         red, blue = mk_vrf("red", 1, 100), mk_vrf("blue", 2, 200)
-        shared = VrfRoute("remote", remote_pe=IPv4Address(9), vpn_label=300, origin_site=4)
         pfx = Prefix.parse("10.4.0.0/24")
+        shared = advert(pfx, 9, 300, origin_site=4)
         for vrf in (red, blue):
             assert vrf.add_remote_many([(pfx, shared)]) == 1
         assert red.lookup(pfx.first) is shared and blue.lookup(pfx.first) is shared
@@ -351,7 +358,8 @@ class TestPeRouter:
         rt = RouteTarget(65000, 1)
         vrf = pe.add_vrf("v1", RouteDistinguisher(65000, 1), {rt}, {rt})
         pe.bind_circuit("to-ce", "v1")
-        vrf.add_remote("10.2.0.0/24", IPv4Address.parse("172.16.0.99"), 300)
+        route = advert("10.2.0.0/24", "172.16.0.99", 300)
+        vrf.add_remote_many([(route.prefix, route)])
         p = Packet(ip=IPHeader(IPv4Address.parse("10.1.0.1"),
                                IPv4Address.parse("10.2.0.1")), payload_bytes=50)
         pe.handle(p, "to-ce")
