@@ -227,7 +227,7 @@ def _ldp_hop(node: Lsr, what: str, lsp_id: str, ifname: str, out_label: int | No
                                f"FIB route for {fec} does not use")
     if out_label is None:
         return
-    peer = iface.peer_node
+    peer = iface.link.dst_node
     held = peer.lfib.entries().get(out_label) if isinstance(peer, Lsr) else None
     if held is None or not (held.lsp_id == lsp_id or (
             out_label == EXPLICIT_NULL and held.op is LabelOp.POP_PROCESS)):
@@ -238,11 +238,12 @@ def _ldp_hop(node: Lsr, what: str, lsp_id: str, ifname: str, out_label: int | No
 def _vrf_state(node: PeRouter) -> _Rule:
     if node.vrfs and node.loopback is None:
         yield "error", "loopback", "PE has VRFs but no loopback (MP-BGP next hop)"
+    bound = node._vrf_of_circuit
+    for ifname, vrf in bound.items():
+        if ifname not in node.interfaces:
+            yield "error", "vrf", f"VRF {vrf.name} bound to missing interface {ifname!r}"
     for vrf in node.vrfs.values():
-        for ifname in vrf.circuits:
-            if ifname not in node.interfaces:
-                yield "error", "vrf", f"VRF {vrf.name} bound to missing interface {ifname!r}"
-        if not vrf.circuits and len(vrf) == 0:
+        if len(vrf) == 0 and vrf not in bound.values():
             yield "warning", "vrf", f"VRF {vrf.name} has no circuits and no routes"
 
 

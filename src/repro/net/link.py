@@ -197,7 +197,7 @@ class Interface:
         "sim", "node", "name", "fluid_load_bps", "_rate_bps", "_eff_rate_bps",
         "_qdisc", "link", "conditioners",
         "tx_packets", "tx_bytes", "enqueued", "dropped", "conditioner_dropped", "busy_time",
-        "_free_at", "_busy", "_retry_event", "_retry_time", "peer_node", "peer_ifname",
+        "_free_at", "_busy", "_retry_event", "_retry_time",
     )
 
     def __init__(
@@ -241,18 +241,13 @@ class Interface:
         # timer at the earliest eligible time, not one per blocked enqueue.
         self._retry_event = None
         self._retry_time = math.inf
-        # Populated by the topology builder: far-end node/interface names,
-        # used by routing to translate next-hop decisions into interfaces.
-        self.peer_node: "Node | None" = None
-        self.peer_ifname: str | None = None
 
     # ------------------------------------------------------------------
-    def attach(self, link: Link, peer_node: "Node", peer_ifname: str) -> None:
-        """Wire this interface to its outgoing simplex link."""
+    def attach(self, link: Link) -> None:
+        """Wire this interface to its outgoing simplex link; the far end is
+        the link's (``link.dst_node`` / ``link.dst_ifname``)."""
         self.link = link
         link.tx_iface = self
-        self.peer_node = peer_node
-        self.peer_ifname = peer_ifname
 
     def detach(self) -> None:
         """Unwire this interface (:meth:`repro.topology.Network.disconnect`).
@@ -269,7 +264,7 @@ class Interface:
             return
         cut = link._cut()
         link.up = False
-        self.link = self.peer_node = self.peer_ifname = None
+        self.link = None
         if cut is not None:
             self.node.drop(cut, DropReason.NO_IFACE)
 

@@ -39,11 +39,12 @@ class ReservationLedger:
         self.reserved: dict[tuple[str, str], float] = {}
 
     def capacity(self, u: str, v: str) -> float:
-        """Reservable bandwidth of the directed link u→v when empty."""
+        """Reservable bandwidth of the directed link u→v when empty: the
+        rate of u's transmitter toward v, as it is now."""
         edge = self.net.domain_view(self.domain).edge(u, v)
         if edge is None:
             raise KeyError(f"no live link {u}->{v} in domain {self.domain!r}")
-        return edge[0].rate_bps * self.subscription
+        return self.net.nodes[u].interfaces[edge[1]].rate_bps * self.subscription
 
     def residual(self, u: str, v: str) -> float:
         """Reservable bandwidth remaining on the directed link u→v."""

@@ -68,7 +68,7 @@ class DuplexLink:
     """
 
     __slots__ = (
-        "a", "b", "if_ab", "if_ba", "link_ab", "link_ba", "rate_bps", "delay_s",
+        "a", "b", "if_ab", "if_ba", "link_ab", "link_ba",
         "_metric", "addr_a", "addr_b", "net",
     )
 
@@ -80,8 +80,6 @@ class DuplexLink:
         if_ba: Interface,
         link_ab: Link,
         link_ba: Link,
-        rate_bps: float,
-        delay_s: float,
         metric: float,
         addr_a: IPv4Address | None = None,
         addr_b: IPv4Address | None = None,
@@ -90,11 +88,19 @@ class DuplexLink:
         self.a, self.b = a, b
         self.if_ab, self.if_ba = if_ab, if_ba
         self.link_ab, self.link_ba = link_ab, link_ba
-        self.rate_bps = rate_bps
-        self.delay_s = delay_s
         self._metric = metric
         self.addr_a, self.addr_b = addr_a, addr_b
         self.net = net
+
+    @property
+    def rate_bps(self) -> float:
+        """Line rate, as the ``a`` end's transmitter has it (read-only)."""
+        return self.if_ab.rate_bps
+
+    @property
+    def delay_s(self) -> float:
+        """Propagation delay, as the ``a -> b`` link has it (read-only)."""
+        return self.link_ab.delay_s
 
     @property
     def metric(self) -> float:
@@ -337,11 +343,11 @@ class Network:
         nb.add_address(addr_b, if_ba_name, subnet)
 
         link_ab.on_state_change = link_ba.on_state_change = self._link_hook
-        if_ab.attach(link_ab, nb, if_ba_name)
-        if_ba.attach(link_ba, na, if_ab_name)
+        if_ab.attach(link_ab)
+        if_ba.attach(link_ba)
 
         dl = DuplexLink(
-            na, nb, if_ab, if_ba, link_ab, link_ba, rate_bps, delay_s, metric,
+            na, nb, if_ab, if_ba, link_ab, link_ba, metric,
             addr_a=addr_a, addr_b=addr_b, net=self,
         )
         self.duplex_links.append(dl)

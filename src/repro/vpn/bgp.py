@@ -22,12 +22,12 @@ operation's does.  Delta operations propagate only the changed routes:
 * :meth:`withdraw` — retract a VRF's advertisements (or one site's)
   ahead of de-provisioning.
 * :meth:`peer_down` / :meth:`peer_up` — PE maintenance drain: implicit
-  withdraw of the PE's routes everywhere, flush of its own imports, and
-  a full re-advertise + refresh when the PE returns.
+  withdraw of the PE's routes everywhere, its own VRFs offered nothing,
+  and a full re-advertise + refresh when the PE returns.
 
-All VRF installs go through the batched ``add_remote_many`` /
-``remove_many`` paths (single FIB generation bump per VRF per
-operation — PR 3's ``install_many`` pattern).  Local routes are
+Every import write is :meth:`MpBgp._reselect`'s, through the batched
+``add_remote_many`` / ``remove_many`` paths (single FIB generation bump
+per VRF per operation, the ``install_many`` pattern).  Local routes are
 preferred over imports: a prefix a VRF holds as a local is never
 overwritten (or removed) by the import side — the standard BGP
 admin-distance rule, and what keeps churn idempotent when two sites
@@ -203,7 +203,7 @@ class MpBgp:
         # catches up on NLRI advertised before it existed, and a key whose
         # every write since its record was local-only is written anew by
         # export_delta.  The engine's own import writes carry the
-        # generation forward (:meth:`_apply_import_changes`); :meth:`withdraw`
+        # generation forward (:meth:`_reselect`); :meth:`withdraw`
         # drops the record of what it retracted from, and so does an import
         # re-examination that passes over a local not yet advertised.
         self._synced: dict[tuple[str, str], tuple] = {}
@@ -493,10 +493,6 @@ class MpBgp:
                 merged.setdefault(prefix, {}).update(by_prefix[prefix])
         return merged
 
-    def _desired_imports(self, pe: PeRouter, rts: frozenset[RouteTarget]) -> dict[Prefix, VpnRoute]:
-        return {p: won for p, origins in self._offers(rts).items()
-                if (won := self._pick_winner(pe.name, origins)) is not None}
-
     @staticmethod
     def _state_of(pe: PeRouter, vrf: Vrf) -> tuple:
         """What :attr:`_synced` remembers of a VRF — the one definition of
@@ -504,15 +500,43 @@ class MpBgp:
         return (vrf, vrf.generation, vrf.local_generation, vrf.rd,
                 vrf.export_rts, vrf.import_rts, vrf.vpn_label, pe.loopback)
 
-    def _apply_import_changes(
+    def _reselect(
         self,
-        vrf: Vrf,
         key: tuple[str, str],
-        adds: list[tuple[Prefix, VpnRoute]],
-        dels: list[Prefix],
+        vrf: Vrf,
+        rts: frozenset[RouteTarget],
+        prefixes: set[Prefix] | None,
         result: BgpResult,
     ) -> None:
-        """Install ``adds`` (never over a local), remove ``dels`` (engine entries)."""
+        """The one import writer: make the entry of each of ``prefixes``
+        (``None``: every prefix offered or held) the winner offered under
+        ``rts``, or no entry when nothing is, and never write over a local.
+        A drained PE is offered nothing (``rts`` empty)."""
+        table = vrf.entries()
+        local = vrf.local_routes()
+        offers = self._offers(rts, prefixes)
+        if prefixes is None:     # offered ones as the RT index holds them, then the rest
+            todo: Iterable[Prefix] = [*offers, *(p for p in table if p not in offers)]
+        else:
+            todo = sorted(prefixes)
+        exported = self._rib.get(key, ())
+        adds: list[tuple[Prefix, VpnRoute]] = []
+        dels: list[Prefix] = []
+        for prefix in todo:
+            if prefix in local:
+                if prefix not in exported:
+                    # A local the Adj-RIB-Out has not seen: if it goes
+                    # before it is advertised, no delta re-examines this
+                    # prefix, so the record can no longer vouch for it.
+                    self._synced.pop(key, None)
+                continue
+            winner = self._pick_winner(key[0], offers.get(prefix, {}))
+            have = table.get(prefix)
+            if winner is None:
+                if have is not None:
+                    dels.append(prefix)
+            elif have != winner:
+                adds.append((prefix, winner))
         if not adds and not dels:
             return
         # A table in step with its record stays in step across the engine's
@@ -525,19 +549,6 @@ class MpBgp:
             result.routes_imported += vrf.add_remote_many(adds)
         if in_step:
             self._synced[key] = (vrf, vrf.generation, *seen[2:])
-
-    def _sync_vrf_imports(
-        self,
-        pe: PeRouter,
-        vrf: Vrf,
-        desired: dict[Prefix, VpnRoute],
-        result: BgpResult,
-    ) -> None:
-        table = vrf.entries()
-        local = vrf.local_routes()
-        adds = [(p, r) for p, r in desired.items() if p not in local and table.get(p) != r]
-        dels = [p for p in table if p not in desired and p not in local]
-        self._apply_import_changes(vrf, (pe.name, vrf.name), adds, dels, result)
 
     def _resync_imports_for(
         self,
@@ -569,28 +580,7 @@ class MpBgp:
                 seen = visits.get(key)
                 visits[key] = (vrf, prefixes if seen is None else seen[1] | prefixes)
         for key, (vrf, prefixes) in visits.items():
-            table = vrf.entries()
-            local = vrf.local_routes()
-            exported = self._rib.get(key, ())
-            offers = self._offers(self._policy(key, vrf), prefixes)
-            adds: list[tuple[Prefix, VpnRoute]] = []
-            dels: list[Prefix] = []
-            for prefix in sorted(prefixes):
-                if prefix in local:
-                    if prefix not in exported:
-                        # A local the Adj-RIB-Out has not seen: if it goes
-                        # before it is advertised, no delta re-examines this
-                        # prefix, so the record can no longer vouch for it.
-                        self._synced.pop(key, None)
-                    continue
-                winner = self._pick_winner(key[0], offers.get(prefix, {}))
-                have = table.get(prefix)
-                if winner is None:
-                    if have is not None:
-                        dels.append(prefix)
-                elif have != winner:
-                    adds.append((prefix, winner))
-            self._apply_import_changes(vrf, key, adds, dels, result)
+            self._reselect(key, vrf, self._policy(key, vrf), prefixes, result)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -638,9 +628,10 @@ class MpBgp:
                 skip=frozenset(vrf for _, vrf in moved),
             )
         for pe, vrf in moved:
-            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf.import_rts), result)
-            synced[pe.name, vrf.name] = self._state_of(pe, vrf)
-            self._file((pe.name, vrf.name), vrf)
+            key = (pe.name, vrf.name)
+            self._reselect(key, vrf, vrf.import_rts, None, result)
+            synced[key] = self._state_of(pe, vrf)
+            self._file(key, vrf)
         self.net.counters.incr("bgp.updates", result.updates_sent)
         self.net.counters.incr("bgp.routes_imported", result.routes_imported)
         if result.routes_removed:
@@ -687,7 +678,7 @@ class MpBgp:
         if fresh:
             # First sync for this VRF: route-refresh its imports so it
             # catches up on NLRI advertised before it existed.
-            self._sync_vrf_imports(pe, vrf, self._desired_imports(pe, vrf.import_rts), result)
+            self._reselect(key, vrf, vrf.import_rts, None, result)
             self._file(key, vrf)
         if fresh or local_only:
             self._synced[key] = self._state_of(pe, vrf)
@@ -747,8 +738,8 @@ class MpBgp:
 
     def peer_down(self, pe: PeRouter | str) -> BgpResult:
         """PE maintenance drain: sessions to ``pe`` go down, its routes
-        are implicitly withdrawn everywhere, and its VRFs flush their
-        BGP-learned imports.  The Adj-RIB keeps the PE's exports so
+        are implicitly withdrawn everywhere, and its VRFs, offered nothing,
+        lose their BGP-learned imports.  The Adj-RIB keeps the PE's exports so
         :meth:`peer_up` can re-advertise without re-exporting."""
         name = pe if isinstance(pe, str) else pe.name
         if name not in self._pe_by_name:
@@ -772,12 +763,10 @@ class MpBgp:
             [n for n in self._neighbors[name] if n not in self._down]
         ))
         self._resync_imports_for(routes, result)
-        # The drained PE's own VRFs lose everything they learned.
-        node = self._pe_by_name[name]
-        for vrf in node.vrfs.values():
-            local = vrf.local_routes()
-            dels = [p for p in vrf.entries() if p not in local]
-            self._apply_import_changes(vrf, (name, vrf.name), [], dels, result)
+        # The drained PE's own VRFs lose everything they learned: a drained
+        # PE is offered nothing.
+        for vrf in self._pe_by_name[name].vrfs.values():
+            self._reselect((name, vrf.name), vrf, frozenset(), None, result)
         self._tally(result)
         return result
 
@@ -817,9 +806,9 @@ class MpBgp:
         )
         result.updates_sent += refresh
         for vrf in node.vrfs.values():
-            rts = self._policy((name, vrf.name), vrf)
-            self._sync_vrf_imports(node, vrf, self._desired_imports(node, rts), result)
-            self._file((name, vrf.name), vrf)
+            key = (name, vrf.name)
+            self._reselect(key, vrf, self._policy(key, vrf), None, result)
+            self._file(key, vrf)
         self._tally(result)
         return result
 

@@ -1,8 +1,8 @@
 """Customer Edge router.
 
 The CE is deliberately boring — that is the *point* of the peer model the
-paper advocates: the customer router just points a default route at its PE
-and advertises its site prefixes; it holds no tunnel state, no per-partner
+paper advocates: the customer router just points a default route at its PE,
+whose VRF holds the site's prefix; it holds no tunnel state, no per-partner
 circuits, and knows nothing about other sites' locations (compare the
 overlay baseline, where the CE terminates N-1 circuits).
 
@@ -24,21 +24,13 @@ DEFAULT_ROUTE = Prefix(0, 0)
 class CeRouter(Router):
     """Customer site router: site subnets + a default route to the PE."""
 
-    def __init__(self, sim, name, site_id: int | None = None, **kw) -> None:
+    def __init__(self, sim, name, **kw) -> None:
         super().__init__(sim, name, **kw)
         self.domain = "customer"
-        self.site_id = site_id
-        self.site_prefixes: list[Prefix] = []
 
     def set_default_route(self, out_ifname: str, next_hop: IPv4Address | None = None) -> None:
         """Point everything non-local at the PE (the peer-model uplink)."""
         self.fib.install(DEFAULT_ROUTE, RouteEntry(out_ifname, next_hop, source="static"))
-
-    def add_site_prefix(self, prefix: Prefix | str) -> Prefix:
-        """Declare a subnet this site owns (advertised to the PE's VRF)."""
-        pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
-        self.site_prefixes.append(pfx)
-        return pfx
 
     def add_host_route(self, addr: IPv4Address | str, out_ifname: str) -> None:
         """Install a /32 toward a locally attached host."""

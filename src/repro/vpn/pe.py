@@ -38,6 +38,7 @@ class PeRouter(Lsr):
     def __init__(self, sim, name, qos_exp_mapping: bool = True, **kw) -> None:
         super().__init__(sim, name, **kw)
         self.vrfs: dict[str, Vrf] = {}
+        # Attachment circuit name -> its VRF: the one record of a binding.
         self._vrf_of_circuit: dict[str, Vrf] = {}
         self.qos_exp_mapping = qos_exp_mapping
         # Which stack entries carry the class: "both" (RFC 3270's safe
@@ -82,7 +83,6 @@ class PeRouter(Lsr):
             raise ValueError(f"{self.name}: no interface {ifname!r}")
         vrf = self.vrfs[vrf_name]
         self._vrf_of_circuit[ifname] = vrf
-        vrf.circuits.append(ifname)
         for subnet, owner_if in list(self.connected_prefixes.items()):
             if owner_if == ifname:
                 del self.connected_prefixes[subnet]
@@ -101,7 +101,6 @@ class PeRouter(Lsr):
         vrf = self._vrf_of_circuit.pop(ifname, None)
         if vrf is None:
             raise ValueError(f"{self.name}: {ifname!r} is not bound to a VRF")
-        vrf.circuits.remove(ifname)
         gone = vrf.circuit_prefixes(ifname)
         vrf.remove_many(gone)
         return gone
@@ -115,7 +114,7 @@ class PeRouter(Lsr):
         vrf = self.vrfs.get(name)
         if vrf is None:
             raise ValueError(f"{self.name}: no VRF {name!r}")
-        if vrf.circuits:
+        if vrf in self._vrf_of_circuit.values():
             raise ValueError(f"{self.name}: VRF {name!r} still has circuits")
         del self.vrfs[name]
         # The per-VRF lookup cache is guarded by this Vrf object; a later

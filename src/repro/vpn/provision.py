@@ -57,6 +57,28 @@ class ProvisioningError(ValueError):
     """
 
 
+def _rt_policy(v: Vpn, role: str) -> tuple[tuple[set, set], ...]:
+    """(import RTs, export RTs) of each VRF of :func:`_vrf_names`, in order."""
+    if role == "hub":
+        return (set(), {v.rt_hub}), ({v.rt_spoke}, set())
+    if role == "spoke":
+        return (({v.rt_hub}, {v.rt_spoke}),)
+    return (({v.rt}, {v.rt}),)
+
+
+def _role(v: Vpn, role: str | None) -> str:
+    """The role a site of ``v`` is provisioned in (``None``: the default)."""
+    roles = ("spoke", "hub") if v.topology == "hub-spoke" else ("mesh",)
+    if role is None:
+        return roles[0]
+    if role not in roles:
+        raise ProvisioningError(
+            f"role: {role!r} is not a role of {v.topology} VPN {v.name}; "
+            f"its sites are {' or '.join(map(repr, roles))}"
+        )
+    return role
+
+
 @dataclass(eq=False, slots=True)
 class Site:
     """One provisioned customer site.
@@ -251,44 +273,53 @@ class VpnProvisioner:
     ) -> Site:
         """Provision one site behind ``pe``.
 
-        Creates the CE, the access link, the VRF binding, and ``num_hosts``
-        hosts inside the site prefix.  For mesh VPNs the VRF is created on
-        first use of this PE by this VPN (import = export = the VPN's RT);
-        for hub-and-spoke VPNs ``role`` selects the RT policy (default
-        "spoke"; use :meth:`add_hub_site` or ``role="hub"`` for the hub).
+        Creates the CE, one access circuit per VRF of the site's ``role``,
+        the VRF bindings, and ``num_hosts`` hosts inside the site prefix.  A
+        mesh VPN's sites are ``"mesh"`` (import = export = the VPN's RT); a
+        hub-and-spoke VPN's are ``"spoke"`` (the default) or ``"hub"``.  A
+        role's VRFs are created on first use of this PE by this VPN.
+
+        The hub attaches with *two* circuits, the standard dual-VRF
+        construction: the **down** VRF receives spoke traffic (it exports
+        the VPN supernet + hub prefix with ``rt_hub`` and imports nothing),
+        the **up** VRF carries traffic the hub CE sends back toward the
+        spokes (it imports ``rt_spoke`` and exports nothing).  Spoke-to-
+        spoke packets therefore hairpin through the hub CE — giving the
+        customer a central enforcement point, the reason this topology
+        exists.
         """
         v = self._vpn(vpn)
-        self._check_attachment(pe, num_hosts, host_rate_bps)
-        if v.topology == "hub-spoke":
-            role = role or "spoke"
-            if role == "hub":
-                return self.add_hub_site(v, pe, prefix, num_hosts, host_rate_bps)
-            if role != "spoke":
-                raise ValueError(f"hub-spoke VPN sites are 'hub' or 'spoke', not {role!r}")
-        else:
-            if role not in (None, "mesh"):
-                raise ValueError(f"mesh VPN sites cannot have role {role!r}")
-            role = "mesh"
-
+        role = _role(v, role)
+        names = _vrf_names(v.name, role)
+        self._check_attachment(pe, num_hosts, host_rate_bps, circuits=len(names))
         site_prefix = self._pick_prefix(v, prefix)
         site_id = self._alloc_site_id()
-        ce, dl = self._wire_ce(v, pe, site_id)
-        pe_ifname = dl.if_ba.name
 
-        ce.add_site_prefix(site_prefix)
-        (vrf_name,) = _vrf_names(v.name, role)
-        if vrf_name not in pe.vrfs:
-            if role == "spoke":
-                pe.add_vrf(vrf_name, v.rd, {v.rt_hub}, {v.rt_spoke})
-            else:
-                pe.add_vrf(vrf_name, v.rd, {v.rt}, {v.rt})
-        pe.bind_circuit(pe_ifname, vrf_name)
-        ce_addr_on_link = dl.addr_a  # CE is the `a` end of connect(ce, pe)
-        pe.vrfs[vrf_name].add_local(
-            site_prefix, pe_ifname, next_hop=ce_addr_on_link, origin_site=site_id
-        )
+        tag = "hub" if role == "hub" else "s"
+        ce = CeRouter(self.net.sim, self._node_name(f"ce-{v.name}-{tag}{site_id}"),
+                      trace=self.net.trace)
+        self.net.add_node(ce, loopback=False)
+        links = [self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
+                 for _ in names]
+        # The CE is the ``a`` end of connect(ce, pe); its default route
+        # (a hub's spoke-bound traffic) leaves over the last circuit.
+        ce.set_default_route(links[-1].if_ab.name, links[-1].addr_b)
 
-        site = Site(v.name, site_id, pe, ce, site_prefix, [dl], role=role)
+        if names[0] not in pe.vrfs:  # a role's VRFs come and go together
+            for name, (imports, exports) in zip(names, _rt_policy(v, role)):
+                pe.add_vrf(name, v.rd, imports, exports)
+        for name, dl in zip(names, links):
+            pe.bind_circuit(dl.if_ba.name, name)
+        # The first VRF owns the site prefix; a hub's down VRF also owns the
+        # whole supernet: spokes learn "everything lives at the hub".
+        dl = links[0]
+        owned = (site_prefix, v.supernet) if role == "hub" else (site_prefix,)
+        for owned_prefix in owned:
+            pe.vrfs[names[0]].add_local(
+                owned_prefix, dl.if_ba.name, next_hop=dl.addr_a, origin_site=site_id
+            )
+
+        site = Site(v.name, site_id, pe, ce, site_prefix, links, role=role)
         site.hosts = tuple(self._add_host(site, h, host_rate_bps) for h in range(num_hosts))
         self._register(v, site)
         return site
@@ -301,55 +332,8 @@ class VpnProvisioner:
         num_hosts: int = 1,
         host_rate_bps: float = 100e6,
     ) -> Site:
-        """Provision the hub site of a hub-and-spoke VPN.
-
-        The hub attaches with *two* circuits, the standard dual-VRF
-        construction: the **down** VRF receives spoke traffic (it exports
-        the VPN supernet + hub prefix with ``rt_hub`` and imports nothing),
-        the **up** VRF carries traffic the hub CE sends back toward the
-        spokes (it imports ``rt_spoke`` and exports nothing).  Spoke-to-
-        spoke packets therefore hairpin through the hub CE — giving the
-        customer a central enforcement point, the reason this topology
-        exists.
-        """
-        v = self._vpn(vpn)
-        self._check_attachment(pe, num_hosts, host_rate_bps, circuits=2)
-        if v.topology != "hub-spoke":
-            raise ValueError(f"{v.name} is not a hub-spoke VPN")
-        site_prefix = self._pick_prefix(v, prefix)
-        site_id = self._alloc_site_id()
-
-        ce = CeRouter(self.net.sim, self._node_name(f"ce-{v.name}-hub{site_id}"),
-                      site_id=site_id, trace=self.net.trace)
-        self.net.add_node(ce, loopback=False)
-        dl_dn = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
-        dl_up = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
-        pe_dn = dl_dn.if_ba.name
-        ce_up, pe_up = dl_up.if_ab.name, dl_up.if_ba.name
-
-        # CE: default route (spoke-bound traffic) via the UP circuit.
-        pe_up_addr = dl_up.addr_b  # PE is the `b` end of connect(ce, pe)
-        ce.set_default_route(ce_up, pe_up_addr)
-        ce.add_site_prefix(site_prefix)
-
-        dn_name, up_name = _vrf_names(v.name, "hub")
-        if dn_name not in pe.vrfs:
-            pe.add_vrf(dn_name, v.rd, set(), {v.rt_hub})
-            pe.add_vrf(up_name, v.rd, {v.rt_spoke}, set())
-        pe.bind_circuit(pe_dn, dn_name)
-        pe.bind_circuit(pe_up, up_name)
-        ce_dn_addr = dl_dn.addr_a
-        # Down VRF owns the hub prefix AND the whole supernet: spokes learn
-        # "everything lives at the hub".
-        pe.vrfs[dn_name].add_local(site_prefix, pe_dn, next_hop=ce_dn_addr,
-                                   origin_site=site_id)
-        pe.vrfs[dn_name].add_local(v.supernet, pe_dn, next_hop=ce_dn_addr,
-                                   origin_site=site_id)
-
-        site = Site(v.name, site_id, pe, ce, site_prefix, [dl_dn, dl_up], role="hub")
-        site.hosts = tuple(self._add_host(site, h, host_rate_bps) for h in range(num_hosts))
-        self._register(v, site)
-        return site
+        """Provision the hub site of a hub-and-spoke VPN (``role="hub"``)."""
+        return self.add_site(vpn, pe, prefix, num_hosts, host_rate_bps, role="hub")
 
     # ------------------------------------------------------------------
     def _register(self, v: Vpn, site: Site) -> None:
@@ -368,18 +352,6 @@ class VpnProvisioner:
         if base not in self.net.nodes:
             return base
         return f"{base}-as{self.asn}"
-
-    def _wire_ce(self, v: Vpn, pe: PeRouter, site_id: int):
-        """Create the CE, its access link, and its default route."""
-        ce = CeRouter(self.net.sim, self._node_name(f"ce-{v.name}-s{site_id}"),
-                      site_id=site_id, trace=self.net.trace)
-        self.net.add_node(ce, loopback=False)
-        dl = self.net.connect(ce, pe, self.access_rate_bps, self.access_delay_s)
-        # The link carries its endpoint addresses (addr_a = CE side,
-        # addr_b = PE side) — no scan over pe.addresses, which is O(sites)
-        # on a PE hosting many circuits.
-        ce.set_default_route(dl.if_ab.name, dl.addr_b)
-        return ce, dl
 
     def _add_host(self, site: Site, index: int, rate_bps: float) -> Host:
         host = Host(self.net.sim,
@@ -477,11 +449,9 @@ class VpnProvisioner:
                 "(already removed?)"
             )
         pe = site.pe
-        circuits = [site.pe_ifname]
-        if site.role == "hub":
-            circuits.append(site.pe_up_ifname)
-        for ifname in circuits:
-            pe.unbind_circuit(ifname)
+        names = _vrf_names(v.name, site.role)
+        for dl in site.links[:len(names)]:
+            pe.unbind_circuit(dl.if_ba.name)
         for dl in site.links:
             self.net.disconnect(dl)
         for node in (*site.hosts, site.ce):
@@ -493,12 +463,15 @@ class VpnProvisioner:
         self.net.counters.incr("vpn.sites", -1)
         # Behind a drained PE there is nobody to tell: its peers dropped its
         # routes when the sessions went down, and restore_pe() re-reads the
-        # PE's locals before it re-advertises.
-        if self._bgp is not None and pe.name not in self._bgp.drained:
-            for vrf_name in _vrf_names(v.name, site.role):
+        # PE's locals before it re-advertises.  An engine built before the
+        # PE served a site does not hold it: the next converge_bgp() builds
+        # one that does.
+        engine = self._bgp
+        if engine is not None and pe in engine.pes and pe.name not in engine.drained:
+            for vrf_name in names:
                 vrf = pe.vrfs.get(vrf_name)
                 if vrf is not None:
-                    self._bgp.export_delta(pe, vrf)
+                    engine.export_delta(pe, vrf)
         return site
 
     def remove_vpn(self, name: str) -> Vpn:

@@ -86,7 +86,7 @@ class Vrf:
     """
 
     __slots__ = (
-        "name", "rd", "import_rts", "export_rts", "vpn_label", "_fib", "circuits",
+        "name", "rd", "import_rts", "export_rts", "vpn_label", "_fib",
         "_locals", "local_generation",
     )
 
@@ -104,18 +104,16 @@ class Vrf:
         self.export_rts = frozenset(export_rts)
         self.vpn_label = vpn_label
         self._fib: Fib[Entry] = Fib()
-        # Interfaces (attachment circuits) bound to this VRF on the PE.
-        self.circuits: list[str] = []
         self._locals: dict[Prefix, VrfRoute] = {}
         self.local_generation = 0
 
     def __getstate__(self) -> tuple:
         return (self.name, self.rd, self.import_rts, self.export_rts, self.vpn_label,
-                self._fib, self.circuits)
+                self._fib)
 
     def __setstate__(self, state: tuple) -> None:
         (self.name, self.rd, self.import_rts, self.export_rts, self.vpn_label,
-         self._fib, self.circuits) = state
+         self._fib) = state
         self._locals = {p: r for p, r in self._fib.routes() if r.kind == "local"}
         self.local_generation = 0
 

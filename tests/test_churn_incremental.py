@@ -139,7 +139,7 @@ class TestIdempotentReconverge:
         net, pes, prov = _world(4)
         engine = prov.bgp_engine()
         reread = []
-        for name in ("_sync_exports", "_desired_imports"):
+        for name in ("_sync_exports", "_reselect"):
             monkeypatch.setattr(
                 engine, name, lambda *a, _name=name, **k: reread.append(_name)
             )
@@ -633,7 +633,8 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         # A VRF deleted and re-created under its name behind the engine's
         # back (legal once its last circuit is gone): a new, empty table.
         idle = [
-            (pe, vrf) for pe in pes for vrf in pe.vrfs.values() if not vrf.circuits
+            (pe, vrf) for pe in pes for vrf in pe.vrfs.values()
+            if all(pe.vrf_of_circuit(n) is not vrf for n in pe.interfaces)
         ]
         if not idle:
             return

@@ -486,7 +486,7 @@ class TestPeCircuitRegressions:
         })
         burst = lambda: [pkt("10.0.9.1", "10.0.1.2") for _ in range(self.BURST)]
         self._arrive(net, pe, "to-src", burst())  # warms the old VRF's cache
-        for ifname in list(pe.vrfs["A"].circuits):
+        for ifname in [n for n in pe.interfaces if pe.vrf_of_circuit(n) is pe.vrfs["A"]]:
             pe.unbind_circuit(ifname)
         old = pe.remove_vrf("A")
         assert "A" not in pe.pipeline.vrf_caches

@@ -268,7 +268,7 @@ class TestFluidFollowsTheIgp:
         fib_chain, node = ["tx", "a"], net.nodes["a"]
         while node is not net.nodes["d"]:
             out = node.fib.lookup(rx.loopback).out_ifname
-            node = node.interfaces[out].peer_node
+            node = node.interfaces[out].link.dst_node
             fib_chain.append(node.name)
         assert fib_chain == ["tx", "a", "b", "d"]
         path = FluidRouter(net).add(self._agg(net, "f", 1e6), tx, rx)

@@ -71,7 +71,7 @@ def _downstream(node, ifname, label):
     as themselves, any other as (next hop, the FEC it holds the label for)."""
     if label in (IMPLICIT_NULL, EXPLICIT_NULL):
         return label
-    peer = node.interfaces[ifname].peer_node
+    peer = node.interfaces[ifname].link.dst_node
     entry = peer.lfib.entries().get(label)
     return peer.name, None if entry is None else entry.lsp_id
 
@@ -163,7 +163,7 @@ def lsp_path(net, ingress, fec):
     nhlfe = node.ftn.lookup(fec)
     path, ifname, label = [ingress], nhlfe.out_ifname, nhlfe.labels[-1]
     while True:
-        node = node.interfaces[ifname].peer_node
+        node = node.interfaces[ifname].link.dst_node
         path.append(node.name)
         if label == IMPLICIT_NULL:
             return path  # popped one hop upstream

@@ -54,7 +54,7 @@ def wire(sim, qdisc=None, rate_bps=RATE, delay_s=DELAY):
     iface = Interface(sim, a, "eth0", rate_bps, qdisc)
     a.add_interface(iface)
     link = Link(sim, "a->b", b, "eth0", delay_s)
-    iface.attach(link, b, "eth0")
+    iface.attach(link)
     return iface, link, b
 
 

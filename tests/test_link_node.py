@@ -31,7 +31,7 @@ def wire(sim, a, b, rate_bps=1e6, delay_s=0.01):
     iface = Interface(sim, a, "eth0", rate_bps, DropTailFifo())
     a.add_interface(iface)
     link = Link(sim, "a->b", b, "eth0", delay_s)
-    iface.attach(link, b, "eth0")
+    iface.attach(link)
     return iface, link
 
 
@@ -77,7 +77,7 @@ class TestTransmission:
         iface = Interface(sim, a, "eth0", 1e3, DropTailFifo(capacity_packets=2))
         a.add_interface(iface)
         link = Link(sim, "l", b, "eth0", 0.001)
-        iface.attach(link, b, "eth0")
+        iface.attach(link)
         sent = [iface.send(pkt()) for _ in range(5)]
         # First dequeues immediately into the transmitter, 2 queue, rest drop.
         assert sum(sent) == 3

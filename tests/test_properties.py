@@ -72,7 +72,7 @@ class TestLdpConsistency:
                     entry = node.lfib.lookup(label)
                     assert entry is not None, f"broken chain at {node.name}"
                     iface = node.interfaces[entry.out_ifname]
-                    nxt = iface.peer_node
+                    nxt = iface.link.dst_node
                     if entry.op is LabelOp.POP:
                         assert nxt.name == egress
                         break

@@ -21,7 +21,7 @@ from repro.routing.spf import converge
 from repro.topology import Network, build_backbone
 from repro.vpn import ProvisioningError
 from repro.vpn.pe import PeRouter
-from repro.vpn.provision import VpnProvisioner
+from repro.vpn.provision import VpnProvisioner, _vrf_names
 from tests.test_churn_incremental import (
     _imports_are_advertisements, _oracle_snapshot, _vrf_snapshot, _world,
 )
@@ -134,6 +134,29 @@ class TestRejectedBeforeAnythingIsAllocated:
             prov.add_site("corp", pes[0], prefix="10.0.0.0/40", num_hosts=0)
         assert _footprint(net, prov) == before
 
+    @pytest.mark.parametrize("vpn, role", [
+        ("corp", "hub"), ("corp", "spoke"), ("hs", "mesh"), ("hs", "relay"),
+    ])
+    def test_a_role_the_vpn_does_not_have(self, world, vpn, role):
+        net, pes, prov, core = world
+        before = _footprint(net, prov)
+        with pytest.raises(ProvisioningError, match=rf"^role: '{role}' is not a role of "):
+            prov.add_site(vpn, pes[2], num_hosts=0, role=role)
+        assert _footprint(net, prov) == before
+
+    def test_a_hub_of_a_mesh_vpn_is_one_error(self, world):
+        # add_hub_site is add_site(role="hub"): one rule, so one message.
+        net, pes, prov, core = world
+        before = _footprint(net, prov)
+        with pytest.raises(ProvisioningError) as by_role:
+            prov.add_site("corp", pes[2], num_hosts=0, role="hub")
+        with pytest.raises(ProvisioningError) as by_name:
+            prov.add_hub_site("corp", pes[2], num_hosts=0)
+        assert str(by_role.value) == str(by_name.value) == (
+            "role: 'hub' is not a role of mesh VPN corp; its sites are 'mesh'"
+        )
+        assert _footprint(net, prov) == before
+
 
 class TestRemoveSiteBehindADrainedPe:
     def _drained_world(self):
@@ -195,6 +218,69 @@ class TestRemoveSiteBehindADrainedPe:
         prov.restore_pe(pes[2])
         assert not [k for k in prov.bgp_engine()._rib if k[1] == "other"]
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+
+class TestOneWiringPath:
+    """Every role is wired by ``add_site`` and unwired by ``remove_site``:
+    a site added behind a PE that already serves its VPN, then removed,
+    leaves the PE and the network as they were."""
+
+    @staticmethod
+    def _pe_state(net, pe) -> dict:
+        return {
+            "vrfs": dict(pe.vrfs),
+            "circuits": {n: pe.vrf_of_circuit(n) for n in pe.interfaces},
+            "lfib": dict(pe.lfib.entries()),
+            "labels": (list(pe.labels.allocated()), pe.labels._next, list(pe.labels._free)),
+            "free /30s": net.linknets_free(),
+            "nodes": dict(net.nodes),
+        }
+
+    @pytest.mark.parametrize("vpn, role, at, circuits", [
+        ("corp", "mesh", 1, 1), ("hs", "spoke", 1, 1), ("hs", "hub", 0, 2),
+    ])
+    def test_add_then_remove_leaves_the_pe_as_it_was(self, vpn, role, at, circuits):
+        net, pes, prov = _world(3, hub_spoke=True)
+        pe = pes[at]
+        assert all(n in pe.vrfs for n in _vrf_names(vpn, role))
+        before = self._pe_state(net, pe)
+        site = prov.add_site(vpn, pe, num_hosts=1, role=role)
+        assert site.role == role and len(site.links) == circuits + 1
+        bound = [pe.vrf_of_circuit(dl.if_ba.name) for dl in site.links[:circuits]]
+        assert bound == [pe.vrfs[n] for n in _vrf_names(vpn, role)]
+        prov.converge_bgp()
+        prov.remove_site(site)
+        assert self._pe_state(net, pe) == before
+        findings = audit(net, bgp=prov.bgp_engine())
+        assert [f for f in findings if f.severity == "error"] == []
+
+
+class TestRemoveSiteBehindAPeTheEngineDoesNotHold:
+    """A site added behind a PE the persistent engine was built without and
+    removed before the next ``converge_bgp()``: the engine never held the
+    PE's routes, so there is nothing to withdraw.  It used to raise ``E3 is
+    not in this BGP mesh`` after the CE, the links and the site were gone."""
+
+    def test_is_legal_whole_and_silent(self):
+        net, nodes, prov = TestRemoveVpn._backbone()
+        acme = prov.create_vpn("acme")
+        for name in ("E1", "E2"):
+            prov.add_site(acme, nodes[name], num_hosts=0)
+        TestRemoveVpn._chain(net, prov)
+        engine = prov.bgp_engine()
+        rib = {key: dict(routes) for key, routes in engine._rib.items()}
+        updates = net.counters["bgp.updates"]
+        wired = (len(net.nodes), len(net.duplex_links), net.linknets_free())
+        late = prov.add_site(acme, nodes["E3"], num_hosts=0)
+        assert nodes["E3"] not in engine.pes
+        assert prov.remove_site(late) is late
+        assert (len(net.nodes), len(net.duplex_links), net.linknets_free()) == wired
+        assert late not in acme.sites and "E3" not in prov._sites_on
+        assert engine._rib == rib and net.counters["bgp.updates"] == updates
+        assert prov.bgp_engine() is engine
+        prov.converge_bgp()
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+        assert [f for f in audit(net, bgp=engine) if f.severity == "error"] == []
 
 
 class TestRemoveVpn:

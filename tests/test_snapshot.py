@@ -295,6 +295,17 @@ def test_schema_10_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_11_image_refused_by_name(monkeypatch) -> None:
+    # An /11 image images a VRF with its circuit list (a seven-item tuple
+    # this reader's Vrf.__setstate__ cannot unpack), a CE with its site id
+    # and prefix list, and an interface with the far end's node and name.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/11")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/11'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the

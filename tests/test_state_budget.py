@@ -54,6 +54,12 @@ gone from ``VrfRoute`` and no label cache in front of each LFIB, a
 section-B site costs 5 659 bytes and 37.12 tracked objects, the E1 build
 at N=200 adds 7 218 (7 230 before) and a snapshot of the N=1000 net still
 leaves 3 127.
+
+One record per per-site fact: with the CE's unread prefix list and site
+id, the VRF's circuit list (the PE's circuit map is the binding), each
+interface's copy of its far end (its link names it) and the duplex link's
+copy of the rate and delay gone, a section-B site costs 5 493 bytes and
+35.72 tracked objects, and the E1 build at N=200 adds 7 011.
 """
 
 import collections

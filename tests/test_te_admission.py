@@ -44,6 +44,33 @@ def test_one_admission_error_and_one_ledger():
     assert issubclass(IntServ, ReservationLedger)
 
 
+class TestAdmissionReadsTheRateTheWireHas:
+    """A transmitter reshaped after ``connect`` is booked at the rate it
+    has, each direction on its own.  Admission used to read the rate
+    ``connect`` copied onto the duplex link, and booked 5 Mb/s on a 2 Mb/s
+    transmitter."""
+
+    def test_a_reshaped_transmitter(self):
+        net = lsr_net(("a", "b", 10e6, 1.0))
+        dl = net.link_between("a", "b")
+        dl.if_ab.rate_bps = 2e6
+        ledger = ReservationLedger(net)
+        assert (ledger.capacity("a", "b"), ledger.capacity("b", "a")) == (2e6, 10e6)
+        with pytest.raises(AdmissionError, match=r"^x: link a->b has 2000000bps < 5000000bps"):
+            ledger.admit("x", ["a", "b"], 5e6)
+        assert ledger.reserved == {}
+        ledger.admit("y", ["b", "a"], 5e6)
+        assert ledger.reserved == {("b", "a"): 5e6}
+
+    def test_the_duplex_link_reads_its_rate_and_delay_off_the_wire(self):
+        net = lsr_net(("a", "b", 10e6, 1.0))
+        dl = net.link_between("a", "b")
+        dl.if_ab.rate_bps = 2e6
+        assert (dl.rate_bps, dl.delay_s) == (2e6, dl.link_ab.delay_s)
+        with pytest.raises(AttributeError):
+            dl.rate_bps = 1e6
+
+
 class TestAdmissionReadsTheLinkTheLspUses:
     """``a=b`` twice — 10 Mb/s at metric 10 connected first, 100 Mb/s at
     metric 1 second — then ``b-c``.  The IGP, and so every LSP and flow,

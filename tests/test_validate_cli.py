@@ -326,7 +326,7 @@ class TestValidate:
             for label, e in node.lfib.entries().items() if e.op is LabelOp.SWAP)
         node.lfib.install(label, LfibEntry(LabelOp.SWAP, out_label=9999,
                                            out_ifname=entry.out_ifname, lsp_id=entry.lsp_id))
-        fec, peer = entry.lsp_id[4:], node.interfaces[entry.out_ifname].peer_node.name
+        fec, peer = entry.lsp_id[4:], node.interfaces[entry.out_ifname].link.dst_node.name
         found = [f for f in audit(net) if f.check == "ldp"]
         assert [(f.severity, f.node, f.message) for f in found] == [(
             "error", node.name, f"LDP label {label} for {fec} sends label 9999 to "
