@@ -16,11 +16,11 @@ Run:  python examples/backbone_deployment.py   (~15 s)
 """
 
 from repro.audit import audit
+from repro.control import converge_all
 from repro.experiments.common import make_qdisc_factory
 from repro.metrics import VOICE_SLA, ProbeAgent, print_table
-from repro.mpls import FastReroute, Lsr, TrafficEngineering, run_ldp
+from repro.mpls import FastReroute, Lsr, TrafficEngineering
 from repro.net.address import Prefix
-from repro.routing import converge, reconverge
 from repro.topology import Network, build_backbone
 from repro.traffic import FlowSink, OnOffSource
 from repro.vpn import BRONZE, GOLD, SILVER, PeRouter, VpnProvisioner, apply_profile
@@ -49,9 +49,8 @@ def main() -> None:
     shop = prov.create_vpn("shop")
     shop_sites = [prov.add_site(shop, nodes[pe]) for pe in ("E3", "E7")]
 
-    converge(net)
-    ldp = run_ldp(net)
-    bgp = prov.converge_bgp(route_reflector="E1")
+    prov.bgp_engine(route_reflector="E1")
+    _igp, ldp, bgp = converge_all(net, prov)
     apply_profile(enterprise, GOLD)
     apply_profile(bank, SILVER)
     apply_profile(shop, BRONZE)
@@ -100,11 +99,10 @@ def main() -> None:
 
         def igp_recovers():
             # The rest of the backbone (LDP-routed customers) waits for the
-            # tuned IGP: reconverge, and LDP follows it 1 s later.  The gold
-            # trunk never noticed (LDP leaves its autoroute binding alone);
-            # everyone else eats a 1 s outage.
-            reconverge(net)
-            moved = run_ldp(net)
+            # tuned IGP: reconverge, and LDP and MP-BGP follow it 1 s later.
+            # The gold trunk never noticed (LDP leaves its autoroute binding
+            # alone); everyone else eats a 1 s outage.
+            moved = converge_all(net, prov).ldp
             print(f"[t={net.sim.now:.1f}s] IGP reconverged; LDP rewrote "
                   f"{moved.written} and withdrew {moved.withdrawn} label entries")
         net.sim.schedule(1.0, igp_recovers)

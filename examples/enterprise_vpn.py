@@ -12,11 +12,11 @@ meet their SLAs.
 Run:  python examples/enterprise_vpn.py
 """
 
+from repro.control import converge_all
 from repro.experiments.common import make_qdisc_factory
 from repro.metrics import DATA_SLA, VOICE_SLA, evaluate, print_table, summarize_flow
-from repro.mpls import Lsr, run_ldp
+from repro.mpls import Lsr
 from repro.qos import CbqClass, CbqScheduler, DSCP, ba_classifier
-from repro.routing import converge
 from repro.topology import Network, build_backbone
 from repro.traffic import CbrSource, FlowSink, OnOffSource, voice_source
 from repro.vpn import PeRouter, VpnProvisioner
@@ -53,9 +53,7 @@ def main() -> None:
     r1 = prov.add_site(rival, nodes["E1"])
     r2 = prov.add_site(rival, nodes["E8"])
 
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
 
     # CBQ on every acme branch uplink (CE -> PE).
     for site in branches:

@@ -11,9 +11,9 @@ reconfigure when a branch is added.
 Run:  python examples/hub_and_spoke.py
 """
 
-from repro.mpls import Lsr, run_ldp
+from repro.control import converge_all
+from repro.mpls import Lsr
 from repro.net.packet import IPHeader, Packet
-from repro.routing import converge
 from repro.topology import Network
 from repro.vpn import PeRouter, VpnProvisioner
 
@@ -30,9 +30,7 @@ def main() -> None:
     hq = prov.add_hub_site(bank, pes[0], prefix="10.0.0.0/24")
     branch1 = prov.add_site(bank, pes[1], prefix="10.0.1.0/24")
     branch2 = prov.add_site(bank, pes[2], prefix="10.0.2.0/24")
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
 
     print("Route targets:")
     print(f"  hub exports  {bank.rt_hub}   (the supernet: 'everything is via HQ')")

@@ -9,8 +9,8 @@ created and the measured one-way delay.
 Run:  python examples/quickstart.py
 """
 
-from repro.mpls import Lsr, run_ldp
-from repro.routing import converge
+from repro.control import converge_all
+from repro.mpls import Lsr
 from repro.topology import Network
 from repro.traffic import CbrSource, FlowSink
 from repro.metrics import print_table, summarize_flow
@@ -34,9 +34,7 @@ def main() -> None:
     site_b = prov.add_site(vpn, pe2, prefix="10.2.0.0/24")
 
     # 3. Control plane: converge the IGP, distribute labels, run MP-BGP.
-    converge(net)
-    ldp = run_ldp(net)
-    bgp = prov.converge_bgp()
+    _igp, ldp, bgp = converge_all(net, prov)
     print(f"LDP: {ldp.sessions} sessions, {ldp.mapping_messages} label mappings")
     print(f"BGP: {bgp.sessions} session(s), {bgp.updates_sent} updates, "
           f"{bgp.routes_imported} routes imported")

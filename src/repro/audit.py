@@ -13,6 +13,10 @@
 * ``c1`` (error): a non-PE node holding a VRF, or an LFIB entry bound to
   one.  Claim C1: core LSRs hold only the transport labels every VPN
   shares.
+* ``igp`` (error): an ``spf`` FIB route with a path (primary or ECMP
+  alternate) out of a missing interface, or out of one whose link is down.
+  The IGP writes only on convergence: between a link flap and the
+  ``converge_all`` after it, the routes the flap cut are reported here.
 * ``ldp`` (error): an LDP-owned LFIB SWAP / POP or FTN entry that leaves
   on a down interface, or on one the FIB's route for its FEC does not use
   (ECMP alternates count); or that sends a label its next hop does not hold
@@ -118,6 +122,7 @@ def _node_rules(node: "Node", seen: dict) -> _Rule:
             holder = seen.setdefault((node.domain, addr), node.name)
             if holder != node.name:
                 yield "error", "address", f"{node.domain} address {addr} also on {holder}"
+    yield from _igp_routes(node)
     if isinstance(node, Lsr):
         yield from _label_state(node)
     if isinstance(node, PeRouter):
@@ -184,6 +189,20 @@ def _engine_imports(bgp: "MpBgp") -> Iterator[tuple[str, str, str, str]]:
                     yield "error", "imports", pe.name, f"{what} crosses a drained PE"
                 if route.route_targets.isdisjoint(policy):
                     yield "error", "imports", pe.name, f"{what} carries no RT the VRF imports"
+
+
+def _igp_routes(node: Router) -> _Rule:
+    """The ``igp`` rule: every path of an IGP route leaves on a live interface."""
+    interfaces = node.interfaces
+    for prefix, route in node.fib.routes():
+        if route.source != "spf":
+            continue
+        for ifname, _nh in route.all_paths:
+            iface = interfaces.get(ifname)
+            if iface is None:
+                yield "error", "igp", f"IGP route {prefix} leaves on missing interface {ifname!r}"
+            elif iface.link is not None and not iface.link.up:
+                yield "error", "igp", f"IGP route {prefix} leaves on {ifname!r}, which is down"
 
 
 def _label_state(node: Lsr) -> _Rule:

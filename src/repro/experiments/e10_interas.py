@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun, make_qdisc_factory
 from repro.metrics.sla import VOICE_SLA, evaluate
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.qos.dscp import DSCP
-from repro.routing.spf import converge
 from repro.topology import Network
 from repro.traffic.generators import CbrSource, voice_source
 from repro.vpn.bgp import MpBgp
@@ -77,8 +76,7 @@ def build_two_providers(seed: int = 101, qos: bool = True) -> dict[str, Any]:
 
     # Control plane, per the option-A call order.
     for dom in ("core-a", "core-b"):
-        converge(net, domain=dom)
-        run_ldp(net, domain=dom)
+        converge_all(net, domain=dom)
     bgp_a = MpBgp(net, [nodes["pe-a"], asbr_a])  # type: ignore[list-item]
     bgp_b = MpBgp(net, [nodes["pe-b"], asbr_b])  # type: ignore[list-item]
     bgp_a.converge()

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun
 from repro.mpls.frr import FastReroute
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.mpls.te import TrafficEngineering
 from repro.net.address import Prefix
-from repro.routing.spf import converge, reconverge
+from repro.routing.spf import converge
 from repro.topology import Network, attach_host, build_fish
 from repro.traffic.generators import CbrSource
 
@@ -91,11 +91,10 @@ def run_variant(
         def recover() -> None:
             frr.trigger_link_failure("G", "H")
     else:
-        run_ldp(net)
+        converge_all(net)
 
         def recover() -> None:
-            reconverge(net)
-            run_ldp(net)
+            converge_all(net)
 
     def fail() -> None:
         net.link_between("G", "H").set_up(False)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun, make_qdisc_factory
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
-from repro.routing.spf import converge
 from repro.topology import Network
 from repro.traffic.generators import CbrSource
 from repro.vpn.pe import PeRouter
@@ -50,9 +49,7 @@ def build_tiered_network(seed: int = 131) -> dict[str, Any]:
         s1 = prov.add_site(vpn, pe1)
         s2 = prov.add_site(vpn, pe2)
         customers[tier.name] = {"vpn": vpn, "sites": (s1, s2), "profile": tier}
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
     for c in customers.values():
         apply_profile(c["vpn"], c["profile"])
     return {"net": net, "prov": prov, "customers": customers}
@@ -80,9 +77,7 @@ def run_e13(seed: int = 131, measure_s: float = 8.0) -> tuple[list[dict[str, Any
     greedy = ctx["prov"].create_vpn("gold-greedy")
     g1 = ctx["prov"].add_site(greedy, net.node("pe1"))
     g2 = ctx["prov"].add_site(greedy, net.node("pe2"))
-    converge(net)
-    run_ldp(net)
-    ctx["prov"].converge_bgp()
+    converge_all(net, ctx["prov"])
     apply_profile(greedy, GOLD)
     sinks["gold-greedy"] = run.sink_at(g2.hosts[0])
     sources["gold-greedy"] = run.add_source(

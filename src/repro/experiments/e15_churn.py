@@ -18,10 +18,10 @@ Storms
   implicit withdraws, import flush, full re-advertise + refresh.
 * **vpn-wave**   — provision a new VPN across the edge, converge the
   delta, then tear the whole VPN down again.
-* **link-flap**  — fail and restore a core (P–P) trunk, driving the
-  incremental IGP ``reconverge()`` with LDP following it (``run_ldp``
-  writes only the label entries the flap moved: ``ldp_writes``); BGP state
-  is untouched (next hops are loopbacks), which is itself the point.
+* **link-flap**  — fail and restore a core (P–P) trunk, each followed by
+  :func:`repro.control.converge_all`: the incremental IGP, LDP writing only
+  the label entries the flap moved (``ldp_writes``), and an MP-BGP pass that
+  writes nothing (next hops are loopbacks), which is itself the point.
 
 Every storm puts back what it took, so a last ``residue`` row reports what
 the sequence left behind in the graph — nodes, links, PE interfaces,
@@ -41,9 +41,8 @@ from time import perf_counter
 from typing import Any
 
 from repro.audit import audit
+from repro.control import converge_all
 from repro.experiments.e1_scalability import mpls_base
-from repro.mpls.ldp import run_ldp
-from repro.routing.spf import reconverge
 from repro.vpn.bgp import MpBgp
 
 __all__ = ["run_e15", "churn_storms"]
@@ -154,8 +153,8 @@ def churn_storms(
         link = net.link_between("P1", "P2")
         for up in (False, True):
             link.set_up(up)
-            spf_events += reconverge(net)
-            ldp = run_ldp(net)
+            igp, ldp, _bgp = converge_all(net, prov)
+            spf_events += igp
             ldp_writes += ldp.written + ldp.withdrawn
     row_before = len(rows)
     record("link-flap", 2 * link_flaps, perf_counter() - t0,

@@ -25,8 +25,8 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from repro.audit import audit
+from repro.control import converge_all
 from repro.mpls.lsr import Lsr
-from repro.mpls.ldp import run_ldp
 from repro.routing.spf import converge
 from repro.topology import Network, build_backbone
 from repro.vpn.overlay import OverlayVpnBuilder, VcRouter, expected_full_mesh_circuits
@@ -122,9 +122,8 @@ def mpls_base(
     vpn = prov.create_vpn("corp")
     for i in range(n_sites):
         prov.add_site(vpn, nodes[EDGE_ROUTERS[i % len(EDGE_ROUTERS)]], num_hosts=0)  # type: ignore[arg-type]
-    converge(net)
-    ldp = run_ldp(net)
-    bgp = prov.converge_bgp(route_reflector=route_reflector, rr_clusters=rr_clusters)
+    prov.bgp_engine(route_reflector=route_reflector, rr_clusters=rr_clusters)
+    _igp, ldp, bgp = converge_all(net, prov)
     return {"net": net, "nodes": nodes, "prov": prov, "ldp": ldp, "bgp": bgp}
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun, make_qdisc_factory
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.qos.dscp import DSCP
 from repro.routing.spf import converge
@@ -57,9 +57,10 @@ def _build(config: str, seed: int) -> tuple[Network, Any, Any]:
 
     src_host = attach_host(net, routers[0], "10.50.0.1", name="tx")
     dst_host = attach_host(net, routers[3], "10.50.0.2", name="rx")
-    converge(net)
     if mpls:
-        run_ldp(net)
+        converge_all(net)
+    else:
+        converge(net)
     return net, src_host, dst_host
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun, make_qdisc_factory
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.net.node import ProcessingModel
 from repro.qos.dscp import DSCP
@@ -125,9 +125,7 @@ def run_mpls_config(seed: int = 33, measure_s: float = 8.0) -> dict[str, Any]:
     vpn = prov.create_vpn("corp")
     s1 = prov.add_site(vpn, pe1, prefix="10.1.0.0/24")
     s2 = prov.add_site(vpn, pe2, prefix="10.2.0.0/24")
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
 
     h1, h2 = s1.hosts[0], s2.hosts[0]
     src_addr, dst_addr = str(h1.loopback), str(h2.loopback)

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun, make_qdisc_factory
 from repro.metrics.sla import DATA_SLA, VOICE_SLA, evaluate
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.classifier import ba_classifier
 from repro.qos.dscp import DSCP, class_of_dscp_name
 from repro.qos.meter import TokenBucket, policer
-from repro.routing.spf import converge
 from repro.topology import Network
 from repro.traffic.generators import CbrSource, OnOffSource, voice_source
 from repro.vpn.pe import PeRouter
@@ -82,9 +81,7 @@ def _build(stage: str, seed: int) -> dict[str, Any]:
     other = prov.create_vpn("other", supernet="10.0.0.0/8")
     o1 = prov.add_site(other, pe1, prefix="10.9.1.0/24")
     o2 = prov.add_site(other, pe2, prefix="10.9.2.0/24")
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
 
     if stage in ("cbq-only", "full"):
         s1.ce.interfaces[s1.ce_ifname].qdisc = _cpe_cbq()

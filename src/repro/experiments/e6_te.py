@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.mpls.te import TrafficEngineering
 from repro.net.address import Prefix
@@ -80,16 +80,13 @@ def run_config(
     net = ctx["net"]
 
     lsp_paths: list[list[str]] = []
+    if fail_link:
+        # The "disabled link" variant: G-H is down, so no path crosses it.
+        net.link_between("G", "H").set_up(False)
     if use_te:
         te = TrafficEngineering(net)
-        if fail_link:
-            # The "disabled link" variant: G-H is down; CSPF must avoid it.
-            net.link_between("G", "H").set_up(False)
-            te_avoid = [("G", "H")]
-        else:
-            te_avoid = []
         for i, dst in enumerate(ctx["dsts"]):
-            path = te.cspf("A", "F", FLOW_BPS, avoid_links=te_avoid)
+            path = te.cspf("A", "F", FLOW_BPS)
             if path is None:
                 # Admission control refuses rather than congest the tunnels
                 # already placed — under the link failure the surviving
@@ -104,11 +101,8 @@ def run_config(
             lsp_paths.append(path)
         ctx["te"] = te
     else:
-        run_ldp(net)
-        if fail_link:
-            net.link_between("G", "H").set_up(False)
-        sp = spf_paths(net, "A", "F")
-        lsp_paths = [sp] * N_FLOWS
+        converge_all(net)
+        lsp_paths = [spf_paths(net, "A", "F")] * N_FLOWS
 
     run = ExperimentRun(net, warmup_s=0.3, measure_s=measure_s)
     sinks = [run.sink_at(dst) for dst in ctx["dsts"]]

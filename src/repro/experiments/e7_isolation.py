@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
-from repro.routing.spf import converge
 from repro.topology import Network, build_backbone
 from repro.traffic.generators import CbrSource
 from repro.traffic.sink import FlowSink
@@ -64,9 +63,7 @@ def build_overlap_scenario(seed: int = 61, extranet: bool = False) -> dict[str, 
                 vrf = pe.vrfs["red"]
                 vrf.import_rts = frozenset(vrf.import_rts | {green.rt})
 
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
     return {"net": net, "prov": prov, "sites": sites, "red": red, "blue": blue, "green": green}
 
 

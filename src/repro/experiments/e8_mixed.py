@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.routing.router import Router
-from repro.routing.spf import converge
 from repro.topology import Network, attach_host
 from repro.traffic.generators import CbrSource
 
@@ -57,8 +56,7 @@ def build_mixed_backbone(seed: int = 71, upgrade_all: bool = False) -> dict[str,
     tx = attach_host(net, ingress, "10.80.0.1", name="tx")
     rx1 = attach_host(net, egress1, "10.80.1.1", name="rx1")
     rx2 = attach_host(net, egress2, "10.80.2.1", name="rx2")
-    converge(net)
-    ldp = run_ldp(net)
+    ldp = converge_all(net).ldp
     return {
         "net": net, "tx": tx, "rx1": rx1, "rx2": rx2, "ldp": ldp,
         "ingress": ingress, "m1": m1, "m2": m2, "n1": n1, "n2": n2,

@@ -14,10 +14,10 @@ keeps its local label for a FEC while the FEC stays reachable (liberal
 retention: a next-hop switch is a local rewrite); a label is allocated only
 for a new binding and released when its binding goes away.  A fresh network
 holds nothing, so its first pass allocates, writes and counts what a
-one-shot install would.  After a topology change, ``reconverge(net);
-run_ldp(net)`` moves the labelled paths with the routes.  An FTN slot
-another owner holds (a TE autoroute) is never overwritten or removed; a
-slot left empty is bound.
+one-shot install would.  After a topology change the chain
+(:func:`repro.control.converge_all`) moves the labelled paths with the
+routes.  An FTN slot another owner holds (a TE autoroute) is never
+overwritten or removed; a slot left empty is bound.
 
 Wire behaviour is abstracted to *message counting*: with liberal label
 retention every LSR advertises each binding over every LDP session, so the

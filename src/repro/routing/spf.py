@@ -2,7 +2,7 @@
 
 Rather than simulating LSA flooding packet-by-packet, :func:`converge`
 computes what a converged OSPF domain would have computed — per-router
-shortest-path trees over the configured metrics — and installs the
+shortest-path trees over the configured metrics — and writes the
 resulting routes into every router's FIB.  This is the standard modeling
 shortcut for steady-state studies and it keeps the data-plane experiments
 unconfounded by IGP transients.
@@ -20,11 +20,13 @@ All graph work runs on the network's cached
 :class:`~repro.routing.spf_core.DomainView` (integer-indexed,
 generation-stamped) — the one topology read-model, which CSPF, IntServ
 admission and the fluid plane route on too.  One builder, :func:`_routes`,
-says which routes a router should hold; :func:`converge` installs them and
-:func:`reconverge` writes only the difference from what the router holds,
-for the routers a topology change can touch.  FIB contents are
-bit-identical to the reference implementation (``tests/reference/routing.py``);
-``tests/test_spf_parity.py`` holds that equivalence.
+says which routes a router should hold; one writer, :func:`_reconverge_impl`,
+writes the difference from the IGP routes a router holds.  :func:`converge`
+runs it over every router, :func:`reconverge` over the routers a topology
+change can touch, and :func:`repro.control.converge_all` runs the latter,
+LDP and MP-BGP as one chain.  FIB contents are bit-identical to the
+reference implementation (``tests/reference/routing.py``, held by
+``tests/test_spf_parity.py``).
 """
 
 from __future__ import annotations
@@ -124,55 +126,39 @@ def _routes(
     return batches
 
 
-def _record(net: "Network", domain: str, view: "DomainView", ecmp: bool,
-            prefixes: list[list[Prefix]]) -> None:
-    net._spf_state[domain] = SpfState(
-        ecmp=ecmp,
-        names=view.names,
-        edges=dict(view.edges),
-        prefixes=prefixes,
-        spf=dict(view._spf),
-    )
-
-
 def converge(net: "Network", domain: str = "core", ecmp: bool = False) -> int:
-    """Compute and install SPF routes for every in-domain router.
+    """Forget the domain's record and run the writer over every in-domain
+    router, so a route no longer implied is withdrawn and a later
+    :func:`reconverge` keeps the mode.  Returns the write count a full
+    install implies, whatever the FIBs held: every route, a link /30 once
+    per router that advertises it (the parity suite's count).
 
-    Returns the number of FIB writes, a link /30 once per router that
-    advertises it.  Deterministic: equal-cost ties break toward the
-    lexicographically smallest next-hop router name.  With ``ecmp=True``
-    every equal-cost first hop is installed instead (the lowest-named one
-    as primary, the rest as alternates) and routers spread *flows* across
-    them by 5-tuple hash.
+    Deterministic: equal-cost ties break toward the lexicographically
+    smallest next-hop router name.  With ``ecmp=True`` every equal-cost
+    first hop is installed instead (the lowest-named one as primary, the
+    rest as alternates) and routers spread *flows* across them by 5-tuple
+    hash.
     """
-    view = net.domain_view(domain)
-    prefixes = [advertised_prefixes(r) for r in view.routers]
-    sources = view.order_idx
-    installed = 0
-    for si, batch in zip(sources, _routes(view, ecmp, sources, prefixes)):
-        installed += view.routers[si].fib.install_many(batch)
-    _record(net, domain, view, ecmp, prefixes)
-    return installed
+    net._spf_state.pop(domain, None)
+    return _reconverge_impl(net, domain, ecmp)[1]
 
 
 def reconverge(net: "Network", domain: str = "core") -> int:
-    """Recompute the IGP after a topology change — the public entry point.
-
-    Thin wrapper over :func:`_reconverge_impl` that publishes
-    ``spf.reconverge`` (``domain``, ``installs``, ``wall_s``) on the
-    network's trace bus, timed only when someone listens.
-    """
+    """Recompute the IGP after a topology change in the recorded mode, and
+    publish ``spf.reconverge`` (``domain``, ``installs``, ``wall_s``), timed
+    only when someone listens; see :func:`_reconverge_impl`."""
     trace = net.trace
     if not trace.active("spf.reconverge"):
-        return _reconverge_impl(net, domain)
+        return _reconverge_impl(net, domain)[0]
     t0 = perf_counter()
-    installs = _reconverge_impl(net, domain)
+    installs = _reconverge_impl(net, domain)[0]
     trace.publish("spf.reconverge", net.sim.now, domain=domain, installs=installs,
                   wall_s=perf_counter() - t0)
     return installs
 
 
-def _reconverge_impl(net: "Network", domain: str = "core") -> int:
+def _reconverge_impl(net: "Network", domain: str = "core",
+                     ecmp: bool | None = None) -> tuple[int, int]:
     """Recompute the IGP after a topology change (link failure/restore).
 
     Models the end state of an SPF re-run triggered by LSA flooding.  The
@@ -182,11 +168,11 @@ def _reconverge_impl(net: "Network", domain: str = "core") -> int:
 
     Each selected router's routes are built by :func:`_routes` and diffed
     against the IGP routes its FIB holds: what should no longer be there is
-    withdrawn, what changed is installed, and the return value counts those
-    installs.  The result always equals a flush of every ``spf`` /
-    ``connected`` route followed by :func:`converge`
-    (``tests/test_reconverge_incremental.py``).  A domain converged with
-    ``ecmp=True`` reconverges with ECMP.
+    withdrawn, what changed is installed; returns those installs and the
+    size of the diffed routers' batches.  The result always equals a flush
+    of every ``spf`` / ``connected`` route followed by :func:`converge`
+    (``tests/test_reconverge_incremental.py``).  ``ecmp`` defaults to the
+    recorded mode.
 
     Which routers are diffed: with the router names and prefixes of the
     last convergence and at most one new edge, a single-path domain diffs
@@ -204,11 +190,12 @@ def _reconverge_impl(net: "Network", domain: str = "core") -> int:
     state: SpfState | None = net._spf_state.get(domain)
     view = net.domain_view(domain)
     prefixes = [advertised_prefixes(r) for r in view.routers]
-    ecmp = state is not None and state.ecmp
+    if ecmp is None:
+        ecmp = state is not None and state.ecmp
     touched: list[int] | None = None
     if state is not None and state.names == view.names and state.prefixes == prefixes:
         if state.edges == view.edges:
-            return 0
+            return 0, 0
         removed = [key for key, e in state.edges.items() if view.edges.get(key) != e]
         added = [(key, e[0]) for key, e in view.edges.items() if state.edges.get(key) != e]
         # Several new edges can enable each other (chained improvements);
@@ -216,21 +203,23 @@ def _reconverge_impl(net: "Network", domain: str = "core") -> int:
         if not ecmp and len(added) <= 1:
             touched = _touched(state, removed, added)
     sources = view.order_idx if touched is None else touched
-    installs = 0
+    installs = size = 0
     for si, batch in zip(sources, _routes(view, ecmp, sources, prefixes)):
         fib = view.routers[si].fib
+        size += len(batch)
         want = dict(batch)
         have = {p: e for p, e in fib.routes() if e.source in _IGP_SOURCES}
         fib.withdraw_many([p for p in have if p not in want])
         installs += fib.install_many([(p, e) for p, e in want.items() if have.get(p) != e])
     if touched is None:
-        _record(net, domain, view, ecmp, prefixes)
+        net._spf_state[domain] = SpfState(
+            ecmp, view.names, dict(view.edges), prefixes, dict(view._spf))
     else:
         # The trees of the untouched sources still hold; the view memoized
         # the recomputed ones.
         state.edges = dict(view.edges)
         state.spf.update(view._spf)
-    return installs
+    return installs, size
 
 
 def _touched(

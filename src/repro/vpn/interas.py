@@ -82,7 +82,7 @@ def exchange_option_a(net: "Network", circuit: InterAsCircuit) -> int:
 
     Call order for a two-provider deployment:
 
-    1. per-domain ``converge`` + ``run_ldp``;
+    1. per-domain :func:`repro.control.converge_all` (IGP + LDP);
     2. per-domain iBGP (so each ASBR's VRF holds its own side's routes);
     3. ``exchange_option_a`` (this function);
     4. per-domain iBGP again (so the PEs learn the foreign routes the

@@ -3,6 +3,7 @@ and the RR/full-mesh accounting that E1/E9e depend on."""
 
 import pytest
 
+from repro.control import converge_all
 from repro.mpls import Lsr, run_ldp
 from repro.net.address import IPv4Address, Prefix
 from repro.routing import converge
@@ -278,9 +279,7 @@ class TestVpnConservationUnderLoad:
         prov = VpnProvisioner(net)
         vpn = prov.create_vpn("v")
         sites = [prov.add_site(vpn, pe) for pe in pes]
-        converge(net)
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
 
         sinks = [FlowSink(net.sim).attach(s.hosts[0]) for s in sites]
         sources = []

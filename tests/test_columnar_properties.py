@@ -32,15 +32,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.control import converge_all
 import repro.dataplane.pipeline as pipeline_mod
-from repro.mpls import Lsr, run_ldp
+from repro.mpls import Lsr
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import IPHeader, MplsEntry, Packet
 from repro.obs import runtime
 from repro.obs.flightrec import FlightRecorder
 from repro.qos.queues import DropTailFifo
-from repro.routing import converge
 from repro.routing.fib import RouteEntry
 from repro.topology import Network, attach_host
 from repro.vpn.pe import PeRouter
@@ -111,9 +111,7 @@ def _fixture():
     acme = prov.create_vpn("acme")
     a1 = prov.add_site(acme, pe1, prefix="10.3.0.0/24")
     a2 = prov.add_site(acme, pe2, prefix="10.4.0.0/24")
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
 
     to_pe2 = p1.ftn.lookup(Prefix.of(pe2.loopback, 32))
     p1.lfib.install(_FRR_LABEL, LfibEntry(

@@ -18,6 +18,7 @@ import zlib
 
 import pytest
 
+from repro.control import converge_all
 from repro.dataplane import ForwardingPipeline, GenCache, flow_hash
 from repro.dataplane.pipeline import COLUMNAR_MIN
 from repro.mpls import (
@@ -326,9 +327,7 @@ class TestCacheInvalidation:
         vpn = prov.create_vpn("corp")
         s1 = prov.add_site(vpn, pe1, prefix="10.1.0.0/24")
         s2 = prov.add_site(vpn, pe2, prefix="10.2.0.0/24")
-        converge(net)
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
         h1, h2 = s1.hosts[0], s2.hosts[0]
         dst = str(next(a for a in h2.addresses if str(a).startswith("10.2.0.")))
 

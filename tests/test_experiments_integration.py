@@ -210,6 +210,18 @@ class TestE6TrafficEngineering:
         for p in results["fail"]["paths"]:
             assert "G" not in p or "H" not in p or p == ["rejected"]
 
+    def test_shortest_path_after_a_cut_follows_the_reported_path(self):
+        # Without TE the cut G-H is followed by the IGP and LDP: the row's
+        # path is the one the packets take, and they are delivered over it.
+        result = e6_config(use_te=False, measure_s=1.0, fail_link=True)
+        path = result["paths"][0]
+        assert path == ["A", "B", "C", "D", "E", "F"]
+        util = result["net"].link_utilization(1.3)
+        assert all(util[f"{u}->{v}"] > 0.2 for u, v in zip(path, path[1:]))
+        assert result["util_bottom"] == 0.0
+        assert max(f.loss_ratio for f in result["flows"]) < 1.0
+        assert result["aggregate_goodput_bps"] > 0.8 * 10e6
+
 
 class TestE7Isolation:
     def test_zero_cross_vpn_leakage(self):

@@ -3,6 +3,7 @@ hub-and-spoke VPNs, and inter-AS option A."""
 
 import pytest
 
+from repro.control import converge_all
 from repro.mpls import (
     FastReroute,
     FrrError,
@@ -257,9 +258,7 @@ class TestHubSpoke:
         hub = prov.add_hub_site(vpn, pe3, prefix="10.0.0.0/24")
         s1 = prov.add_site(vpn, pe1, prefix="10.0.1.0/24")
         s2 = prov.add_site(vpn, pe2, prefix="10.0.2.0/24")
-        converge(net)
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
         return net, prov, vpn, hub, s1, s2
 
     def _send(self, net, src_host, dst_host):

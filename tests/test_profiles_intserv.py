@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mpls import Lsr, run_ldp
+from repro.control import converge_all
+from repro.mpls import Lsr
 from repro.net.address import IPv4Address
 from repro.net.packet import IPHeader, Packet
 from repro.qos.classifier import FlowMatch
@@ -84,7 +85,7 @@ class TestQosProfiles:
         vpn = prov.create_vpn("c")
         s1 = prov.add_site(vpn, pe1)
         s2 = prov.add_site(vpn, pe2)
-        converge(net); run_ldp(net); prov.converge_bgp()
+        converge_all(net, prov)
         apply_profile(vpn, GOLD)
         h1, h2 = s1.hosts[0], s2.hosts[0]
         got = []

@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.control import converge_all
 from repro.mpls import IMPLICIT_NULL, AdmissionError, Lsr, TrafficEngineering, run_ldp
 from repro.mpls.lfib import LabelOp
 from repro.net.address import IPv4Address
@@ -186,9 +187,7 @@ class TestVpnIsolationProperty:
             for pe_name, pfx in plan:
                 site = prov.add_site(vpn, nodes[pe_name], prefix=pfx, num_hosts=0)
                 all_sites.setdefault(f"vpn{v}", []).append(site)
-        converge(net)
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
 
         own_sites = {
             name: {s.site_id for s in sites} for name, sites in all_sites.items()

@@ -12,12 +12,11 @@ record and the counters had already gone.
 import pytest
 
 from repro.audit import audit
+from repro.control import converge_all
 from repro.experiments.e1_scalability import mpls_base
 from repro.experiments.e15_churn import churn_storms, run_e15
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
-from repro.routing.spf import converge
 from repro.topology import Network, build_backbone
 from repro.vpn import ProvisioningError
 from repro.vpn.pe import PeRouter
@@ -266,7 +265,7 @@ class TestRemoveSiteBehindAPeTheEngineDoesNotHold:
         acme = prov.create_vpn("acme")
         for name in ("E1", "E2"):
             prov.add_site(acme, nodes[name], num_hosts=0)
-        TestRemoveVpn._chain(net, prov)
+        converge_all(net, prov)
         engine = prov.bgp_engine()
         rib = {key: dict(routes) for key, routes in engine._rib.items()}
         updates = net.counters["bgp.updates"]
@@ -296,12 +295,6 @@ class TestRemoveVpn:
             (PeRouter if name.startswith("E") else Lsr)(n.sim, name)))
         return net, nodes, VpnProvisioner(net)
 
-    @staticmethod
-    def _chain(net, prov):
-        converge(net)
-        run_ldp(net)
-        prov.converge_bgp()
-
     def test_a_vpn_recreated_after_its_last_site_left_a_pe_starts_clean(self):
         net, nodes, prov = self._backbone()
         e1, e5, e8 = nodes["E1"], nodes["E5"], nodes["E8"]
@@ -311,7 +304,7 @@ class TestRemoveVpn:
         # Another provider's same-named VPN: its RD is not this one's.
         other = VpnProvisioner(net, asn=65001)
         other.add_site(other.create_vpn("acme"), e5, num_hosts=0)
-        self._chain(net, prov)
+        converge_all(net, prov)
         prov.remove_site(first)
         prov.converge_bgp()         # the engine is rebuilt without E1
         assert e1 not in prov.bgp_engine().pes
@@ -321,7 +314,7 @@ class TestRemoveVpn:
 
         acme = prov.create_vpn("acme")
         sites = [prov.add_site(acme, pe, num_hosts=0) for pe in (e1, e8)]
-        self._chain(net, prov)
+        converge_all(net, prov)
         for site, peer in zip(sites, reversed(sites)):
             vrf = site.pe.vrfs["acme"]
             assert (vrf.rd, vrf.import_rts) == (acme.rd, frozenset({acme.rt}))

@@ -7,7 +7,10 @@ sequence of single-link fail/restore events, isolated routers joining the
 domain and hosts attached behind its routers, the incrementally maintained
 FIBs equal what a from-scratch ``clear + converge`` produces on a twin
 network — for both the unipath and the ECMP control plane — and a FIB's
-generation moves iff its contents changed.
+generation moves iff its contents changed.  A third twin runs plain
+``converge`` after each step, with no flush: it withdraws what the step
+made stale, so it reaches the same FIBs and leaves ``reconverge`` nothing
+to write.
 """
 
 import pytest
@@ -83,21 +86,23 @@ def _apply(net, step, k):
 
 
 def _run_sequence(topo, ecmp, steps):
-    """Apply a step sequence to twin nets: incremental vs from-scratch."""
-    inc = Network(seed=47)
-    BUILDERS[topo](inc)
-    oracle = Network(seed=47)
-    BUILDERS[topo](oracle)
-    converge(inc, ecmp=ecmp)
-    converge(oracle, ecmp=ecmp)
+    """Apply a step sequence to triplet nets: incremental, plain
+    ``converge`` and from-scratch."""
+    inc, plain, oracle = (Network(seed=47) for _ in range(3))
+    for net in (inc, plain, oracle):
+        BUILDERS[topo](net)
+        converge(net, ecmp=ecmp)
     for k, step in enumerate(steps):
-        _apply(inc, step, k)
-        _apply(oracle, step, k)
+        for net in (inc, plain, oracle):
+            _apply(net, step, k)
         before, gens = fib_snapshot(inc), generations(inc)
         installs = reconverge(inc)
         full_reconverge(oracle, ecmp)
         after = fib_snapshot(inc)
         assert after == fib_snapshot(oracle)
+        converge(plain, ecmp=ecmp)
+        assert fib_snapshot(plain) == fib_snapshot(oracle)
+        assert reconverge(plain) == 0
         # installs counts the writes that changed a route, and only a FIB
         # whose contents changed moves its generation.
         assert installs == sum(

@@ -17,8 +17,8 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.audit import audit
-from repro.mpls import Lsr, run_ldp
-from repro.routing import converge
+from repro.control import converge_all
+from repro.mpls import Lsr
 from repro.sim.snapshot import (
     pending_schedule,
     restore_network,
@@ -61,9 +61,7 @@ def provisioned_networks(draw):
         for s in range(sites):
             pe = nodes[draw(st.integers(0, pe_count - 1))]
             prov.add_site(vpn, pe, num_hosts=draw(st.integers(0, 1)))
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
 
     # Pending future events, including deliberate same-timestamp pairs
     # (FIFO order within a bucket is part of the schedule contract).

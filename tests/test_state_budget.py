@@ -67,12 +67,11 @@ import gc
 import tracemalloc
 import types
 
+from repro.control import converge_all
 from repro.experiments.e1_scalability import mpls_base
-from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
 from repro.routing.fib import Fib, RouteEntry
-from repro.routing.spf import converge
 from repro.sim.snapshot import snapshot_network
 from repro.topology import Network, build_backbone
 from repro.vpn.pe import PeRouter
@@ -106,9 +105,7 @@ def build_section_b(vpns: int, sites: int, seed: int = 1):
         vpn = prov.create_vpn(f"cust{k}", supernet="10.0.0.0/8")
         for i in range(sites):
             prov.add_site(vpn, pes[(i + k) % len(pes)], num_hosts=0)
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
     return net, prov
 
 

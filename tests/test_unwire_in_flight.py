@@ -16,9 +16,9 @@ with the removed CE, host, interfaces and queues still counted (the test
 keeps them), at the instant of the unwire and once everything has drained.
 """
 
-from repro.mpls import Lsr, run_ldp
+from repro.control import converge_all
+from repro.mpls import Lsr
 from repro.net.drops import DropReason
-from repro.routing import converge
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.topology import Network
 from repro.traffic import CbrSource, FlowSink
@@ -45,9 +45,7 @@ def _two_vpns_under_load(seed: int = 7) -> dict:
             prov.add_site(vpn, pe2, prefix="10.2.0.0/24"),
             prov.add_site(vpn, pe1, prefix="10.3.0.0/24"),
         )
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
     for name, (a, b, c) in sites.items():
         sinks[name] = FlowSink(net.sim)
         for site in (a, b, c):

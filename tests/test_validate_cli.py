@@ -4,6 +4,7 @@ import pytest
 
 from repro.audit import Finding, audit
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.control import converge_all
 from repro.experiments.common import ExperimentRun
 from repro.mpls import Lsr, run_ldp
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
@@ -13,7 +14,7 @@ from repro.qos.queues import DropTailFifo
 from repro.routing import converge, reconverge
 from repro.routing.fib import RouteEntry
 from repro.sim.snapshot import restore_network, save, snapshot_network
-from repro.topology import Network, build_backbone
+from repro.topology import Network, build_backbone, build_line
 from repro.vpn import PeRouter, VpnProvisioner
 from repro.vpn.vrf import Vrf
 from tests.test_state_budget import build_section_b
@@ -31,9 +32,7 @@ def provisioned_network():
     vpn = prov.create_vpn("v")
     prov.add_site(vpn, nodes["E1"])
     prov.add_site(vpn, nodes["E8"])
-    converge(net)
-    run_ldp(net)
-    prov.converge_bgp()
+    converge_all(net, prov)
     return net, nodes
 
 
@@ -305,6 +304,42 @@ class TestValidate:
         assert self._imports(net, bgp) == [error]
         bgp.converge()
         assert self._imports(net, bgp) == []
+
+    def test_igp_route_out_of_a_missing_interface_flagged(self):
+        net, nodes = provisioned_network()
+        prefix = Prefix.parse("10.77.0.0/24")
+        nodes["P1"].fib.install(prefix, RouteEntry("to-nowhere", None, 1.0, "spf"))
+        found = [f for f in audit(net) if f.check == "igp"]
+        assert [(f.severity, f.node, f.message) for f in found] == [(
+            "error", "P1", f"IGP route {prefix} leaves on missing interface 'to-nowhere'")]
+
+    def test_igp_routes_a_flap_cut_are_errors_until_the_chain_follows(self):
+        net = Network(seed=5)
+        r0, r1, r2 = build_line(net, 3)
+        converge(net)
+        net.link_between("r1", "r2").set_up(False)
+        found = [f for f in audit(net) if f.severity == "error"]
+        assert {f.check for f in found} == {"igp"}
+        # r0 still sends toward r1 over a live link; r1 and r2 face the cut.
+        assert {f.node for f in found} == {"r1", "r2"}
+        assert (f"IGP route {Prefix.of(r2.loopback, 32)} leaves on 'to-r2', which is down"
+                in [f.message for f in found if f.node == "r1"])
+        converge_all(net)
+        assert [f for f in audit(net) if f.severity == "error"] == []
+
+    def test_converge_after_a_cut_withdraws_what_the_cut_made_stale(self):
+        # converge is the diffing writer over every router, not an install
+        # of what the routers should hold: the routes toward a router the
+        # cut isolated leave, and reconverge after it has nothing to write.
+        net = Network(seed=5)
+        r0, r1, r2 = build_line(net, 3)
+        converge(net)
+        net.link_between("r1", "r2").set_up(False)
+        converge(net)
+        lo = Prefix.of(r2.loopback, 32)
+        assert r0.fib.get(lo) is None and r1.fib.get(lo) is None
+        assert [f for f in audit(net) if f.severity == "error"] == []
+        assert reconverge(net) == 0
 
     def test_ldp_entry_off_the_igp_next_hop_flagged(self):
         net, nodes = provisioned_network()

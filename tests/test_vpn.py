@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.control import converge_all
 from repro.mpls.ldp import run_ldp
 from repro.mpls.lfib import LabelOp
 from repro.mpls.lsr import Lsr
@@ -489,9 +490,7 @@ class TestProvisionerEndToEnd:
         vpn = prov.create_vpn("corp")
         s1 = prov.add_site(vpn, pe, prefix="10.1.0.0/24")
         s2 = prov.add_site(vpn, pe, prefix="10.2.0.0/24")
-        converge(net)
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
         h1, h2 = s1.hosts[0], s2.hosts[0]
         got = []
         h2.add_local_sink(got.append)

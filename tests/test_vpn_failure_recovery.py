@@ -7,6 +7,7 @@ PE-PE tunnel is a protected TE LSP.
 
 import pytest
 
+from repro.control import converge_all
 from repro.mpls import (
     FastReroute,
     Lsr,
@@ -15,7 +16,7 @@ from repro.mpls import (
 )
 from repro.net.address import Prefix
 from repro.net.packet import IPHeader, Packet
-from repro.routing import converge, reconverge
+from repro.routing import converge
 from repro.topology import Network
 from repro.traffic import CbrSource, FlowSink
 from repro.vpn import PeRouter, VpnProvisioner
@@ -41,8 +42,7 @@ def diamond_vpn(seed=19):
 class TestVpnIgpRecovery:
     def test_vpn_survives_reconvergence(self):
         net, prov, s1, s2 = diamond_vpn()
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
         h1, h2 = s1.hosts[0], s2.hosts[0]
         sink = FlowSink(net.sim).attach(h2)
         src = CbrSource(net.sim, h1.send, "f", str(h1.loopback),
@@ -54,10 +54,7 @@ class TestVpnIgpRecovery:
             # Reconvergence after 0.5 s: IGP, then LDP follows it.  The BGP
             # routes (PE loopback next hops) are untouched — only the
             # transport tunnel moves, which is the VPN layering working.
-            def recover():
-                reconverge(net)
-                run_ldp(net)
-            net.sim.schedule(0.5, recover)
+            net.sim.schedule_call(0.5, converge_all, net, prov)
         net.sim.schedule(2.0, fail_and_recover)
         net.run(until=5.0)
 
@@ -70,12 +67,10 @@ class TestVpnIgpRecovery:
 
     def test_vrf_routes_untouched_by_igp_events(self):
         net, prov, s1, s2 = diamond_vpn()
-        run_ldp(net)
-        prov.converge_bgp()
+        converge_all(net, prov)
         before = dict(s1.pe.vrfs["c"].routes())
         net.link_between("pe1", "p-up").set_up(False)
-        reconverge(net)
-        run_ldp(net)
+        converge_all(net, prov)
         assert dict(s1.pe.vrfs["c"].routes()) == before
 
 
@@ -127,8 +122,7 @@ class TestVpnFrrRecovery:
         frr.protect_lsp(lsp)
         net.link_between("p-up", "pe2").set_up(False)
         frr.trigger_link_failure("p-up", "pe2")
-        reconverge(net)
-        run_ldp(net)
+        converge_all(net, prov)
         assert s1.pe.ftn.lookup(fec).lsp_id == "t"
 
         h1, h2 = s1.hosts[0], s2.hosts[0]
