@@ -44,7 +44,7 @@ def main() -> None:
     enterprise = prov.create_vpn("enterprise")
     ent_sites = [prov.add_site(enterprise, nodes[pe]) for pe in ("E1", "E8")]
     bank = prov.create_hub_spoke_vpn("bank")
-    bank_hq = prov.add_hub_site(bank, nodes["E4"])
+    bank_hq = prov.add_site(bank, nodes["E4"], role="hub")
     bank_sites = [prov.add_site(bank, nodes[pe]) for pe in ("E2", "E6")]
     shop = prov.create_vpn("shop")
     shop_sites = [prov.add_site(shop, nodes[pe]) for pe in ("E3", "E7")]

@@ -27,7 +27,7 @@ def main() -> None:
 
     prov = VpnProvisioner(net)
     bank = prov.create_hub_spoke_vpn("bank")
-    hq = prov.add_hub_site(bank, pes[0], prefix="10.0.0.0/24")
+    hq = prov.add_site(bank, pes[0], prefix="10.0.0.0/24", role="hub")
     branch1 = prov.add_site(bank, pes[1], prefix="10.0.1.0/24")
     branch2 = prov.add_site(bank, pes[2], prefix="10.0.2.0/24")
     converge_all(net, prov)

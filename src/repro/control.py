@@ -3,9 +3,11 @@
 The IGP carries the PE loopbacks, LDP labels them and MP-BGP next hops
 resolve over those LSPs (the paper's Fig. 3/4).  :func:`converge_all` runs
 the layers in that order, at build and after any topology change, with no
-layer options: SPF keeps its last ECMP mode, the provisioner its engine's
-RR layout (``prov.bgp_engine(route_reflector=...)`` before the first call).
-Each layer writes only what differs, so a second call writes nothing.
+layer options: SPF keeps its last ECMP mode, the provisioner its one
+engine's RR layout (``prov.bgp_engine(route_reflector=...)``, before the
+first call or between two: it re-lays the sessions in place).  Each layer
+writes only what differs, so a second call writes nothing, and a PE that
+took its first site since the last call joins the engine it had.
 """
 
 from __future__ import annotations

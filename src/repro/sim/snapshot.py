@@ -18,16 +18,16 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/12``), the ``repro`` version
+The header names the schema (``repro.snapshot/13``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled.  An image is the
 pickled object graph, so one written under another schema holds state in a
-shape this reader's classes no longer have (an ``/11`` image, for one,
-holds a circuit list in each VRF and a copy of the far end on every
-interface); it unpickles into a wrong graph or fails deep inside it, and
-so does one with a flipped bit (about one in six still unpickles).  The
-header exists to refuse both up front.
+shape this reader's classes no longer have (a ``/12`` image, for one,
+holds a provisioner's engine signature and an engine's route reflector
+beside its clusters); it unpickles into a wrong graph or fails deep
+inside it, and so does one with a flipped bit (about one in six still
+unpickles).  The header exists to refuse both up front.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
 ``(routes, lookups, generation)``): the LPM trie is an index the first
@@ -109,7 +109,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/12"
+SCHEMA = "repro.snapshot/13"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -37,6 +37,11 @@ Every importing VRF holds the Adj-RIB-Out's :class:`VpnRoute` itself, and
 its table is the only record of the engine's imports: the entries that are
 not a local.
 
+Nothing rebuilds an engine: a PE joins it (:meth:`MpBgp.add_pe`) and stays,
+and :meth:`MpBgp.relayout` re-lays the sessions in place, both keeping the
+Adj-RIB, the sync records, the importer index and the drained set.  A
+``VpnProvisioner`` builds one on first use and keeps it for its life.
+
 Three session topologies are supported, because their control-plane
 cost is an E9e ablation:
 
@@ -123,22 +128,22 @@ class BgpResult:
     updates_suppressed: int = 0
 
 
-def _normalize_clusters(
+def _clusters(
+    route_reflector: str | None,
     rr_clusters: Sequence[Sequence[str] | str] | None,
 ) -> tuple[tuple[str, ...], ...]:
-    if not rr_clusters:
-        return ()
-    out: list[tuple[str, ...]] = []
-    for cluster in rr_clusters:
-        if isinstance(cluster, str):
-            out.append((cluster,))
-        else:
-            out.append(tuple(cluster))
-    return tuple(out)
+    """One layout's reflector clusters: ``route_reflector`` is one cluster
+    of one reflector, a bare name in ``rr_clusters`` a cluster of one."""
+    if route_reflector is not None:
+        if rr_clusters is not None:
+            raise ValueError("pass route_reflector or rr_clusters, not both")
+        rr_clusters = [route_reflector]
+    return tuple((c,) if isinstance(c, str) else tuple(c) for c in rr_clusters or ())
 
 
 class MpBgp:
-    """Incremental MP-iBGP engine over a set of PE routers."""
+    """Incremental MP-iBGP engine over a set of PE routers; a PE joins it
+    with :meth:`add_pe` and :meth:`relayout` changes its session layout."""
 
     def __init__(
         self,
@@ -149,40 +154,11 @@ class MpBgp:
     ) -> None:
         if not pes:
             raise ValueError("need at least one PE")
-        names = [pe.name for pe in pes]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate PE names")
-        if route_reflector is not None and rr_clusters is not None:
-            raise ValueError("pass route_reflector or rr_clusters, not both")
-        if route_reflector is not None and route_reflector not in names:
-            raise ValueError(f"route reflector {route_reflector!r} is not a PE")
         self.net = net
         self.pes = list(pes)
-        self.route_reflector = route_reflector
-        if rr_clusters is None and route_reflector is not None:
-            rr_clusters = [(route_reflector,)]
-        self.rr_clusters = _normalize_clusters(rr_clusters)
-
-        self._pe_by_name = {pe.name: pe for pe in self.pes}
-        self._pe_pos = {pe.name: i for i, pe in enumerate(self.pes)}
-        self._rr_cluster_of: dict[str, int] = {}
-        for ci, cluster in enumerate(self.rr_clusters):
-            if not cluster:
-                raise ValueError("empty RR cluster")
-            for rr in cluster:
-                if rr not in self._pe_by_name:
-                    raise ValueError(f"route reflector {rr!r} is not a PE")
-                if rr in self._rr_cluster_of:
-                    raise ValueError(f"route reflector {rr!r} in two clusters")
-                self._rr_cluster_of[rr] = ci
-        # Clients round-robin over clusters, in name order — deterministic
-        # so session/update accounting is reproducible.
-        self._client_cluster: dict[str, int] = {}
-        if self.rr_clusters:
-            clients = sorted(n for n in names if n not in self._rr_cluster_of)
-            for i, name in enumerate(clients):
-                self._client_cluster[name] = i % len(self.rr_clusters)
-        self._neighbors = self._build_neighbors()
+        self._down: set[str] = set()
+        self._sessions_counted = False
+        self._layout(_clusters(route_reflector, rr_clusters))
 
         # --- persistent Adj-RIB -------------------------------------------
         # Adj-RIB-Out per (pe, vrf): prefix -> advertised VpnRoute.
@@ -211,11 +187,6 @@ class MpBgp:
         # each key's RTs: built by :meth:`importers`, kept by :meth:`_file`.
         self._importers: dict[RouteTarget, dict[tuple[str, str], Vrf]] | None = None
         self._importer_rts: dict[tuple[str, str], frozenset[RouteTarget]] = {}
-        self._down: set[str] = set()
-        self._sessions_counted = False
-        # Per-origin fan-out (receivers, sent, suppressed), memoized until
-        # the up/down set changes.
-        self._prop_cache: dict[tuple[str, bool], tuple[frozenset[str], int, int]] = {}
 
     # An image holds each record without its local generation, which a
     # restored Vrf restarts at 0: the record comes back with 0 too.  A record
@@ -240,24 +211,80 @@ class MpBgp:
     # ------------------------------------------------------------------
     # Topology census
     # ------------------------------------------------------------------
-    def _build_neighbors(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, set[str]] = {pe.name: set() for pe in self.pes}
-        if len(self.pes) >= 2:
-            if not self.rr_clusters:
-                all_names = set(nbrs)
-                for a in nbrs:
-                    nbrs[a] = all_names - {a}
-            else:
-                rrs = sorted(self._rr_cluster_of)
-                for i, a in enumerate(rrs):
-                    for b in rrs[i + 1:]:
-                        nbrs[a].add(b)
-                        nbrs[b].add(a)
-                for client, ci in self._client_cluster.items():
-                    for rr in self.rr_clusters[ci]:
-                        nbrs[client].add(rr)
-                        nbrs[rr].add(client)
-        return {name: tuple(sorted(peers)) for name, peers in nbrs.items()}
+    def _layout(self, rr_clusters: tuple[tuple[str, ...], ...]) -> None:
+        """Derive the sessions of :attr:`pes` under ``rr_clusters`` (checked
+        before anything is written) and a cold fan-out cache.  Once converge()
+        has counted sessions, the ones this brings up add to ``bgp.sessions``
+        and the ones it takes down to ``bgp.sessions_down``."""
+        pe_by_name = {pe.name: pe for pe in self.pes}
+        if len(pe_by_name) < len(self.pes):
+            raise ValueError("duplicate PE names")
+        rr_cluster_of: dict[str, int] = {}
+        for ci, cluster in enumerate(rr_clusters):
+            if not cluster:
+                raise ValueError("empty RR cluster")
+            for rr in cluster:
+                if rr not in pe_by_name:
+                    raise ValueError(f"route reflector {rr!r} is not a PE")
+                if rr in rr_cluster_of:
+                    raise ValueError(f"route reflector {rr!r} in two clusters")
+                if rr in self._down:
+                    raise ValueError(f"cannot make drained PE {rr} a route reflector")
+                rr_cluster_of[rr] = ci
+        before = self._up_sessions() if self._sessions_counted else None
+        self.rr_clusters, self._rr_cluster_of = rr_clusters, rr_cluster_of
+        self._pe_by_name = pe_by_name
+        self._pe_pos = {pe.name: i for i, pe in enumerate(self.pes)}
+        # Clients round-robin over clusters, in name order — deterministic
+        # so session/update accounting is reproducible.  Reflectors (and
+        # every PE of a full mesh) peer with each other, a client with the
+        # reflectors of its cluster.
+        names = sorted(pe_by_name)
+        client = {} if not rr_clusters else {
+            n: i % len(rr_clusters)
+            for i, n in enumerate(n for n in names if n not in rr_cluster_of)
+        }
+        self._client_cluster = client
+
+        def peered(a: str, b: str) -> bool:
+            ca, cb = client.get(a), client.get(b)
+            if ca is None:
+                return cb is None or a in rr_clusters[cb]
+            return cb is None and b in rr_clusters[ca]
+
+        self._neighbors = {a: tuple(b for b in names if b != a and peered(a, b)) for a in names}
+        # Per-origin fan-out (receivers, sent, suppressed), memoized until
+        # the layout or the up/down set changes.
+        self._prop_cache: dict[tuple[str, bool], tuple[frozenset[str], int, int]] = {}
+        if before is not None:
+            after = self._up_sessions()
+            if after - before:
+                self.net.counters.incr("bgp.sessions", len(after - before))
+            if before - after:
+                self.net.counters.incr("bgp.sessions_down", len(before - after))
+
+    def _up_sessions(self) -> set[tuple[str, str]]:
+        """The sessions with neither end drained, as (lower, higher) names."""
+        down = self._down
+        return {(a, b) for a, peers in self._neighbors.items() if a not in down
+                for b in peers if a < b and b not in down}
+
+    def add_pe(self, pe: PeRouter) -> None:
+        """``pe`` joins at its name-order rank (the tie-break a fresh build
+        gives it) under the engine's layout; its VRFs are new to the engine,
+        read by the next ``converge()`` or their first ``export_delta``."""
+        if pe.name in self._pe_by_name:
+            raise ValueError(f"{pe.name} is already in this BGP mesh")
+        self.pes.insert(sum(p.name < pe.name for p in self.pes), pe)
+        self._layout(self.rr_clusters)
+
+    def relayout(self, route_reflector: str | None = None, rr_clusters=None) -> None:
+        """Re-lay the sessions in place under the constructor's layout
+        arguments (neither: a full mesh); the layout the engine has is a
+        no-op.  Imports do not depend on the layout, only UPDATE costs do."""
+        rr_clusters = _clusters(route_reflector, rr_clusters)
+        if rr_clusters != self.rr_clusters:
+            self._layout(rr_clusters)
 
     def session_count(self) -> int:
         """Configured iBGP sessions (topology census, ignores drains)."""

@@ -10,9 +10,10 @@ local site."  :class:`VpnProvisioner` automates exactly that:
    link, bind the PE interface into the VPN's VRF, and register the site
    prefix (the *membership discovery* + *reachability exchange* functions
    of §4.1/§4.2).
-3. ``converge``     — run MP-BGP over the PEs; tunnels come from LDP or TE
-   (run separately, once, for the whole provider — they are shared by all
-   VPNs, which is the heart of the scalability claim C1).
+3. ``converge_bgp`` — run MP-BGP over the PEs, on the one engine the
+   provisioner keeps for its life (PEs join it as they take sites); tunnels
+   come from LDP or TE (run separately, once, for the whole provider — they
+   are shared by all VPNs, which is the heart of the scalability claim C1).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ProvisioningError", "Site", "Vpn", "VpnProvisioner"]
 
 # Sentinel for "topology argument not given" on bgp_engine/converge_bgp:
-# distinguishes a bare call (reuse the engine as built) from an explicit
-# ``route_reflector=None, rr_clusters=None`` (request a full mesh).
+# distinguishes a bare call (keep the engine's layout) from an explicit
+# ``route_reflector=None, rr_clusters=None`` (re-lay it as a full mesh).
 _KEEP: object = object()
 
 
@@ -190,11 +191,9 @@ class VpnProvisioner:
         # serializes with the network in a simulator snapshot.
         self._next_rd_number = 1
         self._next_site_id = 1
-        # Persistent MP-BGP engine (created on first converge_bgp); its
-        # Adj-RIB is what makes site/VPN churn incremental.  Rebuilt only
-        # when the PE set or session topology changes.
+        # The one MP-BGP engine (built by the first bgp_engine()); its
+        # Adj-RIB is what makes site/VPN churn incremental.
         self._bgp: MpBgp | None = None
-        self._bgp_sig: tuple | None = None
 
     def _vpn(self, vpn: Vpn | str) -> Vpn:
         if not isinstance(vpn, str):
@@ -324,17 +323,6 @@ class VpnProvisioner:
         self._register(v, site)
         return site
 
-    def add_hub_site(
-        self,
-        vpn: Vpn | str,
-        pe: PeRouter,
-        prefix: Prefix | str | None = None,
-        num_hosts: int = 1,
-        host_rate_bps: float = 100e6,
-    ) -> Site:
-        """Provision the hub site of a hub-and-spoke VPN (``role="hub"``)."""
-        return self.add_site(vpn, pe, prefix, num_hosts, host_rate_bps, role="hub")
-
     # ------------------------------------------------------------------
     def _register(self, v: Vpn, site: Site) -> None:
         v.sites.append(site)
@@ -380,45 +368,23 @@ class VpnProvisioner:
         route_reflector: str | None = _KEEP,
         rr_clusters=_KEEP,
     ) -> MpBgp:
-        """The persistent MP-BGP engine for the current PE set.
-
-        Reused across calls while the PE set is unchanged, so
-        ``converge_bgp`` after churn is an incremental resync against
-        the engine's Adj-RIB.  Leaving both topology arguments at their
-        defaults means "the engine as built" — a bare ``bgp_engine()``
-        never demotes an RR layout back to a full mesh (which would
-        silently discard the Adj-RIB and orphan installed imports).
-        A new PE, or an *explicitly* different reflector layout,
-        rebuilds the engine (next converge is full).
+        """The provisioner's one MP-BGP engine, built over :meth:`pes` on
+        first use and never replaced: a PE serving a site joins it here
+        (``MpBgp.add_pe``) and stays, its VRFs importing after its last site
+        left, and explicit topology arguments re-lay its sessions in place
+        (``MpBgp.relayout``; both ``None`` is a full mesh, both left out
+        keep the layout).  Its Adj-RIB makes ``converge_bgp`` after churn an
+        incremental resync, and a drain outlives any change of the PE set.
         """
-        pes = self.pes()
-        pe_names = tuple(pe.name for pe in pes)
-        if route_reflector is _KEEP and rr_clusters is _KEEP:
-            if (
-                self._bgp is not None
-                and self._bgp_sig is not None
-                and self._bgp_sig[0] == pe_names
-            ):
-                return self._bgp
-            # No engine yet (or the PE set changed): default to full mesh.
-            route_reflector, rr_clusters = None, None
-        else:
-            route_reflector = None if route_reflector is _KEEP else route_reflector
-            rr_clusters = None if rr_clusters is _KEEP else rr_clusters
-        sig = (
-            pe_names,
-            route_reflector,
-            tuple(
-                (c,) if isinstance(c, str) else tuple(c)
-                for c in (rr_clusters or ())
-            ),
-        )
-        if self._bgp is None or self._bgp_sig != sig:
-            self._bgp = MpBgp(
-                self.net, pes,
-                route_reflector=route_reflector, rr_clusters=rr_clusters,
-            )
-            self._bgp_sig = sig
+        layout = (None if route_reflector is _KEEP else route_reflector,
+                  None if rr_clusters is _KEEP else rr_clusters)
+        if self._bgp is None:
+            self._bgp = MpBgp(self.net, self.pes(), *layout)
+        for pe in self.pes():
+            if pe not in self._bgp.pes:
+                self._bgp.add_pe(pe)
+        if route_reflector is not _KEEP or rr_clusters is not _KEEP:
+            self._bgp.relayout(*layout)   # a no-op for the layout it has
         return self._bgp
 
     def converge_bgp(
@@ -463,9 +429,10 @@ class VpnProvisioner:
         self.net.counters.incr("vpn.sites", -1)
         # Behind a drained PE there is nobody to tell: its peers dropped its
         # routes when the sessions went down, and restore_pe() re-reads the
-        # PE's locals before it re-advertises.  An engine built before the
-        # PE served a site does not hold it: the next converge_bgp() builds
-        # one that does.
+        # PE's locals before it re-advertises.  A PE that took its first
+        # site after the last bgp_engine() call has not joined the engine
+        # and never advertised: the next bgp_engine() joins it if it still
+        # serves a site.
         engine = self._bgp
         if engine is not None and pe in engine.pes and pe.name not in engine.drained:
             for vrf_name in names:

@@ -115,7 +115,7 @@ class TestShadowedImports:
         net, core, pes = star_of_pes(3)
         prov = VpnProvisioner(net)
         hs = prov.create_hub_spoke_vpn("hs")
-        hub = prov.add_hub_site(hs, pes[0], num_hosts=0)
+        hub = prov.add_site(hs, pes[0], num_hosts=0, role="hub")
         for pe in pes[1:]:
             prov.add_site(hs, pe, num_hosts=0)
         prov.converge_bgp()

@@ -29,9 +29,11 @@ double-count bug.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.control import converge_all
+from repro.mpls.lsr import Lsr
 from repro.net.address import Prefix
 from repro.sim.snapshot import restore_network, snapshot_network
-from repro.topology import Network
+from repro.topology import Network, build_backbone
 from repro.vpn.bgp import MpBgp, VpnRoute
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner, _vrf_names
@@ -55,13 +57,15 @@ def _pe_mesh(n_pes: int) -> tuple[Network, list[PeRouter]]:
 
 
 def _world(
-    n_pes: int = 4, rr_clusters=None, hub_spoke: bool = False
+    n_pes: int = 4, rr_clusters=None, hub_spoke: bool = False, spare: bool = False
 ) -> tuple[Network, list[PeRouter], VpnProvisioner]:
     """n PEs, a "corp" VPN with one anchor site per PE, converged.
 
-    The anchors keep every PE in ``prov.pes()`` throughout the churn, so
-    the persistent engine is never rebuilt mid-sequence.  ``hub_spoke``
-    adds an "hs" hub-and-spoke VPN: hub on pe0, one spoke on pe1.
+    The anchors keep every PE serving a site throughout the churn.
+    ``hub_spoke`` adds an "hs" hub-and-spoke VPN: hub on pe0, one spoke on
+    pe1.  ``spare`` adds a PE with no anchor, last in ``pes`` but named
+    ``pe1s`` (between pe1 and pe2): it joins the engine at its name-order
+    rank when it first takes a site, and stays when it loses its last one.
     """
     net, pes = _pe_mesh(n_pes)
     prov = VpnProvisioner(net)
@@ -70,16 +74,24 @@ def _world(
         prov.add_site(corp, pe, num_hosts=0)
     if hub_spoke:
         hs = prov.create_hub_spoke_vpn("hs")
-        prov.add_hub_site(hs, pes[0], num_hosts=0)
+        prov.add_site(hs, pes[0], num_hosts=0, role="hub")
         prov.add_site(hs, pes[1], num_hosts=0)
+    if spare:
+        pes.append(net.add_node(PeRouter(net.sim, "pe1s")))
     prov.converge_bgp(rr_clusters=rr_clusters)
     return net, pes, prov
+
+
+def _engine_pes(prov: VpnProvisioner) -> list[PeRouter]:
+    """The PEs MP-BGP runs over: every PE that has served a site since the
+    engine was built, siteless now or not (its VRFs go on importing)."""
+    return prov.bgp_engine().pes
 
 
 def _vrf_snapshot(prov: VpnProvisioner):
     return {
         (pe.name, vrf.name): vrf.routes()
-        for pe in prov.pes()
+        for pe in _engine_pes(prov)
         for vrf in pe.vrfs.values()
     }
 
@@ -94,7 +106,7 @@ def _imports_are_advertisements(prov: VpnProvisioner, engine: MpBgp) -> set:
         for rib in engine._rib.values() for p, r in rib.items()
     }
     held = set()
-    for pe in prov.pes():
+    for pe in _engine_pes(prov):
         for vrf in pe.vrfs.values():
             for p, r in vrf.entries().items():
                 if type(r) is VpnRoute:
@@ -105,7 +117,7 @@ def _imports_are_advertisements(prov: VpnProvisioner, engine: MpBgp) -> set:
 
 
 def _strip_remotes(prov: VpnProvisioner) -> None:
-    for pe in prov.pes():
+    for pe in _engine_pes(prov):
         for vrf in pe.vrfs.values():
             vrf.remove_many(
                 [p for p, r in vrf.routes().items() if r.kind == "remote"]
@@ -113,9 +125,10 @@ def _strip_remotes(prov: VpnProvisioner) -> None:
 
 
 def _oracle_snapshot(prov: VpnProvisioner, drained, rr_clusters=None):
-    """Flush every BGP-learned route and converge a fresh engine."""
+    """Flush every BGP-learned route and converge a fresh engine over the
+    PEs the provisioner's engine holds."""
     _strip_remotes(prov)
-    oracle = MpBgp(prov.net, prov.pes(), rr_clusters=rr_clusters)
+    oracle = MpBgp(prov.net, _engine_pes(prov), rr_clusters=rr_clusters)
     for name in sorted(drained):
         oracle.peer_down(name)
     oracle.converge()
@@ -175,9 +188,10 @@ class TestIdempotentReconverge:
 
 
 # ----------------------------------------------------------------------
-# Engine reuse: a bare bgp_engine()/converge_bgp() must not rebuild an
-# RR-topology engine into a full mesh (discarding the Adj-RIB and
-# orphaning every import it had installed).
+# One engine per provisioner: a bare bgp_engine()/converge_bgp() keeps the
+# RR layout, an explicit one re-lays the sessions in place, and a new PE
+# joins; none of them discards the Adj-RIB, the drained set or the imports
+# it installed.
 # ----------------------------------------------------------------------
 class TestEngineReuse:
     def test_bare_call_reuses_rr_engine(self):
@@ -189,20 +203,30 @@ class TestEngineReuse:
         again = prov.converge_bgp()
         assert again.updates_sent == 0 and again.routes_imported == 0
 
-    def test_explicit_full_mesh_still_rebuilds(self):
+    def test_explicit_full_mesh_relays_in_place(self):
         net, pes, prov = _world(3, rr_clusters=["pe0"])
         engine = prov.bgp_engine()
-        rebuilt = prov.bgp_engine(rr_clusters=None)
-        assert rebuilt is not engine
-        assert rebuilt.rr_clusters == ()
+        assert engine.session_count() == 2
+        tables = _vrf_snapshot(prov)
+        assert prov.bgp_engine(rr_clusters=None) is engine
+        assert engine.rr_clusters == () and engine.session_count() == 3
+        # A layout moves no route: nothing to resync.
+        assert prov.converge_bgp().routes_imported == 0
+        assert _vrf_snapshot(prov) == tables == _oracle_snapshot(prov, set())
 
-    def test_pe_set_change_rebuilds(self):
+    def test_pe_set_change_joins_the_engine(self):
         net, pes, prov = _world(3)
         engine = prov.bgp_engine()
-        net.add_node(PeRouter(net.sim, "pe9"))
-        extra = net.nodes["pe9"]
-        prov.add_site(prov.vpns["corp"], extra, num_hosts=0)
-        assert prov.bgp_engine() is not engine
+        extra = net.add_node(PeRouter(net.sim, "pe1x"))
+        site = prov.add_site(prov.vpns["corp"], extra, num_hosts=0)
+        assert prov.bgp_engine() is engine
+        # It takes its name-order rank, the tie-break a fresh build gives.
+        assert [pe.name for pe in engine.pes] == ["pe0", "pe1", "pe1x", "pe2"]
+        with pytest.raises(ValueError, match="already in this BGP mesh"):
+            engine.add_pe(extra)
+        prov.converge_bgp()
+        assert all(pe.vrfs["corp"].entries()[site.prefix].kind == "remote" for pe in pes)
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, set())
 
     def test_rr_churn_through_bare_calls_matches_oracle(self):
         """The scenario that exposed the rebuild bug: flap sites and run a
@@ -229,6 +253,131 @@ class TestEngineReuse:
         assert {s.site_id for s in corp.sites} == anchors
         incremental = _vrf_snapshot(prov)
         assert incremental == _oracle_snapshot(prov, set(), rr_clusters=rr)
+
+
+def _backbone(route_reflector=None) -> tuple[Network, dict, VpnProvisioner]:
+    """The E1 backbone with one VPN ``v`` on E1-E3 (10.0.0-2.0/24), converged."""
+    net = Network(seed=3)
+    nodes = build_backbone(net, node_factory=lambda n, name: n.add_node(
+        (PeRouter if name.startswith("E") else Lsr)(n.sim, name)))
+    prov = VpnProvisioner(net)
+    v = prov.create_vpn("v")
+    for name in ("E1", "E2", "E3"):
+        prov.add_site(v, nodes[name], num_hosts=0)
+    if route_reflector is not None:
+        prov.bgp_engine(route_reflector=route_reflector)
+    converge_all(net, prov)
+    return net, nodes, prov
+
+
+class TestOneEngineForLife:
+    """A PE joining, a PE losing its last site and a layout change all act
+    on the provisioner's one engine: what it held before them (a drain, the
+    RR layout, the sessions it counted, a siteless PE's imports) it holds
+    after them, and its tables equal a fresh engine's over the same PEs."""
+
+    def test_a_drain_outlives_a_pe_joining(self):
+        net, nodes, prov = _backbone()
+        engine = prov.bgp_engine()
+        e1, e2_prefix = nodes["E1"], Prefix.parse("10.0.1.0/24")
+        prov.drain_pe("E2")
+        prov.add_site("v", nodes["E4"], num_hosts=0)
+        converge_all(net, prov)
+        assert prov.bgp_engine() is engine and engine.drained == {"E2"}
+        assert e2_prefix not in e1.vrfs["v"].entries()
+        assert prov.restore_pe("E2").routes_exported == 2   # its /24 and its /30
+        assert e1.vrfs["v"].entries()[e2_prefix].kind == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, set())
+
+    def test_sessions_are_counted_once(self):
+        net, nodes, prov = _backbone()
+        prov.add_site("v", nodes["E4"], num_hosts=0)
+        converge_all(net, prov)
+        assert prov.bgp_engine().session_count() == 6 == net.counters["bgp.sessions"]
+
+    def test_a_join_keeps_the_rr_layout(self):
+        net, nodes, prov = _backbone(route_reflector="E1")
+        engine = prov.bgp_engine()
+        assert engine.session_count() == 2
+        prov.add_site("v", nodes["E4"], num_hosts=0)
+        converge_all(net, prov)
+        assert prov.bgp_engine() is engine and engine.reflectors == {"E1"}
+        assert engine.session_count() == 3 == net.counters["bgp.sessions"]
+        assert engine.fanout("E4") == (3, 0)   # to the RR, reflected to two
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, set(), rr_clusters=["E1"])
+
+    def test_a_siteless_pe_keeps_importing(self):
+        net, nodes, prov = _backbone()
+        v, e1, e3 = prov.vpns["v"], nodes["E1"], nodes["E3"]
+        prov.remove_site(next(s for s in v.sites if s.pe is e3))
+        converge_all(net, prov)
+        assert e3 in prov.bgp_engine().pes and "E3" not in prov._sites_on
+        moved = next(s for s in v.sites if s.pe is e1)
+        prov.remove_site(moved)
+        prov.add_site(v, e1, prefix="10.9.0.0/24", num_hosts=0)
+        converge_all(net, prov)
+        table = e3.vrfs["v"].entries()
+        assert moved.prefix not in table
+        assert table[Prefix.parse("10.9.0.0/24")].kind == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, set())
+
+    def test_session_counters_follow_joins_relayouts_and_drains(self):
+        """``bgp.sessions - bgp.sessions_down`` is the sessions with both
+        ends up, whatever moved them."""
+        net, nodes, prov = _backbone()
+        engine = prov.bgp_engine()
+
+        def up_sessions() -> int:
+            counted = net.counters["bgp.sessions"] - net.counters["bgp.sessions_down"]
+            assert counted == sum(
+                1 for a, peers in engine._neighbors.items() for b in peers
+                if a < b and not {a, b} & engine.drained
+            )
+            return counted
+
+        prov.drain_pe("E2")
+        assert up_sessions() == 1                  # E1-E3
+        prov.add_site("v", nodes["E4"], num_hosts=0)
+        prov.bgp_engine()
+        assert up_sessions() == 3                  # E1, E3, E4 meshed
+        prov.bgp_engine(route_reflector="E1")
+        assert up_sessions() == 2                  # E3, E4 to the RR
+        prov.restore_pe("E2")
+        assert up_sessions() == 3
+        prov.bgp_engine(route_reflector=None, rr_clusters=None)
+        assert up_sessions() == 6
+
+    def test_a_relayout_keeps_the_drain(self):
+        net, pes, prov = _world(4)
+        engine = prov.bgp_engine()
+        prov.drain_pe("pe3")
+        with pytest.raises(ValueError, match="cannot make drained PE pe3 a route reflector"):
+            prov.bgp_engine(route_reflector="pe3")
+        assert engine.rr_clusters == () and engine.session_count() == 6
+        assert prov.bgp_engine(route_reflector="pe0") is engine
+        assert engine.drained == {"pe3"} and engine.session_count() == 3
+        site = prov.add_site("corp", pes[1], num_hosts=0)
+        engine.export_delta(pes[1], pes[1].vrfs["corp"])
+        assert site.prefix not in pes[3].vrfs["corp"].entries()
+        prov.restore_pe("pe3")
+        assert pes[3].vrfs["corp"].entries()[site.prefix].kind == "remote"
+        assert _vrf_snapshot(prov) == _oracle_snapshot(prov, set(), rr_clusters=["pe0"])
+
+    @pytest.mark.parametrize("layout, same", [
+        ({}, {"route_reflector": None, "rr_clusters": None}),
+        ({"rr_clusters": ["pe0"]}, {"route_reflector": "pe0"}),
+    ], ids=["full-mesh", "rr"])
+    def test_the_layout_it_has_is_a_noop(self, layout, same):
+        """What the ledger asks on every flap: no re-derivation, and the
+        memoized fan-out stays warm."""
+        net, pes, prov = _world(4, **layout)
+        engine = prov.bgp_engine()
+        engine.fanout("pe1")
+        neighbors, fanout = engine._neighbors, dict(engine._prop_cache)
+        counters = net.counters.snapshot()
+        assert prov.bgp_engine(**same) is engine
+        assert engine._neighbors is neighbors and engine._prop_cache == fanout != {}
+        assert net.counters.snapshot() == counters
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +652,11 @@ def _site_vrf(pe, v):
 def _apply_op(prov, pes, engine, anchors, drained, op, state):
     """Interpret one (kind, a, b) op; indices select modulo the currently
     valid choices, and ops with no valid target are skipped — standard
-    stateful-testing interpretation so every drawn sequence is runnable."""
+    stateful-testing interpretation so every drawn sequence is runnable.
+
+    A delta goes through ``prov.bgp_engine()``, which joins a PE taking its
+    first site (the spare one) to the engine ``engine`` is: the engine the
+    test holds from the start has to stay the provisioner's."""
     kind, a, b = op
     vpns = [prov.vpns[name] for name in sorted(prov.vpns)]
     up_pes = [pe for pe in pes if pe.name not in drained]
@@ -518,7 +671,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             return
         v, pe = vpns[a % len(vpns)], up_pes[b % len(up_pes)]
         prov.add_site(v, pe, num_hosts=0)
-        engine.export_delta(pe, _site_vrf(pe, v))
+        prov.bgp_engine().export_delta(pe, _site_vrf(pe, v))
     elif kind == "site-":
         if not removable:
             return
@@ -531,7 +684,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         prov.remove_site(site)
         pe = up_pes[b % len(up_pes)]  # may re-home the site on another PE
         prov.add_site(v, pe, prefix=site.prefix, num_hosts=0)
-        engine.export_delta(pe, _site_vrf(pe, v))
+        prov.bgp_engine().export_delta(pe, _site_vrf(pe, v))
     elif kind == "dup+":
         # Same prefix advertised by a second origin PE: exercises the
         # winner tie-break that keeps incremental == full-converge order.
@@ -544,7 +697,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             return
         pe = others[b % len(others)]
         prov.add_site(v, pe, prefix=site.prefix, num_hosts=0)
-        engine.export_delta(pe, _site_vrf(pe, v))
+        prov.bgp_engine().export_delta(pe, _site_vrf(pe, v))
     elif kind == "vpn+":
         if len(prov.vpns) >= 4 or len(up_pes) < 2:
             return
@@ -553,7 +706,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         v = prov.create_vpn(name)
         for pe in (up_pes[a % len(up_pes)], up_pes[b % len(up_pes)]):
             prov.add_site(v, pe, num_hosts=0)
-            engine.export_delta(pe, pe.vrfs[name])
+            prov.bgp_engine().export_delta(pe, pe.vrfs[name])
     elif kind == "vpn-":
         extras = [
             name for name in sorted(prov.vpns)
@@ -565,7 +718,8 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         prov.remove_vpn(extras[a % len(extras)])
     elif kind == "drain":
         candidates = [
-            pe.name for pe in up_pes if pe.name not in engine.reflectors
+            pe.name for pe in up_pes
+            if pe in engine.pes and pe.name not in engine.reflectors
         ]
         if len(drained) >= len(pes) - 1 or not candidates:
             return
@@ -589,7 +743,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
             return
         pe = others[a % len(others)]
         prov.add_site(hs, pe, prefix=(hub.prefix, hs.supernet)[b % 2], num_hosts=0)
-        engine.export_delta(pe, _site_vrf(pe, hs))
+        prov.bgp_engine().export_delta(pe, _site_vrf(pe, hs))
     elif kind == "converge":
         prov.converge_bgp()           # bare resync in the middle of the churn
     elif kind == "wave":
@@ -673,7 +827,7 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         else:
             vrf.add_local(prefix, "by-hand")
         if (a + b) % 2:
-            engine.export_delta(pe, vrf)
+            prov.bgp_engine().export_delta(pe, vrf)
         else:
             state["unsynced"] = True
 
@@ -695,7 +849,7 @@ class TestIncrementalMatchesFullConverge:
         )
     )
     def test_random_churn_sequences(self, rr_clusters, ops):
-        net, pes, prov = _world(4, rr_clusters=rr_clusters, hub_spoke=True)
+        net, pes, prov = _world(4, rr_clusters=rr_clusters, hub_spoke=True, spare=True)
         engine = prov.bgp_engine(rr_clusters=rr_clusters)
         anchors = {s.site_id for v in prov.vpns.values() for s in v.sites}
         drained: set[str] = set()
@@ -709,10 +863,13 @@ class TestIncrementalMatchesFullConverge:
             # it, so the checks below follow one.
             prov.converge_bgp()
         # The Adj-RIB exactly mirrors what the PEs in session are exporting
-        # (a drained PE's is brought up to date when it returns).
+        # (a drained PE's is brought up to date when it returns), and the
+        # engine holds every PE serving a site, and the ones that did.
+        assert prov.bgp_engine() is engine
+        assert set(prov.pes()) <= set(engine.pes)
         exporting = {
             (pe.name, vrf.name): len(vrf.local_routes())
-            for pe in prov.pes() if pe.name not in drained
+            for pe in engine.pes if pe.name not in drained
             for vrf in pe.vrfs.values() if vrf.local_routes()
         }
         assert exporting == {

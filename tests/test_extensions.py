@@ -255,7 +255,7 @@ class TestHubSpoke:
             net.connect(pe, p)
         prov = VpnProvisioner(net)
         vpn = prov.create_hub_spoke_vpn("hs")
-        hub = prov.add_hub_site(vpn, pe3, prefix="10.0.0.0/24")
+        hub = prov.add_site(vpn, pe3, prefix="10.0.0.0/24", role="hub")
         s1 = prov.add_site(vpn, pe1, prefix="10.0.1.0/24")
         s2 = prov.add_site(vpn, pe2, prefix="10.0.2.0/24")
         converge_all(net, prov)
@@ -310,8 +310,6 @@ class TestHubSpoke:
         hs = prov.create_hub_spoke_vpn("hs")
         with pytest.raises(ValueError):
             prov.add_site(hs, pe, role="mesh")
-        with pytest.raises(ValueError):
-            prov.add_hub_site(mesh, pe)
 
 
 class TestInterAs:

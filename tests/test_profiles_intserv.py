@@ -69,7 +69,7 @@ class TestQosProfiles:
         pe = net.add_node(PeRouter(net.sim, "pe"))
         prov = VpnProvisioner(net)
         vpn = prov.create_hub_spoke_vpn("hs")
-        hub = prov.add_hub_site(vpn, pe)
+        hub = prov.add_site(vpn, pe, role="hub")
         apply_profile(vpn, SILVER)
         assert len(hub.ce.interfaces[hub.ce_ifname].conditioners) == 1
         assert len(hub.ce.interfaces[hub.ce_up_ifname].conditioners) == 1

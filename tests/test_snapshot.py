@@ -306,6 +306,17 @@ def test_schema_11_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_12_image_refused_by_name(monkeypatch) -> None:
+    # A /12 image holds a provisioner with the PE-set signature its engine
+    # was rebuilt on, and an engine with a route reflector beside its
+    # clusters: state this reader's one engine per provisioner never reads.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/12")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/12'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
