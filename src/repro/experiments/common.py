@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.metrics.stats import FlowStats, summarize_flow, summarize_hybrid_flow
@@ -55,26 +56,33 @@ def make_qdisc_factory(
 
     ``kind`` ∈ {"fifo", "priority", "wfq", "drr", "wrr"}.  Classful kinds
     classify on MPLS EXP when labeled, outer DSCP otherwise — the interior
-    behaviour of claim C6.
+    behaviour of claim C6.  The factory is a :func:`functools.partial`, so
+    a network holding it snapshots it by name.
     """
-    cls = classify or mpls_aware_classifier
+    return partial(_qdisc_for, kind, capacity_packets, classify or mpls_aware_classifier, weights)
 
-    def factory(node: Node, ifname: str) -> QueueDiscipline:
-        if kind == "fifo":
-            return DropTailFifo(capacity_packets=capacity_packets)
-        queues = three_class_queues(capacity_packets)
-        if kind == "priority":
-            return PriorityScheduler(queues, cls)
-        if kind == "wfq":
-            return FairQueueing(queues, cls, list(weights))
-        if kind == "drr":
-            # Quanta in bytes; scale weights by one MTU.
-            return DeficitRoundRobin(queues, cls, [int(w * 1500) for w in weights])
-        if kind == "wrr":
-            return WeightedRoundRobin(queues, cls, [max(1, int(w)) for w in weights])
-        raise ValueError(f"unknown qdisc kind {kind!r}")
 
-    return factory
+def _qdisc_for(
+    kind: str,
+    capacity_packets: int,
+    cls: Callable,
+    weights: Sequence[float],
+    node: Node,
+    ifname: str,
+) -> QueueDiscipline:
+    if kind == "fifo":
+        return DropTailFifo(capacity_packets=capacity_packets)
+    queues = three_class_queues(capacity_packets)
+    if kind == "priority":
+        return PriorityScheduler(queues, cls)
+    if kind == "wfq":
+        return FairQueueing(queues, cls, list(weights))
+    if kind == "drr":
+        # Quanta in bytes; scale weights by one MTU.
+        return DeficitRoundRobin(queues, cls, [int(w * 1500) for w in weights])
+    if kind == "wrr":
+        return WeightedRoundRobin(queues, cls, [max(1, int(w)) for w in weights])
+    raise ValueError(f"unknown qdisc kind {kind!r}")
 
 
 @dataclass

@@ -56,6 +56,11 @@ def _cpe_cbq() -> CbqScheduler:
     return CbqScheduler(classes, ba_classifier)
 
 
+def _is_ef(pkt: Any) -> bool:
+    """The PE policer's match: EF-class customer packets."""
+    return class_of_dscp_name(pkt.ip.dscp) == "EF"
+
+
 def _build(stage: str, seed: int) -> dict[str, Any]:
     net = Network(seed=seed)
     core_qos = stage in ("core-only", "full")
@@ -99,8 +104,7 @@ def _build(stage: str, seed: int) -> dict[str, Any]:
         # conditioner model is egress-side: install it on the PE's
         # core-facing interface, matching EF-class customer packets.)
         ef_bucket = TokenBucket(rate_bps=0.5e6, burst_bytes=8000)
-        is_ef = lambda pkt: class_of_dscp_name(pkt.ip.dscp) == "EF"
-        pe1.interfaces["to-p1"].add_conditioner(policer(ef_bucket, match=is_ef))
+        pe1.interfaces["to-p1"].add_conditioner(policer(ef_bucket, match=_is_ef))
 
     return {
         "net": net, "prov": prov,

@@ -192,13 +192,25 @@ def policer(
     ``match`` restricts which packets are metered (others pass untouched);
     the PE ingress uses one policer per customer class.
     """
+    return _Policer(bucket, match)
 
-    def _police(pkt: Packet, now: float) -> Optional[Packet]:
+
+class _Policer:
+    """:func:`policer`'s conditioner.  A class, not a closure, so a network
+    holding it snapshots it by name, and the ledger's tracer, which books a
+    conditioner under the layer of its ``__module__``, keeps it in ``qos``."""
+
+    __slots__ = ("bucket", "match")
+
+    def __init__(self, bucket: TokenBucket, match: Callable[[Packet], bool] | None) -> None:
+        self.bucket = bucket
+        self.match = match
+
+    def __call__(self, pkt: Packet, now: float) -> Optional[Packet]:
+        match = self.match
         if match is not None and not match(pkt):
             return pkt
-        return pkt if bucket.conforms(pkt._wire or pkt.wire_bytes, now) else None
-
-    return _police
+        return pkt if self.bucket.conforms(pkt._wire or pkt.wire_bytes, now) else None
 
 
 def dscp_marker(

@@ -6,7 +6,6 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     Timer,
-    drain,
 )
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import Counter, TraceBus, TraceRecord
@@ -17,7 +16,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "drain",
     "RandomStreams",
     "Counter",
     "TraceBus",

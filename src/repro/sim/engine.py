@@ -51,7 +51,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from types import MethodType
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = ["Event", "Periodic", "Simulator", "SimulationError", "Timer"]
 
@@ -510,44 +510,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def step(self) -> bool:
-        """Execute exactly one (non-cancelled) event.
-
-        Returns ``True`` if an event ran, ``False`` if the heap is empty.
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            if type(bucket) is deque:
-                event = bucket.popleft()
-                if not bucket:
-                    _heappop(times)
-                    del buckets[t]
-            else:
-                event = bucket
-                _heappop(times)
-                del buckets[t]
-            self._size -= 1
-            event._sim = None
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            self.now = t
-            hook = self._profile_hook
-            if hook is None:
-                args = event.args
-                if args:
-                    event.callback(*args)
-                else:
-                    event.callback()
-            else:
-                hook(event)
-            self._events_processed += 1
-            return True
-        return False
-
     def stop(self) -> None:
         """Request the running :meth:`run` loop to stop after the current event."""
         self._stop_requested = True
@@ -600,34 +562,6 @@ class Simulator:
             interval if first_delay is None else first_delay, p._fire
         )
         return p
-
-    def peek(self) -> float:
-        """Time of the next live event, or ``inf`` if none pending."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            if type(bucket) is deque:
-                while bucket and bucket[0].cancelled:
-                    event = bucket.popleft()
-                    event._sim = None
-                    self._size -= 1
-                    self._dead -= 1
-                if bucket:
-                    return t
-                _heappop(times)
-                del buckets[t]
-            else:
-                if not bucket.cancelled:
-                    return t
-                bucket._sim = None
-                self._size -= 1
-                self._dead -= 1
-                _heappop(times)
-                del buckets[t]
-        return math.inf
-
 
 @dataclass
 class Timer:
@@ -697,15 +631,3 @@ class Periodic:
         self.callback()
         if not self._stopped:
             self._event = self.sim.schedule(self.interval, self._fire)
-
-
-def drain(sim: Simulator, horizon: float, chunk: float = 1.0) -> Iterable[float]:
-    """Run ``sim`` to ``horizon`` yielding the clock after each ``chunk``.
-
-    Convenience for progress reporting in long benchmark runs.
-    """
-    t = sim.now
-    while t < horizon:
-        t = min(t + chunk, horizon)
-        sim.run(until=t)
-        yield sim.now

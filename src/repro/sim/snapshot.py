@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/13``), the ``repro`` version
+The header names the schema (``repro.snapshot/14``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled.  An image is the
@@ -44,23 +44,17 @@ of its slot values.  Each advertisement is one object in the image, shared
 by the MP-BGP engine's Adj-RIB-Out and RT index and by every VRF table that
 imports it, and the tables are the engine's only record of its imports.
 
-Why a custom pickler
---------------------
-The object graph is *almost* plain data after the generator→cursor
-refactors (``Network``/``Vpn``/``VpnProvisioner``/``OverlayVpnBuilder``
-all allocate from integer cursors now), and an event scheduled with
-arguments carries them on the :class:`~repro.sim.engine.Event`, not in a
-closure.  What still needs help is ad-hoc lambdas / local functions in
-event buckets and conditioners (e.g. the E5 EF-match predicate).  These
-are serialized by :mod:`marshal`-ing their code object together with
-closure cell values, defaults, and qualname.  Marshal output is
-interpreter-version-specific, which is fine: the header pins the Python
-version, and snapshots are a same-machine warm-start/checkpoint
-mechanism, not an archival format.
-
-Generators are rejected with a pointed error — a half-consumed generator
-cannot be serialized, and every one we had has been refactored away;
-a new one sneaking into the graph should fail loudly at snapshot time.
+A graph holds only importable callables
+---------------------------------------
+The payload is written by the standard :class:`pickle.Pickler`: the graph
+is plain data plus callables pickle writes by name (module-level
+functions, bound methods, :func:`functools.partial` over them, instances
+of importable classes; a :class:`~repro.traffic.sink.FlowSink` is its own
+local sink).  A lambda or a local function is refused by name, with a
+:class:`SnapshotError` carrying pickle's message (``Can't pickle local
+object 'outer.<locals>.inner'``); a live generator is refused the same
+way.  The header still pins the Python version: a snapshot is a
+checkpoint on one interpreter, not an archival format.
 
 Cache-generation contract
 -------------------------
@@ -86,7 +80,6 @@ from __future__ import annotations
 import gc
 import io
 import json
-import marshal
 import pickle
 import struct
 import sys
@@ -109,69 +102,13 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/13"
+SCHEMA = "repro.snapshot/14"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 
 
 class SnapshotError(RuntimeError):
     """Raised when state cannot be serialized, or a blob cannot be loaded."""
-
-
-# ---------------------------------------------------------------------------
-# Function serialization helpers
-# ---------------------------------------------------------------------------
-
-def _cell_values(fn: types.FunctionType) -> tuple:
-    return tuple(c.cell_contents for c in (fn.__closure__ or ()))
-
-
-def _rebuild_function(
-    code_bytes: bytes,
-    qualname: str,
-    module: str,
-    defaults: tuple | None,
-    cells: tuple,
-) -> types.FunctionType:
-    """Reconstruct a marshal-serialized local function/lambda."""
-    code = marshal.loads(code_bytes)
-    closure = tuple(types.CellType(v) for v in cells) or None
-    mod = sys.modules.get(module)
-    globalns = mod.__dict__ if mod is not None else {"__builtins__": __builtins__}
-    fn = types.FunctionType(code, globalns, code.co_name, defaults, closure)
-    fn.__qualname__ = qualname
-    return fn
-
-
-class _SnapshotPickler(pickle.Pickler):
-    """Pickler that knows how to serialize the simulator's callables."""
-
-    def reducer_override(self, obj: Any):
-        if isinstance(obj, types.GeneratorType):
-            raise SnapshotError(
-                f"cannot snapshot a live generator ({obj!r}); refactor the "
-                "holder to an integer cursor or explicit state"
-            )
-        if isinstance(obj, types.FunctionType):
-            qualname = obj.__qualname__
-            if "<locals>" in qualname or "<lambda>" in qualname or obj.__closure__:
-                try:
-                    code_bytes = marshal.dumps(obj.__code__)
-                except ValueError as exc:  # pragma: no cover - exotic code
-                    raise SnapshotError(
-                        f"cannot marshal code of {qualname}: {exc}"
-                    ) from exc
-                return (
-                    _rebuild_function,
-                    (
-                        code_bytes,
-                        qualname,
-                        obj.__module__ or "builtins",
-                        obj.__defaults__,
-                        _cell_values(obj),
-                    ),
-                )
-        return NotImplemented  # default pickle behaviour
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +165,9 @@ def snapshot_network(net: Any, extras: dict[str, Any] | None = None) -> bytes:
             "cannot snapshot with a kernel profiler attached; detach first"
         )
     buf = io.BytesIO()
-    pickler = _SnapshotPickler(buf, protocol=_PROTOCOL)
+    pickler = pickle.Pickler(buf, protocol=_PROTOCOL)
     try:
         _uncollected(pickler.dump, {"net": net, "extras": extras or {}})
-    except SnapshotError:
-        raise
     except Exception as exc:
         raise SnapshotError(f"snapshot failed: {exc!r}") from exc
     payload = buf.getbuffer()
@@ -276,8 +211,8 @@ def _check_header(header: dict[str, Any], payload: memoryview) -> None:
     if header.get("python") != here:
         raise SnapshotError(
             f"snapshot written under Python {header.get('python')} but this "
-            f"is Python {here}; marshal-serialized code objects do not cross "
-            "interpreter versions"
+            f"is Python {here}; a snapshot is a checkpoint on one interpreter "
+            "— re-create it"
         )
     want = header.get("payload_bytes"), header.get("payload_crc32")
     got = len(payload), zlib.crc32(payload)

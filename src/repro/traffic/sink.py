@@ -47,7 +47,8 @@ class FlowSink:
     """Collects arrivals at one node, bucketed by flow id.
 
     Attach with ``FlowSink(sim).attach(node)``; multiple nodes may share a
-    sink (site-wide collection).
+    sink (site-wide collection).  The sink is its own local-delivery
+    callback, so a network holding it snapshots it by name.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -55,11 +56,14 @@ class FlowSink:
         self.flows: dict[Any, FlowRecord] = {}
 
     def attach(self, node: Node) -> "FlowSink":
-        # Indirect through self so instruments that wrap ``on_delivery``
+        node.add_local_sink(self)
+        return self
+
+    def __call__(self, pkt: Packet) -> None:
+        # Look ``on_delivery`` up per packet so instruments that wrap it
         # (e.g. repro.metrics.timeseries.attach_flow_series) take effect
         # even for nodes attached earlier.
-        node.add_local_sink(lambda pkt: self.on_delivery(pkt))
-        return self
+        self.on_delivery(pkt)
 
     def on_delivery(self, pkt: Packet) -> None:
         original = pkt.innermost()

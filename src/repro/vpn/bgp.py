@@ -659,10 +659,7 @@ class MpBgp:
             self._reselect(key, vrf, vrf.import_rts, None, result)
             synced[key] = self._state_of(pe, vrf)
             self._file(key, vrf)
-        self.net.counters.incr("bgp.updates", result.updates_sent)
-        self.net.counters.incr("bgp.routes_imported", result.routes_imported)
-        if result.routes_removed:
-            self.net.counters.incr("bgp.routes_removed", result.routes_removed)
+        self._tally(result)
         return result
 
     def export_delta(self, pe: PeRouter, vrf: Vrf | str) -> BgpResult:

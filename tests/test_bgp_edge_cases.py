@@ -72,6 +72,28 @@ class TestBgpAccounting:
         after = {pe.name: dict(pe.vrfs["v"].routes()) for pe in pes}
         assert before == after
 
+    def test_converge_counts_suppressions_and_withdrawals(self):
+        """converge() adds to the network counters what its result reports,
+        like every other operation: cluster-list suppressions at build, and
+        the withdrawal of a local removed by hand at the next converge."""
+        net, core, pes = star_of_pes(6)
+        prov = VpnProvisioner(net)
+        vpn = prov.create_vpn("v")
+        for pe in pes:
+            prov.add_site(vpn, pe, num_hosts=0)
+        prov.bgp_engine(rr_clusters=[("pe0", "pe1")])
+        built = converge_all(net, prov).bgp
+        assert built.updates_suppressed > 0
+        assert net.counters["bgp.updates_suppressed"] == built.updates_suppressed
+        vrf = pes[2].vrfs["v"]
+        vrf.withdraw(next(iter(vrf.local_routes())))
+        res = prov.converge_bgp()
+        assert res.routes_withdrawn == 1
+        assert net.counters["bgp.routes_withdrawn"] == 1
+        assert net.counters["bgp.updates_suppressed"] == (
+            built.updates_suppressed + res.updates_suppressed)
+        assert net.counters["bgp.updates"] == built.updates_sent + res.updates_sent
+
     def test_import_skips_own_exports(self):
         net, core, pes = star_of_pes(2)
         prov = VpnProvisioner(net)

@@ -170,7 +170,7 @@ class TestInterfaceRetry:
                    payload_bytes=100)
         net.sim.schedule(0.0, lambda: tx.send(p))
         net.run(until=1.0)
-        assert net.sim.peek() == float("inf")  # no lingering wakeups
+        assert net.sim.pending == 0  # no lingering wakeups
 
 
 class TestTrafficSourceBase:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator, Timer, drain
+from repro.sim.engine import SimulationError, Simulator, Timer
 
 
 class TestScheduling:
@@ -156,26 +156,6 @@ class TestRunControl:
         sim.run()
         assert fired == [1]
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None).cancel()
-        sim.schedule(2.0, lambda: None)
-        assert sim.peek() == 2.0
-
-    def test_peek_empty_is_inf(self):
-        assert Simulator().peek() == math.inf
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         def reenter():
@@ -220,10 +200,3 @@ class TestTimer:
         assert t.armed
         sim.run()
         assert not t.armed
-
-
-class TestHelpers:
-    def test_drain_yields_chunks(self):
-        sim = Simulator()
-        ticks = list(drain(sim, horizon=3.0, chunk=1.0))
-        assert ticks == [1.0, 2.0, 3.0]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import json
 import pickle
+import re
 import struct
 import zlib
 from typing import Any, Callable
@@ -317,6 +318,18 @@ def test_schema_12_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_13_image_refused_by_name(monkeypatch) -> None:
+    # A /13 image may hold a local function or lambda as marshalled code
+    # and closure cells, rebuilt by a loader this reader no longer has; its
+    # queue factory, PE policer and flow sinks are closures where this
+    # reader's graph holds importable callables.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/13")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/13'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -552,6 +565,52 @@ def test_generator_in_graph_rejected() -> None:
     net.nodes["a"].oops = (i for i in range(3))  # type: ignore[attr-defined]
     with pytest.raises(SnapshotError, match="generator"):
         snapshot_network(net)
+
+
+def _outer_conditioner() -> Callable:
+    def inner(pkt, now):
+        return pkt
+    return inner
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: (lambda pkt, now: pkt), "<lambda>"),
+    (_outer_conditioner, "_outer_conditioner.<locals>.inner"),
+], ids=["lambda", "local_function"])
+def test_local_callable_refused_by_name(make: Callable, name: str) -> None:
+    """A graph holds only callables pickle writes by name: a lambda or a
+    local function is refused with pickle's message naming it, and the
+    failed dump leaves the network and the collector as they were."""
+    net = _small_net()
+    clean = snapshot_network(net)
+    ifc = net.nodes["a"].interfaces["to-b"]
+    fn = make()
+    ifc.add_conditioner(fn)
+    collector = gc.isenabled()
+    with pytest.raises(SnapshotError, match=re.escape(name)):
+        snapshot_network(net)
+    assert gc.isenabled() is collector
+    assert ifc.conditioners == (fn,)
+    ifc.conditioners = ()
+    assert snapshot_network(net) == clean
+
+
+def _base_keys() -> list[str]:
+    from repro.experiments.e2_qos import CONFIGS
+    from repro.experiments.e5_sla import STAGES
+
+    return (["e1/mpls/20", "e1/overlay/20", "e15/20"]
+            + [f"e2/{c}" for c in CONFIGS] + [f"e5/{s}" for s in STAGES])
+
+
+@pytest.mark.parametrize("key", _base_keys())
+def test_every_base_round_trips_and_audits_clean(key: str) -> None:
+    """Every base the sweep and ``repro snapshot save`` build snapshots
+    with the standard pickler, restores, and audits with no error."""
+    from repro.sweep.runner import _build_base
+
+    net, _ = restore_network(_build_base(key))
+    assert [f for f in audit(net) if f.severity == "error"] == []
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestStopAtBoundary:
         sim.schedule_at(0.020, src.stop)  # between the 16 ms and 24 ms grid
         sim.run(until=1.0)
         assert src.sent == 3
-        assert sim.peek() == float("inf")  # heap fully drained
+        assert sim.pending == 0  # heap fully drained
 
 
 class TestBurstTrains:
