@@ -267,11 +267,9 @@ def _vrf_state(node: PeRouter) -> _Rule:
 
 
 def _cache_notes(pipe: "ForwardingPipeline") -> _Rule:
-    caches = [("flow_cache", pipe.flow_cache), ("tunnel_cache", pipe.tunnel_cache),
+    caches = [("flow_cache", pipe.flow_cache),
               *((f"vrf[{name}]", cache) for name, cache in pipe.vrf_caches.items())]
     for name, cache in caches:
-        if cache is None:
-            continue
         for which, captured, source in (("primary", cache._gen_p, cache._primary),
                                         ("secondary", cache._gen_s, cache._secondary)):
             if source is not None and captured != source.generation:

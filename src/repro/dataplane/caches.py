@@ -3,7 +3,7 @@
 A :class:`GenCache` sits in front of a slower (or allocation-heavier)
 lookup structure — the LPM trie, a VRF table, the FTN — and memoizes
 fully-resolved forwarding decisions keyed by an exact-match integer
-(destination or egress-PE address value).  Correctness under control-
+(the destination address value).  Correctness under control-
 plane churn is the whole design problem: a cached decision must never
 outlive the tables it was derived from.
 
@@ -42,7 +42,8 @@ class GenCache:
         whenever a derived decision could change (e.g. a ``Fib``).
     secondary:
         Optional second generation source when a decision is derived from
-        two tables (the LSR's IP path reads the FIB *and* the FTN).
+        two tables (the LSR's IP path reads the FIB *and* the FTN, a PE's
+        VRF decision the VRF *and* the FTN).
 
     Residency is unbounded: an entry leaves only when a generation change
     flushes the whole cache, so a cache holds at most one entry per key
@@ -131,10 +132,6 @@ class GenCache:
         return self._entries
 
     # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Explicit flush (the generation guard makes this rarely needed)."""
-        self._entries = EMPTY_MAP
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -22,11 +22,12 @@ Performance notes (measured: the ledger's ``vpn_sla`` row, benchmarks/ledger):
   forces a trip through the scheduler, :meth:`Simulator.schedule_call`
   stores the arguments on the event, so no closure is built either way.
 * Exact-match fast caches: the destination→decision flow cache fronts the
-  LPM trie, per-VRF caches front the VRF tables, and the tunnel cache
-  fronts the FTN's ``Prefix`` build.  All are generation-stamped
-  (``GenCache``) so SPF reconvergence, LDP passes and VRF churn invalidate
-  them without any notification protocol.  The LFIB is already one
-  exact-match dict read and has no cache in front of it.
+  LPM trie and the FTN (``(route, NHLFE)``), and a PE's per-VRF caches
+  front each VRF table and the FTN alike (``(route, tunnel NHLFE)``).  Both
+  are generation-stamped (``GenCache``) so SPF reconvergence, LDP passes
+  and VRF churn invalidate them without any notification protocol.  The
+  LFIB is already one exact-match dict read and has no cache in front of
+  it.
 * ``flow_hash`` memoizes its CRC32 on the packet — the 5-tuple is
   immutable for a packet's lifetime, so the ECMP key is computed at most
   once per packet rather than once per hop.
@@ -114,13 +115,13 @@ class ForwardingPipeline:
     The owning node supplies environment (interfaces, stats, trace bus,
     processing model) and the tables; the pipeline owns the per-packet
     control flow and the fast caches.  Stages read mutable node policy
-    (``impose_exp``, ``qos_exp_mapping``, ``exp_mode``, ``vpn_deliver``)
-    at packet time so experiments can flip them mid-run.
+    (``impose_exp``, ``exp_mode``, ``vpn_deliver``) at packet time so
+    experiments can flip them mid-run.
     """
 
     __slots__ = (
         "node", "sim", "fib", "lfib", "ftn", "vrf_of_circuit", "vrfs",
-        "flow_cache", "tunnel_cache", "vrf_caches",
+        "flow_cache", "vrf_caches",
     )
 
     def __init__(self, node, fib: "Fib") -> None:
@@ -132,8 +133,7 @@ class ForwardingPipeline:
         self.vrf_of_circuit: dict | None = None
         self.vrfs: dict | None = None
         self.flow_cache = GenCache(fib)
-        self.tunnel_cache: GenCache | None = None
-        # One lookup cache per VRF on a PE; the shared empty mapping until
+        # One decision cache per VRF on a PE; the shared empty mapping until
         # enable_vrf_demux, so a router that is not a PE holds no dict here.
         self.vrf_caches: dict[str, GenCache] = EMPTY_MAP
 
@@ -156,7 +156,6 @@ class ForwardingPipeline:
         assert self.ftn is not None, "VRF demux requires the MPLS stage"
         self.vrf_of_circuit = vrf_of_circuit
         self.vrfs = vrfs
-        self.tunnel_cache = GenCache(self.ftn)
         self.vrf_caches = {}
 
     def stages(self) -> tuple[str, ...]:
@@ -514,17 +513,23 @@ class ForwardingPipeline:
     # ------------------------------------------------------------------
     # QoS-mark stage (label imposition with DSCP→EXP)
     # ------------------------------------------------------------------
-    def impose(self, pkt: Packet, nhlfe: Nhlfe) -> None:
-        """Push the NHLFE's label stack and transmit.
+    def impose(self, pkt: Packet, nhlfe: Nhlfe, vpn_label: int | None = None) -> None:
+        """Push the NHLFE's label stack and transmit: every imposition.
 
-        Implicit-null labels in the stack are not pushed (PHP on a one-hop
-        tunnel).  EXP comes from the packet's DSCP unless the node's
-        ``impose_exp`` pins a fixed value.
+        At a PE's VPN ingress ``vpn_label`` goes on first, under the
+        tunnel's labels.  Implicit-null labels in the NHLFE are not pushed
+        (PHP on a one-hop tunnel).  EXP comes from the packet's DSCP unless
+        the node's ``impose_exp`` pins a fixed value; the VPN label gets 0
+        instead when the PE's ``exp_mode`` is ``"outer-only"`` (E9c).
         """
         node = self.node
         impose_exp = node.impose_exp
         exp = impose_exp if impose_exp is not None else EXP_OF_DSCP[pkt.ip.dscp]
         fl = node.trace.flight
+        if vpn_label is not None:
+            if fl is not None:
+                fl.label_op(self.sim.now, node.name, pkt, "push", new=vpn_label)
+            pkt.push_label(vpn_label, exp=exp if node.exp_mode == "both" else 0)
         for label in nhlfe.labels:
             if label == IMPLICIT_NULL:
                 continue
@@ -553,25 +558,36 @@ class ForwardingPipeline:
     # ------------------------------------------------------------------
     # VRF stages (PE)
     # ------------------------------------------------------------------
-    def _vrf_lookup(self, vrf, dst: IPv4Address) -> Any:
-        """Cached LPM inside one VRF; negative results are not cached.
+    def _vrf_lookup(self, vrf, dst: IPv4Address) -> "tuple[Any, Nhlfe | None] | None":
+        """Cached VRF decision: ``(route, tunnel)``, or ``None`` for no route.
 
-        The caches are keyed by VRF *name* but each is guarded by the
-        ``Vrf`` object's generation, so a cache built for a removed VRF
-        must not serve a re-created one of the same name.
+        The PE's flow cache: the tunnel is the FTN's NHLFE for the egress
+        PE's loopback (an LDP binding or a TE autoroute) — ``None`` for a
+        local route or a remote one with no LSP — so each cache is guarded
+        by its VRF *and* the FTN, as the flow cache is by the FIB and the
+        FTN.  "No route" is not cached.  The caches are keyed by VRF
+        *name* but each is guarded by the ``Vrf`` object, so a cache built
+        for a removed VRF must not serve a re-created one of the same name.
         """
         cache = self.vrf_caches.get(vrf.name)
         if cache is None or cache._primary is not vrf:
-            cache = self.vrf_caches[vrf.name] = GenCache(vrf)
-        route = cache.get(dst.value)
-        if route is None:
+            cache = self.vrf_caches[vrf.name] = GenCache(vrf, self.ftn)
+        decision = cache.get(dst.value)
+        if decision is None:
             route = vrf.lookup(dst)
-            if route is not None:
-                cache.put(dst.value, route)
-        return route
+            if route is None:
+                return None
+            decision = (route, None if route.kind == "local"
+                        else self.ftn.lookup(Prefix.of(route.remote_pe, 32)))
+            cache.put(dst.value, decision)
+        return decision
 
     def customer_stage(self, pkt: Packet, vrf) -> None:
-        """Customer packet arriving on an attachment circuit (VPN ingress)."""
+        """Customer packet arriving on an attachment circuit (VPN ingress).
+
+        A remote route enters the tunnel to the egress PE under its VPN
+        label (:meth:`impose`); a local one is site-to-site through this PE.
+        """
         node = self.node
         fa = node.trace.flows
         if fa is not None:
@@ -579,49 +595,17 @@ class ForwardingPipeline:
         if pkt.decrement_ttl() <= 0:
             node.drop(pkt, DropReason.TTL)
             return
-        route = self._vrf_lookup(vrf, pkt.ip.dst)
-        if route is None:
+        decision = self._vrf_lookup(vrf, pkt.ip.dst)
+        if decision is None:
             node.drop(pkt, DropReason.NO_VRF_ROUTE)
             return
-        if route.kind == "local":
-            # Site-to-site through one PE (both sites on this PE).
+        route, tunnel = decision
+        if tunnel is not None:
+            self.impose(pkt, tunnel, route.vpn_label)
+        elif route.kind == "local":
             node.transmit(pkt, route.out_ifname)
-            return
-        self.remote_stage(pkt, route)
-
-    def remote_stage(self, pkt: Packet, route) -> None:
-        """Impose the two-level VPN stack and enter the tunnel to the
-        egress PE (QoS-mark: DSCP copied into EXP per the node's policy)."""
-        node = self.node
-        exp = EXP_OF_DSCP[pkt.ip.dscp] if node.qos_exp_mapping else 0
-        inner_exp = exp if node.exp_mode == "both" else 0
-        fl = node.trace.flight
-        if fl is not None:
-            fl.label_op(self.sim.now, node.name, pkt, "push", new=route.vpn_label)
-        pkt.push_label(route.vpn_label, exp=inner_exp)
-        # Resolve the tunnel to the egress PE's loopback through the FTN
-        # (an LDP binding or a TE tunnel autoroute).
-        tunnel = self._tunnel_nhlfe(route.remote_pe)
-        if tunnel is None:
-            pkt.pop_label()
-            node.drop(pkt, DropReason.NO_TUNNEL)
-            return
-        for label in tunnel.labels:
-            if label != IMPLICIT_NULL:
-                if fl is not None:
-                    fl.label_op(self.sim.now, node.name, pkt, "push", new=label)
-                pkt.push_label(label, exp=exp)
-        node.transmit(pkt, tunnel.out_ifname)
-
-    def _tunnel_nhlfe(self, remote_pe: IPv4Address) -> Nhlfe | None:
-        """Cached FTN resolution of an egress-PE loopback (/32 FEC)."""
-        cache = self.tunnel_cache
-        nhlfe = cache.get(remote_pe.value)
-        if nhlfe is None:
-            nhlfe = self.ftn.lookup(Prefix.of(remote_pe, 32))
-            if nhlfe is not None:
-                cache.put(remote_pe.value, nhlfe)
-        return nhlfe
+        else:
+            node.drop(pkt, DropReason.NO_TUNNEL)  # before any label is pushed
 
     def vpn_egress(self, pkt: Packet, vrf_name: str) -> None:
         """Egress side: tunnel label already removed, VPN label popped."""
@@ -634,20 +618,18 @@ class ForwardingPipeline:
         fa = node.trace.flows
         if fa is not None:
             fa.egress(node.name, vrf.name, pkt)
-        route = self._vrf_lookup(vrf, pkt.ip.dst)
-        if route is None or route.kind != "local":
+        decision = self._vrf_lookup(vrf, pkt.ip.dst)
+        if decision is None or decision[0].kind != "local":
             # Hairpinning remote->remote through an egress PE would be a
             # provisioning loop; refuse rather than bounce across the core.
             node.drop(pkt, DropReason.NO_VRF_ROUTE)
             return
-        node.transmit(pkt, route.out_ifname)
+        node.transmit(pkt, decision[0].out_ifname)
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, Any]:
         """Counters for every enabled cache (observability/test hook)."""
         out: dict[str, Any] = {"flow": self.flow_cache.stats()}
-        if self.tunnel_cache is not None:
-            out["tunnel"] = self.tunnel_cache.stats()
         if self.vrf_caches:
             out["vrf"] = {name: c.stats() for name, c in self.vrf_caches.items()}
         return out

@@ -76,8 +76,8 @@ def _build(stage: str, seed: int) -> dict[str, Any]:
     net.connect(p1, p2, CORE_BPS, 1e-3)   # the shared core bottleneck
     net.connect(p2, pe2, CORE_BPS, 1e-3)
 
-    pe1.qos_exp_mapping = core_qos
-    pe2.qos_exp_mapping = core_qos
+    if not core_qos:
+        pe1.impose_exp = pe2.impose_exp = 0
 
     prov = VpnProvisioner(net, access_rate_bps=ACCESS_BPS)
     corp = prov.create_vpn("corp")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.mpls.label import LabelSpace
-from repro.mpls.lfib import FtnTable, Lfib, Nhlfe
+from repro.mpls.lfib import FtnTable, Lfib
 from repro.net.packet import Packet
 from repro.routing.router import Router
 
@@ -39,15 +39,11 @@ class Lsr(Router):
         self.label_class: dict[int, int] = {}
         # Hook the PE subclass installs to receive VPN-labeled packets.
         self.vpn_deliver: Callable[[Packet, str], None] | None = None
-        # EXP policy at label imposition: None copies the packet's DSCP into
-        # EXP (the RFC 3270 edge behaviour, claim C6); an int forces a fixed
-        # value (0 models a QoS-blind edge for the ablations).
+        # EXP policy at every label imposition, a PE's VPN stack included:
+        # None copies the packet's DSCP into EXP (the RFC 3270 edge
+        # behaviour, claim C6); an int forces a fixed value (0 models a
+        # QoS-blind edge for the ablations).
         self.impose_exp: int | None = None
         # Turn on the pipeline's label-op stage: same engine as the plain
         # Router, now with LFIB processing and FTN label imposition.
         self.pipeline.enable_mpls(self.lfib, self.ftn)
-
-    # ------------------------------------------------------------------
-    def impose(self, pkt: Packet, nhlfe: Nhlfe) -> None:
-        """Push the NHLFE's label stack and transmit (pipeline qos-mark stage)."""
-        self.pipeline.impose(pkt, nhlfe)

@@ -31,9 +31,7 @@ __all__ = [
     "set_vector_mode",
     "vector_mode_enabled",
     "set_slo",
-    "slo_enabled",
     "set_spans",
-    "spans_enabled",
     "flags",
 ]
 
@@ -147,10 +145,6 @@ def set_slo(on: bool) -> None:
     _slo = bool(on)
 
 
-def slo_enabled() -> bool:
-    return _slo
-
-
 def set_spans(on: bool) -> None:
     """Arm the convergence tracer for subsequently attached sessions.
 
@@ -161,10 +155,6 @@ def set_spans(on: bool) -> None:
     """
     global _spans
     _spans = bool(on)
-
-
-def spans_enabled() -> bool:
-    return _spans
 
 
 def flags() -> dict[str, bool]:

@@ -235,8 +235,8 @@ class Telemetry:
     def _scrape_caches(self, reg: MetricsRegistry) -> None:
         """GenCache counters from every router's forwarding pipeline.
 
-        VRF route caches are labeled ``vrf:<name>`` so one gauge family
-        covers flow/tunnel/VRF caches uniformly.
+        A PE's VRF decision caches are labeled ``vrf:<name>`` so one gauge
+        family covers the flow and VRF caches uniformly.
         """
         lab = ("node", "cache")
         hits = reg.gauge("repro_cache_hits", "Forwarding-cache hits", lab)

@@ -23,14 +23,16 @@ Design rules that make the merged report reproducible:
   traceback) without sinking the sweep; the report's ``failed`` list and
   a non-zero CLI exit code carry the news.
 * **Rows never transit the parent heap.**  Multi-worker sweeps spill each
-  task's result as one JSON line to a per-worker file; ``pool.map`` moves
-  only task indices, and the parent merges the spill files by index after
-  the pool drains — a multi-million-row grid costs the parent one result
-  at a time, not the whole pickled grid at once.  The inline (1-worker)
-  path round-trips results through JSON too, so reports stay
+  task's result as one JSON line to a per-worker file; the process pool
+  moves only task indices, and the parent merges the spill files by index
+  after the pool drains — a multi-million-row grid costs the parent one
+  result at a time, not the whole pickled grid at once.  The inline
+  (1-worker) path round-trips results through JSON too, so reports stay
   byte-identical at any worker count.  A missing or truncated spill line
-  (a worker crashed mid-write) is synthesized into a failure row rather
-  than sinking the merge.
+  (a worker died mid-task or mid-write) is synthesized into a failure row
+  rather than sinking the merge; a dead worker breaks the pool, which
+  fails what it still held instead of waiting for it forever.  Those lost
+  tasks come back as failure rows too; they are not re-run.
 
 **Warm start** (``warm_start=True`` / ``repro sweep --warm-start``): the
 parent builds and converges each *distinct base* in the grid exactly once
@@ -65,6 +67,8 @@ import tempfile
 import time
 import traceback
 import zlib
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 __all__ = ["Task", "task_seed", "base_key", "run_sweep", "SCHEMA_ID"]
@@ -430,9 +434,10 @@ def _run_task(task: Task) -> dict:
 def _merge_spills(spill_dir: str, tasks: Sequence[Task]) -> list[dict]:
     """Merge per-worker JSONL spill files into index-keyed results.
 
-    A task whose line is missing or truncated — the worker crashed before
-    (or while) spilling — comes back as a synthesized failure result, so
-    a dying worker costs its task, never the sweep.
+    A task whose line is missing or truncated — the worker died before
+    (or while) spilling, or the broken pool lost the task — comes back as
+    a synthesized failure result, so a dying worker costs its task (and
+    what the pool held), never the sweep.
     """
     by_index: dict[int, dict] = {}
     for entry in sorted(os.listdir(spill_dir)):
@@ -456,8 +461,8 @@ def _merge_spills(spill_dir: str, tasks: Sequence[Task]) -> list[dict]:
                 "name": task["name"],
                 "ok": False,
                 "error": (
-                    f"worker crashed before spilling a result for task "
-                    f"{task['name']!r}"
+                    f"worker crashed before the result of task "
+                    f"{task['name']!r} was spilled"
                 ),
                 "rows": [],
                 "timing": {},
@@ -504,18 +509,26 @@ def run_sweep(
         results = [json.loads(json.dumps(_run_task(t))) for t in tasks]
     else:
         # fork keeps the already-imported package (no PYTHONPATH replay
-        # in children) and is the default start method on Linux anyway.
+        # in children) and the warm-start tables (copy-on-write); under
+        # fork the executor starts every worker before its manager thread.
         own_spill = spill_dir is None
         sdir = tempfile.mkdtemp(prefix="repro-sweep-") if own_spill else spill_dir
         os.makedirs(sdir, exist_ok=True)
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(
-                processes=workers,
+            # A worker that dies (os._exit, a signal, the OOM killer) breaks
+            # the executor, which then fails every task it still holds
+            # instead of waiting for them forever; the merge turns each task
+            # with no spilled line into a failure row.
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_worker_init,
                 initargs=(sdir,),
             ) as pool:
-                pool.map(_run_task, tasks, chunksize=1)
+                try:
+                    list(pool.map(_run_task, tasks))
+                except BrokenProcessPool:
+                    pass
             results = _merge_spills(sdir, tasks)
         finally:
             if own_spill:
@@ -527,7 +540,7 @@ def run_sweep(
         _LIVE.clear()
     wall = time.perf_counter() - t0
 
-    # pool.map preserves order, but the report's contract is "sorted by
+    # The pool's map preserves order, but the report's contract is "sorted by
     # task index", independent of how the work was scheduled.
     results.sort(key=lambda r: r["index"])
 

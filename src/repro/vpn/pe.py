@@ -8,9 +8,11 @@ PE's loopback).  The core never sees customer addresses, which is both the
 scalability argument (claim C1: P routers keep no per-VPN state) and the
 isolation argument (claim C5).
 
-QoS at the edge (claim C6): when ``qos_exp_mapping`` is on, the PE copies
-the customer's DSCP into the EXP bits of both imposed labels, so the core
-can schedule on EXP without ever parsing the customer header.
+QoS at the edge (claim C6): the PE copies the customer's DSCP into the
+EXP bits of both imposed labels, so the core can schedule on EXP without
+ever parsing the customer header.  That is the LSR's ``impose_exp``
+policy, which covers VPN imposition too: ``None`` maps DSCP to EXP, an
+int pins it (``PeRouter(..., qos_exp_mapping=False)`` pins 0).
 
 Data-plane mechanics (VRF demux, customer lookup, two-level imposition,
 egress delivery) live in the shared
@@ -33,14 +35,19 @@ __all__ = ["PeRouter"]
 
 
 class PeRouter(Lsr):
-    """LSR + VRFs + attachment circuits."""
+    """LSR + VRFs + attachment circuits.
+
+    ``impose_exp`` (the LSR's) sets the EXP of the VPN stack as well, and
+    ``exp_mode`` says whether the VPN label carries it or gets 0.
+    """
 
     def __init__(self, sim, name, qos_exp_mapping: bool = True, **kw) -> None:
         super().__init__(sim, name, **kw)
         self.vrfs: dict[str, Vrf] = {}
         # Attachment circuit name -> its VRF: the one record of a binding.
         self._vrf_of_circuit: dict[str, Vrf] = {}
-        self.qos_exp_mapping = qos_exp_mapping
+        if not qos_exp_mapping:
+            self.impose_exp = 0
         # Which stack entries carry the class: "both" (RFC 3270's safe
         # choice) or "outer-only" (loses the class at penultimate-hop pop —
         # the E9c ablation shows the resulting last-hop QoS hole).
@@ -117,7 +124,7 @@ class PeRouter(Lsr):
         if vrf in self._vrf_of_circuit.values():
             raise ValueError(f"{self.name}: VRF {name!r} still has circuits")
         del self.vrfs[name]
-        # The per-VRF lookup cache is guarded by this Vrf object; a later
+        # The per-VRF decision cache is guarded by this Vrf object; a later
         # VRF of the same name must start from its own.
         self.pipeline.vrf_caches.pop(name, None)
         self.lfib.remove(vrf.vpn_label)

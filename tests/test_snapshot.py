@@ -330,6 +330,18 @@ def test_schema_13_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_14_image_refused_by_name(monkeypatch) -> None:
+    # A /14 image holds a PE's qos_exp_mapping flag, which this reader's
+    # imposition never consults (impose_exp is the one EXP policy), so an
+    # e5 none / cbq-only base would come back mapping DSCP to EXP; and a
+    # tunnel cache per PE pipeline, whose slot this reader's has no more.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/14")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/14'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the

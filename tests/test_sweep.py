@@ -192,3 +192,59 @@ def test_merge_synthesizes_failure_for_missing_and_torn_results(tmp_path) -> Non
         assert name in res["error"]
         assert "crashed" in res["error"]
         assert res["rows"] == [] and res["manifests"] == []
+
+
+_DYING_SWEEP = r"""
+import json, os
+from repro.sweep import runner
+
+def fine(params, seed, prebuilt=None):
+    return [{"seed": seed}], {}
+
+def die(params, seed, prebuilt=None):
+    os._exit(3)
+
+runner.SCENARIOS["fine"] = fine
+runner.SCENARIOS["die"] = die
+tasks = [
+    {"index": i, "name": f"t{i}", "scenario": "die" if i == 1 else "fine",
+     "params": {}, "seed": i}
+    for i in range(4)
+]
+report = runner.run_sweep(tasks, workers=2)
+print(json.dumps({"tasks": report["tasks"], "ok": report["ok"],
+                  "failed": report["failed"]}))
+"""
+
+
+def test_sweep_whose_worker_dies_returns() -> None:
+    """A worker that exits mid-task breaks the pool instead of hanging the
+    parent: the sweep returns, the dead worker's task is a failure row,
+    and every task is accounted for.  Run in a subprocess so a hang fails
+    on the timeout instead of stalling the suite."""
+    import json
+    import signal
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # Its own session, so a hang is ended with every pool worker it forked.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DYING_SWEEP], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a sweep whose worker died did not return within 60 s")
+    assert proc.returncode == 0, err
+    report = json.loads(out.strip().splitlines()[-1])
+    failed = {f["name"]: f["error"] for f in report["failed"]}
+    assert report["tasks"] == 4
+    assert report["ok"] + len(failed) == 4
+    assert "t1" in failed
+    assert "worker crashed before the result of task 't1' was spilled" in failed["t1"]

@@ -9,7 +9,7 @@ from repro.experiments.common import ExperimentRun
 from repro.mpls import Lsr, run_ldp
 from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.link import Interface
-from repro.net.address import Prefix
+from repro.net.address import IPv4Address, Prefix
 from repro.qos.queues import DropTailFifo
 from repro.routing import converge, reconverge
 from repro.routing.fib import RouteEntry
@@ -154,21 +154,23 @@ class TestValidate:
 
     def test_trailing_cache_capture_is_a_note(self):
         net, nodes = provisioned_network()
+        # E1 decides one VPN packet toward the E8 site: a VRF cache filled.
+        vrf = next(iter(nodes["E1"].vrfs.values()))
+        remote = next(p for p, r in vrf.entries().items() if r.kind != "local")
+        assert nodes["E1"].pipeline._vrf_lookup(vrf, IPv4Address(remote[0]))[1]
         for node in net.nodes.values():
             pipe = getattr(node, "pipeline", None)
             if pipe is not None:
-                for cache in (pipe.flow_cache, pipe.tunnel_cache,
-                              *pipe.vrf_caches.values()):
-                    if cache is not None:
-                        cache.sync()
+                for cache in (pipe.flow_cache, *pipe.vrf_caches.values()):
+                    cache.sync()
         assert audit(net) == []
-        # A binding the caches have not seen yet: E1's flow cache reads the
-        # FTN second, its tunnel cache reads it first.
+        # A binding the caches have not seen yet: E1's flow cache and its
+        # VRF cache both read the FTN second.
         nodes["E1"].ftn.bind("9.9.9.0/24", Nhlfe(next(iter(nodes["E1"].interfaces)), (17,)))
         found = audit(net)
         assert [(f.severity, f.check, f.node) for f in found] == [("note", "cache", "E1")] * 2
         assert found[0].message.startswith("flow_cache captured secondary gen")
-        assert found[1].message.startswith("tunnel_cache captured primary gen")
+        assert found[1].message.startswith(f"vrf[{vrf.name}] captured secondary gen")
 
     def test_route_key_that_lost_its_type_is_a_keys_error(self):
         # A plain (network, length) tuple hashes and compares like the

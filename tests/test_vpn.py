@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.control import converge_all
 from repro.mpls.ldp import run_ldp
-from repro.mpls.lfib import LabelOp
+from repro.mpls.lfib import LabelOp, Nhlfe
 from repro.mpls.lsr import Lsr
 from repro.net.address import IPv4Address, Prefix
 from repro.net.packet import IPHeader, Packet
+from repro.obs.flightrec import FlightRecorder
 from repro.routing.spf import converge
 from repro.topology import Network
 from repro.vpn.bgp import MpBgp, VpnRoute
@@ -363,14 +364,18 @@ class TestPeRouter:
         vrf.add_remote_many([(route.prefix, route)])
         p = Packet(ip=IPHeader(IPv4Address.parse("10.1.0.1"),
                                IPv4Address.parse("10.2.0.1")), payload_bytes=50)
-        pe.handle(p, "to-ce")
+        net.trace.flight = FlightRecorder()
+        pe.receive(p, "to-ce")
         assert pe.stats.by_reason == {"no_tunnel": 1}
+        # The drop comes before any label is pushed: no phantom push row.
+        assert [r.event for r in net.trace.flight.records()] == ["rx", "drop"]
+        assert p.mpls_stack == []
 
 
-def two_pe_network(seed=5):
+def two_pe_network(seed=5, **pe1_kw):
     """pe1 - p - pe2 line with one VPN, two sites, converged."""
     net = Network(seed=seed)
-    pe1 = net.add_node(PeRouter(net.sim, "pe1"))
+    pe1 = net.add_node(PeRouter(net.sim, "pe1", **pe1_kw))
     p = net.add_node(Lsr(net.sim, "p"))
     pe2 = net.add_node(PeRouter(net.sim, "pe2"))
     net.connect(pe1, p); net.connect(p, pe2)
@@ -381,6 +386,61 @@ def two_pe_network(seed=5):
     converge(net)
     run_ldp(net)
     return net, prov, vpn, s1, s2
+
+
+class TestVpnImposition:
+    """The PE's VPN stack goes on through the one imposition routine: the
+    LSR's ``impose_exp`` sets its EXP, and the VRF decision holds the
+    tunnel under the FTN's generation."""
+
+    def _net(self, **pe1_kw):
+        net, prov, vpn, s1, s2 = two_pe_network(**pe1_kw)
+        prov.converge_bgp()
+        return net, net.node("p"), s1, s2
+
+    def _send(self, net, s1, p, dscp=46):
+        got = []
+        p.handle = lambda pk, ifn: got.append(pk)
+        pkt = Packet(ip=IPHeader(IPv4Address.parse("10.1.0.9"),
+                                 IPv4Address.parse("10.2.0.9"), dscp=dscp),
+                     payload_bytes=50)
+        s1.pe.handle(pkt, s1.pe_ifname)
+        net.run(until=net.sim.now + 1.0)
+        assert len(got) == 1
+        return got[0]
+
+    def _stack(self, pkt):
+        return [(m.label, m.exp) for m in pkt.mpls_stack]
+
+    def test_qos_blind_pe_imposes_exp_zero(self):
+        net, p, s1, s2 = self._net(qos_exp_mapping=False)
+        assert s1.pe.impose_exp == 0 and s2.pe.impose_exp is None
+        got = self._send(net, s1, p)
+        assert len(got.mpls_stack) == 2
+        assert [exp for _label, exp in self._stack(got)] == [0, 0]
+
+    def test_impose_exp_pins_the_vpn_stack(self):
+        net, p, s1, s2 = self._net()
+        s1.pe.impose_exp = 5
+        got = self._send(net, s1, p, dscp=0)
+        assert [exp for _label, exp in self._stack(got)] == [5, 5]
+        s1.pe.exp_mode = "outer-only"
+        got = self._send(net, s1, p, dscp=0)
+        assert [exp for _label, exp in self._stack(got)] == [0, 5]
+
+    def test_ftn_rebind_moves_the_next_packet_to_the_new_tunnel(self):
+        net, p, s1, s2 = self._net()
+        pe1 = s1.pe
+        fec = Prefix.of(s2.pe.loopback, 32)
+        old = pe1.ftn.lookup(fec)
+        first = self._send(net, s1, p)
+        assert [label for label, _exp in self._stack(first)][1:] == list(old.labels)
+        # A new binding for the egress loopback (say, a TE autoroute) after
+        # the VRF decision was cached: the next packet takes it.
+        pe1.ftn.bind(fec, Nhlfe(old.out_ifname, (4242,)))
+        second = self._send(net, s1, p)
+        vpn_label = pe1.vrf_of_circuit(s1.pe_ifname).entries()[Prefix.parse("10.2.0.0/24")].vpn_label
+        assert self._stack(second) == [(vpn_label, 5), (4242, 5)]
 
 
 class TestMpBgp:
