@@ -31,6 +31,18 @@ Performance notes (measured: the ledger's ``vpn_sla`` row, benchmarks/ledger):
 * ``flow_hash`` memoizes its CRC32 on the packet — the 5-tuple is
   immutable for a packet's lifetime, so the ECMP key is computed at most
   once per packet rather than once per hop.
+* Each mechanism is paid once per hop.  The ownership test is the stage's
+  own ``pkt.ip.dst in node.addresses`` (an address hashes in C; no
+  ``owns`` call).  SWAP / POP / SWAP_PUSH decrement the TTL of, and write
+  the label into, the ``top`` entry the stage already holds; the
+  IP-path TTL stays in ``Packet.decrement_ttl``.  A push or pop moves the
+  packet's wire-size memo by one shim instead of clearing it.  Field
+  checks sit where a value is made — an ``Nhlfe``'s and an ``LfibEntry``'s
+  labels in their constructors, a pinned EXP in the ``impose_exp`` setter
+  (the stages read its checked backing field ``_impose_exp``) — so neither
+  tier re-checks them per packet.  Calls per packet-hop on E5 ``full``:
+  44.97 -> 41.45, and 68.23 -> 54.91 with telemetry on
+  (``tests/test_hop_budget.py``).
 
 Logical lookup counters (``fib.lookups``, ``lfib.lookups``) are bumped on
 cache hits and burst rows too, so experiment E8's per-node lookup census
@@ -219,7 +231,7 @@ class ForwardingPipeline:
             else:
                 self.sim.schedule_call(cost, self.mpls_stage, pkt)
             return
-        if node.owns(pkt.ip.dst):
+        if pkt.ip.dst in node.addresses:
             node.deliver_local(pkt)
             return
         cost = node.processing.ip_lookup_s
@@ -360,10 +372,11 @@ class ForwardingPipeline:
                     pkt.ip.ttl = t - 1
             else:
                 # Entries skip the dataclass __init__/__post_init__:
-                # labels come from the NHLFE, EXP from ``EXP_OF_DSCP`` or
-                # ``impose_exp`` — all validated where they were set.
+                # labels come from the NHLFE (checked by ``Nhlfe``), EXP
+                # from ``EXP_OF_DSCP`` or the node's ``impose_exp``
+                # (checked by its setter) — validated where they were set.
                 new = object.__new__
-                exp_fixed = node.impose_exp
+                exp_fixed = node._impose_exp
                 exp_of_dscp = EXP_OF_DSCP
                 grow = MPLS_SHIM_BYTES * len(labels)
                 for pkt, t in zip(pkts, ttls):
@@ -409,18 +422,23 @@ class ForwardingPipeline:
                 node.drop(pkt, DropReason.NO_LABEL)
                 return
             op = entry.op
+            # SWAP, POP and SWAP_PUSH write the TTL and the label into the
+            # ``top`` entry held here; the out label passed its 20-bit check
+            # when the LfibEntry was built.
             if op is LabelOp.SWAP:
-                if pkt.decrement_ttl() <= 0:
+                ttl = top.ttl = top.ttl - 1
+                if ttl <= 0:
                     node.drop(pkt, DropReason.TTL)
                     return
                 if fl is not None:
                     fl.label_op(sim.now, node.name, pkt, "swap",
                                 old=label, new=entry.out_label)
-                pkt.swap_label(entry.out_label)  # EXP is preserved across swaps
+                top.label = entry.out_label  # EXP is preserved across swaps
                 node.transmit(pkt, entry.out_ifname)
                 return
             if op is LabelOp.POP:
-                if pkt.decrement_ttl() <= 0:
+                ttl = top.ttl = top.ttl - 1
+                if ttl <= 0:
                     node.drop(pkt, DropReason.TTL)
                     return
                 if fl is not None:
@@ -434,7 +452,7 @@ class ForwardingPipeline:
                 pkt.pop_label()
                 if pkt.mpls_stack:
                     continue  # inner label is also ours
-                if node.owns(pkt.ip.dst):
+                if pkt.ip.dst in node.addresses:
                     node.deliver_local(pkt)
                 else:
                     self.ip_stage(pkt)
@@ -443,17 +461,17 @@ class ForwardingPipeline:
                 # FRR local repair: restore the label the merge point
                 # expects, then tunnel it over the bypass LSP.  EXP is
                 # copied onto the bypass entry so the detour keeps the class.
-                if pkt.decrement_ttl() <= 0:
+                ttl = top.ttl = top.ttl - 1
+                if ttl <= 0:
                     node.drop(pkt, DropReason.TTL)
                     return
-                exp = top.exp
                 if fl is not None:
                     fl.label_op(sim.now, node.name, pkt, "swap",
                                 old=label, new=entry.out_label)
                     fl.label_op(sim.now, node.name, pkt, "push",
                                 new=entry.push_label)
-                pkt.swap_label(entry.out_label)
-                pkt.push_label(entry.push_label, exp=exp)
+                top.label = entry.out_label
+                pkt.push_label(entry.push_label, exp=top.exp)
                 node.transmit(pkt, entry.out_ifname)
                 return
             if op is LabelOp.VPN:
@@ -523,7 +541,7 @@ class ForwardingPipeline:
         instead when the PE's ``exp_mode`` is ``"outer-only"`` (E9c).
         """
         node = self.node
-        impose_exp = node.impose_exp
+        impose_exp = node._impose_exp
         exp = impose_exp if impose_exp is not None else EXP_OF_DSCP[pkt.ip.dscp]
         fl = node.trace.flight
         if vpn_label is not None:

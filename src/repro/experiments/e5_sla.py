@@ -30,7 +30,7 @@ from repro.metrics.sla import DATA_SLA, VOICE_SLA, evaluate
 from repro.mpls.lsr import Lsr
 from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.classifier import ba_classifier
-from repro.qos.dscp import DSCP, class_of_dscp_name
+from repro.qos.dscp import CLASS_NAME_OF_DSCP, DSCP
 from repro.qos.meter import TokenBucket, policer
 from repro.topology import Network
 from repro.traffic.generators import CbrSource, OnOffSource, voice_source
@@ -58,7 +58,7 @@ def _cpe_cbq() -> CbqScheduler:
 
 def _is_ef(pkt: Any) -> bool:
     """The PE policer's match: EF-class customer packets."""
-    return class_of_dscp_name(pkt.ip.dscp) == "EF"
+    return CLASS_NAME_OF_DSCP[pkt.ip.dscp] == "EF"
 
 
 def _build(stage: str, seed: int) -> dict[str, Any]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from repro.mpls.label import MAX_LABEL
 from repro.net.address import Prefix
 
 __all__ = ["LabelOp", "LfibEntry", "Lfib", "Nhlfe", "FtnTable"]
@@ -58,6 +59,10 @@ class LfibEntry:
             self.out_label is None or self.push_label is None or self.out_ifname is None
         ):
             raise ValueError("SWAP_PUSH needs out_label, push_label, and out_ifname")
+        # The label-op stage writes these into the packet's stack unchecked.
+        for label in (self.out_label, self.push_label):
+            if label is not None and not 0 <= label <= MAX_LABEL:
+                raise ValueError(f"label out of 20-bit range: {label}")
 
 
 class Lfib:
@@ -121,6 +126,13 @@ class Nhlfe:
     out_ifname: str
     labels: tuple[int, ...]
     lsp_id: str | None = None
+
+    def __post_init__(self) -> None:
+        # Imposition (the scalar stage and the burst tier) pushes these
+        # unchecked.
+        for label in self.labels:
+            if not 0 <= label <= MAX_LABEL:
+                raise ValueError(f"label out of 20-bit range: {label}")
 
 
 class FtnTable:

@@ -39,11 +39,32 @@ class Lsr(Router):
         self.label_class: dict[int, int] = {}
         # Hook the PE subclass installs to receive VPN-labeled packets.
         self.vpn_deliver: Callable[[Packet, str], None] | None = None
-        # EXP policy at every label imposition, a PE's VPN stack included:
-        # None copies the packet's DSCP into EXP (the RFC 3270 edge
-        # behaviour, claim C6); an int forces a fixed value (0 models a
-        # QoS-blind edge for the ablations).
-        self.impose_exp: int | None = None
+        # The checked backing field of ``impose_exp``, read by the
+        # forwarding pipeline at every imposition.
+        self._impose_exp: int | None = None
         # Turn on the pipeline's label-op stage: same engine as the plain
         # Router, now with LFIB processing and FTN label imposition.
         self.pipeline.enable_mpls(self.lfib, self.ftn)
+
+    @property
+    def impose_exp(self) -> int | None:
+        """EXP policy at every label imposition, a PE's VPN stack included.
+
+        ``None`` copies the packet's DSCP into EXP (the RFC 3270 edge
+        behaviour, claim C6); an int 0..7 forces a fixed value (0 models a
+        QoS-blind edge for the ablations).  Anything else is a
+        ``ValueError`` here, so the imposition that writes it into a
+        label-stack entry (the scalar stage and the burst tier alike) needs
+        no check of its own.
+        """
+        return self._impose_exp
+
+    @impose_exp.setter
+    def impose_exp(self, value: int | None) -> None:
+        if value is not None and not (
+            isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 7
+        ):
+            raise ValueError(
+                f"{self.name}: impose_exp must be None or an EXP value 0..7, got {value!r}"
+            )
+        self._impose_exp = value

@@ -11,19 +11,29 @@ Addresses are 32-bit ints wrapped in a tiny value type; prefixes are
 (network-int, length) pairs.  Everything is hashable and immutable so they
 can key FIB/VRF dictionaries.
 
-The two types are built differently because they are read differently.
-:class:`Prefix` is the key of every RIB, RT-index and FIB dict, so it *is*
-a tuple (a ``NamedTuple`` subclass): hashing, ``==``, ``<`` and
-``sorted()`` run in C with no Python frame per key, and a ``Prefix``
-equals the plain ``(network, length)`` pair.  :class:`IPv4Address` is read
-by attribute once per packet-hop and hashed rarely, so it stays a slotted
-dataclass (a slot read is cheaper than a tuple-field getter).
+Both types are tuples (``NamedTuple`` subclasses), because both are hashed
+on the hot paths: a :class:`Prefix` keys every RIB, RT-index and FIB dict,
+and an :class:`IPv4Address` is looked up in a node's ``addresses`` dict on
+every IP-path hop and every host delivery.  Hashing, ``==``, ``<`` and
+``sorted()`` then run in C with no Python frame per key; ``__new__`` keeps
+the range checks.  Measured per operation under CPython 3.11 on a shared
+two-core x86-64 host (``timeit``, best of seven, ranges over three runs),
+the slotted dataclass the address used to be (a Python ``__hash__`` and a
+generated ``__eq__``, one frame each) against the tuple it is now: dict
+membership of a present key 260-390 ns -> 50-70 ns, construction 470-560
+ns -> 340-410 ns, ``.value`` read 14-17 ns -> 23-37 ns (a tuple-field
+getter, not a slot).  An IP-path hop makes one membership test and one
+``.value`` read, so the tuple wins on every hop.
+
+A tuple equals the plain tuple of its fields: ``Prefix(n, l) == (n & mask,
+l)`` and ``IPv4Address(v) == (v,)``, with the same hashes.  Build both
+through their constructors, never ``tuple.__new__`` / ``_make`` /
+``_replace``, which skip the checks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 __all__ = ["IPv4Address", "Prefix", "AddressError", "MASKS"]
@@ -40,24 +50,27 @@ class AddressError(ValueError):
     """Malformed address or prefix."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class IPv4Address:
-    """A 32-bit IPv4 address.
-
-    Accepts an ``int`` or dotted-quad ``str`` via :meth:`parse`.
-    """
-
+class _AddressFields(NamedTuple):
     value: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 0xFFFFFFFF:
-            raise AddressError(f"address out of range: {self.value:#x}")
 
-    def __hash__(self) -> int:
-        # The dataclass-generated hash allocates a (value,) tuple per call;
-        # addresses key FIB/VRF dicts on the control-plane hot path, so
-        # hash the int directly (identical equality semantics).
-        return hash(self.value)
+_tuple_new = tuple.__new__
+
+
+class IPv4Address(_AddressFields):
+    """A 32-bit IPv4 address.
+
+    Accepts an ``int`` or dotted-quad ``str`` via :meth:`parse`.  Pickle
+    and ``copy`` rebuild through the constructor (``__getnewargs__`` of the
+    tuple base), so a restored address has passed the range check too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "IPv4Address":
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise AddressError(f"address out of range: {value:#x}")
+        return _tuple_new(cls, (value,))
 
     @classmethod
     def parse(cls, text: str | int | "IPv4Address") -> "IPv4Address":
@@ -95,9 +108,6 @@ class IPv4Address:
 class _PrefixFields(NamedTuple):
     network: int
     length: int
-
-
-_tuple_new = tuple.__new__
 
 
 class Prefix(_PrefixFields):

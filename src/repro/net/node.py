@@ -278,7 +278,7 @@ class Host(Node):
         self.gateway_ifname: str | None = None
 
     def handle(self, pkt: Packet, ifname: str) -> None:
-        if self.owns(pkt.ip.dst):
+        if pkt.ip.dst in self.addresses:
             self.deliver_local(pkt)
             return
         self.send(pkt)

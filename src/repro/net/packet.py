@@ -133,13 +133,14 @@ class Packet:
     encap_overhead: int = 0
     created: float = 0.0
     vc_id: int | None = None
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     hops: int = 0
     # Memoized CRC32 ECMP key (repro.dataplane.flow_hash).  Never
     # invalidated: the 5-tuple is immutable for the packet's lifetime.
     flow_hash_cache: int | None = field(default=None, repr=False, compare=False)
-    # Memoized wire size; invalidated by the label-stack mutators (the only
-    # post-construction size changes — payload/encap are set at creation).
+    # Memoized wire size; the label-stack mutators keep it in step by one
+    # shim (the only post-construction size changes — payload/encap are
+    # set at creation).
     _wire: int | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -149,10 +150,11 @@ class Packet:
     def wire_bytes(self) -> int:
         """Total bytes this packet occupies on a link.
 
-        Memoized: the size only changes on a label push/pop (which clears
-        the memo).  Queues, shapers, meters and the transmitter ask several
-        times per hop and read the memo directly — ``pkt._wire or
-        pkt.wire_bytes`` — so a warm memo costs them no call.
+        Memoized: the size only changes on a label push/pop, which moves a
+        warm memo by ``MPLS_SHIM_BYTES``.  Queues, shapers, meters and the
+        transmitter ask several times per hop and read the memo directly —
+        ``pkt._wire or pkt.wire_bytes`` — so a warm memo costs them no
+        call.
         """
         w = self._wire
         if w is None:
@@ -180,7 +182,9 @@ class Packet:
             ttl = below
         entry = MplsEntry(label, exp, ttl)
         self.mpls_stack.append(entry)
-        self._wire = None
+        w = self._wire
+        if w is not None:
+            self._wire = w + MPLS_SHIM_BYTES
         return entry
 
     def swap_label(self, label: int, exp: int | None = None) -> MplsEntry:
@@ -202,7 +206,9 @@ class Packet:
         if not self.mpls_stack:
             raise PacketError("pop on empty label stack")
         entry = self.mpls_stack.pop()
-        self._wire = None
+        w = self._wire
+        if w is not None:
+            self._wire = w - MPLS_SHIM_BYTES
         if self.mpls_stack:
             self.mpls_stack[-1].ttl = entry.ttl
         else:

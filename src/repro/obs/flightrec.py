@@ -8,9 +8,10 @@ which is exactly the black-box behaviour the name promises — after
 something goes wrong you read out the recent past.
 
 Recording is the hot path and reading is post-mortem, so the price sits on
-the reader: a producer builds one tuple literal (no Python-level
-constructor per hop) and :class:`HopRecord`, the public read type, is
-materialised from rows only by :meth:`FlightRecorder.records`,
+the reader: a producer is one frame that builds one tuple literal (no
+Python-level constructor or comprehension per hop) and
+:class:`HopRecord`, the public read type, is materialised from rows only
+by :meth:`FlightRecorder.records`,
 :meth:`~FlightRecorder.path_of`, :meth:`~FlightRecorder.to_json` and
 :meth:`~FlightRecorder.explain`.  A row copies ``uid``/``flow``/``seq`` and
 the label values out of the packet at record time, so it is a snapshot:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 from repro.net.packet import Packet
@@ -80,6 +82,10 @@ class HopRecord:
 _FLOW = HopRecord.__slots__.index("flow")
 _SEQ = HopRecord.__slots__.index("seq")
 
+# A producer copies the label values with ``map`` over this C getter: a
+# comprehension would be one more Python frame per row.
+_label_of = attrgetter("label")
+
 
 class FlightRecorder:
     """Bounded ring buffer of hop rows (see module docstring)."""
@@ -100,7 +106,7 @@ class FlightRecorder:
         while inner.inner is not None:
             inner = inner.inner
         stack = pkt.mpls_stack
-        labels = tuple([e.label for e in stack]) if stack else ()
+        labels = tuple(map(_label_of, stack)) if stack else ()
         self._ring.append((time, node, "rx", inner.uid, inner.flow, inner.seq,
                            ifname, labels, None, None, None, None))
         self.recorded += 1
@@ -110,7 +116,7 @@ class FlightRecorder:
         while inner.inner is not None:
             inner = inner.inner
         stack = pkt.mpls_stack
-        labels = tuple([e.label for e in stack]) if stack else ()
+        labels = tuple(map(_label_of, stack)) if stack else ()
         self._ring.append((time, node, "enqueue", inner.uid, inner.flow, inner.seq,
                            ifname, labels, None, None, None, backlog))
         self.recorded += 1
@@ -120,7 +126,7 @@ class FlightRecorder:
         while inner.inner is not None:
             inner = inner.inner
         stack = pkt.mpls_stack
-        labels = tuple([e.label for e in stack]) if stack else ()
+        labels = tuple(map(_label_of, stack)) if stack else ()
         self._ring.append((time, node, "dequeue", inner.uid, inner.flow, inner.seq,
                            ifname, labels, None, None, None, backlog))
         self.recorded += 1
@@ -130,7 +136,7 @@ class FlightRecorder:
         while inner.inner is not None:
             inner = inner.inner
         stack = pkt.mpls_stack
-        labels = tuple([e.label for e in stack]) if stack else ()
+        labels = tuple(map(_label_of, stack)) if stack else ()
         self._ring.append((time, node, "deliver", inner.uid, inner.flow, inner.seq,
                            None, labels, None, None, None, None))
         self.recorded += 1
@@ -142,7 +148,7 @@ class FlightRecorder:
         while inner.inner is not None:
             inner = inner.inner
         stack = pkt.mpls_stack
-        labels = tuple([e.label for e in stack]) if stack else ()
+        labels = tuple(map(_label_of, stack)) if stack else ()
         self._ring.append((time, node, "drop", inner.uid, inner.flow, inner.seq,
                            ifname, labels, None, None, reason, None))
         self.recorded += 1
@@ -158,7 +164,7 @@ class FlightRecorder:
         while inner.inner is not None:
             inner = inner.inner
         stack = pkt.mpls_stack
-        labels = tuple([e.label for e in stack]) if stack else ()
+        labels = tuple(map(_label_of, stack)) if stack else ()
         self._ring.append((time, node, op, inner.uid, inner.flow, inner.seq,
                            None, labels, old, new, None, None))
         self.recorded += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.packet import Packet
-from repro.qos.dscp import class_of_dscp_name
+from repro.qos.dscp import CLASS_NAME_OF_DSCP
 
 __all__ = ["FlowAccountant"]
 
@@ -36,22 +36,21 @@ class FlowAccountant:
     # ------------------------------------------------------------------
     # Producers (called from the PE data plane)
     # ------------------------------------------------------------------
-    def _account(self, pe: str, vrf: str, direction: str, pkt: Packet) -> None:
-        cls = class_of_dscp_name(pkt.ip.dscp)
-        key = (pe, vrf, direction, cls)
-        cell = self._table.get(key)
-        if cell is None:
+    def _account(self, key: tuple[str, str, str, str], pkt: Packet) -> None:
+        try:
+            cell = self._table[key]
+        except KeyError:
             cell = self._table[key] = [0, 0]
         cell[0] += 1
-        cell[1] += pkt.wire_bytes
+        cell[1] += pkt._wire or pkt.wire_bytes
 
     def ingress(self, pe: str, vrf: str, pkt: Packet) -> None:
         """Customer packet entering its VPN at ``pe`` (pre-label wire size)."""
-        self._account(pe, vrf, "ingress", pkt)
+        self._account((pe, vrf, "ingress", CLASS_NAME_OF_DSCP[pkt.ip.dscp]), pkt)
 
     def egress(self, pe: str, vrf: str, pkt: Packet) -> None:
         """Packet leaving the backbone into ``vrf`` at ``pe``."""
-        self._account(pe, vrf, "egress", pkt)
+        self._account((pe, vrf, "egress", CLASS_NAME_OF_DSCP[pkt.ip.dscp]), pkt)
 
     # ------------------------------------------------------------------
     # Consumers

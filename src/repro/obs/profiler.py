@@ -8,23 +8,30 @@ and *how many events per wall-second does the kernel sustain*.
 
 Costs are kept proportional to what is measured:
 
-* per event — one kind resolution (a couple of dict hits after warm-up)
-  and a counter bump;
+* per event — one dict probe (keyed by the callback's function, code
+  object or type) and two counter bumps, in the hook's own frame;
 * every ``sample_every``-th event — a ``perf_counter`` pair plus two
   histogram observations (callback wall time, heap depth).
 
 With no profiler attached the kernel pays exactly one ``is None`` check
 per event (see ``sim/engine.py``).
 
-Kind resolution understands the kernel's callback shapes: bound methods
-(``Node.receive``), plain functions, callable objects.  A call scheduled
-with arguments (``Simulator.schedule_call``) carries the real callback on
-the event, so attribution lands on it without unwrapping anything.
+Kind resolution understands the kernel's callback shapes: a bound method
+(``Node.receive``) is keyed by its ``__func__`` (a slot read; reading a
+function's ``__code__`` is a descriptor call, 20-40 % of the hook's time
+in a CPython 3.11 ``timeit`` of it), a plain function by its code object
+(so the closures one ``def`` makes share a key), anything else (a callable
+object, a ``functools.partial``, a builtin) by its type, so a callback
+that cannot be hashed profiles like any other.  A key's kind name is
+resolved once, on its first event.  A call scheduled with arguments
+(``Simulator.schedule_call``) carries the real callback on the event, so
+attribution lands on it without unwrapping anything.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
+from types import CodeType, FunctionType, MethodType
 from typing import Any
 
 from repro.obs.registry import DEFAULT_TIME_BUCKETS, Histogram
@@ -53,11 +60,13 @@ class KernelProfiler:
         self._time_buckets = time_buckets
         self._events = 0
         self._sampled = 0
-        # kind -> [event_count, sampled_count]
-        self._counts: dict[str, list[int]] = {}
+        # kind -> [event_count, sampled_count, kind]
+        self._counts: dict[str, list] = {}
+        # method function, code object or type -> its kind's _counts cell
+        # (shared by every key whose kind name is the same)
+        self._cells: dict[Any, list] = {}
         self._times: dict[str, Histogram] = {}
         self._heap = Histogram(depth_buckets)
-        self._kind_cache: dict[Any, str] = {}
         self._wall_start: float | None = None
         self._wall_total = 0.0
         # Bind the hook once: attribute access on a method builds a fresh
@@ -90,37 +99,45 @@ class KernelProfiler:
     # ------------------------------------------------------------------
     def _run_event(self, event: Event) -> None:
         cb = event.callback
-        args = event.args
-        kind = self._resolve(cb)
-        counts = self._counts.get(kind)
-        if counts is None:
-            counts = self._counts[kind] = [0, 0]
+        cb_type = type(cb)
+        if cb_type is MethodType:
+            key = cb.__func__
+        elif cb_type is FunctionType:
+            key = cb.__code__
+        else:
+            key = cb_type
+        try:
+            counts = self._cells[key]
+        except KeyError:
+            counts = self._cell(key)
         counts[0] += 1
         self._events += 1
         if self._events % self.sample_every:
-            cb(*args)
+            cb(*event.args)
             return
         t0 = perf_counter()
-        cb(*args)
+        cb(*event.args)
         dt = perf_counter() - t0
         counts[1] += 1
         self._sampled += 1
+        kind = counts[2]
         hist = self._times.get(kind)
         if hist is None:
             hist = self._times[kind] = Histogram(self._time_buckets)
         hist.observe(dt)
         self._heap.observe(float(self.sim.pending))
 
-    def _resolve(self, cb: Any) -> str:
-        """Human-readable kind for a callback (cached by code object)."""
-        func = getattr(cb, "__func__", None)
-        code = func.__code__ if func is not None else getattr(cb, "__code__", None)
-        key = code if code is not None else type(cb)
-        name = self._kind_cache.get(key)
-        if name is None:
-            name = code.co_qualname if code is not None else type(cb).__qualname__
-            self._kind_cache[key] = name
-        return name
+    def _cell(self, key: Any) -> list:
+        """First event of ``key`` (a method's function, a code object or a
+        type): resolve its kind name — the code's qualified name, else the
+        key's own — and file the key under that kind's counters."""
+        code = key if isinstance(key, CodeType) else getattr(key, "__code__", None)
+        kind = code.co_qualname if code is not None else key.__qualname__
+        counts = self._counts.get(kind)
+        if counts is None:
+            counts = self._counts[kind] = [0, 0, kind]
+        self._cells[key] = counts
+        return counts
 
     # ------------------------------------------------------------------
     def wall_seconds(self) -> float:
@@ -138,7 +155,7 @@ class KernelProfiler:
         """
         wall = self.wall_seconds()
         kinds = []
-        for kind, (events, sampled) in self._counts.items():
+        for kind, (events, sampled, _kind) in self._counts.items():
             hist = self._times.get(kind)
             wall_sampled = hist.sum if hist is not None else 0.0
             kinds.append(

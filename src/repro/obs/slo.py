@@ -40,7 +40,7 @@ from typing import Any, Optional
 from repro.metrics.sla import SlaSpec, SlaVerdict, evaluate
 from repro.metrics.stats import FlowStats
 from repro.obs.sketch import QuantileSketch, StreamingJitter
-from repro.qos.dscp import class_of_dscp_name
+from repro.qos.dscp import CLASS_NAME_OF_DSCP
 
 __all__ = ["SloStream", "SloEngine"]
 
@@ -343,7 +343,9 @@ class SloEngine:
     # -- hot path (only when attached) ----------------------------------
     def deliver(self, now: float, node_name: str, pkt) -> None:
         """TraceBus.slo protocol: called once per local delivery."""
-        original = pkt.innermost()
+        original = pkt
+        while original.inner is not None:
+            original = original.inner
         flow = original.flow
         if isinstance(flow, str) and flow.startswith(("__heal", "__probe")):
             return
@@ -355,10 +357,11 @@ class SloEngine:
                 str(flow), self._flow_specs.get(flow),
                 self.window_s, self.sketch_k,
             )
-        stream.observe(now, delay, original.seq, original.wire_bytes)
+        size = original._wire or original.wire_bytes
+        stream.observe(now, delay, original.seq, size)
         vrf = self._node_vrf.get(node_name)
         if vrf is not None:
-            cls = class_of_dscp_name(original.ip.dscp)
+            cls = CLASS_NAME_OF_DSCP[original.ip.dscp]
             ckey = (vrf, cls)
             cstream = self.classes.get(ckey)
             if cstream is None:
@@ -366,7 +369,7 @@ class SloEngine:
                     f"{vrf}×{cls}", None,
                     self.window_s, self.sketch_k,
                 )
-            cstream.observe(now, delay, original.seq, original.wire_bytes)
+            cstream.observe(now, delay, original.seq, size)
 
     def account_fluid(
         self, flow: Any, *, packets: int, bytes_: int, delay_s: float, now: float

@@ -149,9 +149,13 @@ class CbqScheduler(QueueDiscipline):
         prio = min(by_prio)
         candidates = by_prio[prio]
         start = self._rr_pointer.get(prio, 0)
-        # Rotate candidates so the pointer advances fairly.
-        ordered = sorted(candidates, key=lambda i: (i <= start, i))
-        chosen = ordered[0]
+        # Rotate so the pointer advances fairly: the first candidate after
+        # it, else (wrapping round) the first one.  Candidates ascend.
+        chosen = candidates[0]
+        for i in candidates:
+            if i > start:
+                chosen = i
+                break
         if self._rr_pointer is EMPTY_MAP:
             self._rr_pointer = {}
         self._rr_pointer[prio] = chosen

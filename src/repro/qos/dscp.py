@@ -17,6 +17,7 @@ __all__ = [
     "ServiceClass",
     "PHB_OF_DSCP",
     "CLASS_OF_DSCP",
+    "CLASS_NAME_OF_DSCP",
     "CLASS_OF_EXP",
     "EXP_OF_DSCP",
     "check_dscp",
@@ -105,6 +106,7 @@ def class_of_dscp_name(dscp: int) -> str:
 _index = DEFAULT_CLASS_ORDER.index
 _PHBS = [PHB_OF_DSCP.get(d, ("BE", 0)) for d in range(64)]
 CLASS_OF_DSCP: tuple[int, ...] = tuple(_index(name) for name, _prec in _PHBS)
+CLASS_NAME_OF_DSCP: tuple[str, ...] = tuple(name for name, _prec in _PHBS)
 EXP_OF_DSCP: tuple[int, ...] = tuple(
     5 if name == "EF" else 4 - min(prec, 3) if name == "AF" else 0
     for name, prec in _PHBS

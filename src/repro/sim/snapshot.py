@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/15``), the ``repro`` version
+The header names the schema (``repro.snapshot/16``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled.  An image is the
@@ -27,9 +27,11 @@ shape this reader's classes no longer have (a ``/12`` image, for one,
 holds a provisioner's engine signature and an engine's route reflector
 beside its clusters; a ``/14`` image's PEs hold a ``qos_exp_mapping``
 flag this reader never consults, so a QoS-blind edge would come back
-mapping DSCP to EXP); it unpickles into a wrong graph or fails deep
-inside it, and so does one with a flipped bit (about one in six still
-unpickles).  The header exists to refuse both up front.
+mapping DSCP to EXP; a ``/15`` image holds each address as a slotted
+object, which this reader's tuple ``IPv4Address`` cannot load, and each
+LSR's EXP policy as ``impose_exp``, which this reader's checked property
+shadows); it unpickles into a wrong graph or fails deep inside it, and so
+does one with a flipped bit (about one in six still unpickles).  The header exists to refuse both up front.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
 ``(routes, lookups, generation)``): the LPM trie is an index the first
@@ -104,7 +106,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/15"
+SCHEMA = "repro.snapshot/16"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

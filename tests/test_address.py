@@ -226,3 +226,58 @@ class TestPrefixIsATupleValue:
         assert hash(p) == hash(t)
         assert (p in by_pair) == (t in by_prefix) == (t in by_pair)
         assert by_prefix.get(t) == by_pair.get(p)
+
+
+class TestIPv4AddressIsATupleValue:
+    """The address is a one-field tuple, as Prefix is a pair: hashing,
+    ``==`` and ordering run in C, and only the checked constructor builds
+    one."""
+
+    @given(addresses)
+    def test_hash_and_eq_agree_across_parse_and_constructor(self, value):
+        made = IPv4Address(value)
+        for other in (IPv4Address.parse(str(made)), IPv4Address.parse(value),
+                      IPv4Address(value)):
+            assert other == made and hash(other) == hash(made)
+            assert {made: 1}[other] == 1
+
+    @given(st.lists(addresses, max_size=30))
+    def test_order_is_the_integer_order(self, values):
+        addrs = [IPv4Address(v) for v in values]
+        assert [a.value for a in sorted(addrs)] == sorted(values)
+        if len(addrs) >= 2:
+            a, b = addrs[0], addrs[1]
+            assert (a < b) == (a.value < b.value)
+            assert (a <= b) == (a.value <= b.value)
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_keeps_type_value_and_hash(self, protocol):
+        a = IPv4Address.parse("10.1.2.3")
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert type(b) is IPv4Address and b == a and hash(b) == hash(a)
+        for c in (copy.copy(a), copy.deepcopy(a)):
+            assert type(c) is IPv4Address and c == a
+
+    def test_pickle_rebuilds_through_the_range_check(self):
+        # Protocol 2+ calls IPv4Address.__new__(*__getnewargs__()): an
+        # image edited to hold -1 (the same four bytes, all ones) fails on
+        # load instead of coming back as an address.
+        blob = pickle.dumps(IPv4Address(0x7FFFFFF0), 2)
+        edited = blob.replace((0x7FFFFFF0).to_bytes(4, "little"), b"\xff" * 4)
+        assert edited != blob
+        with pytest.raises(AddressError):
+            pickle.loads(edited)
+
+    @given(addresses)
+    def test_equals_its_one_field_tuple(self, value):
+        a = IPv4Address(value)
+        assert a == (value,) and hash(a) == hash((value,))
+        assert {(value,): "pair"}[a] == "pair"
+        assert {a: "addr"}[(value,)] == "addr"
+
+    def test_attributes_are_read_only(self):
+        a = IPv4Address(1)
+        with pytest.raises(AttributeError):
+            a.value = 2
+        with pytest.raises(AttributeError):
+            a.note = "no instance dict"

@@ -145,3 +145,36 @@ class TestStats:
         assert q.enqueue(pkt(cls=0), 0.0)
         assert not q.enqueue(pkt(cls=0), 0.0)
         assert q.class_stats()["only"][2] == 1
+
+
+class TestRoundRobin:
+    @staticmethod
+    def _rotation_reference(candidates, start):
+        # The rotation rule as first written: the candidates sorted so the
+        # ones after the pointer come first.
+        return sorted(candidates, key=lambda i: (i <= start, i))[0]
+
+    @pytest.mark.parametrize("depths, want", [
+        ((3, 3, 3), [1, 2, 0, 1, 2, 0, 1, 2, 0]),
+        ((3, 1, 3), [1, 2, 0, 2, 0, 2, 0]),
+        ((1, 0, 2), [2, 0, 2]),
+    ])
+    def test_equal_priority_order_is_unchanged(self, depths, want):
+        """Three classes of one priority, all underlimit: the pointer
+        starts at 0, serves the first backlogged class after it and wraps
+        round, skipping an empty class."""
+        classes = [CbqClass(n, rate_bps=1e9, priority=1, burst_bytes=10**6)
+                   for n in ("a", "b", "c")]
+        q = CbqScheduler(classes, by_tag)
+        for cls, depth in enumerate(depths):
+            for _ in range(depth):
+                q.enqueue(pkt(100, cls=cls), 0.0)
+        got = []
+        start = 0
+        while (p := q.dequeue(0.0)) is not None:
+            backlogged = [i for i, c in enumerate(classes)
+                          if c.queue.q or i == p.flow]
+            assert p.flow == self._rotation_reference(backlogged, start)
+            start = p.flow
+            got.append(p.flow)
+        assert got == want

@@ -24,6 +24,8 @@ import pytest
 
 from repro.dataplane import GenCache
 from repro.dataplane.pipeline import COLUMNAR_MIN
+from repro.mpls import Lsr
+from repro.mpls.lfib import LabelOp, LfibEntry, Nhlfe
 from repro.net.address import IPv4Address
 from repro.net.packet import IPHeader, Packet
 from repro.obs import runtime
@@ -402,6 +404,65 @@ class TestMixedBursts:
         slow = _with_vector_mode(False, self._invalidation_between_bursts)
         assert fast == slow
         assert fast[1] >= 1  # the churn really flushed the cache
+
+
+class _ExpTap(DropTailFifo):
+    """Logs the top entry's EXP of every labeled packet queued here."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self.log = log
+
+    def enqueue(self, pkt: Packet, now: float) -> bool:
+        if pkt.mpls_stack:
+            self.log.append(pkt.mpls_stack[-1].exp)
+        return super().enqueue(pkt, now)
+
+
+class TestCheckedLabelFields:
+    """Both tiers write a label-stack entry's fields without checking
+    them, so each field is checked where its value is made: an NHLFE's and
+    an LFIB entry's labels by their constructors, a pinned EXP by the
+    ``impose_exp`` setter."""
+
+    def _pin_bad_exp_mid_run(self) -> tuple:
+        net = Network(seed=7)
+        r1 = net.add_node(Lsr(net.sim, "r1"))
+        r2 = net.add_node(Lsr(net.sim, "r2"))
+        exps: list[int] = []
+        net.connect(r1, r2, 1e6, 1e-3,
+                    qdisc_factory=lambda node, ifname: _ExpTap(exps))
+        tx = attach_host(net, r1, "10.66.0.1", name="tx", rate_bps=float("inf"))
+        rx = attach_host(net, r2, "10.66.0.2", name="rx", rate_bps=100e6)
+        converge(net)
+        prefix, _route = r1.fib.lookup_prefix(IPv4Address.parse("10.66.0.2"))
+        r2.lfib.install(100, LfibEntry(LabelOp.POP_PROCESS))
+        r1.ftn.bind(prefix, Nhlfe("to-r2", (100,)))
+        sink = FlowSink(net.sim).attach(rx)
+        src = CbrSource(net.sim, tx.send, "f", "10.66.0.1", "10.66.0.2",
+                        payload_bytes=200, rate_bps=1e6, burst=8, dscp=46)
+        src.start(0.0, stop_at=0.1)
+        refused: list[str] = []
+
+        def pin() -> None:  # once the flow cache is warm
+            try:
+                r1.impose_exp = 9
+            except ValueError as exc:
+                refused.append(str(exc))
+
+        net.sim.schedule_at(0.05, pin)
+        net.run(until=1.0)
+        return src.sent, _flow_view(sink, ["f"]), exps, refused, r1.impose_exp
+
+    def test_bad_impose_exp_reaches_neither_tier(self) -> None:
+        fast = _with_vector_mode(True, self._pin_bad_exp_mid_run)
+        slow = _with_vector_mode(False, self._pin_bad_exp_mid_run)
+        assert fast == slow
+        sent, view, exps, refused, exp_after = fast
+        assert sent > 40 and len(view[0][1]) == sent == len(exps)
+        assert set(exps) == {5}  # EF's EXP, from the DSCP
+        assert len(refused) == 1 and refused[0].startswith("r1: impose_exp")
+        assert exp_after is None
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,29 @@ class TestLfib:
         with pytest.raises(ValueError):
             LfibEntry(LabelOp.VPN)  # missing vrf
 
+    @pytest.mark.parametrize("kw", [
+        dict(op=LabelOp.SWAP, out_label=1 << 20, out_ifname="eth0"),
+        dict(op=LabelOp.SWAP, out_label=-1, out_ifname="eth0"),
+        dict(op=LabelOp.SWAP_PUSH, out_label=17, push_label=1 << 20, out_ifname="eth0"),
+        dict(op=LabelOp.SWAP_PUSH, out_label=1 << 20, push_label=17, out_ifname="eth0"),
+    ])
+    def test_entry_labels_are_20_bit(self, kw):
+        """The label-op stage writes an entry's labels into the stack
+        unchecked, so the entry refuses one outside 20 bits."""
+        with pytest.raises(ValueError, match="20-bit"):
+            LfibEntry(**kw)
+        edge = LfibEntry(LabelOp.SWAP_PUSH, out_label=0xFFFFF, push_label=0,
+                         out_ifname="eth0")
+        assert (edge.out_label, edge.push_label) == (0xFFFFF, 0)
+
+    @pytest.mark.parametrize("labels", [(1 << 20,), (17, 1 << 20), (-1,)])
+    def test_nhlfe_labels_are_20_bit(self, labels):
+        """Imposition (the scalar stage and the burst tier) pushes an
+        NHLFE's labels unchecked, so the NHLFE refuses one outside 20 bits."""
+        with pytest.raises(ValueError, match="20-bit"):
+            Nhlfe("eth0", labels)
+        assert Nhlfe("eth0", (0, 3, 0xFFFFF)).labels == (0, 3, 0xFFFFF)
+
     def test_install_lookup_remove(self):
         lfib = Lfib()
         e = LfibEntry(LabelOp.SWAP, out_label=99, out_ifname="eth0")
@@ -200,6 +223,17 @@ class TestLsrDataPlane:
         net.sim.schedule(0.0, lambda: a.handle(p, "in"))
         net.run(until=1.0)
         assert got[0].top_label.exp == 0
+
+    @pytest.mark.parametrize("bad", [8, 9, -1, True, 5.0, "5"])
+    def test_impose_exp_setter_rejects_a_non_exp_value(self, bad):
+        net, a, b = self._lsr_pair()
+        a.impose_exp = 5
+        with pytest.raises(ValueError, match="^a: impose_exp"):
+            a.impose_exp = bad
+        assert a.impose_exp == 5
+        for good in (None, 0, 7):
+            a.impose_exp = good
+            assert a.impose_exp == good
 
     def test_implicit_null_in_nhlfe_skipped(self):
         net, a, b = self._lsr_pair()

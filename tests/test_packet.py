@@ -45,6 +45,34 @@ class TestWireSize:
         p.encap_overhead = 8
         assert p.wire_bytes == 100 + 8 + IPV4_HEADER_BYTES
 
+    @given(st.integers(0, 1500), st.booleans(),
+           st.lists(st.booleans(), max_size=12))
+    def test_push_pop_keep_a_warm_memo_exact(self, payload, wrapped, ops):
+        """Any push / pop sequence leaves ``_wire`` equal to the size a
+        fresh computation gives: the mutators move a warm memo by one shim
+        instead of clearing it (the queues read ``pkt._wire`` first)."""
+        p = mk(payload)
+        if wrapped:
+            p = Packet(ip=IPHeader(IPv4Address(1), IPv4Address(2)), inner=p,
+                       encap_overhead=30)
+        p.wire_bytes  # warm the memo
+        for push in ops:
+            if push or not p.mpls_stack:
+                p.push_label(16 + len(p.mpls_stack))
+            else:
+                p.pop_label()
+            memo = p._wire
+            p._wire = None
+            assert memo == p.wire_bytes
+
+    def test_push_pop_leave_a_cold_memo_cold(self):
+        p = mk(100)
+        p.push_label(16)
+        p.push_label(17)
+        p.pop_label()
+        assert p._wire is None
+        assert p.wire_bytes == 100 + IPV4_HEADER_BYTES + MPLS_SHIM_BYTES
+
 
 class TestLabelStack:
     def test_push_swap_pop_cycle(self):

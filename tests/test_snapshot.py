@@ -342,6 +342,18 @@ def test_schema_14_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_15_image_refused_by_name(monkeypatch) -> None:
+    # A /15 image holds every IPv4Address as a slotted object, which this
+    # reader's tuple address cannot load (pickle.loads would fail with a
+    # TypeError from IPv4Address.__new__), and each LSR's EXP policy as
+    # ``impose_exp``, which this reader's checked property shadows.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/15")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/15'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
