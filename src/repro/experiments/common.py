@@ -17,7 +17,6 @@ from repro.metrics.stats import FlowStats, summarize_flow, summarize_hybrid_flow
 from repro.net.node import Node
 from repro.qos.classifier import mpls_aware_classifier
 from repro.qos.queues import (
-    ClassQueue,
     DeficitRoundRobin,
     DropTailFifo,
     FairQueueing,
@@ -37,12 +36,12 @@ __all__ = [
 ]
 
 
-def three_class_queues(capacity_packets: int = 100) -> list[ClassQueue]:
+def three_class_queues(capacity_packets: int = 100) -> list[DropTailFifo]:
     """EF / AF / BE class queues in the standard order."""
     return [
-        ClassQueue("EF", capacity_packets=capacity_packets),
-        ClassQueue("AF", capacity_packets=capacity_packets),
-        ClassQueue("BE", capacity_packets=capacity_packets),
+        DropTailFifo(capacity_packets, name="EF"),
+        DropTailFifo(capacity_packets, name="AF"),
+        DropTailFifo(capacity_packets, name="BE"),
     ]
 
 

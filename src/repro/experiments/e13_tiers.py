@@ -26,7 +26,7 @@ from repro.vpn.pe import PeRouter
 from repro.vpn.profiles import BRONZE, GOLD, SILVER, apply_profile
 from repro.vpn.provision import VpnProvisioner
 
-__all__ = ["build_tiered_network", "run_e13"]
+__all__ = ["build_tiered_network", "run_e13", "run_tiers"]
 
 CORE_BPS = 6e6
 OFFERED_BPS = 1.5e6   # identical workload per customer; 3 x 1.5 < 6 uncongested,
@@ -57,7 +57,12 @@ def build_tiered_network(seed: int = 131) -> dict[str, Any]:
 
 def run_e13(seed: int = 131, measure_s: float = 8.0) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """The E13 table: identical workloads, tier-determined outcomes."""
-    ctx = build_tiered_network(seed)
+    return run_tiers(build_tiered_network(seed), measure_s)
+
+
+def run_tiers(ctx: dict[str, Any], measure_s: float) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """E13's workload and table on a :func:`build_tiered_network` result
+    (or a restored snapshot of one)."""
     net = ctx["net"]
     run = ExperimentRun(net, warmup_s=0.5, measure_s=measure_s)
 

@@ -187,20 +187,6 @@ class Packet:
             self._wire = w + MPLS_SHIM_BYTES
         return entry
 
-    def swap_label(self, label: int, exp: int | None = None) -> MplsEntry:
-        """Replace the top label in place (the per-LSR swap of claim C4)."""
-        if not self.mpls_stack:
-            raise PacketError("swap on unlabeled packet")
-        if not 0 <= label <= 0xFFFFF:
-            raise PacketError(f"label out of 20-bit range: {label}")
-        top = self.mpls_stack[-1]
-        if exp is not None:
-            if not 0 <= exp <= 7:
-                raise PacketError(f"EXP out of 3-bit range: {exp}")
-            top.exp = exp
-        top.label = label
-        return top
-
     def pop_label(self) -> MplsEntry:
         """Pop the top entry, propagating TTL down (uniform model)."""
         if not self.mpls_stack:

@@ -25,9 +25,6 @@ from repro.obs.flightrec import FlightRecorder
 from repro.obs.flows import FlowAccountant
 from repro.obs.profiler import KernelProfiler
 from repro.obs.registry import MetricsRegistry
-from repro.qos.cbq import CbqScheduler
-from repro.qos.queues import DropTailFifo, _ClassfulBase
-from repro.qos.shaper import TokenBucketShaper
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports us)
     from repro.topology import Network
@@ -204,26 +201,14 @@ class Telemetry:
                 cnd.labels(**lab).set(s.conditioner_dropped)
                 busy.labels(**lab).set(s.busy_time)
                 backlog.labels(**lab).set(len(iface.qdisc))
-                for cls, cs in self._class_stats(iface.qdisc):
-                    clab = {"node": nname, "iface": ifname, "cls": cls}
-                    c_enq.labels(**clab).set(cs.enqueued)
-                    c_deq.labels(**clab).set(cs.dequeued)
-                    c_drp.labels(**clab).set(cs.dropped)
-                    c_byt.labels(**clab).set(cs.bytes_sent)
-
-    @staticmethod
-    def _class_stats(qdisc: Any):
-        """Yield ``(class_name, ClassStats)`` for any known discipline."""
-        if isinstance(qdisc, DropTailFifo):
-            yield "fifo", qdisc.stats
-        elif isinstance(qdisc, _ClassfulBase):
-            for i, cq in enumerate(qdisc.classes):
-                yield cq.name or f"class{i}", cq.stats
-        elif isinstance(qdisc, CbqScheduler):
-            for cls in qdisc.cbq_classes:
-                yield cls.name, cls.queue.stats
-        elif isinstance(qdisc, TokenBucketShaper):
-            yield "shaper", qdisc.stats
+                # Each class queue (a DropTailFifo) by its name; a discipline
+                # keeping none has no ``classes``.
+                for cq in getattr(iface.qdisc, "classes", ()):
+                    clab = {"node": nname, "iface": ifname, "cls": cq.name}
+                    c_enq.labels(**clab).set(cq.enqueued)
+                    c_deq.labels(**clab).set(cq.dequeued)
+                    c_drp.labels(**clab).set(cq.dropped)
+                    c_byt.labels(**clab).set(cq.bytes_sent)
 
     def _scrape_counters(self, reg: MetricsRegistry) -> None:
         fam = reg.gauge(

@@ -14,7 +14,6 @@ from repro.qos.dscp import (
     DSCP,
     PHB_OF_DSCP,
     ServiceClass,
-    class_of_dscp_name,
     dscp_to_class,
     dscp_to_exp,
     exp_to_class,
@@ -28,13 +27,10 @@ from repro.qos.meter import (
     exp_from_dscp_marker,
     policer,
     srtcm_remarker,
-    trtcm_remarker,
 )
 from repro.qos.intserv import RSVP_REFRESH_S, IntServ, Reservation, intserv_classifier
 from repro.qos.shaper import TokenBucketShaper
 from repro.qos.queues import (
-    ClassQueue,
-    ClassStats,
     DeficitRoundRobin,
     DropTailFifo,
     FairQueueing,
@@ -50,11 +46,11 @@ __all__ = [
     "mpls_aware_classifier", "llsp_classifier",
     "RSVP_REFRESH_S", "IntServ", "Reservation", "intserv_classifier",
     "DEFAULT_CLASS_ORDER", "DSCP", "PHB_OF_DSCP", "ServiceClass",
-    "class_of_dscp_name", "dscp_to_class", "dscp_to_exp", "exp_to_class",
+    "dscp_to_class", "dscp_to_exp", "exp_to_class",
     "Color", "SrTCM", "TokenBucket", "TrTCM", "TokenBucketShaper",
     "dscp_marker", "exp_from_dscp_marker",
-    "policer", "srtcm_remarker", "trtcm_remarker",
-    "ClassQueue", "ClassStats", "DeficitRoundRobin", "DropTailFifo",
+    "policer", "srtcm_remarker",
+    "DeficitRoundRobin", "DropTailFifo",
     "FairQueueing", "PriorityScheduler", "QueueDiscipline", "WeightedRoundRobin",
     "RedParams", "RedQueueManager", "WredQueueManager", "standard_wred",
 ]

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from repro.net.empty import EMPTY_MAP
 from repro.net.packet import Packet
 from repro.qos.meter import TokenBucket
-from repro.qos.queues import ClassifyFn, ClassQueue, DropCallback, QueueDiscipline
+from repro.qos.queues import ClassifyFn, DropTailFifo, _ClassfulBase
 
 __all__ = ["CbqClass", "CbqScheduler"]
 
@@ -60,13 +60,11 @@ class CbqClass:
     can_borrow: bool = True
     burst_bytes: int = 8000
     capacity_packets: int | None = 200
-    queue: ClassQueue = field(init=False)
+    queue: DropTailFifo = field(init=False)
     bucket: TokenBucket = field(init=False)
 
     def __post_init__(self) -> None:
-        self.queue = ClassQueue(
-            name=self.name, capacity_packets=self.capacity_packets
-        )
+        self.queue = DropTailFifo(self.capacity_packets, name=self.name)
         self.bucket = TokenBucket(self.rate_bps, self.burst_bytes)
 
     def underlimit(self, nbytes: int, now: float) -> bool:
@@ -74,38 +72,26 @@ class CbqClass:
         return self.bucket.tokens(now) >= nbytes
 
 
-class CbqScheduler(QueueDiscipline):
+class CbqScheduler(_ClassfulBase):
     """Two-level CBQ link-sharing scheduler (see module docstring).
 
-    ``classify`` maps packets to indices into ``classes``.
+    ``classify`` maps packets to indices into ``classes``.  The class
+    queues (``classes``, as in every classful discipline) are the leaf
+    classes' FIFOs, so admission, the backlog count and the drop callback
+    are :class:`~repro.qos.queues._ClassfulBase`'s; CBQ adds the
+    estimator-driven choice of the class to serve.
     """
 
     def __init__(self, classes: Sequence[CbqClass], classify: ClassifyFn) -> None:
         if not classes:
             raise ValueError("need at least one CBQ class")
+        super().__init__([c.queue for c in classes], classify)
         self.cbq_classes = list(classes)
-        self.classify = classify
         # Round-robin pointer per priority level for fairness among equals;
         # the shared empty mapping until the first dequeue writes one.
         self._rr_pointer: dict[int, int] = EMPTY_MAP
-        # Total backlog, maintained on push/pop so len() is O(1) — the
-        # driving interface checks it every transmit cycle.
-        self._count = 0
 
     # ------------------------------------------------------------------
-    def enqueue(self, pkt: Packet, now: float) -> bool:
-        idx = self.classify(pkt)
-        if not 0 <= idx < len(self.cbq_classes):
-            idx = len(self.cbq_classes) - 1
-        ok = self.cbq_classes[idx].queue.push(pkt, now)
-        if ok:
-            self._count += 1
-        return ok
-
-    def set_drop_callback(self, cb: DropCallback | None) -> None:
-        for cls in self.cbq_classes:
-            cls.queue.on_drop = cb
-
     def dequeue(self, now: float) -> Optional[Packet]:
         # Pass 1: underlimit classes, in priority order (guaranteed shares).
         pick = self._select(now, borrowing=False)
@@ -134,13 +120,13 @@ class CbqScheduler(QueueDiscipline):
         """
         by_prio: dict[int, list[int]] = {}
         for i, cls in enumerate(self.cbq_classes):
-            if not cls.queue.q:
+            if not cls.queue._q:
                 continue
             if borrowing:
                 if not cls.can_borrow:
                     continue
             else:
-                head = cls.queue.q[0]
+                head = cls.queue._q[0]
                 if not cls.underlimit(head._wire or head.wire_bytes, now):
                     continue
             by_prio.setdefault(cls.priority, []).append(i)
@@ -170,26 +156,11 @@ class CbqScheduler(QueueDiscipline):
         """
         best = float("inf")
         for cls in self.cbq_classes:
-            if not cls.queue.q:
+            if not cls.queue._q:
                 continue
             if cls.can_borrow:
                 return now
-            head = cls.queue.q[0]
+            head = cls.queue._q[0]
             wait = cls.bucket.time_until(head._wire or head.wire_bytes, now)
             best = min(best, now + wait)
         return best
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def backlog_bytes(self) -> int:
-        return sum(c.queue.bytes for c in self.cbq_classes)
-
-    def class_stats(self) -> dict[str, tuple[int, int, int]]:
-        """Per-class (enqueued, dequeued, dropped) counters."""
-        return {
-            c.name: (c.queue.stats.enqueued, c.queue.stats.dequeued, c.queue.stats.dropped)
-            for c in self.cbq_classes
-        }

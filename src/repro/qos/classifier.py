@@ -16,7 +16,7 @@ disciplines, via small composable callables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.address import Prefix
 from repro.net.packet import Packet
@@ -54,27 +54,27 @@ def exp_classifier(pkt: Packet) -> int:
 mpls_aware_classifier = exp_classifier
 
 
-def llsp_classifier(node) -> "ClassifierFn":
+class llsp_classifier:
     """RFC 3270 L-LSP classification: the *label* implies the class.
 
-    Returns a per-node classifier closure: labeled packets whose top label
-    appears in the node's ``label_class`` map take that class; everything
-    else falls back to EXP/DSCP (E-LSP behaviour), so both models coexist
-    on one box.
+    A per-node classifier: labeled packets whose top label appears in the
+    node's ``label_class`` map take that class; everything else falls back
+    to EXP/DSCP (E-LSP behaviour), so both models coexist on one box.  A
+    class rather than a closure, so a network holding one snapshots it.
     """
 
-    def _classify(pkt: Packet) -> int:
+    __slots__ = ("node",)
+
+    def __init__(self, node) -> None:
+        self.node = node
+
+    def __call__(self, pkt: Packet) -> int:
         top = pkt.top_label
         if top is not None:
-            cls = node.label_class.get(top.label)
+            cls = self.node.label_class.get(top.label)
             if cls is not None:
                 return cls
         return exp_classifier(pkt)
-
-    return _classify
-
-
-ClassifierFn = Callable[[Packet], int]
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,6 @@ __all__ = [
     "dscp_to_exp",
     "exp_to_class",
     "dscp_to_class",
-    "class_of_dscp_name",
     "DEFAULT_CLASS_ORDER",
 ]
 
@@ -84,11 +83,6 @@ PHB_OF_DSCP: dict[int, tuple[str, int]] = {
     int(DSCP.BE): ("BE", 0),
     int(DSCP.CS1): ("BE", 1),
 }
-
-
-def class_of_dscp_name(dscp: int) -> str:
-    """Class name ("EF"/"AF"/"BE") for a DSCP."""
-    return PHB_OF_DSCP.get(int(dscp), ("BE", 0))[0]
 
 
 # ---------------------------------------------------------------------------

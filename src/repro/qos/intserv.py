@@ -130,18 +130,22 @@ class IntServ(ReservationLedger):
         return sum(2 * res.hops for res in self.reservations)
 
 
-def intserv_classifier(node):
+class intserv_classifier:
     """Interior per-flow classifier: reserved flows → class 0, else BE-ish.
 
     Linear scan over the router's reservation filters — the multi-field
     lookup *every* packet pays at *every* hop under IntServ.  Unreserved
-    traffic falls back to the EXP/DSCP classifier.
+    traffic falls back to the EXP/DSCP classifier.  A class rather than a
+    closure, so a network holding one snapshots it.
     """
 
-    def _classify(pkt: Packet) -> int:
-        for res in getattr(node, "rsvp_flows", ()):
+    __slots__ = ("node",)
+
+    def __init__(self, node) -> None:
+        self.node = node
+
+    def __call__(self, pkt: Packet) -> int:
+        for res in getattr(self.node, "rsvp_flows", ()):
             if res.match.matches(pkt):
                 return 0
         return max(1, exp_classifier(pkt))
-
-    return _classify

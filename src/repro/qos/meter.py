@@ -28,7 +28,6 @@ __all__ = [
     "policer",
     "dscp_marker",
     "srtcm_remarker",
-    "trtcm_remarker",
     "exp_from_dscp_marker",
 ]
 
@@ -219,13 +218,23 @@ def dscp_marker(
 ) -> Callable[[Packet, float], Optional[Packet]]:
     """Set the DSCP of (matching) packets — the CPE marking stage of §5."""
     check_dscp(dscp)
+    return _Marker(dscp, match)
 
-    def _mark(pkt: Packet, now: float) -> Optional[Packet]:
-        if match is None or match(pkt):
-            pkt.ip.dscp = dscp
+
+class _Marker:
+    """:func:`dscp_marker`'s conditioner (a class for the reasons
+    :class:`_Policer` is one)."""
+
+    __slots__ = ("dscp", "match")
+
+    def __init__(self, dscp: int, match: Callable[[Packet], bool] | None) -> None:
+        self.dscp = dscp
+        self.match = match
+
+    def __call__(self, pkt: Packet, now: float) -> Optional[Packet]:
+        if self.match is None or self.match(pkt):
+            pkt.ip.dscp = self.dscp
         return pkt
-
-    return _mark
 
 
 def srtcm_remarker(
@@ -236,7 +245,11 @@ def srtcm_remarker(
     red_dscp: int | None = None,
     match: Callable[[Packet], bool] | None = None,
 ) -> Callable[[Packet, float], Optional[Packet]]:
-    """Three-color conditioner: green/yellow remark, red drop or remark."""
+    """Three-color conditioner: green/yellow remark, red drop or remark.
+
+    ``meter`` is either three-color meter: a :class:`TrTCM` makes this the
+    two-rate CIR/PIR contract as an egress stage.
+    """
     if red_action not in ("drop", "remark"):
         raise ValueError(f"unknown red_action {red_action!r}")
     if red_action == "remark" and red_dscp is None:
@@ -244,34 +257,36 @@ def srtcm_remarker(
     for dscp in (green_dscp, yellow_dscp, red_dscp):
         if dscp is not None:
             check_dscp(dscp)
+    red = None if red_action == "drop" else red_dscp    # None: drop red
+    return _Remarker(meter, green_dscp, yellow_dscp, red, match)
 
-    def _condition(pkt: Packet, now: float) -> Optional[Packet]:
-        if match is not None and not match(pkt):
+
+class _Remarker:
+    """:func:`srtcm_remarker`'s conditioner (a class for the reasons
+    :class:`_Policer` is one); ``red_dscp`` ``None`` drops red."""
+
+    __slots__ = ("meter", "green_dscp", "yellow_dscp", "red_dscp", "match")
+
+    def __init__(self, meter, green_dscp, yellow_dscp, red_dscp, match) -> None:
+        self.meter = meter
+        self.green_dscp = green_dscp
+        self.yellow_dscp = yellow_dscp
+        self.red_dscp = red_dscp
+        self.match = match
+
+    def __call__(self, pkt: Packet, now: float) -> Optional[Packet]:
+        if self.match is not None and not self.match(pkt):
             return pkt
-        color = meter.color(pkt._wire or pkt.wire_bytes, now)
+        color = self.meter.color(pkt._wire or pkt.wire_bytes, now)
         if color is Color.GREEN:
-            pkt.ip.dscp = green_dscp
+            pkt.ip.dscp = self.green_dscp
         elif color is Color.YELLOW:
-            pkt.ip.dscp = yellow_dscp
+            pkt.ip.dscp = self.yellow_dscp
+        elif self.red_dscp is None:
+            return None
         else:
-            if red_action == "drop":
-                return None
-            pkt.ip.dscp = red_dscp  # type: ignore[assignment]
+            pkt.ip.dscp = self.red_dscp
         return pkt
-
-    return _condition
-
-
-def trtcm_remarker(
-    meter: TrTCM,
-    green_dscp: int,
-    yellow_dscp: int,
-    red_action: str = "drop",
-    red_dscp: int | None = None,
-    match: Callable[[Packet], bool] | None = None,
-) -> Callable[[Packet, float], Optional[Packet]]:
-    """Two-rate conditioner: the CIR/PIR contract as an egress stage."""
-    return srtcm_remarker(meter, green_dscp, yellow_dscp, red_action, red_dscp, match)
 
 
 def exp_from_dscp_marker() -> Callable[[Packet, float], Optional[Packet]]:
@@ -280,11 +295,11 @@ def exp_from_dscp_marker() -> Callable[[Packet, float], Optional[Packet]]:
     Installed on PE egress toward the core *after* label imposition; no-op
     for unlabeled packets.  This is the DSCP→EXP edge mapping of claim C6.
     """
+    return _exp_from_dscp
 
-    def _map(pkt: Packet, now: float) -> Optional[Packet]:
-        stack = pkt.mpls_stack
-        if stack:
-            stack[-1].exp = EXP_OF_DSCP[pkt.ip.dscp]
-        return pkt
 
-    return _map
+def _exp_from_dscp(pkt: Packet, now: float) -> Optional[Packet]:
+    stack = pkt.mpls_stack
+    if stack:
+        stack[-1].exp = EXP_OF_DSCP[pkt.ip.dscp]
+    return pkt

@@ -15,6 +15,15 @@ implements the scheduler family the paper's end-to-end QoS chain relies on:
 Class-based queueing with borrowing (CBQ), which the paper places at the
 customer premises (§5), lives in :mod:`repro.qos.cbq` and composes these.
 
+:class:`DropTailFifo` is the one bounded FIFO: every classful discipline
+(CBQ included) holds one per class, and the token-bucket shaper is one
+with a release gate.  The tail-drop / AQM rule and the per-class counters
+(``enqueued``, ``dropped``, ``dequeued``, ``bytes_sent``) live on it and
+nowhere else.  A classful discipline calls its class queues through
+``push`` / ``pop``, aliases of ``enqueue`` / ``dequeue``, so the
+discipline's own ``enqueue`` / ``dequeue`` is the one entry point an
+observer wrapping those names sees per packet.
+
 A discipline is a pure data structure driven by the interface: ``enqueue``
 may refuse (tail drop or an active-queue-management decision), ``dequeue``
 picks the next packet for the transmitter.  All byte accounting uses the
@@ -24,9 +33,9 @@ packet's memo (``pkt._wire or pkt.wire_bytes`` — no property frame per
 queue operation).
 
 An idle discipline holds no packet store: each of its deques (a
-:class:`DropTailFifo`'s, each class's :class:`ClassQueue`, a
+:class:`DropTailFifo`'s, so each class's and the shaper's, a
 :class:`FairQueueing` class's finish tags, the :class:`DeficitRoundRobin`
-active list, the shaper's FIFO) starts as :data:`IDLE`, the shared empty
+active list) starts as :data:`IDLE`, the shared empty
 tuple, and the first packet it accepts swaps in a ``deque`` that it then
 keeps.  Most interfaces of a provisioned network never queue a packet, and
 an empty ``deque`` (760 bytes) would be the largest thing such an interface
@@ -37,7 +46,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
 from repro.net.drops import DropReason
@@ -49,9 +57,7 @@ __all__ = [
     "DropCallback",
     "QueueDiscipline",
     "DropPolicy",
-    "ClassStats",
     "DropTailFifo",
-    "ClassQueue",
     "PriorityScheduler",
     "WeightedRoundRobin",
     "DeficitRoundRobin",
@@ -85,16 +91,6 @@ class DropPolicy(Protocol):
     def should_drop(self, pkt: Packet, backlog_bytes: int, now: float) -> bool: ...
 
     def notify_dequeue(self, backlog_bytes: int, now: float) -> None: ...
-
-
-@dataclass(slots=True)
-class ClassStats:
-    """Per-class counters every discipline maintains."""
-
-    enqueued: int = 0
-    dropped: int = 0
-    dequeued: int = 0
-    bytes_sent: int = 0
 
 
 class QueueDiscipline:
@@ -167,19 +163,29 @@ class DropTailFifo(QueueDiscipline):
         Tail-drop thresholds; ``None`` disables that limit.
     drop_policy:
         Optional AQM (e.g. RED) consulted before the tail-drop check.
+    name:
+        The class label telemetry reports the counters under; a FIFO built
+        without one reads the class default ``"fifo"`` and holds no
+        attribute for it (a classful discipline names a class queue called
+        ``"fifo"`` ``class<i>``, by its index).
 
-    The FIFO is every interface's default discipline, so it keeps the
-    :class:`ClassStats` counters (``enqueued``, ``dropped``, ``dequeued``,
-    ``bytes_sent``) as attributes of its own rather than in a record object,
-    and :attr:`stats` is the FIFO itself.
+    The FIFO is every interface's default discipline and every classful
+    discipline's class queue, so it keeps its counters (``enqueued``,
+    ``dropped``, ``dequeued``, ``bytes_sent``) as attributes of its own:
+    :attr:`stats` is the FIFO itself, and :attr:`classes` is ``(self,)``.
     """
+
+    name = "fifo"
 
     def __init__(
         self,
         capacity_packets: int | None = 100,
         capacity_bytes: int | None = None,
         drop_policy: DropPolicy | None = None,
+        name: str | None = None,
     ) -> None:
+        if name is not None:
+            self.name = name
         self._q: deque[Packet] | tuple = IDLE
         self._bytes = 0
         self.capacity_packets = capacity_packets
@@ -192,6 +198,11 @@ class DropTailFifo(QueueDiscipline):
     def stats(self) -> "DropTailFifo":
         """The counters: the FIFO holds them itself, so this is the FIFO."""
         return self
+
+    @property
+    def classes(self) -> tuple["DropTailFifo"]:
+        """The class queues: a FIFO is its own one class."""
+        return (self,)
 
     def set_drop_callback(self, cb: DropCallback | None) -> None:
         self.on_drop = cb
@@ -242,66 +253,18 @@ class DropTailFifo(QueueDiscipline):
             )
         return pkt
 
+    # The names a classful discipline calls its class queues by: an observer
+    # that wraps ``enqueue`` / ``dequeue`` on every discipline then sees a
+    # class queue's packet once, at the discipline that owns it.
+    push = enqueue
+    pop = dequeue
+
     def __len__(self) -> int:
         return len(self._q)
 
     @property
     def backlog_bytes(self) -> int:
         return self._bytes
-
-
-@dataclass
-class ClassQueue:
-    """One class's FIFO inside a classful scheduler."""
-
-    name: str = ""
-    capacity_packets: int | None = 100
-    capacity_bytes: int | None = None
-    drop_policy: DropPolicy | None = None
-    q: deque[Packet] | tuple = IDLE
-    bytes: int = 0
-    stats: ClassStats = field(default_factory=ClassStats)
-    on_drop: DropCallback | None = field(default=None, repr=False)
-
-    def push(self, pkt: Packet, now: float) -> bool:
-        size = pkt._wire or pkt.wire_bytes
-        if self.drop_policy is not None and self.drop_policy.should_drop(
-            pkt, self.bytes, now
-        ):
-            self.stats.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(pkt, DropReason.QUEUE_AQM, now)
-            return False
-        if (
-            self.capacity_packets is not None and len(self.q) >= self.capacity_packets
-        ) or (
-            self.capacity_bytes is not None
-            and self.bytes + size > self.capacity_bytes
-        ):
-            self.stats.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(pkt, DropReason.QUEUE_TAIL, now)
-            return False
-        q = self.q
-        if q is IDLE:
-            q = self.q = deque()
-        q.append(pkt)
-        self.bytes += size
-        self.stats.enqueued += 1
-        return True
-
-    def pop(self, now: float) -> Packet:
-        pkt = self.q.popleft()
-        size = pkt._wire or pkt.wire_bytes
-        self.bytes -= size
-        self.stats.dequeued += 1
-        self.stats.bytes_sent += size
-        if self.drop_policy is not None:
-            self.drop_policy.notify_dequeue(self.bytes, now)
-        return pkt
-
-    def __len__(self) -> int:
-        return len(self.q)
 
 
 class _ClassfulBase(QueueDiscipline):
@@ -313,21 +276,24 @@ class _ClassfulBase(QueueDiscipline):
     instead of a sum over class queues.
     """
 
-    def __init__(self, classes: Sequence[ClassQueue], classify: ClassifyFn) -> None:
+    def __init__(self, classes: Sequence[DropTailFifo], classify: ClassifyFn) -> None:
         if not classes:
             raise ValueError("need at least one class queue")
         self.classes = list(classes)
+        # An unnamed class queue is labelled by its index.  (Read ``name``,
+        # never ``vars(cq)``: a materialized instance dict slows every later
+        # attribute read on the queue.)
+        for i, cq in enumerate(self.classes):
+            if cq.name == DropTailFifo.name:
+                cq.name = f"class{i}"
         self.classify = classify
         self._count = 0
 
-    def _class_for(self, pkt: Packet) -> ClassQueue:
+    def enqueue(self, pkt: Packet, now: float) -> bool:
         idx = self.classify(pkt)
         if not 0 <= idx < len(self.classes):
             idx = len(self.classes) - 1  # unknown traffic -> last (best effort)
-        return self.classes[idx]
-
-    def enqueue(self, pkt: Packet, now: float) -> bool:
-        ok = self._class_for(pkt).push(pkt, now)
+        ok = self.classes[idx].push(pkt, now)
         if ok:
             self._count += 1
         return ok
@@ -341,7 +307,7 @@ class _ClassfulBase(QueueDiscipline):
 
     @property
     def backlog_bytes(self) -> int:
-        return sum(c.bytes for c in self.classes)
+        return sum(c._bytes for c in self.classes)
 
 
 class PriorityScheduler(_ClassfulBase):
@@ -353,7 +319,7 @@ class PriorityScheduler(_ClassfulBase):
 
     def dequeue(self, now: float) -> Optional[Packet]:
         for cq in self.classes:
-            if cq.q:
+            if cq._q:
                 self._count -= 1
                 return cq.pop(now)
         return None
@@ -369,7 +335,7 @@ class WeightedRoundRobin(_ClassfulBase):
 
     def __init__(
         self,
-        classes: Sequence[ClassQueue],
+        classes: Sequence[DropTailFifo],
         classify: ClassifyFn,
         weights: Sequence[int],
     ) -> None:
@@ -388,7 +354,7 @@ class WeightedRoundRobin(_ClassfulBase):
         n = len(self.classes)
         for _ in range(2 * n):  # at most one full rotation + restarts
             cq = self.classes[self._current]
-            if cq.q and self._credit > 0:
+            if cq._q and self._credit > 0:
                 self._credit -= 1
                 self._count -= 1
                 return cq.pop(now)
@@ -408,7 +374,7 @@ class DeficitRoundRobin(_ClassfulBase):
 
     def __init__(
         self,
-        classes: Sequence[ClassQueue],
+        classes: Sequence[DropTailFifo],
         classify: ClassifyFn,
         quanta: Sequence[int],
     ) -> None:
@@ -442,11 +408,11 @@ class DeficitRoundRobin(_ClassfulBase):
         while self._active:
             idx = self._active[0]
             cq = self.classes[idx]
-            if not cq.q:  # drained during its turn
+            if not cq._q:  # drained during its turn
                 self._active.popleft()
                 self._in_active[idx] = False
                 continue
-            head = cq.q[0]
+            head = cq._q[0]
             size = head._wire or head.wire_bytes
             if self.deficits[idx] < size:
                 # Head does not fit: grant quantum and rotate to back.
@@ -462,7 +428,7 @@ class DeficitRoundRobin(_ClassfulBase):
             pkt = cq.pop(now)
             self._count -= 1
             self.deficits[idx] -= size
-            if not cq.q:
+            if not cq._q:
                 self._active.popleft()
                 self._in_active[idx] = False
                 self.deficits[idx] = 0
@@ -481,7 +447,7 @@ class FairQueueing(_ClassfulBase):
 
     def __init__(
         self,
-        classes: Sequence[ClassQueue],
+        classes: Sequence[DropTailFifo],
         classify: ClassifyFn,
         weights: Sequence[float],
     ) -> None:

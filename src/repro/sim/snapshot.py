@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/16``), the ``repro`` version
+The header names the schema (``repro.snapshot/17``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled.  An image is the
@@ -30,7 +30,9 @@ flag this reader never consults, so a QoS-blind edge would come back
 mapping DSCP to EXP; a ``/15`` image holds each address as a slotted
 object, which this reader's tuple ``IPv4Address`` cannot load, and each
 LSR's EXP policy as ``impose_exp``, which this reader's checked property
-shadows); it unpickles into a wrong graph or fails deep inside it, and so
+shadows; a ``/16`` image holds each class queue of a classful discipline
+as a ``ClassQueue`` with a ``ClassStats`` record, classes this reader no
+longer has); it unpickles into a wrong graph or fails deep inside it, and so
 does one with a flipped bit (about one in six still unpickles).  The header exists to refuse both up front.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
@@ -106,7 +108,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/16"
+SCHEMA = "repro.snapshot/17"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -478,7 +478,8 @@ class MpBgp:
 
     def _policy(self, key: tuple[str, str], vrf: Vrf) -> frozenset[RouteTarget]:
         """Import RTs the engine acts on: its record's, so a policy assigned
-        by hand (or put back) waits for converge(); else the VRF's own."""
+        by hand (or put back) waits for converge() or the PE's ``peer_up``;
+        else the VRF's own."""
         seen = self._synced.get(key)
         return seen[5] if seen is not None and seen[0] is vrf else vrf.import_rts
 
@@ -797,7 +798,8 @@ class MpBgp:
     def peer_up(self, pe: PeRouter | str) -> BgpResult:
         """Bring a drained PE back: re-establish its sessions, bring its
         Adj-RIB up to date with its VRFs' locals, re-advertise it, and
-        refresh its VRFs from the mesh."""
+        refresh its VRFs from the mesh under the import policy they hold
+        now, recorded in :attr:`_synced` as a converge() would record it."""
         name = pe if isinstance(pe, str) else pe.name
         if name not in self._pe_by_name:
             raise ValueError(f"{name} is not in this BGP mesh")
@@ -829,9 +831,12 @@ class MpBgp:
             if key[0] != name and key[0] not in self._down
         )
         result.updates_sent += refresh
+        # Converged as a fresh build would converge it: under the policy each
+        # VRF holds now (a converge() while it was away skipped it), recorded.
         for vrf in node.vrfs.values():
             key = (name, vrf.name)
-            self._reselect(key, vrf, self._policy(key, vrf), None, result)
+            self._reselect(key, vrf, vrf.import_rts, None, result)
+            self._synced[key] = self._state_of(node, vrf)
             self._file(key, vrf)
         self._tally(result)
         return result

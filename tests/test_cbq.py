@@ -135,7 +135,7 @@ class TestStats:
         q = sched()
         q.enqueue(pkt(100, cls=1), 0.0)
         q.dequeue(0.0)
-        stats = q.class_stats()
+        stats = {c.name: (c.enqueued, c.dequeued, c.dropped) for c in q.classes}
         assert stats["data"] == (1, 1, 0)
         assert stats["voice"] == (0, 0, 0)
 
@@ -144,7 +144,7 @@ class TestStats:
         q = CbqScheduler(classes, by_tag)
         assert q.enqueue(pkt(cls=0), 0.0)
         assert not q.enqueue(pkt(cls=0), 0.0)
-        assert q.class_stats()["only"][2] == 1
+        assert [(c.name, c.dropped) for c in q.classes] == [("only", 1)]
 
 
 class TestRoundRobin:
@@ -173,7 +173,7 @@ class TestRoundRobin:
         start = 0
         while (p := q.dequeue(0.0)) is not None:
             backlogged = [i for i, c in enumerate(classes)
-                          if c.queue.q or i == p.flow]
+                          if c.queue._q or i == p.flow]
             assert p.flow == self._rotation_reference(backlogged, start)
             start = p.flow
             got.append(p.flow)

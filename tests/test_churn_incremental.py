@@ -27,7 +27,7 @@ double-count bug.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.control import converge_all
 from repro.mpls.lsr import Lsr
@@ -616,8 +616,10 @@ class TestChurnDeterministic:
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
 
     def test_a_policy_put_back_across_a_drain_leaves_no_gap(self):
-        """``peer_up`` refreshes the returning PE's VRFs under the policy the
-        engine last read, not one assigned by hand while it was away."""
+        """``peer_up`` refreshes the returning PE's VRFs under the policy
+        they hold when it returns and records it: a policy taken out by hand
+        while the PE was away imports nothing, and the one put back after
+        the return is a change the next converge() reads."""
         net, pes, prov = _world(4)
         here = pes[0].vrfs["corp"]
         read = here.import_rts
@@ -627,6 +629,24 @@ class TestChurnDeterministic:
         here.import_rts = read
         prov.converge_bgp()
         assert _vrf_snapshot(prov) == _oracle_snapshot(prov, drained=())
+
+    def test_a_pe_back_from_a_drain_imports_under_the_policy_it_holds(self):
+        """A converge() while a PE is drained skips it, so the engine's
+        record of its VRFs is the one from before the drain.  ``peer_up``
+        converges the returning PE as a fresh build would: a VRF whose
+        import RTs were cleared by hand while it was away imports nothing,
+        and the next converge() has nothing of it to re-read."""
+        net, pes, prov = _world(4, rr_clusters=["pe0"])
+        here = pes[2].vrfs["corp"]
+        prov.drain_pe(pes[2])
+        here.import_rts = frozenset()
+        prov.converge_bgp()
+        prov.restore_pe(pes[2])
+        assert [p for p, r in here.routes().items() if r.kind == "remote"] == []
+        assert prov.converge_bgp().routes_imported == 0
+        assert _vrf_snapshot(prov) == _oracle_snapshot(
+            prov, drained=(), rr_clusters=["pe0"]
+        )
 
     def test_forget_vrf_requires_withdraw_first(self):
         net, pes, prov = _world(2)
@@ -770,7 +790,8 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
     elif kind == "hand-":
         # An imported route withdrawn by hand; the resync puts it back —
         # unless a policy assigned by hand and read by that resync no
-        # longer imports the route's RT.
+        # longer imports the route's RT, or that resync retracted the
+        # advertisement (its local withdrawn by hand before it).
         holders = [
             (pe, vrf, p) for pe in up_pes for vrf in pe.vrfs.values()
             for p, r in sorted(vrf.routes().items()) if r.kind == "remote"
@@ -781,7 +802,8 @@ def _apply_op(prov, pes, engine, anchors, drained, op, state):
         route = vrf.entries()[prefix]     # the engine's: these ops write no hand remote
         assert vrf.withdraw(prefix)
         prov.converge_bgp()
-        if not route.route_targets.isdisjoint(vrf.import_rts):
+        advertised = any(rib.get(prefix) is route for rib in engine._rib.values())
+        if advertised and not route.route_targets.isdisjoint(vrf.import_rts):
             assert vrf.entries()[prefix].kind == "remote"
     elif kind == "vrf-readd":
         # A VRF deleted and re-created under its name behind the engine's
@@ -848,6 +870,12 @@ class TestIncrementalMatchesFullConverge:
             max_size=10,
         )
     )
+    # A PE drained, one VRF's import policy assigned by hand behind it, the
+    # PE restored: the return converges it under the policy it holds.
+    @example(ops=[("drain", 1, 0), ("rts=", 5, 0), ("restore", 0, 0)])
+    # A local withdrawn by hand with no delta, then an import of it withdrawn
+    # by hand: the resync retracts the advertisement, so nothing comes back.
+    @example(ops=[("hand-local", 3, 1), ("hand-", 0, 0)])
     def test_random_churn_sequences(self, rr_clusters, ops):
         net, pes, prov = _world(4, rr_clusters=rr_clusters, hub_spoke=True, spare=True)
         engine = prov.bgp_engine(rr_clusters=rr_clusters)

@@ -6,7 +6,7 @@ from repro.net.drops import DropReason
 from repro.net.node import Node
 from repro.net.packet import IPHeader, Packet
 from repro.qos.cbq import CbqClass, CbqScheduler
-from repro.qos.queues import ClassQueue, DropTailFifo, PriorityScheduler
+from repro.qos.queues import DropTailFifo, PriorityScheduler
 from repro.qos.shaper import TokenBucketShaper
 from repro.routing import converge
 from repro.sim.engine import Simulator
@@ -51,17 +51,17 @@ class TestNodeAccounting:
 class TestQueueDropCallbacks:
     def test_droptail_tail_drop_reason(self):
         # One contract for every counting discipline: a refused packet is
-        # counted in ClassStats and reported to the callback.
+        # counted on its class queue and reported to the callback.
         fifo = DropTailFifo(capacity_packets=1)
         cbq = CbqScheduler(
             [CbqClass("only", rate_bps=1e6, capacity_packets=1)],
             classify=lambda pkt: 0,
         )
         shaper = TokenBucketShaper(1e6, 10_000, capacity_packets=1)
-        for q, stats in (
-            (fifo, fifo.stats),
-            (cbq, cbq.cbq_classes[0].queue.stats),
-            (shaper, shaper.stats),
+        for q, (stats,) in (
+            (fifo, fifo.classes),
+            (cbq, cbq.classes),
+            (shaper, shaper.classes),
         ):
             seen = []
             q.set_drop_callback(lambda pkt, reason, now: seen.append(reason))
@@ -83,8 +83,7 @@ class TestQueueDropCallbacks:
         assert seen == [DropReason.QUEUE_AQM]
 
     def test_classful_scheduler_propagates_callback(self):
-        queues = [ClassQueue("EF", capacity_packets=1),
-                  ClassQueue("BE", capacity_packets=1)]
+        queues = [DropTailFifo(1, name="EF"), DropTailFifo(1, name="BE")]
         sched = PriorityScheduler(queues, classify=lambda pkt: 0)
         seen = []
         sched.set_drop_callback(lambda pkt, reason, now: seen.append(reason))
@@ -112,7 +111,7 @@ class TestQueueDropsOnTraceBus:
         return net
 
     def test_queue_drops_published(self):
-        """Queue/AQM drops used to bump ClassStats silently; now every one
+        """Queue/AQM drops used to bump a counter silently; now every one
         is a 'drop' trace record naming node, interface, and reason."""
         net = self._overloaded_net()
         net.trace.record("drop")

@@ -18,18 +18,18 @@ from repro.qos.dscp import (
     DEFAULT_CLASS_ORDER,
     DSCP,
     EXP_OF_DSCP,
+    CLASS_NAME_OF_DSCP,
     PHB_OF_DSCP,
-    class_of_dscp_name,
     dscp_to_class,
     dscp_to_exp,
     exp_to_class,
 )
 from repro.qos.meter import (
     SrTCM,
+    TrTCM,
     dscp_marker,
     exp_from_dscp_marker,
     srtcm_remarker,
-    trtcm_remarker,
 )
 from repro.qos.red import RedParams, RedQueueManager, WredQueueManager, standard_wred
 
@@ -46,7 +46,7 @@ class TestDscpMappings:
 
     def test_ef_maps_to_class_0(self):
         assert dscp_to_class(int(DSCP.EF)) == 0
-        assert class_of_dscp_name(int(DSCP.EF)) == "EF"
+        assert CLASS_NAME_OF_DSCP[int(DSCP.EF)] == "EF"
 
     def test_af_maps_to_class_1(self):
         for d in (DSCP.AF11, DSCP.AF22, DSCP.AF33, DSCP.AF41):
@@ -96,7 +96,7 @@ class TestClassificationTables:
             cls, exp = SPELLED_OUT.get(d, (_BE, 0))
             assert CLASS_OF_DSCP[d] == dscp_to_class(d) == cls, d
             assert EXP_OF_DSCP[d] == dscp_to_exp(d) == exp, d
-            assert DEFAULT_CLASS_ORDER[cls] == class_of_dscp_name(d)
+            assert DEFAULT_CLASS_ORDER[cls] == CLASS_NAME_OF_DSCP[d]
 
     def test_all_8_exps(self):
         assert CLASS_OF_EXP == EXP_CLASSES
@@ -158,7 +158,7 @@ class TestDscpRange:
         with pytest.raises(ValueError, match="DSCP"):
             srtcm_remarker(meter, green_dscp=bad, yellow_dscp=0)
         with pytest.raises(ValueError, match="DSCP"):
-            trtcm_remarker(meter, green_dscp=0, yellow_dscp=bad)
+            srtcm_remarker(TrTCM(1e6, 1000, 2e6, 1000), green_dscp=0, yellow_dscp=bad)
         with pytest.raises(ValueError, match="DSCP"):
             srtcm_remarker(meter, 0, 0, red_action="remark", red_dscp=bad)
 

@@ -22,7 +22,7 @@ from repro.net.node import Node
 from repro.net.packet import IPHeader, Packet
 from repro.obs.flightrec import FlightRecorder
 from repro.qos.cbq import CbqClass, CbqScheduler
-from repro.qos.queues import ClassQueue, DropTailFifo, PriorityScheduler
+from repro.qos.queues import DropTailFifo, PriorityScheduler
 from repro.routing.spf import converge
 from repro.sim.engine import Simulator
 from tests.reference.sim import ReferenceSimulator
@@ -351,7 +351,7 @@ def _fifo():
 
 
 def _strict_priority():  # FIFO within a class
-    classes = [ClassQueue(name=str(c), capacity_packets=10_000) for c in range(3)]
+    classes = [DropTailFifo(10_000, name=str(c)) for c in range(3)]
     return (PriorityScheduler(classes, by_tag),
             lambda queue, arrivals: min(queue, key=lambda k: (arrivals[k][2], k)))
 

@@ -76,7 +76,7 @@ class TestProducers:
         pkt = _pkt(labels=(100, 200))
         fr.rx(0.0, "n", pkt, "eth0")
         before = fr.records()
-        pkt.swap_label(201)
+        pkt.top_label.label = 201      # as an LSR's SWAP stage writes it
         fr.rx(0.1, "n", pkt, "eth0")
         pkt.pop_label()
         pkt.push_label(300)

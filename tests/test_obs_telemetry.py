@@ -138,6 +138,28 @@ class TestManifest:
         b = tel.scrape().snapshot()
         assert a == b
 
+    def test_class_families_have_a_series_per_class_queue(self):
+        """A FIFO and a shaper are their own one class; a classful
+        discipline's class queues are labelled by name, an unnamed one by
+        its index."""
+        from repro.qos.queues import DropTailFifo, PriorityScheduler
+        from repro.qos.shaper import TokenBucketShaper
+        net = Network(seed=1)
+        for name in ("a", "b", "c"):
+            net.add_router(name)
+        net.connect("a", "b", 10e6, 1e-3)
+        net.connect("b", "c", 10e6, 1e-3)
+        net.node("a").interfaces["to-b"].qdisc = PriorityScheduler(
+            [DropTailFifo(name="EF"), DropTailFifo()], lambda pkt: 0)
+        net.node("b").interfaces["to-c"].qdisc = TokenBucketShaper(1e6, 1500)
+        tel = Telemetry(net)
+        series = tel.scrape().snapshot()["repro_class_enqueued_packets"]["series"]
+        got = {(s["labels"]["node"], s["labels"]["iface"], s["labels"]["cls"])
+               for s in series}
+        assert got == {("a", "to-b", "EF"), ("a", "to-b", "class1"),
+                       ("b", "to-a", "fifo"), ("b", "to-c", "shaper"),
+                       ("c", "to-b", "fifo")}
+
     def test_drop_reasons_in_metrics(self):
         net, tel = vpn_run()
         from repro.net.address import IPv4Address

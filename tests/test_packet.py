@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.mpls.lfib import LabelOp, LfibEntry
+from repro.mpls.lsr import Lsr
 from repro.net.address import IPv4Address
 from repro.net.packet import (
     IPV4_HEADER_BYTES,
@@ -12,6 +14,7 @@ from repro.net.packet import (
     Packet,
     PacketError,
 )
+from repro.topology import Network
 
 
 def mk(payload=100, dscp=0, ttl=64):
@@ -74,14 +77,33 @@ class TestWireSize:
         assert p.wire_bytes == 100 + IPV4_HEADER_BYTES + MPLS_SHIM_BYTES
 
 
+def swapped_at_lsr(p, out_label):
+    """``p`` after an LSR's SWAP stage: what the next hop receives from an
+    LSR whose LFIB swaps ``p``'s top label for ``out_label``."""
+    net = Network(seed=1)
+    a = net.add_node(Lsr(net.sim, "a"))
+    b = net.add_node(Lsr(net.sim, "b"))
+    net.connect(a, b, 10e6, 0.001)
+    a.lfib.install(p.top_label.label,
+                   LfibEntry(LabelOp.SWAP, out_label=out_label, out_ifname="to-b"))
+    got = []
+    b.handle = lambda pk, ifn: got.append(pk)
+    net.sim.schedule(0.0, lambda: a.handle(p, "in"))
+    net.run(until=1.0)
+    assert a.stats.by_reason == {}
+    (out,) = got
+    return out
+
+
 class TestLabelStack:
     def test_push_swap_pop_cycle(self):
         p = mk()
         p.push_label(100, exp=5)
         assert p.top_label.label == 100 and p.top_label.exp == 5
-        p.swap_label(200)
+        p = swapped_at_lsr(p, 200)
         assert p.top_label.label == 200
         assert p.top_label.exp == 5  # EXP preserved across swap
+        assert p.wire_bytes == 100 + IPV4_HEADER_BYTES + MPLS_SHIM_BYTES
         entry = p.pop_label()
         assert entry.label == 200
         assert p.top_label is None
@@ -94,9 +116,17 @@ class TestLabelStack:
         p.pop_label()
         assert p.top_label.label == 30
 
-    def test_swap_empty_raises(self):
-        with pytest.raises(PacketError):
-            mk().swap_label(5)
+    def test_unlabeled_packet_is_never_swapped(self):
+        """The label stage runs on a labeled packet only: an unlabeled one
+        at an LSR that swaps takes the IP path (no route here) and leaves
+        with no label written."""
+        net = Network(seed=1)
+        a = net.add_node(Lsr(net.sim, "a"))
+        a.lfib.install(16, LfibEntry(LabelOp.SWAP, out_label=17, out_ifname="to-b"))
+        p = mk()
+        a.handle(p, "in")
+        assert a.stats.by_reason == {"no_route": 1}
+        assert p.mpls_stack == []
 
     def test_pop_empty_raises(self):
         with pytest.raises(PacketError):
@@ -107,16 +137,10 @@ class TestLabelStack:
             mk().push_label(1 << 20)
         with pytest.raises(PacketError):
             MplsEntry(label=5, exp=9)
-        p = mk()
-        p.push_label(5)
-        with pytest.raises(PacketError):
-            p.swap_label(1 << 20)
-
-    def test_swap_can_set_exp(self):
-        p = mk()
-        p.push_label(7, exp=1)
-        p.swap_label(8, exp=4)
-        assert p.top_label.exp == 4
+        # A swap writes the label of an LFIB entry, which refuses one
+        # outside 20 bits where it is made.
+        with pytest.raises(ValueError, match="20-bit"):
+            LfibEntry(LabelOp.SWAP, out_label=1 << 20, out_ifname="to-b")
 
     @given(st.lists(st.integers(min_value=16, max_value=0xFFFFF), min_size=1, max_size=8))
     def test_push_pop_lifo(self, labels):

@@ -10,23 +10,26 @@ these tests hold them to it.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpls.lfib import LabelOp, LfibEntry
+from repro.mpls.lsr import Lsr
 from repro.net.address import IPv4Address
 from repro.net.packet import (
     IPV4_HEADER_BYTES,
     MPLS_SHIM_BYTES,
     IPHeader,
+    MplsEntry,
     Packet,
     PacketError,
 )
 from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.queues import (
-    ClassQueue,
     DeficitRoundRobin,
     DropTailFifo,
     FairQueueing,
     PriorityScheduler,
     WeightedRoundRobin,
 )
+from repro.topology import Network
 
 
 def header():
@@ -42,25 +45,42 @@ def expected_wire(pkt: Packet) -> int:
 
 
 class TestSwapLabelValidation:
-    """``swap_label`` refuses bad fields *before* touching the entry."""
+    """An LSR's SWAP stage writes the label of its LFIB entry into the top
+    stack entry unchecked and keeps the entry's EXP: a bad field is refused
+    where it would be made, before the LFIB or the LSR holds it."""
 
-    def labeled(self):
+    def swap_once(self, lsr_pair):
+        net, a, got = lsr_pair
         p = Packet(ip=header(), payload_bytes=100)
         p.push_label(100, exp=3)
-        return p
+        net.sim.schedule(0.0, lambda: a.handle(p, "in"))
+        net.run(until=net.sim.now + 1.0)
+        out = got.pop()
+        return out.top_label.label, out.top_label.exp
 
-    def test_bad_label_leaves_entry_unchanged(self):
-        p = self.labeled()
-        with pytest.raises(PacketError, match="label"):
-            p.swap_label(1 << 20, exp=5)
-        assert (p.top_label.label, p.top_label.exp) == (100, 3)
+    @pytest.fixture
+    def lsr_pair(self):
+        net = Network(seed=1)
+        a = net.add_node(Lsr(net.sim, "a"))
+        b = net.add_node(Lsr(net.sim, "b"))
+        net.connect(a, b, 10e6, 0.001)
+        a.lfib.install(100, LfibEntry(LabelOp.SWAP, out_label=200, out_ifname="to-b"))
+        got = []
+        b.handle = lambda pk, ifn: got.append(pk)
+        return net, a, got
+
+    def test_bad_label_leaves_entry_unchanged(self, lsr_pair):
+        with pytest.raises(ValueError, match="20-bit"):
+            LfibEntry(LabelOp.SWAP, out_label=1 << 20, out_ifname="to-b")
+        assert self.swap_once(lsr_pair) == (200, 3)
 
     @pytest.mark.parametrize("bad_exp", [-1, 8, 255])
-    def test_bad_exp_rejected_and_entry_unchanged(self, bad_exp):
-        p = self.labeled()
+    def test_bad_exp_rejected_and_entry_unchanged(self, lsr_pair, bad_exp):
         with pytest.raises(PacketError, match="EXP"):
-            p.swap_label(200, exp=bad_exp)
-        assert (p.top_label.label, p.top_label.exp) == (100, 3)
+            MplsEntry(100, exp=bad_exp)
+        with pytest.raises(ValueError, match="impose_exp"):
+            lsr_pair[1].impose_exp = bad_exp
+        assert self.swap_once(lsr_pair) == (200, 3)
 
 
 # One step of a packet's life: the label ops an LSR applies, an
@@ -70,7 +90,7 @@ class TestSwapLabelValidation:
 OPS = st.one_of(
     st.tuples(st.just("push"), st.integers(16, 0xFFFFF), st.integers(0, 7)),
     st.tuples(st.just("pop")),
-    st.tuples(st.just("swap"), st.integers(16, 0xFFFFF), st.integers(0, 7)),
+    st.tuples(st.just("swap"), st.integers(16, 0xFFFFF)),
     st.tuples(st.just("encap"), st.integers(0, 64), st.booleans()),
     st.tuples(st.just("recycle"), st.integers(0, 1500)),
     st.tuples(st.just("read")),
@@ -91,7 +111,7 @@ class TestWireBytesInvariant:
                     pkt.pop_label()
             elif kind == "swap":
                 if pkt.mpls_stack:
-                    pkt.swap_label(op[1], exp=op[2])
+                    pkt.mpls_stack[-1].label = op[1]   # as the SWAP stage writes it
             elif kind == "encap":
                 pkt = Packet(ip=header(), inner=pkt, encrypted=op[2],
                              encap_overhead=op[1])
@@ -117,7 +137,7 @@ def by_tag(p: Packet) -> int:
 
 
 def class_queues():
-    return [ClassQueue(f"c{i}", capacity_packets=50) for i in range(3)]
+    return [DropTailFifo(50, name=f"c{i}") for i in range(3)]
 
 
 def cbq():
@@ -138,14 +158,6 @@ DISCIPLINES = {
     "wfq": lambda: FairQueueing(class_queues(), by_tag, [4.0, 2.0, 1.0]),
     "cbq": cbq,
 }
-
-
-def class_stats(q):
-    if isinstance(q, DropTailFifo):
-        return [q.stats]
-    if isinstance(q, CbqScheduler):
-        return [c.queue.stats for c in q.cbq_classes]
-    return [c.stats for c in q.classes]
 
 
 # (size, class, labels pushed before the enqueue, dequeues after it)
@@ -200,6 +212,6 @@ class TestQdiscByteAccounting:
         assert q.dequeue(now) is None
         assert len(q) == 0
         assert q.backlog_bytes == 0
-        stats = class_stats(q)
+        stats = q.classes
         assert sum(s.bytes_sent for s in stats) == sent_bytes
         assert sum(s.enqueued for s in stats) == sum(s.dequeued for s in stats)

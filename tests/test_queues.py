@@ -12,7 +12,6 @@ from repro.net.packet import IPHeader, Packet
 from repro.qos.cbq import CbqClass, CbqScheduler
 from repro.qos.queues import (
     IDLE,
-    ClassQueue,
     DeficitRoundRobin,
     DropTailFifo,
     FairQueueing,
@@ -35,7 +34,7 @@ def by_tag(p):
 
 
 def queues(n=3, cap=1000):
-    return [ClassQueue(f"c{i}", capacity_packets=cap) for i in range(n)]
+    return [DropTailFifo(cap, name=f"c{i}") for i in range(n)]
 
 
 class TestDropTailFifo:
@@ -110,7 +109,7 @@ class TestPriority:
         q = PriorityScheduler(queues(), lambda p: 99)
         p = pkt()
         q.enqueue(p, 0.0)
-        assert q.classes[-1].q[0] is p
+        assert q.classes[-1]._q[0] is p
 
     def test_empty_dequeue(self):
         assert PriorityScheduler(queues(), by_tag).dequeue(0.0) is None
@@ -290,7 +289,7 @@ def by_flow_class(p):
 
 
 def _three(cap=3):
-    return [ClassQueue(f"c{i}", capacity_packets=cap) for i in range(3)]
+    return [DropTailFifo(cap, name=f"c{i}") for i in range(3)]
 
 
 def _discipline(kind):
@@ -315,13 +314,7 @@ def _discipline(kind):
 
 
 def _counters(q):
-    if isinstance(q, CbqScheduler):
-        stats = [c.queue.stats for c in q.cbq_classes]
-    elif hasattr(q, "classes"):
-        stats = [c.stats for c in q.classes]
-    else:
-        stats = [q.stats]
-    return [(s.enqueued, s.dropped, s.dequeued, s.bytes_sent) for s in stats]
+    return [(c.enqueued, c.dropped, c.dequeued, c.bytes_sent) for c in q.classes]
 
 
 def _first_packets(q):
@@ -402,7 +395,7 @@ def test_idle_store_is_the_shared_empty_tuple():
     fifo = DropTailFifo()
     wfq = FairQueueing(_three(), by_flow_class, [4.0, 2.0, 1.0])
     drr = DeficitRoundRobin(_three(), by_flow_class, [1500, 600, 300])
-    stores = [fifo._q, drr._active, *wfq._tags, *(c.q for c in wfq.classes)]
+    stores = [fifo._q, drr._active, *wfq._tags, *(c._q for c in wfq.classes)]
     assert all(store is IDLE for store in stores)
     fifo.enqueue(pkt(), 0.0)
     fifo.dequeue(0.0)

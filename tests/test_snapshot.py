@@ -354,6 +354,18 @@ def test_schema_15_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_16_image_refused_by_name(monkeypatch) -> None:
+    # A /16 image holds each class queue of a classful discipline (CBQ at a
+    # CPE, WFQ in the core) as a ``ClassQueue`` with a ``ClassStats`` record;
+    # this reader has neither class, so pickle.loads would fail looking one
+    # up.  The header refuses it first.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/16")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/16'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -634,6 +646,44 @@ def test_every_base_round_trips_and_audits_clean(key: str) -> None:
     from repro.sweep.runner import _build_base
 
     net, _ = restore_network(_build_base(key))
+    assert [f for f in audit(net) if f.severity == "error"] == []
+
+
+def _tiered_image() -> tuple[dict, bytes]:
+    from repro.experiments.e13_tiers import build_tiered_network
+
+    ctx = build_tiered_network()
+    extras = {"prov": ctx["prov"], "customers": ctx["customers"]}
+    return ctx, snapshot_network(ctx["net"], extras)
+
+
+def test_e13_tiered_network_round_trips_and_audits_clean() -> None:
+    """The tier conditioners (DSCP marker, srTCM remarker) and the core WFQ
+    factory are importable callables, so E13's network snapshots."""
+    net, _ = restore_network(_tiered_image()[1])
+    assert [f for f in audit(net) if f.severity == "error"] == []
+
+
+def test_e13_restored_network_gives_the_live_rows() -> None:
+    from repro.experiments.e13_tiers import run_tiers
+
+    ctx, image = _tiered_image()
+    net, extras = restore_network(image)
+    restored, _ = run_tiers({"net": net, **extras}, measure_s=1.0)
+    live, _ = run_tiers(ctx, measure_s=1.0)
+    assert [r["customer"] for r in live] == ["gold", "silver", "bronze", "gold-greedy"]
+    assert restored == live
+
+
+@pytest.mark.parametrize("arch", ["intserv", "diffserv"])
+def test_e14_testbed_round_trips_and_audits_clean(arch: str) -> None:
+    """E14's core WFQ factory and its per-node classifiers (IntServ's flow
+    filter, DiffServ's EXP classifier) snapshot by name."""
+    from repro.experiments.e14_intserv import _aggregate_classifier, _testbed
+    from repro.qos.intserv import intserv_classifier
+
+    factory = intserv_classifier if arch == "intserv" else _aggregate_classifier
+    net, _ = restore_network(snapshot_network(_testbed(141, factory)["net"]))
     assert [f for f in audit(net) if f.severity == "error"] == []
 
 
@@ -963,9 +1013,9 @@ def test_e5_mid_run_snapshot_with_wfq_and_cbq_backlogged_resumes_bit_identically
     assert len(cbq) > 0 and len(wfq) > 0
     # The backlogged disciplines come back with their deques; one nothing
     # was ever queued on (the traffic runs one way) with no store at all.
-    assert type(cbq.cbq_classes[-1].queue.q) is deque and type(wfq._tags[-1]) is deque
+    assert type(cbq.classes[-1]._q) is deque and type(wfq._tags[-1]) is deque
     idle = net_c.nodes["p1"].interfaces["to-pe1"].qdisc
-    assert all(c.q is IDLE for c in idle.classes) and all(t is IDLE for t in idle._tags)
+    assert all(c._q is IDLE for c in idle.classes) and all(t is IDLE for t in idle._tags)
     assert pending_schedule(net_c.sim) == pending_schedule(net_b.sim)
     net_c.run(until=1.3)
     assert _normalized(net_c.trace.flight) == ref
