@@ -43,6 +43,31 @@ def _elastic_testbed(seed: int, qdisc_factory) -> dict[str, Any]:
     return {"net": net, "tx": tx, "rx": rx, "routers": routers}
 
 
+class _AqmQdisc:
+    """E12a's queue-discipline factory: a byte-capped FIFO per interface,
+    tail-drop (``"droptail"``) or RED drawing on ``rng``.  A slotted class,
+    not a closure, so a network holding it snapshots it by name (as
+    :class:`repro.qos.meter._Policer`)."""
+
+    __slots__ = ("kind", "cap_bytes", "rng")
+
+    def __init__(self, kind: str, cap_bytes: int, rng) -> None:
+        self.kind = kind
+        self.cap_bytes = cap_bytes
+        self.rng = rng
+
+    def __call__(self, node, ifname: str) -> DropTailFifo:
+        cap = self.cap_bytes
+        if self.kind == "droptail":
+            return DropTailFifo(capacity_packets=None, capacity_bytes=cap)
+        return DropTailFifo(
+            capacity_packets=None, capacity_bytes=cap,
+            drop_policy=RedQueueManager(
+                RedParams(min_th=cap // 5, max_th=(4 * cap) // 5, max_p=0.03), self.rng
+            ),
+        )
+
+
 def run_e12a_aqm(
     seed: int = 121,
     duration_s: float = 15.0,
@@ -63,25 +88,8 @@ def run_e12a_aqm(
     rows: list[dict[str, Any]] = []
     raw: dict[str, Any] = {}
     for kind in ("droptail", "red"):
-        net_seed = seed
-
-        def factory(node, ifname, _kind=kind):
-            if _kind == "droptail":
-                return DropTailFifo(capacity_packets=None, capacity_bytes=cap_bytes)
-            rng_holder = getattr(factory, "_rng", None)
-            return DropTailFifo(
-                capacity_packets=None, capacity_bytes=cap_bytes,
-                drop_policy=RedQueueManager(
-                    RedParams(min_th=cap_bytes // 5, max_th=(4 * cap_bytes) // 5,
-                              max_p=0.03),
-                    factory._rng,  # type: ignore[attr-defined]
-                ),
-            )
-
-        ctx = None
-        net = Network(seed=net_seed)
-        factory._rng = net.streams.stream("e12.red")  # type: ignore[attr-defined]
-        net.default_qdisc_factory = factory
+        net = Network(seed=seed)
+        net.default_qdisc_factory = _AqmQdisc(kind, cap_bytes, net.streams.stream("e12.red"))
         routers = build_line(net, 3, rate_bps=BOTTLENECK_BPS)
         tx = attach_host(net, routers[0], "10.120.0.1", name="tx", rate_bps=100e6)
         rx = attach_host(net, routers[2], "10.120.0.2", name="rx", rate_bps=100e6)

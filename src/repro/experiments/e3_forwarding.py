@@ -21,13 +21,14 @@ Two measurements:
 from __future__ import annotations
 
 import time
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.mpls.lfib import LabelOp, Lfib, LfibEntry
 from repro.net.address import IPv4Address, Prefix
 from repro.routing.fib import Fib, RouteEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "build_random_fib",
@@ -43,6 +44,8 @@ def build_random_fib(n_prefixes: int, rng: np.random.Generator) -> tuple[Fib, np
     Prefix lengths are drawn from a provider-like mix (mostly /24 with
     /16–/23 tails); returns (fib, matching address values).
     """
+    import numpy as np
+
     fib = Fib()
     lengths = rng.choice(
         [16, 18, 20, 22, 24], size=n_prefixes, p=[0.05, 0.10, 0.15, 0.20, 0.50]
@@ -61,6 +64,8 @@ def build_random_fib(n_prefixes: int, rng: np.random.Generator) -> tuple[Fib, np
 
 def build_random_lfib(n_labels: int) -> tuple[Lfib, np.ndarray]:
     """An LFIB with ``n_labels`` swap entries and the labels to look up."""
+    import numpy as np
+
     lfib = Lfib()
     labels = np.arange(16, 16 + n_labels, dtype=np.int64)
     for label in labels:
@@ -87,6 +92,8 @@ def run_e3(
     seed: int = 81,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """The E3 table: lookups/s for FIB-LPM vs LFIB across table sizes."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rows: list[dict[str, Any]] = []
     raw: dict[str, Any] = {}

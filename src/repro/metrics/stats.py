@@ -11,12 +11,13 @@ charged to the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.traffic.generators import TrafficSource
 from repro.traffic.sink import FlowRecord, FlowSink
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "FlowStats",
@@ -36,6 +37,8 @@ def delay_percentile(samples: np.ndarray | list[float], q: float) -> float:
     an exception.  A single sample is its own percentile at any valid
     ``q``, which NumPy already handles.
     """
+    import numpy as np
+
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0 or not 0.0 <= q <= 100.0:
         return float("nan")
@@ -50,6 +53,8 @@ def rfc3550_jitter(send_times: np.ndarray, arrival_times: np.ndarray) -> float:
     """
     if len(send_times) < 2:
         return 0.0
+    import numpy as np
+
     transit = arrival_times - send_times
     d = np.abs(np.diff(transit))
     j = 0.0
@@ -118,6 +123,8 @@ def _flow_stats(
             loss_ratio=1.0 if sent else 0.0, throughput_bps=0.0,
             duration_s=duration_s or 0.0,
         )
+    import numpy as np
+
     loss = 1.0 - received / sent if sent else 0.0
     return FlowStats(
         flow=str(flow),
@@ -173,6 +180,8 @@ def summarize_hybrid_flow(
     pkt_delays = rec.delays_array()
     fluid_pkts = agg.fluid_delivered_packets
     if fluid_pkts:
+        import numpy as np
+
         delays = np.concatenate(
             [pkt_delays, np.full(fluid_pkts, agg.analytic_delay_s)]
         )

@@ -10,10 +10,13 @@ enabling the E11-style "goodput vs time across a failure" figure.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.net.link import Interface
 from repro.net.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["TimeSeries", "attach_link_series", "attach_flow_series"]
 
@@ -28,6 +31,8 @@ class TimeSeries:
     def __init__(self, bin_s: float, horizon_s: float = 10.0) -> None:
         if bin_s <= 0 or horizon_s <= 0:
             raise ValueError("bin and horizon must be positive")
+        import numpy as np
+
         self.bin_s = float(bin_s)
         self._bins = np.zeros(int(np.ceil(horizon_s / bin_s)) + 1)
 
@@ -37,6 +42,8 @@ class TimeSeries:
             raise ValueError("negative time")
         idx = int(t / self.bin_s)
         if idx >= len(self._bins):
+            import numpy as np
+
             grown = np.zeros(idx + 16)
             grown[: len(self._bins)] = self._bins
             self._bins = grown
@@ -53,11 +60,13 @@ class TimeSeries:
 
     def times(self) -> np.ndarray:
         """Left edge of each bin."""
+        import numpy as np
+
         return np.arange(len(self._bins)) * self.bin_s
 
     def nonzero_span(self) -> tuple[float, float]:
         """(first, last) bin-start times carrying any value (0,0 if none)."""
-        idx = np.nonzero(self._bins)[0]
+        idx = self._bins.nonzero()[0]
         if len(idx) == 0:
             return (0.0, 0.0)
         return (float(idx[0] * self.bin_s), float(idx[-1] * self.bin_s))

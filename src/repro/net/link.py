@@ -395,7 +395,7 @@ class Interface:
         self.enqueued += 1
         fl = self.node.trace.flight
         if fl is not None:
-            fl.enqueue(now, self.node.name, pkt, self.name, len(self._qdisc))
+            fl.enqueue(now, self.node.name, pkt, self.name, self._qdisc._count)
         if not self._busy:
             if now < self._free_at:
                 # First packet to queue behind the one being serialized.
@@ -448,7 +448,7 @@ class Interface:
                 continue
             self.enqueued += 1
             if fl is not None:
-                fl.enqueue(now, self.node.name, pkt, self.name, len(qdisc))
+                fl.enqueue(now, self.node.name, pkt, self.name, qdisc._count)
             if not self._busy:
                 if now < self._free_at:
                     self._busy = True
@@ -476,7 +476,7 @@ class Interface:
             # Non-work-conserving discipline with backlog: wake up when the
             # earliest regulated packet becomes eligible (e.g. CBQ class
             # waiting for its allocation bucket to refill).
-            if len(qdisc) > 0:
+            if qdisc._count > 0:
                 t = qdisc.next_eligible(now)
                 if t != float("inf"):
                     self._retry_time = t
@@ -484,7 +484,7 @@ class Interface:
                         max(t - now, 1e-9), self._transmit_next
                     )
             return
-        backlog = len(qdisc)
+        backlog = qdisc._count
         fl = self.node.trace.flight
         if fl is not None:
             fl.dequeue(now, self.node.name, pkt, self.name, backlog)

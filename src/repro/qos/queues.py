@@ -26,11 +26,16 @@ observer wrapping those names sees per packet.
 
 A discipline is a pure data structure driven by the interface: ``enqueue``
 may refuse (tail drop or an active-queue-management decision), ``dequeue``
-picks the next packet for the transmitter.  All byte accounting uses the
-packet's wire size so MPLS shim and ESP overheads count against queues,
-exactly as they would on a real box; each call reads it once, off the
-packet's memo (``pkt._wire or pkt.wire_bytes`` — no property frame per
-queue operation).
+picks the next packet for the transmitter.  Both bases keep the backlog in
+packets as one count, ``_count``, moved by every packet taken and given: a
+FIFO admits against it, a classful discipline's is the sum over its class
+queues, ``len(qdisc)`` returns it, and the interface reads the attribute
+itself after every dequeue (no ``__len__`` frame on the hop).
+
+All byte accounting uses the packet's wire size so MPLS shim and ESP
+overheads count against queues, exactly as they would on a real box; each
+call reads it once, off the packet's memo (``pkt._wire or pkt.wire_bytes``
+— no property frame per queue operation).
 
 An idle discipline holds no packet store: each of its deques (a
 :class:`DropTailFifo`'s, so each class's and the shaper's, a
@@ -94,7 +99,10 @@ class DropPolicy(Protocol):
 
 
 class QueueDiscipline:
-    """Abstract scheduler; see module docstring for the contract."""
+    """Abstract scheduler; see module docstring for the contract (a
+    discipline keeps its backlog in packets as ``_count``)."""
+
+    _count: int
 
     #: The interface this discipline queues for: written by the
     #: ``Interface.qdisc`` setter, which refuses a discipline another
@@ -140,7 +148,7 @@ class QueueDiscipline:
         return now
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self._count
 
     @property
     def backlog_bytes(self) -> int:
@@ -187,7 +195,7 @@ class DropTailFifo(QueueDiscipline):
         if name is not None:
             self.name = name
         self._q: deque[Packet] | tuple = IDLE
-        self._bytes = 0
+        self._count = self._bytes = 0
         self.capacity_packets = capacity_packets
         self.capacity_bytes = capacity_bytes
         self.drop_policy = drop_policy
@@ -221,7 +229,7 @@ class DropTailFifo(QueueDiscipline):
             return False
         if (
             self.capacity_packets is not None
-            and len(self._q) >= self.capacity_packets
+            and self._count >= self.capacity_packets
         ) or (
             self.capacity_bytes is not None
             and self._bytes + size + self.fluid_standing_bytes
@@ -235,6 +243,7 @@ class DropTailFifo(QueueDiscipline):
         if q is IDLE:
             q = self._q = deque()
         q.append(pkt)
+        self._count += 1
         self._bytes += size
         self.enqueued += 1
         return True
@@ -244,6 +253,7 @@ class DropTailFifo(QueueDiscipline):
             return None
         pkt = self._q.popleft()
         size = pkt._wire or pkt.wire_bytes
+        self._count -= 1
         self._bytes -= size
         self.dequeued += 1
         self.bytes_sent += size
@@ -259,9 +269,6 @@ class DropTailFifo(QueueDiscipline):
     push = enqueue
     pop = dequeue
 
-    def __len__(self) -> int:
-        return len(self._q)
-
     @property
     def backlog_bytes(self) -> int:
         return self._bytes
@@ -270,10 +277,9 @@ class DropTailFifo(QueueDiscipline):
 class _ClassfulBase(QueueDiscipline):
     """Shared plumbing for classful schedulers: classify + per-class FIFOs.
 
-    Total backlog is tracked in ``_count`` (every subclass bumps it on a
-    successful push and drops it on a successful pop), so ``len(qdisc)`` —
-    which the driving interface consults on every transmit cycle — is O(1)
-    instead of a sum over class queues.
+    The discipline's ``_count`` is the sum over its class queues (every
+    subclass bumps it on a successful push and drops it on a successful
+    pop), so reading the backlog is O(1), not a sum over class queues.
     """
 
     def __init__(self, classes: Sequence[DropTailFifo], classify: ClassifyFn) -> None:
@@ -301,9 +307,6 @@ class _ClassfulBase(QueueDiscipline):
     def set_drop_callback(self, cb: DropCallback | None) -> None:
         for cq in self.classes:
             cq.on_drop = cb
-
-    def __len__(self) -> int:
-        return self._count
 
     @property
     def backlog_bytes(self) -> int:

@@ -19,9 +19,10 @@ directly through its ``spawn_key`` mechanism.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -57,6 +58,8 @@ class RandomStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             spawn_key = zlib.crc32(name.encode("utf-8"))
             seq = np.random.SeedSequence(self._seed, spawn_key=(spawn_key,))
             gen = np.random.Generator(np.random.PCG64(seq))

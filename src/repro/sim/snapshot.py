@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/17``), the ``repro`` version
+The header names the schema (``repro.snapshot/18``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled.  An image is the
@@ -32,7 +32,8 @@ object, which this reader's tuple ``IPv4Address`` cannot load, and each
 LSR's EXP policy as ``impose_exp``, which this reader's checked property
 shadows; a ``/16`` image holds each class queue of a classful discipline
 as a ``ClassQueue`` with a ``ClassStats`` record, classes this reader no
-longer has); it unpickles into a wrong graph or fails deep inside it, and so
+longer has; a ``/17`` image's FIFOs carry no packet count, which this
+reader's disciplines admit and report their backlog by); it unpickles into a wrong graph or fails deep inside it, and so
 does one with a flipped bit (about one in six still unpickles).  The header exists to refuse both up front.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
@@ -108,7 +109,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/17"
+SCHEMA = "repro.snapshot/18"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

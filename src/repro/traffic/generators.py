@@ -15,13 +15,14 @@ whole train instead of paying one per packet.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.address import IPv4Address
 from repro.net.packet import IPHeader, Packet
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "TrafficSource",

@@ -11,13 +11,14 @@ sketches for clarity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["FlowRecord", "FlowSink"]
 
@@ -37,9 +38,13 @@ class FlowRecord:
         return len(self.delays)
 
     def delays_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.delays, dtype=np.float64)
 
     def arrivals_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.arrival_times, dtype=np.float64)
 
 

@@ -27,7 +27,10 @@ operation's does.  Delta operations propagate only the changed routes:
 
 Every import write is :meth:`MpBgp._reselect`'s, through the batched
 ``add_remote_many`` / ``remove_many`` paths (single FIB generation bump
-per VRF per operation, the ``install_many`` pattern).  Local routes are
+per VRF per operation, the ``install_many`` pattern).  It decides each
+prefix in one step — a prefix one origin offers in the loop itself, two or
+more through the rank tie-break — and empties a VRF offered nothing in
+one pass, so a PE drain costs the routes it moves.  Local routes are
 preferred over imports: a prefix a VRF holds as a local is never
 overwritten (or removed) by the import side — the standard BGP
 admin-distance rule, and what keeps churn idempotent when two sites
@@ -487,15 +490,14 @@ class MpBgp:
     # Import side
     # ------------------------------------------------------------------
     def _pick_winner(
-        self, importer: str, candidates: dict[tuple[str, str], VpnRoute]
+        self, barred: set[str], candidates: dict[tuple[str, str], VpnRoute]
     ) -> VpnRoute | None:
-        down = self._down
+        """The winner among two or more origins of one prefix: the
+        highest-ranked one whose PE is not in ``barred``."""
         best = None
         for item in candidates.items():
-            origin = item[0][0]
-            if origin == importer or origin in down:
+            if item[0][0] in barred:
                 continue
-            # Ranked only when a second origin is eligible.
             if best is None or self._rank(item) > self._rank(best):
                 best = item
         return None if best is None else best[1]
@@ -508,7 +510,9 @@ class MpBgp:
         names = list(self._pe_by_name[origin].vrfs)
         return self._pe_pos[origin], names.index(vrf_name) if vrf_name in names else -1
 
-    def _offers(self, rts: frozenset[RouteTarget], prefixes: set[Prefix] | None = None) -> dict:
+    def _offers(
+        self, rts: frozenset[RouteTarget], prefixes: Sequence[Prefix] | None = None
+    ) -> dict:
         """Prefix -> origins under ``rts`` (of ``prefixes`` only, if given):
         one RT reads the RT index's own dict, several merge a copy."""
         if len(rts) == 1:
@@ -533,38 +537,58 @@ class MpBgp:
         key: tuple[str, str],
         vrf: Vrf,
         rts: frozenset[RouteTarget],
-        prefixes: set[Prefix] | None,
+        prefixes: Sequence[Prefix] | None,
         result: BgpResult,
     ) -> None:
-        """The one import writer: make the entry of each of ``prefixes``
-        (``None``: every prefix offered or held) the winner offered under
-        ``rts``, or no entry when nothing is, and never write over a local.
-        A drained PE is offered nothing (``rts`` empty)."""
+        """The one import writer: make the entry of each of ``prefixes`` (in
+        the order given; ``None``: every prefix offered or held) the winner
+        offered under ``rts``, or no entry when nothing is, and never write
+        over a local.  A drained PE is offered nothing (``rts`` empty).
+
+        Each prefix is decided in one step.  An origin is eligible unless
+        its PE is drained or is the importer itself (``barred``, the one
+        statement of that rule): one origin is the winner when eligible, and
+        only two or more go to :meth:`_pick_winner`.  When nothing is
+        offered, one pass removes every held import of ``todo``."""
         table = vrf.entries()
         local = vrf.local_routes()
         offers = self._offers(rts, prefixes)
         if prefixes is None:     # offered ones as the RT index holds them, then the rest
-            todo: Iterable[Prefix] = [*offers, *(p for p in table if p not in offers)]
+            todo: Sequence[Prefix] = [*offers, *[p for p in table if p not in offers]]
         else:
-            todo = sorted(prefixes)
-        exported = self._rib.get(key, ())
+            todo = prefixes
+        exported = self._rib.get(key, {})
         adds: list[tuple[Prefix, VpnRoute]] = []
-        dels: list[Prefix] = []
-        for prefix in todo:
-            if prefix in local:
-                if prefix not in exported:
-                    # A local the Adj-RIB-Out has not seen: if it goes
-                    # before it is advertised, no delta re-examines this
-                    # prefix, so the record can no longer vouch for it.
-                    self._synced.pop(key, None)
-                continue
-            winner = self._pick_winner(key[0], offers.get(prefix, {}))
-            have = table.get(prefix)
-            if winner is None:
-                if have is not None:
-                    dels.append(prefix)
-            elif have != winner:
-                adds.append((prefix, winner))
+        if not offers:
+            dels = [p for p in todo if p in table and p not in local]
+            if not exported.keys() >= local.keys() & todo:
+                self._synced.pop(key, None)     # a local not yet advertised, as below
+        else:
+            dels = []
+            barred = self._down | {key[0]}
+            for prefix in todo:
+                if prefix in local:
+                    if prefix not in exported:
+                        # A local the Adj-RIB-Out has not seen: if it goes
+                        # before it is advertised, no delta re-examines this
+                        # prefix, so the record can no longer vouch for it.
+                        self._synced.pop(key, None)
+                    continue
+                winner = None
+                if prefix in offers:
+                    origins = offers[prefix]
+                    if len(origins) == 1:
+                        ((origin, _), winner), = origins.items()
+                        if origin in barred:
+                            winner = None
+                    else:
+                        winner = self._pick_winner(barred, origins)
+                have = table[prefix] if prefix in table else None
+                if winner is None:
+                    if have is not None:
+                        dels.append(prefix)
+                elif have != winner:
+                    adds.append((prefix, winner))
         if not adds and not dels:
             return
         # A table in step with its record stays in step across the engine's
@@ -597,16 +621,19 @@ class MpBgp:
         for route in changed:
             for rt in route.route_targets:
                 prefixes_by_rt.setdefault(rt, set()).add(route.prefix)
-        visits: dict[tuple[str, str], tuple[Vrf, set[Prefix]]] = {}
+        # Each changed-prefix set is sorted once and the list shared by every
+        # VRF that imports it; a union is a new list for its VRF alone.
+        visits: dict[tuple[str, str], tuple[Vrf, list[Prefix]]] = {}
         if origin is not None:
-            visits[origin[0], origin[1].name] = (origin[1], {r.prefix for r in changed})
+            visits[origin[0], origin[1].name] = (origin[1], sorted({r.prefix for r in changed}))
         index, pes, down = self.importers(), self._pe_by_name, self._down
         for rt, prefixes in prefixes_by_rt.items():
+            ordered = sorted(prefixes)
             for key, vrf in index.get(rt, {}).items():
                 if key[0] in down or vrf in skip or pes[key[0]].vrfs.get(key[1]) is not vrf:
                     continue        # drained, synced by the caller, or stale
                 seen = visits.get(key)
-                visits[key] = (vrf, prefixes if seen is None else seen[1] | prefixes)
+                visits[key] = (vrf, ordered if seen is None else sorted({*seen[1], *prefixes}))
         for key, (vrf, prefixes) in visits.items():
             self._reselect(key, vrf, self._policy(key, vrf), prefixes, result)
 
@@ -873,4 +900,4 @@ class MpBgp:
 
     def adj_rib_size(self) -> int:
         """Total advertised NLRI across all origins (state census)."""
-        return sum(len(rib) for rib in self._rib.values())
+        return sum(map(len, self._rib.values()))

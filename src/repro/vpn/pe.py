@@ -144,4 +144,4 @@ class PeRouter(Lsr):
     # ------------------------------------------------------------------
     def vrf_state_entries(self) -> int:
         """Total per-VPN state on this PE (for the E1 state census)."""
-        return sum(len(v) for v in self.vrfs.values())
+        return Vrf.total_entries(self.vrfs.values())

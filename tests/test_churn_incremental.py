@@ -135,6 +135,13 @@ def _oracle_snapshot(prov: VpnProvisioner, drained, rr_clusters=None):
     return _vrf_snapshot(prov)
 
 
+def _live_equals_oracle(prov: VpnProvisioner, drained) -> None:
+    """The live VRFs equal the oracle's, computed on a copy (a snapshot round
+    trip) so the live run goes on untouched."""
+    _, extras = restore_network(snapshot_network(prov.net, {"prov": prov}))
+    assert _vrf_snapshot(prov) == _oracle_snapshot(extras["prov"], drained)
+
+
 def _resync_reaches_oracle(prov: VpnProvisioner, drained, rr_clusters=None) -> None:
     """On a copy, so the live run goes on untouched: a bare resync from
     wherever the ops left the engine gives the oracle's tables."""
@@ -647,6 +654,68 @@ class TestChurnDeterministic:
         assert _vrf_snapshot(prov) == _oracle_snapshot(
             prov, drained=(), rr_clusters=["pe0"]
         )
+
+    def test_a_prefix_two_pes_originate_follows_each_drain(self):
+        """One prefix, two origins (pe1 and pe2), two more PEs importing it.
+        Draining and restoring each origin in turn takes the importers from
+        the several-origin pick to the one-origin step (the other origin
+        drained) and back, and empties the drained PE's imports in the
+        nothing-offered pass; after every op each VRF is what a fresh
+        converge() gives, and the importers hold the winner the ranking
+        picks."""
+        net, pes, prov = _world(4)
+        corp = prov.vpns["corp"]
+        site = next(s for s in corp.sites if s.pe is pes[1])
+        prov.add_site(corp, pes[2], prefix=site.prefix, num_hosts=0)
+        prov.bgp_engine().export_delta(pes[2], pes[2].vrfs["corp"])
+        importers = [pes[0].vrfs["corp"], pes[3].vrfs["corp"]]
+        assert {vrf.entries()[site.prefix].origin_pe for vrf in importers} == {"pe2"}
+        for origin, other in ((pes[1], pes[2]), (pes[2], pes[1])):
+            prov.drain_pe(origin)
+            _live_equals_oracle(prov, drained={origin.name})
+            assert {vrf.entries()[site.prefix].origin_pe for vrf in importers} == {other.name}
+            held = origin.vrfs["corp"].routes()
+            assert held and all(r.kind == "local" for r in held.values())
+            prov.restore_pe(origin)
+            _live_equals_oracle(prov, drained=())
+            assert {vrf.entries()[site.prefix].origin_pe for vrf in importers} == {"pe2"}
+
+    def test_each_importer_reselects_its_own_changed_prefixes_in_order(self, monkeypatch):
+        """A drain changes routes under two RTs.  Every VRF importing them is
+        handed the changed prefixes of the RTs it imports, sorted: a VRF
+        importing both gets their union, and one importing a single RT sees
+        nothing of the other's (each changed-prefix set is sorted once and
+        shared by its importers; a union is that VRF's alone)."""
+        net, pes, prov = _world(4)
+        corp, other = prov.vpns["corp"], prov.create_vpn("other")
+        for pe in pes:
+            prov.add_site(other, pe, num_hosts=0)
+        extranet = pes[0].vrfs["corp"]
+        extranet.import_rts = extranet.import_rts | {other.rt}
+        prov.converge_bgp()
+        engine = prov.bgp_engine()
+        changed = {
+            rt: {r.prefix for key, rib in engine._rib.items() if key[0] == "pe2"
+                 for r in rib.values() if rt in r.route_targets}
+            for rt in (corp.rt, other.rt)
+        }
+        handed = []
+        reselect = engine._reselect
+
+        def spy(key, vrf, rts, prefixes, result):
+            if prefixes is not None:
+                handed.append((key, list(prefixes)))
+            reselect(key, vrf, rts, prefixes, result)
+
+        monkeypatch.setattr(engine, "_reselect", spy)
+        prov.drain_pe(pes[2])
+        assert dict(handed) == {
+            (pe.name, vrf.name): sorted(set().union(*(changed[rt] for rt in vrf.import_rts)))
+            for pe in pes if pe is not pes[2] for vrf in pe.vrfs.values()
+        }
+        assert len(handed) == len(dict(handed))
+        monkeypatch.undo()      # the copy below pickles the engine
+        _live_equals_oracle(prov, drained={"pe2"})
 
     def test_forget_vrf_requires_withdraw_first(self):
         net, pes, prov = _world(2)

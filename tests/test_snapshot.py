@@ -366,6 +366,18 @@ def test_schema_16_image_refused_by_name(monkeypatch) -> None:
         restore_network(old)
 
 
+def test_schema_17_image_refused_by_name(monkeypatch) -> None:
+    # A /17 image's FIFOs (every default discipline and every class queue)
+    # carry no packet count; this reader's FIFO admits against that count
+    # and its interface reads the backlog from it, so a restored queue would
+    # fail on its first packet.  The header refuses it first.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/17")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/17'"):
+        restore_network(old)
+
+
 def test_restored_route_keys_are_the_value_types() -> None:
     """The control plane's keys pickle as tuples: after a round trip they
     must still be Prefix / RouteTarget instances (rebuilt through the
@@ -1055,3 +1067,17 @@ def test_save_load_file_roundtrip(tmp_path) -> None:
     assert set(extras) == set(ctx)
     assert extras["s1"].hosts[0] is net2.nodes[extras["s1"].hosts[0].name]
     assert audit(net2) == audit(net)
+
+
+@pytest.mark.parametrize("kind", ["droptail", "red"])
+def test_e12a_network_round_trips_and_audits_clean(kind: str) -> None:
+    """E12a's queue-discipline factory (a byte-capped FIFO, tail-drop or
+    RED on the run's stream) is an importable callable, so a run's network
+    snapshots by name and comes back whole."""
+    from repro.experiments.e12_elastic import run_e12a_aqm
+
+    net = run_e12a_aqm(duration_s=0.5)[1][kind]["net"]
+    restored, _ = restore_network(snapshot_network(net))
+    assert [f for f in audit(restored) if f.severity in ("error", "warning")] == []
+    factory = restored.default_qdisc_factory
+    assert (factory.kind, factory.cap_bytes) == (kind, 100 * 1500)
