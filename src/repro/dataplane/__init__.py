@@ -7,7 +7,9 @@ LFIB, and the VRF tables.  See ``docs/ARCHITECTURE.md`` §"Data-plane
 pipeline".
 """
 
-from repro.dataplane.caches import GenCache
-from repro.dataplane.pipeline import ForwardingPipeline, flow_hash
+from repro._exports import attach
 
-__all__ = ["ForwardingPipeline", "GenCache", "flow_hash"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "caches": ("GenCache",),
+    "pipeline": ("ForwardingPipeline", "flow_hash"),
+})

@@ -1,38 +1,26 @@
 """Experiment harness: one module per reproduced claim (see DESIGN.md §3)."""
 
-from repro.experiments.common import ExperimentRun, make_qdisc_factory, three_class_queues
-from repro.experiments.e1_scalability import mpls_census, overlay_census, run_e1
-from repro.experiments.e2_qos import run_e2
-from repro.experiments.e3_forwarding import run_e3
-from repro.experiments.e4_ipsec import run_e4
-from repro.experiments.e5_sla import run_e5
-from repro.experiments.e6_te import run_e6
-from repro.experiments.e7_isolation import run_e7
-from repro.experiments.e8_mixed import run_e8
-from repro.experiments.e10_interas import run_e10
-from repro.experiments.e11_resilience import run_e11
-from repro.experiments.e12_elastic import run_e12, run_e12a_aqm, run_e12b_voice_vs_elastic
-from repro.experiments.e13_tiers import run_e13
-from repro.experiments.e15_churn import run_e15
-from repro.experiments.hybrid import run_hybrid_demo, run_scale
-from repro.experiments.e14_intserv import run_e14
-from repro.experiments.e9_ablations import (
-    run_e9,
-    run_e9a_schedulers,
-    run_e9b_aqm,
-    run_e9c_exp_php,
-    run_e9d_stack_overhead,
-    run_e9e_ibgp,
-)
+from repro._exports import attach
 
-__all__ = [
-    "ExperimentRun", "make_qdisc_factory", "three_class_queues",
-    "mpls_census", "overlay_census",
-    "run_e1", "run_e2", "run_e3", "run_e4", "run_e5", "run_e6", "run_e7",
-    "run_e8", "run_e9", "run_e10", "run_e11", "run_e12", "run_e13", "run_e14",
-    "run_e15",
-    "run_e12a_aqm", "run_e12b_voice_vs_elastic",
-    "run_hybrid_demo", "run_scale",
-    "run_e9a_schedulers", "run_e9b_aqm",
-    "run_e9c_exp_php", "run_e9d_stack_overhead", "run_e9e_ibgp",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "common": ("ExperimentRun", "make_qdisc_factory", "three_class_queues"),
+    "e1_scalability": ("mpls_census", "overlay_census", "run_e1"),
+    "e2_qos": ("run_e2",),
+    "e3_forwarding": ("run_e3",),
+    "e4_ipsec": ("run_e4",),
+    "e5_sla": ("run_e5",),
+    "e6_te": ("run_e6",),
+    "e7_isolation": ("run_e7",),
+    "e8_mixed": ("run_e8",),
+    "e9_ablations": (
+        "run_e9", "run_e9a_schedulers", "run_e9b_aqm", "run_e9c_exp_php",
+        "run_e9d_stack_overhead", "run_e9e_ibgp",
+    ),
+    "e10_interas": ("run_e10",),
+    "e11_resilience": ("run_e11",),
+    "e12_elastic": ("run_e12", "run_e12a_aqm", "run_e12b_voice_vs_elastic"),
+    "e13_tiers": ("run_e13",),
+    "e14_intserv": ("run_e14",),
+    "e15_churn": ("run_e15",),
+    "hybrid": ("run_hybrid_demo", "run_scale"),
+})

@@ -24,11 +24,13 @@ from repro.qos.queues import (
     QueueDiscipline,
     WeightedRoundRobin,
 )
+from repro.qos.red import RedParams, RedQueueManager, standard_wred
 from repro.topology import Network
 from repro.traffic.generators import TrafficSource
 from repro.traffic.sink import FlowSink
 
 __all__ = [
+    "AqmQdisc",
     "ExperimentRun",
     "make_qdisc_factory",
     "three_class_queues",
@@ -82,6 +84,32 @@ def _qdisc_for(
     if kind == "wrr":
         return WeightedRoundRobin(queues, cls, [max(1, int(w)) for w in weights])
     raise ValueError(f"unknown qdisc kind {kind!r}")
+
+
+class AqmQdisc:
+    """The AQM studies' (E9b, E12a) queue-discipline factory: a byte-capped
+    FIFO per interface, tail-drop (``"droptail"``), RED on ``red``
+    (``"red"``) or three-precedence WRED (``"wred"``), drawing on ``rng``.
+    A slotted class, not a closure, so a network holding it snapshots it by
+    name (as :class:`repro.qos.meter._Policer`)."""
+
+    __slots__ = ("kind", "cap_bytes", "rng", "red")
+
+    def __init__(self, kind: str, cap_bytes: int, rng, red: RedParams) -> None:
+        self.kind = kind
+        self.cap_bytes = cap_bytes
+        self.rng = rng
+        self.red = red
+
+    def __call__(self, node: Node, ifname: str) -> DropTailFifo:
+        cap = self.cap_bytes
+        if self.kind == "droptail":
+            return DropTailFifo(capacity_packets=None, capacity_bytes=cap)
+        policy = (
+            RedQueueManager(self.red, self.rng) if self.kind == "red"
+            else standard_wred(cap, self.rng)
+        )
+        return DropTailFifo(capacity_packets=None, capacity_bytes=cap, drop_policy=policy)
 
 
 @dataclass

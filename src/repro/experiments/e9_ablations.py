@@ -21,13 +21,19 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentRun, make_qdisc_factory
+from repro.experiments.common import (
+    AqmQdisc,
+    ExperimentRun,
+    make_qdisc_factory,
+    three_class_queues,
+)
 from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.net.packet import IPV4_HEADER_BYTES, MPLS_SHIM_BYTES
+from repro.qos.classifier import llsp_classifier
 from repro.qos.dscp import DSCP
-from repro.qos.queues import DropTailFifo
-from repro.qos.red import RedParams, RedQueueManager, standard_wred
+from repro.qos.queues import FairQueueing
+from repro.qos.red import RedParams
 from repro.routing.spf import converge
 from repro.topology import Network, attach_host, build_backbone, build_line
 from repro.traffic.generators import CbrSource, OnOffSource, voice_source
@@ -111,25 +117,10 @@ def run_e9b_aqm(
     rows: list[dict[str, Any]] = []
     raw: dict[str, Any] = {}
     cap_bytes = 150 * 1500
+    red = RedParams(min_th=cap_bytes // 5, max_th=cap_bytes // 2, max_p=0.1)
     for kind in ("droptail", "red", "wred"):
         net = Network(seed=seed)
-        rng = net.streams.stream("e9b.aqm")
-
-        def factory(node, ifname, _kind=kind, _rng=rng):
-            if _kind == "droptail":
-                return DropTailFifo(capacity_packets=None, capacity_bytes=cap_bytes)
-            if _kind == "red":
-                policy = RedQueueManager(
-                    RedParams(min_th=cap_bytes // 5, max_th=cap_bytes // 2, max_p=0.1),
-                    _rng,
-                )
-            else:
-                policy = standard_wred(cap_bytes, _rng)
-            return DropTailFifo(
-                capacity_packets=None, capacity_bytes=cap_bytes, drop_policy=policy
-            )
-
-        net.default_qdisc_factory = factory
+        net.default_qdisc_factory = AqmQdisc(kind, cap_bytes, net.streams.stream("e9b.aqm"), red)
         routers = build_line(net, 3, rate_bps=BOTTLENECK_BPS)
         tx = attach_host(net, routers[0], "10.92.0.1", name="tx")
         rx = attach_host(net, routers[2], "10.92.0.2", name="rx")
@@ -307,6 +298,12 @@ def run_e9e_ibgp(
 # E9f — E-LSP vs L-LSP (RFC 3270's two DiffServ-over-MPLS models)
 # ---------------------------------------------------------------------------
 
+def _llsp_wfq(node, ifname: str) -> FairQueueing:
+    """E9f's queue-discipline factory: WFQ behind the node's L-LSP-aware
+    classifier (EXP for E-LSPs)."""
+    return FairQueueing(three_class_queues(100), llsp_classifier(node), [16.0, 4.0, 1.0])
+
+
 def run_e9f_elsp_llsp(
     seed: int = 96, measure_s: float = 6.0
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
@@ -319,20 +316,12 @@ def run_e9f_elsp_llsp(
     """
     from repro.mpls.te import TrafficEngineering
     from repro.net.address import Prefix
-    from repro.qos.classifier import llsp_classifier
-    from repro.qos.queues import FairQueueing
-    from repro.experiments.common import three_class_queues
 
     rows: list[dict[str, Any]] = []
     raw: dict[str, Any] = {}
     for model in ("e-lsp", "l-lsp"):
         net = Network(seed=seed)
-        # Per-node L-LSP-aware classifier (falls back to EXP for E-LSPs).
-        def factory(node, ifname):
-            return FairQueueing(
-                three_class_queues(100), llsp_classifier(node), [16.0, 4.0, 1.0]
-            )
-        net.default_qdisc_factory = factory
+        net.default_qdisc_factory = _llsp_wfq
 
         routers = [net.add_node(Lsr(net.sim, f"r{i}")) for i in range(4)]
         for i in range(3):

@@ -1,27 +1,11 @@
 """Measurement: flow statistics, SLA conformance, result tables."""
 
-from repro.metrics.sla import (
-    BEST_EFFORT_SLA,
-    DATA_SLA,
-    VOICE_SLA,
-    SlaSpec,
-    SlaVerdict,
-    evaluate,
-)
-from repro.metrics.probes import ProbeAgent
-from repro.metrics.stats import (
-    FlowStats,
-    rfc3550_jitter,
-    summarize_flow,
-    summarize_hybrid_flow,
-)
-from repro.metrics.timeseries import TimeSeries, attach_flow_series, attach_link_series
-from repro.metrics.table import print_table, render_table
+from repro._exports import attach
 
-__all__ = [
-    "BEST_EFFORT_SLA", "DATA_SLA", "VOICE_SLA", "SlaSpec", "SlaVerdict",
-    "evaluate", "FlowStats", "rfc3550_jitter", "summarize_flow",
-    "summarize_hybrid_flow",
-    "print_table", "render_table",
-    "ProbeAgent", "TimeSeries", "attach_flow_series", "attach_link_series",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "sla": ("BEST_EFFORT_SLA", "DATA_SLA", "VOICE_SLA", "SlaSpec", "SlaVerdict", "evaluate"),
+    "probes": ("ProbeAgent",),
+    "stats": ("FlowStats", "rfc3550_jitter", "summarize_flow", "summarize_hybrid_flow"),
+    "timeseries": ("TimeSeries", "attach_flow_series", "attach_link_series"),
+    "table": ("print_table", "render_table"),
+})

@@ -1,25 +1,15 @@
 """MPLS: labels, LFIB, LSR data plane, LDP distribution, traffic engineering."""
 
-from repro.mpls.label import (
-    EXPLICIT_NULL,
-    FIRST_UNRESERVED,
-    IMPLICIT_NULL,
-    MAX_LABEL,
-    LabelExhausted,
-    LabelSpace,
-)
-from repro.mpls.frr import Bypass, FastReroute, FrrError
-from repro.mpls.ldp import LdpResult, reset_ldp, run_ldp
-from repro.mpls.lfib import FtnTable, LabelOp, Lfib, LfibEntry, Nhlfe
-from repro.mpls.lsr import Lsr
-from repro.mpls.te import AdmissionError, TeLsp, TrafficEngineering
+from repro._exports import attach
 
-__all__ = [
-    "EXPLICIT_NULL", "FIRST_UNRESERVED", "IMPLICIT_NULL", "MAX_LABEL",
-    "LabelExhausted", "LabelSpace",
-    "LdpResult", "run_ldp", "reset_ldp",
-    "Bypass", "FastReroute", "FrrError",
-    "FtnTable", "LabelOp", "Lfib", "LfibEntry", "Nhlfe",
-    "Lsr",
-    "AdmissionError", "TeLsp", "TrafficEngineering",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "label": (
+        "EXPLICIT_NULL", "FIRST_UNRESERVED", "IMPLICIT_NULL", "MAX_LABEL",
+        "LabelExhausted", "LabelSpace",
+    ),
+    "frr": ("Bypass", "FastReroute", "FrrError"),
+    "ldp": ("LdpResult", "reset_ldp", "run_ldp"),
+    "lfib": ("FtnTable", "LabelOp", "Lfib", "LfibEntry", "Nhlfe"),
+    "lsr": ("Lsr",),
+    "te": ("AdmissionError", "TeLsp", "TrafficEngineering"),
+})

@@ -25,28 +25,15 @@ Everything is strictly opt-in: with telemetry disabled the only residue on
 the hot paths is a ``None`` check (same budget as the TraceBus fast path).
 """
 
-from repro.obs.flightrec import FlightRecorder, HopRecord
-from repro.obs.flows import FlowAccountant
-from repro.obs.profiler import KernelProfiler
-from repro.obs.registry import MetricsRegistry
-from repro.obs.sketch import QuantileSketch, StreamingJitter
-from repro.obs.slo import SloEngine, SloStream
-from repro.obs.spans import ConvergenceTracer, HealingWatch, Span
-from repro.obs.telemetry import Telemetry, TelemetryAttachError
+from repro._exports import attach
 
-__all__ = [
-    "FlightRecorder",
-    "HopRecord",
-    "FlowAccountant",
-    "KernelProfiler",
-    "MetricsRegistry",
-    "QuantileSketch",
-    "StreamingJitter",
-    "SloEngine",
-    "SloStream",
-    "ConvergenceTracer",
-    "HealingWatch",
-    "Span",
-    "Telemetry",
-    "TelemetryAttachError",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "flightrec": ("FlightRecorder", "HopRecord"),
+    "flows": ("FlowAccountant",),
+    "profiler": ("KernelProfiler",),
+    "registry": ("MetricsRegistry",),
+    "sketch": ("QuantileSketch", "StreamingJitter"),
+    "slo": ("SloEngine", "SloStream"),
+    "spans": ("ConvergenceTracer", "HealingWatch", "Span"),
+    "telemetry": ("Telemetry", "TelemetryAttachError"),
+})

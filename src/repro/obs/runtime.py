@@ -8,17 +8,20 @@ switch before running and every ``Network.__init__`` asks
 their manifests afterwards.
 
 Disabled (the default) this costs one module-level boolean check per
-*network construction* — nothing at all per event or per packet.
+*network construction* — nothing at all per event or per packet — and
+importing this module imports no telemetry code: :class:`Telemetry` is
+imported when the first session attaches, and :func:`enable` reads the
+option names from its signature on its first call.
 """
 
 from __future__ import annotations
 
 import inspect
+from functools import cache
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.telemetry import Telemetry
-
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.telemetry import Telemetry
     from repro.topology import Network
 
 __all__ = [
@@ -35,9 +38,7 @@ __all__ = [
     "flags",
 ]
 
-#: What ``enable(**options)`` accepts: the :class:`Telemetry` keyword
-#: arguments, and the smallest value allowed for the counted ones.
-_SESSION_OPTIONS = frozenset(inspect.signature(Telemetry.__init__).parameters) - {"self", "net"}
+#: The smallest value ``enable(**options)`` allows for the counted options.
 _OPTION_FLOORS = {"sample_every": 1, "flight_capacity": 1}
 
 _enabled = False
@@ -57,11 +58,12 @@ def enable(**options: Any) -> None:
     experiment; a rejected call leaves the switch as it was.
     """
     global _enabled, _options
+    accepted = _session_options()
     for name, value in options.items():
-        if name not in _SESSION_OPTIONS:
+        if name not in accepted:
             raise TypeError(
                 f"enable(): unknown option {name!r} "
-                f"(expected one of {', '.join(sorted(_SESSION_OPTIONS))})"
+                f"(expected one of {', '.join(sorted(accepted))})"
             )
         floor = _OPTION_FLOORS.get(name)
         if floor is not None and (
@@ -70,6 +72,15 @@ def enable(**options: Any) -> None:
             raise ValueError(f"enable(): {name} must be an integer >= {floor}, got {value!r}")
     _enabled = True
     _options = dict(options)
+
+
+@cache
+def _session_options() -> frozenset[str]:
+    """What ``enable(**options)`` accepts: the :class:`Telemetry` keyword
+    arguments."""
+    from repro.obs.telemetry import Telemetry
+
+    return frozenset(inspect.signature(Telemetry.__init__).parameters) - {"self", "net"}
 
 
 def disable() -> None:
@@ -91,6 +102,8 @@ def attach_if_enabled(net: "Network") -> Telemetry | None:
     # enable(**options) explicitly.
     opts.setdefault("slo", _slo)
     opts.setdefault("spans", _spans)
+    from repro.obs.telemetry import Telemetry
+
     session = Telemetry(net, **opts)
     _sessions.append(session)
     return session

@@ -21,6 +21,7 @@ import subprocess
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.obs import runtime
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.flows import FlowAccountant
 from repro.obs.profiler import KernelProfiler
@@ -309,9 +310,6 @@ class Telemetry:
     # ------------------------------------------------------------------
     def manifest(self, config: dict[str, Any] | None = None) -> dict[str, Any]:
         """One JSON-serialisable document describing this run."""
-        # Late import: repro.obs.runtime imports this module at its top.
-        from repro.obs import runtime
-
         if self.slo is not None:
             self.slo.finalize()
         self.scrape()

@@ -1,12 +1,11 @@
 """IP routing: FIB with longest-prefix match, SPF control plane, router node."""
 
-from repro.routing.admission import AdmissionError, ReservationLedger
-from repro.routing.fib import Fib, RouteEntry
-from repro.routing.router import Router
-from repro.routing.spf import advertised_prefixes, converge, reconverge, spf_paths
-from repro.routing.spf_core import NoPathError
+from repro._exports import attach
 
-__all__ = [
-    "AdmissionError", "Fib", "NoPathError", "ReservationLedger", "RouteEntry",
-    "Router", "advertised_prefixes", "converge", "reconverge", "spf_paths",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "admission": ("AdmissionError", "ReservationLedger"),
+    "fib": ("Fib", "RouteEntry"),
+    "router": ("Router",),
+    "spf": ("advertised_prefixes", "converge", "reconverge", "spf_paths"),
+    "spf_core": ("NoPathError",),
+})

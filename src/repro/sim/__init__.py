@@ -1,23 +1,9 @@
 """Discrete-event simulation kernel: scheduler, RNG streams, tracing."""
 
-from repro.sim.engine import (
-    Event,
-    Periodic,
-    SimulationError,
-    Simulator,
-    Timer,
-)
-from repro.sim.randomness import RandomStreams
-from repro.sim.trace import Counter, TraceBus, TraceRecord
+from repro._exports import attach
 
-__all__ = [
-    "Event",
-    "Periodic",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-    "RandomStreams",
-    "Counter",
-    "TraceBus",
-    "TraceRecord",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "engine": ("Event", "Periodic", "SimulationError", "Simulator", "Timer"),
+    "randomness": ("RandomStreams",),
+    "trace": ("Counter", "TraceBus", "TraceRecord"),
+})

@@ -5,22 +5,9 @@ See :mod:`repro.sweep.runner` for the execution model and
 ``python -m repro sweep --grid e2 --workers 4``.
 """
 
-from repro.sweep.grids import GRIDS, build_grid, smoke_grid
-from repro.sweep.runner import (
-    SCHEMA_ID,
-    Task,
-    deterministic_view,
-    run_sweep,
-    task_seed,
-)
+from repro._exports import attach
 
-__all__ = [
-    "GRIDS",
-    "build_grid",
-    "smoke_grid",
-    "SCHEMA_ID",
-    "Task",
-    "deterministic_view",
-    "run_sweep",
-    "task_seed",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "grids": ("GRIDS", "build_grid", "smoke_grid"),
+    "runner": ("SCHEMA_ID", "Task", "deterministic_view", "run_sweep", "task_seed"),
+})

@@ -1,25 +1,13 @@
 """Traffic generation and collection."""
 
-from repro.traffic.elastic import ElasticSource
-from repro.traffic.fluid import (
-    FluidAggregate,
-    FluidPath,
-    FluidRouter,
-    PacketExpander,
-)
-from repro.traffic.generators import (
-    CbrSource,
-    OnOffSource,
-    ParetoOnOffSource,
-    PoissonSource,
-    TrafficSource,
-    voice_source,
-)
-from repro.traffic.sink import FlowRecord, FlowSink
+from repro._exports import attach
 
-__all__ = [
-    "CbrSource", "OnOffSource", "ParetoOnOffSource", "PoissonSource",
-    "TrafficSource", "voice_source", "FlowRecord", "FlowSink",
-    "ElasticSource",
-    "FluidAggregate", "FluidPath", "FluidRouter", "PacketExpander",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "elastic": ("ElasticSource",),
+    "fluid": ("FluidAggregate", "FluidPath", "FluidRouter", "PacketExpander"),
+    "generators": (
+        "CbrSource", "OnOffSource", "ParetoOnOffSource", "PoissonSource",
+        "TrafficSource", "voice_source",
+    ),
+    "sink": ("FlowRecord", "FlowSink"),
+})
