@@ -17,7 +17,7 @@ Run:  python examples/backbone_deployment.py   (~15 s)
 
 from repro.audit import audit
 from repro.control import converge_all
-from repro.experiments.common import make_qdisc_factory
+from repro.experiments import QdiscSpec
 from repro.metrics import VOICE_SLA, ProbeAgent, print_table
 from repro.mpls import FastReroute, Lsr, TrafficEngineering
 from repro.net.address import Prefix
@@ -30,7 +30,7 @@ RUN_S = 10.0
 
 def main() -> None:
     net = Network(seed=2000)
-    net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+    net.default_qdisc_factory = QdiscSpec("wfq")
 
     def factory(n, name):
         cls = PeRouter if name.startswith("E") else Lsr

@@ -13,7 +13,7 @@ Run:  python examples/enterprise_vpn.py
 """
 
 from repro.control import converge_all
-from repro.experiments.common import make_qdisc_factory
+from repro.experiments import QdiscSpec
 from repro.metrics import DATA_SLA, VOICE_SLA, evaluate, print_table, summarize_flow
 from repro.mpls import Lsr
 from repro.qos import CbqClass, CbqScheduler, DSCP, ba_classifier
@@ -37,7 +37,7 @@ def cpe_cbq() -> CbqScheduler:
 def main() -> None:
     net = Network(seed=2026)
     # EXP-aware WFQ on every provider interface.
-    net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+    net.default_qdisc_factory = QdiscSpec("wfq")
 
     def factory(n, name):
         cls = PeRouter if name.startswith("E") else Lsr

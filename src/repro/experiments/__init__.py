@@ -3,7 +3,7 @@
 from repro._exports import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "common": ("ExperimentRun", "make_qdisc_factory", "three_class_queues"),
+    "common": ("ExperimentRun", "QdiscSpec", "three_class_queues"),
     "e1_scalability": ("mpls_census", "overlay_census", "run_e1"),
     "e2_qos": ("run_e2",),
     "e3_forwarding": ("run_e3",),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.metrics.stats import FlowStats, summarize_flow, summarize_hybrid_flow
@@ -30,9 +29,8 @@ from repro.traffic.generators import TrafficSource
 from repro.traffic.sink import FlowSink
 
 __all__ = [
-    "AqmQdisc",
     "ExperimentRun",
-    "make_qdisc_factory",
+    "QdiscSpec",
     "three_class_queues",
     "run_and_summarize",
 ]
@@ -47,69 +45,76 @@ def three_class_queues(capacity_packets: int = 100) -> list[DropTailFifo]:
     ]
 
 
-def make_qdisc_factory(
-    kind: str,
-    capacity_packets: int = 100,
-    classify: Callable | None = None,
-    weights: Sequence[float] = (8.0, 4.0, 1.0),
-) -> Callable[[Node, str], QueueDiscipline]:
-    """Factory of per-interface queue disciplines.
+# Every classful discipline's EF / AF / BE weights: no caller varies them.
+_WEIGHTS = (16.0, 4.0, 1.0)
+_AQM = ("droptail", "red", "wred")
+_KINDS = ("fifo", "priority", "wrr", "drr", "wfq") + _AQM
 
-    ``kind`` ∈ {"fifo", "priority", "wfq", "drr", "wrr"}.  Classful kinds
-    classify on MPLS EXP when labeled, outer DSCP otherwise — the interior
-    behaviour of claim C6.  The factory is a :func:`functools.partial`, so
-    a network holding it snapshots it by name.
+
+@dataclass(frozen=True, slots=True)
+class QdiscSpec:
+    """The per-interface queue discipline of a network, as data: a
+    ``(node, ifname) -> QueueDiscipline`` factory for
+    ``Network.default_qdisc_factory``.
+
+    ``kind`` is ``"fifo"`` (a 100-packet FIFO), a classful scheduler over
+    the EF / AF / BE queues of :func:`three_class_queues` weighted 16:4:1
+    (``"priority"``, ``"wrr"``, ``"drr"``, ``"wfq"``), or a FIFO capped at
+    ``cap_bytes`` drawing on ``rng``, the network's stream (``"droptail"``,
+    ``"red"`` on ``red``, three-precedence ``"wred"``; every AQM kind takes
+    a stream, so a study's kinds share one record shape, and tail-drop
+    draws nothing from it).  A classful kind classifies through
+    ``classifier(node)`` (a per-node classifier class such as
+    ``llsp_classifier``), or, when ``classifier`` is ``None``, on MPLS EXP
+    when labeled and outer DSCP otherwise — the interior behaviour of claim
+    C6.  A record of importable values, so a network holding one snapshots
+    it by name; a field its kind does not take is a ``ValueError``.
     """
-    return partial(_qdisc_for, kind, capacity_packets, classify or mpls_aware_classifier, weights)
 
+    kind: str
+    cap_bytes: int | None = None
+    rng: Any = None
+    red: RedParams | None = None
+    classifier: Callable[[Node], Callable] | None = None
 
-def _qdisc_for(
-    kind: str,
-    capacity_packets: int,
-    cls: Callable,
-    weights: Sequence[float],
-    node: Node,
-    ifname: str,
-) -> QueueDiscipline:
-    if kind == "fifo":
-        return DropTailFifo(capacity_packets=capacity_packets)
-    queues = three_class_queues(capacity_packets)
-    if kind == "priority":
-        return PriorityScheduler(queues, cls)
-    if kind == "wfq":
-        return FairQueueing(queues, cls, list(weights))
-    if kind == "drr":
-        # Quanta in bytes; scale weights by one MTU.
-        return DeficitRoundRobin(queues, cls, [int(w * 1500) for w in weights])
-    if kind == "wrr":
-        return WeightedRoundRobin(queues, cls, [max(1, int(w)) for w in weights])
-    raise ValueError(f"unknown qdisc kind {kind!r}")
+    def __post_init__(self) -> None:
+        kind = self.kind
+        if kind not in _KINDS:
+            raise ValueError(f"unknown qdisc kind {kind!r}; expected one of {_KINDS}")
+        given = [f for f in ("cap_bytes", "rng") if getattr(self, f) is not None]
+        if kind in _AQM and len(given) < 2:
+            raise ValueError(f"AQM kind {kind!r} needs cap_bytes and rng, got {given}")
+        if kind not in _AQM and given:
+            raise ValueError(f"qdisc kind {kind!r} takes no AQM field, got {given}")
+        if (self.red is not None) != (kind == "red"):
+            need = "needs" if kind == "red" else "takes no"
+            raise ValueError(f"qdisc kind {kind!r} {need} RedParams")
+        if self.classifier is not None and kind in ("fifo",) + _AQM:
+            raise ValueError(f"qdisc kind {kind!r} is classless and takes no classifier")
 
-
-class AqmQdisc:
-    """The AQM studies' (E9b, E12a) queue-discipline factory: a byte-capped
-    FIFO per interface, tail-drop (``"droptail"``), RED on ``red``
-    (``"red"``) or three-precedence WRED (``"wred"``), drawing on ``rng``.
-    A slotted class, not a closure, so a network holding it snapshots it by
-    name (as :class:`repro.qos.meter._Policer`)."""
-
-    __slots__ = ("kind", "cap_bytes", "rng", "red")
-
-    def __init__(self, kind: str, cap_bytes: int, rng, red: RedParams) -> None:
-        self.kind = kind
-        self.cap_bytes = cap_bytes
-        self.rng = rng
-        self.red = red
-
-    def __call__(self, node: Node, ifname: str) -> DropTailFifo:
-        cap = self.cap_bytes
-        if self.kind == "droptail":
-            return DropTailFifo(capacity_packets=None, capacity_bytes=cap)
-        policy = (
-            RedQueueManager(self.red, self.rng) if self.kind == "red"
-            else standard_wred(cap, self.rng)
-        )
-        return DropTailFifo(capacity_packets=None, capacity_bytes=cap, drop_policy=policy)
+    def __call__(self, node: Node, ifname: str) -> QueueDiscipline:
+        kind = self.kind
+        if kind == "fifo":
+            return DropTailFifo(capacity_packets=100)
+        if kind in _AQM:
+            cap = self.cap_bytes
+            if kind == "droptail":
+                return DropTailFifo(capacity_packets=None, capacity_bytes=cap)
+            policy = (
+                RedQueueManager(self.red, self.rng) if kind == "red"
+                else standard_wred(cap, self.rng)
+            )
+            return DropTailFifo(capacity_packets=None, capacity_bytes=cap, drop_policy=policy)
+        queues = three_class_queues()
+        cls = mpls_aware_classifier if self.classifier is None else self.classifier(node)
+        if kind == "priority":
+            return PriorityScheduler(queues, cls)
+        if kind == "wfq":
+            return FairQueueing(queues, cls, list(_WEIGHTS))
+        if kind == "drr":
+            # Quanta in bytes; scale weights by one MTU.
+            return DeficitRoundRobin(queues, cls, [int(w * 1500) for w in _WEIGHTS])
+        return WeightedRoundRobin(queues, cls, [max(1, int(w)) for w in _WEIGHTS])
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.control import converge_all
-from repro.experiments.common import ExperimentRun, make_qdisc_factory
+from repro.experiments.common import ExperimentRun, QdiscSpec
 from repro.metrics.sla import VOICE_SLA, evaluate
 from repro.mpls.lsr import Lsr
 from repro.qos.dscp import DSCP
@@ -38,7 +38,7 @@ def build_two_providers(seed: int = 101, qos: bool = True) -> dict[str, Any]:
     """Two 3-node providers (PE - P - ASBR) joined by option-A circuits."""
     net = Network(seed=seed)
     if qos:
-        net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+        net.default_qdisc_factory = QdiscSpec("wfq")
 
     nodes: dict[str, Lsr] = {}
     for dom, tag in (("core-a", "a"), ("core-b", "b")):

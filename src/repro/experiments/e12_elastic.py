@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import AqmQdisc, make_qdisc_factory
+from repro.experiments.common import QdiscSpec
 from repro.metrics.probes import ProbeAgent
 from repro.net.node import Host
 from repro.qos.red import RedParams
@@ -33,10 +33,10 @@ BOTTLENECK_BPS = 5e6
 N_FLOWS = 4
 
 
-def _elastic_testbed(net: Network, qdisc_factory) -> tuple[Host, Host]:
+def _elastic_testbed(net: Network, spec: QdiscSpec) -> tuple[Host, Host]:
     """A three-router line between two hosts on ``net``, every interface
-    queueing through ``qdisc_factory``."""
-    net.default_qdisc_factory = qdisc_factory
+    queueing through ``spec``."""
+    net.default_qdisc_factory = spec
     routers = build_line(net, 3, rate_bps=BOTTLENECK_BPS)
     tx = attach_host(net, routers[0], "10.120.0.1", name="tx", rate_bps=100e6)
     rx = attach_host(net, routers[2], "10.120.0.2", name="rx", rate_bps=100e6)
@@ -66,9 +66,9 @@ def run_e12a_aqm(
     raw: dict[str, Any] = {}
     for kind in ("droptail", "red"):
         net = Network(seed=seed)
-        tx, rx = _elastic_testbed(
-            net, AqmQdisc(kind, cap_bytes, net.streams.stream("e12.red"), red)
-        )
+        tx, rx = _elastic_testbed(net, QdiscSpec(
+            kind, cap_bytes, net.streams.stream("e12.red"), red if kind == "red" else None
+        ))
         flows = [
             ElasticSource(net.sim, tx, rx, "10.120.0.1", "10.120.0.2",
                           flow=f"tcp{i}", dst_port=8000 + i)
@@ -130,13 +130,8 @@ def run_e12b_voice_vs_elastic(
     rows: list[dict[str, Any]] = []
     raw: dict[str, Any] = {}
     for kind in ("fifo", "wfq"):
-        factory = (
-            make_qdisc_factory("fifo")
-            if kind == "fifo"
-            else make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
-        )
         net = Network(seed=seed)
-        tx, rx = _elastic_testbed(net, factory)
+        tx, rx = _elastic_testbed(net, QdiscSpec(kind))
         flows = [
             ElasticSource(net.sim, tx, rx, "10.120.0.1", "10.120.0.2",
                           flow=f"tcp{i}", dst_port=8000 + i)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.control import converge_all
-from repro.experiments.common import ExperimentRun, make_qdisc_factory
+from repro.experiments.common import ExperimentRun, QdiscSpec
 from repro.mpls.lsr import Lsr
 from repro.topology import Network
 from repro.traffic.generators import CbrSource
@@ -35,7 +35,7 @@ OFFERED_BPS = 1.5e6   # identical workload per customer; 3 x 1.5 < 6 uncongested
 
 def build_tiered_network(seed: int = 131) -> dict[str, Any]:
     net = Network(seed=seed)
-    net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+    net.default_qdisc_factory = QdiscSpec("wfq")
     pe1 = net.add_node(PeRouter(net.sim, "pe1"))
     p1 = net.add_node(Lsr(net.sim, "p1"))
     pe2 = net.add_node(PeRouter(net.sim, "pe2"))

@@ -20,14 +20,12 @@ the paper's §2.2 argument, quantified.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable
 
-from repro.experiments.common import ExperimentRun, three_class_queues
-from repro.qos.classifier import FlowMatch, mpls_aware_classifier
+from repro.experiments.common import ExperimentRun, QdiscSpec, three_class_queues
+from repro.qos.classifier import FlowMatch
 from repro.qos.dscp import DSCP
 from repro.qos.intserv import IntServ, intserv_classifier
-from repro.qos.queues import FairQueueing
 from repro.routing.spf import converge
 from repro.topology import Network, attach_host, build_line
 from repro.traffic.generators import CbrSource, voice_source
@@ -38,23 +36,12 @@ CORE_BPS = 8e6
 N_HOPS = 4   # routers in the line
 
 
-def _aggregate_classifier(node) -> Callable:
-    """DiffServ's interior classifier: the same EXP/DSCP one on every node."""
-    return mpls_aware_classifier
-
-
-def _wfq(classify_factory: Callable, node, ifname: str) -> FairQueueing:
-    return FairQueueing(
-        three_class_queues(100), classify_factory(node), [16.0, 4.0, 1.0]
-    )
-
-
-def _testbed(seed: int, classify_factory: Callable) -> dict[str, Any]:
-    """The line every architecture runs on; ``classify_factory(node)`` is a
-    core WFQ's classifier.  Built from module-level functions, so the
-    network snapshots."""
+def _testbed(seed: int, classifier: Callable | None) -> dict[str, Any]:
+    """The line every architecture runs on; ``classifier`` is the core
+    WFQ's per-node classifier class (``None``: DiffServ's EXP/DSCP one on
+    every node).  Built from importable values, so the network snapshots."""
     net = Network(seed=seed)
-    net.default_qdisc_factory = partial(_wfq, classify_factory)
+    net.default_qdisc_factory = QdiscSpec("wfq", classifier=classifier)
     routers = build_line(net, N_HOPS, rate_bps=CORE_BPS)
     tx = attach_host(net, routers[0], "10.140.0.1", name="tx", rate_bps=100e6)
     rx = attach_host(net, routers[-1], "10.140.0.2", name="rx", rate_bps=100e6)
@@ -66,9 +53,7 @@ def run_architecture(
     arch: str, n_flows: int, seed: int = 141, measure_s: float = 6.0
 ) -> dict[str, Any]:
     """Protect ``n_flows`` voice flows with one architecture; count costs."""
-    ctx = _testbed(
-        seed, intserv_classifier if arch == "intserv" else _aggregate_classifier
-    )
+    ctx = _testbed(seed, intserv_classifier if arch == "intserv" else None)
     net, routers, tx, rx = ctx["net"], ctx["routers"], ctx["tx"], ctx["rx"]
 
     intserv: IntServ | None = None

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.control import converge_all
-from repro.experiments.common import ExperimentRun, make_qdisc_factory
+from repro.experiments.common import ExperimentRun, QdiscSpec
 from repro.mpls.lsr import Lsr
 from repro.qos.dscp import DSCP
 from repro.routing.spf import converge
@@ -40,10 +40,7 @@ CONFIGS = ("ip-fifo", "ip-diffserv", "mpls-diffserv")
 def _build(config: str, seed: int) -> tuple[Network, Any, Any]:
     """Line backbone a - p1 - p2 - b with the config's node type + queues."""
     net = Network(seed=seed)
-    if config == "ip-fifo":
-        net.default_qdisc_factory = make_qdisc_factory("fifo")
-    else:
-        net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+    net.default_qdisc_factory = QdiscSpec("fifo" if config == "ip-fifo" else "wfq")
 
     mpls = config == "mpls-diffserv"
     if mpls:

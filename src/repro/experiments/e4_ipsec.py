@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.control import converge_all
-from repro.experiments.common import ExperimentRun, make_qdisc_factory
+from repro.experiments.common import ExperimentRun, QdiscSpec
 from repro.mpls.lsr import Lsr
 from repro.net.node import ProcessingModel
 from repro.qos.dscp import DSCP
@@ -71,7 +71,7 @@ def run_ipsec_config(
 ) -> dict[str, Any]:
     """IPsec overlay over a DiffServ IP backbone."""
     net = Network(seed=seed)
-    net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+    net.default_qdisc_factory = QdiscSpec("wfq")
     routers = build_line(net, 2, prefix="p", rate_bps=BOTTLENECK_BPS)
 
     crypto = ProcessingModel(crypto_bps=CRYPTO_BPS)
@@ -112,7 +112,7 @@ def run_ipsec_config(
 def run_mpls_config(seed: int = 33, measure_s: float = 8.0) -> dict[str, Any]:
     """BGP/MPLS VPN over the same backbone geometry."""
     net = Network(seed=seed)
-    net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+    net.default_qdisc_factory = QdiscSpec("wfq")
     pe1 = net.add_node(PeRouter(net.sim, "pe1"))
     p1 = net.add_node(Lsr(net.sim, "p1"))
     p2 = net.add_node(Lsr(net.sim, "p2"))

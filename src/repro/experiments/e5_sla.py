@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.control import converge_all
-from repro.experiments.common import ExperimentRun, make_qdisc_factory
+from repro.experiments.common import ExperimentRun, QdiscSpec
 from repro.metrics.sla import DATA_SLA, VOICE_SLA, evaluate
 from repro.mpls.lsr import Lsr
 from repro.qos.cbq import CbqClass, CbqScheduler
@@ -64,9 +64,7 @@ def _is_ef(pkt: Any) -> bool:
 def _build(stage: str, seed: int) -> dict[str, Any]:
     net = Network(seed=seed)
     core_qos = stage in ("core-only", "full")
-    net.default_qdisc_factory = make_qdisc_factory(
-        "wfq", weights=(16.0, 4.0, 1.0)
-    ) if core_qos else make_qdisc_factory("fifo")
+    net.default_qdisc_factory = QdiscSpec("wfq" if core_qos else "fifo")
 
     pe1 = net.add_node(PeRouter(net.sim, "pe1"))
     p1 = net.add_node(Lsr(net.sim, "p1"))
@@ -94,9 +92,7 @@ def _build(stage: str, seed: int) -> dict[str, Any]:
         # The default qdisc factory applies network-wide, so a QoS core
         # would silently give the access uplink WFQ too; "core-only" must
         # keep the customer uplink dumb for the ablation to mean anything.
-        from repro.qos.queues import DropTailFifo
-
-        s1.ce.interfaces[s1.ce_ifname].qdisc = DropTailFifo(capacity_packets=100)
+        s1.ce.interfaces[s1.ce_ifname].qdisc = QdiscSpec("fifo")(s1.ce, s1.ce_ifname)
 
     if stage == "full":
         # PE ingress protection: EF aggregate policed to its contract so a

@@ -21,18 +21,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import (
-    AqmQdisc,
-    ExperimentRun,
-    make_qdisc_factory,
-    three_class_queues,
-)
+from repro.experiments.common import ExperimentRun, QdiscSpec
 from repro.mpls.ldp import run_ldp
 from repro.mpls.lsr import Lsr
 from repro.net.packet import IPV4_HEADER_BYTES, MPLS_SHIM_BYTES
 from repro.qos.classifier import llsp_classifier
 from repro.qos.dscp import DSCP
-from repro.qos.queues import FairQueueing
 from repro.qos.red import RedParams
 from repro.routing.spf import converge
 from repro.topology import Network, attach_host, build_backbone, build_line
@@ -65,7 +59,7 @@ def run_e9a_schedulers(
     raw: dict[str, Any] = {}
     for kind in ("fifo", "priority", "wrr", "drr", "wfq"):
         net = Network(seed=seed)
-        net.default_qdisc_factory = make_qdisc_factory(kind, weights=(16.0, 4.0, 1.0))
+        net.default_qdisc_factory = QdiscSpec(kind)
         routers = build_line(net, 4, rate_bps=BOTTLENECK_BPS)
         tx = attach_host(net, routers[0], "10.91.0.1", name="tx")
         rx = attach_host(net, routers[3], "10.91.0.2", name="rx")
@@ -93,7 +87,7 @@ def run_e9a_schedulers(
         run.execute(drain_s=1.0)
         v = run.stats_for(voice, sink)
         b = run.stats_for(bulk, sink)
-        raw[kind] = {"voice": v, "data": run.stats_for(data, sink), "bulk": b}
+        raw[kind] = {"voice": v, "data": run.stats_for(data, sink), "bulk": b, "net": net}
         rows.append(
             {
                 "scheduler": kind,
@@ -120,7 +114,9 @@ def run_e9b_aqm(
     red = RedParams(min_th=cap_bytes // 5, max_th=cap_bytes // 2, max_p=0.1)
     for kind in ("droptail", "red", "wred"):
         net = Network(seed=seed)
-        net.default_qdisc_factory = AqmQdisc(kind, cap_bytes, net.streams.stream("e9b.aqm"), red)
+        net.default_qdisc_factory = QdiscSpec(
+            kind, cap_bytes, net.streams.stream("e9b.aqm"), red if kind == "red" else None
+        )
         routers = build_line(net, 3, rate_bps=BOTTLENECK_BPS)
         tx = attach_host(net, routers[0], "10.92.0.1", name="tx")
         rx = attach_host(net, routers[2], "10.92.0.2", name="rx")
@@ -178,7 +174,7 @@ def run_e9c_exp_php(
     )
     for label, exp_mode, php, explicit_null in variants:
         net = Network(seed=seed)
-        net.default_qdisc_factory = make_qdisc_factory("wfq", weights=(16.0, 4.0, 1.0))
+        net.default_qdisc_factory = QdiscSpec("wfq")
         pe1 = net.add_node(PeRouter(net.sim, "pe1"))
         p1 = net.add_node(Lsr(net.sim, "p1"))
         pe2 = net.add_node(PeRouter(net.sim, "pe2"))
@@ -298,12 +294,6 @@ def run_e9e_ibgp(
 # E9f — E-LSP vs L-LSP (RFC 3270's two DiffServ-over-MPLS models)
 # ---------------------------------------------------------------------------
 
-def _llsp_wfq(node, ifname: str) -> FairQueueing:
-    """E9f's queue-discipline factory: WFQ behind the node's L-LSP-aware
-    classifier (EXP for E-LSPs)."""
-    return FairQueueing(three_class_queues(100), llsp_classifier(node), [16.0, 4.0, 1.0])
-
-
 def run_e9f_elsp_llsp(
     seed: int = 96, measure_s: float = 6.0
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
@@ -321,7 +311,8 @@ def run_e9f_elsp_llsp(
     raw: dict[str, Any] = {}
     for model in ("e-lsp", "l-lsp"):
         net = Network(seed=seed)
-        net.default_qdisc_factory = _llsp_wfq
+        # WFQ behind each node's L-LSP-aware classifier (EXP for E-LSPs).
+        net.default_qdisc_factory = QdiscSpec("wfq", classifier=llsp_classifier)
 
         routers = [net.add_node(Lsr(net.sim, f"r{i}")) for i in range(4)]
         for i in range(3):

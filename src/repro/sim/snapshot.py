@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/19``), the ``repro`` version
+The header names the schema (``repro.snapshot/20``), the ``repro`` version
 that wrote it, the Python major.minor, the pickle protocol, and the
 payload's length and CRC32.  Restore fails fast with :class:`SnapshotError`
 on any mismatch of these, before anything is unpickled.  An image is the
@@ -34,8 +34,13 @@ shadows; a ``/16`` image holds each class queue of a classful discipline
 as a ``ClassQueue`` with a ``ClassStats`` record, classes this reader no
 longer has; a ``/17`` image's FIFOs carry no packet count, which this
 reader's disciplines admit and report their backlog by; a ``/18`` E12a
-image holds its qdisc factory as ``e12_elastic._AqmQdisc``, a class this
-reader no longer has); it unpickles into a wrong graph or fails deep inside it, and so
+image holds its qdisc factory as a class private to ``e12_elastic``, and a
+``/19`` image of an E2, E4, E5, E9, E10, E12, E13 or E14 network as a
+``partial`` over a function of ``experiments.common``, the AQM studies'
+class there, or a module function of ``e9_ablations`` or ``e14_intserv``:
+names this reader no longer has, since one
+``experiments.common.QdiscSpec`` record replaces them all);
+it unpickles into a wrong graph or fails deep inside it, and so
 does one with a flipped bit (about one in six still unpickles).  The header exists to refuse both up front.
 
 A table is imaged as its routes (:class:`~repro.routing.fib.Fib` pickles
@@ -111,7 +116,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/19"
+SCHEMA = "repro.snapshot/20"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.common import (
     ExperimentRun,
-    make_qdisc_factory,
+    QdiscSpec,
     run_and_summarize,
     three_class_queues,
 )
@@ -17,6 +17,8 @@ from repro.qos.queues import (
     PriorityScheduler,
     WeightedRoundRobin,
 )
+from repro.qos.classifier import llsp_classifier
+from repro.qos.red import RedParams, RedQueueManager, WredQueueManager
 from repro.qos.shaper import TokenBucketShaper
 from repro.routing import converge
 from repro.routing.spf import spf_paths
@@ -34,21 +36,55 @@ class TestQdiscFactory:
     ])
     def test_kinds(self, kind, cls):
         net = Network()
-        factory = make_qdisc_factory(kind)
+        factory = QdiscSpec(kind)
         r = net.add_router("r")
         assert isinstance(factory(r, "eth0"), cls)
 
     def test_drr_kind(self):
         from repro.qos.queues import DeficitRoundRobin
         net = Network()
-        factory = make_qdisc_factory("drr")
+        factory = QdiscSpec("drr")
         assert isinstance(factory(net.add_router("r"), "e"), DeficitRoundRobin)
 
     def test_unknown_kind_rejected(self):
-        factory = make_qdisc_factory("bogus")
+        # Refused when the spec is built, naming the kinds it knows, not at
+        # the first connect.
+        with pytest.raises(ValueError, match="unknown qdisc kind 'bogus'.*'wfq'"):
+            QdiscSpec("bogus")
+
+    def test_aqm_typo_rejected(self):
+        # A misspelt AQM kind is not silently WRED.
+        with pytest.raises(ValueError, match="unknown qdisc kind 'redd'.*'wred'"):
+            QdiscSpec("redd", 150_000, object())
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kind": "wfq", "cap_bytes": 150_000}, "takes no AQM field"),
+        ({"kind": "fifo", "rng": object()}, "takes no AQM field"),
+        ({"kind": "red", "cap_bytes": 150_000}, "needs cap_bytes and rng"),
+        ({"kind": "droptail", "rng": object()}, "needs cap_bytes and rng"),
+        ({"kind": "red", "cap_bytes": 1, "rng": object()}, "needs RedParams"),
+        ({"kind": "wred", "cap_bytes": 1, "rng": object(),
+          "red": RedParams(1, 2, 0.1)}, "takes no RedParams"),
+        ({"kind": "droptail", "cap_bytes": 1, "rng": object(),
+          "classifier": llsp_classifier}, "takes no classifier"),
+    ])
+    def test_fields_checked_against_kind(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            QdiscSpec(**kwargs)
+
+    @pytest.mark.parametrize("kind, policy", [
+        ("droptail", None), ("red", RedQueueManager), ("wred", WredQueueManager),
+    ])
+    def test_aqm_kinds(self, kind, policy):
+        red = RedParams(1000, 5000, 0.1) if kind == "red" else None
         net = Network()
-        with pytest.raises(ValueError):
-            factory(net.add_router("r"), "eth0")
+        fifo = QdiscSpec(kind, 150_000, net.streams.stream("aqm"), red)(
+            net.add_router("r"), "eth0")
+        assert type(fifo) is DropTailFifo and fifo.capacity_bytes == 150_000
+        if policy is None:
+            assert fifo.drop_policy is None
+        else:
+            assert type(fifo.drop_policy) is policy
 
     def test_three_class_queues_order(self):
         qs = three_class_queues(7)

@@ -379,14 +379,28 @@ def test_schema_17_image_refused_by_name(monkeypatch) -> None:
 
 
 def test_schema_18_image_refused_by_name(monkeypatch) -> None:
-    # A /18 E12a image holds its qdisc factory as e12_elastic._AqmQdisc;
-    # this reader has no such class (the AQM studies share
-    # experiments.common.AqmQdisc), so pickle.loads would fail looking it
-    # up.  The header refuses it first.
+    # A /18 E12a image holds its qdisc factory as a class private to
+    # e12_elastic; this reader has no such class (every study's factory is
+    # an experiments.common.QdiscSpec), so pickle.loads would fail looking
+    # it up.  The header refuses it first.
     blob = snapshot_network(_small_net())
     old = _tamper_header(blob, schema="repro.snapshot/18")
     monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
     with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/18'"):
+        restore_network(old)
+
+
+def test_schema_19_image_refused_by_name(monkeypatch) -> None:
+    # A /19 image of an E2, E4, E5, E9, E10, E12, E13 or E14 network holds
+    # its qdisc factory as a partial over a function of experiments.common,
+    # the AQM studies' class there, or a module function of e9_ablations
+    # or e14_intserv; this reader has none of them (one QdiscSpec record
+    # replaces all four), so pickle.loads would fail looking one up.  The
+    # header refuses it first.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/19")
+    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
+    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/19'"):
         restore_network(old)
 
 
@@ -655,22 +669,88 @@ def test_local_callable_refused_by_name(make: Callable, name: str) -> None:
     assert snapshot_network(net) == clean
 
 
-def _base_keys() -> list[str]:
+def _run_study(study: str) -> dict:
+    """One short run of an experiment study, for the networks in its raw."""
+    from repro.experiments import e4_ipsec, e9_ablations, e12_elastic
+
+    if study == "e4":
+        return {"ipsec-copy": e4_ipsec.run_ipsec_config(True, measure_s=0.3),
+                "mpls": e4_ipsec.run_mpls_config(measure_s=0.3)}
+    if study == "e12a":
+        return e12_elastic.run_e12a_aqm(duration_s=0.5)[1]
+    if study == "e12b":
+        return e12_elastic.run_e12b_voice_vs_elastic(duration_s=1.5)[1]
+    run = {"e9a": e9_ablations.run_e9a_schedulers, "e9b": e9_ablations.run_e9b_aqm,
+           "e9c": e9_ablations.run_e9c_exp_php, "e9f": e9_ablations.run_e9f_elsp_llsp}
+    return run[study](measure_s=0.3)[1]
+
+
+@pytest.fixture(scope="module")
+def study_raws() -> dict[str, dict]:
+    """Each study's raw results, run on first use and kept for the module."""
+    return {}
+
+
+def _builder_net(case: str, raws: dict[str, dict]) -> tuple[Network, dict]:
+    """The live network (and snapshot extras) one experiment builder made:
+    a sweep base, a testbed builder's, or one a short run left in its raw."""
+    study, rest = case.split("/", 1)
+    if study in ("e1", "e2", "e5", "e15"):
+        from repro.sweep.runner import _build_base_ctx
+
+        return _build_base_ctx(case)
+    if study == "e10":
+        from repro.experiments.e10_interas import build_two_providers
+
+        return build_two_providers()["net"], {}
+    if study == "e13":
+        from repro.experiments.e13_tiers import build_tiered_network
+
+        ctx = build_tiered_network()
+        return ctx.pop("net"), ctx
+    if study == "e14":
+        from repro.experiments.e14_intserv import _testbed
+        from repro.qos.intserv import intserv_classifier
+
+        return _testbed(141, intserv_classifier if rest == "intserv" else None)["net"], {}
+    if study not in raws:
+        raws[study] = _run_study(study)
+    return raws[study][rest]["net"], {}
+
+
+def _builder_cases() -> list[str]:
     from repro.experiments.e2_qos import CONFIGS
     from repro.experiments.e5_sla import STAGES
 
     return (["e1/mpls/20", "e1/overlay/20", "e15/20"]
-            + [f"e2/{c}" for c in CONFIGS] + [f"e5/{s}" for s in STAGES])
+            + [f"e2/{c}" for c in CONFIGS] + [f"e5/{s}" for s in STAGES]
+            + [f"e9a/{k}" for k in ("fifo", "priority", "wrr", "drr", "wfq")]
+            + [f"e9b/{k}" for k in ("droptail", "red", "wred")]
+            + [f"e9c/{k}" for k in ("both+php", "outer-only+php", "outer-only+explicit-null")]
+            + ["e9f/e-lsp", "e9f/l-lsp", "e12a/droptail", "e12a/red", "e12b/fifo",
+               "e12b/wfq", "e13/tiered", "e14/intserv", "e14/diffserv", "e4/ipsec-copy",
+               "e4/mpls", "e10/qos"])
 
 
-@pytest.mark.parametrize("key", _base_keys())
-def test_every_base_round_trips_and_audits_clean(key: str) -> None:
-    """Every base the sweep and ``repro snapshot save`` build snapshots
-    with the standard pickler, restores, and audits with no error."""
-    from repro.sweep.runner import _build_base
+@pytest.mark.parametrize("key", _builder_cases())
+def test_every_base_round_trips_and_audits_clean(study_raws, key: str) -> None:
+    """Every experiment builder's network (the sweep's bases, the testbeds,
+    and the ones a run leaves behind) snapshots with the standard pickler,
+    restores with the live network's qdisc factory (a ``QdiscSpec`` of the
+    same kind, or the network default), and audits with no error or
+    warning."""
+    from repro.experiments.common import QdiscSpec
 
-    net, _ = restore_network(_build_base(key))
-    assert [f for f in audit(net) if f.severity == "error"] == []
+    net, extras = _builder_net(key, study_raws)
+    restored, _ = restore_network(snapshot_network(net, extras))
+    assert [f for f in audit(restored) if f.severity != "note"] == []
+    live, factory = net.default_qdisc_factory, restored.default_qdisc_factory
+    if key.startswith(("e1/", "e15/")):
+        assert factory is live   # the network default, pickled by name
+    else:
+        assert isinstance(factory, QdiscSpec) and factory.kind == live.kind
+    if key.startswith("e12a/"):
+        assert (factory.kind, factory.cap_bytes) == (key[5:], 100 * 1500)
 
 
 def _tiered_image() -> tuple[dict, bytes]:
@@ -679,13 +759,6 @@ def _tiered_image() -> tuple[dict, bytes]:
     ctx = build_tiered_network()
     extras = {"prov": ctx["prov"], "customers": ctx["customers"]}
     return ctx, snapshot_network(ctx["net"], extras)
-
-
-def test_e13_tiered_network_round_trips_and_audits_clean() -> None:
-    """The tier conditioners (DSCP marker, srTCM remarker) and the core WFQ
-    factory are importable callables, so E13's network snapshots."""
-    net, _ = restore_network(_tiered_image()[1])
-    assert [f for f in audit(net) if f.severity == "error"] == []
 
 
 def test_e13_restored_network_gives_the_live_rows() -> None:
@@ -697,37 +770,6 @@ def test_e13_restored_network_gives_the_live_rows() -> None:
     live, _ = run_tiers(ctx, measure_s=1.0)
     assert [r["customer"] for r in live] == ["gold", "silver", "bronze", "gold-greedy"]
     assert restored == live
-
-
-@pytest.mark.parametrize("arch", ["intserv", "diffserv"])
-def test_e14_testbed_round_trips_and_audits_clean(arch: str) -> None:
-    """E14's core WFQ factory and its per-node classifiers (IntServ's flow
-    filter, DiffServ's EXP classifier) snapshot by name."""
-    from repro.experiments.e14_intserv import _aggregate_classifier, _testbed
-    from repro.qos.intserv import intserv_classifier
-
-    factory = intserv_classifier if arch == "intserv" else _aggregate_classifier
-    net, _ = restore_network(snapshot_network(_testbed(141, factory)["net"]))
-    assert [f for f in audit(net) if f.severity == "error"] == []
-
-
-@pytest.fixture(scope="module")
-def e9_networks() -> dict[str, Network]:
-    from repro.experiments.e9_ablations import run_e9b_aqm, run_e9f_elsp_llsp
-
-    nets = {}
-    for run in (run_e9b_aqm, run_e9f_elsp_llsp):
-        _, raw = run(measure_s=0.3)
-        nets.update((key, case["net"]) for key, case in raw.items())
-    return nets
-
-
-@pytest.mark.parametrize("key", ["droptail", "red", "wred", "e-lsp", "l-lsp"])
-def test_e9_networks_round_trip_and_audit_clean(e9_networks, key: str) -> None:
-    """E9b's AQM factory and E9f's L-LSP WFQ factory are importable
-    callables, not closures, so those networks snapshot after a run."""
-    net, _ = restore_network(snapshot_network(e9_networks[key]))
-    assert [f for f in audit(net) if f.severity != "note"] == []
 
 
 # ----------------------------------------------------------------------
@@ -1098,17 +1140,3 @@ def test_save_load_file_roundtrip(tmp_path) -> None:
     assert set(extras) == set(ctx)
     assert extras["s1"].hosts[0] is net2.nodes[extras["s1"].hosts[0].name]
     assert audit(net2) == audit(net)
-
-
-@pytest.mark.parametrize("kind", ["droptail", "red"])
-def test_e12a_network_round_trips_and_audits_clean(kind: str) -> None:
-    """E12a's queue-discipline factory (a byte-capped FIFO, tail-drop or
-    RED on the run's stream) is an importable callable, so a run's network
-    snapshots by name and comes back whole."""
-    from repro.experiments.e12_elastic import run_e12a_aqm
-
-    net = run_e12a_aqm(duration_s=0.5)[1][kind]["net"]
-    restored, _ = restore_network(snapshot_network(net))
-    assert [f for f in audit(restored) if f.severity in ("error", "warning")] == []
-    factory = restored.default_qdisc_factory
-    assert (factory.kind, factory.cap_bytes) == (kind, 100 * 1500)
