@@ -132,7 +132,9 @@ def _node_rules(node: "Node", seen: dict) -> _Rule:
         yield from _bad_keys(f"VRF {vrf.name} table", vrf.prefixes(), Prefix)
         yield from _bad_keys(f"VRF {vrf.name} route targets",
                              (*vrf.import_rts, *vrf.export_rts), RouteTarget)
-    yield from _cache_notes(node.pipeline)
+    pipe = node.built_pipeline()
+    if pipe is not None:  # a router that never forwarded has no cache
+        yield from _cache_notes(pipe)
 
 
 def _bad_keys(what: str, keys: Iterable, cls: type) -> _Rule:

@@ -64,6 +64,13 @@ class LfibEntry:
             if label is not None and not 0 <= label <= MAX_LABEL:
                 raise ValueError(f"label out of 20-bit range: {label}")
 
+    def __reduce__(self) -> tuple:
+        # Imaged as its fields and rebuilt through the constructor, so a
+        # restored entry passes the checks above again.
+        return LfibEntry, (
+            self.op, self.out_label, self.out_ifname, self.vrf, self.push_label, self.lsp_id,
+        )
+
 
 class Lfib:
     """Exact-match incoming-label table.

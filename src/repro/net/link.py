@@ -27,7 +27,8 @@ where the DiffServ traffic-conditioning block of claim C6 attaches.
 Both classes are slotted: a provisioned site is two of each, and an
 instance dict per object is what the cyclic collector would re-walk (and
 what pickling an unslotted object materialises).  They take no attribute
-that is not in ``__slots__``.
+that is not in ``__slots__``, and each is imaged as the tuple of its slot
+values (``__getstate__``): a new slot goes into both of its tuples.
 """
 
 from __future__ import annotations
@@ -241,6 +242,24 @@ class Interface:
         # timer at the earliest eligible time, not one per blocked enqueue.
         self._retry_event = None
         self._retry_time = math.inf
+
+    def __getstate__(self) -> tuple:
+        return (
+            self.sim, self.node, self.name, self.fluid_load_bps, self._rate_bps,
+            self._eff_rate_bps, self._qdisc, self.link, self.conditioners,
+            self.tx_packets, self.tx_bytes, self.enqueued, self.dropped,
+            self.conditioner_dropped, self.busy_time,
+            self._free_at, self._busy, self._retry_event, self._retry_time,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.sim, self.node, self.name, self.fluid_load_bps, self._rate_bps,
+            self._eff_rate_bps, self._qdisc, self.link, self.conditioners,
+            self.tx_packets, self.tx_bytes, self.enqueued, self.dropped,
+            self.conditioner_dropped, self.busy_time,
+            self._free_at, self._busy, self._retry_event, self._retry_time,
+        ) = state
 
     # ------------------------------------------------------------------
     def attach(self, link: Link) -> None:

@@ -67,7 +67,7 @@ class NodeStats:
     ``by_reason`` splits ``dropped_total`` by
     :class:`~repro.net.drops.DropReason`, keyed by ``reason.value``: the
     shared empty mapping until :meth:`Node.drop` counts the first drop, a
-    ``dict`` from then on.
+    ``dict`` from then on.  Imaged as the tuple of its fields.
     """
 
     rx_packets: int = 0
@@ -75,6 +75,14 @@ class NodeStats:
     delivered: int = 0
     dropped_total: int = 0
     by_reason: Mapping[str, int] = EMPTY_MAP
+
+    def __getstate__(self) -> tuple:
+        return self.rx_packets, self.forwarded, self.delivered, self.dropped_total, self.by_reason
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.rx_packets, self.forwarded, self.delivered, self.dropped_total, self.by_reason,
+        ) = state
 
 
 class Node:

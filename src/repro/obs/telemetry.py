@@ -219,7 +219,8 @@ class Telemetry:
             fam.labels(name=name).set(n)
 
     def _scrape_caches(self, reg: MetricsRegistry) -> None:
-        """GenCache counters from every router's forwarding pipeline.
+        """GenCache counters from every router's forwarding pipeline; a
+        router that has built none (a CE that never forwarded) has none.
 
         A PE's VRF decision caches are labeled ``vrf:<name>`` so one gauge
         family covers the flow and VRF caches uniformly.
@@ -240,7 +241,10 @@ class Telemetry:
             entries.labels(**clab).set(stats["entries"])
 
         for router in sorted(self.net.routers(), key=lambda r: r.name):
-            for cache_name, stats in sorted(router.pipeline.cache_stats().items()):
+            pipe = router.built_pipeline()
+            if pipe is None:  # never forwarded: no cache to scrape
+                continue
+            for cache_name, stats in sorted(pipe.cache_stats().items()):
                 if cache_name == "vrf":
                     for vrf_name, vstats in sorted(stats.items()):
                         emit(router.name, f"vrf:{vrf_name}", vstats)

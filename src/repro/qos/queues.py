@@ -181,6 +181,11 @@ class DropTailFifo(QueueDiscipline):
     discipline's class queue, so it keeps its counters (``enqueued``,
     ``dropped``, ``dequeued``, ``bytes_sent``) as attributes of its own:
     :attr:`stats` is the FIFO itself, and :attr:`classes` is ``(self,)``.
+
+    A FIFO is imaged as the tuple of its fields (``__getstate__``), the
+    class defaults it may shadow (``name``, ``interface``, the fluid load)
+    included: a new field goes into both tuples, and a subclass extends
+    them (see :class:`~repro.qos.shaper.TokenBucketShaper`).
     """
 
     name = "fifo"
@@ -201,6 +206,22 @@ class DropTailFifo(QueueDiscipline):
         self.drop_policy = drop_policy
         self.enqueued = self.dropped = self.dequeued = self.bytes_sent = 0
         self.on_drop: DropCallback | None = None
+
+    def __getstate__(self) -> tuple:
+        return (
+            self.name, self.interface, self.fluid_background_bps, self.fluid_standing_bytes,
+            self._q, self._count, self._bytes, self.capacity_packets, self.capacity_bytes,
+            self.drop_policy, self.enqueued, self.dropped, self.dequeued, self.bytes_sent,
+            self.on_drop,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.name, self.interface, self.fluid_background_bps, self.fluid_standing_bytes,
+            self._q, self._count, self._bytes, self.capacity_packets, self.capacity_bytes,
+            self.drop_policy, self.enqueued, self.dropped, self.dequeued, self.bytes_sent,
+            self.on_drop,
+        ) = state
 
     @property
     def stats(self) -> "DropTailFifo":

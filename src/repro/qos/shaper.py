@@ -54,6 +54,13 @@ class TokenBucketShaper(DropTailFifo):
         super().__init__(capacity_packets, capacity_bytes)
         self.bucket = TokenBucket(rate_bps, burst_bytes)
 
+    def __getstate__(self) -> tuple:
+        return (*super().__getstate__(), self.bucket)
+
+    def __setstate__(self, state: tuple) -> None:
+        super().__setstate__(state[:-1])
+        self.bucket = state[-1]
+
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._q:
             return None

@@ -69,6 +69,12 @@ class RouteEntry:
         """Primary + alternates, in deterministic order."""
         return ((self.out_ifname, self.next_hop), *self.alternates)
 
+    def __reduce__(self) -> tuple:
+        # Imaged as its fields, rebuilt through the constructor.
+        return RouteEntry, (
+            self.out_ifname, self.next_hop, self.metric, self.source, self.alternates,
+        )
+
 
 # ``Fib._stale`` of a table that has no trie yet: every route is pending.
 # Truthy, so the lookup path's one ``if self._stale:`` test builds the trie;

@@ -7,7 +7,10 @@ still route unlabeled packets (the mixed deployment of the paper's Fig. 4).
 
 Forwarding itself lives in :class:`repro.dataplane.ForwardingPipeline`;
 this class composes the pipeline with just the lookup and dispatch stages
-(no label-op, no VRF demux).
+(no label-op, no VRF demux).  A router builds its pipeline, and the flow
+cache in it, on the first read of :attr:`Router.pipeline` — its first
+packet, for a plain router or a CE; an LSR and a PE enable their stages on
+it in ``__init__`` — so a CE that never forwards holds neither.
 """
 
 from __future__ import annotations
@@ -23,6 +26,20 @@ __all__ = ["Router"]
 _NOTHING: frozenset[Prefix] = frozenset()
 
 
+class _BuiltOnFirstRead:
+    """``Router.pipeline``: builds the router's pipeline on its first read
+    and stores it as the router's own attribute of that name.  A non-data
+    descriptor, so every later read finds the attribute first and the hop
+    pays no descriptor call.  (``functools.cached_property`` would store it
+    through ``router.__dict__``, which materialises the instance dict.)"""
+
+    def __get__(self, router: "Router | None", owner: type | None = None):
+        if router is None:
+            return self
+        router.pipeline = pipe = ForwardingPipeline(router, router.fib)
+        return pipe
+
+
 class Router(Node):
     """IP router with a trie FIB."""
 
@@ -33,9 +50,15 @@ class Router(Node):
         # fronts, redistributed statics...): written by :meth:`advertise`,
         # empty and immutable until then (no CE advertises any).
         self.advertised_prefixes: frozenset[Prefix] | set[Prefix] = _NOTHING
-        # One staged forwarding engine, shared (by composition) with the
-        # Lsr and PeRouter subclasses — see repro.dataplane.pipeline.
-        self.pipeline = ForwardingPipeline(self, self.fib)
+
+    # One staged forwarding engine, shared (by composition) with the Lsr and
+    # PeRouter subclasses — see repro.dataplane.pipeline.  Built on first read.
+    pipeline: ForwardingPipeline = _BuiltOnFirstRead()  # type: ignore[assignment]
+
+    def built_pipeline(self) -> ForwardingPipeline | None:
+        """The pipeline if something has built it, else ``None``: what a
+        reader that must not build one (the audit, telemetry) asks for."""
+        return vars(self).get("pipeline")
 
     def advertise(self, prefix: Prefix) -> None:
         """Inject ``prefix`` into the IGP from this router."""

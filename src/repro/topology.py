@@ -56,7 +56,8 @@ class DuplexLink:
     :meth:`Network.disconnect` has taken the link out.  Compared by
     identity: a link *is* its record, and ``disconnect`` finds it among the
     network's links without a field-by-field compare of every record before
-    it.  Slotted, like the interfaces and links it holds.
+    it.  Slotted, like the interfaces and links it holds, and imaged like
+    them as the tuple of its slot values.
 
     Invariant: every routing-relevant mutation must bump the owning
     network's ``topology_generation``, or cached domain views go stale.
@@ -91,6 +92,18 @@ class DuplexLink:
         self._metric = metric
         self.addr_a, self.addr_b = addr_a, addr_b
         self.net = net
+
+    def __getstate__(self) -> tuple:
+        return (
+            self.a, self.b, self.if_ab, self.if_ba, self.link_ab, self.link_ba,
+            self._metric, self.addr_a, self.addr_b, self.net,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.a, self.b, self.if_ab, self.if_ba, self.link_ab, self.link_ba,
+            self._metric, self.addr_a, self.addr_b, self.net,
+        ) = state
 
     @property
     def rate_bps(self) -> float:

@@ -87,8 +87,9 @@ class Site:
     Compared by identity: a site *is* its provisioning record, and
     ``remove_site`` finds it among a VPN's sites without a field-by-field
     compare of every record before it.  Slotted (one per site, so no
-    instance dict), and ``hosts`` is a tuple the provisioner writes once:
-    most sites of a scale run have none.
+    instance dict) and imaged as the tuple of its fields, and ``hosts`` is
+    a tuple the provisioner writes once: most sites of a scale run have
+    none.
     """
 
     vpn_name: str
@@ -102,6 +103,18 @@ class Site:
     links: list["DuplexLink"]
     hosts: tuple[Host, ...] = ()
     role: str = "mesh"   # "mesh" | "spoke" | "hub"
+
+    def __getstate__(self) -> tuple:
+        return (
+            self.vpn_name, self.site_id, self.pe, self.ce, self.prefix, self.links,
+            self.hosts, self.role,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.vpn_name, self.site_id, self.pe, self.ce, self.prefix, self.links,
+            self.hosts, self.role,
+        ) = state
 
     @property
     def pe_ifname(self) -> str:

@@ -55,6 +55,10 @@ class VrfRoute:
 
     kind = "local"  # a class attribute, not a field
 
+    def __reduce__(self) -> tuple:
+        # Imaged as its fields, rebuilt through the constructor.
+        return VrfRoute, (self.out_ifname, self.next_hop, self.origin_site)
+
 
 Entry = Union[VrfRoute, "VpnRoute"]  # a table entry: a site's route or an advertisement
 

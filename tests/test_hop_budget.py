@@ -19,17 +19,20 @@ probe per VPN ingress, not two) and its VPN stack pushed by ``impose``;
 ownership test a dict probe in the stage itself, the wire-size memo kept
 in step by push / pop, the label-op stage writing TTL and label into the
 top entry it holds and E5's EF match reading the DSCP -> class-name
-table; 38.43 and 0.30 with the interface reading its discipline's packet
+table; 38.59 and 0.30 with the interface reading its discipline's packet
 count as an attribute (no ``__len__`` frame per dequeue or flight-recorder
-row).  The gate is that plus 3 %.
+row); 38.60 and 0.30 with each CE building its pipeline on its first
+packet (twelve calls a run).  The gate is 38.43 plus 3 %.
 
 The telemetry-on twin runs the same scenario as the ledger's
 ``vpn_sla_obs`` does (flight recorder, flow accountant, kernel profiler,
 streaming SLO and span tracing): 68.23 calls/hop before each obs producer
 was made one frame, 54.91 after (the kernel profiler's one dict probe per
 event, the flight recorder's label copy through ``map``, the flow
-accountant's and the SLO engine's class name from a table), 49.89 with
-the packet count read as an attribute; its gate is that plus 3 %.
+accountant's and the SLO engine's class name from a table), 50.06 with
+the packet count read as an attribute (also with a CE's pipeline built on
+its first packet); its gate is 49.89 plus 3 %.  Each assertion prints the
+count it measured.
 """
 
 import cProfile
@@ -68,8 +71,9 @@ def test_vpn_sla_calls_per_packet_hop():
         ncalls for (_file, _line, name), (_cc, ncalls, *_rest) in stats.stats.items()
         if name == "wire_bytes"
     )
-    assert stats.total_calls / hops <= MAX_CALLS_PER_HOP, (
-        f"{stats.total_calls} calls / {hops} packet-hops"
+    calls = stats.total_calls / hops
+    assert calls <= MAX_CALLS_PER_HOP, (
+        f"{calls:.2f} calls per packet-hop ({stats.total_calls} / {hops})"
     )
     assert wire_bytes_calls / hops <= MAX_WIRE_BYTES_CALLS_PER_HOP, (
         f"{wire_bytes_calls} wire_bytes calls / {hops} packet-hops"
@@ -86,6 +90,7 @@ def test_vpn_sla_calls_per_packet_hop_telemetry_on():
         assert obs_runtime.sessions()  # telemetry really rode along
     finally:
         obs_runtime.reset()
-    assert stats.total_calls / hops <= MAX_CALLS_PER_HOP_TELEMETRY_ON, (
-        f"{stats.total_calls} calls / {hops} packet-hops"
+    calls = stats.total_calls / hops
+    assert calls <= MAX_CALLS_PER_HOP_TELEMETRY_ON, (
+        f"{calls:.2f} calls per packet-hop ({stats.total_calls} / {hops})"
     )

@@ -188,220 +188,63 @@ def test_trailing_bytes_fail_before_unpickling(monkeypatch) -> None:
         restore_network(blob + b"\0")
 
 
-def test_schema_1_image_refused_by_name() -> None:
-    # A /1 image holds the FIB trie as _TrieNode objects, which are gone.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/1")
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/1'"):
-        restore_network(old)
+#: Every schema before this reader's, with what its image holds that this
+#: reader cannot load (or would load wrong): each is refused by name before
+#: anything is unpickled.
+_OLD_SCHEMAS = [
+    (1, "the FIB trie as _TrieNode objects, a class that is gone"),
+    (2, "Prefix / RouteTarget / VpnRoute as slotted-dataclass state; they are "
+        "tuples now and would fail inside pickle.loads"),
+    (3, "each Fib as its full attribute dict (trie columns, leaf cache); "
+        "Fib.__setstate__ takes the routes only"),
+    (4, "a network without its free /30 list or per-domain index, and nodes that "
+        "do not know their network: the first disconnect() or domain write fails"),
+    (5, "interfaces, links, sites and VRFs as instance dicts, a stats object per "
+        "interface; the classes are slotted and have no dict to fill"),
+    (6, "a link-listener list and a convergence-tracer slot, and events scheduled "
+        "through a bind() helper this reader no longer has"),
+    (7, "each site's `extra` dict, a slot Site no longer has, and IGP edges that "
+        "hold metrics without the link chosen per adjacency"),
+    (8, "a deque per idle queue discipline, an empty dict per idle cache, and "
+        "links as dicts without their transmitting interface"),
+    (9, "each MP-BGP import as a VrfRoute copy beside an import mirror; the engine "
+        "takes only its own advertisement objects and would never withdraw those"),
+    (10, "VrfRoutes with remote fields, and a label-cache slot per LSR pipeline"),
+    (11, "a VRF's circuit list (a seven-item tuple), a CE's site id and prefix "
+         "list, an interface's copy of its far end"),
+    (12, "a provisioner's engine signature and an engine's route reflector beside "
+         "its clusters"),
+    (13, "local functions and lambdas as marshalled code and closure cells, "
+         "rebuilt by a loader this reader no longer has"),
+    (14, "a PE's qos_exp_mapping flag, which imposition never consults, and a "
+         "tunnel-cache slot per PE pipeline"),
+    (15, "every IPv4Address as a slotted object (a TypeError from "
+         "IPv4Address.__new__) and each LSR's EXP policy as `impose_exp`"),
+    (16, "each class queue as a ClassQueue with a ClassStats record, classes "
+         "that are gone"),
+    (17, "FIFOs without the packet count they admit against and report backlog by"),
+    (18, "an E12a qdisc factory as a class private to e12_elastic, which is gone"),
+    (19, "a qdisc factory as a partial over an experiments.common function, the "
+         "AQM studies' class or an e9 / e14 module function; QdiscSpec replaced all"),
+    (20, "interfaces, FIFOs, duplex links, sites and node counters as slot maps "
+         "or instance dicts, and route / label records as dataclass field state; "
+         "this reader images each as a tuple and the records by constructor"),
+]
 
 
-def test_schema_2_image_refused_by_name(monkeypatch) -> None:
-    # A /2 image holds Prefix / RouteTarget / VpnRoute as slotted-dataclass
-    # state; they are tuples now and would fail inside pickle.loads.
+@pytest.mark.parametrize("schema, reason", _OLD_SCHEMAS, ids=[str(n) for n, _ in _OLD_SCHEMAS])
+def test_old_schema_image_refused_by_name(monkeypatch, schema: int, reason: str) -> None:
+    assert f"repro.snapshot/{schema}" != SCHEMA
     blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/2")
+    old = _tamper_header(blob, schema=f"repro.snapshot/{schema}")
     monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/2'"):
+    with pytest.raises(SnapshotError, match=rf"schema 'repro\.snapshot/{schema}'"):
         restore_network(old)
 
 
-def test_schema_3_image_refused_by_name(monkeypatch) -> None:
-    # A /3 image holds each Fib as its full attribute dict (trie columns,
-    # leaf cache); this reader's Fib.__setstate__ takes the routes only.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/3")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/3'"):
-        restore_network(old)
-
-
-def test_schema_4_image_refused_by_name(monkeypatch) -> None:
-    # A /4 network has no free /30 list, no per-domain index and nodes that
-    # do not know their network: the first disconnect() or node.domain write
-    # after a restore would fail far from the cause.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/4")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/4'"):
-        restore_network(old)
-
-
-def test_schema_5_image_refused_by_name(monkeypatch) -> None:
-    # A /5 image holds interfaces, links, sites and VRFs as instance dicts
-    # (and a stats object per interface); this reader's classes are slotted
-    # and would fail inside pickle.loads with no dict to fill.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/5")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/5'"):
-        restore_network(old)
-
-
-def test_schema_6_image_refused_by_name(monkeypatch) -> None:
-    # A /6 network carries a link-listener list and a convergence-tracer
-    # slot, and a pending event scheduled through the old bind() helper
-    # names a rebuild function this reader no longer has: it would fail
-    # deep inside pickle.loads.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/6")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/6'"):
-        restore_network(old)
-
-
-def test_schema_7_image_refused_by_name(monkeypatch) -> None:
-    # A /7 image holds each site's ``extra`` dict, a slot this reader's Site
-    # does not have, and IGP state whose edge map holds metrics without the
-    # link chosen per adjacency: the first would fail inside pickle.loads,
-    # the second would make the next reconverge misread every edge.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/7")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/7'"):
-        restore_network(old)
-
-
-def test_schema_8_image_refused_by_name(monkeypatch) -> None:
-    # A /8 image holds a deque per idle queue discipline and an empty dict
-    # per idle cache and drop counter, and links without the transmitting
-    # interface a failure counts its LINK_DOWN drop at: this reader's
-    # Link.__setstate__ takes a tuple and would fail inside pickle.loads.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/8")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/8'"):
-        restore_network(old)
-
-
-def test_schema_9_image_refused_by_name(monkeypatch) -> None:
-    # A /9 image holds each MP-BGP import as a VrfRoute copy beside the
-    # engine's import mirror: this reader's engine takes only its own
-    # advertisement objects for imports, so it would never withdraw those.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/9")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/9'"):
-        restore_network(old)
-
-
-def test_schema_10_image_refused_by_name(monkeypatch) -> None:
-    # A /10 image holds VrfRoute objects with the remote fields this
-    # reader's local-only VrfRoute lacks, and a label cache per LSR
-    # pipeline, whose slot this reader's pipeline no longer has.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/10")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/10'"):
-        restore_network(old)
-
-
-def test_schema_11_image_refused_by_name(monkeypatch) -> None:
-    # An /11 image images a VRF with its circuit list (a seven-item tuple
-    # this reader's Vrf.__setstate__ cannot unpack), a CE with its site id
-    # and prefix list, and an interface with the far end's node and name.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/11")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/11'"):
-        restore_network(old)
-
-
-def test_schema_12_image_refused_by_name(monkeypatch) -> None:
-    # A /12 image holds a provisioner with the PE-set signature its engine
-    # was rebuilt on, and an engine with a route reflector beside its
-    # clusters: state this reader's one engine per provisioner never reads.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/12")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/12'"):
-        restore_network(old)
-
-
-def test_schema_13_image_refused_by_name(monkeypatch) -> None:
-    # A /13 image may hold a local function or lambda as marshalled code
-    # and closure cells, rebuilt by a loader this reader no longer has; its
-    # queue factory, PE policer and flow sinks are closures where this
-    # reader's graph holds importable callables.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/13")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/13'"):
-        restore_network(old)
-
-
-def test_schema_14_image_refused_by_name(monkeypatch) -> None:
-    # A /14 image holds a PE's qos_exp_mapping flag, which this reader's
-    # imposition never consults (impose_exp is the one EXP policy), so an
-    # e5 none / cbq-only base would come back mapping DSCP to EXP; and a
-    # tunnel cache per PE pipeline, whose slot this reader's has no more.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/14")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/14'"):
-        restore_network(old)
-
-
-def test_schema_15_image_refused_by_name(monkeypatch) -> None:
-    # A /15 image holds every IPv4Address as a slotted object, which this
-    # reader's tuple address cannot load (pickle.loads would fail with a
-    # TypeError from IPv4Address.__new__), and each LSR's EXP policy as
-    # ``impose_exp``, which this reader's checked property shadows.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/15")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/15'"):
-        restore_network(old)
-
-
-def test_schema_16_image_refused_by_name(monkeypatch) -> None:
-    # A /16 image holds each class queue of a classful discipline (CBQ at a
-    # CPE, WFQ in the core) as a ``ClassQueue`` with a ``ClassStats`` record;
-    # this reader has neither class, so pickle.loads would fail looking one
-    # up.  The header refuses it first.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/16")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/16'"):
-        restore_network(old)
-
-
-def test_schema_17_image_refused_by_name(monkeypatch) -> None:
-    # A /17 image's FIFOs (every default discipline and every class queue)
-    # carry no packet count; this reader's FIFO admits against that count
-    # and its interface reads the backlog from it, so a restored queue would
-    # fail on its first packet.  The header refuses it first.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/17")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/17'"):
-        restore_network(old)
-
-
-def test_schema_18_image_refused_by_name(monkeypatch) -> None:
-    # A /18 E12a image holds its qdisc factory as a class private to
-    # e12_elastic; this reader has no such class (every study's factory is
-    # an experiments.common.QdiscSpec), so pickle.loads would fail looking
-    # it up.  The header refuses it first.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/18")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/18'"):
-        restore_network(old)
-
-
-def test_schema_19_image_refused_by_name(monkeypatch) -> None:
-    # A /19 image of an E2, E4, E5, E9, E10, E12, E13 or E14 network holds
-    # its qdisc factory as a partial over a function of experiments.common,
-    # the AQM studies' class there, or a module function of e9_ablations
-    # or e14_intserv; this reader has none of them (one QdiscSpec record
-    # replaces all four), so pickle.loads would fail looking one up.  The
-    # header refuses it first.
-    blob = snapshot_network(_small_net())
-    old = _tamper_header(blob, schema="repro.snapshot/19")
-    monkeypatch.setattr(pickle, "loads", _must_not_unpickle)
-    with pytest.raises(SnapshotError, match=r"schema 'repro\.snapshot/19'"):
-        restore_network(old)
+def test_every_old_schema_is_a_case() -> None:
+    current = int(SCHEMA.rsplit("/", 1)[1])
+    assert [n for n, _ in _OLD_SCHEMAS] == list(range(1, current))
 
 
 def test_restored_route_keys_are_the_value_types() -> None:
